@@ -272,3 +272,50 @@ func BenchmarkMicro_InformerEventPipeline(b *testing.B) {
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }
+
+// BenchmarkMicro_KubeletSyncAtScale is one sync period of a 50-node
+// world: every kubelet reads its whole pod cache and keeps the pods bound
+// to its node (Kubelet.syncPods → reconcile). All 50 caches are fed by one
+// apiserver, so they hold the same 50 pod objects.
+func BenchmarkMicro_KubeletSyncAtScale(b *testing.B) {
+	const nodes = 50
+	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
+	store.NewServer(w, "etcd", store.New())
+	apiserver.New(w, "api-1", apiserver.DefaultConfig("etcd"))
+	writer := client.NewConn(w, "writer", "api-1", 300*sim.Millisecond)
+	w.Network().Register("writer", sim.HandlerFunc(func(m *sim.Message) { writer.HandleMessage(m) }))
+	w.Kernel().RunFor(300 * sim.Millisecond)
+
+	nodeName := func(i int) string { return fmt.Sprintf("node-%02d", i) }
+	infs := make([]*client.Informer, nodes)
+	for i := range infs {
+		id := sim.NodeID("kubelet-" + nodeName(i))
+		conn := client.NewConn(w, id, "api-1", 300*sim.Millisecond)
+		w.Network().Register(id, sim.HandlerFunc(func(m *sim.Message) { conn.HandleMessage(m) }))
+		infs[i] = client.NewInformer(conn, cluster.KindPod, client.InformerConfig{})
+		infs[i].Run()
+	}
+	for i := 0; i < nodes; i++ {
+		name := fmt.Sprintf("pod-%02d", i)
+		writer.Create(cluster.NewPod(name, name, cluster.PodSpec{NodeName: nodeName(i), Phase: cluster.PodRunning}), nil)
+	}
+	w.Kernel().RunFor(sim.Second)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	mine := 0
+	for i := 0; i < b.N; i++ {
+		for n, inf := range infs {
+			node := nodeName(n)
+			for _, p := range inf.ListCached() {
+				if p.Pod != nil && p.Pod.NodeName == node && !p.Terminating() {
+					mine++
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	if mine != b.N*nodes {
+		b.Fatalf("kubelets found %d pods of their own over %d sync periods, want %d", mine, b.N, b.N*nodes)
+	}
+}

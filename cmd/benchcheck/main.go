@@ -61,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	e10Path := fs.String("e10", "BENCH_E10.json", "committed E10 artifact path")
 	e11Path := fs.String("e11", "BENCH_E11.json", "committed E11 artifact path")
 	e12Path := fs.String("e12", "BENCH_E12.json", "committed E12 artifact path")
-	parallel := fs.Int("parallel", 4, "worker-pool width for the recomputation (does not affect results)")
+	parallel := fs.Int("parallel", 4, "worker-pool width of the width-independent engines; the one guided engine (E11) always runs at the width its artifact was generated with")
 	write := fs.Bool("write", false, "regenerate the artifacts instead of checking them")
 	jsonOut := fs.Bool("json", false, "emit a machine-readable field-level diff report on stdout")
 	if err := fs.Parse(args); err != nil {

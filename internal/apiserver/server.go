@@ -72,9 +72,11 @@ type clientSub struct {
 // decodedObj is one entry of the ModRevision-keyed decode memo: obj is
 // the decode of the cached value at revision rev. Same discipline as the
 // store layer's memo (store.go): a pure cache, never part of snapshots or
-// equality, self-invalidating by revision compare; memoized objects are
-// shared across replies and MUST be treated as immutable by receivers
-// (the sim.Message payload contract — informers clone on ingest).
+// equality, self-invalidating by revision compare. The memoized object is
+// THE object for (this apiserver, key, rev): watch pushes, list and get
+// replies, informer caches and handler arguments all carry this pointer,
+// so nobody may mutate it — a holder that wants to change it Clones first
+// (DESIGN.md, "Object ownership").
 type decodedObj struct {
 	rev int64
 	obj *cluster.Object
@@ -117,12 +119,12 @@ type Server struct {
 	winHead     int   // logical window start: window[winHead:] is the live window
 	minStartRev int64 // newest revision no longer replayable from the window
 	subs        map[string]*clientSub
-	subsOrder   []string                   // cached sorted sub keys; nil means stale
-	subsByKind  map[cluster.Kind][]string  // per-kind relay index over subsOrder; nil means stale
-	kindKeys    map[cluster.Kind][]string  // per-kind sorted cache keys, maintained incrementally
-	kindBroken  bool                       // true disables kindKeys (unparseable key seen); lists fall back to full scans
-	decoded     map[string]decodedObj      // ModRevision-keyed decode memo; pure cache, excluded from snapshots
-	batch       map[string][]WatchEvent    // per-sub pending watch events under Config.BatchWatch
+	subsOrder   []string                  // cached sorted sub keys; nil means stale
+	subsByKind  map[cluster.Kind][]string // per-kind relay index over subsOrder; nil means stale
+	kindKeys    map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
+	kindBroken  bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
+	decoded     map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
+	batch       map[string][]WatchEvent   // per-sub pending watch events under Config.BatchWatch
 	stats       ServeStats
 	storeSubID  uint64
 	lastEventAt sim.Time
@@ -333,6 +335,9 @@ func (s *Server) applyOne(e history.Event) {
 		if err != nil {
 			return
 		}
+		// The one decode of this revision on this apiserver: cached reads
+		// and every subscriber share it.
+		s.memoize(e.Key, e.Revision, obj)
 		if kv.Version == 1 {
 			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision}
 		} else {
@@ -344,13 +349,20 @@ func (s *Server) applyOne(e history.Event) {
 		if existed {
 			s.kindIndexRemove(e.Key)
 		}
-		delete(s.decoded, e.Key)
+		// Tombstone: the last known state stamped with the deletion
+		// revision. The memoized previous revision is immutable, so a
+		// shallow copy with a new ResourceVersion is enough.
 		var obj *cluster.Object
-		if existed {
+		if d, ok := s.decoded[e.Key]; ok && existed && d.rev == prev.ModRevision {
+			t := *d.obj
+			t.Meta.ResourceVersion = e.Revision
+			obj = &t
+		} else if existed {
 			if o, err := cluster.Decode(prev.Value, e.Revision); err == nil {
 				obj = o
 			}
 		}
+		delete(s.decoded, e.Key)
 		if obj == nil {
 			// Deletion of a key we never cached: synthesize a tombstone
 			// with only the identity filled in.
@@ -421,12 +433,12 @@ func (s *Server) relayTo(sub *clientSub, ev WatchEvent) {
 		if s.batch == nil {
 			s.batch = make(map[string][]WatchEvent)
 		}
-		s.batch[sub.key] = append(s.batch[sub.key], cloneEvent(ev))
+		s.batch[sub.key] = append(s.batch[sub.key], ev)
 		return
 	}
 	s.stats.RelaySends++
 	s.world.Network().Send(s.id, sub.client, KindWatchPush,
-		&WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(cloneEvent(ev))})
+		&WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})
 }
 
 // flushWatchBatches emits one watch push per subscriber carrying every
@@ -536,8 +548,9 @@ func (s *Server) kindIndexRemove(key string) {
 }
 
 // decodeCached returns the decoded object for a cached KV through the
-// ModRevision-keyed memo (the store layer's PR 7 pattern). The memoized
-// object is shared across replies; receivers treat payloads as immutable.
+// ModRevision-keyed memo (the store layer's PR 7 pattern). applyOne seeds
+// the memo, so this misses only for keys that entered the cache by
+// bootstrap relist or snapshot restore.
 func (s *Server) decodeCached(key string, kv store.KV) (*cluster.Object, error) {
 	if d, ok := s.decoded[key]; ok && d.rev == kv.ModRevision {
 		s.stats.DecodeHits++
@@ -548,20 +561,36 @@ func (s *Server) decodeCached(key string, kv store.KV) (*cluster.Object, error) 
 		return nil, err
 	}
 	s.stats.DecodeMisses++
+	s.memoize(key, kv.ModRevision, obj)
+	return obj, nil
+}
+
+func (s *Server) memoize(key string, rev int64, obj *cluster.Object) {
 	if s.decoded == nil {
 		s.decoded = make(map[string]decodedObj)
 	}
-	s.decoded[key] = decodedObj{rev: kv.ModRevision, obj: obj}
-	return obj, nil
+	s.decoded[key] = decodedObj{rev: rev, obj: obj}
+}
+
+// Memoized returns the decode memo's objects in key order: the objects
+// this apiserver currently shares with its readers and watchers. They
+// are read-only like every other API object; the ownership detector
+// (workload.TestSharedObjectsNeverMutated) checks them against the store.
+func (s *Server) Memoized() []*cluster.Object {
+	keys := make([]string, 0, len(s.decoded))
+	for k := range s.decoded {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*cluster.Object, 0, len(keys))
+	for _, k := range keys {
+		out = append(out, s.decoded[k].obj)
+	}
+	return out
 }
 
 // Stats returns a copy of the serving-path counters.
 func (s *Server) Stats() ServeStats { return s.stats }
-
-func cloneEvent(ev WatchEvent) WatchEvent {
-	ev.Object = ev.Object.Clone()
-	return ev
-}
 
 func sortedSubKeys(m map[string]*clientSub) []string {
 	keys := make([]string, 0, len(m))
@@ -772,16 +801,22 @@ func (s *Server) register() {
 		}
 		key := fmt.Sprintf("%s/%d", from, req.SubID)
 		sub := &clientSub{key: key, subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
+		// An informer on a quiet stream re-issues its watch every
+		// WatchTimeout. The order caches hold keys, not subs: a live key
+		// re-registered with the same kind leaves both of them valid.
+		if old, live := s.subs[key]; !live || old.kind != req.Kind {
+			s.subsOrder = nil
+			s.subsByKind = nil
+		}
 		s.subs[key] = sub
-		s.subsOrder = nil
-		s.subsByKind = nil
 		// Replay the window backlog beyond the client's start revision.
+		// The window is revision-ordered.
+		win := s.window[s.winHead:]
+		first := sort.Search(len(win), func(i int) bool { return win[i].Revision > req.StartRev })
+		prefix := cluster.KindPrefix(req.Kind)
 		var backlog []WatchEvent
-		for _, e := range s.window[s.winHead:] {
-			if e.Revision <= req.StartRev {
-				continue
-			}
-			if !strings.HasPrefix(e.Key, cluster.KindPrefix(req.Kind)) {
+		for _, e := range win[first:] {
+			if !strings.HasPrefix(e.Key, prefix) {
 				continue
 			}
 			if we, ok := s.eventFromWindow(e); ok {

@@ -322,3 +322,155 @@ func BenchmarkWindowTrim(b *testing.B) {
 		})
 	}
 }
+
+// TestApplySeedsDecodeMemo: the decode applyOne performs for the relay is
+// the one cached reads are answered from — an Update followed by a cached
+// Get of the same key (the kubelet heartbeat's pattern) must not decode
+// again, and the object read is the very one the watchers were pushed.
+func TestApplySeedsDecodeMemo(t *testing.T) {
+	h := servingHarness(t, nil)
+	api := h.apis[0]
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindNode, SubID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkNode("n1")}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+	before := api.Stats()
+	upd := mkNode("n1")
+	upd.Node.Capacity = 9
+	if _, err := h.cl.call("api-1", MethodUpdate, &UpdateRequest{Object: upd}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+	body, err := h.cl.call("api-1", MethodGet, &GetRequest{Kind: cluster.KindNode, Name: "n1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := body.(*GetResponse).Object
+	if got == nil || got.Node.Capacity != 9 {
+		t.Fatalf("cached get after update returned %+v", got)
+	}
+	after := api.Stats()
+	if after.DecodeMisses != before.DecodeMisses {
+		t.Fatalf("update then cached get decoded %d more times; applyOne's decode must seed the memo",
+			after.DecodeMisses-before.DecodeMisses)
+	}
+	if after.DecodeHits != before.DecodeHits+1 {
+		t.Fatalf("cached get scored %d memo hits, want 1", after.DecodeHits-before.DecodeHits)
+	}
+	last := h.cl.pushes[len(h.cl.pushes)-1].Events
+	if pushed := last[len(last)-1].Object; pushed != got {
+		t.Fatalf("watch push carried %p, cached get %p: one object per (key, revision)", pushed, got)
+	}
+}
+
+// TestRelaySharesOneObjectAndTombstonesLastState: every subscriber of a
+// kind is pushed the same object pointer, and a delete is relayed as the
+// last known state stamped with the deletion revision — without touching
+// the (shared, immutable) object of the previous revision.
+func TestRelaySharesOneObjectAndTombstonesLastState(t *testing.T) {
+	h := servingHarness(t, nil)
+	for sub := uint64(1); sub <= 2; sub++ {
+		if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: sub}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod("p1", "k1")}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+	if len(h.cl.pushes) != 2 {
+		t.Fatalf("%d pushes after create, want one per subscriber", len(h.cl.pushes))
+	}
+	added := h.cl.pushes[0].Events[0]
+	if other := h.cl.pushes[1].Events[0]; other.Object != added.Object {
+		t.Fatalf("subscribers were pushed distinct objects %p and %p", added.Object, other.Object)
+	}
+	if _, err := h.cl.call("api-1", MethodDelete, &DeleteRequest{Kind: cluster.KindPod, Name: "p1"}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+	deleted := h.cl.pushes[len(h.cl.pushes)-1].Events[0]
+	if deleted.Type != Deleted || deleted.Object.Meta.ResourceVersion != deleted.Revision {
+		t.Fatalf("tombstone %+v rv=%d", deleted, deleted.Object.Meta.ResourceVersion)
+	}
+	if deleted.Object.Pod == nil || deleted.Object.Pod.NodeName != "k1" || deleted.Object.Meta.UID != "uid-p1" {
+		t.Fatalf("tombstone lost the last known state: %+v", deleted.Object)
+	}
+	if added.Object.Meta.ResourceVersion != added.Revision {
+		t.Fatalf("building the tombstone restamped the shared object of revision %d to %d",
+			added.Revision, added.Object.Meta.ResourceVersion)
+	}
+}
+
+// TestRewatchKeepsOrderCachesAndReplaysBacklog: an informer on a quiet
+// stream re-issues its watch under the same subscription key every
+// WatchTimeout. That must not throw away the sorted-subscription caches
+// (the next relay would re-sort every key), must still reset the
+// subscription's high-water mark, and must replay exactly the window
+// events after StartRev of the requested kind.
+func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
+	h := servingHarness(t, nil)
+	api := h.apis[0]
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindNode, SubID: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var revs []int64
+	for i := 0; i < 4; i++ {
+		body, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod(fmt.Sprintf("p%d", i), "k1")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		revs = append(revs, body.(*WriteResponse).Revision)
+		if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkNode(fmt.Sprintf("n%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+	if api.subsOrder == nil || api.subsByKind == nil {
+		t.Fatal("relay did not build the order caches; the assertion below is vacuous")
+	}
+	order := &api.subsOrder[0]
+
+	h.cl.pushes = nil
+	before := api.Stats()
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: 1, StartRev: revs[1]}); err != nil {
+		t.Fatal(err)
+	}
+	if api.subsOrder == nil || &api.subsOrder[0] != order || api.subsByKind == nil {
+		t.Fatal("re-registering a live subscription key with the same kind invalidated the order caches")
+	}
+	if after := api.Stats(); after != before {
+		t.Fatalf("re-watch moved serving counters: %+v -> %+v", before, after)
+	}
+	if len(h.cl.pushes) != 1 {
+		t.Fatalf("%d backlog pushes, want 1", len(h.cl.pushes))
+	}
+	var got []int64
+	for _, ev := range h.cl.pushes[0].Events {
+		if ev.Object.Meta.Kind != cluster.KindPod {
+			t.Fatalf("pod backlog carried a %s event", ev.Object.Meta.Kind)
+		}
+		got = append(got, ev.Revision)
+	}
+	if !reflect.DeepEqual(got, revs[2:]) {
+		t.Fatalf("backlog after revision %d replayed %v, want %v", revs[1], got, revs[2:])
+	}
+	if sent := api.subs["client/1"].lastSent; sent != revs[3] {
+		t.Fatalf("re-watch left lastSent at %d, want %d", sent, revs[3])
+	}
+
+	// The same key asking for another kind is a different subscription
+	// for the per-kind index: that one must be rebuilt.
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindNode, SubID: 1, StartRev: api.CachedRevision()}); err != nil {
+		t.Fatal(err)
+	}
+	if api.subsByKind != nil {
+		t.Fatal("re-registering a key under another kind kept the stale per-kind index")
+	}
+}

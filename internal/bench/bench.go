@@ -285,14 +285,30 @@ type E11 struct {
 // meaningless).
 const e11MaxSchedules = 20000
 
+// e11GuidedWidth is the engine width the committed BENCH_E11.json was
+// generated at. Guided scheduling is batch-synchronous in rounds of
+// Workers (campaign/engine.go): which plans have run when a detection
+// stops the campaign depends on the round size, so the guided column is a
+// function of (maxExec, width) and the width is part of the artifact's
+// definition, not the caller's to choose.
+const e11GuidedWidth = 4
+
+// e11Engines returns E11's two sampling engines. Only the random one is
+// sized by the caller: unguided results are the same at any width.
+func e11Engines(maxExec, workers int) (guided, random *campaign.Engine) {
+	guided = campaign.New(campaign.Config{Workers: e11GuidedWidth, MaxExecutions: maxExec, Guided: true, Snapshot: true})
+	random = campaign.New(campaign.Config{Workers: workers, MaxExecutions: maxExec, Snapshot: true})
+	return guided, random
+}
+
 // ComputeE11 runs the exhaustive-vs-sampled comparison on all five
-// seeded bugs. The explorer is serial and deterministic; the campaign
-// columns are deterministic at any worker count, so the artifact is a
-// pure function of maxExec.
+// seeded bugs. The explorer is serial and deterministic, the random
+// column is width-independent and the guided column runs at
+// e11GuidedWidth whatever workers is, so the artifact is a pure function
+// of maxExec.
 func ComputeE11(maxExec, workers int) E11 {
 	art := E11{Schema: SchemaE11, MaxExecutions: maxExec, BoundDrops: 1, BoundDelays: 1}
-	eng := campaign.New(campaign.Config{Workers: workers, MaxExecutions: maxExec, Guided: true, Snapshot: true})
-	engRand := campaign.New(campaign.Config{Workers: workers, MaxExecutions: maxExec, Snapshot: true})
+	eng, engRand := e11Engines(maxExec, workers)
 	for _, t := range workload.AllTargets() {
 		res := explore.Run(explore.Config{
 			Target: t, Seed: 1,

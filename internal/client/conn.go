@@ -61,7 +61,7 @@ func (c *Conn) SwitchAPIServer(api sim.NodeID) {
 		return
 	}
 	c.api = api
-	for _, inf := range c.sortedInformers() {
+	for _, inf := range c.Informers() {
 		inf.relist("switched upstream")
 	}
 }
@@ -154,7 +154,9 @@ func writeCB(cb func(*cluster.Object, error)) func(any, error) {
 	}
 }
 
-func (c *Conn) sortedInformers() []*Informer {
+// Informers returns the connection's live informers in subscription-ID
+// order.
+func (c *Conn) Informers() []*Informer {
 	ids := make([]uint64, 0, len(c.informers))
 	for id := range c.informers {
 		ids = append(ids, id)

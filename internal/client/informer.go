@@ -13,6 +13,11 @@ import (
 // EventHandler receives typed cache events from an Informer. For handlers
 // added after the cache is synced, the initial list is replayed as OnAdd
 // calls, matching client-go semantics.
+//
+// The objects passed in are the informer's cached objects, shared with
+// every other handler, reader and checkpoint fork: they are read-only, and
+// a handler that wants to change one Clones it first. They stay valid (and
+// unchanged) after the call returns, so a handler may retain them.
 type EventHandler interface {
 	OnAdd(obj *cluster.Object)
 	OnUpdate(oldObj, newObj *cluster.Object)
@@ -84,6 +89,7 @@ type Informer struct {
 	epoch    uint64 // guards async callbacks across relists
 	synced   bool
 	store    map[string]*cluster.Object // S'
+	names    []string                   // sorted keys of store; nil means stale (membership changed)
 	lastRev  int64                      // frontier of H'
 	handlers []EventHandler
 
@@ -117,7 +123,7 @@ func (i *Informer) AddHandler(h EventHandler) {
 	i.handlers = append(i.handlers, h)
 	if i.synced {
 		for _, name := range i.sortedNames() {
-			h.OnAdd(i.store[name].Clone())
+			h.OnAdd(i.store[name])
 		}
 	}
 }
@@ -162,21 +168,20 @@ func (i *Informer) Relists() int { return i.relists }
 // upstream and were rescheduled with backoff.
 func (i *Informer) Retries() int { return i.retries }
 
-// Get returns the cached object by name.
+// Get returns the cached object by name. The result is the cached object
+// itself and is read-only: Clone before changing it.
 func (i *Informer) Get(name string) (*cluster.Object, bool) {
 	o, ok := i.store[name]
-	if !ok {
-		return nil, false
-	}
-	return o.Clone(), true
+	return o, ok
 }
 
 // ListCached returns all cached objects ordered by name — a sparse read of
-// S' in the paper's terms.
+// S' in the paper's terms. The slice is the caller's; the objects are the
+// cached objects themselves and are read-only: Clone before changing one.
 func (i *Informer) ListCached() []*cluster.Object {
 	out := make([]*cluster.Object, 0, len(i.store))
 	for _, name := range i.sortedNames() {
-		out = append(out, i.store[name].Clone())
+		out = append(out, i.store[name])
 	}
 	return out
 }
@@ -184,13 +189,40 @@ func (i *Informer) ListCached() []*cluster.Object {
 // Len returns the number of cached objects.
 func (i *Informer) Len() int { return len(i.store) }
 
+// sortedNames returns the cached names in order. The result is kept until
+// cache membership changes (set and remove invalidate it; replacing an
+// object under a cached name does not) and must not be modified or held
+// across one.
 func (i *Informer) sortedNames() []string {
-	names := make([]string, 0, len(i.store))
-	for n := range i.store {
-		names = append(names, n)
+	if i.names == nil {
+		i.names = make([]string, 0, len(i.store))
+		for n := range i.store {
+			i.names = append(i.names, n)
+		}
+		sort.Strings(i.names)
 	}
-	sort.Strings(names)
-	return names
+	return i.names
+}
+
+// set installs obj under its name and returns the object it replaced.
+func (i *Informer) set(obj *cluster.Object) (old *cluster.Object, existed bool) {
+	name := obj.Meta.Name
+	old, existed = i.store[name]
+	if !existed {
+		i.names = nil
+	}
+	i.store[name] = obj
+	return old, existed
+}
+
+// remove drops name from the cache and returns the object it held.
+func (i *Informer) remove(name string) (old *cluster.Object, existed bool) {
+	old, existed = i.store[name]
+	if existed {
+		i.names = nil
+		delete(i.store, name)
+	}
+	return old, existed
 }
 
 // relist pulls a full list and reconciles the cache against it, emitting
@@ -249,8 +281,7 @@ func (i *Informer) replace(objs []*cluster.Object, rev int64) {
 
 	for _, name := range names {
 		newObj := incoming[name]
-		old, existed := i.store[name]
-		i.store[name] = newObj.Clone()
+		old, existed := i.set(newObj)
 		switch {
 		case !existed:
 			i.emitAdd(newObj)
@@ -260,8 +291,7 @@ func (i *Informer) replace(objs []*cluster.Object, rev int64) {
 	}
 	for _, name := range i.sortedNames() {
 		if _, ok := incoming[name]; !ok {
-			old := i.store[name]
-			delete(i.store, name)
+			old, _ := i.remove(name)
 			i.emitDelete(old)
 		}
 	}
@@ -310,28 +340,15 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 			// Duplicate or replayed event; client-go dedups by RV.
 			continue
 		}
-		name := ev.Object.Meta.Name
 		switch ev.Type {
-		case apiserver.Added:
-			old, existed := i.store[name]
-			i.store[name] = ev.Object.Clone()
-			if existed {
-				i.emitUpdate(old, ev.Object)
-			} else {
-				i.emitAdd(ev.Object)
-			}
-		case apiserver.Modified:
-			old, existed := i.store[name]
-			i.store[name] = ev.Object.Clone()
-			if existed {
+		case apiserver.Added, apiserver.Modified:
+			if old, existed := i.set(ev.Object); existed {
 				i.emitUpdate(old, ev.Object)
 			} else {
 				i.emitAdd(ev.Object)
 			}
 		case apiserver.Deleted:
-			old, existed := i.store[name]
-			delete(i.store, name)
-			if existed {
+			if old, existed := i.remove(ev.Object.Meta.Name); existed {
 				i.emitDelete(old)
 			} else {
 				i.emitDelete(ev.Object)
@@ -371,18 +388,18 @@ func (i *Informer) livenessFire(epoch uint64) {
 
 func (i *Informer) emitAdd(o *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnAdd(o.Clone())
+		h.OnAdd(o)
 	}
 }
 
 func (i *Informer) emitUpdate(old, new *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnUpdate(old.Clone(), new.Clone())
+		h.OnUpdate(old, new)
 	}
 }
 
 func (i *Informer) emitDelete(o *cluster.Object) {
 	for _, h := range i.handlers {
-		h.OnDelete(o.Clone())
+		h.OnDelete(o)
 	}
 }

@@ -1,6 +1,8 @@
 package client
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/apiserver"
@@ -300,5 +302,248 @@ func TestInformerRelistBackoff(t *testing.T) {
 	g.w.Kernel().RunFor(10 * sim.Second)
 	if inf2.Retries() != retries {
 		t.Fatalf("retry schedule not deterministic: %d vs %d", inf2.Retries(), retries)
+	}
+}
+
+// recordingHandler keeps the exact pointers the informer hands out.
+type recordingHandler struct {
+	adds, deletes []*cluster.Object
+	updates       [][2]*cluster.Object // {old, new}
+}
+
+func (h *recordingHandler) OnAdd(o *cluster.Object) { h.adds = append(h.adds, o) }
+func (h *recordingHandler) OnUpdate(o, n *cluster.Object) {
+	h.updates = append(h.updates, [2]*cluster.Object{o, n})
+}
+func (h *recordingHandler) OnDelete(o *cluster.Object) { h.deletes = append(h.deletes, o) }
+
+func names(objs []*cluster.Object) []string {
+	out := make([]string, 0, len(objs))
+	for _, o := range objs {
+		out = append(out, o.Meta.Name)
+	}
+	return out
+}
+
+func mustGet(t *testing.T, inf *Informer, name string) *cluster.Object {
+	t.Helper()
+	o, ok := inf.Get(name)
+	if !ok {
+		t.Fatalf("%s missing from cache", name)
+	}
+	return o
+}
+
+// settle runs one write callback to completion and lets its watch event
+// reach the informers.
+func (f *fixture) settle(t *testing.T, issue func(done func(error))) {
+	t.Helper()
+	finished := false
+	issue(func(err error) {
+		if err != nil {
+			t.Errorf("write: %v", err)
+		}
+		finished = true
+	})
+	for !finished && f.w.Kernel().Step() {
+	}
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+}
+
+// TestInformerHandsOutCachedObjects pins what handlers and readers are
+// given now that nothing is cloned on the way: the cached object itself.
+// OnUpdate's old object is the one that was cached before the event,
+// OnDelete's is the one removed, every handler sees the same pointers,
+// and a superseded object keeps its contents (holders may retain it).
+func TestInformerHandsOutCachedObjects(t *testing.T) {
+	f := newFixture(t)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	h1, h2 := &recordingHandler{}, &recordingHandler{}
+	inf.AddHandler(h1)
+	inf.AddHandler(h2)
+	inf.Run()
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+
+	created := f.create(t, "p1", "k1")
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	v1 := mustGet(t, inf, "p1")
+	if len(h1.adds) != 1 || h1.adds[0] != v1 || len(h2.adds) != 1 || h2.adds[0] != v1 {
+		t.Fatalf("OnAdd got %v / %v, cache holds %p", h1.adds, h2.adds, v1)
+	}
+	if again := mustGet(t, inf, "p1"); again != v1 || inf.ListCached()[0] != v1 {
+		t.Fatal("Get/ListCached returned a copy, not the cached object")
+	}
+
+	upd := created.Clone()
+	upd.Pod.Phase = cluster.PodTerminating
+	f.settle(t, func(done func(error)) {
+		f.c.conn.Update(upd, func(_ *cluster.Object, err error) { done(err) })
+	})
+	v2 := mustGet(t, inf, "p1")
+	if v2 == v1 || v2.Pod.Phase != cluster.PodTerminating {
+		t.Fatalf("cache not advanced: %p -> %p (%+v)", v1, v2, v2.Pod)
+	}
+	if len(h1.updates) != 1 || h1.updates[0] != [2]*cluster.Object{v1, v2} || h2.updates[0] != h1.updates[0] {
+		t.Fatalf("OnUpdate got %v, want {previously cached %p, now cached %p}", h1.updates, v1, v2)
+	}
+	if v1.Pod.Phase != "" || v1.Meta.ResourceVersion >= v2.Meta.ResourceVersion {
+		t.Fatalf("superseded object changed under its holders: %+v rv=%d", v1.Pod, v1.Meta.ResourceVersion)
+	}
+
+	f.settle(t, func(done func(error)) { f.c.conn.Delete(cluster.KindPod, "p1", 0, done) })
+	if len(h1.deletes) != 1 || h1.deletes[0] != v2 || h2.deletes[0] != v2 {
+		t.Fatalf("OnDelete got %v, want the removed cached object %p", h1.deletes, v2)
+	}
+	if v2.Meta.ResourceVersion >= inf.LastRevision() {
+		t.Fatalf("OnDelete's object was restamped to the deletion revision: rv=%d frontier=%d",
+			v2.Meta.ResourceVersion, inf.LastRevision())
+	}
+}
+
+// TestInformerDuplicatePushDeduped: a push delivered twice (network
+// duplication, overlapping backlog replay) is applied once — one
+// notification, and the cache keeps the first delivery's object.
+func TestInformerDuplicatePushDeduped(t *testing.T) {
+	f := newFixture(t)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	h := &recordingHandler{}
+	inf.AddHandler(h)
+	inf.Run()
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	f.create(t, "p1", "k1")
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	cached := mustGet(t, inf, "p1")
+	observed := len(inf.Obs.Observations())
+
+	dup := cached.Clone()
+	inf.onPush([]apiserver.WatchEvent{{Type: apiserver.Added, Object: dup, Revision: dup.Meta.ResourceVersion}})
+	if len(h.adds) != 1 || len(h.updates) != 0 {
+		t.Fatalf("duplicate push notified handlers: adds=%d updates=%d", len(h.adds), len(h.updates))
+	}
+	if mustGet(t, inf, "p1") != cached {
+		t.Fatal("duplicate push replaced the cached object")
+	}
+	if got := len(inf.Obs.Observations()); got != observed+1 {
+		t.Fatalf("duplicate delivery must still be observed: %d -> %d observations", observed, got)
+	}
+}
+
+// TestInformerStaleRelistHandsOutStaleObjects: a relist against a staler
+// upstream moves the cache backwards, and what handlers are given is that
+// upstream's object — the resurrected pod at its old revision, which is
+// then the cached one.
+func TestInformerStaleRelistHandsOutStaleObjects(t *testing.T) {
+	f := newFixture(t)
+	created := f.create(t, "p1", "k1")
+	f.create(t, "p2", "k1")
+	f.w.Kernel().RunFor(50 * sim.Millisecond)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	h := &recordingHandler{}
+	inf.AddHandler(h)
+	inf.Run()
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	p2 := mustGet(t, inf, "p2")
+
+	f.w.Network().Partition("api-2", "etcd")
+	upd := created.Clone()
+	upd.Pod.Phase = cluster.PodTerminating
+	f.settle(t, func(done func(error)) {
+		f.c.conn.Update(upd, func(_ *cluster.Object, err error) { done(err) })
+	})
+	marked := mustGet(t, inf, "p1")
+	f.settle(t, func(done func(error)) { f.c.conn.Delete(cluster.KindPod, "p2", 0, done) })
+	frontier := inf.LastRevision()
+	*h = recordingHandler{}
+
+	f.c.conn.SwitchAPIServer("api-2")
+	f.w.Kernel().RunFor(200 * sim.Millisecond)
+	if inf.LastRevision() >= frontier {
+		t.Fatalf("frontier did not regress: %d -> %d", frontier, inf.LastRevision())
+	}
+	stale := mustGet(t, inf, "p1")
+	if len(h.updates) != 1 || h.updates[0] != [2]*cluster.Object{marked, stale} {
+		t.Fatalf("relist OnUpdate got %v, want {%p, %p}", h.updates, marked, stale)
+	}
+	if stale.Meta.ResourceVersion != created.Meta.ResourceVersion || stale.Pod.Phase != "" {
+		t.Fatalf("stale relist installed %s phase %q, want the pre-update revision %d",
+			stale, stale.Pod.Phase, created.Meta.ResourceVersion)
+	}
+	back := mustGet(t, inf, "p2")
+	if len(h.adds) != 1 || h.adds[0] != back || back == p2 {
+		t.Fatalf("resurrected add got %v, cache holds %p (before the delete: %p)", h.adds, back, p2)
+	}
+	if back.Meta.ResourceVersion != p2.Meta.ResourceVersion || back.Meta.UID != p2.Meta.UID {
+		t.Fatalf("resurrected %s uid %s, deleted incarnation was %s uid %s", back, back.Meta.UID, p2, p2.Meta.UID)
+	}
+}
+
+// TestInformerNameOrderFollowsMembership: the sorted-name order is cached
+// until membership changes. Add → delete → add leaves the same count with
+// different names, which an order cache keyed on length would miss; an
+// update changes no membership and must not re-sort.
+func TestInformerNameOrderFollowsMembership(t *testing.T) {
+	f := newFixture(t)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	inf.Run()
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	a := f.create(t, "a", "k1")
+	f.create(t, "c", "k1")
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	if got := names(inf.ListCached()); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("ListCached = %v", got)
+	}
+	order := &inf.sortedNames()[0]
+
+	upd := a.Clone()
+	upd.Pod.Phase = cluster.PodRunning
+	f.settle(t, func(done func(error)) {
+		f.c.conn.Update(upd, func(_ *cluster.Object, err error) { done(err) })
+	})
+	if got := inf.ListCached(); got[0].Pod.Phase != cluster.PodRunning || &inf.sortedNames()[0] != order {
+		t.Fatalf("update: phase %q, order cache rebuilt=%v", got[0].Pod.Phase, &inf.sortedNames()[0] != order)
+	}
+
+	f.settle(t, func(done func(error)) { f.c.conn.Delete(cluster.KindPod, "c", 0, done) })
+	f.create(t, "b", "k1")
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	if got := names(inf.ListCached()); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("after add, delete, add: ListCached = %v, want [a b]", got)
+	}
+	h := &recordingHandler{}
+	inf.AddHandler(h)
+	if got := names(h.adds); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("late handler replay order = %v, want [a b]", got)
+	}
+	for i, o := range inf.ListCached() {
+		if h.adds[i] != o {
+			t.Fatalf("replay handed out %p for %s, cache holds %p", h.adds[i], o.Meta.Name, o)
+		}
+	}
+}
+
+// TestInformerReadsDoNotCopy guards the kubelet sync loop's cost: reading
+// the cache allocates the result slice and nothing else, and the name
+// order is sorted once per membership change, not once per read.
+func TestInformerReadsDoNotCopy(t *testing.T) {
+	f := newFixture(t)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	inf.Run()
+	for i := 0; i < 100; i++ {
+		f.create(t, fmt.Sprintf("p%03d", i), "k1")
+	}
+	f.w.Kernel().RunFor(100 * sim.Millisecond)
+	if !inf.Synced() || inf.Len() != 100 {
+		t.Fatalf("synced=%v len=%d", inf.Synced(), inf.Len())
+	}
+	inf.ListCached()
+	order := &inf.sortedNames()[0]
+	if n := testing.AllocsPerRun(20, func() { inf.ListCached() }); n > 1 {
+		t.Fatalf("ListCached on a 100-object cache: %.0f allocs, want the result slice only", n)
+	}
+	if &inf.sortedNames()[0] != order {
+		t.Fatal("ListCached re-sorted the names with no membership change")
+	}
+	if n := testing.AllocsPerRun(20, func() { inf.Get("p050") }); n != 0 {
+		t.Fatalf("Get: %.0f allocs, want 0", n)
 	}
 }

@@ -23,8 +23,10 @@ type ConnSnapshot struct {
 }
 
 // InformerSnapshot captures one informer cache. Cached object pointers are
-// shared: the informer only ever installs fresh clones and hands out
-// clones, never mutating a cached object in place.
+// shared with the live informer, with every fork restored from the
+// snapshot (possibly on other goroutines) and with whoever the informer
+// handed them to: API objects are immutable once received (DESIGN.md,
+// "Object ownership"), so nothing needs copying.
 type InformerSnapshot struct {
 	Kind        cluster.Kind
 	Cfg         InformerConfig

@@ -186,7 +186,10 @@ func NewAppSet(name, uid string, spec AppSetSpec) *Object {
 	return &Object{Meta: Meta{Kind: KindAppSet, Name: name, UID: uid}, AppSet: &spec}
 }
 
-// Clone returns a deep copy of the object.
+// Clone returns a deep copy of the object. Objects handed to or received
+// from the API (requests, replies, watch events, informer caches and
+// handlers) are shared by pointer and immutable; Clone is how a holder gets
+// a copy it may change (the client-go lister rule, see DESIGN.md).
 func (o *Object) Clone() *Object {
 	if o == nil {
 		return nil
@@ -277,9 +280,9 @@ func ParseKey(key string) (Kind, string, error) {
 // Encode serializes an object for storage. ResourceVersion is not encoded:
 // it is derived from the store revision on read, never trusted from bytes.
 func Encode(o *Object) ([]byte, error) {
-	c := o.Clone()
+	c := *o // shallow: only the ResourceVersion field differs from o
 	c.Meta.ResourceVersion = 0
-	b, err := json.Marshal(c)
+	b, err := json.Marshal(&c)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode %s: %w", o, err)
 	}

@@ -83,6 +83,9 @@ func NewAppSetController(w *sim.World, cfg AppSetConfig) *AppSetController {
 // ID implements sim.Process.
 func (c *AppSetController) ID() sim.NodeID { return c.id }
 
+// Conn returns the controller's API connection.
+func (c *AppSetController) Conn() *client.Conn { return c.conn }
+
 // Crash implements sim.Process.
 func (c *AppSetController) Crash() {
 	c.down = true

@@ -73,6 +73,9 @@ func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLife
 // ID implements sim.Process.
 func (c *NodeLifecycleController) ID() sim.NodeID { return c.id }
 
+// Conn returns the controller's API connection.
+func (c *NodeLifecycleController) Conn() *client.Conn { return c.conn }
+
 // Crash implements sim.Process.
 func (c *NodeLifecycleController) Crash() {
 	c.down = true

@@ -73,6 +73,9 @@ func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
 // ID implements sim.Process.
 func (c *VolumeController) ID() sim.NodeID { return c.id }
 
+// Conn returns the controller's API connection.
+func (c *VolumeController) Conn() *client.Conn { return c.conn }
+
 // Crash implements sim.Process.
 func (c *VolumeController) Crash() {
 	c.down = true

@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/apiserver"
+	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controllers"
 	"repro/internal/kubelet"
@@ -292,6 +293,31 @@ func (c *Cluster) addOracles() {
 		}
 		c.Oracles.Add(oracle.CASAtomicity(servers))
 	}
+}
+
+// Conns returns the API connection of every component that keeps informer
+// caches, plus the admin's, in a fixed order.
+func (c *Cluster) Conns() []*client.Conn {
+	var out []*client.Conn
+	for _, node := range c.Opts.Nodes {
+		out = append(out, c.Kubelet[node].Conn())
+	}
+	if c.Scheduler != nil {
+		out = append(out, c.Scheduler.Conn())
+	}
+	if c.Volume != nil {
+		out = append(out, c.Volume.Conn())
+	}
+	if c.NodeLC != nil {
+		out = append(out, c.NodeLC.Conn())
+	}
+	if c.App != nil {
+		out = append(out, c.App.Conn())
+	}
+	if c.Cassandra != nil {
+		out = append(out, c.Cassandra.Conn())
+	}
+	return append(out, c.Admin.Conn())
 }
 
 // RunFor advances the simulation.

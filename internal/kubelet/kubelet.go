@@ -171,6 +171,9 @@ func New(w *sim.World, host *Host, cfg Config) *Kubelet {
 // ID implements sim.Process.
 func (k *Kubelet) ID() sim.NodeID { return k.id }
 
+// Conn returns the kubelet's API connection.
+func (k *Kubelet) Conn() *client.Conn { return k.conn }
+
 // Host returns the machine this kubelet manages.
 func (k *Kubelet) Host() *Host { return k.host }
 

@@ -137,6 +137,9 @@ func New(w *sim.World, cfg Config) *Operator {
 // ID implements sim.Process.
 func (o *Operator) ID() sim.NodeID { return o.id }
 
+// Conn returns the operator's API connection.
+func (o *Operator) Conn() *client.Conn { return o.conn }
+
 // Crash implements sim.Process.
 func (o *Operator) Crash() {
 	o.down = true

@@ -78,6 +78,9 @@ func New(w *sim.World, cfg Config) *Scheduler {
 // ID implements sim.Process.
 func (s *Scheduler) ID() sim.NodeID { return s.id }
 
+// Conn returns the scheduler's API connection.
+func (s *Scheduler) Conn() *client.Conn { return s.conn }
+
 // Crash implements sim.Process.
 func (s *Scheduler) Crash() {
 	s.down = true

@@ -1,0 +1,123 @@
+package workload
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/client"
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/history"
+	"repro/internal/infra"
+)
+
+// mutatedSharedObjects checks the ownership rule (DESIGN.md, "Object
+// ownership") after the fact: every object an apiserver or an informer
+// cache still shares must encode to exactly the bytes the store committed
+// for its key at its ResourceVersion. Anything else was changed in place
+// by someone who should have cloned it first. It returns one line per
+// offending holder.
+func mutatedSharedObjects(c *infra.Cluster) []string {
+	hist := c.Store.Store().History()
+	var bad []string
+	check := func(holder string, obj *cluster.Object) {
+		ev, ok := hist.Find(obj.Meta.ResourceVersion)
+		switch {
+		case !ok || ev.Type != history.Put:
+			bad = append(bad, fmt.Sprintf("%s holds %s: the store has no put at that revision", holder, obj))
+		case ev.Key != cluster.Key(obj.Meta.Kind, obj.Meta.Name):
+			bad = append(bad, fmt.Sprintf("%s holds %s: revision %d wrote %s", holder, obj, ev.Revision, ev.Key))
+		case !bytes.Equal(cluster.MustEncode(obj), ev.Value):
+			bad = append(bad, fmt.Sprintf("%s holds %s mutated in place:\n  now    %s\n  stored %s",
+				holder, obj, cluster.MustEncode(obj), ev.Value))
+		}
+	}
+	for _, api := range c.APIs {
+		for _, obj := range api.Memoized() {
+			check(string(api.ID())+" memo", obj)
+		}
+	}
+	for _, conn := range c.Conns() {
+		for _, inf := range conn.Informers() {
+			for _, obj := range inf.ListCached() {
+				check(fmt.Sprintf("%s informer %d", conn.Self(), inf.SubID()), obj)
+			}
+		}
+	}
+	return bad
+}
+
+// TestSharedObjectsNeverMutated runs every target — the five committed
+// ones and both scale targets on the benchmark's 50-node worlds — through
+// its reference execution and its first planner plans, and requires that
+// no component changed an object it shares with the apiserver memo, the
+// informer caches and the other handlers.
+func TestSharedObjectsNeverMutated(t *testing.T) {
+	const plansPerTarget = 8
+	scale := ScaleProfile{Racks: 10, NodesPerRack: 5}
+	targets := append(AllTargets(), ScaleRackDrainTarget(scale), ScaleReplaceTarget(scale))
+	for _, target := range targets {
+		t.Run(target.Name, func(t *testing.T) {
+			ref, _ := core.ReferenceSeed(target, 1)
+			plans := core.NewPlanner().Plans(target, ref)
+			if len(plans) > plansPerTarget {
+				plans = plans[:plansPerTarget]
+			}
+			held := 0
+			for _, p := range append([]core.Plan{core.NopPlan{}}, plans...) {
+				c := target.Build(1)
+				p.Apply(c)
+				target.Workload(c)
+				c.RunFor(target.Horizon)
+				for _, line := range mutatedSharedObjects(c) {
+					t.Errorf("plan %q: %s", p.Describe(), line)
+				}
+				for _, api := range c.APIs {
+					held += len(api.Memoized())
+				}
+			}
+			if held == 0 {
+				t.Fatal("no apiserver shared any object; the check is vacuous")
+			}
+		})
+	}
+}
+
+// TestMutatingHandlerTripsOwnershipCheck is the detector's own test: one
+// handler that edits what it is handed is reported, by holder — for its
+// own cache, for the apiserver memo the object came from, and for another
+// component's cache fed by the same object.
+func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
+	target := Target59848()
+	c := target.Build(1)
+	inf := client.NewInformer(c.Admin.Conn(), cluster.KindPod, client.InformerConfig{})
+	// The bug: no Clone. The edit accumulates because an idempotent one
+	// hides itself: the kubelet clones the edited pod, writes it back, and
+	// from then on the store agrees with the edit.
+	edit := func(pod *cluster.Object) { pod.Pod.Image += "+edited-in-place" }
+	inf.AddHandler(client.HandlerFuncs{
+		AddFunc:    edit,
+		UpdateFunc: func(_, pod *cluster.Object) { edit(pod) },
+	})
+	inf.Run()
+	target.Workload(c)
+	c.RunFor(target.Horizon)
+	if inf.Len() == 0 {
+		t.Fatal("the mutating informer saw no pods")
+	}
+	report := strings.Join(mutatedSharedObjects(c), "\n")
+	for _, holder := range []string{
+		fmt.Sprintf("%s informer %d holds", c.Admin.Conn().Self(), inf.SubID()),
+		fmt.Sprintf("%s memo holds", c.Admin.Conn().APIServer()),
+		"kubelet-",
+	} {
+		if !strings.Contains(report, holder) {
+			t.Errorf("in-place edit not reported for %q; report:\n%s", holder, report)
+		}
+	}
+	if !strings.Contains(report, "edited-in-place") {
+		t.Errorf("report does not show the edit:\n%s", report)
+	}
+}
