@@ -113,7 +113,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	explainFlag := fs.Bool("explain", false, "minimize and causally explain every detected failure bucket")
 	fixed := fs.Bool("fixed", false, "run against the fixed component variants (expect no detections)")
 	verbose := fs.Bool("v", false, "print per-cell stats and streaming progress")
-	supervise := fs.Bool("supervise", true, "supervise workers: respawn on death, retry their tasks, quarantine poison tasks")
 	journalDir := fs.String("journal", "", "coordinator journal directory (one fsynced line per settled task)")
 	resume := fs.Bool("resume", false, "resume a killed run from its -journal, re-dispatching only unsettled tasks")
 	fleetPath := fs.String("fleet", "", "write the fleet supervision report (deaths, respawns, retries) to this JSON path")
@@ -145,17 +144,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "phfarm: -resume requires -journal")
 		return 2
 	}
-	if !*supervise && (*journalDir != "" || *chaosFlag != "") {
-		fmt.Fprintln(stderr, "phfarm: -journal and -chaos require supervision (-supervise)")
-		return 2
-	}
 	chaos, err := farm.ParseChaos(*chaosFlag)
 	if err != nil {
 		fmt.Fprintln(stderr, "phfarm:", err)
 		return 2
 	}
 	fleet := fleetOpts{
-		workers: *workers, verbose: *verbose, supervise: *supervise,
+		workers: *workers, verbose: *verbose,
 		journalDir: *journalDir, resume: *resume, fleetPath: *fleetPath,
 		chaos: chaos, taskDeadline: *taskDeadline,
 	}
@@ -201,7 +196,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 type fleetOpts struct {
 	workers      int
 	verbose      bool
-	supervise    bool
 	journalDir   string
 	resume       bool
 	fleetPath    string
@@ -339,10 +333,8 @@ func runMatrix(ctx context.Context, o matrixOpts, stdout, stderr io.Writer) int 
 	return 0
 }
 
-// dispatch runs the task list across a fresh fleet — supervised by
-// default (death detection, respawn, retry, quarantine, optional
-// journal), or through the legacy abort-on-death coordinator with
-// -supervise=false.
+// dispatch runs the task list across a fresh supervised fleet: death
+// detection, respawn, retry, quarantine, optional journal.
 func dispatch(ctx context.Context, tasks []farm.TaskSpec, o fleetOpts, stderr io.Writer) ([]farm.TaskResult, bool, error) {
 	factory, err := workerFactory(o.chaos)
 	if err != nil {
@@ -353,18 +345,6 @@ func dispatch(ctx context.Context, tasks []farm.TaskSpec, o fleetOpts, stderr io
 		if n := atomic.AddInt64(&streamed, 1); n%250 == 0 {
 			fmt.Fprintf(stderr, "  ... %d execution records streamed\n", n)
 		}
-	}
-
-	if !o.supervise {
-		transports := make([]farm.Transport, o.workers)
-		for i := range transports {
-			transports[i] = factory(i, 0)
-		}
-		coord := &farm.Coordinator{}
-		if o.verbose {
-			coord.OnRecord = onRecord
-		}
-		return coord.Run(ctx, transports, tasks)
 	}
 
 	sup := &farm.Supervisor{Factory: factory, Workers: o.workers}

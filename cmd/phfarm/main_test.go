@@ -24,17 +24,16 @@ func useInProcFleet(t *testing.T) {
 
 func TestFlagValidation(t *testing.T) {
 	cases := [][]string{
-		{"-ranked"},                                // ranked requires prune
-		{"-snapshot", "-fixed"},                    // incompatible
-		{"-workers", "0"},                          // fleet must exist
-		{"-targets", "no-such-bug"},                // unknown target
-		{"-strategies", "no-such"},                 // unknown strategy
-		{"-seeds", "one,two"},                      // unparsable seeds
-		{"-grid", "/absent/g.json"},                // missing grid file
-		{"-not-a-flag"},                            // flag parse error
-		{"-resume"},                                // resume requires a journal
-		{"-supervise=false", "-journal", "/tmp/j"}, // journal requires supervision
-		{"-chaos", "explode@banana"},               // unparsable chaos script
+		{"-ranked"},                  // ranked requires prune
+		{"-snapshot", "-fixed"},      // incompatible
+		{"-workers", "0"},            // fleet must exist
+		{"-targets", "no-such-bug"},  // unknown target
+		{"-strategies", "no-such"},   // unknown strategy
+		{"-seeds", "one,two"},        // unparsable seeds
+		{"-grid", "/absent/g.json"},  // missing grid file
+		{"-not-a-flag"},              // flag parse error
+		{"-resume"},                  // resume requires a journal
+		{"-chaos", "explode@banana"}, // unparsable chaos script
 	}
 	for _, args := range cases {
 		var out, errBuf bytes.Buffer

@@ -24,7 +24,6 @@ import (
 func TestRejectedFlagsExitTwo(t *testing.T) {
 	cases := [][]string{
 		{"-ranked"},
-		{"-minimize", "-explain"},
 		{"-snapshot", "-fixed"},
 		{"-explore", "-guided"},
 		{"-explore", "-prune"},

@@ -38,7 +38,7 @@ func Canonicalize(res Result) Result {
 	return res
 }
 
-/// CanonicalizeArtifact is Canonicalize for the campaign.json form: the
+// CanonicalizeArtifact is Canonicalize for the campaign.json form: the
 // same three wall-clock fields plus the top-level and Stats worker-count
 // echoes are zeroed, so canonicalized artifacts from equivalent campaigns
 // marshal to identical bytes.

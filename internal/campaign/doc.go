@@ -35,6 +35,22 @@
 //     and BuildArtifact/WriteArtifacts emit a campaign.json with per-plan
 //     outcomes for offline analysis and the bench trajectory.
 //
+//   - One execution path, forked when provable (Config.Snapshot). Every
+//     execution — a sweep plan, a minimization probe, the explain pass's
+//     instrumented re-execution, an explorer schedule (Forker) — goes
+//     through one fork substrate, the checkpoint tree (tree.go): a base
+//     plan is run once, snapshots (rungs) are captured at hinted
+//     instants, and a candidate forks from the deepest rung its
+//     divergence bound allows. The base is either plan-free (the
+//     reference run: one tree per (target, seed) serves the whole sweep)
+//     or a detected plan (mid-plan rungs serve that bucket's probes).
+//     Whatever the divergence rule cannot bound, or a fork guard rejects
+//     (unsnapshotable, strict_past, restore_error, watchdog — counted
+//     per cause in Stats.SnapshotFallbacks), runs through the one full
+//     replay, runGuarded (guard.go): Build → Apply → Workload → Run
+//     under panic recovery and the event-budget watchdog. Records are
+//     byte-identical either way.
+//
 // The sweet spot in the paper's terms (§6.1): a partial-history tool wins
 // by exploring fewer, better-chosen perturbations — and by exploring the
 // ones it does choose as fast as the hardware allows.

@@ -74,16 +74,17 @@ type Config struct {
 	// surface density, CAS/txn proximity, deletion adjacency, past-bucket
 	// class affinity) instead of raw planner order.
 	Ranked bool
-	// Snapshot enables copy-on-write prefix checkpointing: per (target,
-	// seed), one extra plan-free run captures cluster snapshots at mined
-	// freeze points, and each plan execution forks from the latest
+	// Snapshot enables copy-on-write prefix checkpointing (tree.go): per
+	// (target, seed), one extra plan-free run captures cluster snapshots at
+	// mined freeze points, and each plan execution forks from the latest
 	// checkpoint preceding the plan's earliest effect instead of
-	// re-simulating the prefix from t=0. Any execution whose fork cannot
-	// be proven byte-equivalent to a full replay (unsnapshotable cluster,
-	// unknown plan type, strict-past violation, restore error, panic,
-	// watchdog trip) silently falls back to the full-replay path, so every
-	// artifact — buckets, outcomes, telemetry records — is byte-identical
-	// to the same campaign with Snapshot off.
+	// re-simulating the prefix from t=0; with Explain, each bucket's
+	// minimization probes fork from a tree rooted at its example plan. Any
+	// execution whose fork cannot be proven byte-equivalent to a full
+	// replay (unsnapshotable cluster, unknown plan type, strict-past
+	// violation, restore error, panic, watchdog trip) falls back to the
+	// full-replay path, so every artifact — buckets, outcomes, telemetry
+	// records — is byte-identical to the same campaign with Snapshot off.
 	Snapshot bool
 	// Coverage seeds the campaign from a persistent cross-campaign corpus
 	// (see CoverageSeed): previously-detected buckets' example plans run
@@ -306,14 +307,13 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 	cr.PlansTotal = len(plans)
 	cr.Executions = 1 // the reference run
 
-	// Prefix-checkpoint substrate: one plan-free ladder run per (target,
-	// seed), shared read-only by all workers. nil (snapshotting off, an
-	// unsnapshotable target, or no capturable checkpoint) means every plan
-	// runs as a full replay. The ladder is infrastructure, not an
-	// execution: it is not counted and leaves no trace in any artifact.
-	var fs *forkState
+	// Fork substrate: one checkpoint tree over the plan-free base per
+	// (target, seed), rungs hinted at the plans' earliest effects, shared
+	// read-only by all workers. nil (snapshotting off, or no capturable
+	// checkpoint) means every plan runs as a full replay.
+	var pt *planTree
 	if e.cfg.Snapshot {
-		fs = buildForkState(t, seed, plans, ref)
+		pt = buildPlanTree(t, core.NopPlan{}, seed, ref, effectTimes(plans, ref))
 	}
 
 	// Execution order: identity without learning; kept-then-deferred
@@ -360,9 +360,9 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 
 	run := func(plans []planRef, maxExec int) ([]slot, int) {
 		if e.cfg.Guided {
-			return e.runGuided(t, plans, seed, maxExec, fs, preSeen)
+			return e.runGuided(t, plans, seed, maxExec, pt, preSeen)
 		}
-		return e.runOrdered(t, plans, seed, maxExec, fs, false)
+		return e.runOrdered(t, plans, seed, maxExec, pt, false)
 	}
 
 	// Regression block: corpus bucket examples, in corpus order, always
@@ -372,7 +372,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 	detect := -1
 	regSlots := 0
 	if len(regRefs) > 0 {
-		regSlotsRun, regDetect := e.runOrdered(t, regRefs, seed, e.cfg.MaxExecutions, fs, true)
+		regSlotsRun, regDetect := e.runOrdered(t, regRefs, seed, e.cfg.MaxExecutions, pt, true)
 		slots = regSlotsRun
 		regSlots = len(regSlotsRun)
 		detect = regDetect
@@ -495,20 +495,19 @@ func (e *Engine) explainBuckets(t core.Target, agg *aggregator, refs map[int64]*
 // way, diagnosable fallbacks are counted.
 func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket, ex bucketExample, refs map[int64]*trace.Trace) {
 	defer func() { _ = recover() }()
-	runner := core.PlanRunner(core.RunPlanSeed)
+	ref := refs[ex.seed]
 	var pt *planTree
 	if e.cfg.Snapshot {
-		pt = buildPlanTree(t, ex.plan, ex.seed, refs[ex.seed], nil)
+		pt = buildPlanTree(t, ex.plan, ex.seed, ref, effectTimes(subPlans(ex.plan), ref))
 	}
-	if pt != nil {
-		runner = func(rt core.Target, q core.Plan, seed int64) core.Execution {
-			if exec, _, ok, cause := pt.run(rt, q, false); ok {
-				return exec
-			} else {
-				agg.noteFallback(cause)
-			}
-			return core.RunPlanSeed(rt, q, seed)
-		}
+	probe := func(q core.Plan, instrument bool) (core.Execution, *trace.Trace) {
+		exec, tr, cause := e.execute(t, q, ex.seed, instrument, pt)
+		agg.noteFallback(cause)
+		return exec, tr
+	}
+	runner := func(_ core.Target, q core.Plan, _ int64) core.Execution {
+		exec, _ := probe(q, false)
+		return exec
 	}
 	minimal, execs := core.MinimizeSeedRun(t, ex.plan, ex.seed, runner)
 	switch mp := minimal.(type) {
@@ -521,37 +520,17 @@ func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket,
 		minimal = narrowed
 		execs += more
 	}
-	var pert *trace.Trace
-	var violations []oracle.Violation
-	if pt != nil {
-		if pexec, tr, ok, cause := pt.run(t, minimal, true); ok {
-			pert, violations = tr, pexec.Violations
-		} else {
-			agg.noteFallback(cause)
-		}
-	}
+	pexec, pert := probe(minimal, true)
 	if pert == nil {
-		pert, violations = perturbedTrace(t, minimal, ex.seed)
+		return // the re-execution failed or hung: nothing to explain from
 	}
 	execs++ // the instrumented re-execution
 	b.MinimalPlan = minimal.Describe()
 	b.MinimalPlanID = minimal.ID()
 	b.MinimizeExecutions = execs
-	b.Explanation = explain.FromTraces(t, minimal, ex.seed, refs[ex.seed], pert, violations)
+	b.Explanation = explain.FromTraces(t, minimal, ex.seed, ref, pert, pexec.Violations)
 	agg.minimizeExecs += execs
 	agg.explained++
-}
-
-// perturbedTrace executes one plan with a recorder attached (the
-// explanation pass's instrumented re-execution).
-func perturbedTrace(t core.Target, p core.Plan, seed int64) (*trace.Trace, []oracle.Violation) {
-	c := t.Build(seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	p.Apply(c)
-	t.Workload(c)
-	c.RunFor(t.Horizon)
-	return rec.T, c.Violations()
 }
 
 // runOrdered executes plans in list order across the worker pool.
@@ -563,7 +542,7 @@ func perturbedTrace(t core.Target, p core.Plan, seed int64) (*trace.Trace, []ora
 // forces the whole list (the corpus regression block). maxExec bounds
 // dispatches (0 = unlimited); the returned detect is a position in the
 // given list, not an original strategy index.
-func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec int, fs *forkState, runAll bool) ([]slot, int) {
+func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec int, pt *planTree, runAll bool) ([]slot, int) {
 	limit := len(plans)
 	if maxExec > 0 && maxExec < limit {
 		limit = maxExec
@@ -596,10 +575,10 @@ func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec 
 					return
 				}
 				start := time.Now()
-				exec, sig, fb := e.execute(t, plans[i].plan, seed, instrument, fs)
+				exec, tr, fb := e.execute(t, plans[i].plan, seed, instrument, pt)
 				slots[i] = slot{
 					ran: true, planIndex: plans[i].index, plan: plans[i].plan,
-					exec: exec, sig: sig, wall: time.Since(start), fallback: fb,
+					exec: exec, sig: signatureOrZero(tr, exec), wall: time.Since(start), fallback: fb,
 				}
 				if exec.Detected {
 					for {
@@ -634,7 +613,7 @@ func (e *Engine) runOrdered(t core.Target, plans []planRef, seed int64, maxExec 
 // set or the deferred tail; schedItem indices are positions in that list,
 // so coverage tie-breaking follows the learned order while reported plan
 // indices stay the strategy's.
-func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec int, fs *forkState, preSeen []Signature) ([]slot, int) {
+func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec int, pt *planTree, preSeen []Signature) ([]slot, int) {
 	limit := len(plans)
 	if maxExec > 0 && maxExec < limit {
 		limit = maxExec
@@ -673,10 +652,10 @@ func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec i
 			go func(bi int) {
 				defer wg.Done()
 				start := time.Now()
-				exec, sig, fb := e.execute(t, batch[bi].plan, seed, true, fs)
+				exec, tr, fb := e.execute(t, batch[bi].plan, seed, true, pt)
 				slots[seqs[bi]] = slot{
 					ran: true, planIndex: plans[batch[bi].index].index, plan: batch[bi].plan,
-					exec: exec, sig: sig, wall: time.Since(start), fallback: fb,
+					exec: exec, sig: signatureOrZero(tr, exec), wall: time.Since(start), fallback: fb,
 				}
 			}(bi)
 		}
@@ -694,24 +673,25 @@ func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec i
 	return slots, detect
 }
 
-/// execute runs one plan: forked from a prefix checkpoint when the fork
-// substrate exists and can prove the fork exact, as a full replay
-// otherwise. Execution RECORDS are identical either way — fork vs. full
-// replay must never change any artifact byte — but diagnosable fallbacks
-// (unsnapshotable cluster, strict-past violation, restore error, watchdog
-// trip) are counted per cause so a substrate that silently degrades to
-// full replay is visible in Stats.SnapshotFallbacks.
-func (e *Engine) execute(t core.Target, p core.Plan, seed int64, instrument bool, fs *forkState) (core.Execution, Signature, fallbackCause) {
-	if fs != nil {
-		exec, sig, ok, cause := runForked(t, p, seed, instrument, e.cfg.EventBudget, fs)
+// execute runs one plan: forked from the checkpoint tree when one exists
+// and can prove the fork exact, as a full replay otherwise. With instrument
+// set the returned trace is the execution's full trace from t=0 (nil for
+// failed and hung executions). Execution RECORDS are identical either way
+// — fork vs. full replay must never change any artifact byte — but
+// diagnosable fallbacks (unsnapshotable cluster, strict-past violation,
+// restore error, watchdog trip) are returned per cause so a substrate that
+// silently degrades to full replay is visible in Stats.SnapshotFallbacks.
+func (e *Engine) execute(t core.Target, p core.Plan, seed int64, instrument bool, pt *planTree) (core.Execution, *trace.Trace, fallbackCause) {
+	cause := fallbackNone
+	if pt != nil {
+		exec, tr, ok, c := pt.run(t, p, instrument, e.cfg.EventBudget)
 		if ok {
-			return exec, sig, fallbackNone
+			return exec, tr, fallbackNone
 		}
-		exec, sig = runGuarded(t, p, seed, instrument, e.cfg.EventBudget)
-		return exec, sig, cause
+		cause = c
 	}
-	exec, sig := runGuarded(t, p, seed, instrument, e.cfg.EventBudget)
-	return exec, sig, fallbackNone
+	exec, tr := runGuarded(t, p, seed, instrument, e.cfg.EventBudget)
+	return exec, tr, cause
 }
 
 // violates reports whether the named oracle appears in the violation list.

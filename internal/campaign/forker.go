@@ -6,15 +6,15 @@ import (
 	"repro/internal/trace"
 )
 
-// Forker is the exported checkpoint-tree substrate for the systematic
-// explorer (internal/explore). The explorer probes many schedules that
-// share a common prefix — the unperturbed run up to the exploration
-// window — so it builds one tree over a NopPlan base (the reference run
-// itself) with rungs requested at its choice-point send times, then
-// executes each candidate schedule by forking from the deepest eligible
-// rung. Everything that fails the tree's conservative eligibility or
-// restore guards falls back to a full instrumented replay, whose result
-// is canonical: explorer output is identical with or without snapshots.
+// Forker is the exported face of the fork substrate (tree.go) for the
+// systematic explorer (internal/explore). The explorer probes many
+// schedules that share a common prefix — the unperturbed run up to the
+// exploration window — so it builds one tree over the plan-free base (the
+// reference run itself) with rungs requested at its choice-point send
+// times, then executes each candidate schedule by forking from the deepest
+// eligible rung. Everything that fails the tree's divergence rule or fork
+// guards falls back to a full instrumented replay, whose result is
+// canonical: explorer output is identical with or without snapshots.
 type Forker struct {
 	target core.Target
 	seed   int64
@@ -33,29 +33,24 @@ type Forker struct {
 // rung is captured captureMargin earlier. A target that cannot snapshot
 // still yields a usable Forker: every Run is then a full replay.
 func NewForker(t core.Target, seed int64, ref *trace.Trace, candidates []sim.Time) *Forker {
-	f := &Forker{target: t, seed: seed}
-	f.pt = buildPlanTree(t, core.NopPlan{}, seed, ref, candidates)
-	return f
+	return &Forker{target: t, seed: seed, pt: buildPlanTree(t, core.NopPlan{}, seed, ref, candidates)}
 }
-
-// Snapshotable reports whether the checkpoint tree was built — false
-// means every Run is a full replay (still correct, just slower).
-func (f *Forker) Snapshotable() bool { return f.pt != nil }
 
 // Run executes plan q against a fresh logical instance of the target,
 // forking from the deepest eligible checkpoint when one qualifies. The
 // returned trace is always the complete perturbed trace from t=0 (rung
 // prefix + recorded suffix on the fork path), as a full instrumented
-// replay would produce.
+// replay would produce; it is nil only when the replay itself failed or
+// hung (the Execution says which).
 func (f *Forker) Run(q core.Plan) (core.Execution, *trace.Trace) {
 	if f.pt != nil {
-		if exec, tr, ok, _ := f.pt.run(f.target, q, true); ok && tr != nil {
+		if exec, tr, ok, _ := f.pt.run(f.target, q, true, 0); ok {
 			f.Forks++
 			return exec, tr
 		}
 	}
 	f.Replays++
-	return f.replay(q)
+	return runGuarded(f.target, q, f.seed, true, 0)
 }
 
 // Runner adapts the forker to the minimizer's PlanRunner contract
@@ -65,19 +60,4 @@ func (f *Forker) Runner() core.PlanRunner {
 		exec, _ := f.Run(q)
 		return exec
 	}
-}
-
-func (f *Forker) replay(q core.Plan) (core.Execution, *trace.Trace) {
-	c := f.target.Build(f.seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	q.Apply(c)
-	f.target.Workload(c)
-	c.RunFor(f.target.Horizon)
-	return core.Execution{
-		Plan:       q,
-		Seed:       f.seed,
-		Violations: c.Violations(),
-		Detected:   c.Oracles.Violated(f.target.Bug),
-	}, rec.T
 }

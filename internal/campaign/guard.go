@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -20,20 +21,23 @@ const DefaultEventBudget uint64 = 5_000_000
 // maxStackBytes bounds the stack captured into a Failed execution record.
 const maxStackBytes = 4096
 
-// runGuarded executes one plan with per-execution robustness:
+// runGuarded is the full replay — Build, Apply, Workload, Run to the
+// horizon — every execution that does not fork goes through, with
+// per-execution robustness:
 //
 //   - panic recovery: a panic anywhere in Apply/Workload/Run is converted
 //     into a Failed execution record carrying the plan ID, the panic value,
 //     and a truncated stack — the worker survives and the pool keeps
 //     draining plans;
-//   - event-budget watchdog: the kernel is given a step budget; if the
-//     budget is exhausted before the virtual clock reaches the horizon, the
-//     execution is flagged Hung (livelocked) instead of spinning forever.
+//   - event-budget watchdog: the kernel is given a step budget (0 =
+//     DefaultEventBudget); if the budget is exhausted before the virtual
+//     clock reaches the horizon, the execution is flagged Hung (livelocked)
+//     instead of spinning forever.
 //
-// With instrument set, a trace recorder is attached and the coverage
-// signature returned; failed and hung executions report signature 0 (their
-// traces are partial, and buckets must not alias them with healthy runs).
-func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget uint64) (exec core.Execution, sig Signature) {
+// With instrument set, a trace recorder is attached and the recorded trace
+// returned; failed and hung executions return no trace (theirs are
+// partial, and buckets must not alias them with healthy runs).
+func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget uint64) (exec core.Execution, tr *trace.Trace) {
 	if budget == 0 {
 		budget = DefaultEventBudget
 	}
@@ -44,7 +48,7 @@ func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget 
 				Plan: p, Seed: seed, Failed: true,
 				Failure: fmt.Sprintf("panic in plan %s: %v\n%s", p.ID(), r, sanitizeStack(debug.Stack())),
 			}
-			sig = 0
+			tr = nil
 		}
 	}()
 
@@ -58,26 +62,37 @@ func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget 
 	// The budget counts from here: cluster construction (warmup included)
 	// has already spent its steps.
 	startSteps := k.Steps()
-	k.SetMaxSteps(startSteps + budget)
 	deadline := k.Now().Add(t.Horizon)
 
 	p.Apply(c)
 	t.Workload(c)
-	c.RunFor(t.Horizon)
+	hung := runBudgeted(k, startSteps, budget, deadline)
 
 	exec.Violations = c.Violations()
 	exec.Detected = c.Oracles.Violated(t.Bug)
-	if k.Steps() >= startSteps+budget && k.Now() < deadline {
+	if hung {
 		exec.Hung = true
 		exec.Failure = fmt.Sprintf(
 			"watchdog: plan %s exhausted the event budget (%d kernel steps) at virtual time %s, short of the %s horizon — livelocked execution",
 			p.ID(), budget, k.Now(), deadline)
-		return exec, 0
+		return exec, nil
 	}
 	if instrument {
-		sig = signatureOf(rec.T, exec.Violations)
+		tr = rec.T
 	}
-	return exec, sig
+	return exec, tr
+}
+
+// runBudgeted runs the kernel to deadline under the livelock watchdog: a
+// budget of kernel steps (0 = DefaultEventBudget) counted from startSteps.
+// It reports whether the budget ran out short of the deadline.
+func runBudgeted(k *sim.Kernel, startSteps, budget uint64, deadline sim.Time) (hung bool) {
+	if budget == 0 {
+		budget = DefaultEventBudget
+	}
+	k.SetMaxSteps(startSteps + budget)
+	k.Run(deadline)
+	return k.Steps() >= startSteps+budget && k.Now() < deadline
 }
 
 // sanitizeStack reduces a panic stack to its deterministic skeleton:

@@ -121,15 +121,19 @@ func TestSignatureStability(t *testing.T) {
 	if len(plans) == 0 {
 		t.Fatal("no plans")
 	}
-	e1, s1 := runInstrumented(target, plans[0], 1)
-	e2, s2 := runInstrumented(target, plans[0], 1)
+	sigOf := func(p core.Plan) (core.Execution, Signature) {
+		exec, tr := runGuarded(target, p, 1, true, 0)
+		return exec, signatureOrZero(tr, exec)
+	}
+	e1, s1 := sigOf(plans[0])
+	e2, s2 := sigOf(plans[0])
 	if s1 != s2 {
 		t.Fatalf("replay changed signature: %s vs %s", s1, s2)
 	}
 	if e1.Detected != e2.Detected {
 		t.Fatal("replay changed detection")
 	}
-	_, sNop := runInstrumented(target, core.NopPlan{}, 1)
+	_, sNop := sigOf(core.NopPlan{})
 	if e1.Detected && s1 == sNop {
 		t.Fatal("detecting execution shares the reference signature")
 	}

@@ -172,47 +172,87 @@ func TestPanicBecomesFailedRecord(t *testing.T) {
 
 // TestWatchdogFlagsLivelock verifies the event-budget watchdog: a plan
 // that stalls virtual time with a zero-delay reschedule loop is flagged
-// Hung (kind "watchdog"), and the campaign completes around it.
+// Hung (kind "watchdog"), and the campaign completes around it — also with
+// Snapshot+Explain on, where sweep executions and explain/minimize probes
+// go through the fork substrate and must honour the same configured budget.
 func TestWatchdogFlagsLivelock(t *testing.T) {
 	target := workload.Target56261()
 	strategy := spliceStrategy{inner: core.NewPlanner(), at: 1, plan: livelockPlan{}, max: 4}
-	cfg := Config{
+	plain := Config{
 		Workers:       2,
 		MaxExecutions: 5,
 		KeepGoing:     true,
 		Collect:       true,
 		EventBudget:   50_000,
 	}
-	res := New(cfg).Run(target, strategy)
+	forked := plain
+	forked.Snapshot, forked.Explain = true, true
+	for _, cfg := range []Config{plain, forked} {
+		res := New(cfg).Run(target, strategy)
 
-	if res.Stats.HungExecutions != 1 {
-		t.Fatalf("HungExecutions = %d, want 1 (stats: %+v)", res.Stats.HungExecutions, res.Stats)
-	}
-	if res.Stats.FailedExecutions != 0 {
-		t.Fatalf("FailedExecutions = %d, want 0", res.Stats.FailedExecutions)
-	}
-	if len(res.Failures) != 1 {
-		t.Fatalf("got %d failure records, want 1: %+v", len(res.Failures), res.Failures)
-	}
-	f := res.Failures[0]
-	if f.Kind != "watchdog" {
-		t.Fatalf("failure kind = %q, want \"watchdog\"", f.Kind)
-	}
-	if f.Plan != (livelockPlan{}).ID() || f.Index != 1 {
-		t.Fatalf("failure identifies plan %q at index %d, want %q at 1", f.Plan, f.Index, (livelockPlan{}).ID())
-	}
-	if !strings.Contains(f.Detail, "livelocked") || !strings.Contains(f.Detail, "event budget") {
-		t.Fatalf("watchdog detail must explain the livelock:\n%s", f.Detail)
-	}
-	// The campaign drained every plan despite the livelocked one:
-	// reference + 4 planner plans + the hostile plan.
-	if want := 4 + 1 + 1; len(res.Outcomes) != want {
-		t.Fatalf("collected %d outcomes, want %d", len(res.Outcomes), want)
-	}
-	for _, out := range res.Outcomes {
-		if out.Hung && out.Plan != (livelockPlan{}).ID() {
-			t.Fatalf("healthy plan %q was flagged hung — budget %d too tight", out.Plan, cfg.EventBudget)
+		if res.Stats.HungExecutions != 1 {
+			t.Fatalf("HungExecutions = %d, want 1 (stats: %+v)", res.Stats.HungExecutions, res.Stats)
 		}
+		if res.Stats.FailedExecutions != 0 {
+			t.Fatalf("FailedExecutions = %d, want 0", res.Stats.FailedExecutions)
+		}
+		if len(res.Failures) != 1 {
+			t.Fatalf("got %d failure records, want 1: %+v", len(res.Failures), res.Failures)
+		}
+		f := res.Failures[0]
+		if f.Kind != "watchdog" {
+			t.Fatalf("failure kind = %q, want \"watchdog\"", f.Kind)
+		}
+		if f.Plan != (livelockPlan{}).ID() || f.Index != 1 {
+			t.Fatalf("failure identifies plan %q at index %d, want %q at 1", f.Plan, f.Index, (livelockPlan{}).ID())
+		}
+		if !strings.Contains(f.Detail, "livelocked") || !strings.Contains(f.Detail, "event budget") {
+			t.Fatalf("watchdog detail must explain the livelock:\n%s", f.Detail)
+		}
+		// The campaign drained every plan despite the livelocked one:
+		// reference + 4 planner plans + the hostile plan.
+		if want := 4 + 1 + 1; len(res.Outcomes) != want {
+			t.Fatalf("collected %d outcomes, want %d", len(res.Outcomes), want)
+		}
+		for _, out := range res.Outcomes {
+			if out.Hung && out.Plan != (livelockPlan{}).ID() {
+				t.Fatalf("healthy plan %q was flagged hung — budget %d too tight", out.Plan, cfg.EventBudget)
+			}
+		}
+		// The livelocked plan has no bounded effect time, so replaying it
+		// is routine; no healthy fork or probe may trip the budget either.
+		if res.Stats.SnapshotFallbacks != nil {
+			t.Fatalf("healthy forks fell back under budget %d: %+v", cfg.EventBudget, *res.Stats.SnapshotFallbacks)
+		}
+		if cfg.Explain && res.Stats.ExplainedBuckets == 0 {
+			t.Fatal("Explain produced no explanation: the probe path was not exercised")
+		}
+	}
+
+	// A probe that outlives the CONFIGURED budget is flagged on both halves
+	// of the one execution path: the fork is discarded as a counted watchdog
+	// fallback and the canonical full replay reports it Hung. (The tree used
+	// to hard-code DefaultEventBudget and explain's replays had no watchdog.)
+	ref, _ := core.ReferenceSeed(target, 1)
+	plans := core.NewPlanner().Plans(target, ref)
+	pt := buildPlanTree(target, core.NopPlan{}, 1, ref, effectTimes(plans, ref))
+	if pt == nil {
+		t.Fatal("no tree on k8s-56261")
+	}
+	var probe core.Plan
+	for _, p := range plans {
+		if pt.forkRung(p) != nil {
+			probe = p
+			break
+		}
+	}
+	if probe == nil {
+		t.Fatal("no forkable plan on k8s-56261: the budget check is vacuous")
+	}
+	exec, tr, cause := New(Config{EventBudget: 100}).execute(target, probe, 1, true, pt)
+	if cause != fallbackWatchdog || !exec.Hung || tr != nil {
+		t.Fatalf("probe under a 100-step budget: cause=%d hung=%v trace=%v, want a watchdog fallback and a Hung record",
+			cause, exec.Hung, tr != nil)
 	}
 }
 

@@ -42,24 +42,13 @@ func signatureOf(tr *trace.Trace, violations []oracle.Violation) Signature {
 	return Signature(h.Sum64())
 }
 
-// runInstrumented executes one plan with a trace recorder attached and
-// returns both the execution outcome and its coverage signature. It is
-// core.RunPlanSeed plus instrumentation; the recorder observes the network
-// passively, so the execution itself is unchanged.
-func runInstrumented(t core.Target, p core.Plan, seed int64) (core.Execution, Signature) {
-	c := t.Build(seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	p.Apply(c)
-	t.Workload(c)
-	c.RunFor(t.Horizon)
-	exec := core.Execution{
-		Plan:       p,
-		Seed:       seed,
-		Violations: c.Violations(),
-		Detected:   c.Oracles.Violated(t.Bug),
+// signatureOrZero is the coverage signature of an instrumented execution;
+// uninstrumented, failed and hung executions (nil trace) report 0.
+func signatureOrZero(tr *trace.Trace, exec core.Execution) Signature {
+	if tr == nil {
+		return 0
 	}
-	return exec, signatureOf(rec.T, exec.Violations)
+	return signatureOf(tr, exec.Violations)
 }
 
 // classOf predicts the signature class of a plan before running it. The

@@ -10,66 +10,131 @@ import (
 	"repro/internal/trace"
 )
 
-// This file generalizes the flat checkpoint ladder (fork.go) into a
-// checkpoint TREE: rungs captured mid-plan, during an execution of a base
-// plan P, after P's perturbed prefix has already played out. A candidate
-// plan Q that shares P's prefix up to a rung's capture instant forks from
-// that rung instead of replaying warmup + workload + the shared
-// perturbations from t=0. The minimization pass (core.MinimizeSeedRun) and
-// the explanation pass's instrumented re-execution are the consumers: both
-// probe many variants of one detected plan, and those variants share most
-// of the detected plan's prefix by construction.
+// This file is the fork substrate: the one implementation of "skip the
+// prefix this execution shares with a run we already have". A planTree is
+// built by executing a BASE plan once from t=0 and capturing cluster
+// snapshots (rungs) along the way; a candidate plan Q then forks from the
+// deepest rung up to which Q's execution is provably identical to the base
+// run, instead of replaying Build + warmup + workload + the shared
+// perturbations from t=0.
 //
-// Fork discipline follows fork.go with one addition: Q.Apply runs in
-// rehydration mode, so sub-plan timers whose fire time precedes the rung —
-// shared perturbations whose effects are already inside the snapshot —
-// burn their sequence numbers without firing, exactly replicating the
-// allocation pattern of Q's full replay.
+// Two shapes of base cover every consumer:
 //
-// Eligibility is conservative, proven per (rung, Q) pair:
+//   - the plan-free base (core.NopPlan): the base run IS the reference
+//     run. The engine builds one such tree per (target, seed) and forks
+//     every plan of the sweep from it; the explorer (Forker) forks every
+//     schedule from it. The build stops at the last rung — the reference
+//     trace the caller already holds is the base trace;
+//   - a detected plan as base: rungs are captured mid-plan, after the
+//     perturbed prefix has played out. Minimization probes and the explain
+//     pass's instrumented re-execution are variants of that plan and share
+//     most of its prefix by construction.
+//
+// Rung placement is a hint (rungSchedule): soundness is decided per fork.
+//
+// Divergence rule, proven per (rung, Q) pair:
 //
 //   - the divergence bound d is the earliest effect of any sub-plan in the
-//     symmetric difference of P's and Q's sub-plan multisets, evaluated
-//     against BOTH the unperturbed reference trace and the base run's
-//     perturbed trace (a perturbation can move a mined delivery);
-//   - occurrence-counted gap sub-plans contribute their first matching
-//     delivery in both streams even when shared: their interceptor state
-//     (matches seen) is not part of a snapshot, so a fork is exact only
-//     when counting had not started by the rung;
-//   - a rung qualifies iff its capture instant is at or before d; any
-//     sub-plan with an unbounded effect time, or an occurrence-counted gap
-//     when the base trace dropped watch pushes (the match stream is then
-//     incomplete), disqualifies the tree for that Q entirely.
+//     symmetric difference of the base's and Q's sub-plan multisets,
+//     evaluated against BOTH the unperturbed reference trace and the base
+//     run's trace (a perturbation can move a mined delivery);
+//   - occurrence-counted sub-plans contribute their first matching
+//     delivery even when shared: their interceptor state (matches seen) is
+//     not part of a snapshot, so a fork is exact only when counting had not
+//     started by the rung;
+//   - a rung qualifies iff its capture instant is at or before d. A
+//     sub-plan with an unbounded effect time disqualifies the tree for Q,
+//     and so does an occurrence-counted sub-plan when the base trace lost
+//     watch pushes: a dropped push is counted by the send-side interceptor
+//     but absent from Trace.Deliveries, so the first-match bound can be
+//     late.
 //
-// Anything that fails these checks — or trips the restore/watchdog guards
-// at fork time — falls back to core.RunPlanSeed, whose result is
-// canonical, so tree-on and tree-off campaigns produce identical minimal
-// plans and causal explanations.
+// Guards at fork time — each a counted fallback cause, never a silently
+// different execution:
+//
+//   - unsnapshotable: the cluster refused Snapshotable(); the tree is a
+//     sentinel and every run reports the cause;
+//   - strict_past: with a plan-free base, a plan timer landing before the
+//     rung means the plan acts inside the checkpointed prefix (with a plan
+//     base such timers are the shared perturbations and burn their
+//     sequence numbers by design);
+//   - restore_error: the snapshot failed to restore, InstallPending
+//     rejected an event, or anything in the fork panicked;
+//   - watchdog: the fork exhausted the per-call event budget short of the
+//     horizon; the full replay then produces the canonical Hung record.
+//
+// A fork replicates the full replay's sequence-number allocation exactly:
+// the kernel is rewound to the post-Build counter, Q is applied and the
+// workload replayed in rehydration mode (actions before the rung burn
+// their numbers), pending events are re-installed shifted by the
+// difference between Q's and the base's plan bands, and the counter is
+// fast-forwarded to the rung's counter plus the same shift. Whatever
+// fails a check falls back to runGuarded, whose records are canonical, so
+// snapshot-on and snapshot-off campaigns emit byte-identical artifacts.
+// Building a tree is infrastructure, not an execution: it is not counted
+// and leaves no trace in any artifact.
 
-// rung is one checkpoint of the tree: a snapshot captured mid-plan plus
-// the base run's trace prefix at the capture instant.
+// maxCheckpoints caps the rungs of one tree; more cost capture time and
+// memory for diminishing prefix savings.
+const maxCheckpoints = 12
+
+// captureSlideAttempts bounds how far (in 1ms steps) a capture slides past
+// its candidate instant looking for quiescence before abandoning it.
+const captureSlideAttempts = 25
+
+// captureMargin is how far before a hinted instant a rung aims its
+// capture. Hints sit AT mined moments (effect times, choice-point sends),
+// which are exactly the busy instants where capture must slide forward —
+// often past the instant itself, leaving the rung useless for the very
+// plans that put it there. Aiming a few virtual milliseconds early gives
+// the slide room to land at or before the hint.
+const captureMargin = 4 * sim.Millisecond
+
+// fallbackCause classifies why a fork fell back to full replay. Only
+// diagnosable causes are counted in Stats.SnapshotFallbacks; a plan with
+// no qualifying rung (effect before the first rung, an unbounded effect
+// time, an untrusted occurrence bound) is routine prefix economics.
+type fallbackCause uint8
+
+const (
+	fallbackNone fallbackCause = iota
+	fallbackUnsnapshotable
+	fallbackStrictPast
+	fallbackRestoreError
+	fallbackWatchdog
+)
+
+// rung is one checkpoint of the tree: a cluster snapshot plus the base
+// run's trace prefix at the capture instant.
 type rung struct {
 	at    sim.Time
 	snap  *infra.Snapshot
 	trace *trace.Trace
 }
 
-// planTree is the per-(target, seed, base plan) fork substrate for
-// minimization probes and explain re-executions.
+// planTree is the per-(target, seed, base plan) fork substrate. It is
+// immutable once built and shared read-only by the engine's workers.
 type planTree struct {
-	seed       int64
-	base       core.Plan
-	baseKeys   map[string]subCount
+	seed     int64
+	base     core.Plan
+	baseKeys map[string]subCount
+	// planFree marks a NopPlan base: the base run is the reference run, so
+	// baseTrace is ref itself, baseExec is not captured, and plan timers
+	// landing before the rung are strict-past violations.
+	planFree   bool
 	ref        *trace.Trace
 	baseTrace  *trace.Trace
 	baseDrops  int
 	baseExec   core.Execution
-	buildSeq   uint64
-	buildSteps uint64
-	buildEnd   sim.Time
+	buildSeq   uint64   // kernel sequence counter right after Build
+	buildSteps uint64   // kernel step counter right after Build
+	buildEnd   sim.Time // virtual clock right after Build
 	horizon    sim.Duration
-	shiftBase  uint64
-	rungs      []rung
+	shiftBase  uint64 // sequence numbers the base plan's Apply allocated
+	rungs      []rung // ascending capture time
+	// unsnapshotable marks the sentinel tree of a cluster that refused
+	// Snapshotable(): every run falls back with a counted cause.
+	unsnapshotable bool
 }
 
 // subCount is one entry of a sub-plan multiset: a representative plan and
@@ -79,17 +144,12 @@ type subCount struct {
 	count int
 }
 
-// buildPlanTree executes base once from t=0, capturing rungs at the
-// quantile effect times of its sub-plans (and at the build boundary), and
-// finishes the run so the base execution's own result and complete
-// perturbed trace are available. Returns nil when the substrate cannot be
-// built — the caller then probes with full replays.
-//
-// A non-nil explicit slice overrides the quantile heuristic: rungs are
-// placed captureMargin before each requested instant instead (the
-// explorer knows its choice-point send times up front). Placement remains
-// a heuristic either way — soundness is enforced per-fork by divergence.
-func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, explicit []sim.Time) (pt *planTree) {
+// buildPlanTree executes base once from t=0, capturing a rung at the build
+// boundary and captureMargin before (a quantile sample of) the hinted
+// instants. Returns nil when no rung could be captured — the caller then
+// runs full replays, exactly as with snapshotting off — and the
+// unsnapshotable sentinel when the cluster cannot snapshot at all.
+func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, hints []sim.Time) (pt *planTree) {
 	defer func() {
 		if recover() != nil {
 			pt = nil
@@ -97,13 +157,15 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 	}()
 	c := t.Build(seed)
 	if !c.Snapshotable() {
-		return nil
+		return &planTree{unsnapshotable: true}
 	}
 	k := c.World.Kernel()
+	_, planFree := base.(core.NopPlan)
 	pt = &planTree{
 		seed:       seed,
 		base:       base,
 		baseKeys:   subplanMultiset(base),
+		planFree:   planFree,
 		ref:        ref,
 		buildSeq:   k.Seq(),
 		buildSteps: k.Steps(),
@@ -112,27 +174,22 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 	}
 	rec := trace.NewRecorder()
 	rec.Attach(c.World.Network(), c.Store.Store())
-	// Tag the plan band so its pending timers are identifiable in rung
-	// snapshots: forks skip them and recreate Q's own via Q.Apply. Nested
-	// timers scheduled by a plan action at fire time stay untagged — a rung
-	// whose capture instant has one pending simply fails to capture.
+	// Tag the plan band and the workload's own timers so they are
+	// identifiable in rung snapshots: forks skip them on restore and
+	// recreate them via Q.Apply and workload rehydration. Nested timers a
+	// plan action schedules at fire time stay untagged — a rung whose
+	// capture instant has one pending simply fails to capture.
 	ptag := sim.EventTag{Owner: "plan", Kind: "action"}
 	k.SetDefaultTag(&ptag)
 	base.Apply(c)
-	k.SetDefaultTag(nil)
 	pt.shiftBase = k.Seq() - pt.buildSeq
 	wtag := sim.EventTag{Owner: "workload", Kind: "action"}
 	k.SetDefaultTag(&wtag)
 	t.Workload(c)
 	k.SetDefaultTag(nil)
-	pt.baseTrace = rec.T
 
 	end := pt.buildEnd.Add(t.Horizon)
-	cands := treeCandidateTimes(pt, end)
-	if explicit != nil {
-		cands = explicitCandidateTimes(pt, explicit, end)
-	}
-	for _, cand := range cands {
+	for _, cand := range rungSchedule(pt.buildEnd, end, hints) {
 		if cand < k.Now() {
 			continue // a previous capture slid past this candidate
 		}
@@ -143,106 +200,114 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 		}
 		pt.rungs = append(pt.rungs, rung{at: k.Now(), snap: snap, trace: rec.T.Fork()})
 	}
-	// Finish the base run: the complete perturbed trace backs occurrence
-	// eligibility, and the base execution doubles as the minimizer's
-	// initial reproduction probe.
-	k.Run(end)
-	for _, n := range rec.T.DroppedPushes {
-		pt.baseDrops += n
-	}
-	pt.baseExec = core.Execution{
-		Plan:       base,
-		Seed:       seed,
-		Violations: c.Violations(),
-		Detected:   c.Oracles.Violated(t.Bug),
-	}
 	if len(pt.rungs) == 0 {
 		return nil
+	}
+	if planFree {
+		pt.baseTrace = ref
+	} else {
+		// Finish the base run: the complete perturbed trace backs the
+		// divergence rule, and the base execution doubles as the
+		// minimizer's initial reproduction probe.
+		k.Run(end)
+		pt.baseTrace = rec.T
+		pt.baseExec = core.Execution{
+			Plan:       base,
+			Seed:       seed,
+			Violations: c.Violations(),
+			Detected:   c.Oracles.Violated(t.Bug),
+		}
+	}
+	for _, n := range pt.baseTrace.DroppedPushes {
+		pt.baseDrops += n
 	}
 	return pt
 }
 
-// treeCandidateTimes mirrors candidateTimes for the tree: the build
-// boundary plus quantiles of the base plan's sub-plan effect times against
-// the reference trace (placement is a heuristic; soundness is enforced
-// per-fork by divergence).
-func treeCandidateTimes(pt *planTree, end sim.Time) []sim.Time {
-	var effs []sim.Time
-	for _, sc := range pt.baseKeys {
-		eff, ok := core.EarliestEffect(sc.plan, pt.ref)
-		if !ok {
-			continue
-		}
-		if eff > pt.buildEnd && eff < end {
-			for i := 0; i < sc.count; i++ {
-				effs = append(effs, eff)
-			}
+// rungSchedule converts hinted instants — a multiset: the earliest-effect
+// times of the plans the tree will serve, or the explorer's choice-point
+// send times — into capture candidates: the build boundary (every plan
+// whose effect follows warmup can fork from it) plus up to
+// maxCheckpoints-1 mass-weighted quantiles of the hints inside
+// (buildEnd, end), each shifted captureMargin early. Quantiles are taken
+// over the multiset, NOT the distinct times, so when many plans share one
+// mined moment a rung lands exactly there and the bulk of the campaign
+// forks with a minimal residual replay; a list of at most maxCheckpoints-1
+// hints is kept whole.
+func rungSchedule(buildEnd, end sim.Time, hints []sim.Time) []sim.Time {
+	var in []sim.Time
+	for _, at := range hints {
+		if at > buildEnd && at < end {
+			in = append(in, at)
 		}
 	}
-	sort.Slice(effs, func(i, j int) bool { return effs[i] < effs[j] })
-	out := []sim.Time{pt.buildEnd}
-	quota := maxCheckpoints - 1
-	if len(effs) == 0 {
+	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
+	out := []sim.Time{buildEnd}
+	if len(in) == 0 {
 		return out
 	}
+	const quota = maxCheckpoints - 1
 	for i := 0; i < quota; i++ {
-		idx := i * (len(effs) - 1) / (quota - 1)
-		cand := effs[idx].Add(-captureMargin)
-		if cand <= pt.buildEnd {
-			continue
-		}
-		if out[len(out)-1] != cand {
+		cand := in[i*(len(in)-1)/(quota-1)].Add(-captureMargin)
+		if cand > buildEnd && cand != out[len(out)-1] {
 			out = append(out, cand)
 		}
 	}
 	return out
 }
 
-// explicitCandidateTimes converts caller-requested capture instants into
-// a rung schedule: the build boundary first, then each requested instant
-// shifted captureMargin early (a snapshot must precede the event it
-// serves), sorted, deduplicated, clamped inside (buildEnd, end), and
-// capped at maxCheckpoints.
-func explicitCandidateTimes(pt *planTree, explicit []sim.Time, end sim.Time) []sim.Time {
-	shifted := make([]sim.Time, 0, len(explicit))
-	for _, at := range explicit {
-		cand := at.Add(-captureMargin)
-		if cand > pt.buildEnd && cand < end {
-			shifted = append(shifted, cand)
-		}
-	}
-	sort.Slice(shifted, func(i, j int) bool { return shifted[i] < shifted[j] })
-	out := []sim.Time{pt.buildEnd}
-	for _, cand := range shifted {
-		if len(out) == maxCheckpoints {
-			break
-		}
-		if out[len(out)-1] != cand {
-			out = append(out, cand)
+// effectTimes lists the bounded earliest-effect times of plans against ref
+// — the rung placement hint for a tree that will serve those plans.
+func effectTimes(plans []core.Plan, ref *trace.Trace) []sim.Time {
+	out := make([]sim.Time, 0, len(plans))
+	for _, p := range plans {
+		if eff, ok := core.EarliestEffect(p, ref); ok {
+			out = append(out, eff)
 		}
 	}
 	return out
 }
 
-// subplanMultiset flattens a plan into its sub-plan multiset, keyed by
-// ID+Describe (IDs alone omit some secondary parameters).
+// captureWithSlide captures the cluster at the current instant, advancing
+// virtual time in 1ms steps while the instant is not quiescent (an untagged
+// timer pending, a message held, an RPC call in flight).
+func captureWithSlide(c *infra.Cluster, k *sim.Kernel, end sim.Time) (*infra.Snapshot, bool) {
+	for attempt := 0; attempt < captureSlideAttempts; attempt++ {
+		if snap, ok := c.Capture(); ok {
+			return snap, true
+		}
+		if k.Now() >= end {
+			return nil, false
+		}
+		k.RunFor(sim.Millisecond)
+	}
+	return nil, false
+}
+
+// subPlans flattens a plan into its leaf sub-plans, in order.
+func subPlans(p core.Plan) []core.Plan {
+	sp, ok := p.(core.SequencePlan)
+	if !ok {
+		return []core.Plan{p}
+	}
+	var out []core.Plan
+	for _, sub := range sp.Plans {
+		out = append(out, subPlans(sub)...)
+	}
+	return out
+}
+
+// subplanMultiset is a plan's sub-plan multiset, keyed by ID+Describe (IDs
+// alone omit some secondary parameters).
 func subplanMultiset(p core.Plan) map[string]subCount {
 	out := make(map[string]subCount)
-	var walk func(core.Plan)
-	walk = func(q core.Plan) {
-		if sp, ok := q.(core.SequencePlan); ok {
-			for _, sub := range sp.Plans {
-				walk(sub)
-			}
-			return
-		}
+	for _, q := range subPlans(p) {
 		key := q.ID() + "\x00" + q.Describe()
 		sc := out[key]
 		sc.plan = q
 		sc.count++
 		out[key] = sc
 	}
-	walk(p)
 	return out
 }
 
@@ -269,17 +334,18 @@ func (pt *planTree) divergence(q core.Plan) (sim.Time, bool) {
 	qKeys := subplanMultiset(q)
 	d := sim.Time(math.MaxInt64)
 	consider := func(sub core.Plan) bool {
-		effRef, ok := core.EarliestEffect(sub, pt.ref)
+		eff, ok := core.EarliestEffect(sub, pt.ref)
 		if !ok {
 			return false
 		}
-		effBase, ok := core.EarliestEffect(sub, pt.baseTrace)
-		if !ok {
-			return false
-		}
-		eff := effRef
-		if effBase < eff {
-			eff = effBase
+		if !pt.planFree {
+			effBase, ok := core.EarliestEffect(sub, pt.baseTrace)
+			if !ok {
+				return false
+			}
+			if effBase < eff {
+				eff = effBase
+			}
 		}
 		if eff < d {
 			d = eff
@@ -308,17 +374,11 @@ func (pt *planTree) divergence(q core.Plan) (sim.Time, bool) {
 			// incomplete and no occurrence bound is trustworthy.
 			return 0, false
 		}
-		switch {
-		case b.count != inQ.count:
-			if !consider(sub) {
-				return 0, false
-			}
-		case occ && b.count > 0:
-			// Shared occurrence gap: the fork's fresh interceptor starts at
-			// zero matches, so counting must not have begun by the rung.
-			if !consider(sub) {
-				return 0, false
-			}
+		// A shared occurrence-counted sub-plan still bounds the fork: the
+		// fresh interceptor starts at zero matches, so counting must not
+		// have begun by the rung.
+		if (b.count != inQ.count || occ) && !consider(sub) {
+			return 0, false
 		}
 	}
 	return d, true
@@ -331,30 +391,36 @@ func (pt *planTree) forkRung(q core.Plan) *rung {
 	if !ok {
 		return nil
 	}
-	var best *rung
-	for i := range pt.rungs {
-		if pt.rungs[i].at <= d {
-			best = &pt.rungs[i]
-		} else {
-			break
-		}
+	i := sort.Search(len(pt.rungs), func(i int) bool { return pt.rungs[i].at > d })
+	if i == 0 {
+		return nil
 	}
-	return best
+	return &pt.rungs[i-1]
 }
 
-// run executes q by forking from the deepest eligible rung. With
-// instrument set the returned trace is the full perturbed trace from t=0
-// (rung prefix + recorded suffix), as perturbedTrace would produce.
-// ok=false means the caller must fall back to a full replay; cause
-// classifies diagnosable failures exactly as runForked does.
-func (pt *planTree) run(t core.Target, q core.Plan, instrument bool) (exec core.Execution, tr *trace.Trace, ok bool, cause fallbackCause) {
-	if !instrument && q.ID() == pt.base.ID() && q.Describe() == pt.base.Describe() {
+// run executes q by forking from the deepest eligible rung under the given
+// event budget (0 = DefaultEventBudget). With instrument set the returned
+// trace is the full trace from t=0 (rung prefix + recorded suffix), as an
+// instrumented full replay would produce. ok=false means the caller must
+// fall back to runGuarded; cause classifies diagnosable failures
+// (fallbackNone: no eligible rung — routine).
+func (pt *planTree) run(t core.Target, q core.Plan, instrument bool, budget uint64) (core.Execution, *trace.Trace, bool, fallbackCause) {
+	if pt.unsnapshotable {
+		return core.Execution{}, nil, false, fallbackUnsnapshotable
+	}
+	if !pt.planFree && !instrument && q.ID() == pt.base.ID() && q.Describe() == pt.base.Describe() {
 		return pt.baseExec, nil, true, fallbackNone
 	}
 	rg := pt.forkRung(q)
 	if rg == nil {
 		return core.Execution{}, nil, false, fallbackNone
 	}
+	return pt.forkFrom(rg, t, q, instrument, budget)
+}
+
+// forkFrom executes q from rung rg. The caller vouches for eligibility
+// (run does, via forkRung); everything else is guarded here.
+func (pt *planTree) forkFrom(rg *rung, t core.Target, q core.Plan, instrument bool, budget uint64) (exec core.Execution, tr *trace.Trace, ok bool, cause fallbackCause) {
 	defer func() {
 		if recover() != nil {
 			exec, tr, ok, cause = core.Execution{}, nil, false, fallbackRestoreError
@@ -370,27 +436,33 @@ func (pt *planTree) run(t core.Target, q core.Plan, instrument bool) (exec core.
 		rec = trace.NewRecorderFor(rg.trace.Fork())
 		rec.Attach(c2.World.Network(), c2.Store.Store())
 	}
-	// Q's plan band replays directly after the Build boundary, in
-	// rehydration mode: shared sub-plan timers that already fired inside
-	// the prefix burn their numbers, later ones schedule for real.
+	// Q's plan band replays directly after the Build boundary, then the
+	// workload, both in rehydration mode: timers that fired inside the
+	// prefix burn their numbers, later ones schedule for real. With a
+	// plan-free base no plan timer may land inside the prefix.
 	k.SetSeq(pt.buildSeq)
 	k.BeginRehydrate(rg.snap.Kernel.Now)
+	k.SetStrictPast(pt.planFree)
 	q.Apply(c2)
+	k.SetStrictPast(false)
+	if k.StrictViolation() != "" {
+		return core.Execution{}, nil, false, fallbackStrictPast
+	}
 	shiftQ := k.Seq() - pt.buildSeq
 	t.Workload(c2)
 	k.EndRehydrate()
-	// Pending component events shift by the DIFFERENCE between Q's and the
-	// base plan's allocation bands — signed, since Q usually allocates less
-	// (minimization removes sub-plans).
+	// Pending component events return with their original tie-break order,
+	// shifted by the DIFFERENCE between Q's and the base plan's allocation
+	// bands — signed, since a minimization candidate allocates less than
+	// its base.
 	delta := int64(shiftQ) - int64(pt.shiftBase)
 	if err := c2.InstallPending(rg.snap.Kernel.Pending, pt.buildSeq, delta); err != nil {
 		return core.Execution{}, nil, false, fallbackRestoreError
 	}
 	k.SetSeq(uint64(int64(rg.snap.Kernel.Seq) + delta))
-	k.SetMaxSteps(pt.buildSteps + DefaultEventBudget)
-	deadline := pt.buildEnd.Add(pt.horizon)
-	k.Run(deadline)
-	if k.Steps() >= pt.buildSteps+DefaultEventBudget && k.Now() < deadline {
+	if runBudgeted(k, pt.buildSteps, budget, pt.buildEnd.Add(pt.horizon)) {
+		// Livelocked: discard the fork so the full replay produces the
+		// canonical Hung record.
 		return core.Execution{}, nil, false, fallbackWatchdog
 	}
 	exec = core.Execution{

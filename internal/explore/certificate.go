@@ -26,13 +26,13 @@ type Certificate struct {
 	Seed          int64  `json:"seed"`
 	WindowStartNs int64  `json:"window_start_ns"`
 	// WindowEndNs is -1 for an unbounded window (to the end of the run).
-	WindowEndNs  int64  `json:"window_end_ns"`
-	BoundDrops   int    `json:"bound_drops"`
-	BoundDelays  int    `json:"bound_delays"`
-	BoundCrashes int    `json:"bound_crashes"`
-	DelayNs      int64  `json:"delay_ns"`
-	POR          bool   `json:"por"`
-	Stats        Stats  `json:"stats"`
+	WindowEndNs  int64 `json:"window_end_ns"`
+	BoundDrops   int   `json:"bound_drops"`
+	BoundDelays  int   `json:"bound_delays"`
+	BoundCrashes int   `json:"bound_crashes"`
+	DelayNs      int64 `json:"delay_ns"`
+	POR          bool  `json:"por"`
+	Stats        Stats `json:"stats"`
 }
 
 func newCertificate(t core.Target, cfg Config, b Bounds, wStart, wEnd sim.Time, st Stats) *Certificate {

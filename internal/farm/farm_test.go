@@ -27,18 +27,7 @@ func directRun(t *testing.T, spec TaskSpec) campaign.Result {
 func farmRun(t *testing.T, targets, strategies []string, base TaskSpec, n int) []campaign.Result {
 	t.Helper()
 	tasks := Plan(targets, strategies, base)
-	transports := make([]Transport, n)
-	for i := range transports {
-		transports[i] = NewInProcTransport()
-	}
-	coord := &Coordinator{}
-	results, interrupted, err := coord.Run(context.Background(), transports, tasks)
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
-	if interrupted {
-		t.Fatal("coordinator reported interrupt without cancellation")
-	}
+	results, _ := supervisedRun(t, inProcSupervisor(n), tasks)
 	merged, incomplete := Collate(results)
 	if len(incomplete) > 0 {
 		t.Fatalf("incomplete cells: %v", incomplete)
@@ -262,15 +251,13 @@ func TestRecordStreaming(t *testing.T) {
 	tasks := Plan([]string{spec.Target}, []string{spec.Strategy}, spec)
 	var mu sync.Mutex
 	var streamed []campaign.PlanOutcome
-	coord := &Coordinator{OnRecord: func(_ TaskSpec, out campaign.PlanOutcome) {
+	sup := inProcSupervisor(1)
+	sup.OnRecord = func(_ TaskSpec, out campaign.PlanOutcome) {
 		mu.Lock()
 		streamed = append(streamed, out)
 		mu.Unlock()
-	}}
-	results, _, err := coord.Run(context.Background(), []Transport{NewInProcTransport()}, tasks)
-	if err != nil {
-		t.Fatalf("coordinator: %v", err)
 	}
+	results, _ := supervisedRun(t, sup, tasks)
 	res := results[0].Res
 	if res == nil {
 		t.Fatal("task did not complete")
@@ -302,12 +289,13 @@ func TestCoordinatorInterrupt(t *testing.T) {
 	tasks := Plan([]string{"k8s-59848", "cass-op-400"}, []string{"partial-history"}, base)
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
-	coord := &Coordinator{OnRecord: func(TaskSpec, campaign.PlanOutcome) {
+	sup := inProcSupervisor(1)
+	sup.OnRecord = func(TaskSpec, campaign.PlanOutcome) {
 		once.Do(cancel) // first streamed record pulls the plug
-	}}
-	results, interrupted, err := coord.Run(ctx, []Transport{NewInProcTransport()}, tasks)
+	}
+	results, _, interrupted, err := RunSupervised(ctx, sup, tasks, nil)
 	if err != nil {
-		t.Fatalf("coordinator: %v", err)
+		t.Fatalf("RunSupervised: %v", err)
 	}
 	if !interrupted {
 		t.Fatal("expected interrupted=true")

@@ -14,11 +14,10 @@
 //     campaign.Engine, streaming per-execution records
 //   - shard.go     how a campaign matrix becomes tasks (seed-sharded,
 //     except when cross-seed learning forbids it)
-//   - coordinator.go pull-based task dispatch, cancellation, partial
-//     results
-//   - supervise.go worker supervision: death detection (EOF, deadline,
-//     protocol), capped-backoff respawn, deterministic task retry, and
-//     poison-task quarantine
+//   - supervise.go the coordinator: pull-based task dispatch,
+//     cancellation with partial results, and worker supervision — death
+//     detection (EOF, deadline, protocol), capped-backoff respawn,
+//     deterministic task retry, and poison-task quarantine
 //   - journal.go   the crash-resumable coordinator journal: one fsynced
 //     NDJSON line per completed task, torn-tail-tolerant resume
 //   - faulttransport.go deterministic fault injection for testing: kill,

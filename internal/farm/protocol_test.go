@@ -97,16 +97,18 @@ func TestWorkerLoopCleanEOF(t *testing.T) {
 	}
 }
 
-// TestSupervisedHandshakeRejection: a worker announcing the wrong
-// protocol version is put down at the handshake; with respawns
-// exhausted the fleet reports handshake deaths and an exhaustion error
-// instead of feeding tasks to a peer that half-speaks the protocol.
-func TestSupervisedHandshakeRejection(t *testing.T) {
+// assertHandshakeRejected runs one task against a worker announcing the
+// given protocol version: it must be put down at the handshake, and with
+// respawns exhausted the fleet must report handshake deaths and an
+// exhaustion error instead of feeding tasks to a peer that half-speaks
+// the protocol.
+func assertHandshakeRejected(t *testing.T, version string) {
+	t.Helper()
 	tasks := Plan([]string{"cass-op-400"}, []string{"partial-history"},
 		TaskSpec{Seeds: []int64{1}, MaxExecutions: 10})
 	sup := &Supervisor{
 		Factory: func(slot, spawn int) Transport {
-			return &scriptedTransport{lines: []string{`{"type":"ready","proto":"phfarm/0"}`}}
+			return &scriptedTransport{lines: []string{`{"type":"ready","proto":"` + version + `"}`}}
 		},
 		Workers:     1,
 		MaxRespawns: 1,
@@ -126,24 +128,17 @@ func TestSupervisedHandshakeRejection(t *testing.T) {
 		if d.Cause != DeathHandshake {
 			t.Errorf("death cause %q, want %q", d.Cause, DeathHandshake)
 		}
-		if !strings.Contains(d.Detail, "phfarm/0") {
+		if !strings.Contains(d.Detail, version) {
 			t.Errorf("death detail %q does not name the bad version", d.Detail)
 		}
 	}
 }
 
-// TestLegacyCoordinatorHandshakeRejection pins the same guard on the
-// unsupervised path: the legacy coordinator aborts rather than talking
-// to a version-skewed worker.
-func TestLegacyCoordinatorHandshakeRejection(t *testing.T) {
-	tasks := Plan([]string{"cass-op-400"}, []string{"partial-history"},
-		TaskSpec{Seeds: []int64{1}, MaxExecutions: 10})
-	c := &Coordinator{}
-	transports := []Transport{
-		&scriptedTransport{lines: []string{`{"type":"ready","proto":"phfarm/99"}`}},
-	}
-	_, _, err := c.Run(context.Background(), transports, tasks)
-	if err == nil {
-		t.Fatal("legacy coordinator accepted a version-skewed worker")
-	}
-}
+// TestSupervisedHandshakeRejection: a worker from an OLDER build is
+// rejected at the handshake.
+func TestSupervisedHandshakeRejection(t *testing.T) { assertHandshakeRejected(t, "phfarm/0") }
+
+// TestLegacyCoordinatorHandshakeRejection pins the guard in the other
+// direction: this coordinator is the legacy side, the worker announces a
+// NEWER protocol version, and it is rejected just the same.
+func TestLegacyCoordinatorHandshakeRejection(t *testing.T) { assertHandshakeRejected(t, "phfarm/99") }

@@ -146,7 +146,6 @@ type FlagRules struct {
 	Prune    bool
 	Ranked   bool
 	Explain  bool
-	Minimize bool // phtest's deprecated -minimize alias; always false elsewhere
 	Snapshot bool
 	Fixed    bool
 	Guided   bool
@@ -156,16 +155,12 @@ type FlagRules struct {
 // ValidateFlags fails fast on flag combinations that parse fine but make
 // no sense together. Each rejected combination used to be accepted and
 // silently misbehave: -ranked without -prune ran the learning phase in a
-// mode no report distinguishes from plain ordering, -minimize alongside
-// -explain double-specified the same pass through its deprecated alias,
-// and -snapshot with -fixed would fork the fixed-variant baselines whose
-// entire point is exercising the unmodified full-replay path.
+// mode no report distinguishes from plain ordering, and -snapshot with
+// -fixed would fork the fixed-variant baselines whose entire point is
+// exercising the unmodified full-replay path.
 func ValidateFlags(r FlagRules) error {
 	if r.Ranked && !r.Prune {
 		return fmt.Errorf("-ranked requires -prune: impact ranking orders the learning phase's kept set, which only exists when pruning runs")
-	}
-	if r.Minimize && r.Explain {
-		return fmt.Errorf("-minimize and -explain are mutually exclusive: -minimize is a deprecated alias for -explain, pass only one")
 	}
 	if r.Snapshot && r.Fixed {
 		return fmt.Errorf("-snapshot is incompatible with -fixed: fixed-variant runs are correctness baselines and must execute full replays")
@@ -183,7 +178,7 @@ func ValidateFlags(r FlagRules) error {
 			return fmt.Errorf("-explore is incompatible with -prune: exhaustive mode applies the learned model as partial-order reduction internally (-explore-por)")
 		case r.Snapshot:
 			return fmt.Errorf("-explore is incompatible with -snapshot: exhaustive mode manages its own checkpoint-tree forking")
-		case r.Explain, r.Minimize:
+		case r.Explain:
 			return fmt.Errorf("-explore is incompatible with -explain: witnesses are always minimized and explained")
 		}
 	}

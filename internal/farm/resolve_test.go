@@ -7,9 +7,8 @@ import (
 
 // TestValidateFlags is the table-driven regression test for the flag
 // combinations both CLIs reject after flag.Parse(): combinations that
-// would silently do nothing (-ranked without -prune), double-specify one
-// pass through its deprecated alias (-minimize with -explain), or fork
-// the full-replay correctness baselines (-snapshot with -fixed).
+// would silently do nothing (-ranked without -prune) or fork the
+// full-replay correctness baselines (-snapshot with -fixed).
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -21,8 +20,6 @@ func TestValidateFlags(t *testing.T) {
 		{"prune-ranked", FlagRules{Prune: true, Ranked: true}, ""},
 		{"ranked-without-prune", FlagRules{Ranked: true}, "-ranked requires -prune"},
 		{"explain-alone", FlagRules{Explain: true}, ""},
-		{"minimize-alone", FlagRules{Minimize: true}, ""},
-		{"minimize-and-explain", FlagRules{Minimize: true, Explain: true}, "-minimize and -explain are mutually exclusive"},
 		{"snapshot-alone", FlagRules{Snapshot: true}, ""},
 		{"fixed-alone", FlagRules{Fixed: true}, ""},
 		{"snapshot-with-fixed", FlagRules{Snapshot: true, Fixed: true}, "-snapshot is incompatible with -fixed"},
@@ -33,7 +30,6 @@ func TestValidateFlags(t *testing.T) {
 		{"explore-with-prune", FlagRules{Explore: true, Prune: true}, "-explore is incompatible with -prune"},
 		{"explore-with-snapshot", FlagRules{Explore: true, Snapshot: true}, "-explore is incompatible with -snapshot"},
 		{"explore-with-explain", FlagRules{Explore: true, Explain: true}, "-explore is incompatible with -explain"},
-		{"explore-with-minimize", FlagRules{Explore: true, Minimize: true}, "-explore is incompatible with -explain"},
 	}
 	for _, tc := range cases {
 		tc := tc

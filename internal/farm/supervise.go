@@ -95,7 +95,10 @@ type Supervisor struct {
 	Factory func(slot, spawn int) Transport
 	// Workers is the fleet width (default 1).
 	Workers int
-	// OnRecord observes streamed per-execution records, as in Coordinator.
+	// OnRecord observes streamed per-execution records. Records from
+	// different workers interleave arbitrarily — per-task order is
+	// guaranteed, cross-task order is not — which is why merged artifacts
+	// are rebuilt from task results, never from the record stream.
 	// Records from attempts that later die are indistinguishable from the
 	// retry's — they are the same bytes, per task determinism — so
 	// observers see at-least-once delivery and must key on (task, index)
@@ -364,6 +367,24 @@ func (f *fleetState) done() bool {
 	return f.pending == 0 || f.cancelled
 }
 
+// TaskResult is one task's outcome as the coordinator saw it: the
+// worker's full campaign.Result, or the error that stopped it. Res is
+// nil for tasks that never completed (cancellation, quarantine). Deaths
+// lists every worker death attributed to the task, Retries counts
+// requeues after such deaths, and Quarantine is non-nil when the task
+// killed enough distinct workers to be declared poison — in which case
+// Res stays nil and the merge records a synthetic failed cell instead of
+// aborting the campaign.
+type TaskResult struct {
+	Spec TaskSpec
+	Res  *campaign.Result
+	Err  string
+
+	Deaths     []DeathRecord
+	Retries    int
+	Quarantine *QuarantineRecord
+}
+
 // RunSupervised executes tasks across a self-healing fleet of workers
 // and returns one TaskResult per task (in task order), the fleet report,
 // and whether ctx cancellation interrupted the run.
@@ -374,12 +395,15 @@ func (f *fleetState) done() bool {
 // artifact is byte-identical to an uninterrupted one because each
 // journal line holds the task's full deterministic result.
 //
-// Unlike Coordinator.Run, worker death never aborts the run: dead
-// workers respawn with capped, jittered exponential backoff, their
-// in-flight tasks retry on healthy workers, and a task that keeps
-// killing workers is quarantined (Res nil, Quarantine set). The run
-// fails outright only when the fleet is exhausted: every slot retired
-// (MaxRespawns consecutive spawn failures) with tasks still pending.
+// Dispatch is pull-based — each worker serves one task at a time and
+// takes the next free one when it reports a result, so slow shards never
+// stall the fleet behind a static assignment — and worker death never
+// aborts the run: dead workers respawn with capped, jittered exponential
+// backoff, their in-flight tasks retry on healthy workers, and a task
+// that keeps killing workers is quarantined (Res nil, Quarantine set).
+// The run fails outright only when the fleet is exhausted: every slot
+// retired (MaxRespawns consecutive spawn failures) with tasks still
+// pending.
 func RunSupervised(ctx context.Context, sup *Supervisor, tasks []TaskSpec, resumed map[int]ResumedTask) ([]TaskResult, FleetReport, bool, error) {
 	for i, spec := range tasks {
 		if spec.ID != i {

@@ -141,40 +141,6 @@ func TestSupervisedByteIdentityUnderFaults(t *testing.T) {
 	}
 }
 
-// TestUnsupervisedCoordinatorAbortsOnWorkerDeath pins the legacy
-// behavior the supervision layer exists to fix: the plain Coordinator
-// loses a dead worker's task and — with no surviving workers — fails
-// the whole run. The same fault under RunSupervised completes.
-func TestUnsupervisedCoordinatorAbortsOnWorkerDeath(t *testing.T) {
-	spec := TaskSpec{
-		Target:        "cass-op-400",
-		Strategy:      "partial-history",
-		Seeds:         []int64{1, 2},
-		MaxExecutions: 30,
-		Parallel:      2,
-	}
-	tasks := Plan([]string{spec.Target}, []string{spec.Strategy}, spec)
-	kill := []Fault{{Kind: FaultKill, Frame: 4}}
-
-	coord := &Coordinator{}
-	_, _, err := coord.Run(context.Background(), []Transport{chaosFactory(kill)(0, 0)}, tasks)
-	if err == nil || !strings.Contains(err.Error(), "never completed") {
-		t.Fatalf("legacy coordinator error = %v, want 'never completed' abort", err)
-	}
-
-	sup := inProcSupervisor(1)
-	sup.Factory = chaosFactory(kill)
-	results, report := supervisedRun(t, sup, tasks)
-	for i, tr := range results {
-		if tr.Res == nil {
-			t.Errorf("supervised task %d did not complete", i)
-		}
-	}
-	if len(report.Deaths) == 0 || report.Retried == 0 {
-		t.Errorf("supervised run recorded no recovery: %+v", report)
-	}
-}
-
 // TestPoisonTaskQuarantine: a task that kills every worker it touches
 // is quarantined after MaxTaskKills distinct deaths instead of grinding
 // the fleet down, and the rest of the campaign completes. The merged

@@ -290,7 +290,12 @@ func (k *Kernel) AtTagged(t Time, tag EventTag, fn func()) *Timer {
 		// (and already fired) this event before the checkpoint. Burn the
 		// sequence number it would have consumed so every later
 		// allocation keeps its full-replay identity, but schedule
-		// nothing.
+		// nothing. Under strict mode the burn is itself the violation:
+		// the caller has declared that nothing it schedules may belong
+		// to the prefix.
+		if k.strictPast && k.strictErr == "" {
+			k.strictErr = fmt.Sprintf("sim: schedule into the checkpointed prefix: at=%s cutoff=%s", t, k.rehydrateCutoff)
+		}
 		k.seq++
 		return burnedTimer
 	}

@@ -102,10 +102,12 @@ func (k *Kernel) EndRehydrate() {
 }
 
 // SetStrictPast enables (or disables) recording of attempts to schedule
-// into the past. While enabled, the first At with t < now is remembered;
-// StrictViolation returns it. A forked plan application runs under strict
-// mode: a violation means the plan has effects inside the checkpointed
-// prefix and the fork must be abandoned in favour of a full replay.
+// into the past. While enabled, the first At with t < now — or, in
+// rehydration mode, before the cutoff, where it would otherwise burn
+// silently — is remembered; StrictViolation returns it. A plan forked from
+// a plan-free base is applied under strict mode: a violation means the
+// plan has effects inside the checkpointed prefix and the fork must be
+// abandoned in favour of a full replay.
 func (k *Kernel) SetStrictPast(on bool) {
 	k.strictPast = on
 	if on {

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/apiserver"
 	"repro/internal/cluster"
-	"repro/internal/sim"
 	"repro/internal/history"
+	"repro/internal/sim"
 )
 
 func fingerprintFixture() *Trace {
