@@ -5,9 +5,9 @@ package partialhist
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/infra"
 	"repro/internal/operators/cassandra"
@@ -49,26 +49,12 @@ func BenchmarkA1_PlanFamilyContribution(b *testing.B) {
 		for ti := range grid {
 			grid[ti] = make([]cell, len(families))
 		}
-		type job struct{ ti, fi int }
-		jobs := make(chan job)
-		var wg sync.WaitGroup
-		for wkr := 0; wkr < 4; wkr++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					res := core.RunCampaign(targets[j.ti], familyPlanner(families[j.fi]), 400)
-					grid[j.ti][j.fi] = cell{detected: res.Detected, execs: res.Executions}
-				}
-			}()
-		}
-		for ti := range targets {
-			for fi := range families {
-				jobs <- job{ti, fi}
+		for ti, t := range targets {
+			for fi, family := range families {
+				res := campaign.New(campaign.Config{Workers: 4, MaxExecutions: 400}).Run(t, familyPlanner(family))
+				grid[ti][fi] = cell{detected: res.Detected, execs: res.Campaign.Executions}
 			}
 		}
-		close(jobs)
-		wg.Wait()
 	}
 
 	found := 0

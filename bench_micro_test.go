@@ -125,7 +125,7 @@ func BenchmarkMicro_ReplicatedStoreCommit(b *testing.B) {
 func BenchmarkMicro_CampaignOverhead(b *testing.B) {
 	target := workload.Target56261()
 	strategy := baselines.CrashTuner{}
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	plans := strategy.Plans(target, ref)
 	if len(plans) == 0 {
 		b.Fatal("crashtuner generated no plans")
@@ -162,10 +162,10 @@ func BenchmarkMicro_CampaignOverhead(b *testing.B) {
 // hundreds of plan executions.
 func BenchmarkMicro_ExplainPass(b *testing.B) {
 	target := workload.Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	var detecting core.Plan
 	for _, p := range core.NewPlanner().Plans(target, ref) {
-		if core.RunPlan(target, p).Detected {
+		if core.RunPlanSeed(target, p, 1).Detected {
 			detecting = p
 			break
 		}
@@ -177,7 +177,7 @@ func BenchmarkMicro_ExplainPass(b *testing.B) {
 	b.Run("minimize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, execs := core.MinimizeSeed(target, detecting, 1); execs == 0 {
+			if _, execs := core.MinimizeSeedRun(target, detecting, 1, core.RunPlanSeed); execs == 0 {
 				b.Fatal("no minimization executions recorded")
 			}
 		}
@@ -200,7 +200,7 @@ func BenchmarkMicro_ExplainPass(b *testing.B) {
 // not pay for itself even in principle.
 func BenchmarkMicro_LearnPass(b *testing.B) {
 	target := workload.Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	plans := core.NewPlanner().Plans(target, ref)
 	if len(plans) == 0 {
 		b.Fatal("planner generated no plans")

@@ -59,8 +59,8 @@ func e1Plan() core.Plan {
 func BenchmarkE1_Fig2_TimeTravel59848(b *testing.B) {
 	var buggy, fixed core.Execution
 	for i := 0; i < b.N; i++ {
-		buggy = core.RunPlan(workload.Target59848(), e1Plan())
-		fixed = core.RunPlan(workload.Fixed(workload.Target59848()), e1Plan())
+		buggy = core.RunPlanSeed(workload.Target59848(), e1Plan(), 1)
+		fixed = core.RunPlanSeed(workload.Fixed(workload.Target59848()), e1Plan(), 1)
 	}
 	if !buggy.Detected {
 		b.Fatal("E1: stock kubelet did not violate UniquePod")
@@ -299,8 +299,8 @@ func BenchmarkE4_Fig3c_ObservabilityGaps(b *testing.B) {
 
 		// (a) volume controller misses mark->delete between sparse reads.
 		volTarget := volumeGapTarget()
-		stock := core.RunPlan(volTarget, core.NopPlan{})
-		fixed := core.RunPlan(fixedVolumeGapTarget(), core.NopPlan{})
+		stock := core.RunPlanSeed(volTarget, core.NopPlan{}, 1)
+		fixed := core.RunPlanSeed(fixedVolumeGapTarget(), core.NopPlan{}, 1)
 		rows = append(rows, row{
 			name:         "volume release ([17])",
 			stockOutcome: outcome(stock.Detected, "PVC orphaned"),
@@ -309,8 +309,8 @@ func BenchmarkE4_Fig3c_ObservabilityGaps(b *testing.B) {
 
 		// (b) scheduler misses a node deletion (K8s-56261).
 		gap := core.GapPlan{Victim: "scheduler", Kind: cluster.KindNode, Name: "n1", Type: apiserver.Deleted, Occurrence: 1}
-		stock = core.RunPlan(workload.Target56261(), gap)
-		fixed = core.RunPlan(workload.Fixed(workload.Target56261()), gap)
+		stock = core.RunPlanSeed(workload.Target56261(), gap, 1)
+		fixed = core.RunPlanSeed(workload.Fixed(workload.Target56261()), gap, 1)
 		rows = append(rows, row{
 			name:         "scheduler cache (56261)",
 			stockOutcome: outcome(stock.Detected, "placement livelock"),
@@ -419,8 +419,8 @@ func BenchmarkE5_Sec7_BugMatrix(b *testing.B) {
 	// The matrix runs through internal/campaign's worker pool with prefix
 	// checkpointing (-snapshot) on: plan executions fan out across 4
 	// workers per campaign and fork from copy-on-write checkpoints, with
-	// results byte-identical to the serial full-replay core.Matrix (the
-	// engine's cross-check invariants). EXPERIMENTS.md records both
+	// results byte-identical to a serial full-replay loop (the engine's
+	// cross-check invariants). EXPERIMENTS.md records both
 	// speedups. The learned column routes the tool through -prune -ranked.
 	// The deterministic results are computed by internal/bench — the same
 	// code path cmd/benchcheck re-runs to detect drift in the committed

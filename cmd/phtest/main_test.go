@@ -99,7 +99,7 @@ func TestParseSeeds(t *testing.T) {
 
 // TestCampaignArtifactRoundTrip runs one campaign the way main does with
 // -parallel 2 -json and verifies the emitted artifact is valid and carries
-// the serial-equivalent campaign result.
+// the campaign result of a 1-worker, uninstrumented engine.
 func TestCampaignArtifactRoundTrip(t *testing.T) {
 	target := workload.Target56261()
 	cfg := campaign.Config{Workers: 2, MaxExecutions: 25, Collect: true}
@@ -121,9 +121,9 @@ func TestCampaignArtifactRoundTrip(t *testing.T) {
 	if got.Target != target.Name || got.Strategy != "partial-history" {
 		t.Fatalf("artifact identity: %s/%s", got.Target, got.Strategy)
 	}
-	want := core.RunCampaign(target, core.NewPlanner(), 25)
+	want := campaign.New(campaign.Config{Workers: 1, MaxExecutions: 25}).Run(target, core.NewPlanner()).Campaign
 	if !reflect.DeepEqual(got.Campaign, want) {
-		t.Fatalf("artifact campaign diverged from serial\n got: %+v\nwant: %+v", got.Campaign, want)
+		t.Fatalf("artifact campaign diverged from the 1-worker engine\n got: %+v\nwant: %+v", got.Campaign, want)
 	}
 	if len(got.Outcomes) == 0 {
 		t.Fatal("Collect artifact has no per-plan outcomes")

@@ -67,7 +67,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	ref, violations := core.Reference(target)
+	ref, violations := core.ReferenceSeed(target, 1)
 
 	fmt.Printf("reference execution of %s (horizon %s)\n", target.Name, target.Horizon)
 	fmt.Printf("committed events (|H|): %d\n", len(ref.Commits))

@@ -46,7 +46,7 @@ func main() {
 			continue
 		}
 		fixed := withFixedOperator(t)
-		exec := core.RunPlan(fixed, plan)
+		exec := core.RunPlanSeed(fixed, plan, 1)
 		if exec.Detected {
 			fmt.Printf("%-12s STILL BUGGY under the triggering perturbation\n", t.Name)
 		} else {
@@ -62,7 +62,7 @@ func main() {
 // campaignWithPlan runs the campaign and also returns the detecting plan
 // object itself (core.CampaignResult only carries its description).
 func campaignWithPlan(t core.Target) (core.CampaignResult, core.Plan) {
-	ref, _ := core.Reference(t)
+	ref, _ := core.ReferenceSeed(t, 1)
 	planner := core.NewPlanner()
 	plans := planner.Plans(t, ref)
 	res := core.CampaignResult{Target: t.Name, Strategy: planner.Name(), PlansTotal: len(plans)}
@@ -70,7 +70,7 @@ func campaignWithPlan(t core.Target) (core.CampaignResult, core.Plan) {
 		if i >= 400 {
 			break
 		}
-		exec := core.RunPlan(t, p)
+		exec := core.RunPlanSeed(t, p, 1)
 		res.Executions = i + 1
 		if exec.Detected {
 			res.Detected = true

@@ -11,7 +11,7 @@ import (
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
 	target := workload.Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	a := baselines.Random{Seed: 3, N: 30}.Plans(target, ref)
 	b := baselines.Random{Seed: 3, N: 30}.Plans(target, ref)
 	if len(a) != len(b) {
@@ -36,7 +36,7 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 
 func TestCrashTunerTargetsMembershipObservers(t *testing.T) {
 	target := workload.Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	plans := baselines.CrashTuner{}.Plans(target, ref)
 	if len(plans) == 0 {
 		t.Fatal("no plans")
@@ -58,7 +58,7 @@ func TestCrashTunerTargetsMembershipObservers(t *testing.T) {
 
 func TestCoFIPlansAreWindowedPartitions(t *testing.T) {
 	target := workload.TargetCass398()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	plans := baselines.CoFI{Window: sim.Second}.Plans(target, ref)
 	if len(plans) == 0 {
 		t.Fatal("no plans")
@@ -83,7 +83,7 @@ func TestBaselinePlansExecuteWithoutDetectingCleanTargets(t *testing.T) {
 	// Running a handful of baseline plans must not crash the harness; the
 	// detection outcome is exercised by the E5 benchmark.
 	target := workload.Target59848()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	for _, s := range []core.Strategy{
 		baselines.Random{Seed: 1, N: 3},
 		baselines.CrashTuner{},
@@ -95,7 +95,7 @@ func TestBaselinePlansExecuteWithoutDetectingCleanTargets(t *testing.T) {
 			limit = len(plans)
 		}
 		for _, p := range plans[:limit] {
-			exec := core.RunPlan(target, p)
+			exec := core.RunPlanSeed(target, p, 1)
 			_ = exec
 		}
 	}

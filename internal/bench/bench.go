@@ -122,9 +122,9 @@ func learnedOf(t core.Target, res campaign.Result) LearnedCell {
 // ComputeE5 runs the Section 7 matrix: every target under every strategy
 // column plus the pruned+ranked planner column. Campaigns execute through
 // the parallel engine with prefix checkpointing enabled — unguided
-// results are byte-identical to the serial core.Matrix at any worker
-// count, and snapshot forking is artifact-invisible by construction, so
-// the artifact is a pure function of maxExec.
+// results are the same at any worker count, and snapshot forking is
+// artifact-invisible by construction, so the artifact is a pure function
+// of maxExec.
 func ComputeE5(maxExec, workers int) E5 {
 	targets := workload.AllTargets()
 	eng := campaign.New(campaign.Config{Workers: workers, MaxExecutions: maxExec, Snapshot: true})

@@ -32,9 +32,21 @@ package campaign
 // canonicalized Results from equivalent campaigns compare equal with
 // reflect.DeepEqual; everything that survives is part of the
 // deterministic execution set.
+//
+// Merge's in-process carry goes too — the coverage sets and the buckets'
+// live example plans. What they say is already in Stats and the buckets'
+// Example* fields, and a Result that crossed a process boundary has none,
+// so they must not tell an engine's Result from a farm's.
 func Canonicalize(res Result) Result {
 	res.Stats = canonicalStats(res.Stats)
 	res.Outcomes = canonicalOutcomes(res.Outcomes)
+	res.cov = nil
+	if res.Buckets != nil {
+		res.Buckets = append([]FailureBucket(nil), res.Buckets...)
+		for i := range res.Buckets {
+			res.Buckets[i].example = nil
+		}
+	}
 	return res
 }
 

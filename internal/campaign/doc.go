@@ -1,25 +1,30 @@
 // Package campaign is the parallel, coverage-guided campaign execution
 // engine on top of internal/core.
 //
-// core.RunCampaign is the serial reference implementation: it executes a
-// strategy's plans strictly in order, one at a time, with one fixed seed.
-// Because every simulated execution is a pure function of (workload,
-// topology, seed, plan) — the simulation itself is goroutine-free and
-// deterministic — campaigns are embarrassingly parallel. This package
-// exploits that:
+// A campaign is the paper's loop: record a reference run, let a strategy
+// turn its trace into perturbation plans, execute the plans in order
+// against fresh clusters until the target's oracle fires. Because every
+// simulated execution is a pure function of (workload, topology, seed,
+// plan) — the simulation itself is goroutine-free and deterministic —
+// campaigns are embarrassingly parallel. The Engine is the one campaign
+// loop in the repository, and exploits that:
 //
 //   - Worker pool. An Engine fans plan executions out across Workers
 //     goroutines, each building its own fresh cluster. Plan indices are
 //     dispatched in order and results land in per-index slots, so the
-//     reported CampaignResult is byte-identical to the serial path at any
-//     worker count (TestParallelMatchesSerial asserts this). Once a
-//     detection is known, no plan ordered after it is started
-//     (early cancel), mirroring the serial campaign's stopping rule.
+//     reported CampaignResult is byte-identical, at any worker count, to
+//     what the loop above reports run one plan at a time
+//     (TestParallelMatchesSerial keeps that loop as a test oracle). Once
+//     a detection is known, no plan ordered after it is started (early
+//     cancel): the serial stopping rule.
 //
-//   - Multi-seed sweeps. Config.Seeds runs the whole campaign under
-//     several world seeds. Each seed records its own reference trace and
-//     generates its own plans, so a seed-2 campaign is an honest
-//     re-execution, not a replay of seed-1 coordinates.
+//   - Multi-seed sweeps as a fold. Config.Seeds runs the whole campaign
+//     under several world seeds. Each seed records its own reference
+//     trace and generates its own plans, so a seed-2 campaign is an
+//     honest re-execution, not a replay of seed-1 coordinates. Each seed
+//     yields one part; Merge (merge.go) joins parts in sweep order, and
+//     is the only aggregation: internal/farm folds the shards its
+//     workers return through the same function.
 //
 //   - Coverage-guided prioritization (Config.Guided). Each instrumented
 //     execution yields a compact signature: the set of oracle violations

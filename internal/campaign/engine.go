@@ -26,7 +26,7 @@ type Config struct {
 	Seeds []int64
 	// MaxExecutions bounds plan executions per seed (0 = unlimited). The
 	// reference run does not count against the bound but does count in
-	// the reported Executions, matching core.RunCampaign.
+	// the reported Executions.
 	MaxExecutions int
 	// Guided enables coverage-guided plan scheduling: executions are
 	// instrumented with trace recorders, signatures feed back into a
@@ -36,7 +36,7 @@ type Config struct {
 	// is reproducible run-to-run at a fixed worker count (the schedule —
 	// and therefore executions-to-detection — may differ between worker
 	// counts, because feedback arrives at batch granularity). Unguided
-	// campaigns are byte-identical to the serial core.RunCampaign at any
+	// campaigns report what a serial loop over the plans would, at any
 	// worker count.
 	Guided bool
 	// Collect retains per-plan outcomes (for the campaign.json artifact)
@@ -48,8 +48,8 @@ type Config struct {
 	// CampaignResult still uses first-detection accounting.
 	KeepGoing bool
 	// Explain post-processes every detected failure bucket: the bucket's
-	// example plan is minimized under its own seed (core.MinimizeSeed,
-	// plus NarrowWindowSeed for staleness windows), re-executed once with
+	// example plan is minimized under its own seed (core.MinimizeSeedRun,
+	// plus NarrowWindowSeedRun for staleness windows), re-executed once with
 	// instrumentation, and turned into a causal explanation
 	// (internal/explain) — the chain suppressed observation → divergent
 	// view → action → oracle violation, with divergence metrics. Implies
@@ -151,9 +151,9 @@ type Result struct {
 	// across the preceding non-detecting seeds — the honest
 	// executions-to-first-repro of the whole sweep. When no seed detects
 	// it is the first seed's result with Executions summed across every
-	// seed. For single-seed unguided engines it is byte-identical to
-	// core.RunCampaign(t, s, maxExecutions) — the cross-check tests rely
-	// on this.
+	// seed. For a single-seed unguided engine it is what a serial loop
+	// over the strategy's plans reports (engine_test.go keeps that loop
+	// as its oracle).
 	Campaign core.CampaignResult
 	// Detected reports whether any seed detected the target bug.
 	Detected bool
@@ -165,10 +165,10 @@ type Result struct {
 	// Stats carries the progress counters (raw executions, wall clock,
 	// executions/sec, coverage classes, detections).
 	Stats Stats
-	// Buckets are the violating executions deduplicated by signature
-	// (instrumented runs only). With Config.Explain, detected buckets
-	// additionally carry a seed-correct minimal plan and a causal
-	// explanation.
+	// Buckets are the violating executions deduplicated by signature, in
+	// sorted-signature order (instrumented runs only). With
+	// Config.Explain, detected buckets additionally carry a seed-correct
+	// minimal plan and a causal explanation.
 	Buckets []FailureBucket
 	// Outcomes are the per-plan execution records (Config.Collect only).
 	Outcomes []PlanOutcome
@@ -179,6 +179,10 @@ type Result struct {
 	// Config.Ranked only), in sweep order: profile summaries plus every
 	// prune/dedupe decision.
 	Learn []SeedLearn
+	// cov is Merge's carry for the distinct-coverage counts in Stats (see
+	// coverage). nil for uninstrumented runs and for parts that crossed a
+	// process boundary; Canonicalize drops it.
+	cov *coverage
 }
 
 // planRef is one plan in execution order, carrying its original index in
@@ -201,32 +205,24 @@ type slot struct {
 	fallback  fallbackCause // why a fork fell back to full replay, if it did
 }
 
-// Run executes one campaign: for every seed, a reference run, plan
-// generation, and a pooled execution of the plans; then — with
-// Config.Explain — a minimization + explanation pass over every detected
-// failure bucket.
+// Run executes one campaign as a fold: every seed — a reference run, plan
+// generation, and a pooled execution of the plans — yields one part, and
+// Merge joins the parts in sweep order. Then, with Config.Explain, one
+// minimization + explanation pass runs over the merged failure buckets.
 func (e *Engine) Run(t core.Target, s core.Strategy) Result {
 	start := time.Now()
-	res := Result{Target: t.Name, Strategy: s.Name()}
-	agg := newAggregator(e.cfg)
+	var res Result
 	refs := make(map[int64]*trace.Trace, len(e.cfg.seedList()))
-	for i, seed := range e.cfg.seedList() {
-		sr, ref := e.runSeed(t, s, i, seed, agg)
+	for _, seed := range e.cfg.seedList() {
+		part, ref := e.runSeed(t, s, seed, res.affinity())
 		refs[seed] = ref
-		res.Seeds = append(res.Seeds, sr)
-		if sr.Campaign.Detected {
-			res.Detected = true
-		}
+		res = Merge(res, part)
 	}
-	res.Campaign, res.DetectedSeed = PrimaryCampaign(res.Seeds)
 	if e.cfg.Explain {
-		e.explainBuckets(t, agg, refs)
+		e.explainBuckets(t, &res, refs)
 	}
-	res.Stats = agg.stats(e.cfg, time.Since(start))
-	res.Buckets = agg.bucketList()
-	res.Outcomes = agg.outcomes
-	res.Failures = agg.failures
-	res.Learn = agg.learn
+	res.Stats.WallNanos = time.Since(start).Nanoseconds()
+	res.derive()
 	return res
 }
 
@@ -236,10 +232,12 @@ func (e *Engine) Run(t core.Target, s core.Strategy) Result {
 // seeds spent), else the first seed's campaign with the sweep's total
 // executions. This is the fix for detections that only occur under a
 // later seed: they used to be invisible in the printed E5 matrix because
-// the primary result was unconditionally Seeds[0]. Exported because the
-// farm coordinator rebuilds sweep results from per-seed shards through
-// the exact same aggregation.
+// the primary result was unconditionally Seeds[0]. No seeds (the zero
+// Result) have the zero headline.
 func PrimaryCampaign(seeds []SeedResult) (core.CampaignResult, int64) {
+	if len(seeds) == 0 {
+		return core.CampaignResult{}, 0
+	}
 	spent := 0
 	for _, sr := range seeds {
 		if sr.Campaign.Detected {
@@ -254,8 +252,8 @@ func PrimaryCampaign(seeds []SeedResult) (core.CampaignResult, int64) {
 	return cr, 0
 }
 
-// Matrix runs every (target, strategy) pair — the parallel counterpart of
-// core.Matrix, in the same row-major order.
+// Matrix runs every (target, strategy) pair in row-major order — the
+// Section 7 headline table.
 func (e *Engine) Matrix(targets []core.Target, strategies []core.Strategy) []Result {
 	out := make([]Result, 0, len(targets)*len(strategies))
 	for _, t := range targets {
@@ -266,8 +264,12 @@ func (e *Engine) Matrix(targets []core.Target, strategies []core.Strategy) []Res
 	return out
 }
 
-func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64, agg *aggregator) (SeedResult, *trace.Trace) {
+// runSeed runs one seed's campaign and returns its part of the sweep plus
+// the seed's reference trace. affinity is all it sees of the seeds before
+// it: the detected-bucket class counts the learning ranker boosts.
+func (e *Engine) runSeed(t core.Target, s core.Strategy, seed int64, affinity map[string]int) (Result, *trace.Trace) {
 	cr := core.CampaignResult{Target: t.Name, Strategy: s.Name()}
+	agg := newAggregator(e.cfg, t, s, seed)
 
 	// Reference run: the planning substrate, and a real execution.
 	refStart := time.Now()
@@ -289,10 +291,10 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 		refSlot.sig = signatureOf(ref, refViolations)
 	}
 	agg.noteRaw()
-	agg.add(seedIdx, seed, refSlot, e.cfg.instrumented())
+	agg.add(refSlot)
 
 	if refSlot.exec.Detected {
-		// The bug manifests without perturbation; mirror the serial path.
+		// The bug manifests without perturbation: detection at execution 1.
 		cr.PlansTotal = 1
 		cr.Executions = 1
 		cr.Detected = true
@@ -300,7 +302,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 		if fv := firstViolation(refViolations, t.Bug); fv != nil {
 			cr.FirstViolation = fv
 		}
-		return SeedResult{Seed: seed, Campaign: cr, RefHash: refHash}, ref
+		return agg.result(SeedResult{Seed: seed, Campaign: cr, RefHash: refHash}), ref
 	}
 
 	plans := s.Plans(t, ref)
@@ -329,7 +331,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 		sched := learn.BuildSchedule(model, t, plans, learn.Options{
 			Prune:    e.cfg.Prune,
 			Rank:     e.cfg.Ranked,
-			Affinity: agg.affinity(),
+			Affinity: affinity,
 		})
 		refs = refs[:0]
 		for _, sp := range sched.Kept {
@@ -430,7 +432,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 			// decision was unsound — surfaced, never swallowed.
 			agg.notePrunedExecution(sl.exec.Detected && !keptDetected)
 		}
-		agg.add(seedIdx, seed, sl, e.cfg.instrumented())
+		agg.add(sl)
 	}
 
 	if detect >= 0 {
@@ -449,7 +451,7 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seedIdx int, seed int64
 		}
 		cr.Executions = 1 + ran
 	}
-	return SeedResult{Seed: seed, Campaign: cr, RefHash: refHash}, ref
+	return agg.result(SeedResult{Seed: seed, Campaign: cr, RefHash: refHash}), ref
 }
 
 // parseSignatures decodes the corpus's hex signature list; malformed
@@ -465,20 +467,17 @@ func parseSignatures(hexes []string) []Signature {
 	return out
 }
 
-// explainBuckets post-processes every detected failure bucket: minimize
-// the example plan under the seed it was found with, re-execute the
-// minimal plan once instrumented, and derive the causal explanation
-// against that seed's reference trace. Buckets are visited in signature
-// order, so the pass — like everything derived from the deterministic
-// execution set — is reproducible.
-func (e *Engine) explainBuckets(t core.Target, agg *aggregator, refs map[int64]*trace.Trace) {
-	for _, sig := range agg.bucketOrder() {
-		b := agg.buckets[sig]
-		ex := agg.examples[sig]
-		if !b.Detected || ex.plan == nil {
-			continue
+// explainBuckets post-processes every detected failure bucket of the
+// merged sweep: minimize the example plan under the seed it was found
+// with, re-execute the minimal plan once instrumented, and derive the
+// causal explanation against that seed's reference trace. Buckets are
+// visited in signature order, so the pass — like everything derived from
+// the deterministic execution set — is reproducible.
+func (e *Engine) explainBuckets(t core.Target, res *Result, refs map[int64]*trace.Trace) {
+	for i := range res.Buckets {
+		if b := &res.Buckets[i]; b.Detected && b.example != nil {
+			e.explainBucket(t, b, &res.Stats, refs[b.ExampleSeed])
 		}
-		e.explainBucket(t, agg, b, ex, refs)
 	}
 }
 
@@ -492,31 +491,31 @@ func (e *Engine) explainBuckets(t core.Target, agg *aggregator, refs map[int64]*
 // re-execution fork from a rung captured mid-plan, after the perturbed
 // prefix they share with the example, and fall back to full replays
 // whenever the fork cannot be proven exact — results are identical either
-// way, diagnosable fallbacks are counted.
-func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket, ex bucketExample, refs map[int64]*trace.Trace) {
+// way, diagnosable fallbacks are counted into st.
+func (e *Engine) explainBucket(t core.Target, b *FailureBucket, st *Stats, ref *trace.Trace) {
 	defer func() { _ = recover() }()
-	ref := refs[ex.seed]
+	seed := b.ExampleSeed
 	var pt *planTree
 	if e.cfg.Snapshot {
-		pt = buildPlanTree(t, ex.plan, ex.seed, ref, effectTimes(subPlans(ex.plan), ref))
+		pt = buildPlanTree(t, b.example, seed, ref, effectTimes(subPlans(b.example), ref))
 	}
 	probe := func(q core.Plan, instrument bool) (core.Execution, *trace.Trace) {
-		exec, tr, cause := e.execute(t, q, ex.seed, instrument, pt)
-		agg.noteFallback(cause)
+		exec, tr, cause := e.execute(t, q, seed, instrument, pt)
+		st.noteFallback(cause)
 		return exec, tr
 	}
 	runner := func(_ core.Target, q core.Plan, _ int64) core.Execution {
 		exec, _ := probe(q, false)
 		return exec
 	}
-	minimal, execs := core.MinimizeSeedRun(t, ex.plan, ex.seed, runner)
+	minimal, execs := core.MinimizeSeedRun(t, b.example, seed, runner)
 	switch mp := minimal.(type) {
 	case core.StalenessPlan:
-		narrowed, more := core.NarrowWindowSeedRun(t, mp, ex.seed, runner)
+		narrowed, more := core.NarrowWindowSeedRun(t, mp, seed, runner)
 		minimal = narrowed
 		execs += more
 	case core.FlakyLinkPlan:
-		narrowed, more := core.NarrowFlakyWindowSeedRun(t, mp, ex.seed, runner)
+		narrowed, more := core.NarrowFlakyWindowSeedRun(t, mp, seed, runner)
 		minimal = narrowed
 		execs += more
 	}
@@ -528,9 +527,7 @@ func (e *Engine) explainBucket(t core.Target, agg *aggregator, b *FailureBucket,
 	b.MinimalPlan = minimal.Describe()
 	b.MinimalPlanID = minimal.ID()
 	b.MinimizeExecutions = execs
-	b.Explanation = explain.FromTraces(t, minimal, ex.seed, ref, pert, pexec.Violations)
-	agg.minimizeExecs += execs
-	agg.explained++
+	b.Explanation = explain.FromTraces(t, minimal, seed, ref, pert, pexec.Violations)
 }
 
 // runOrdered executes plans in list order across the worker pool.

@@ -6,13 +6,47 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
+// serialCampaign is the oracle the engine is cross-checked against: the
+// paper's loop, spelled out — reference run, plans in strategy order, stop
+// at the first detection or after maxExec plans. It shares only
+// core.ReferenceSeed and core.RunPlanSeed with the engine.
+func serialCampaign(t core.Target, s core.Strategy, maxExec int, seed int64) core.CampaignResult {
+	res := core.CampaignResult{Target: t.Name, Strategy: s.Name(), PlansTotal: 1, Executions: 1}
+	found := func(p core.Plan, violations []oracle.Violation) bool {
+		for _, v := range violations {
+			if v.Oracle == t.Bug {
+				res.Detected, res.DetectingPlan, res.FirstViolation = true, p.Describe(), &v
+				return true
+			}
+		}
+		return false
+	}
+	ref, refViolations := core.ReferenceSeed(t, seed)
+	if found(core.NopPlan{}, refViolations) {
+		return res // the bug manifests without perturbation
+	}
+	plans := s.Plans(t, ref)
+	res.PlansTotal = len(plans)
+	for i, p := range plans {
+		if maxExec > 0 && i >= maxExec {
+			break
+		}
+		res.Executions = i + 2 // reference + plans 0..i
+		if found(p, core.RunPlanSeed(t, p, seed).Violations) {
+			break
+		}
+	}
+	return res
+}
+
 // TestParallelMatchesSerial is the cross-check the package exists to
 // honor: an unguided engine at any worker count produces a
-// CampaignResult byte-identical to the serial core.RunCampaign — same
-// detection, same first-detecting plan, same execution accounting.
+// CampaignResult byte-identical to the serial loop — same detection, same
+// first-detecting plan, same execution accounting.
 func TestParallelMatchesSerial(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -32,7 +66,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			want := core.RunCampaign(tc.target, tc.strategy, tc.maxExec)
+			want := serialCampaign(tc.target, tc.strategy, tc.maxExec, 1)
 			for _, workers := range []int{1, 2, 4} {
 				eng := New(Config{Workers: workers, MaxExecutions: tc.maxExec})
 				got := eng.Run(tc.target, tc.strategy)
@@ -57,7 +91,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // detects on its very first plan reports Executions == 2.
 func TestExecutionsCountReference(t *testing.T) {
 	target := workload.Target56261()
-	serial := core.RunCampaign(target, core.NewPlanner(), 5)
+	serial := serialCampaign(target, core.NewPlanner(), 5, 1)
 	if !serial.Detected {
 		t.Fatalf("planner unexpectedly missed 56261 in 5 executions: %+v", serial)
 	}
@@ -76,8 +110,8 @@ func TestExecutionsCountReference(t *testing.T) {
 }
 
 // TestMultiSeedSweep verifies that each seed is an honest re-execution:
-// per-seed results match core.RunCampaignSeed for that seed, not a replay
-// of seed 1.
+// per-seed results match the serial loop run under that seed, not a
+// replay of seed 1.
 func TestMultiSeedSweep(t *testing.T) {
 	target := workload.Target56261()
 	seeds := []int64{1, 2, 3}
@@ -87,7 +121,7 @@ func TestMultiSeedSweep(t *testing.T) {
 		t.Fatalf("expected %d seed results, got %d", len(seeds), len(res.Seeds))
 	}
 	for i, seed := range seeds {
-		want := core.RunCampaignSeed(target, core.NewPlanner(), 30, seed)
+		want := serialCampaign(target, core.NewPlanner(), 30, seed)
 		got := res.Seeds[i]
 		if got.Seed != seed {
 			t.Fatalf("seed order: got %d at position %d, want %d", got.Seed, i, seed)
@@ -175,13 +209,19 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 }
 
-// TestMatrixShape checks Matrix row-major ordering against core.Matrix.
+// TestMatrixShape checks Matrix row-major ordering against the serial
+// loop run cell by cell.
 func TestMatrixShape(t *testing.T) {
 	targets := []core.Target{workload.Target56261()}
 	strategies := []core.Strategy{core.NewPlanner(), baselines.CrashTuner{}}
 	eng := New(Config{Workers: 2, MaxExecutions: 15})
 	got := eng.Matrix(targets, strategies)
-	want := core.Matrix(targets, strategies, 15)
+	var want []core.CampaignResult
+	for _, target := range targets {
+		for _, s := range strategies {
+			want = append(want, serialCampaign(target, s, 15, 1))
+		}
+	}
 	if len(got) != len(want) {
 		t.Fatalf("matrix size %d, want %d", len(got), len(want))
 	}

@@ -110,9 +110,9 @@ func (a *aggregator) noteLearn(seed int64, m *learn.Model, sched *learn.Schedule
 		})
 	}
 	sort.Slice(sl.Decisions, func(i, j int) bool { return sl.Decisions[i].Index < sl.Decisions[j].Index })
-	a.learn = append(a.learn, sl)
-	a.plansPruned += sched.Stats.Pruned
-	a.plansDeduped += sched.Stats.Deduped
+	a.part.Learn = append(a.part.Learn, sl)
+	a.part.Stats.PlansPruned += sched.Stats.Pruned
+	a.part.Stats.PlansDeduped += sched.Stats.Deduped
 }
 
 // notePrunedExecution counts one deferred-tail execution from the
@@ -120,25 +120,24 @@ func (a *aggregator) noteLearn(seed int64, m *learn.Model, sched *learn.Schedule
 // set missed entirely — the soundness regression every pruned campaign
 // reports (and CI asserts == 0).
 func (a *aggregator) notePrunedExecution(unsound bool) {
-	a.prunedExecuted++
+	a.part.Stats.PrunedExecuted++
 	if unsound {
-		a.unsoundPrunes++
+		a.part.Stats.PruningUnsoundDetections++
 	}
 }
 
 // affinity mines the past-bucket signature affinity table: for every
-// detected failure bucket aggregated so far (earlier seeds in the sweep),
+// detected failure bucket merged so far (the earlier seeds of the sweep),
 // the coverage class of its example plan. The learning phase's ranker
 // boosts plans in these classes — "a sibling of this plan found a bug
 // before". Deterministic: derived only from the deterministic bucket
 // state, and consumed as an order-free map.
-func (a *aggregator) affinity() map[string]int {
+func (r Result) affinity() map[string]int {
 	out := make(map[string]int)
-	for sig, b := range a.buckets {
-		if !b.Detected {
-			continue
+	for _, b := range r.Buckets {
+		if b.Detected && b.example != nil {
+			out[learn.ClassOf(b.example)]++
 		}
-		out[learn.ClassOf(a.examples[sig].plan)]++
 	}
 	return out
 }

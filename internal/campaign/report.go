@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/explain"
@@ -239,98 +238,83 @@ type FailureBucket struct {
 	MinimalPlanID      string               `json:"minimal_plan_id,omitempty"`
 	MinimizeExecutions int                  `json:"minimize_executions,omitempty"`
 	Explanation        *explain.Explanation `json:"explanation,omitempty"`
+	// example is the live plan behind ExamplePlan: what the explanation
+	// pass minimizes and the learning ranker classifies. It exists only in
+	// the process that ran the execution — a bucket decoded from the wire
+	// or a journal has none — and Canonicalize drops it.
+	example core.Plan
 }
 
-// bucketExample is the aggregator's private handle on a bucket's earliest
-// reproducing execution: the live plan object the explanation pass
-// re-executes and minimizes (the JSON bucket only carries descriptions).
-type bucketExample struct {
-	plan      core.Plan
-	seed      int64
-	seedIdx   int
-	planIndex int
-}
-
-// earlier orders examples by (sweep position, plan order); reference runs
-// (planIndex -1) sort before any plan of the same seed.
-func (x bucketExample) earlier(y bucketExample) bool {
-	if x.seedIdx != y.seedIdx {
-		return x.seedIdx < y.seedIdx
-	}
-	return x.planIndex < y.planIndex
-}
-
-// aggregator accumulates cross-seed reporting state. The engine feeds it
+// aggregator accumulates one seed's part of a sweep: counters go straight
+// into the part's Stats, records into its slices, and Merge does the rest
+// (there is no cross-seed state here). The engine feeds it
 // deterministically (slots in dispatch order, after each pool drains), so
 // no locking is needed.
 type aggregator struct {
-	collect   bool
-	onOutcome func(PlanOutcome)
+	cfg  Config
+	seed int64
 
-	raw               int
-	detections        int
-	violating         int
-	minimizeExecs     int
-	explained         int
-	failed            int
-	hung              int
-	plansPruned       int
-	plansDeduped      int
-	prunedExecuted    int
-	unsoundPrunes     int
-	corpusRegression  int
-	corpusSkipped     int
-	corpusInvalidated int
-	fallbacks         SnapshotFallbacks
-	classes           map[string]bool
-	sigs              map[Signature]bool
-	buckets           map[Signature]*FailureBucket
-	examples          map[Signature]bucketExample
-	outcomes          []PlanOutcome
-	failures          []ExecutionFailure
-	learn             []SeedLearn
+	part    Result
+	buckets map[Signature]*FailureBucket
+	// exampleIndex is the plan index of each bucket's current example:
+	// guided and learned schedules run plans out of strategy order, and
+	// the example must be the earliest in plan order, not dispatch order.
+	exampleIndex map[Signature]int
 }
 
-func newAggregator(cfg Config) *aggregator {
-	return &aggregator{
-		collect:   cfg.Collect,
-		onOutcome: cfg.OnOutcome,
-		classes:   make(map[string]bool),
-		sigs:      make(map[Signature]bool),
-		buckets:   make(map[Signature]*FailureBucket),
-		examples:  make(map[Signature]bucketExample),
+func newAggregator(cfg Config, t core.Target, s core.Strategy, seed int64) *aggregator {
+	a := &aggregator{
+		cfg:  cfg,
+		seed: seed,
+		part: Result{
+			Target: t.Name, Strategy: s.Name(),
+			Stats: Stats{Workers: cfg.workerCount(), Seeds: 1},
+		},
+		buckets:      make(map[Signature]*FailureBucket),
+		exampleIndex: make(map[Signature]int),
 	}
+	if cfg.instrumented() {
+		a.part.cov = newCoverage()
+	}
+	return a
 }
 
 // noteRaw counts one cluster execution, deterministic or not. The engine
 // calls it for every slot that actually ran, including in-flight work a
 // detection made redundant.
-func (a *aggregator) noteRaw() { a.raw++ }
+func (a *aggregator) noteRaw() { a.part.Stats.RawExecutions++ }
 
-// noteFallback counts one diagnosable fork fallback from outside the
-// deterministic execution set (the explain pass's tree probes).
-// fallbackNone — a probe with no eligible rung — is routine and ignored.
-func (a *aggregator) noteFallback(c fallbackCause) {
+// noteFallback counts one diagnosable fork fallback. fallbackNone — no
+// eligible rung — is routine and ignored, so a healthy substrate keeps a
+// nil SnapshotFallbacks and its snapshot-off bytes.
+func (st *Stats) noteFallback(c fallbackCause) {
+	if c == fallbackNone {
+		return
+	}
+	if st.SnapshotFallbacks == nil {
+		st.SnapshotFallbacks = &SnapshotFallbacks{}
+	}
 	switch c {
 	case fallbackUnsnapshotable:
-		a.fallbacks.Unsnapshotable++
+		st.SnapshotFallbacks.Unsnapshotable++
 	case fallbackStrictPast:
-		a.fallbacks.StrictPast++
+		st.SnapshotFallbacks.StrictPast++
 	case fallbackRestoreError:
-		a.fallbacks.RestoreError++
+		st.SnapshotFallbacks.RestoreError++
 	case fallbackWatchdog:
-		a.fallbacks.Watchdog++
+		st.SnapshotFallbacks.Watchdog++
 	}
 }
 
 // add records one executed slot from the deterministic execution set.
-func (a *aggregator) add(seedIdx int, seed int64, sl slot, instrumented bool) {
+func (a *aggregator) add(sl slot) {
+	st := &a.part.Stats
 	if sl.exec.Detected {
-		a.detections++
+		st.Detections++
 	}
-	a.noteFallback(sl.fallback)
+	st.noteFallback(sl.fallback)
 	if len(sl.exec.Violations) > 0 {
-		a.violating++
+		st.ViolatingExecutions++
 	}
 	broken := sl.exec.Failed || sl.exec.Hung
 	if broken {
@@ -339,68 +323,71 @@ func (a *aggregator) add(seedIdx int, seed int64, sl slot, instrumented bool) {
 			kind = "watchdog"
 		}
 		if sl.exec.Failed {
-			a.failed++
+			st.FailedExecutions++
 		}
 		if sl.exec.Hung {
-			a.hung++
+			st.HungExecutions++
 		}
-		a.failures = append(a.failures, ExecutionFailure{
-			Seed: seed, Index: sl.planIndex, Plan: sl.plan.ID(),
+		a.part.Failures = append(a.part.Failures, ExecutionFailure{
+			Seed: a.seed, Index: sl.planIndex, Plan: sl.plan.ID(),
 			Kind: kind, Detail: sl.exec.Failure,
 		})
 	}
 	cls := classOf(sl.plan)
-	a.classes[cls] = true
 	// Failed/hung executions have partial traces and a zero signature;
 	// keeping them out of the coverage and bucket maps stops a panicked run
 	// from aliasing with healthy executions.
-	if instrumented && !broken {
-		a.sigs[sl.sig] = true
-		if len(sl.exec.Violations) > 0 {
-			a.bucket(seedIdx, seed, sl)
+	sig := ""
+	if a.part.cov != nil {
+		if !broken {
+			sig = sl.sig.String()
+			if len(sl.exec.Violations) > 0 {
+				a.bucket(sl)
+			}
 		}
+		a.part.cov.add(cls, sig)
 	}
-	if a.collect || a.onOutcome != nil {
+	if a.cfg.Collect || a.cfg.OnOutcome != nil {
 		out := PlanOutcome{
-			Seed:        seed,
+			Seed:        a.seed,
 			Index:       sl.planIndex,
 			Plan:        sl.plan.ID(),
 			Description: sl.plan.Describe(),
 			Class:       cls,
+			Signature:   sig,
 			Detected:    sl.exec.Detected,
 			Failed:      sl.exec.Failed,
 			Hung:        sl.exec.Hung,
 			Failure:     sl.exec.Failure,
 			WallMicros:  sl.wall.Microseconds(),
 		}
-		if instrumented && !broken {
-			out.Signature = sl.sig.String()
-		}
 		for _, v := range sl.exec.Violations {
 			out.Violations = append(out.Violations, v.Oracle)
 		}
-		if a.collect {
-			a.outcomes = append(a.outcomes, out)
+		if a.cfg.Collect {
+			a.part.Outcomes = append(a.part.Outcomes, out)
 		}
-		if a.onOutcome != nil {
-			a.onOutcome(out)
+		if a.cfg.OnOutcome != nil {
+			a.cfg.OnOutcome(out)
 		}
 	}
 }
 
-// noteCorpus records one seed's cross-campaign corpus decisions:
+// noteCorpus records the seed's cross-campaign corpus decisions:
 // regression-block size, outright skips, and whether the seed's corpus
 // entries failed the reference-hash guard.
 func (a *aggregator) noteCorpus(regression, skipped int, invalidated bool) {
-	a.corpusRegression += regression
-	a.corpusSkipped += skipped
+	a.part.Stats.CorpusRegressionPlans += regression
+	a.part.Stats.CorpusSkippedPlans += skipped
 	if invalidated {
-		a.corpusInvalidated++
+		a.part.Stats.CorpusInvalidatedSeeds++
 	}
 }
 
-func (a *aggregator) bucket(seedIdx int, seed int64, sl slot) {
-	ex := bucketExample{plan: sl.plan, seed: seed, seedIdx: seedIdx, planIndex: sl.planIndex}
+// bucket files one violating execution under its signature. Oracles and
+// Detected are fixed by the first execution filed; the example is the
+// earliest in plan order (the reference run, index -1, before any plan).
+func (a *aggregator) bucket(sl slot) {
 	b := a.buckets[sl.sig]
 	if b == nil {
 		names := map[string]bool{}
@@ -413,73 +400,34 @@ func (a *aggregator) bucket(seedIdx int, seed int64, sl slot) {
 		}
 		sort.Strings(oracles)
 		b = &FailureBucket{
-			Signature: sl.sig.String(),
-			Oracles:   oracles,
-			Detected:  sl.exec.Detected,
+			Signature:   sl.sig.String(),
+			Oracles:     oracles,
+			ExampleSeed: a.seed,
+			Detected:    sl.exec.Detected,
 		}
 		a.buckets[sl.sig] = b
-		a.examples[sl.sig] = ex
-	} else if ex.earlier(a.examples[sl.sig]) {
-		a.examples[sl.sig] = ex
 	}
 	b.Count++
-	chosen := a.examples[sl.sig]
-	b.ExamplePlan = chosen.plan.Describe()
-	b.ExamplePlanID = chosen.plan.ID()
-	b.ExampleSeed = chosen.seed
+	if b.Count == 1 || sl.planIndex < a.exampleIndex[sl.sig] {
+		a.exampleIndex[sl.sig] = sl.planIndex
+		b.example = sl.plan
+		b.ExamplePlan = sl.plan.Describe()
+		b.ExamplePlanID = sl.plan.ID()
+	}
 }
 
-// bucketOrder returns the bucket signatures in their stable (sorted hex)
-// order — the order buckets are explained and reported in.
-func (a *aggregator) bucketOrder() []Signature {
-	out := make([]Signature, 0, len(a.buckets))
-	for sig := range a.buckets {
-		out = append(out, sig)
+// result closes the seed's part: its one SeedResult and its buckets in
+// sorted-signature order, with everything derivable derived.
+func (a *aggregator) result(sr SeedResult) Result {
+	part := a.part
+	part.Seeds = []SeedResult{sr}
+	var buckets []FailureBucket
+	for _, b := range a.buckets {
+		buckets = append(buckets, *b)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-func (a *aggregator) bucketList() []FailureBucket {
-	out := make([]FailureBucket, 0, len(a.buckets))
-	for _, sig := range a.bucketOrder() {
-		out = append(out, *a.buckets[sig])
-	}
-	return out
-}
-
-func (a *aggregator) stats(cfg Config, wall time.Duration) Stats {
-	st := Stats{
-		Workers:                  cfg.workerCount(),
-		Seeds:                    len(cfg.seedList()),
-		RawExecutions:            a.raw,
-		Detections:               a.detections,
-		ViolatingExecutions:      a.violating,
-		MinimizeExecutions:       a.minimizeExecs,
-		ExplainedBuckets:         a.explained,
-		FailedExecutions:         a.failed,
-		HungExecutions:           a.hung,
-		PlansPruned:              a.plansPruned,
-		PlansDeduped:             a.plansDeduped,
-		PrunedExecuted:           a.prunedExecuted,
-		PruningUnsoundDetections: a.unsoundPrunes,
-		CorpusRegressionPlans:    a.corpusRegression,
-		CorpusSkippedPlans:       a.corpusSkipped,
-		CorpusInvalidatedSeeds:   a.corpusInvalidated,
-		WallNanos:                wall.Nanoseconds(),
-	}
-	if a.fallbacks.total() > 0 {
-		fb := a.fallbacks
-		st.SnapshotFallbacks = &fb
-	}
-	if cfg.instrumented() {
-		st.CoverageClasses = len(a.classes)
-		st.NovelSignatures = len(a.sigs)
-	}
-	if wall > 0 {
-		st.ExecutionsPerSec = float64(a.raw) / wall.Seconds()
-	}
-	return st
+	part.Buckets = joinBuckets(nil, buckets)
+	part.derive()
+	return part
 }
 
 // Artifact is the JSON form of one campaign — the campaign.json schema.

@@ -116,7 +116,7 @@ func TestFailureDedup(t *testing.T) {
 // reference's.
 func TestSignatureStability(t *testing.T) {
 	target := workload.Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	plans := core.NewPlanner().Plans(target, ref)
 	if len(plans) == 0 {
 		t.Fatal("no plans")

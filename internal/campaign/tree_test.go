@@ -25,34 +25,35 @@ func runBoth(t *testing.T, target core.Target, s func() core.Strategy, cfg Confi
 	return off, on
 }
 
-// assertEquivalent asserts byte-identical canonicalized artifacts and
-// NDJSON streams between a snapshot-off and a snapshot-on campaign.
-func assertEquivalent(t *testing.T, off, on Result, cfgOff, cfgOn Config) {
+// assertEquivalent asserts that two campaigns are the same campaign:
+// equal canonicalized Results, byte-identical canonicalized artifacts and
+// byte-identical NDJSON streams. Snapshot off vs. on, and one side of a
+// Merge law vs. the other, both come through here.
+func assertEquivalent(t *testing.T, want, got Result, cfgWant, cfgGot Config) {
 	t.Helper()
-	if !reflect.DeepEqual(Canonicalize(off), Canonicalize(on)) {
-		t.Fatalf("snapshot-on result diverged from snapshot-off\n off: %+v\n  on: %+v",
-			Canonicalize(off), Canonicalize(on))
+	if !reflect.DeepEqual(Canonicalize(want), Canonicalize(got)) {
+		t.Fatalf("canonicalized results differ\nwant: %+v\n got: %+v", Canonicalize(want), Canonicalize(got))
 	}
-	artOff, err := json.MarshalIndent(CanonicalizeArtifact(BuildArtifact(off, cfgOff)), "", "  ")
+	artWant, err := json.MarshalIndent(CanonicalizeArtifact(BuildArtifact(want, cfgWant)), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	artOn, err := json.MarshalIndent(CanonicalizeArtifact(BuildArtifact(on, cfgOn)), "", "  ")
+	artGot, err := json.MarshalIndent(CanonicalizeArtifact(BuildArtifact(got, cfgGot)), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(artOff, artOn) {
-		t.Fatalf("canonicalized campaign.json bytes differ:\n--- off ---\n%s\n--- on ---\n%s", artOff, artOn)
+	if !bytes.Equal(artWant, artGot) {
+		t.Fatalf("canonicalized campaign.json bytes differ:\n--- want ---\n%s\n--- got ---\n%s", artWant, artGot)
 	}
-	var ndOff, ndOn bytes.Buffer
-	if err := WriteNDJSON(&ndOff, off, cfgOff); err != nil {
+	var ndWant, ndGot bytes.Buffer
+	if err := WriteNDJSON(&ndWant, want, cfgWant); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteNDJSON(&ndOn, on, cfgOn); err != nil {
+	if err := WriteNDJSON(&ndGot, got, cfgGot); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(ndOff.Bytes(), ndOn.Bytes()) {
-		t.Fatalf("telemetry NDJSON bytes differ:\n--- off ---\n%s\n--- on ---\n%s", ndOff.Bytes(), ndOn.Bytes())
+	if !bytes.Equal(ndWant.Bytes(), ndGot.Bytes()) {
+		t.Fatalf("telemetry NDJSON bytes differ:\n--- want ---\n%s\n--- got ---\n%s", ndWant.Bytes(), ndGot.Bytes())
 	}
 }
 

@@ -90,110 +90,48 @@ func (r CampaignResult) String() string {
 	return fmt.Sprintf("%-14s %-16s NOT detected in %d executions", r.Target, r.Strategy, r.Executions)
 }
 
-// Reference runs the target once unperturbed with the default seed (1)
-// and returns its trace. It is the planning substrate and also a sanity
-// check: a reference run that already violates the oracle makes the
-// campaign meaningless.
-func Reference(t Target) (*trace.Trace, []oracle.Violation) {
-	return ReferenceSeed(t, 1)
-}
-
-// ReferenceSeed runs the target once unperturbed with an explicit world
-// seed. Multi-seed campaigns record one reference trace per seed so plan
-// coordinates (occurrence counts, commit times) match the seed they will
-// be replayed under — a seed-2 campaign is an honest re-execution, not a
-// replay of the seed-1 reference.
-func ReferenceSeed(t Target, seed int64) (*trace.Trace, []oracle.Violation) {
+// replay is the one full-replay sequence every unforked execution in this
+// package spells: build the seed's world, attach rec when the caller wants
+// a trace, apply the plan, schedule the workload, run to the horizon.
+func replay(t Target, p Plan, seed int64, rec *trace.Recorder) *infra.Cluster {
 	c := t.Build(seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	t.Workload(c)
-	c.RunFor(t.Horizon)
-	return rec.T, c.Violations()
-}
-
-// RunPlan executes one plan against a fresh instance of the target with
-// the default seed (1).
-func RunPlan(t Target, p Plan) Execution { return RunPlanSeed(t, p, 1) }
-
-// RunPlanSeed executes one plan against a fresh instance of the target
-// built with an explicit world seed.
-func RunPlanSeed(t Target, p Plan, seed int64) Execution {
-	c := t.Build(seed)
+	if rec != nil {
+		rec.Attach(c.World.Network(), c.Store.Store())
+	}
 	p.Apply(c)
 	t.Workload(c)
 	c.RunFor(t.Horizon)
+	return c
+}
+
+// ReferenceSeed runs the target once unperturbed — a traced NopPlan —
+// under an explicit world seed and returns its trace. It is the planning
+// substrate and also a sanity check: a reference run that already violates
+// the oracle makes the campaign meaningless. Multi-seed campaigns record
+// one reference trace per seed so plan coordinates (occurrence counts,
+// commit times) match the seed they will be replayed under — a seed-2
+// campaign is an honest re-execution, not a replay of the seed-1
+// reference.
+func ReferenceSeed(t Target, seed int64) (*trace.Trace, []oracle.Violation) {
+	return TracePlanSeed(t, NopPlan{}, seed)
+}
+
+// TracePlanSeed executes one plan under an explicit world seed with a
+// recorder attached and returns the recorded trace plus the violations.
+func TracePlanSeed(t Target, p Plan, seed int64) (*trace.Trace, []oracle.Violation) {
+	rec := trace.NewRecorder()
+	c := replay(t, p, seed, rec)
+	return rec.T, c.Violations()
+}
+
+// RunPlanSeed executes one plan against a fresh instance of the target
+// built with an explicit world seed, untraced.
+func RunPlanSeed(t Target, p Plan, seed int64) Execution {
+	c := replay(t, p, seed, nil)
 	return Execution{
 		Plan:       p,
 		Seed:       seed,
 		Violations: c.Violations(),
 		Detected:   c.Oracles.Violated(t.Bug),
 	}
-}
-
-// RunCampaign executes the strategy's plans in order until the target bug
-// is detected or maxExecutions plan executions have run. It is the serial
-// reference implementation: internal/campaign's parallel engine is
-// cross-checked against it. maxExecutions bounds plan executions only;
-// the reference run is always performed (and counted — see
-// CampaignResult.Executions).
-func RunCampaign(t Target, s Strategy, maxExecutions int) CampaignResult {
-	return RunCampaignSeed(t, s, maxExecutions, 1)
-}
-
-// RunCampaignSeed is RunCampaign under an explicit world seed: the
-// reference trace, plan generation, and every plan execution all use the
-// same seed.
-func RunCampaignSeed(t Target, s Strategy, maxExecutions int, seed int64) CampaignResult {
-	ref, refViolations := ReferenceSeed(t, seed)
-	res := CampaignResult{Target: t.Name, Strategy: s.Name()}
-	for _, v := range refViolations {
-		if v.Oracle == t.Bug {
-			// The bug manifests without perturbation; report detection at
-			// execution 1 (the reference run).
-			res.PlansTotal = 1
-			res.Executions = 1
-			res.Detected = true
-			res.DetectingPlan = NopPlan{}.Describe()
-			fv := v
-			res.FirstViolation = &fv
-			return res
-		}
-	}
-
-	plans := s.Plans(t, ref)
-	res.PlansTotal = len(plans)
-	// The reference run above was a real execution; count it.
-	res.Executions = 1
-	for i, p := range plans {
-		if maxExecutions > 0 && i >= maxExecutions {
-			break
-		}
-		exec := RunPlanSeed(t, p, seed)
-		res.Executions = i + 2 // reference + plans 0..i
-		if exec.Detected {
-			res.Detected = true
-			res.DetectingPlan = p.Describe()
-			for _, v := range exec.Violations {
-				if v.Oracle == t.Bug {
-					fv := v
-					res.FirstViolation = &fv
-					break
-				}
-			}
-			return res
-		}
-	}
-	return res
-}
-
-// Matrix runs every (target, strategy) pair — the Section 7 headline table.
-func Matrix(targets []Target, strategies []Strategy, maxExecutions int) []CampaignResult {
-	var out []CampaignResult
-	for _, t := range targets {
-		for _, s := range strategies {
-			out = append(out, RunCampaign(t, s, maxExecutions))
-		}
-	}
-	return out
 }

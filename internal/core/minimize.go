@@ -4,39 +4,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Minimize shrinks a detecting plan to a minimal perturbation that still
-// triggers the target bug — the step between "a campaign found something"
-// and "a developer can read the root cause". Determinism makes this exact:
-// re-running a candidate plan either reproduces the violation or it
-// doesn't; there is no flakiness to average over.
-//
-// Two reductions are applied:
-//
-//  1. For composite plans (the random baseline emits 1–3 faults per
-//     execution), greedy delta debugging removes sub-plans that are not
-//     needed for detection.
-//  2. For time-travel plans, the heal time and restart delay are narrowed
-//     to the defaults and the freeze window is kept as-is (its position is
-//     already a single point in time).
-//
-// It returns the reduced plan and the number of verification executions
-// spent.
-//
-// Minimize verifies candidates under the default world seed (1). A plan
-// discovered under a different seed must be minimized with MinimizeSeed:
-// candidate verification re-executes the plan, and a perturbation whose
-// coordinates (occurrence counts, freeze times) were mined from a seed-s
-// reference trace generally only reproduces under seed s.
-func Minimize(t Target, p Plan) (Plan, int) { return MinimizeSeed(t, p, 1) }
-
-// MinimizeSeed is Minimize under an explicit world seed: every candidate
-// plan is verified with RunPlanSeed against the same seed the plan was
-// discovered under, so the initial reproduction check and each removal
-// probe replay the exact execution the campaign saw.
-func MinimizeSeed(t Target, p Plan, seed int64) (Plan, int) {
-	return MinimizeSeedRun(t, p, seed, RunPlanSeed)
-}
-
 // PlanRunner executes one candidate plan under a fixed (target, seed) and
 // returns the resulting execution. RunPlanSeed is the canonical full-replay
 // runner; callers with a faster exact-equivalent path (the campaign
@@ -45,7 +12,26 @@ func MinimizeSeed(t Target, p Plan, seed int64) (Plan, int) {
 // depends on each probe reproducing the replay the campaign saw.
 type PlanRunner func(t Target, p Plan, seed int64) Execution
 
-// MinimizeSeedRun is MinimizeSeed with an explicit candidate runner.
+// MinimizeSeedRun shrinks a detecting plan to a minimal perturbation that
+// still triggers the target bug — the step between "a campaign found
+// something" and "a developer can read the root cause". Determinism makes
+// this exact: re-running a candidate plan either reproduces the violation
+// or it doesn't; there is no flakiness to average over.
+//
+// Two reductions are applied:
+//
+//  1. For composite plans (the random baseline emits 1–3 faults per
+//     execution), greedy delta debugging removes sub-plans that are not
+//     needed for detection.
+//  2. Flaky-link and compaction-pressure plans shed the degradation axes
+//     and the victim stall that detection does not need.
+//
+// It returns the reduced plan and the number of verification executions
+// spent. Every candidate is verified with run (RunPlanSeed, or an exact
+// equivalent) under seed — the seed the plan was discovered under: a
+// perturbation whose coordinates (occurrence counts, freeze times) were
+// mined from a seed-s reference trace generally only reproduces under
+// seed s.
 func MinimizeSeedRun(t Target, p Plan, seed int64, run PlanRunner) (Plan, int) {
 	executions := 0
 	detects := func(candidate Plan) bool {
@@ -134,81 +120,45 @@ func minimizeSequence(seq SequencePlan, detects func(Plan) bool) SequencePlan {
 	return SequencePlan{Name: seq.Name + "-min", Plans: current}
 }
 
-// NarrowWindow binary-searches the latest possible start of a staleness
-// window that still detects, tightening "freeze from t onwards" plans to
-// the decisive instant. It returns the narrowed plan and executions spent.
-// Candidates are verified under the default world seed (1); see
-// NarrowWindowSeed for plans discovered under other seeds.
-func NarrowWindow(t Target, p StalenessPlan) (StalenessPlan, int) {
-	return NarrowWindowSeed(t, p, 1)
-}
-
-// NarrowWindowSeed is NarrowWindow under an explicit world seed, verifying
-// every probe with the seed the plan was discovered under.
-func NarrowWindowSeed(t Target, p StalenessPlan, seed int64) (StalenessPlan, int) {
-	return NarrowWindowSeedRun(t, p, seed, RunPlanSeed)
-}
-
-// NarrowWindowSeedRun is NarrowWindowSeed with an explicit probe runner.
+// NarrowWindowSeedRun binary-searches the latest possible start of a
+// staleness window that still detects under the given seed, tightening
+// "freeze from t onwards" plans to the decisive instant (the freeze must
+// start before the event whose observation it suppresses). It returns the
+// narrowed plan and the executions spent.
 func NarrowWindowSeedRun(t Target, p StalenessPlan, seed int64, run PlanRunner) (StalenessPlan, int) {
-	executions := 0
-	detects := func(candidate StalenessPlan) bool {
-		executions++
-		return run(t, candidate, seed).Detected
-	}
-	if !detects(p) {
-		return p, executions
-	}
-	lo, hi := p.From, p.Until
-	if hi == 0 {
-		hi = sim.Time(t.Horizon)
-	}
-	// Find the latest From that still detects (the freeze must start
-	// before the event whose observation it suppresses).
-	best := p
-	for hi-lo > sim.Time(50*sim.Millisecond) {
-		mid := lo + (hi-lo)/2
-		candidate := p
-		candidate.From = mid
-		if detects(candidate) {
-			best = candidate
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return best, executions
+	return narrowFrom(t, p, seed, run, p.From, p.Until,
+		func(q StalenessPlan, from sim.Time) StalenessPlan { q.From = from; return q })
 }
 
-// NarrowFlakyWindowSeed binary-searches the latest start of a flaky-link
-// window that still detects under the given seed — the link-quality
-// analogue of NarrowWindowSeed. Each probe is fully deterministic (the
-// degraded schedule is a pure function of plan + seed), so the search is
-// exact even though the degradation itself is probabilistic.
-func NarrowFlakyWindowSeed(t Target, p FlakyLinkPlan, seed int64) (FlakyLinkPlan, int) {
-	return NarrowFlakyWindowSeedRun(t, p, seed, RunPlanSeed)
-}
-
-// NarrowFlakyWindowSeedRun is NarrowFlakyWindowSeed with an explicit probe
-// runner.
+// NarrowFlakyWindowSeedRun is the link-quality analogue of
+// NarrowWindowSeedRun. Each probe is fully deterministic (the degraded
+// schedule is a pure function of plan + seed), so the search is exact even
+// though the degradation itself is probabilistic.
 func NarrowFlakyWindowSeedRun(t Target, p FlakyLinkPlan, seed int64, run PlanRunner) (FlakyLinkPlan, int) {
+	return narrowFrom(t, p, seed, run, p.From, p.Until,
+		func(q FlakyLinkPlan, from sim.Time) FlakyLinkPlan { q.From = from; return q })
+}
+
+// narrowFrom is the one bisect both window narrowers share: the latest
+// start in [from, until) (until 0 = the horizon) at which p, rewritten by
+// withFrom, still detects, to 50 ms.
+func narrowFrom[P Plan](t Target, p P, seed int64, run PlanRunner, from, until sim.Time, withFrom func(P, sim.Time) P) (P, int) {
 	executions := 0
-	detects := func(candidate FlakyLinkPlan) bool {
+	detects := func(candidate P) bool {
 		executions++
 		return run(t, candidate, seed).Detected
 	}
 	if !detects(p) {
 		return p, executions
 	}
-	lo, hi := p.From, p.Until
+	lo, hi := from, until
 	if hi == 0 {
 		hi = sim.Time(t.Horizon)
 	}
 	best := p
 	for hi-lo > sim.Time(50*sim.Millisecond) {
 		mid := lo + (hi-lo)/2
-		candidate := p
-		candidate.From = mid
+		candidate := withFrom(p, mid)
 		if detects(candidate) {
 			best = candidate
 			lo = mid

@@ -47,10 +47,10 @@ func TestMinimizeDropsUnnecessarySubPlans(t *testing.T) {
 		detectingGap(),
 		PartitionPlan{A: "kubelet-n2", B: infra.APIServerID(1), From: sim.Time(2 * sim.Second), Until: sim.Time(2500 * sim.Millisecond)},
 	}}
-	if !RunPlan(target, noisy).Detected {
+	if !RunPlanSeed(target, noisy, 1).Detected {
 		t.Fatal("noisy plan does not detect; test setup broken")
 	}
-	minimal, execs := Minimize(target, noisy)
+	minimal, execs := MinimizeSeedRun(target, noisy, 1, RunPlanSeed)
 	if execs == 0 {
 		t.Fatal("no verification executions recorded")
 	}
@@ -61,7 +61,7 @@ func TestMinimizeDropsUnnecessarySubPlans(t *testing.T) {
 	if gap != detectingGap() {
 		t.Fatalf("minimal gap = %+v", gap)
 	}
-	if !RunPlan(target, minimal).Detected {
+	if !RunPlanSeed(target, minimal, 1).Detected {
 		t.Fatal("minimized plan no longer detects")
 	}
 }
@@ -69,8 +69,8 @@ func TestMinimizeDropsUnnecessarySubPlans(t *testing.T) {
 func TestMinimizeKeepsNecessarySubPlans(t *testing.T) {
 	target := schedTarget()
 	only := SequencePlan{Name: "solo", Plans: []Plan{detectingGap()}}
-	minimal, _ := Minimize(target, only)
-	if !RunPlan(target, minimal).Detected {
+	minimal, _ := MinimizeSeedRun(target, only, 1, RunPlanSeed)
+	if !RunPlanSeed(target, minimal, 1).Detected {
 		t.Fatal("minimized plan no longer detects")
 	}
 }
@@ -121,7 +121,7 @@ func TestMinimizeSeedVerifiesUnderFoundSeed(t *testing.T) {
 
 	// Old behaviour: seed-1 verification fails the reproduction check and
 	// bails out with the plan untouched.
-	got, execs := Minimize(target, noisy)
+	got, execs := MinimizeSeedRun(target, noisy, 1, RunPlanSeed)
 	if execs != 1 {
 		t.Fatalf("Minimize under the wrong seed spent %d executions, want 1 (failed repro check)", execs)
 	}
@@ -131,7 +131,7 @@ func TestMinimizeSeedVerifiesUnderFoundSeed(t *testing.T) {
 
 	// Seed-correct minimization reduces the sequence and the result still
 	// detects under the seed it was found with.
-	minimal, execs := MinimizeSeed(target, noisy, 7)
+	minimal, execs := MinimizeSeedRun(target, noisy, 7, RunPlanSeed)
 	if execs < 2 {
 		t.Fatalf("MinimizeSeed spent %d executions, want repro check + removal probes", execs)
 	}
@@ -157,7 +157,7 @@ func TestMinimizeSeedRoundTrip(t *testing.T) {
 	if !RunPlanSeed(target, noisy, seed).Detected {
 		t.Fatal("noisy plan does not detect under seed 7; test setup broken")
 	}
-	minimal, execs := MinimizeSeed(target, noisy, seed)
+	minimal, execs := MinimizeSeedRun(target, noisy, seed, RunPlanSeed)
 	if execs == 0 {
 		t.Fatal("no verification executions recorded")
 	}
@@ -178,11 +178,48 @@ func TestMinimizeNonReproducingPlanUnchanged(t *testing.T) {
 	dud := SequencePlan{Name: "dud", Plans: []Plan{
 		CrashPlan{Component: "kubelet-n2", At: sim.Time(3 * sim.Second), RestartDelay: 100 * sim.Millisecond},
 	}}
-	got, execs := Minimize(target, dud)
+	got, execs := MinimizeSeedRun(target, dud, 1, RunPlanSeed)
 	if execs != 1 {
 		t.Fatalf("executions = %d, want 1 (just the reproduction check)", execs)
 	}
 	if got.ID() != dud.ID() {
 		t.Fatalf("non-reproducing plan was altered: %s", got.ID())
+	}
+}
+
+// TestNarrowWindowsBisectToTheDecisiveStart drives both window narrowers
+// with a synthetic runner that detects exactly when the window opens no
+// later than a cut-off: each must land within the 50 ms resolution of the
+// cut-off, from below, and leave a non-reproducing plan alone after one
+// probe.
+func TestNarrowWindowsBisectToTheDecisiveStart(t *testing.T) {
+	target := Target{Horizon: 8 * sim.Second}
+	cutoff := sim.Time(3210 * sim.Millisecond)
+	step := sim.Time(50 * sim.Millisecond)
+	runner := func(_ Target, p Plan, _ int64) Execution {
+		switch q := p.(type) {
+		case StalenessPlan:
+			return Execution{Detected: q.From <= cutoff}
+		case FlakyLinkPlan:
+			return Execution{Detected: q.From <= cutoff}
+		}
+		return Execution{}
+	}
+	// Until zero: the search runs to the horizon.
+	stale, execs := NarrowWindowSeedRun(target, StalenessPlan{Victim: "api", From: sim.Time(sim.Second)}, 1, runner)
+	if stale.From > cutoff || cutoff-stale.From > step || stale.Victim != "api" {
+		t.Fatalf("staleness window narrowed to %s, want within %s below %s", stale.From, step, cutoff)
+	}
+	if execs < 2 || execs > 10 {
+		t.Fatalf("staleness bisect spent %d executions", execs)
+	}
+	flaky, _ := NarrowFlakyWindowSeedRun(target,
+		FlakyLinkPlan{A: "a", B: "b", DropPercent: 30, From: sim.Time(sim.Second), Until: sim.Time(6 * sim.Second)}, 1, runner)
+	if flaky.From > cutoff || cutoff-flaky.From > step || flaky.DropPercent != 30 || flaky.Until != sim.Time(6*sim.Second) {
+		t.Fatalf("flaky window narrowed to %+v, want From within %s below %s and nothing else changed", flaky, step, cutoff)
+	}
+	late := StalenessPlan{Victim: "api", From: cutoff + step}
+	if got, execs := NarrowWindowSeedRun(target, late, 1, runner); got != late || execs != 1 {
+		t.Fatalf("non-reproducing plan: got %+v after %d executions, want it unchanged after 1", got, execs)
 	}
 }

@@ -231,7 +231,7 @@ func TestSequencePlanAppliesAll(t *testing.T) {
 
 func TestPlannerFamiliesAndDeterminism(t *testing.T) {
 	target := testTarget()
-	ref, _ := Reference(target)
+	ref, _ := ReferenceSeed(target, 1)
 	p1 := NewPlanner().Plans(target, ref)
 	p2 := NewPlanner().Plans(target, ref)
 	if len(p1) == 0 {
@@ -300,11 +300,19 @@ func TestRunCampaignReportsReferenceViolation(t *testing.T) {
 	}
 	// With no ready nodes the SchedulerProgress oracle never fires (it
 	// requires free capacity), so this campaign should simply not detect.
-	res := RunCampaign(target, NewPlanner(), 5)
-	if res.Detected {
-		t.Fatalf("unexpected detection: %+v", res)
+	ref, refViolations := ReferenceSeed(target, 1)
+	plans := NewPlanner().Plans(target, ref)
+	if len(plans) < 5 {
+		t.Fatalf("campaign would run nothing: %d plans", len(plans))
 	}
-	if res.Executions == 0 || res.PlansTotal == 0 {
-		t.Fatalf("campaign ran nothing: %+v", res)
+	for _, v := range refViolations {
+		if v.Oracle == target.Bug {
+			t.Fatalf("unexpected detection in the reference run: %+v", v)
+		}
+	}
+	for _, p := range plans[:5] {
+		if exec := RunPlanSeed(target, p, 1); exec.Detected {
+			t.Fatalf("unexpected detection under %s: %+v", p.ID(), exec.Violations)
+		}
 	}
 }

@@ -110,20 +110,8 @@ type Explanation struct {
 // reference trace should use FromTraces instead.
 func Explain(t core.Target, p core.Plan, seed int64) *Explanation {
 	ref, _ := core.ReferenceSeed(t, seed)
-	pert, violations := perturbedTrace(t, p, seed)
+	pert, violations := core.TracePlanSeed(t, p, seed)
 	return FromTraces(t, p, seed, ref, pert, violations)
-}
-
-// perturbedTrace executes one plan with a recorder attached and returns
-// the recorded trace plus the violations.
-func perturbedTrace(t core.Target, p core.Plan, seed int64) (*trace.Trace, []oracle.Violation) {
-	c := t.Build(seed)
-	rec := trace.NewRecorder()
-	rec.Attach(c.World.Network(), c.Store.Store())
-	p.Apply(c)
-	t.Workload(c)
-	c.RunFor(t.Horizon)
-	return rec.T, c.Violations()
 }
 
 // FromTraces derives the causal chain and divergence metrics from an

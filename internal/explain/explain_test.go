@@ -14,13 +14,13 @@ import (
 func detectingTimeTravel(t *testing.T) (core.Target, core.TimeTravelPlan) {
 	t.Helper()
 	target := workload.Target59848()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	for _, p := range core.NewPlanner().Plans(target, ref) {
 		tt, ok := p.(core.TimeTravelPlan)
 		if !ok {
 			continue
 		}
-		if core.RunPlan(target, tt).Detected {
+		if core.RunPlanSeed(target, tt, 1).Detected {
 			return target, tt
 		}
 	}

@@ -176,8 +176,9 @@ func TestPlanShardsPerSeed(t *testing.T) {
 	}
 }
 
-// TestMergeCellSynthetic pins the merge rules on hand-built parts:
-// bucket base selection, count summing, stat sums, and the coverage
+// TestMergeCellSynthetic pins the merge rules on hand-built parts, folded
+// the way Collate folds a cell's shards: bucket base selection, count
+// summing, stat sums (snapshot fallbacks per cause), and the coverage
 // recount.
 func TestMergeCellSynthetic(t *testing.T) {
 	partA := campaign.Result{
@@ -190,7 +191,8 @@ func TestMergeCellSynthetic(t *testing.T) {
 			{Seed: 1, Index: -1, Class: "nop", Signature: "s1"},
 			{Seed: 1, Index: 0, Class: "crash", Signature: "s2"},
 		},
-		Stats: campaign.Stats{Seeds: 1, Detections: 1, ViolatingExecutions: 2, FailedExecutions: 1},
+		Stats: campaign.Stats{Seeds: 1, Detections: 1, ViolatingExecutions: 2, FailedExecutions: 1,
+			SnapshotFallbacks: &campaign.SnapshotFallbacks{StrictPast: 2}},
 	}
 	partB := campaign.Result{
 		Target: "tgt", Strategy: "str",
@@ -205,7 +207,14 @@ func TestMergeCellSynthetic(t *testing.T) {
 			{Seed: 2, Index: -1, Class: "nop", Signature: "s1"},
 			{Seed: 2, Index: 0, Class: "stale", Signature: "s3"},
 		},
-		Stats: campaign.Stats{Seeds: 1, Detections: 2, ViolatingExecutions: 1, HungExecutions: 1},
+		Stats: campaign.Stats{Seeds: 1, Detections: 2, ViolatingExecutions: 1, HungExecutions: 1,
+			SnapshotFallbacks: &campaign.SnapshotFallbacks{StrictPast: 1, Watchdog: 3}},
+	}
+	// A healthy third shard: no fallbacks, nothing new.
+	partC := campaign.Result{
+		Target: "tgt", Strategy: "str",
+		Seeds: []campaign.SeedResult{{Seed: 3}},
+		Stats: campaign.Stats{Seeds: 1},
 	}
 	partA.Seeds[0].Campaign.Executions = 5
 	partB.Seeds[0].Campaign.Executions = 7
@@ -213,7 +222,10 @@ func TestMergeCellSynthetic(t *testing.T) {
 	partB.Detected = true
 	partB.DetectedSeed = 2
 
-	m := MergeCell([]campaign.Result{partA, partB})
+	var m campaign.Result
+	for _, part := range []campaign.Result{partA, partB, partC} {
+		m = campaign.Merge(m, part)
+	}
 	if !m.Detected || m.DetectedSeed != 2 {
 		t.Errorf("Detected/DetectedSeed = %v/%d, want true/2", m.Detected, m.DetectedSeed)
 	}
@@ -228,9 +240,17 @@ func TestMergeCellSynthetic(t *testing.T) {
 	if aa.Signature != "aa" || aa.Count != 5 || aa.ExampleSeed != 1 || aa.MinimalPlan != "min-a" {
 		t.Errorf("bucket aa merged wrong: %+v", aa)
 	}
-	if m.Stats.Seeds != 2 || m.Stats.Detections != 3 || m.Stats.ViolatingExecutions != 3 ||
+	if m.Stats.Seeds != 3 || m.Stats.Detections != 3 || m.Stats.ViolatingExecutions != 3 ||
 		m.Stats.FailedExecutions != 1 || m.Stats.HungExecutions != 1 {
 		t.Errorf("stat sums wrong: %+v", m.Stats)
+	}
+	// Fallbacks sum per cause; a shard's count must survive the merge.
+	if fb := m.Stats.SnapshotFallbacks; fb == nil || *fb != (campaign.SnapshotFallbacks{StrictPast: 3, Watchdog: 3}) {
+		t.Errorf("snapshot fallbacks = %+v, want strict_past 3 + watchdog 3", fb)
+	}
+	// ... and healthy shards merge to nil, so healthy bytes are unchanged.
+	if fb := campaign.Merge(campaign.Merge(campaign.Result{}, partC), partC).Stats.SnapshotFallbacks; fb != nil {
+		t.Errorf("healthy merge grew snapshot fallbacks: %+v", fb)
 	}
 	// Coverage recount: classes {nop,crash,stale}, sigs {s1,s2,s3}.
 	if m.Stats.CoverageClasses != 3 || m.Stats.NovelSignatures != 3 {

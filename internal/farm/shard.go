@@ -19,13 +19,12 @@ type Cell struct {
 //
 //   - Without learning, seeds are fully independent — the engine runs
 //     each seed's reference, planning, and execution in isolation and
-//     only the aggregator crosses seeds (and every cross-seed quantity
-//     it computes is reconstructible from per-seed parts; see merge.go).
-//     Such cells shard to one task per seed.
+//     joins their parts through campaign.Merge, the function Collate
+//     folds the shards through. Such cells shard to one task per seed.
 //   - With learning (Prune/Ranked), seed N's schedule consults the
-//     bucket-class affinity of seeds < N (aggregator.affinity), so seed
-//     sharding would change the schedules. Those cells stay whole: one
-//     task carrying the full sweep.
+//     bucket-class affinity of seeds < N (Merge's fold law excludes
+//     exactly this case), so seed sharding would change the schedules.
+//     Those cells stay whole: one task carrying the full sweep.
 func Plan(targets, strategies []string, base TaskSpec) []TaskSpec {
 	seeds := base.Seeds
 	if len(seeds) == 0 {
@@ -55,7 +54,8 @@ func Plan(targets, strategies []string, base TaskSpec) []TaskSpec {
 }
 
 // Collate groups task results by cell in task (= matrix) order and
-// merges every cell whose tasks all settled. Cells with a missing or
+// folds every cell whose tasks all settled through campaign.Merge, the
+// engine's own sweep aggregation. Cells with a missing or
 // failed task — a cancelled run's tail — are returned separately so the
 // caller can report them; their completed shards are discarded rather
 // than presented as a valid (but silently truncated) campaign.
@@ -99,7 +99,10 @@ func Collate(results []TaskResult) (merged []campaign.Result, incomplete []Cell)
 			incomplete = append(incomplete, c)
 			continue
 		}
-		m := MergeCell(rs)
+		var m campaign.Result
+		for _, r := range rs {
+			m = campaign.Merge(m, r)
+		}
 		if !fleet.Zero() {
 			m.Stats.Fleet = &fleet
 		}

@@ -13,7 +13,7 @@ func TestReferenceRunsAreClean(t *testing.T) {
 	for _, target := range AllTargets() {
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
-			_, violations := core.Reference(target)
+			_, violations := core.ReferenceSeed(target, 1)
 			for _, v := range violations {
 				t.Errorf("reference run violated %s: %s", v.Oracle, v.Detail)
 			}
@@ -30,7 +30,7 @@ func TestToolDetectsAllFiveBugs(t *testing.T) {
 	for _, target := range AllTargets() {
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
-			ref, refViolations := core.Reference(target)
+			ref, refViolations := core.ReferenceSeed(target, 1)
 			if len(refViolations) != 0 {
 				t.Fatalf("reference run dirty: %v", refViolations)
 			}
@@ -42,7 +42,7 @@ func TestToolDetectsAllFiveBugs(t *testing.T) {
 					break
 				}
 				executions = i + 1
-				if exec := core.RunPlan(target, p); exec.Detected {
+				if exec := core.RunPlanSeed(target, p, 1); exec.Detected {
 					detecting = p
 					break
 				}
@@ -55,7 +55,7 @@ func TestToolDetectsAllFiveBugs(t *testing.T) {
 				target.Name, executions, len(plans), detecting.Describe())
 
 			// The fix must hold under the same perturbation.
-			fixedExec := core.RunPlan(Fixed(target), detecting)
+			fixedExec := core.RunPlanSeed(Fixed(target), detecting, 1)
 			if fixedExec.Detected {
 				t.Fatalf("fixed variant still violates %s under %s",
 					target.Bug, detecting.Describe())
@@ -67,7 +67,7 @@ func TestToolDetectsAllFiveBugs(t *testing.T) {
 // TestBaselinesGeneratePlans sanity-checks baseline plan generation.
 func TestBaselinesGeneratePlans(t *testing.T) {
 	target := Target56261()
-	ref, _ := core.Reference(target)
+	ref, _ := core.ReferenceSeed(target, 1)
 	for _, s := range []core.Strategy{
 		baselines.Random{Seed: 7, N: 25},
 		baselines.CrashTuner{},

@@ -2,7 +2,7 @@
 // evaluation: for each of the five bugs the paper's tool handles
 // (Kubernetes-59848, Kubernetes-56261, cassandra-operator-398/-400/-402) it
 // provides a deterministic cluster builder, a driving workload, and the
-// oracle that defines detection — the inputs to core.RunCampaign.
+// oracle that defines detection — the inputs to a campaign (campaign.Engine).
 package workload
 
 import (

@@ -31,7 +31,10 @@
 //     internal/operators/cassandra, internal/regions — the services under
 //     test, each shipping its historical bug and the corresponding fix.
 //   - internal/core — the contribution: trace-guided perturbation
-//     planning (staleness / time-travel / gap plans), campaign running.
+//     planning (staleness / time-travel / gap plans), single-plan
+//     replay and plan minimization.
+//   - internal/campaign — the campaign loop: a parallel engine that
+//     sweeps plans × seeds and folds the per-seed parts into one result.
 //   - internal/baselines — random fault injection, CrashTuner-like and
 //     CoFI-like heuristics for comparison.
 //   - internal/oracle — the safety and liveness invariants used as test
