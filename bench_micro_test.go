@@ -319,3 +319,41 @@ func BenchmarkMicro_KubeletSyncAtScale(b *testing.B) {
 		b.Fatalf("kubelets found %d pods of their own over %d sync periods, want %d", mine, b.N, b.N*nodes)
 	}
 }
+
+// BenchmarkMicro_ObjectCodec is one cluster.Decode / cluster.Encode of the
+// three object shapes the simulator commits most: a bound running pod, a
+// topology-labelled node carrying a heartbeat label, and a cassandra CR
+// with a ready-member list. Every committed revision is encoded once and
+// decoded by each apiserver and by the oracles.
+func BenchmarkMicro_ObjectCodec(b *testing.B) {
+	pod := cluster.NewPod("web-7", "uid-0042", cluster.PodSpec{NodeName: "node-r03-2", Phase: cluster.PodRunning, Image: "v2", App: "web"})
+	pod.Meta.OwnerUID = "uid-0007"
+	node := cluster.NewNode("node-r03-2", "uid-0013", cluster.NodeSpec{Ready: true, Capacity: 8, Rack: "rack-03", Zone: "zone-1", DC: "dc-1"})
+	node.Meta.Labels = map[string]string{"heartbeat": "1234000000"}
+	cass := cluster.NewCassandra("cass", "uid-0001", cluster.CassandraSpec{
+		Replicas: 3, ReadyMembers: []string{"cass-0", "cass-1", "cass-2", "cass-3"}, Decommissioning: "cass-3"})
+	for _, tc := range []struct {
+		name string
+		obj  *cluster.Object
+	}{{"pod", pod}, {"node", node}, {"cassandra", cass}} {
+		data := cluster.MustEncode(tc.obj)
+		b.Run("decode/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := cluster.Decode(data, int64(i))
+				if err != nil || got.Meta.Name != tc.obj.Meta.Name {
+					b.Fatalf("decode = %v, %v", got, err)
+				}
+			}
+		})
+		b.Run("encode/"+tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				got, err := cluster.Encode(tc.obj)
+				if err != nil || len(got) != len(data) {
+					b.Fatalf("encode = %q, %v", got, err)
+				}
+			}
+		})
+	}
+}

@@ -708,7 +708,11 @@ func (s *Server) register() {
 			return
 		}
 		req := body.(*CreateRequest)
-		obj := req.Object.Clone()
+		// A shallow copy to stamp ResourceVersion on for the reply: the
+		// request object is immutable (DESIGN.md §12), and a duplicating
+		// link can deliver one request message twice.
+		o := *req.Object
+		obj := &o
 		data, err := cluster.Encode(obj)
 		if err != nil {
 			reply(nil, err)
@@ -736,7 +740,8 @@ func (s *Server) register() {
 			return
 		}
 		req := body.(*UpdateRequest)
-		obj := req.Object.Clone()
+		o := *req.Object // shallow, as in Create
+		obj := &o
 		data, err := cluster.Encode(obj)
 		if err != nil {
 			reply(nil, err)

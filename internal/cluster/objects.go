@@ -11,7 +11,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -275,38 +274,6 @@ func ParseKey(key string) (Kind, string, error) {
 		return "", "", fmt.Errorf("cluster: malformed key %q", key)
 	}
 	return Kind(kind), name, nil
-}
-
-// Encode serializes an object for storage. ResourceVersion is not encoded:
-// it is derived from the store revision on read, never trusted from bytes.
-func Encode(o *Object) ([]byte, error) {
-	c := *o // shallow: only the ResourceVersion field differs from o
-	c.Meta.ResourceVersion = 0
-	b, err := json.Marshal(&c)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode %s: %w", o, err)
-	}
-	return b, nil
-}
-
-// Decode deserializes an object and stamps the given resource version.
-func Decode(data []byte, resourceVersion int64) (*Object, error) {
-	var o Object
-	if err := json.Unmarshal(data, &o); err != nil {
-		return nil, fmt.Errorf("cluster: decode: %w", err)
-	}
-	o.Meta.ResourceVersion = resourceVersion
-	return &o, nil
-}
-
-// MustEncode is Encode for objects constructed by this package; encoding
-// them cannot fail.
-func MustEncode(o *Object) []byte {
-	b, err := Encode(o)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // UIDGen deterministically generates unique object UIDs.

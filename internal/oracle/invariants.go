@@ -51,8 +51,8 @@ func decodeObject(value []byte, rev int64) (any, error) {
 }
 
 // decodeOne is the single-key analogue of decodeState.
-func decodeOne(st *store.Store, kind cluster.Kind, name string) (*cluster.Object, bool) {
-	v, ok := st.DecodedGet(cluster.Key(kind, name), decodeObject)
+func decodeOne(st *store.Store, key string) (*cluster.Object, bool) {
+	v, ok := st.DecodedGet(key, decodeObject)
 	if !ok {
 		return nil, false
 	}
@@ -279,7 +279,7 @@ func InstallNoLivePVCDeletion(st *store.Store, r *Runner) {
 			if owner == name {
 				continue
 			}
-			if pod, ok := decodeOne(st, cluster.KindPod, owner); ok {
+			if pod, ok := decodeOne(st, cluster.Key(cluster.KindPod, owner)); ok {
 				if !pod.Terminating() {
 					r.Report(Violation{
 						Oracle: NameNoLivePVCDeletion,
@@ -300,11 +300,17 @@ func InstallNoLivePVCDeletion(st *store.Store, r *Runner) {
 func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) Oracle {
 	var lastSpecChange sim.Time
 	var lastReplicas = -1
+	crKey := cluster.Key(cluster.KindCassandra, crName)
 	listPods := objLister(st, cluster.KindPod)
+	// want is a cache of {<name>-0 .. <name>-(wantFor-1)}, and got is
+	// cleared, not reallocated: past patience this runs on every tick and
+	// the no-violation case must stay allocation-free.
+	want, wantFor := map[string]bool{}, 0
+	got := map[string]bool{}
 	return Func{
 		OracleName: NameScaleDownCompletes,
 		CheckFunc: func(now sim.Time) *Violation {
-			cr, ok := decodeOne(st, cluster.KindCassandra, crName)
+			cr, ok := decodeOne(st, crKey)
 			if !ok || cr.Cassandra == nil {
 				return nil
 			}
@@ -316,11 +322,14 @@ func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) O
 			if now.Sub(lastSpecChange) < patience {
 				return nil
 			}
-			want := map[string]bool{}
-			for i := 0; i < cr.Cassandra.Replicas; i++ {
-				want[fmt.Sprintf("%s-%d", crName, i)] = true
+			if wantFor != cr.Cassandra.Replicas {
+				clear(want)
+				for i := 0; i < cr.Cassandra.Replicas; i++ {
+					want[fmt.Sprintf("%s-%d", crName, i)] = true
+				}
+				wantFor = cr.Cassandra.Replicas
 			}
-			got := map[string]bool{}
+			clear(got)
 			for _, p := range listPods() {
 				if p.Pod != nil && p.Pod.App == crName && !p.Terminating() {
 					got[p.Meta.Name] = true

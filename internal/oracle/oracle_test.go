@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -194,10 +195,32 @@ func TestScaleDownCompletesOracle(t *testing.T) {
 	if v := o.Check(151); v != nil {
 		t.Fatalf("converged cluster violated: %v", v)
 	}
+	// The steady tick past patience runs on every tick of every operator
+	// execution: it must not allocate.
+	if n := testing.AllocsPerRun(100, func() { o.Check(200) }); n != 0 {
+		t.Fatalf("steady no-violation tick allocates %v times", n)
+	}
 	// Extra member never removed.
 	mkMember("cass-2")
-	if v := o.Check(300); v == nil {
+	v := o.Check(300)
+	if v == nil {
 		t.Fatal("wrong membership not reported")
+	}
+	want := Violation{
+		Oracle: NameScaleDownCompletes,
+		Time:   300,
+		Detail: "members [cass-0 cass-1 cass-2] != desired [cass-0 cass-1] " + sim.Time(300).Sub(10).String() + " after spec change",
+		Kind:   string(cluster.KindCassandra),
+		Object: "cass",
+	}
+	if *v != want {
+		t.Fatalf("violation = %+v\nwant        %+v", *v, want)
+	}
+	// A decommission still in flight is reported ahead of the membership.
+	cr.Cassandra.Decommissioning = "cass-2"
+	st.Put(cluster.Key(cluster.KindCassandra, "cass"), cluster.MustEncode(cr))
+	if v := o.Check(301); v == nil || !strings.HasPrefix(v.Detail, `decommission of "cass-2" still in flight `) {
+		t.Fatalf("in-flight decommission not reported: %+v", v)
 	}
 }
 

@@ -6,20 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apiserver"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/history"
 	"repro/internal/infra"
+	"repro/internal/sim"
 )
 
 // mutatedSharedObjects checks the ownership rule (DESIGN.md, "Object
 // ownership") after the fact: every object an apiserver or an informer
 // cache still shares must encode to exactly the bytes the store committed
 // for its key at its ResourceVersion. Anything else was changed in place
-// by someone who should have cloned it first. It returns one line per
-// offending holder.
-func mutatedSharedObjects(c *infra.Cluster) []string {
+// by someone who should have cloned it first. The same holds for replies:
+// the object a Create or Update reply carried shares its labels and payload
+// with the request it answered. It returns one line per offending holder.
+func mutatedSharedObjects(c *infra.Cluster, replies *writeReplies) []string {
 	hist := c.Store.Store().History()
 	var bad []string
 	check := func(holder string, obj *cluster.Object) {
@@ -46,14 +49,40 @@ func mutatedSharedObjects(c *infra.Cluster) []string {
 			}
 		}
 	}
+	for _, r := range replies.sent {
+		check(fmt.Sprintf("%s write reply to %s", r.from, r.to), r.obj)
+	}
 	return bad
 }
+
+// writeReplies is a network observer collecting the object of every Create
+// and Update reply an apiserver sends.
+type writeReplies struct {
+	sent []writeReply
+}
+
+type writeReply struct {
+	from, to sim.NodeID
+	obj      *cluster.Object
+}
+
+func (w *writeReplies) OnSend(m *sim.Message) {
+	resp, ok := m.Payload.(*sim.RPCResponse)
+	if !ok {
+		return
+	}
+	if wr, ok := resp.Body.(*apiserver.WriteResponse); ok && wr.Object != nil {
+		w.sent = append(w.sent, writeReply{from: m.From, to: m.To, obj: wr.Object})
+	}
+}
+func (w *writeReplies) OnDeliver(*sim.Message)      {}
+func (w *writeReplies) OnDrop(*sim.Message, string) {}
 
 // TestSharedObjectsNeverMutated runs every target — the five committed
 // ones and both scale targets on the benchmark's 50-node worlds — through
 // its reference execution and its first planner plans, and requires that
 // no component changed an object it shares with the apiserver memo, the
-// informer caches and the other handlers.
+// informer caches and the other handlers, or one a write reply handed it.
 func TestSharedObjectsNeverMutated(t *testing.T) {
 	const plansPerTarget = 8
 	scale := ScaleProfile{Racks: 10, NodesPerRack: 5}
@@ -65,21 +94,24 @@ func TestSharedObjectsNeverMutated(t *testing.T) {
 			if len(plans) > plansPerTarget {
 				plans = plans[:plansPerTarget]
 			}
-			held := 0
+			held, replied := 0, 0
 			for _, p := range append([]core.Plan{core.NopPlan{}}, plans...) {
 				c := target.Build(1)
+				var replies writeReplies
+				c.World.Network().AddObserver(&replies)
 				p.Apply(c)
 				target.Workload(c)
 				c.RunFor(target.Horizon)
-				for _, line := range mutatedSharedObjects(c) {
+				for _, line := range mutatedSharedObjects(c, &replies) {
 					t.Errorf("plan %q: %s", p.Describe(), line)
 				}
 				for _, api := range c.APIs {
 					held += len(api.Memoized())
 				}
+				replied += len(replies.sent)
 			}
-			if held == 0 {
-				t.Fatal("no apiserver shared any object; the check is vacuous")
+			if held == 0 || replied == 0 {
+				t.Fatalf("apiservers shared %d objects and sent %d write replies; the check is vacuous", held, replied)
 			}
 		})
 	}
@@ -88,7 +120,8 @@ func TestSharedObjectsNeverMutated(t *testing.T) {
 // TestMutatingHandlerTripsOwnershipCheck is the detector's own test: one
 // handler that edits what it is handed is reported, by holder — for its
 // own cache, for the apiserver memo the object came from, and for another
-// component's cache fed by the same object.
+// component's cache fed by the same object — and so is a caller that edits
+// the object its write reply carried.
 func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	target := Target59848()
 	c := target.Build(1)
@@ -102,13 +135,24 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 		UpdateFunc: func(_, pod *cluster.Object) { edit(pod) },
 	})
 	inf.Run()
+	var replies writeReplies
+	c.World.Network().AddObserver(&replies)
+	c.Admin.Conn().Create(cluster.NewPVC("scratch", "uid-scratch", cluster.PVCSpec{SizeGB: 1}),
+		func(reply *cluster.Object, err error) {
+			if err != nil {
+				t.Errorf("create: %v", err)
+				return
+			}
+			reply.PVC.SizeGB = 2
+		})
 	target.Workload(c)
 	c.RunFor(target.Horizon)
 	if inf.Len() == 0 {
 		t.Fatal("the mutating informer saw no pods")
 	}
-	report := strings.Join(mutatedSharedObjects(c), "\n")
+	report := strings.Join(mutatedSharedObjects(c, &replies), "\n")
 	for _, holder := range []string{
+		fmt.Sprintf("%s write reply to %s holds", c.Admin.Conn().APIServer(), c.Admin.Conn().Self()),
 		fmt.Sprintf("%s informer %d holds", c.Admin.Conn().Self(), inf.SubID()),
 		fmt.Sprintf("%s memo holds", c.Admin.Conn().APIServer()),
 		"kubelet-",
