@@ -38,7 +38,6 @@ func BenchmarkMicro_KernelScheduleAndRun(b *testing.B) {
 
 func BenchmarkMicro_StorePut(b *testing.B) {
 	s := store.New()
-	s.SetRetainLimit(4096)
 	val := []byte("some-object-payload-of-plausible-size-for-a-pod")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -49,7 +48,6 @@ func BenchmarkMicro_StorePut(b *testing.B) {
 
 func BenchmarkMicro_StoreCAS(b *testing.B) {
 	s := store.New()
-	s.SetRetainLimit(4096)
 	rev := s.Put("/lock", []byte("v"))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,7 +62,6 @@ func BenchmarkMicro_StoreCAS(b *testing.B) {
 
 func BenchmarkMicro_StoreWatchFanout(b *testing.B) {
 	s := store.New()
-	s.SetRetainLimit(4096)
 	sink := 0
 	for i := 0; i < 16; i++ {
 		if _, err := s.Watch("/registry/", s.Revision(), func(events []history.Event) {

@@ -36,12 +36,6 @@ type Config struct {
 	RecoverGaps bool
 	// RPCTimeout bounds calls to the store.
 	RPCTimeout sim.Duration
-	// BatchWatch coalesces watch delivery: instead of one push per
-	// subscriber per committed event, each store push (a batch of
-	// committed events) flushes at most one message per subscriber,
-	// carrying every event that subscriber is owed. Event order within a
-	// subscriber's stream is unchanged.
-	BatchWatch bool
 	// UnindexedServing routes relay, cached lists, and cached gets
 	// through the legacy paths (scan all subs per event, re-sort and
 	// re-decode the whole cache per list). Kept for byte-identity pinning
@@ -62,7 +56,6 @@ func DefaultConfig(storeNode sim.NodeID) Config {
 }
 
 type clientSub struct {
-	key      string // subscription key ("client/subID"), the map key
 	subID    uint64
 	client   sim.NodeID
 	kind     cluster.Kind
@@ -89,7 +82,7 @@ type decodedObj struct {
 type ServeStats struct {
 	RelayEvents     uint64 // committed events offered to relay
 	RelaySubVisits  uint64 // subscriber entries examined across all relays
-	RelaySends      uint64 // watch push messages emitted (a batch counts once)
+	RelaySends      uint64 // watch push messages emitted
 	ListServed      uint64 // cached list requests answered
 	ListKeysScanned uint64 // cache keys visited answering cached lists
 	DecodeHits      uint64 // cached-read decodes answered from the memo
@@ -124,7 +117,6 @@ type Server struct {
 	kindKeys    map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
 	kindBroken  bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
 	decoded     map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
-	batch       map[string][]WatchEvent   // per-sub pending watch events under Config.BatchWatch
 	stats       ServeStats
 	storeSubID  uint64
 	lastEventAt sim.Time
@@ -184,7 +176,6 @@ func (s *Server) Crash() {
 	s.kindKeys = make(map[cluster.Kind][]string)
 	s.kindBroken = false
 	s.decoded = nil
-	s.batch = nil
 }
 
 // Restart implements sim.Process: rebuild the cache from the store.
@@ -281,13 +272,11 @@ func (s *Server) applyEvents(events []history.Event, allowRecover bool) {
 		if e.Revision > s.cachedRev+1 && allowRecover && s.cfg.RecoverGaps {
 			// Gap detected: pull the missing span, then the rest.
 			rest := events[i:]
-			s.flushWatchBatches()
 			s.recoverGap(rest)
 			return
 		}
 		s.applyOne(e)
 	}
-	s.flushWatchBatches()
 	s.lastEventAt = s.world.Now()
 }
 
@@ -425,48 +414,13 @@ func (s *Server) relay(ev WatchEvent, key string) {
 	}
 }
 
-// relayTo delivers (or, under BatchWatch, buffers) one event to one
-// subscriber and advances its high-water mark.
+// relayTo delivers one event to one subscriber and advances its
+// high-water mark.
 func (s *Server) relayTo(sub *clientSub, ev WatchEvent) {
 	sub.lastSent = ev.Revision
-	if s.cfg.BatchWatch {
-		if s.batch == nil {
-			s.batch = make(map[string][]WatchEvent)
-		}
-		s.batch[sub.key] = append(s.batch[sub.key], ev)
-		return
-	}
 	s.stats.RelaySends++
 	s.world.Network().Send(s.id, sub.client, KindWatchPush,
 		&WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})
-}
-
-// flushWatchBatches emits one watch push per subscriber carrying every
-// event buffered for it during the current store batch, in sorted
-// subscription-key order (the same client-visible order as the unbatched
-// path). Subscriptions cannot change mid-batch — applyEvents runs inside
-// a single kernel event — but canceled leftovers are dropped defensively.
-func (s *Server) flushWatchBatches() {
-	if len(s.batch) == 0 {
-		return
-	}
-	for _, sk := range s.sortedSubs() {
-		evs := s.batch[sk]
-		if len(evs) == 0 {
-			continue
-		}
-		delete(s.batch, sk)
-		sub, ok := s.subs[sk]
-		if !ok {
-			continue
-		}
-		s.stats.RelaySends++
-		s.world.Network().Send(s.id, sub.client, KindWatchPush,
-			&WatchPushMsg{SubID: sub.subID, Events: evs})
-	}
-	for sk := range s.batch {
-		delete(s.batch, sk)
-	}
 }
 
 // subsOfKind returns the sorted subscription keys watching kind. The
@@ -805,7 +759,7 @@ func (s *Server) register() {
 			return nil, ErrTooOldResourceVersion
 		}
 		key := fmt.Sprintf("%s/%d", from, req.SubID)
-		sub := &clientSub{key: key, subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
+		sub := &clientSub{subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
 		// An informer on a quiet stream re-issues its watch every
 		// WatchTimeout. The order caches hold keys, not subs: a live key
 		// re-registered with the same kind leaves both of them valid.

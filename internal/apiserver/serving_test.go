@@ -159,36 +159,6 @@ func TestIndexedServingMatchesUnindexed(t *testing.T) {
 	}
 }
 
-// TestBatchWatchDeliversSameEvents: batched delivery coalesces pushes but
-// must deliver the same events in the same order per subscriber.
-func TestBatchWatchDeliversSameEvents(t *testing.T) {
-	flatten := func(pushes []*WatchPushMsg) map[uint64][]WatchEvent {
-		out := make(map[uint64][]WatchEvent)
-		for _, p := range pushes {
-			out[p.SubID] = append(out[p.SubID], p.Events...)
-		}
-		return out
-	}
-	run := func(batch bool) (map[uint64][]WatchEvent, int) {
-		h := servingHarness(t, func(c *Config) { c.BatchWatch = batch })
-		if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: 1}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod(fmt.Sprintf("p%02d", i), "k1")}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		h.w.Kernel().RunFor(100 * sim.Millisecond)
-		return flatten(h.cl.pushes), len(h.cl.pushes)
-	}
-	single, _ := run(false)
-	batched, _ := run(true)
-	if !reflect.DeepEqual(single, batched) {
-		t.Fatalf("batched watch delivered different events:\nsingle: %+v\nbatched: %+v", single, batched)
-	}
-}
-
 // TestDecodeMemoHitsOnRepeatedLists: the ModRevision-keyed decode memo
 // must serve repeated lists of unchanged objects from cache and
 // invalidate per-object on writes.

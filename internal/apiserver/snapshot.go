@@ -97,9 +97,7 @@ func Restore(w *sim.World, snap *Snapshot) *Server {
 	// sub indexes) is rebuildable and deliberately not part of snapshots.
 	s.rebuildKindIndex()
 	for _, sub := range snap.Subs {
-		key := fmt.Sprintf("%s/%d", sub.Client, sub.SubID)
-		s.subs[key] = &clientSub{
-			key:      key,
+		s.subs[fmt.Sprintf("%s/%d", sub.Client, sub.SubID)] = &clientSub{
 			subID:    sub.SubID,
 			client:   sub.Client,
 			kind:     sub.Kind,

@@ -57,14 +57,14 @@ func assertEquivalent(t *testing.T, want, got Result, cfgWant, cfgGot Config) {
 	}
 }
 
-// TestSnapshotMatchesFullReplay is the correctness cross-check the prefix
-// checkpoint layer exists to honor: for every seeded-bug target, a
-// campaign with Config.Snapshot produces byte-identical canonicalized
-// campaign.json artifacts and NDJSON telemetry streams to the same
-// campaign replaying every plan from t=0 — at -parallel 1, 2, and 4.
-// All five targets — the k8s pair and the three cassandra-operator ones —
-// are snapshotable and exercise the fork path for real.
-func TestSnapshotMatchesFullReplay(t *testing.T) {
+// snapshotEquivalence runs base on all five targets — the k8s pair and the
+// three cassandra-operator ones, all snapshotable — with Snapshot off and
+// on, and asserts the two are the same campaign. The mesh is one width-4
+// row at seed 1 (width-independence is TestParallelMatchesSerial's job)
+// and one two-seed row holding the world seeds on which a fork used to
+// lose a ScaleDownCompletes violation full replay reports: cass-op-398 @
+// 1021 and cass-op-402 @ 1009 (EXPERIMENTS.md, "Forked ≡ replayed").
+func snapshotEquivalence(t *testing.T, base Config) {
 	targets := []core.Target{
 		workload.Target59848(),
 		workload.Target56261(),
@@ -72,14 +72,22 @@ func TestSnapshotMatchesFullReplay(t *testing.T) {
 		workload.TargetCass400(),
 		workload.TargetCass402(),
 	}
+	rows := []struct {
+		workers int
+		seeds   []int64
+	}{
+		{4, []int64{1}},
+		{2, []int64{1021, 1009}},
+	}
 	for _, target := range targets {
 		target := target
 		t.Run(target.Name, func(t *testing.T) {
 			if testing.Short() && (target.Name == "cass-op-400" || target.Name == "cass-op-402") {
 				t.Skip("short mode: cassandra fork path covered by cass-op-398")
 			}
-			for _, workers := range []int{1, 2, 4} {
-				cfg := Config{Workers: workers, MaxExecutions: 25, Collect: true, KeepGoing: true}
+			for _, row := range rows {
+				cfg := base
+				cfg.Workers, cfg.Seeds = row.workers, row.seeds
 				off, on := runBoth(t, target, func() core.Strategy { return core.NewPlanner() }, cfg)
 				cfgOff, cfgOn := cfg, cfg
 				cfgOff.Snapshot, cfgOn.Snapshot = false, true
@@ -87,6 +95,15 @@ func TestSnapshotMatchesFullReplay(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSnapshotMatchesFullReplay is the correctness cross-check the prefix
+// checkpoint layer exists to honor: for every seeded-bug target, a
+// campaign with Config.Snapshot produces byte-identical canonicalized
+// campaign.json artifacts and NDJSON telemetry streams to the same
+// campaign replaying every plan from t=0.
+func TestSnapshotMatchesFullReplay(t *testing.T) {
+	snapshotEquivalence(t, Config{MaxExecutions: 25, Collect: true, KeepGoing: true})
 }
 
 // firstDetecting returns the first plan that detects the target's bug as a
@@ -338,31 +355,9 @@ func TestRungSchedule(t *testing.T) {
 // TestSnapshotMatchesFullReplay: with Explain on, the minimization probes
 // and the instrumented re-execution run through the checkpoint tree
 // (mid-plan rungs), and every bucket's minimal plan and causal explanation
-// must be byte-identical to the full-replay pass — on all five targets, at
-// -parallel 1, 2, and 4.
+// must be byte-identical to the full-replay pass.
 func TestCheckpointTreeEquivalence(t *testing.T) {
-	targets := []core.Target{
-		workload.Target59848(),
-		workload.Target56261(),
-		workload.TargetCass398(),
-		workload.TargetCass400(),
-		workload.TargetCass402(),
-	}
-	for _, target := range targets {
-		target := target
-		t.Run(target.Name, func(t *testing.T) {
-			if testing.Short() && (target.Name == "cass-op-400" || target.Name == "cass-op-402") {
-				t.Skip("short mode: cassandra tree path covered by cass-op-398")
-			}
-			for _, workers := range []int{1, 2, 4} {
-				cfg := Config{Workers: workers, MaxExecutions: 25, Collect: true, KeepGoing: true, Explain: true}
-				off, on := runBoth(t, target, func() core.Strategy { return core.NewPlanner() }, cfg)
-				cfgOff, cfgOn := cfg, cfg
-				cfgOff.Snapshot, cfgOn.Snapshot = false, true
-				assertEquivalent(t, off, on, cfgOff, cfgOn)
-			}
-		})
-	}
+	snapshotEquivalence(t, Config{MaxExecutions: 25, Collect: true, KeepGoing: true, Explain: true})
 }
 
 // TestSnapshotFallbacksZeroOnCassandra pins the fallback-visibility fix:
@@ -386,19 +381,28 @@ func TestSnapshotFallbacksZeroOnCassandra(t *testing.T) {
 	}
 }
 
-// TestSnapshotGuidedAndLearning covers the remaining engine modes on one
-// snapshotable target: coverage-guided scheduling and the learning phase
-// (prune + ranked) must both be byte-equivalent under forking.
+// TestSnapshotGuidedAndLearning covers the remaining engine modes:
+// coverage-guided scheduling and the learning phase (prune + ranked) must
+// both be byte-equivalent under forking. The cass-op-400 row is the guided
+// search a wrong fork used to steer: at world seed 4060 it detected at
+// execution 14 forked and 4 replayed.
 func TestSnapshotGuidedAndLearning(t *testing.T) {
-	target := workload.Target56261()
-	cfgs := []Config{
-		{Workers: 2, Guided: true, MaxExecutions: 30, Collect: true},
-		{Workers: 2, MaxExecutions: 30, Collect: true, Prune: true, Ranked: true, KeepGoing: true},
-		{Workers: 2, Seeds: []int64{1, 2}, MaxExecutions: 15, Collect: true},
+	k8s, cass := workload.Target56261(), workload.TargetCass400()
+	rows := []struct {
+		target core.Target
+		cfg    Config
+	}{
+		{k8s, Config{Workers: 2, Guided: true, MaxExecutions: 30, Collect: true}},
+		{k8s, Config{Workers: 2, MaxExecutions: 30, Collect: true, Prune: true, Ranked: true, KeepGoing: true}},
+		{k8s, Config{Workers: 2, Seeds: []int64{1, 2}, MaxExecutions: 15, Collect: true}},
+		{cass, Config{Workers: 1, Guided: true, Seeds: []int64{4060}, MaxExecutions: 30, Collect: true}},
 	}
-	for _, cfg := range cfgs {
-		off, on := runBoth(t, target, func() core.Strategy { return core.NewPlanner() }, cfg)
-		cfgOff, cfgOn := cfg, cfg
+	for _, row := range rows {
+		off, on := runBoth(t, row.target, func() core.Strategy { return core.NewPlanner() }, row.cfg)
+		if !off.Detected {
+			t.Fatalf("%s: full replay detects nothing: the row is vacuous", row.target.Name)
+		}
+		cfgOff, cfgOn := row.cfg, row.cfg
 		cfgOff.Snapshot, cfgOn.Snapshot = false, true
 		assertEquivalent(t, off, on, cfgOff, cfgOn)
 	}

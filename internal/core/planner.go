@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/apiserver"
@@ -42,49 +41,38 @@ type Planner struct {
 	CausalRanking bool
 	// PrioritizeDeletionPaths puts deletion-adjacent drops first.
 	PrioritizeDeletionPaths bool
-	// BlackoutWindow is the duration of sustained object blackouts
-	// (0 = until the end of the execution).
-	BlackoutWindow sim.Duration
-	// MaxFreezePoints bounds how many commit times seed time-travel and
-	// staleness plans (stride-sampled when exceeded).
-	MaxFreezePoints int
-	// CrashDelays are the delays between a freeze point and the component
-	// crash in time-travel plans.
-	CrashDelays []sim.Duration
-	// MaxPlans caps the total plan list (0 = unlimited).
-	MaxPlans int
-	// GrayFreezePoints bounds how many freeze points seed gray-failure
-	// plans (a sub-sample of the staleness/time-travel freeze points).
-	GrayFreezePoints int
-	// GrayWindow is how long a degraded-link window lasts.
-	GrayWindow sim.Duration
-	// FlakyDrop/FlakyDup/FlakyReorder are the loss/duplication/reorder
-	// percentages mined FlakyLinkPlans use.
-	FlakyDrop    int
-	FlakyDup     int
-	FlakyReorder int
-	// SlowExtra/SlowJitter are the latency inflation mined SlowLinkPlans use.
-	SlowExtra  sim.Duration
-	SlowJitter sim.Duration
-	// CompactionKeep is the retain limit mined CompactionPressurePlans
-	// impose on the store.
-	CompactionKeep int
-	// Family toggles for the ablation experiment (all false = every
-	// family enabled).
-	DisableGaps        bool
-	DisableTimeTravel  bool
-	DisableStaleness   bool
-	DisableGrayFailure bool
-
-	// Learn, when set, post-processes the final plan list — the hook the
-	// trace-learning phase (internal/learn) uses to prune plans whose
-	// perturbation provably cannot intersect anything the target's
-	// components consumed, and to reorder survivors by learned impact.
-	// The hook must be a pure function of its arguments (determinism is
-	// pinned by tests). It runs after family mining, dedup, and the
-	// MaxPlans cap.
-	Learn func(t Target, ref *trace.Trace, plans []Plan) []Plan
+	// Family toggles for the A1 ablation (all false = every family
+	// enabled; the gray-failure family has no toggle).
+	DisableGaps       bool
+	DisableTimeTravel bool
+	DisableStaleness  bool
 }
+
+// What Plans mines with: no caller needs a second value of any of these.
+const (
+	// blackoutWindow is the duration of sustained object blackouts.
+	blackoutWindow = 2 * sim.Second
+	// maxFreezePoints bounds how many commit times seed time-travel and
+	// staleness plans (stride-sampled when exceeded).
+	maxFreezePoints = 48
+	// grayFreezePoints bounds how many of those freeze points also seed
+	// gray-failure plans.
+	grayFreezePoints = 6
+	// grayWindow is how long a degraded-link window lasts.
+	grayWindow = 2 * sim.Second
+	// flakyDrop/flakyDup/flakyReorder are the loss/duplication/reorder
+	// percentages mined FlakyLinkPlans use.
+	flakyDrop, flakyDup, flakyReorder = 50, 25, 25
+	// slowExtra/slowJitter are the latency inflation mined SlowLinkPlans use.
+	slowExtra, slowJitter = 300 * sim.Millisecond, 100 * sim.Millisecond
+	// compactionKeep is the retain limit mined CompactionPressurePlans
+	// impose on the store (the store's own floor).
+	compactionKeep = 2
+)
+
+// crashDelays are the delays between a freeze point and the component
+// crash in time-travel plans.
+var crashDelays = [...]sim.Duration{sim.Second, 3 * sim.Second}
 
 // NewPlanner returns the default tool configuration.
 func NewPlanner() *Planner {
@@ -92,17 +80,6 @@ func NewPlanner() *Planner {
 		CausalFilter:            true,
 		CausalRanking:           true,
 		PrioritizeDeletionPaths: true,
-		BlackoutWindow:          2 * sim.Second,
-		MaxFreezePoints:         48,
-		CrashDelays:             []sim.Duration{sim.Second, 3 * sim.Second},
-		GrayFreezePoints:        6,
-		GrayWindow:              2 * sim.Second,
-		FlakyDrop:               50,
-		FlakyDup:                25,
-		FlakyReorder:            25,
-		SlowExtra:               300 * sim.Millisecond,
-		SlowJitter:              100 * sim.Millisecond,
-		CompactionKeep:          2,
 	}
 }
 
@@ -168,22 +145,18 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 		ok := objKey{d.To, d.Kind, d.Name}
 		if !blackedOut[ok] {
 			blackedOut[ok] = true
-			until := sim.Time(0)
-			if p.BlackoutWindow > 0 {
-				until = d.Time.Add(p.BlackoutWindow)
-			}
 			blackouts = append(blackouts, GapPlan{
 				Victim: d.To,
 				Kind:   d.Kind,
 				Name:   d.Name,
 				From:   d.Time,
-				Until:  until,
+				Until:  d.Time.Add(blackoutWindow),
 			})
 		}
 	}
 
 	// --- Family 2: time traveling ------------------------------------
-	freezePoints := p.sampleFreezePoints(ref)
+	freezePoints := sampleTimes(ref.CommitTimes(), maxFreezePoints)
 	resteerable := t.Topology.Resteerable
 	if p.DisableTimeTravel {
 		resteerable = nil
@@ -191,7 +164,7 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 	for _, comp := range resteerable {
 		for _, api := range t.Topology.APIServers {
 			for _, ft := range freezePoints {
-				for _, delay := range p.CrashDelays {
+				for _, delay := range crashDelays {
 					crashAt := ft.Add(delay)
 					if sim.Duration(crashAt) >= sim.Duration(t.Horizon) {
 						continue
@@ -226,65 +199,59 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 
 	// --- Family 4: gray failures --------------------------------------
 	var gray []Plan
-	if !p.DisableGrayFailure {
-		grayPoints := sampleTimes(freezePoints, p.GrayFreezePoints)
-		window := p.GrayWindow
-		if window <= 0 {
-			window = 2 * sim.Second
-		}
+	grayPoints := sampleTimes(freezePoints, grayFreezePoints)
 
-		// Compaction pressure at each mined moment: first pure (retain-limit
-		// squeeze alone), then stalling each apiserver across the compaction
-		// so its watch resumption is guaranteed to hit ErrCompacted.
-		victims := append([]sim.NodeID{""}, t.Topology.APIServers...)
-		for _, v := range victims {
-			for _, ft := range grayPoints {
-				gray = append(gray, CompactionPressurePlan{
-					At:   ft.Add(-sim.Millisecond),
-					Keep: p.CompactionKeep, Victim: v,
-				})
-			}
+	// Compaction pressure at each mined moment: first pure (retain-limit
+	// squeeze alone), then stalling each apiserver across the compaction
+	// so its watch resumption is guaranteed to hit ErrCompacted.
+	victims := append([]sim.NodeID{""}, t.Topology.APIServers...)
+	for _, v := range victims {
+		for _, ft := range grayPoints {
+			gray = append(gray, CompactionPressurePlan{
+				At:   ft.Add(-sim.Millisecond),
+				Keep: compactionKeep, Victim: v,
+			})
 		}
+	}
 
-		// Flaky windows on the links that actually carried watch deliveries
-		// in the reference run — the mined causal surface, not every pair.
-		type link struct{ a, b sim.NodeID }
-		linkSeen := map[link]bool{}
-		var links []link
-		for _, d := range ref.Deliveries {
-			if d.To == "admin" {
-				continue
-			}
-			l := link{d.From, d.To}
-			if !linkSeen[l] {
-				linkSeen[l] = true
-				links = append(links, l)
-			}
+	// Flaky windows on the links that actually carried watch deliveries
+	// in the reference run — the mined causal surface, not every pair.
+	type link struct{ a, b sim.NodeID }
+	linkSeen := map[link]bool{}
+	var links []link
+	for _, d := range ref.Deliveries {
+		if d.To == "admin" {
+			continue
 		}
-		for _, l := range links {
-			for _, ft := range grayPoints {
-				from := ft.Add(-sim.Millisecond)
-				gray = append(gray, FlakyLinkPlan{
-					A: l.a, B: l.b,
-					DropPercent:    p.FlakyDrop,
-					DupPercent:     p.FlakyDup,
-					ReorderPercent: p.FlakyReorder,
-					ReorderDelay:   20 * sim.Millisecond,
-					From:           from, Until: from.Add(window),
-				})
-			}
+		l := link{d.From, d.To}
+		if !linkSeen[l] {
+			linkSeen[l] = true
+			links = append(links, l)
 		}
+	}
+	for _, l := range links {
+		for _, ft := range grayPoints {
+			from := ft.Add(-sim.Millisecond)
+			gray = append(gray, FlakyLinkPlan{
+				A: l.a, B: l.b,
+				DropPercent:    flakyDrop,
+				DupPercent:     flakyDup,
+				ReorderPercent: flakyReorder,
+				ReorderDelay:   20 * sim.Millisecond,
+				From:           from, Until: from.Add(grayWindow),
+			})
+		}
+	}
 
-		// Fail-slow store feeds: stretch each apiserver's link to the store.
-		for _, api := range t.Topology.APIServers {
-			for _, ft := range grayPoints {
-				from := ft.Add(-sim.Millisecond)
-				gray = append(gray, SlowLinkPlan{
-					A: api, B: infra.StoreID,
-					Extra: p.SlowExtra, Jitter: p.SlowJitter,
-					From: from, Until: from.Add(window),
-				})
-			}
+	// Fail-slow store feeds: stretch each apiserver's link to the store.
+	for _, api := range t.Topology.APIServers {
+		for _, ft := range grayPoints {
+			from := ft.Add(-sim.Millisecond)
+			gray = append(gray, SlowLinkPlan{
+				A: api, B: infra.StoreID,
+				Extra: slowExtra, Jitter: slowJitter,
+				From: from, Until: from.Add(grayWindow),
+			})
 		}
 	}
 
@@ -302,80 +269,7 @@ func (p *Planner) Plans(t Target, ref *trace.Trace) []Plan {
 	plans = append(plans, travels...)
 	plans = append(plans, low...)
 	plans = append(plans, gray...)
-	plans = dedupePlans(plans)
-	if p.MaxPlans > 0 && len(plans) > p.MaxPlans {
-		plans = plans[:p.MaxPlans]
-	}
-	if p.Learn != nil {
-		plans = p.Learn(t, ref, plans)
-	}
-	return plans
-}
-
-// Validate reports configuration errors that would otherwise silently
-// mine empty or no-op plan families: a zero SlowExtra emits slow-link
-// plans that slow nothing, an all-zero flaky triple emits healthy "flaky"
-// links, a CompactionKeep below the store's floor is silently clamped,
-// and zero/negative sampling bounds disable sampling instead of bounding
-// it. Callers building a Planner by hand (ablations, CLI flag plumbing)
-// should Validate before mining; NewPlanner's defaults always pass.
-func (p *Planner) Validate() error {
-	if p.MaxPlans < 0 {
-		return fmt.Errorf("planner: MaxPlans = %d; must be >= 0 (0 = unlimited)", p.MaxPlans)
-	}
-	if p.BlackoutWindow < 0 {
-		return fmt.Errorf("planner: BlackoutWindow = %s; must be >= 0 (0 = until the end)", p.BlackoutWindow)
-	}
-	if !p.DisableTimeTravel || !p.DisableStaleness {
-		if p.MaxFreezePoints <= 0 {
-			return fmt.Errorf("planner: MaxFreezePoints = %d with time-travel/staleness enabled; a zero/negative bound disables freeze-point sampling and floods the campaign — set a positive bound or disable the families", p.MaxFreezePoints)
-		}
-	}
-	if !p.DisableTimeTravel {
-		if len(p.CrashDelays) == 0 {
-			return fmt.Errorf("planner: time travel enabled with no CrashDelays; the family would mine zero plans — add delays or set DisableTimeTravel")
-		}
-		for _, d := range p.CrashDelays {
-			if d <= 0 {
-				return fmt.Errorf("planner: CrashDelay %s is not positive; the crash would race the freeze instead of following it", d)
-			}
-		}
-	}
-	if !p.DisableGrayFailure {
-		if p.GrayFreezePoints <= 0 {
-			return fmt.Errorf("planner: GrayFreezePoints = %d with gray failures enabled; a zero/negative bound disables sampling (every freeze point seeds gray plans) — set a positive bound or DisableGrayFailure", p.GrayFreezePoints)
-		}
-		if p.GrayWindow <= 0 {
-			return fmt.Errorf("planner: GrayWindow = %s; a degraded-link window must be positive", p.GrayWindow)
-		}
-		if p.SlowExtra <= 0 {
-			return fmt.Errorf("planner: SlowExtra = %s; slow-link plans with no added latency are no-ops — set a positive inflation or DisableGrayFailure", p.SlowExtra)
-		}
-		if p.SlowJitter < 0 {
-			return fmt.Errorf("planner: SlowJitter = %s; must be >= 0", p.SlowJitter)
-		}
-		if p.CompactionKeep < 2 {
-			return fmt.Errorf("planner: CompactionKeep = %d; the store clamps retain limits below 2, so the plan would silently diverge from its ID — use >= 2", p.CompactionKeep)
-		}
-		for _, knob := range []struct {
-			name string
-			v    int
-		}{{"FlakyDrop", p.FlakyDrop}, {"FlakyDup", p.FlakyDup}, {"FlakyReorder", p.FlakyReorder}} {
-			if knob.v < 0 || knob.v > 100 {
-				return fmt.Errorf("planner: %s = %d; percentages must be in [0,100]", knob.name, knob.v)
-			}
-		}
-		if p.FlakyDrop == 0 && p.FlakyDup == 0 && p.FlakyReorder == 0 {
-			return fmt.Errorf("planner: flaky-link knobs are all zero; the family would mine healthy links labelled flaky — set at least one of FlakyDrop/FlakyDup/FlakyReorder or DisableGrayFailure")
-		}
-	}
-	return nil
-}
-
-// sampleFreezePoints returns up to MaxFreezePoints commit times,
-// stride-sampled but always retaining the first and last.
-func (p *Planner) sampleFreezePoints(ref *trace.Trace) []sim.Time {
-	return sampleTimes(ref.CommitTimes(), p.MaxFreezePoints)
+	return dedupePlans(plans)
 }
 
 // sampleTimes stride-samples times down to max entries, always retaining

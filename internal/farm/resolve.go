@@ -113,17 +113,12 @@ func ResolveStrategies(spec string, randomSeed int64, randomN int) ([]core.Strat
 	return out, nil
 }
 
-// ResolveStrategy resolves one strategy by name. Planner knob mistakes
-// fail loudly instead of silently planning nothing.
+// ResolveStrategy resolves one strategy by name.
 func ResolveStrategy(name string, randomSeed int64, randomN int) (core.Strategy, error) {
 	var s core.Strategy
 	switch name {
 	case "partial-history":
-		p := core.NewPlanner()
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("planner configuration: %v", err)
-		}
-		s = p
+		s = core.NewPlanner()
 	case "crashtuner":
 		s = baselines.CrashTuner{}
 	case "cofi":

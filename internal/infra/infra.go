@@ -66,16 +66,9 @@ type Options struct {
 	// process gets a sim.Location, and the network serves
 	// topology-derived link latencies.
 	Topology *TopologyOptions
-	// APIWindowSize overrides the apiserver watch window (0 = default).
-	APIWindowSize int
-	// APIBatchWatch enables batched watch delivery on all apiservers
-	// (one push per subscriber per committed store batch).
-	APIBatchWatch bool
 	// APIUnindexedServing pins all apiservers to the legacy
 	// scan-everything serving paths (byte-identity pinning and E12).
 	APIUnindexedServing bool
-	// StoreRetainLimit bounds the store's retained history (0 = unlimited).
-	StoreRetainLimit int
 	// OraclePeriod is how often invariants are evaluated.
 	OraclePeriod sim.Duration
 	// OraclePatience is the grace period for liveness oracles.
@@ -157,19 +150,11 @@ func New(opts Options) *Cluster {
 		Oracles:       oracle.NewRunner(),
 	}
 
-	st := store.New()
-	if opts.StoreRetainLimit > 0 {
-		st.SetRetainLimit(opts.StoreRetainLimit)
-	}
-	c.Store = store.NewServer(w, StoreID, st)
+	c.Store = store.NewServer(w, StoreID, store.New())
 
 	var apiIDs []sim.NodeID
 	for i := 0; i < opts.NumAPIServers; i++ {
 		cfg := apiserver.DefaultConfig(StoreID)
-		if opts.APIWindowSize > 0 {
-			cfg.WindowSize = opts.APIWindowSize
-		}
-		cfg.BatchWatch = opts.APIBatchWatch
 		cfg.UnindexedServing = opts.APIUnindexedServing
 		api := apiserver.New(w, APIServerID(i), cfg)
 		c.APIs = append(c.APIs, api)
@@ -264,9 +249,11 @@ func (c *Cluster) installOracles() {
 	c.Oracles.InstallPeriodic(c.World, c.Opts.OraclePeriod)
 }
 
-// addOracles registers the oracle set for this cluster's options, in a
-// deterministic order (the restore path relies on re-registering the same
-// oracles in the same order to transplant their state positionally).
+// addOracles registers the oracle set for this cluster's options. The
+// order is the order violations found on the same tick are reported in.
+// Oracles that wait keep their clocks in the runner's first-seen table, so
+// the restore path registers the same set on a fresh runner and
+// Runner.RestoreFrom alone makes it the captured one.
 func (c *Cluster) addOracles() {
 	st := c.Store.Store()
 	var hosts []*kubelet.Host
@@ -277,13 +264,13 @@ func (c *Cluster) addOracles() {
 		c.Oracles.Add(oracle.UniquePod(hosts))
 	}
 	if c.Opts.EnableScheduler {
-		c.Oracles.Add(oracle.SchedulerProgress(st, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.SchedulerProgress(c.Oracles, st, c.Opts.OraclePatience))
 	}
 	if c.Opts.EnableVolumeController || c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.NoOrphanPVC(st, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.NoOrphanPVC(c.Oracles, st, c.Opts.OraclePatience))
 	}
 	if c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.ScaleDownCompletes(st, c.Opts.Cassandra.Name, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.ScaleDownCompletes(c.Oracles, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience))
 		oracle.InstallNoLivePVCDeletion(st, c.Oracles)
 	}
 	if c.Opts.Regions != nil {

@@ -8,7 +8,9 @@
 // Sharing rules (see DESIGN.md, "Prefix checkpointing"): committed history
 // events, apiserver watch windows, informer observation logs, and cached
 // object pointers are shared copy-on-write; every mutable map (store KVs,
-// caches, leases, queue sets, counters) is deep-copied at capture.
+// caches, leases, queue sets, counters, the oracle runner's first-seen
+// table) is deep-copied at capture. Oracles themselves are not captured:
+// they keep no state of their own between ticks (DESIGN.md §5).
 package infra
 
 import (
@@ -212,12 +214,10 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 		}
 	}
 	c.Admin = restoreAdmin(c, s.AdminConn, s.AdminUIDs)
-	// Oracles: re-register the same set in the same order, then transplant
-	// their recorded violations and private state.
+	// Oracles: the same set on a fresh runner, then the captured runner's
+	// violations and first-seen table — all the state oracles have.
 	c.addOracles()
-	if err := c.Oracles.RestoreFrom(s.Oracles); err != nil {
-		return nil, err
-	}
+	c.Oracles.RestoreFrom(s.Oracles)
 	c.Oracles.BindPeriodic(w, c.Opts.OraclePeriod)
 	// Down flags last: Network.Register (called by every component restore
 	// above) clears them.

@@ -3,6 +3,7 @@ package oracle
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -113,49 +114,30 @@ func UniquePod(hosts []*kubelet.Host) Oracle {
 
 // SchedulerProgress checks the Kubernetes-56261 liveness guarantee: a pod
 // must not stay unscheduled longer than patience while a ready node with
-// free capacity exists in ground truth. The returned oracle is Stateful
-// (its pending-since tracker survives prefix-checkpoint forks).
-func SchedulerProgress(st *store.Store, patience sim.Duration) Oracle {
+// free capacity exists in ground truth. Since when each pod has been
+// pending is kept in r's first-seen table.
+func SchedulerProgress(r *Runner, st *store.Store, patience sim.Duration) Oracle {
 	return &schedulerProgress{
-		patience:     patience,
-		pendingSince: map[string]sim.Time{},
-		pods:         objLister(st, cluster.KindPod),
-		nodes:        objLister(st, cluster.KindNode),
+		patience: patience,
+		pending:  r.Since(NameSchedulerProgress),
+		pods:     objLister(st, cluster.KindPod),
+		nodes:    objLister(st, cluster.KindNode),
 	}
 }
 
 type schedulerProgress struct {
-	patience     sim.Duration
-	pendingSince map[string]sim.Time
-	pods, nodes  func() []*cluster.Object
-	used         map[string]int  // reused per tick
-	seen         map[string]bool // reused per tick
+	patience    sim.Duration
+	pending     Since
+	pods, nodes func() []*cluster.Object
+	used        map[string]int  // reused per tick
+	seen        map[string]bool // reused per tick
 }
 
 // Name implements Oracle.
 func (o *schedulerProgress) Name() string { return NameSchedulerProgress }
 
-// SnapshotState implements Stateful: a copy of the pending-since tracker.
-func (o *schedulerProgress) SnapshotState() any {
-	out := make(map[string]sim.Time, len(o.pendingSince))
-	for k, v := range o.pendingSince {
-		out[k] = v
-	}
-	return out
-}
-
-// RestoreState implements Stateful.
-func (o *schedulerProgress) RestoreState(s any) {
-	src := s.(map[string]sim.Time)
-	o.pendingSince = make(map[string]sim.Time, len(src))
-	for k, v := range src {
-		o.pendingSince[k] = v
-	}
-}
-
 // Check implements Oracle.
 func (o *schedulerProgress) Check(now sim.Time) *Violation {
-	pendingSince := o.pendingSince
 	pods := o.pods()
 	nodes := o.nodes()
 	if o.used == nil {
@@ -182,35 +164,27 @@ func (o *schedulerProgress) Check(now sim.Time) *Violation {
 			continue
 		}
 		seen[p.Meta.Name] = true
-		first, ok := pendingSince[p.Meta.Name]
-		if !ok {
-			pendingSince[p.Meta.Name] = now
-			continue
-		}
-		if freeNode && now.Sub(first) > o.patience {
+		if held := o.pending.Mark(p.Meta.Name, now); freeNode && held > o.patience {
 			return &Violation{
 				Oracle:    NameSchedulerProgress,
 				Time:      now,
-				Detail:    fmt.Sprintf("pod %q unscheduled for %s despite free ready nodes", p.Meta.Name, now.Sub(first)),
+				Detail:    fmt.Sprintf("pod %q unscheduled for %s despite free ready nodes", p.Meta.Name, held),
 				Kind:      string(cluster.KindPod),
 				Object:    p.Meta.Name,
 				Component: "scheduler",
 			}
 		}
 	}
-	for name := range pendingSince {
-		if !seen[name] {
-			delete(pendingSince, name)
-		}
-	}
+	o.pending.Forget(seen)
 	return nil
 }
 
 // NoOrphanPVC checks the volume-release guarantee ([17], op-398): a Bound
 // PVC whose owner pod has been gone from ground truth for longer than grace
-// is an orphan (storage leak).
-func NoOrphanPVC(st *store.Store, grace sim.Duration) Oracle {
-	orphanSince := map[string]sim.Time{}
+// is an orphan (storage leak). Since when each PVC has been ownerless is
+// kept in r's first-seen table.
+func NoOrphanPVC(r *Runner, st *store.Store, grace sim.Duration) Oracle {
+	orphan := r.Since(NameNoOrphanPVC)
 	listPods := objLister(st, cluster.KindPod)
 	listPVCs := objLister(st, cluster.KindPVC)
 	pods := map[string]bool{} // reused per tick
@@ -231,26 +205,17 @@ func NoOrphanPVC(st *store.Store, grace sim.Duration) Oracle {
 					continue
 				}
 				seen[pvc.Meta.Name] = true
-				first, ok := orphanSince[pvc.Meta.Name]
-				if !ok {
-					orphanSince[pvc.Meta.Name] = now
-					continue
-				}
-				if now.Sub(first) > grace {
+				if held := orphan.Mark(pvc.Meta.Name, now); held > grace {
 					return &Violation{
 						Oracle: NameNoOrphanPVC,
 						Time:   now,
-						Detail: fmt.Sprintf("PVC %q still Bound %s after owner pod %q vanished", pvc.Meta.Name, now.Sub(first), pvc.PVC.OwnerPod),
+						Detail: fmt.Sprintf("PVC %q still Bound %s after owner pod %q vanished", pvc.Meta.Name, held, pvc.PVC.OwnerPod),
 						Kind:   string(cluster.KindPVC),
 						Object: pvc.Meta.Name,
 					}
 				}
 			}
-			for name := range orphanSince {
-				if !seen[name] {
-					delete(orphanSince, name)
-				}
-			}
+			orphan.Forget(seen)
 			return nil
 		},
 	}
@@ -296,16 +261,19 @@ func InstallNoLivePVCDeletion(st *store.Store, r *Runner) {
 
 // ScaleDownCompletes checks the op-400 liveness guarantee: within patience
 // of the last CR spec change, the member pod set must equal exactly
-// {<name>-0 .. <name>-(R-1)} and no decommission may be in flight.
-func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) Oracle {
-	var lastSpecChange sim.Time
-	var lastReplicas = -1
+// {<name>-0 .. <name>-(R-1)} and no decommission may be in flight. The
+// clock is r's first-seen table with the observed Replicas value as the
+// subject: a spec change is a value seen for the first time.
+func ScaleDownCompletes(r *Runner, st *store.Store, crName string, patience sim.Duration) Oracle {
+	spec := r.Since(NameScaleDownCompletes)
 	crKey := cluster.Key(cluster.KindCassandra, crName)
 	listPods := objLister(st, cluster.KindPod)
-	// want is a cache of {<name>-0 .. <name>-(wantFor-1)}, and got is
-	// cleared, not reallocated: past patience this runs on every tick and
-	// the no-violation case must stay allocation-free.
-	want, wantFor := map[string]bool{}, 0
+	// A memo of what follows from the observed Replicas value alone — the
+	// subject, the one-subject set Forget takes, and want = {<name>-0 ..
+	// <name>-(R-1)} — and got is cleared, not reallocated: this runs on
+	// every tick and the no-violation case must stay allocation-free.
+	memoFor, subject := -1, ""
+	only, want := map[string]bool{}, map[string]bool{}
 	got := map[string]bool{}
 	return Func{
 		OracleName: NameScaleDownCompletes,
@@ -314,20 +282,19 @@ func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) O
 			if !ok || cr.Cassandra == nil {
 				return nil
 			}
-			if cr.Cassandra.Replicas != lastReplicas {
-				lastReplicas = cr.Cassandra.Replicas
-				lastSpecChange = now
-				return nil
-			}
-			if now.Sub(lastSpecChange) < patience {
-				return nil
-			}
-			if wantFor != cr.Cassandra.Replicas {
+			if memoFor != cr.Cassandra.Replicas {
+				memoFor, subject = cr.Cassandra.Replicas, strconv.Itoa(cr.Cassandra.Replicas)
+				clear(only)
+				only[subject] = true
 				clear(want)
 				for i := 0; i < cr.Cassandra.Replicas; i++ {
 					want[fmt.Sprintf("%s-%d", crName, i)] = true
 				}
-				wantFor = cr.Cassandra.Replicas
+			}
+			sinceChange := spec.Mark(subject, now)
+			spec.Forget(only)
+			if sinceChange < patience {
+				return nil
 			}
 			clear(got)
 			for _, p := range listPods() {
@@ -339,7 +306,7 @@ func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) O
 				return &Violation{
 					Oracle: NameScaleDownCompletes,
 					Time:   now,
-					Detail: fmt.Sprintf("decommission of %q still in flight %s after spec change", cr.Cassandra.Decommissioning, now.Sub(lastSpecChange)),
+					Detail: fmt.Sprintf("decommission of %q still in flight %s after spec change", cr.Cassandra.Decommissioning, sinceChange),
 					Kind:   string(cluster.KindCassandra),
 					Object: crName,
 				}
@@ -348,7 +315,7 @@ func ScaleDownCompletes(st *store.Store, crName string, patience sim.Duration) O
 				return &Violation{
 					Oracle: NameScaleDownCompletes,
 					Time:   now,
-					Detail: fmt.Sprintf("members %v != desired %v %s after spec change", keysOf(got), keysOf(want), now.Sub(lastSpecChange)),
+					Detail: fmt.Sprintf("members %v != desired %v %s after spec change", keysOf(got), keysOf(want), sinceChange),
 					Kind:   string(cluster.KindCassandra),
 					Object: crName,
 				}

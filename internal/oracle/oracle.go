@@ -7,6 +7,7 @@ package oracle
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"repro/internal/sim"
@@ -51,22 +52,15 @@ func (f Func) Name() string { return f.OracleName }
 // Check implements Oracle.
 func (f Func) Check(now sim.Time) *Violation { return f.CheckFunc(now) }
 
-// Stateful is implemented by oracles that accumulate state across Check
-// calls (e.g. since-when trackers). The prefix-checkpoint layer uses it to
-// transplant that state into a forked run; SnapshotState must return a
-// value that is safe to hold across the original run's continued execution
-// (i.e. a copy).
-type Stateful interface {
-	SnapshotState() any
-	RestoreState(any)
-}
-
 // Runner evaluates a set of oracles periodically and collects the first
 // violation of each.
 type Runner struct {
 	oracles []Oracle
 	first   map[string]Violation
 	order   []string
+	// since is the first-seen table, (oracle, subject) → first seen: the
+	// one place an oracle keeps a clock from one tick to the next.
+	since map[string]Since
 
 	// Periodic-tick binding (set by InstallPeriodic / BindPeriodic).
 	w     *sim.World
@@ -78,7 +72,50 @@ type Runner struct {
 
 // NewRunner creates an empty runner.
 func NewRunner() *Runner {
-	return &Runner{first: make(map[string]Violation)}
+	return &Runner{first: make(map[string]Violation), since: make(map[string]Since)}
+}
+
+// Since is one oracle's rows of its runner's first-seen table: for every
+// subject the oracle is currently waiting on, the tick at which the wait
+// began. Anything an oracle needs at tick n+1 that depends on tick n and
+// cannot be recomputed from ground truth lives here and nowhere else, so
+// Runner.Snapshot and RestoreFrom carry it without the oracle's help.
+type Since map[string]sim.Time
+
+// Since returns the named oracle's rows of the first-seen table.
+func (r *Runner) Since(oracle string) Since {
+	s := r.since[oracle]
+	if s == nil {
+		s = Since{}
+		r.since[oracle] = s
+	}
+	return s
+}
+
+// Mark records that subject is seen at now and returns how long it has
+// been seen without interruption: zero on first sight.
+func (s Since) Mark(subject string, now sim.Time) sim.Duration {
+	first, ok := s[subject]
+	if !ok {
+		s[subject] = now
+		return 0
+	}
+	return now.Sub(first)
+}
+
+// Forget drops every subject that is not in seen, so a subject that comes
+// back starts over. seen must hold exactly the subjects marked this tick:
+// it is then a subset of the rows, and equal sizes mean nothing to drop —
+// the steady tick, which must stay free.
+func (s Since) Forget(seen map[string]bool) {
+	if len(s) == len(seen) {
+		return
+	}
+	for subject := range s {
+		if !seen[subject] {
+			delete(s, subject)
+		}
+	}
 }
 
 // Add registers an oracle.
@@ -146,56 +183,41 @@ func (r *Runner) Rearm(tag sim.EventTag) (func(), error) {
 	}
 }
 
-// RunnerSnapshot captures the runner's recorded violations and the private
-// state of every Stateful oracle (positionally, in registration order).
+// RunnerSnapshot captures the runner's recorded violations and its
+// first-seen table: everything a runner carries from one tick to the next.
 type RunnerSnapshot struct {
-	First  map[string]Violation
-	Order  []string
-	States []any // one entry per registered oracle; nil when stateless
+	First map[string]Violation
+	Order []string
+	Since map[string]Since
 }
 
-// Snapshot captures the runner. The caller restores it onto a runner whose
-// oracles were re-registered in the same order (RestoreFrom).
+// Snapshot captures the runner.
 func (r *Runner) Snapshot() *RunnerSnapshot {
 	s := &RunnerSnapshot{
-		First:  make(map[string]Violation, len(r.first)),
-		Order:  append([]string(nil), r.order...),
-		States: make([]any, len(r.oracles)),
+		First: maps.Clone(r.first),
+		Order: append([]string(nil), r.order...),
+		Since: make(map[string]Since, len(r.since)),
 	}
-	for k, v := range r.first {
-		s.First[k] = v
-	}
-	for i, o := range r.oracles {
-		if st, ok := o.(Stateful); ok {
-			s.States[i] = st.SnapshotState()
-		}
+	for oracle, rows := range r.since {
+		s.Since[oracle] = maps.Clone(rows)
 	}
 	return s
 }
 
-// RestoreFrom transplants a snapshot into this runner. The runner's oracle
-// set must have been rebuilt (bound to the restored world's components) in
-// the same registration order as at capture.
-func (r *Runner) RestoreFrom(snap *RunnerSnapshot) error {
-	if len(snap.States) != len(r.oracles) {
-		return fmt.Errorf("oracle: restore with %d oracles, snapshot has %d", len(r.oracles), len(snap.States))
-	}
-	r.first = make(map[string]Violation, len(snap.First))
-	for k, v := range snap.First {
-		r.first[k] = v
-	}
+// RestoreFrom replaces this runner's violations and first-seen table with
+// the snapshot's. Oracles hold no clock of their own, so the same set
+// registered on this runner (bound to the restored world's components)
+// continues exactly where the captured one stood.
+func (r *Runner) RestoreFrom(snap *RunnerSnapshot) {
+	r.first = maps.Clone(snap.First)
 	r.order = append([]string(nil), snap.Order...)
-	for i, o := range r.oracles {
-		if snap.States[i] == nil {
-			continue
-		}
-		st, ok := o.(Stateful)
-		if !ok {
-			return fmt.Errorf("oracle: snapshot state for non-stateful oracle %s", o.Name())
-		}
-		st.RestoreState(snap.States[i])
+	// In place: the registered oracles hold these row sets.
+	for _, rows := range r.since {
+		clear(rows)
 	}
-	return nil
+	for oracle, rows := range snap.Since {
+		maps.Copy(r.Since(oracle), rows)
+	}
 }
 
 // Violations returns all recorded violations in detection order.

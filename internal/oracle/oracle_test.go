@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -87,12 +88,15 @@ func TestSchedulerProgressOracle(t *testing.T) {
 	st.Put(cluster.Key(cluster.KindNode, "n1"), cluster.MustEncode(node))
 	st.Put(cluster.Key(cluster.KindPod, "p1"), podBytes(t, "p1", "", false))
 
-	o := SchedulerProgress(st, sim.Duration(100))
+	o := SchedulerProgress(NewRunner(), st, sim.Duration(100))
 	if v := o.Check(10); v != nil {
 		t.Fatalf("violated on first sight: %v", v)
 	}
 	if v := o.Check(50); v != nil {
 		t.Fatalf("violated within patience: %v", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { o.Check(50) }); n != 0 {
+		t.Fatalf("no-violation tick allocates %v times", n)
 	}
 	v := o.Check(200)
 	if v == nil {
@@ -106,7 +110,7 @@ func TestSchedulerProgressOracle(t *testing.T) {
 	st2 := store.New()
 	st2.Put(cluster.Key(cluster.KindNode, "n1"), cluster.MustEncode(node))
 	st2.Put(cluster.Key(cluster.KindPod, "p1"), podBytes(t, "p1", "", false))
-	o2 := SchedulerProgress(st2, sim.Duration(100))
+	o2 := SchedulerProgress(NewRunner(), st2, sim.Duration(100))
 	o2.Check(10)
 	st2.Put(cluster.Key(cluster.KindPod, "p1"), podBytes(t, "p1", "n1", false))
 	if v := o2.Check(500); v != nil {
@@ -117,7 +121,7 @@ func TestSchedulerProgressOracle(t *testing.T) {
 func TestSchedulerProgressNoFreeNodesNoViolation(t *testing.T) {
 	st := store.New()
 	st.Put(cluster.Key(cluster.KindPod, "p1"), podBytes(t, "p1", "", false))
-	o := SchedulerProgress(st, sim.Duration(100))
+	o := SchedulerProgress(NewRunner(), st, sim.Duration(100))
 	o.Check(10)
 	if v := o.Check(500); v != nil {
 		t.Fatalf("violation with zero ready nodes: %v", v)
@@ -128,10 +132,13 @@ func TestNoOrphanPVCOracle(t *testing.T) {
 	st := store.New()
 	pvc := cluster.NewPVC("vol", "u-vol", cluster.PVCSpec{OwnerPod: "ghost", Phase: cluster.PVCBound})
 	st.Put(cluster.Key(cluster.KindPVC, "vol"), cluster.MustEncode(pvc))
-	o := NoOrphanPVC(st, sim.Duration(100))
+	o := NoOrphanPVC(NewRunner(), st, sim.Duration(100))
 	o.Check(10)
 	if v := o.Check(50); v != nil {
 		t.Fatalf("violated within grace: %v", v)
+	}
+	if n := testing.AllocsPerRun(100, func() { o.Check(50) }); n != 0 {
+		t.Fatalf("no-violation tick allocates %v times", n)
 	}
 	if v := o.Check(200); v == nil {
 		t.Fatal("orphan not reported after grace")
@@ -141,7 +148,7 @@ func TestNoOrphanPVCOracle(t *testing.T) {
 	st2 := store.New()
 	released := cluster.NewPVC("vol", "u", cluster.PVCSpec{OwnerPod: "ghost", Phase: cluster.PVCReleased})
 	st2.Put(cluster.Key(cluster.KindPVC, "vol"), cluster.MustEncode(released))
-	o2 := NoOrphanPVC(st2, sim.Duration(100))
+	o2 := NoOrphanPVC(NewRunner(), st2, sim.Duration(100))
 	o2.Check(10)
 	if v := o2.Check(500); v != nil {
 		t.Fatalf("released PVC reported: %v", v)
@@ -189,7 +196,7 @@ func TestScaleDownCompletesOracle(t *testing.T) {
 	}
 	mkMember("cass-0")
 	mkMember("cass-1")
-	o := ScaleDownCompletes(st, "cass", sim.Duration(100))
+	o := ScaleDownCompletes(NewRunner(), st, "cass", sim.Duration(100))
 	o.Check(10)  // records spec
 	o.Check(150) // after patience: members match desired
 	if v := o.Check(151); v != nil {
@@ -221,6 +228,65 @@ func TestScaleDownCompletesOracle(t *testing.T) {
 	st.Put(cluster.Key(cluster.KindCassandra, "cass"), cluster.MustEncode(cr))
 	if v := o.Check(301); v == nil || !strings.HasPrefix(v.Detail, `decommission of "cass-2" still in flight `) {
 		t.Fatalf("in-flight decommission not reported: %+v", v)
+	}
+}
+
+// TestRunnerSnapshotCarriesPatienceClocks is the fork substrate's contract
+// with the oracles: the same oracle set registered on a fresh runner, plus
+// RestoreFrom, is the captured runner — a wait that began before the
+// snapshot runs out at the same tick with the same words.
+func TestRunnerSnapshotCarriesPatienceClocks(t *testing.T) {
+	const patience = sim.Duration(100)
+	put := func(st *store.Store, o *cluster.Object) {
+		st.Put(cluster.Key(o.Meta.Kind, o.Meta.Name), cluster.MustEncode(o))
+	}
+	cases := []struct {
+		name string
+		seed func(st *store.Store) // ground truth in which one subject waits forever
+		add  func(r *Runner, st *store.Store)
+	}{
+		{NameSchedulerProgress, func(st *store.Store) {
+			put(st, cluster.NewNode("n1", "u-n1", cluster.NodeSpec{Ready: true, Capacity: 4}))
+			put(st, cluster.NewPod("p1", "u-p1", cluster.PodSpec{}))
+		}, func(r *Runner, st *store.Store) { r.Add(SchedulerProgress(r, st, patience)) }},
+		{NameNoOrphanPVC, func(st *store.Store) {
+			put(st, cluster.NewPVC("vol", "u-vol", cluster.PVCSpec{OwnerPod: "ghost", Phase: cluster.PVCBound}))
+		}, func(r *Runner, st *store.Store) { r.Add(NoOrphanPVC(r, st, patience)) }},
+		{NameScaleDownCompletes, func(st *store.Store) {
+			put(st, cluster.NewCassandra("cass", "u", cluster.CassandraSpec{Replicas: 1, Decommissioning: "cass-1"}))
+		}, func(r *Runner, st *store.Store) { r.Add(ScaleDownCompletes(r, st, "cass", patience)) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := store.New()
+			tc.seed(st)
+			orig := NewRunner()
+			tc.add(orig, st)
+			for now := sim.Time(10); now <= 60; now += 10 {
+				orig.CheckNow(now)
+			}
+			if vs := orig.Violations(); len(vs) != 0 {
+				t.Fatalf("violated mid-patience: %v", vs)
+			}
+			snap := orig.Snapshot()
+			// The captured runner runs on first: the snapshot is a copy.
+			for now := sim.Time(70); now <= 300; now += 10 {
+				orig.CheckNow(now)
+			}
+			want := orig.Violations()
+			if len(want) != 1 || want[0].Oracle != tc.name || want[0].Time > 10+sim.Time(patience)+10 {
+				t.Fatalf("captured runner: violations = %v, want one %s by %d", want, tc.name, 10+patience+10)
+			}
+			fork := NewRunner()
+			tc.add(fork, st)
+			fork.RestoreFrom(snap)
+			for now := sim.Time(70); now <= 300; now += 10 {
+				fork.CheckNow(now)
+			}
+			if got := fork.Violations(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("restored runner diverged:\n got  %+v\n want %+v", got, want)
+			}
+		})
 	}
 }
 
