@@ -18,6 +18,7 @@ import (
 	"repro/internal/explain"
 	"repro/internal/history"
 	"repro/internal/learn"
+	"repro/internal/oracle"
 	"repro/internal/raftlite"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -350,6 +351,67 @@ func BenchmarkMicro_ObjectCodec(b *testing.B) {
 				if err != nil || len(got) != len(data) {
 					b.Fatalf("encode = %q, %v", got, err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkMicro_OracleTick is one 10 ms tick of the oracle runner over the
+// three store-reading oracles of an operator world — SchedulerProgress,
+// NoOrphanPVC, ScaleDownCompletes, registered with the dependencies
+// infra.addOracles declares — on a settled 3-node, 3-member cluster: with
+// nothing committed since the previous tick (the case ~19 ticks in 20 are),
+// after a node heartbeat (the case ~9 commits in 10 are), and after a pod
+// commit. The last two time the commit together with the tick — stopping
+// the timer around it costs a stop-the-world per iteration and leaves the
+// tick a cold cache — so commit-alone is the figure to subtract.
+func BenchmarkMicro_OracleTick(b *testing.B) {
+	st := store.New()
+	put := func(o *cluster.Object) { st.Put(cluster.Key(o.Meta.Kind, o.Meta.Name), cluster.MustEncode(o)) }
+	var node, pod *cluster.Object
+	for i := 0; i < 3; i++ {
+		node = cluster.NewNode(fmt.Sprintf("k%d", i+1), fmt.Sprintf("uid-n%d", i), cluster.NodeSpec{Ready: true, Capacity: 16})
+		node.Meta.Labels = map[string]string{"heartbeat": "1234000000"}
+		put(node)
+		member := fmt.Sprintf("cass-%d", i)
+		pod = cluster.NewPod(member, "uid-p"+member, cluster.PodSpec{NodeName: node.Meta.Name, Phase: cluster.PodRunning, App: "cass"})
+		put(pod)
+		put(cluster.NewPVC(member+"-data", "uid-v"+member, cluster.PVCSpec{OwnerPod: member, Phase: cluster.PVCBound}))
+	}
+	put(cluster.NewCassandra("cass", "uid-cr", cluster.CassandraSpec{Replicas: 3, ReadyMembers: []string{"cass-0", "cass-1", "cass-2"}}))
+	kind := func(k cluster.Kind) *sim.Generation { return st.Track(cluster.KindPrefix(k)).Generation() }
+	pods, nodes, pvcs := kind(cluster.KindPod), kind(cluster.KindNode), kind(cluster.KindPVC)
+	const patience = 2 * sim.Second
+	r := oracle.NewRunner()
+	r.Add(oracle.SchedulerProgress(r, st, patience), pods, nodes)
+	r.Add(oracle.NoOrphanPVC(r, st, patience), pods, pvcs)
+	r.Add(oracle.ScaleDownCompletes(r, st, "cass", patience), kind(cluster.KindCassandra), pods)
+	now := sim.Time(0)
+	tick := func() { now = now.Add(10 * sim.Millisecond); r.CheckNow(now) }
+	for now < sim.Time(2*patience) { // past every wait
+		tick()
+	}
+	nothing := func() {}
+	for _, tc := range []struct {
+		name         string
+		commit, tick func()
+	}{
+		{"idle", nothing, tick},
+		{"heartbeat", func() { put(node) }, tick},
+		{"pod-commit", func() { put(pod) }, tick},
+		{"commit-alone", func() { put(node) }, nothing},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 0 {
+					st.CompactTo(st.Revision()) // the commits' history, not the benchmark's subject
+				}
+				tc.commit()
+				tc.tick()
+			}
+			if vs := r.Violations(); len(vs) != 0 {
+				b.Fatalf("settled cluster violated: %v", vs)
 			}
 		})
 	}

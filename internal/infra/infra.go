@@ -249,36 +249,46 @@ func (c *Cluster) installOracles() {
 	c.Oracles.InstallPeriodic(c.World, c.Opts.OraclePeriod)
 }
 
-// addOracles registers the oracle set for this cluster's options. The
-// order is the order violations found on the same tick are reported in.
-// Oracles that wait keep their clocks in the runner's first-seen table, so
-// the restore path registers the same set on a fresh runner and
-// Runner.RestoreFrom alone makes it the captured one.
+// addOracles registers the oracle set for this cluster's options, each
+// oracle with the ground truth it reads: the runner evaluates it only on a
+// tick by which one of those generations has moved or one of its waits has
+// run out (DESIGN.md §5, "Oracle dependency rule"). The order is the order
+// violations found on the same tick are reported in. Oracles that wait keep
+// their clocks in the runner's first-seen table, so the restore path
+// registers the same set on a fresh runner and Runner.RestoreFrom alone
+// makes it the captured one.
 func (c *Cluster) addOracles() {
 	st := c.Store.Store()
+	kind := func(k cluster.Kind) *sim.Generation { return st.Track(cluster.KindPrefix(k)).Generation() }
+	pods, nodes, pvcs := kind(cluster.KindPod), kind(cluster.KindNode), kind(cluster.KindPVC)
 	var hosts []*kubelet.Host
+	var containers []*sim.Generation
 	for _, node := range c.Opts.Nodes {
 		hosts = append(hosts, c.Hosts[node])
+		containers = append(containers, c.Hosts[node].Generation())
 	}
 	if len(hosts) > 0 {
-		c.Oracles.Add(oracle.UniquePod(hosts))
+		c.Oracles.Add(oracle.UniquePod(hosts), containers...)
 	}
 	if c.Opts.EnableScheduler {
-		c.Oracles.Add(oracle.SchedulerProgress(c.Oracles, st, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.SchedulerProgress(c.Oracles, st, c.Opts.OraclePatience), pods, nodes)
 	}
 	if c.Opts.EnableVolumeController || c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.NoOrphanPVC(c.Oracles, st, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.NoOrphanPVC(c.Oracles, st, c.Opts.OraclePatience), pods, pvcs)
 	}
 	if c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.ScaleDownCompletes(c.Oracles, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience))
+		c.Oracles.Add(oracle.ScaleDownCompletes(c.Oracles, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience),
+			kind(cluster.KindCassandra), pods)
 		oracle.InstallNoLivePVCDeletion(st, c.Oracles)
 	}
 	if c.Opts.Regions != nil {
 		var servers []*regions.RegionServer
+		var owned []*sim.Generation
 		for _, name := range c.Opts.Regions.Servers {
 			servers = append(servers, c.RegionServers[name])
+			owned = append(owned, c.RegionServers[name].Generation())
 		}
-		c.Oracles.Add(oracle.CASAtomicity(servers))
+		c.Oracles.Add(oracle.CASAtomicity(servers), owned...)
 	}
 }
 

@@ -33,8 +33,11 @@ type Host struct {
 	Name    string
 	running map[string]Container
 	// names caches the sorted container-name list (the oracle layer reads
-	// it every tick); nil means stale.
+	// it whenever the set changed); nil means stale.
 	names []string
+	// gen counts the changes to running. changed is the only place it moves
+	// and every write to running goes through there.
+	gen sim.Generation
 }
 
 // NewHost creates an empty host.
@@ -64,20 +67,29 @@ func (h *Host) RunningNames() []string {
 	return h.names
 }
 
+// Generation returns the change counter of the host's container set: the
+// UniquePod oracle's declared dependency on this host.
+func (h *Host) Generation() *sim.Generation { return &h.gen }
+
 func (h *Host) setContainer(name string, c Container) {
 	h.running[name] = c
-	h.names = nil
+	h.changed()
 }
 
 func (h *Host) removeContainer(name string) {
 	delete(h.running, name)
-	h.names = nil
+	h.changed()
 }
 
 // Reset kills all containers (whole-node failure).
 func (h *Host) Reset() {
 	h.running = make(map[string]Container)
+	h.changed()
+}
+
+func (h *Host) changed() {
 	h.names = nil
+	h.gen.Bump()
 }
 
 // Config tunes a kubelet.

@@ -72,7 +72,7 @@ func (k *Kubelet) Snapshot() (*Snapshot, bool) {
 func Restore(w *sim.World, snap *Snapshot) *Kubelet {
 	host := NewHost(snap.Cfg.NodeName)
 	for name, c := range snap.Running {
-		host.running[name] = c
+		host.setContainer(name, c)
 	}
 	k := &Kubelet{
 		id:               NodeID(snap.Cfg.NodeName),

@@ -24,27 +24,13 @@ const (
 	NameCASAtomicity       = "CASAtomicity"
 )
 
-// objLister returns a lister of all objects of a kind from ground truth
-// (the store) that reuses its typed result slice while the store revision
-// is unchanged. Decodes are memoized in the store per (key, revision) —
-// oracles run every tick and most objects are unchanged between ticks — so
-// the returned objects are shared and must never be mutated.
-func objLister(st *store.Store, kind cluster.Kind) func() []*cluster.Object {
-	prefix := cluster.KindPrefix(kind)
-	lastRev := int64(-1)
-	var objs []*cluster.Object
-	return func() []*cluster.Object {
-		if st.Revision() == lastRev {
-			return objs
-		}
-		vals := st.DecodedRange(prefix, decodeObject)
-		objs = make([]*cluster.Object, 0, len(vals))
-		for _, v := range vals {
-			objs = append(objs, v.(*cluster.Object))
-		}
-		lastRev = st.Revision()
-		return objs
-	}
+// listOf returns the handle on all objects of a kind in ground truth (the
+// store). Its listing, Decoded(decodeObject), holds *cluster.Object values
+// in name order and is rebuilt by the store only after a commit to the
+// kind; listing and objects are shared by every reader and must never be
+// mutated.
+func listOf(st *store.Store, kind cluster.Kind) *store.Prefix {
+	return st.Track(cluster.KindPrefix(kind))
 }
 
 func decodeObject(value []byte, rev int64) (any, error) {
@@ -63,8 +49,8 @@ func decodeOne(st *store.Store, key string) (*cluster.Object, bool) {
 // UniquePod checks the Kubernetes-59848 safety guarantee: at most one host
 // runs a container for any pod name at any time.
 func UniquePod(hosts []*kubelet.Host) Oracle {
-	// seen is reused across ticks (cleared, not reallocated): the oracle
-	// runs every tick and the no-violation case must stay allocation-free.
+	// seen is reused across evaluations (cleared, not reallocated): the
+	// no-violation case stays allocation-free.
 	seen := map[string]bool{}
 	return Func{
 		OracleName: NameUniquePod,
@@ -119,18 +105,20 @@ func UniquePod(hosts []*kubelet.Host) Oracle {
 func SchedulerProgress(r *Runner, st *store.Store, patience sim.Duration) Oracle {
 	return &schedulerProgress{
 		patience: patience,
-		pending:  r.Since(NameSchedulerProgress),
-		pods:     objLister(st, cluster.KindPod),
-		nodes:    objLister(st, cluster.KindNode),
+		pending:  r.Since(NameSchedulerProgress, patience),
+		pods:     listOf(st, cluster.KindPod),
+		nodes:    listOf(st, cluster.KindNode),
+		used:     map[string]int{},
+		seen:     map[string]bool{},
 	}
 }
 
 type schedulerProgress struct {
 	patience    sim.Duration
-	pending     Since
-	pods, nodes func() []*cluster.Object
-	used        map[string]int  // reused per tick
-	seen        map[string]bool // reused per tick
+	pending     *Since
+	pods, nodes *store.Prefix
+	used        map[string]int  // reused per evaluation
+	seen        map[string]bool // reused per evaluation
 }
 
 // Name implements Oracle.
@@ -138,33 +126,28 @@ func (o *schedulerProgress) Name() string { return NameSchedulerProgress }
 
 // Check implements Oracle.
 func (o *schedulerProgress) Check(now sim.Time) *Violation {
-	pods := o.pods()
-	nodes := o.nodes()
-	if o.used == nil {
-		o.used = map[string]int{}
-		o.seen = map[string]bool{}
-	}
-	used, seen := o.used, o.seen
-	clear(used)
+	pods := o.pods.Decoded(decodeObject)
+	seen := o.seen
 	clear(seen)
-	for _, p := range pods {
-		if p.Pod != nil && p.Pod.NodeName != "" && !p.Terminating() {
-			used[p.Pod.NodeName]++
-		}
-	}
-	freeNode := false
-	for _, n := range nodes {
-		if n.Node != nil && n.Node.Ready && n.Node.Capacity-used[n.Meta.Name] > 0 {
-			freeNode = true
-			break
-		}
-	}
-	for _, p := range pods {
+	// Whether a ready node has room matters only once a pod has waited out
+	// the patience, so the nodes are not looked at before: nine evaluations
+	// in ten follow a node heartbeat with no pod pending, and decoding the
+	// node it wrote would be their whole cost.
+	free, looked := false, false
+	for _, v := range pods {
+		p := v.(*cluster.Object)
 		if p.Pod == nil || p.Pod.NodeName != "" || p.Terminating() {
 			continue
 		}
 		seen[p.Meta.Name] = true
-		if held := o.pending.Mark(p.Meta.Name, now); freeNode && held > o.patience {
+		held := o.pending.Mark(p.Meta.Name, now)
+		if held <= o.patience {
+			continue
+		}
+		if !looked {
+			free, looked = o.freeNode(pods), true
+		}
+		if free {
 			return &Violation{
 				Oracle:    NameSchedulerProgress,
 				Time:      now,
@@ -179,25 +162,44 @@ func (o *schedulerProgress) Check(now sim.Time) *Violation {
 	return nil
 }
 
+// freeNode reports whether ground truth holds a ready node with capacity
+// left after the pods bound to it.
+func (o *schedulerProgress) freeNode(pods []any) bool {
+	used := o.used
+	clear(used)
+	for _, v := range pods {
+		if p := v.(*cluster.Object); p.Pod != nil && p.Pod.NodeName != "" && !p.Terminating() {
+			used[p.Pod.NodeName]++
+		}
+	}
+	for _, v := range o.nodes.Decoded(decodeObject) {
+		if n := v.(*cluster.Object); n.Node != nil && n.Node.Ready && n.Node.Capacity-used[n.Meta.Name] > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // NoOrphanPVC checks the volume-release guarantee ([17], op-398): a Bound
 // PVC whose owner pod has been gone from ground truth for longer than grace
 // is an orphan (storage leak). Since when each PVC has been ownerless is
 // kept in r's first-seen table.
 func NoOrphanPVC(r *Runner, st *store.Store, grace sim.Duration) Oracle {
-	orphan := r.Since(NameNoOrphanPVC)
-	listPods := objLister(st, cluster.KindPod)
-	listPVCs := objLister(st, cluster.KindPVC)
-	pods := map[string]bool{} // reused per tick
-	seen := map[string]bool{} // reused per tick
+	orphan := r.Since(NameNoOrphanPVC, grace)
+	listPods := listOf(st, cluster.KindPod)
+	listPVCs := listOf(st, cluster.KindPVC)
+	pods := map[string]bool{} // reused per evaluation
+	seen := map[string]bool{} // reused per evaluation
 	return Func{
 		OracleName: NameNoOrphanPVC,
 		CheckFunc: func(now sim.Time) *Violation {
 			clear(pods)
 			clear(seen)
-			for _, p := range listPods() {
-				pods[p.Meta.Name] = true
+			for _, v := range listPods.Decoded(decodeObject) {
+				pods[v.(*cluster.Object).Meta.Name] = true
 			}
-			for _, pvc := range listPVCs() {
+			for _, v := range listPVCs.Decoded(decodeObject) {
+				pvc := v.(*cluster.Object)
 				if pvc.PVC == nil || pvc.PVC.Phase != cluster.PVCBound || pvc.PVC.OwnerPod == "" {
 					continue
 				}
@@ -265,13 +267,13 @@ func InstallNoLivePVCDeletion(st *store.Store, r *Runner) {
 // clock is r's first-seen table with the observed Replicas value as the
 // subject: a spec change is a value seen for the first time.
 func ScaleDownCompletes(r *Runner, st *store.Store, crName string, patience sim.Duration) Oracle {
-	spec := r.Since(NameScaleDownCompletes)
+	spec := r.Since(NameScaleDownCompletes, patience)
 	crKey := cluster.Key(cluster.KindCassandra, crName)
-	listPods := objLister(st, cluster.KindPod)
+	listPods := listOf(st, cluster.KindPod)
 	// A memo of what follows from the observed Replicas value alone — the
 	// subject, the one-subject set Forget takes, and want = {<name>-0 ..
-	// <name>-(R-1)} — and got is cleared, not reallocated: this runs on
-	// every tick and the no-violation case must stay allocation-free.
+	// <name>-(R-1)} — and got is cleared, not reallocated: the no-violation
+	// case stays allocation-free.
 	memoFor, subject := -1, ""
 	only, want := map[string]bool{}, map[string]bool{}
 	got := map[string]bool{}
@@ -297,8 +299,8 @@ func ScaleDownCompletes(r *Runner, st *store.Store, crName string, patience sim.
 				return nil
 			}
 			clear(got)
-			for _, p := range listPods() {
-				if p.Pod != nil && p.Pod.App == crName && !p.Terminating() {
+			for _, v := range listPods.Decoded(decodeObject) {
+				if p := v.(*cluster.Object); p.Pod != nil && p.Pod.App == crName && !p.Terminating() {
 					got[p.Meta.Name] = true
 				}
 			}

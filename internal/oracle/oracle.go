@@ -8,6 +8,7 @@ package oracle
 import (
 	"fmt"
 	"maps"
+	"math"
 	"sort"
 
 	"repro/internal/sim"
@@ -52,15 +53,16 @@ func (f Func) Name() string { return f.OracleName }
 // Check implements Oracle.
 func (f Func) Check(now sim.Time) *Violation { return f.CheckFunc(now) }
 
-// Runner evaluates a set of oracles periodically and collects the first
+// Runner ticks periodically, evaluates on each tick the oracles whose
+// answer can have changed since they last ran, and collects the first
 // violation of each.
 type Runner struct {
-	oracles []Oracle
+	oracles []gated
 	first   map[string]Violation
 	order   []string
 	// since is the first-seen table, (oracle, subject) → first seen: the
 	// one place an oracle keeps a clock from one tick to the next.
-	since map[string]Since
+	since map[string]*Since
 
 	// Periodic-tick binding (set by InstallPeriodic / BindPeriodic).
 	w     *sim.World
@@ -72,21 +74,36 @@ type Runner struct {
 
 // NewRunner creates an empty runner.
 func NewRunner() *Runner {
-	return &Runner{first: make(map[string]Violation), since: make(map[string]Since)}
+	return &Runner{first: make(map[string]Violation), since: make(map[string]*Since)}
 }
 
 // Since is one oracle's rows of its runner's first-seen table: for every
 // subject the oracle is currently waiting on, the tick at which the wait
 // began. Anything an oracle needs at tick n+1 that depends on tick n and
 // cannot be recomputed from ground truth lives here and nowhere else, so
-// Runner.Snapshot and RestoreFrom carry it without the oracle's help.
-type Since map[string]sim.Time
+// Runner.Snapshot and RestoreFrom carry it without the oracle's help — and
+// the runner knows, without asking the oracle, the next tick at which a
+// wait runs out.
+type Since struct {
+	rows map[string]sim.Time
+	// within is how long a subject must have been seen before the oracle
+	// acts on it; whether it compares with > or >= stays the oracle's.
+	within sim.Duration
+}
 
-// Since returns the named oracle's rows of the first-seen table.
-func (r *Runner) Since(oracle string) Since {
+// Since returns the named oracle's rows of the first-seen table. within is
+// the oracle's patience: with ground truth unchanged, its answer changes
+// only on the ticks at which a row becomes within old.
+func (r *Runner) Since(oracle string, within sim.Duration) *Since {
+	s := r.rows(oracle)
+	s.within = within
+	return s
+}
+
+func (r *Runner) rows(oracle string) *Since {
 	s := r.since[oracle]
 	if s == nil {
-		s = Since{}
+		s = &Since{rows: map[string]sim.Time{}}
 		r.since[oracle] = s
 	}
 	return s
@@ -94,10 +111,10 @@ func (r *Runner) Since(oracle string) Since {
 
 // Mark records that subject is seen at now and returns how long it has
 // been seen without interruption: zero on first sight.
-func (s Since) Mark(subject string, now sim.Time) sim.Duration {
-	first, ok := s[subject]
+func (s *Since) Mark(subject string, now sim.Time) sim.Duration {
+	first, ok := s.rows[subject]
 	if !ok {
-		s[subject] = now
+		s.rows[subject] = now
 		return 0
 	}
 	return now.Sub(first)
@@ -107,19 +124,79 @@ func (s Since) Mark(subject string, now sim.Time) sim.Duration {
 // back starts over. seen must hold exactly the subjects marked this tick:
 // it is then a subset of the rows, and equal sizes mean nothing to drop —
 // the steady tick, which must stay free.
-func (s Since) Forget(seen map[string]bool) {
-	if len(s) == len(seen) {
+func (s *Since) Forget(seen map[string]bool) {
+	if len(s.rows) == len(seen) {
 		return
 	}
-	for subject := range s {
+	for subject := range s.rows {
 		if !seen[subject] {
-			delete(s, subject)
+			delete(s.rows, subject)
 		}
 	}
 }
 
-// Add registers an oracle.
-func (r *Runner) Add(o Oracle) { r.oracles = append(r.oracles, o) }
+// never is the wake time of an oracle that waits on nothing.
+const never = sim.Time(math.MaxInt64)
+
+// wake returns the earliest instant at or after now at which a row becomes
+// within old. A row that did so strictly before now has been acted on under
+// either comparison; one that does so exactly at now has only under >=, so
+// it still counts and the tick after now evaluates once more.
+func (s *Since) wake(now sim.Time) sim.Time {
+	wake := never
+	for _, first := range s.rows {
+		if at := first.Add(s.within); at >= now && at < wake {
+			wake = at
+		}
+	}
+	return wake
+}
+
+// gated is one registered oracle with what decides whether a tick has to
+// evaluate it. An oracle reads only the ground truth it declared and the
+// clock, and the clock only through its rows of the first-seen table; so a
+// tick on which no declared generation has moved and no row has become
+// within old would get the previous tick's answer, and is skipped.
+type gated struct {
+	o    Oracle
+	deps []dependency
+	// wake is the next instant a wait runs out, as of the tick o was last
+	// settled on. Zero, in the past of every tick, voids the gate: on a fresh
+	// runner and after RestoreFrom no dependency's seen means anything.
+	wake sim.Time
+}
+
+// dependency is one declared generation and its value when the oracle was
+// last settled.
+type dependency struct {
+	gen  *sim.Generation
+	seen uint64
+}
+
+// due reports whether the tick at now must evaluate the oracle. It is all
+// most ticks do, so it only loads and compares.
+func (g *gated) due(now sim.Time) bool {
+	if len(g.deps) == 0 || now >= g.wake {
+		return true
+	}
+	for i := range g.deps {
+		if d := &g.deps[i]; d.gen.Value() != d.seen {
+			return true
+		}
+	}
+	return false
+}
+
+// Add registers an oracle together with the ground truth it reads: deps
+// are the generations of everything o.Check looks at. An oracle that
+// declares nothing is evaluated on every tick.
+func (r *Runner) Add(o Oracle, deps ...*sim.Generation) {
+	g := gated{o: o, deps: make([]dependency, len(deps))}
+	for i, gen := range deps {
+		g.deps[i].gen = gen
+	}
+	r.oracles = append(r.oracles, g)
+}
 
 // Report records an externally detected violation (used by event-driven
 // oracles hooked into the store). Only the first violation per oracle is
@@ -132,14 +209,26 @@ func (r *Runner) Report(v Violation) {
 	r.order = append(r.order, v.Oracle)
 }
 
-// CheckNow evaluates every oracle once.
+// CheckNow is one tick: it evaluates every oracle that is due and has not
+// been violated yet, in registration order.
 func (r *Runner) CheckNow(now sim.Time) {
-	for _, o := range r.oracles {
-		if _, ok := r.first[o.Name()]; ok {
+	for i := range r.oracles {
+		g := &r.oracles[i]
+		if !g.due(now) {
 			continue
 		}
-		if v := o.Check(now); v != nil {
-			r.Report(*v)
+		name := g.o.Name()
+		if _, violated := r.first[name]; !violated {
+			if v := g.o.Check(now); v != nil {
+				r.Report(*v)
+			}
+		}
+		for j := range g.deps {
+			g.deps[j].seen = g.deps[j].gen.Value()
+		}
+		g.wake = never
+		if s := r.since[name]; s != nil {
+			g.wake = s.wake(now)
 		}
 	}
 }
@@ -188,7 +277,7 @@ func (r *Runner) Rearm(tag sim.EventTag) (func(), error) {
 type RunnerSnapshot struct {
 	First map[string]Violation
 	Order []string
-	Since map[string]Since
+	Since map[string]map[string]sim.Time
 }
 
 // Snapshot captures the runner.
@@ -196,10 +285,10 @@ func (r *Runner) Snapshot() *RunnerSnapshot {
 	s := &RunnerSnapshot{
 		First: maps.Clone(r.first),
 		Order: append([]string(nil), r.order...),
-		Since: make(map[string]Since, len(r.since)),
+		Since: make(map[string]map[string]sim.Time, len(r.since)),
 	}
-	for oracle, rows := range r.since {
-		s.Since[oracle] = maps.Clone(rows)
+	for oracle, since := range r.since {
+		s.Since[oracle] = maps.Clone(since.rows)
 	}
 	return s
 }
@@ -207,16 +296,20 @@ func (r *Runner) Snapshot() *RunnerSnapshot {
 // RestoreFrom replaces this runner's violations and first-seen table with
 // the snapshot's. Oracles hold no clock of their own, so the same set
 // registered on this runner (bound to the restored world's components)
-// continues exactly where the captured one stood.
+// continues exactly where the captured one stood. What each oracle last
+// saw was seen of another table: the next tick evaluates them all.
 func (r *Runner) RestoreFrom(snap *RunnerSnapshot) {
 	r.first = maps.Clone(snap.First)
 	r.order = append([]string(nil), snap.Order...)
 	// In place: the registered oracles hold these row sets.
-	for _, rows := range r.since {
-		clear(rows)
+	for _, since := range r.since {
+		clear(since.rows)
 	}
 	for oracle, rows := range snap.Since {
-		maps.Copy(r.Since(oracle), rows)
+		maps.Copy(r.rows(oracle).rows, rows)
+	}
+	for i := range r.oracles {
+		r.oracles[i].wake = 0
 	}
 }
 
@@ -239,8 +332,8 @@ func (r *Runner) Violated(name string) bool {
 // ones, sorted.
 func (r *Runner) Names() []string {
 	set := map[string]bool{}
-	for _, o := range r.oracles {
-		set[o.Name()] = true
+	for _, g := range r.oracles {
+		set[g.o.Name()] = true
 	}
 	for n := range r.first {
 		set[n] = true

@@ -202,8 +202,8 @@ func TestScaleDownCompletesOracle(t *testing.T) {
 	if v := o.Check(151); v != nil {
 		t.Fatalf("converged cluster violated: %v", v)
 	}
-	// The steady tick past patience runs on every tick of every operator
-	// execution: it must not allocate.
+	// The steady evaluation past patience follows every pod and CR commit
+	// of every operator execution: it must not allocate.
 	if n := testing.AllocsPerRun(100, func() { o.Check(200) }); n != 0 {
 		t.Fatalf("steady no-violation tick allocates %v times", n)
 	}
@@ -234,7 +234,10 @@ func TestScaleDownCompletesOracle(t *testing.T) {
 // TestRunnerSnapshotCarriesPatienceClocks is the fork substrate's contract
 // with the oracles: the same oracle set registered on a fresh runner, plus
 // RestoreFrom, is the captured runner — a wait that began before the
-// snapshot runs out at the same tick with the same words.
+// snapshot runs out at the same tick with the same words. The oracles are
+// registered with their dependencies and ground truth never moves, so only
+// the waits wake them: RestoreFrom must also void what each gate last saw,
+// or a runner restored onto a table with earlier rows sleeps through them.
 func TestRunnerSnapshotCarriesPatienceClocks(t *testing.T) {
 	const patience = sim.Duration(100)
 	put := func(st *store.Store, o *cluster.Object) {
@@ -248,13 +251,19 @@ func TestRunnerSnapshotCarriesPatienceClocks(t *testing.T) {
 		{NameSchedulerProgress, func(st *store.Store) {
 			put(st, cluster.NewNode("n1", "u-n1", cluster.NodeSpec{Ready: true, Capacity: 4}))
 			put(st, cluster.NewPod("p1", "u-p1", cluster.PodSpec{}))
-		}, func(r *Runner, st *store.Store) { r.Add(SchedulerProgress(r, st, patience)) }},
+		}, func(r *Runner, st *store.Store) {
+			r.Add(SchedulerProgress(r, st, patience), kindGen(st, cluster.KindPod), kindGen(st, cluster.KindNode))
+		}},
 		{NameNoOrphanPVC, func(st *store.Store) {
 			put(st, cluster.NewPVC("vol", "u-vol", cluster.PVCSpec{OwnerPod: "ghost", Phase: cluster.PVCBound}))
-		}, func(r *Runner, st *store.Store) { r.Add(NoOrphanPVC(r, st, patience)) }},
+		}, func(r *Runner, st *store.Store) {
+			r.Add(NoOrphanPVC(r, st, patience), kindGen(st, cluster.KindPod), kindGen(st, cluster.KindPVC))
+		}},
 		{NameScaleDownCompletes, func(st *store.Store) {
 			put(st, cluster.NewCassandra("cass", "u", cluster.CassandraSpec{Replicas: 1, Decommissioning: "cass-1"}))
-		}, func(r *Runner, st *store.Store) { r.Add(ScaleDownCompletes(r, st, "cass", patience)) }},
+		}, func(r *Runner, st *store.Store) {
+			r.Add(ScaleDownCompletes(r, st, "cass", patience), kindGen(st, cluster.KindCassandra), kindGen(st, cluster.KindPod))
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -286,6 +295,18 @@ func TestRunnerSnapshotCarriesPatienceClocks(t *testing.T) {
 			if got := fork.Violations(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("restored runner diverged:\n got  %+v\n want %+v", got, want)
 			}
+			// The captured runner itself, rewound: its gates were settled
+			// at tick 300, after the wait they must now wake for again.
+			orig.RestoreFrom(snap)
+			if vs := orig.Violations(); len(vs) != 0 {
+				t.Fatalf("rewound runner kept violations: %v", vs)
+			}
+			for now := sim.Time(70); now <= 300; now += 10 {
+				orig.CheckNow(now)
+			}
+			if got := orig.Violations(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rewound runner diverged:\n got  %+v\n want %+v", got, want)
+			}
 		})
 	}
 }
@@ -294,5 +315,175 @@ func TestCASAtomicityOracleNoServers(t *testing.T) {
 	o := CASAtomicity(nil)
 	if v := o.Check(1); v != nil {
 		t.Fatalf("empty server set violated: %v", v)
+	}
+}
+
+// kindGen is the dependency infra.addOracles declares for a kind of object.
+func kindGen(st *store.Store, kind cluster.Kind) *sim.Generation {
+	return st.Track(cluster.KindPrefix(kind)).Generation()
+}
+
+// counted counts the evaluations of the oracle it wraps.
+type counted struct {
+	Oracle
+	n *int
+}
+
+func (c counted) Check(now sim.Time) *Violation {
+	*c.n++
+	return c.Oracle.Check(now)
+}
+
+// TestGateEvaluatesAtTheWaitBoundary freezes ground truth with one subject
+// waiting and ticks past its patience. A runner that declares dependencies
+// must report on the tick an every-tick runner reports on — for the oracle
+// that compares with > (SchedulerProgress) and the one that compares with >=
+// (ScaleDownCompletes), with a tick landing exactly on the deadline and with
+// none — while evaluating only a handful of the ticks.
+func TestGateEvaluatesAtTheWaitBoundary(t *testing.T) {
+	st := store.New()
+	put := func(o *cluster.Object) { st.Put(cluster.Key(o.Meta.Kind, o.Meta.Name), cluster.MustEncode(o)) }
+	put(cluster.NewNode("n1", "u-n1", cluster.NodeSpec{Ready: true, Capacity: 4}))
+	put(cluster.NewPod("p1", "u-p1", cluster.PodSpec{}))
+	put(cluster.NewCassandra("cass", "u", cluster.CassandraSpec{Replicas: 1, Decommissioning: "cass-1"}))
+
+	for _, tc := range []struct {
+		patience     sim.Duration
+		wantSP, want sim.Time // first seen at tick 10, ticks every 10
+	}{
+		{patience: 100, wantSP: 120, want: 110}, // a tick lands on the deadline: > waits one more
+		{patience: 95, wantSP: 110, want: 110},  // none does: both report on the first tick past it
+	} {
+		evals := 0
+		add := func(r *Runner, gate bool) {
+			var spDeps, sdDeps []*sim.Generation
+			if gate {
+				spDeps = []*sim.Generation{kindGen(st, cluster.KindPod), kindGen(st, cluster.KindNode)}
+				sdDeps = []*sim.Generation{kindGen(st, cluster.KindCassandra), kindGen(st, cluster.KindPod)}
+			}
+			r.Add(counted{SchedulerProgress(r, st, tc.patience), &evals}, spDeps...)
+			r.Add(counted{ScaleDownCompletes(r, st, "cass", tc.patience), &evals}, sdDeps...)
+		}
+		everyTick, gated := NewRunner(), NewRunner()
+		add(everyTick, false)
+		evals = 0
+		for now := sim.Time(10); now <= 300; now += 10 {
+			everyTick.CheckNow(now)
+		}
+		reference := evals
+		add(gated, true)
+		evals = 0
+		for now := sim.Time(10); now <= 300; now += 10 {
+			gated.CheckNow(now)
+		}
+		want := []Violation{
+			{Oracle: NameScaleDownCompletes, Time: tc.want},
+			{Oracle: NameSchedulerProgress, Time: tc.wantSP},
+		}
+		if tc.want == tc.wantSP { // same tick: registration order
+			want[0], want[1] = want[1], want[0]
+		}
+		got := gated.Violations()
+		if !reflect.DeepEqual(got, everyTick.Violations()) {
+			t.Fatalf("patience %d: gated runner diverged from every-tick runner:\n got  %+v\n want %+v", tc.patience, got, everyTick.Violations())
+		}
+		if len(got) != 2 || got[0].Oracle != want[0].Oracle || got[0].Time != want[0].Time ||
+			got[1].Oracle != want[1].Oracle || got[1].Time != want[1].Time {
+			t.Fatalf("patience %d: violations = %+v, want %+v", tc.patience, got, want)
+		}
+		if !reflect.DeepEqual(gated.Snapshot().Since, everyTick.Snapshot().Since) {
+			t.Fatalf("patience %d: first-seen tables differ", tc.patience)
+		}
+		// First sight, the boundary tick and the one after it, per oracle.
+		if evals > 6 || evals >= reference {
+			t.Fatalf("patience %d: gated runner evaluated %d times (every-tick: %d), want at most 6", tc.patience, evals, reference)
+		}
+	}
+}
+
+// TestGateRunsUndeclaredOracleEveryTick: an oracle registered without
+// dependencies is evaluated on every tick, beside gated ones that are not.
+func TestGateRunsUndeclaredOracleEveryTick(t *testing.T) {
+	st := store.New()
+	r := NewRunner()
+	declared, undeclared := 0, 0
+	r.Add(counted{NoOrphanPVC(r, st, 100), &declared}, kindGen(st, cluster.KindPod), kindGen(st, cluster.KindPVC))
+	r.Add(Func{OracleName: "every-tick", CheckFunc: func(sim.Time) *Violation { undeclared++; return nil }})
+	for now := sim.Time(10); now <= 200; now += 10 {
+		r.CheckNow(now)
+	}
+	if undeclared != 20 || declared != 1 {
+		t.Fatalf("evaluations: undeclared %d (want 20, one per tick), declared %d (want 1, the first tick)", undeclared, declared)
+	}
+	// A commit under a declared prefix wakes the declared oracle once.
+	st.Put(cluster.Key(cluster.KindPod, "p1"), podBytes(t, "p1", "", false))
+	r.CheckNow(210)
+	r.CheckNow(220)
+	if declared != 2 {
+		t.Fatalf("declared oracle evaluated %d times after one pod commit, want 2", declared)
+	}
+}
+
+// TestSkippedTickIsFree pins the cost model the gate exists for, on the
+// operator worlds' oracle set with the dependencies infra.addOracles
+// declares: a tick with nothing changed evaluates nothing and allocates
+// nothing, and a node heartbeat wakes the one oracle that reads nodes — for
+// the others the tick after it is as free as any, because the heartbeat
+// leaves the pod, PVC and CR generations alone.
+func TestSkippedTickIsFree(t *testing.T) {
+	st := store.New()
+	put := func(o *cluster.Object) { st.Put(cluster.Key(o.Meta.Kind, o.Meta.Name), cluster.MustEncode(o)) }
+	node := cluster.NewNode("n1", "u-n1", cluster.NodeSpec{Ready: true, Capacity: 4})
+	put(node)
+	put(cluster.NewPod("cass-0", "u-0", cluster.PodSpec{App: "cass", NodeName: "n1"}))
+	put(cluster.NewPVC("cass-0-data", "u-v", cluster.PVCSpec{OwnerPod: "cass-0", Phase: cluster.PVCBound}))
+	put(cluster.NewCassandra("cass", "u", cluster.CassandraSpec{Replicas: 1}))
+	heartbeat := func() { put(node) }
+	hosts := []*kubelet.Host{kubelet.NewHost("n1")}
+	pods, nodes, pvcs := kindGen(st, cluster.KindPod), kindGen(st, cluster.KindNode), kindGen(st, cluster.KindPVC)
+
+	// settled returns a runner of the operator set, with or without the
+	// reader of nodes, ticked past every wait.
+	var readsNodes, others int
+	now := sim.Time(0)
+	settled := func(withSchedulerProgress bool) (tick func()) {
+		r := NewRunner()
+		r.Add(counted{UniquePod(hosts), &others}, hosts[0].Generation())
+		if withSchedulerProgress {
+			r.Add(counted{SchedulerProgress(r, st, 100), &readsNodes}, pods, nodes)
+		}
+		r.Add(counted{NoOrphanPVC(r, st, 100), &others}, pods, pvcs)
+		r.Add(counted{ScaleDownCompletes(r, st, "cass", 100), &others}, kindGen(st, cluster.KindCassandra), pods)
+		tick = func() { now += 10; r.CheckNow(now) }
+		for i := 0; i < 30; i++ {
+			tick()
+		}
+		readsNodes, others = 0, 0
+		return tick
+	}
+
+	tick := settled(true)
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Fatalf("tick with nothing changed allocates %v times", n)
+	}
+	if readsNodes+others != 0 {
+		t.Fatalf("%d evaluations on ticks with nothing changed", readsNodes+others)
+	}
+	for i := 0; i < 5; i++ {
+		heartbeat()
+		tick()
+		tick()
+	}
+	if readsNodes != 5 || others != 0 {
+		t.Fatalf("5 heartbeats over 10 ticks: SchedulerProgress ran %d times (want 5), the oracles that do not read nodes %d (want 0)", readsNodes, others)
+	}
+
+	tick = settled(false)
+	alone := testing.AllocsPerRun(100, heartbeat)
+	if n := testing.AllocsPerRun(100, func() { heartbeat(); tick() }); n != alone {
+		t.Fatalf("heartbeat + tick allocates %v times, the heartbeat alone %v", n, alone)
+	}
+	if others != 0 {
+		t.Fatalf("%d evaluations of oracles that do not read nodes on heartbeat-only ticks", others)
 	}
 }

@@ -57,7 +57,9 @@ type RegionServer struct {
 	id    sim.NodeID
 	world *sim.World
 	owned map[string]bool
-	down  bool
+	// gen counts the changes to owned; setOwned is the one writer of both.
+	gen  sim.Generation
+	down bool
 }
 
 // ServerID returns the network ID for region server name.
@@ -81,7 +83,24 @@ func (s *RegionServer) Crash() { s.down = true }
 // told to open regions again.
 func (s *RegionServer) Restart() {
 	s.down = false
-	s.owned = make(map[string]bool)
+	for r := range s.owned {
+		s.setOwned(r, false)
+	}
+}
+
+// Generation returns the change counter of the owned set: the CASAtomicity
+// oracle's declared dependency on this server.
+func (s *RegionServer) Generation() *sim.Generation { return &s.gen }
+
+// setOwned starts or stops serving region. Every write to owned goes
+// through here, so none can forget the generation.
+func (s *RegionServer) setOwned(region string, serve bool) {
+	if serve {
+		s.owned[region] = true
+	} else {
+		delete(s.owned, region)
+	}
+	s.gen.Bump()
 }
 
 // Owned returns the regions this server currently serves, sorted.
@@ -105,9 +124,9 @@ func (s *RegionServer) HandleMessage(m *sim.Message) {
 	}
 	switch c := m.Payload.(type) {
 	case *openCmd:
-		s.owned[c.Region] = true
+		s.setOwned(c.Region, true)
 	case *closeCmd:
-		delete(s.owned, c.Region)
+		s.setOwned(c.Region, false)
 	}
 }
 

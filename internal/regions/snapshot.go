@@ -37,8 +37,8 @@ func RestoreServer(w *sim.World, name string, snap *ServerSnapshot) *RegionServe
 		owned: make(map[string]bool, len(snap.Owned)),
 		down:  snap.Down,
 	}
-	for r, v := range snap.Owned {
-		s.owned[r] = v
+	for r, serve := range snap.Owned {
+		s.setOwned(r, serve)
 	}
 	w.Network().Register(s.id, s)
 	w.AddProcess(s)

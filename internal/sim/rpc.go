@@ -38,6 +38,8 @@ type RPCClient struct {
 	timeout Duration
 	next    uint64
 	pending map[uint64]*pendingCall
+	// reqKinds interns "rpc-req:"+method per method: every call sends one.
+	reqKinds map[string]string
 }
 
 type pendingCall struct {
@@ -48,7 +50,19 @@ type pendingCall struct {
 // NewRPCClient creates a client for node self with the given call timeout
 // (0 disables timeouts).
 func NewRPCClient(net *Network, self NodeID, timeout Duration) *RPCClient {
-	return &RPCClient{net: net, self: self, timeout: timeout, pending: make(map[uint64]*pendingCall)}
+	return &RPCClient{net: net, self: self, timeout: timeout,
+		pending: make(map[uint64]*pendingCall), reqKinds: make(map[string]string)}
+}
+
+// messageKind returns prefix+method, concatenated once per method and kept
+// in kinds: a message kind is built for every request and every response.
+func messageKind(kinds map[string]string, prefix, method string) string {
+	kind, ok := kinds[method]
+	if !ok {
+		kind = prefix + method
+		kinds[method] = kind
+	}
+	return kind
 }
 
 // Call sends method(body) to the server node and invokes cb exactly once:
@@ -66,7 +80,7 @@ func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)
 			}
 		})
 	}
-	c.net.Send(c.self, to, "rpc-req:"+method, &RPCRequest{ID: id, Method: method, Body: body})
+	c.net.Send(c.self, to, messageKind(c.reqKinds, "rpc-req:", method), &RPCRequest{ID: id, Method: method, Body: body})
 }
 
 // HandleResponse consumes a message if it is an RPC response for this
@@ -117,11 +131,14 @@ type RPCServer struct {
 	net      *Network
 	self     NodeID
 	handlers map[string]func(from NodeID, body any, reply Reply)
+	// respKinds interns "rpc-resp:"+method per method: every reply sends one.
+	respKinds map[string]string
 }
 
 // NewRPCServer creates a dispatcher for node self.
 func NewRPCServer(net *Network, self NodeID) *RPCServer {
-	return &RPCServer{net: net, self: self, handlers: make(map[string]func(NodeID, any, Reply))}
+	return &RPCServer{net: net, self: self,
+		handlers: make(map[string]func(NodeID, any, Reply)), respKinds: make(map[string]string)}
 }
 
 // Handle registers a synchronous method handler.
@@ -150,7 +167,7 @@ func (s *RPCServer) HandleRequest(m *Message) bool {
 			resp.Err = err.Error()
 			resp.Body = nil
 		}
-		s.net.Send(s.self, m.From, "rpc-resp:"+req.Method, resp)
+		s.net.Send(s.self, m.From, messageKind(s.respKinds, "rpc-resp:", req.Method), resp)
 	}
 	h, ok := s.handlers[req.Method]
 	if !ok {

@@ -155,3 +155,35 @@ func TestRPCConcurrentCallsCorrelate(t *testing.T) {
 		}
 	}
 }
+
+// TestRPCMessageKindsAreInterned: the kind on the wire is "rpc-req:"+method
+// and "rpc-resp:"+method, for a known and an unknown method alike, and the
+// second message of a method reuses the first one's string — the
+// concatenation runs once per method, not once per message.
+func TestRPCMessageKindsAreInterned(t *testing.T) {
+	f := newRPCFixture(0)
+	f.server.Handle("echo", func(_ NodeID, body any) (any, error) { return body, nil })
+	var kinds []string
+	f.n.Register("client", HandlerFunc(func(m *Message) { kinds = append(kinds, m.Kind); f.client.HandleResponse(m) }))
+	f.n.Register("server", HandlerFunc(func(m *Message) { kinds = append(kinds, m.Kind); f.server.HandleRequest(m) }))
+	for i := 0; i < 2; i++ {
+		f.client.Call("server", "echo", i, func(any, error) {})
+		f.client.Call("server", "nope", i, func(any, error) {})
+		f.k.Drain()
+	}
+	want := []string{"rpc-req:echo", "rpc-req:nope", "rpc-resp:echo", "rpc-resp:nope"}
+	if len(kinds) != 8 {
+		t.Fatalf("observed %d messages, want 8: %v", len(kinds), kinds)
+	}
+	for i, k := range kinds {
+		if k != want[i%4] {
+			t.Fatalf("message %d kind = %q, want %q", i, k, want[i%4])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		messageKind(f.client.reqKinds, "rpc-req:", "echo")
+		messageKind(f.server.respKinds, "rpc-resp:", "echo")
+	}); n != 0 {
+		t.Fatalf("message kind of a method already seen allocates %v times", n)
+	}
+}

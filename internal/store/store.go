@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"repro/internal/history"
+	"repro/internal/sim"
 )
 
 // Errors returned by store operations.
@@ -86,14 +87,15 @@ type Store struct {
 	notifyHooks []func([]history.Event)
 	now         int64 // virtual time stamped on committed events
 
-	// decoded memoizes DecodedGet/DecodedRange results per key: values are
+	// decoded memoizes DecodedGet/Prefix.Decoded results per key: values are
 	// immutable per ModRevision, so a decode is valid until the key is
 	// written again. Pure cache — never part of snapshots or equality.
 	decoded map[string]decodedVal
-	// decodedRanges memoizes whole DecodedRange results per prefix, valid
-	// while the store revision is unchanged (oracles range every tick and
-	// most ticks see no commits).
-	decodedRanges map[string]rangeMemo
+	// prefixes are the handles Track gave out, in Track order; commit bumps
+	// the generation of each one the committed key falls under. Like decoded
+	// they are no part of snapshots or equality: a restored store tracks
+	// nothing until its readers ask again.
+	prefixes []*Prefix
 	// watcherOrder caches the sorted watcher IDs used on every commit;
 	// rebuilt only when the watcher set changes.
 	watcherOrder []int64
@@ -104,10 +106,34 @@ type decodedVal struct {
 	v   any
 }
 
-type rangeMemo struct {
-	rev  int64
-	vals []any
+// Prefix is a reader's handle on the live keys under one key prefix,
+// obtained once from Track: whether anything under the prefix was committed
+// since the reader last looked is one load of Generation, and Decoded is
+// rebuilt only then — a commit elsewhere in the keyspace (a node heartbeat,
+// to a reader of pods) costs it nothing.
+type Prefix struct {
+	s      *Store
+	prefix string
+	gen    sim.Generation
+	// vals memoizes Decoded for generation valsGen; nil until the first call.
+	vals    []any
+	valsGen uint64
 }
+
+// Track returns the handle on prefix, the same one for the same prefix.
+func (s *Store) Track(prefix string) *Prefix {
+	for _, p := range s.prefixes {
+		if p.prefix == prefix {
+			return p
+		}
+	}
+	p := &Prefix{s: s, prefix: prefix}
+	s.prefixes = append(s.prefixes, p)
+	return p
+}
+
+// Generation counts the commits under the prefix since Track.
+func (p *Prefix) Generation() *sim.Generation { return &p.gen }
 
 // New returns an empty store at revision 0.
 func New() *Store {
@@ -185,16 +211,19 @@ func (s *Store) DecodedGet(key string, decode func(value []byte, rev int64) (any
 	return s.decodeMemo(key, kv, decode)
 }
 
-// DecodedRange returns the memoized decodes of all live keys under prefix,
-// in key order. Same memoization and immutability contract as DecodedGet
-// (the returned slice is shared too); values failing to decode are skipped.
-func (s *Store) DecodedRange(prefix string, decode func(value []byte, rev int64) (any, error)) []any {
-	if m, ok := s.decodedRanges[prefix]; ok && m.rev == s.rev {
-		return m.vals
+// Decoded returns the memoized decodes of all live keys under the prefix,
+// in key order, rebuilt only when a commit under the prefix has happened
+// since the last call. Same per-key memoization and immutability contract
+// as DecodedGet (the returned slice is shared too); values failing to
+// decode are skipped.
+func (p *Prefix) Decoded(decode func(value []byte, rev int64) (any, error)) []any {
+	if p.vals != nil && p.valsGen == p.gen.Value() {
+		return p.vals
 	}
+	s := p.s
 	keys := make([]string, 0, 8)
 	for k := range s.kvs {
-		if strings.HasPrefix(k, prefix) {
+		if strings.HasPrefix(k, p.prefix) {
 			keys = append(keys, k)
 		}
 	}
@@ -205,10 +234,7 @@ func (s *Store) DecodedRange(prefix string, decode func(value []byte, rev int64)
 			out = append(out, v)
 		}
 	}
-	if s.decodedRanges == nil {
-		s.decodedRanges = make(map[string]rangeMemo)
-	}
-	s.decodedRanges[prefix] = rangeMemo{rev: s.rev, vals: out}
+	p.vals, p.valsGen = out, p.gen.Value()
 	return out
 }
 
@@ -293,6 +319,11 @@ func (s *Store) Delete(key string) (int64, error) {
 
 func (s *Store) commit(e history.Event) {
 	e.Time = s.now
+	for _, p := range s.prefixes {
+		if strings.HasPrefix(e.Key, p.prefix) {
+			p.gen.Bump()
+		}
+	}
 	if err := s.hist.Append(e); err != nil {
 		// Revisions are assigned monotonically by this store; a failure
 		// here is a programming error, not a runtime condition.

@@ -461,3 +461,60 @@ func TestPropertyCASMutualExclusion(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPrefixDecodedRebuildsOnlyOnCommitUnderPrefix: a handle's generation
+// and its decoded listing move with commits under its own prefix and with
+// nothing else — a write to /nodes/ leaves the /pods/ listing the very
+// slice it was.
+func TestPrefixDecodedRebuildsOnlyOnCommitUnderPrefix(t *testing.T) {
+	s := New()
+	decodes := 0
+	decode := func(value []byte, rev int64) (any, error) {
+		decodes++
+		return fmt.Sprintf("%s@%d", value, rev), nil
+	}
+	pods, nodes := s.Track("/pods/"), s.Track("/nodes/")
+	if s.Track("/pods/") != pods {
+		t.Fatal("Track returned a second handle for the same prefix")
+	}
+	s.Put("/pods/b", []byte("b"))
+	s.Put("/pods/a", []byte("a"))
+	s.Put("/nodes/n", []byte("n"))
+	list := pods.Decoded(decode)
+	if got := fmt.Sprint(list); got != "[a@2 b@1]" {
+		t.Fatalf("pods = %s", got)
+	}
+	if got := fmt.Sprint(nodes.Decoded(decode)); got != "[n@3]" {
+		t.Fatalf("nodes = %s", got)
+	}
+
+	podGen, nodeGen := pods.Generation().Value(), nodes.Generation().Value()
+	decodes = 0
+	s.Put("/nodes/n", []byte("n2")) // the heartbeat
+	if pods.Generation().Value() != podGen || nodes.Generation().Value() == nodeGen {
+		t.Fatalf("after a node commit: pod generation %d→%d (want unchanged), node generation %d→%d (want moved)",
+			podGen, pods.Generation().Value(), nodeGen, nodes.Generation().Value())
+	}
+	if again := pods.Decoded(decode); &again[0] != &list[0] || decodes != 0 {
+		t.Fatalf("node commit rebuilt the pod listing (%d decodes)", decodes)
+	}
+	if got := fmt.Sprint(nodes.Decoded(decode)); got != "[n2@4]" || decodes != 1 {
+		t.Fatalf("nodes after heartbeat = %s after %d decodes, want [n2@4] after 1", got, decodes)
+	}
+
+	// Commits under the prefix — overwrite, create, delete — each show.
+	s.Put("/pods/a", []byte("a2"))
+	s.Put("/pods/c", []byte("c"))
+	if _, err := s.Delete("/pods/b"); err != nil {
+		t.Fatal(err)
+	}
+	if pods.Generation().Value() != podGen+3 {
+		t.Fatalf("pod generation moved %d times over 3 commits", pods.Generation().Value()-podGen)
+	}
+	if got := fmt.Sprint(pods.Decoded(decode)); got != "[a2@5 c@6]" {
+		t.Fatalf("pods after three commits = %s", got)
+	}
+	if got := fmt.Sprint(list); got != "[a@2 b@1]" {
+		t.Fatalf("a listing handed out earlier was rewritten in place: %s", got)
+	}
+}
