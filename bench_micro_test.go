@@ -37,6 +37,60 @@ func BenchmarkMicro_KernelScheduleAndRun(b *testing.B) {
 	k.Drain()
 }
 
+// BenchmarkMicro_NetSendDeliver is one message end to end: Send (link
+// lookup, latency draw, FIFO frontier, delivery event) and its delivery to a
+// handler that does nothing.
+func BenchmarkMicro_NetSendDeliver(b *testing.B) {
+	k := sim.NewKernel(1)
+	n := sim.NewNetwork(k, sim.Millisecond, sim.Millisecond/2)
+	delivered := 0
+	n.Register("b", sim.HandlerFunc(func(*sim.Message) { delivered++ }))
+	payload := &struct{}{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.Send("a", "b", "rpc", payload)
+		if i%64 == 0 {
+			k.Drain()
+		}
+	}
+	k.Drain()
+	if delivered != b.N {
+		b.Fatalf("delivered %d of %d", delivered, b.N)
+	}
+}
+
+// BenchmarkMicro_RPCRoundTrip is one call with a timeout armed, answered by
+// a handler that allocates nothing: two messages, one canceled timer.
+func BenchmarkMicro_RPCRoundTrip(b *testing.B) {
+	k := sim.NewKernel(1)
+	n := sim.NewNetwork(k, sim.Millisecond, sim.Millisecond/2)
+	client := sim.NewRPCClient(n, "client", 100*sim.Millisecond)
+	server := sim.NewRPCServer(n, "server")
+	n.Register("client", sim.HandlerFunc(func(m *sim.Message) { client.HandleResponse(m) }))
+	n.Register("server", sim.HandlerFunc(func(m *sim.Message) { server.HandleRequest(m) }))
+	server.Handle("echo", func(_ sim.NodeID, body any) (any, error) { return body, nil })
+	body := &struct{}{}
+	answered := 0
+	cb := func(_ any, err error) {
+		if err == nil {
+			answered++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		client.Call("server", "echo", body, cb)
+		if i%16 == 0 {
+			k.Drain()
+		}
+	}
+	k.Drain()
+	if answered != b.N {
+		b.Fatalf("answered %d of %d", answered, b.N)
+	}
+}
+
 func BenchmarkMicro_StorePut(b *testing.B) {
 	s := store.New()
 	val := []byte("some-object-payload-of-plausible-size-for-a-pod")

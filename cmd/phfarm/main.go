@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"sync/atomic"
 	"syscall"
 	"text/tabwriter"
@@ -49,7 +50,15 @@ import (
 	"repro/internal/farm/corpus"
 )
 
+// gcPercent is the collector's pace for the coordinator and, being the same
+// binary, every worker, unless the environment sets GOGC or GOMEMLIMIT
+// itself: the value and the reason are cmd/phtest's.
+const gcPercent = 400
+
 func main() {
+	if os.Getenv("GOGC") == "" && os.Getenv("GOMEMLIMIT") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 

@@ -64,7 +64,7 @@ type pendingWrite struct {
 	client  sim.NodeID
 	subID   uint64
 	waiting map[sim.NodeID]bool
-	timer   *sim.Timer
+	timer   sim.Timer
 }
 
 // Server owns the authoritative values and the lease table.
@@ -235,9 +235,7 @@ func (s *Server) finish(pw *pendingWrite) {
 			break
 		}
 	}
-	if pw.timer != nil {
-		pw.timer.Cancel()
-	}
+	pw.timer.Cancel()
 	// All leases on the key are void now.
 	delete(s.leases, pw.key)
 	s.commit(pw)

@@ -127,7 +127,7 @@ type Node struct {
 
 	down          bool
 	epoch         uint64
-	electionTimer *sim.Timer
+	electionTimer sim.Timer
 
 	// Metrics.
 	Elections uint64
@@ -214,9 +214,7 @@ func (n *Node) lastTerm() uint64 {
 func (n *Node) Crash() {
 	n.down = true
 	n.epoch++
-	if n.electionTimer != nil {
-		n.electionTimer.Cancel()
-	}
+	n.electionTimer.Cancel()
 }
 
 // Restart implements sim.Process: recover from the WAL and rejoin.
@@ -270,9 +268,7 @@ func (n *Node) HandleMessage(m *sim.Message) {
 }
 
 func (n *Node) resetElectionTimer() {
-	if n.electionTimer != nil {
-		n.electionTimer.Cancel()
-	}
+	n.electionTimer.Cancel()
 	span := int64(n.cfg.ElectionTimeoutMax - n.cfg.ElectionTimeoutMin)
 	d := n.cfg.ElectionTimeoutMin
 	if span > 0 {
@@ -366,9 +362,7 @@ func (n *Node) becomeLeader() {
 		n.matchIndex[p] = 0
 	}
 	n.matchIndex[n.id] = n.LastIndex()
-	if n.electionTimer != nil {
-		n.electionTimer.Cancel()
-	}
+	n.electionTimer.Cancel()
 	n.broadcastAppend()
 	n.scheduleHeartbeat()
 }

@@ -45,28 +45,48 @@ func (d Duration) String() string {
 	return fmt.Sprintf("%.6fs", float64(d)/float64(Second))
 }
 
-// Timer is a handle to a scheduled callback. The zero value is invalid;
-// timers are created by Kernel.Schedule and Kernel.At.
+// Timer is a handle to a scheduled callback: a claim on one generation of
+// one kernel event slot. Slots are recycled, so the handle carries the
+// generation it was issued for and answers false once the slot has moved on
+// (fired, or popped after a cancel), whoever occupies it now. The zero value
+// is inert: Cancel and Pending report false. The generation is 64 bits wide
+// and grows by one per release, so it cannot wrap within a run.
 type Timer struct {
-	ev *event
+	k    *Kernel
+	slot uint32
+	gen  uint64
+}
+
+// live returns the timer's event if it is still the slot's occupant and has
+// not been canceled. The pointer must not be held across a call that can
+// schedule (the slot array may move).
+func (t Timer) live() *event {
+	if t.k == nil {
+		return nil
+	}
+	ev := &t.k.slots[t.slot]
+	if ev.gen != t.gen || ev.canceled {
+		return nil
+	}
+	return ev
 }
 
 // Cancel prevents the timer's callback from running. Canceling an
 // already-fired or already-canceled timer is a no-op. It reports whether the
 // timer was still pending.
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.canceled || t.ev.fired {
+func (t Timer) Cancel() bool {
+	ev := t.live()
+	if ev == nil {
 		return false
 	}
-	t.ev.canceled = true
+	ev.canceled = true
+	ev.fn = nil // the entry may sit in the heap until its deadline; the closure need not
 	return true
 }
 
 // Pending reports whether the timer's callback has neither fired nor been
-// canceled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && !t.ev.canceled && !t.ev.fired
-}
+// canceled. It is false from inside the timer's own callback.
+func (t Timer) Pending() bool { return t.live() != nil }
 
 // EventTag identifies the semantic role of a pending kernel event so a
 // snapshot can describe it declaratively (and a restored world can re-arm
@@ -90,69 +110,81 @@ type EventTag struct {
 	Epoch uint64
 }
 
+// event is one slot of the kernel's event table. A slot is either free or
+// the occupant of exactly one heap entry, which holds its (at, seq). An
+// event takes one of two forms: a closure (fn), or a message delivery
+// (deliver, msg) — the network's per-message form, which needs no closure.
+// gen counts the slot's releases and is what a Timer is checked against.
 type event struct {
-	at       Time
-	seq      uint64
 	fn       func()
+	deliver  func(*Message)
+	msg      *Message
 	tag      EventTag
+	gen      uint64
 	canceled bool
-	fired    bool
-	// timer is the handle returned to the scheduler's caller; embedding it
-	// lets one chunk allocation cover both the event and its Timer.
-	timer Timer
+}
+
+// heapEntry is one pending event in the queue: its firing order and the
+// slot that holds the rest. It contains no pointers, so sifting it neither
+// chases one nor pays a write barrier.
+type heapEntry struct {
+	at   Time
+	seq  uint64
+	slot uint32
+}
+
+func (a heapEntry) before(b heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // eventHeap is a hand-rolled binary min-heap ordered by (at, seq). The
 // scheduler is the hottest loop in the simulator; avoiding container/heap's
 // interface dispatch and index bookkeeping is worth the ~30 lines.
-type eventHeap []*event
+type eventHeap []heapEntry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev *event) {
-	*h = append(*h, ev)
+func (h *eventHeap) push(e heapEntry) {
+	*h = append(*h, e)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(i, parent) {
+		if !e.before(s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = e
 }
 
-func (h *eventHeap) pop() *event {
+func (h *eventHeap) pop() heapEntry {
 	s := *h
 	n := len(s) - 1
-	ev := s[0]
-	s[0] = s[n]
-	s[n] = nil
+	top, e := s[0], s[n]
 	s = s[:n]
 	*h = s
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		child := left
-		if right := left + 1; right < n && s.less(right, left) {
+		if right := child + 1; right < n && s[right].before(s[child]) {
 			child = right
 		}
-		if !s.less(child, i) {
+		if !s[child].before(e) {
 			break
 		}
-		s[i], s[child] = s[child], s[i]
+		s[i] = s[child]
 		i = child
 	}
-	return ev
+	if n > 0 {
+		s[i] = e
+	}
+	return top
 }
 
 // countingSource wraps the kernel's deterministic random source and counts
@@ -208,29 +240,26 @@ type Kernel struct {
 	strictPast      bool
 	strictErr       string
 
-	// chunk is the arena the kernel allocates events from: one make per
-	// eventChunk events instead of one per event. Events are never reused
-	// (fired Timers stay valid), so handing out pointers into the chunk is
-	// safe; the chunk is only retained while any of its events is.
-	chunk []event
+	// slots is the event table and free the indices of its unoccupied
+	// slots (see DESIGN.md, "Event ownership rule"). A slot is released the
+	// moment its heap entry is popped — before the callback runs, so a
+	// periodic timer's re-arm takes the slot it just vacated — and never
+	// leaves the kernel: a fork's kernel grows its own table within its
+	// first few hundred events and then schedules without allocating.
+	slots []event
+	free  []uint32
 }
 
-const eventChunk = 256
-
-func (k *Kernel) newEvent() *event {
-	if len(k.chunk) == 0 {
-		k.chunk = make([]event, eventChunk)
-	}
-	ev := &k.chunk[0]
-	k.chunk = k.chunk[1:]
-	ev.timer.ev = ev
-	return ev
+// release frees a popped entry's slot: the callback and message are dropped
+// so a parked slot retains nothing, and the generation moves on so every
+// Timer issued for the old occupant goes inert.
+func (k *Kernel) release(slot uint32) {
+	ev := &k.slots[slot]
+	ev.fn, ev.deliver, ev.msg = nil, nil, nil
+	ev.canceled = false
+	ev.gen++
+	k.free = append(k.free, slot)
 }
-
-// burnedTimer is the shared handle returned for rehydration-burned events:
-// semantically an already-fired timer, so Cancel and Pending both report
-// false for every holder.
-var burnedTimer = &Timer{ev: &event{fired: true}}
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds yield identical simulations for identical inputs.
@@ -256,7 +285,7 @@ func (k *Kernel) SetMaxSteps(n uint64) { k.maxStep = n }
 
 // Schedule runs fn after virtual duration d (>= 0) and returns a cancelable
 // timer. Callbacks scheduled for the same instant run in scheduling order.
-func (k *Kernel) Schedule(d Duration, fn func()) *Timer {
+func (k *Kernel) Schedule(d Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -264,7 +293,7 @@ func (k *Kernel) Schedule(d Duration, fn func()) *Timer {
 }
 
 // ScheduleTagged is Schedule with an explicit snapshot tag (see EventTag).
-func (k *Kernel) ScheduleTagged(d Duration, tag EventTag, fn func()) *Timer {
+func (k *Kernel) ScheduleTagged(d Duration, tag EventTag, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -275,29 +304,49 @@ func (k *Kernel) ScheduleTagged(d Duration, tag EventTag, fn func()) *Timer {
 // cancelable timer. When a default tag is installed (SetDefaultTag) the
 // event carries it; otherwise the event is anonymous and blocks snapshots
 // while pending.
-func (k *Kernel) At(t Time, fn func()) *Timer {
-	var tag EventTag
-	if k.defaultTag != nil {
-		tag = *k.defaultTag
-	}
-	return k.AtTagged(t, tag, fn)
+func (k *Kernel) At(t Time, fn func()) Timer {
+	return k.enqueue(t, k.untagged(), fn, nil, nil)
 }
 
 // AtTagged is At with an explicit snapshot tag.
-func (k *Kernel) AtTagged(t Time, tag EventTag, fn func()) *Timer {
+func (k *Kernel) AtTagged(t Time, tag EventTag, fn func()) Timer {
+	return k.enqueue(t, &tag, fn, nil, nil)
+}
+
+// atDeliver is At for the network: the event is deliver(m), with no closure
+// to allocate. It is scheduled exactly as At would schedule it.
+func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message) {
+	k.enqueue(t, k.untagged(), nil, deliver, m)
+}
+
+// anonymous is the zero tag, shared read-only by every untagged event.
+var anonymous EventTag
+
+// untagged is the tag of an event scheduled without one.
+func (k *Kernel) untagged() *EventTag {
+	if k.defaultTag != nil {
+		return k.defaultTag
+	}
+	return &anonymous
+}
+
+// enqueue is the one scheduling path, for both event forms (fn, or deliver
+// and m): it allocates the next sequence number and, unless the event
+// belongs to a rehydrated prefix, inserts the event at (t, seq).
+func (k *Kernel) enqueue(t Time, tag *EventTag, fn func(), deliver func(*Message), m *Message) Timer {
 	if k.rehydrating && t < k.rehydrateCutoff {
 		// Fork-time workload rehydration: the full-replay run scheduled
 		// (and already fired) this event before the checkpoint. Burn the
 		// sequence number it would have consumed so every later
 		// allocation keeps its full-replay identity, but schedule
-		// nothing. Under strict mode the burn is itself the violation:
-		// the caller has declared that nothing it schedules may belong
-		// to the prefix.
+		// nothing: the caller gets the inert Timer. Under strict mode the
+		// burn is itself the violation: the caller has declared that
+		// nothing it schedules may belong to the prefix.
 		if k.strictPast && k.strictErr == "" {
 			k.strictErr = fmt.Sprintf("sim: schedule into the checkpointed prefix: at=%s cutoff=%s", t, k.rehydrateCutoff)
 		}
 		k.seq++
-		return burnedTimer
+		return Timer{}
 	}
 	if k.strictPast && t < k.now && k.strictErr == "" {
 		k.strictErr = fmt.Sprintf("sim: schedule into the past: at=%s now=%s", t, k.now)
@@ -306,10 +355,23 @@ func (k *Kernel) AtTagged(t Time, tag EventTag, fn func()) *Timer {
 		t = k.now
 	}
 	k.seq++
-	ev := k.newEvent()
-	ev.at, ev.seq, ev.fn, ev.tag = t, k.seq, fn, tag
-	k.heap.push(ev)
-	return &ev.timer
+	return k.insert(t, k.seq, tag, fn, deliver, m)
+}
+
+// insert occupies a slot with the event and pushes its heap entry.
+func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, fn func(), deliver func(*Message), m *Message) Timer {
+	var slot uint32
+	if n := len(k.free); n > 0 {
+		slot = k.free[n-1]
+		k.free = k.free[:n-1]
+	} else {
+		slot = uint32(len(k.slots))
+		k.slots = append(k.slots, event{})
+	}
+	ev := &k.slots[slot]
+	ev.fn, ev.deliver, ev.msg, ev.tag = fn, deliver, m, *tag
+	k.heap.push(heapEntry{at: at, seq: seq, slot: slot})
+	return Timer{k: k, slot: slot, gen: ev.gen}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -319,16 +381,20 @@ func (k *Kernel) Stop() { k.stopped = true }
 // was executed (false when the queue is empty).
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		ev := k.heap.pop()
-		fn := ev.fn
-		ev.fn = nil // release the closure: the chunk arena outlives the event
-		if ev.canceled {
+		e := k.heap.pop()
+		ev := &k.slots[e.slot]
+		fn, deliver, m, canceled := ev.fn, ev.deliver, ev.msg, ev.canceled
+		k.release(e.slot)
+		if canceled {
 			continue
 		}
-		k.now = ev.at
-		ev.fired = true
+		k.now = e.at
 		k.steps++
-		fn()
+		if deliver != nil {
+			deliver(m)
+		} else {
+			fn()
+		}
 		return true
 	}
 	return false
@@ -353,8 +419,8 @@ func (k *Kernel) Run(until Time) Time {
 			break
 		}
 		next := k.heap[0]
-		if next.canceled {
-			k.heap.pop().fn = nil
+		if k.slots[next.slot].canceled {
+			k.release(k.heap.pop().slot)
 			continue
 		}
 		if until > 0 && next.at >= until {
@@ -375,8 +441,8 @@ func (k *Kernel) Drain() Time { return k.Run(0) }
 // Pending returns the number of scheduled, non-canceled events.
 func (k *Kernel) Pending() int {
 	n := 0
-	for _, ev := range k.heap {
-		if !ev.canceled {
+	for _, e := range k.heap {
+		if !k.slots[e.slot].canceled {
 			n++
 		}
 	}

@@ -1,0 +1,562 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The kernel's queue against a model. A byte string is a program over the
+// kernel's scheduling surface; the same program drives a real Kernel and
+// modelKernel — a flat slice scanned for the minimum (at, seq), sharing no
+// code with the heap, the slot table or Timer — and after every operation
+// the two must agree on everything observable: what fired and in which
+// order, every Cancel result, Now, Steps, Seq, Pending, the strict-past
+// verdict, and the (at, seq, tag) set a snapshot captures.
+
+// evSpec is one event of a program: what it logs when it fires and what it
+// does from inside its callback. Specs (and their ids and handle numbers)
+// are fixed when the program is parsed, so both sides arm the same thing.
+type evSpec struct {
+	id         int     // logged on fire
+	handle     int     // index of the Timer this event's scheduling returns
+	delivery   bool    // scheduled through atDeliver, not At (no Timer)
+	tagged     bool    // scheduled with its own tag
+	cancelSelf bool    // the callback cancels its own handle (always false)
+	cancelIdx  int     // >= 0: the callback cancels that handle
+	child      *evSpec // the callback schedules this at now+childDt
+	childDt    Duration
+}
+
+func (s *evSpec) tag() EventTag {
+	return EventTag{Owner: "model", Kind: "ev", Epoch: uint64(s.id)}
+}
+
+// Log entries: an event id (>= 0) for a fire, or one of these for a Cancel
+// made from inside a callback.
+const (
+	logCancelFalse = -1
+	logCancelTrue  = -2
+)
+
+func logCancel(ok bool) int {
+	if ok {
+		return logCancelTrue
+	}
+	return logCancelFalse
+}
+
+// modelEvent is one pending event of the model.
+type modelEvent struct {
+	at   Time
+	seq  uint64
+	tag  EventTag
+	spec *evSpec
+}
+
+// modelKernel restates the kernel's contract over a flat slice. Canceled
+// events are removed at once, so there is no lazy deletion to get wrong.
+type modelKernel struct {
+	now         Time
+	seq, steps  uint64
+	pending     []modelEvent
+	live        map[int]bool // handle -> scheduled, not yet fired or canceled
+	log         []int
+	defaultTag  *EventTag
+	rehydrating bool
+	cutoff      Time
+	strict      bool
+	violated    bool
+}
+
+func (m *modelKernel) min() int {
+	best := -1
+	for i, e := range m.pending {
+		if best < 0 || e.at < m.pending[best].at ||
+			(e.at == m.pending[best].at && e.seq < m.pending[best].seq) {
+			best = i
+		}
+	}
+	return best
+}
+
+func (m *modelKernel) schedule(at Time, s *evSpec) {
+	var tag EventTag
+	switch {
+	case s.tagged && !s.delivery:
+		tag = s.tag()
+	case m.defaultTag != nil:
+		tag = *m.defaultTag
+	}
+	if m.rehydrating && at < m.cutoff {
+		if m.strict {
+			m.violated = true
+		}
+		m.seq++
+		return
+	}
+	if at < m.now {
+		if m.strict {
+			m.violated = true
+		}
+		at = m.now
+	}
+	m.seq++
+	m.insert(at, m.seq, tag, s)
+}
+
+func (m *modelKernel) insert(at Time, seq uint64, tag EventTag, s *evSpec) {
+	m.pending = append(m.pending, modelEvent{at: at, seq: seq, tag: tag, spec: s})
+	if !s.delivery {
+		m.live[s.handle] = true
+	}
+}
+
+func (m *modelKernel) cancel(handle int) bool {
+	if !m.live[handle] {
+		return false
+	}
+	delete(m.live, handle)
+	for i, e := range m.pending {
+		if !e.spec.delivery && e.spec.handle == handle {
+			m.pending = append(m.pending[:i], m.pending[i+1:]...)
+			break
+		}
+	}
+	return true
+}
+
+func (m *modelKernel) step() bool {
+	i := m.min()
+	if i < 0 {
+		return false
+	}
+	e := m.pending[i]
+	m.pending = append(m.pending[:i], m.pending[i+1:]...)
+	if !e.spec.delivery {
+		delete(m.live, e.spec.handle)
+	}
+	m.now = e.at
+	m.steps++
+	s := e.spec
+	m.log = append(m.log, s.id)
+	if s.cancelSelf {
+		m.log = append(m.log, logCancel(m.cancel(s.handle)))
+	}
+	if s.cancelIdx >= 0 {
+		m.log = append(m.log, logCancel(m.cancel(s.cancelIdx)))
+	}
+	if s.child != nil {
+		m.schedule(m.now.Add(s.childDt), s.child)
+	}
+	return true
+}
+
+func (m *modelKernel) run(until Time) {
+	for {
+		i := m.min()
+		if i < 0 {
+			if until > 0 && m.now < until {
+				m.now = until
+			}
+			return
+		}
+		if until > 0 && m.pending[i].at >= until {
+			m.now = until
+			return
+		}
+		m.step()
+	}
+}
+
+// capture is CaptureSnapshot's pending set: by repeated minimum, not a sort.
+func (m *modelKernel) capture() ([]PendingEvent, bool) {
+	rest := append([]modelEvent(nil), m.pending...)
+	out := []PendingEvent{}
+	for len(rest) > 0 {
+		best := 0
+		for i, e := range rest {
+			if e.at < rest[best].at || (e.at == rest[best].at && e.seq < rest[best].seq) {
+				best = i
+			}
+		}
+		e := rest[best]
+		rest = append(rest[:best], rest[best+1:]...)
+		if e.tag == (EventTag{}) {
+			return nil, false
+		}
+		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag})
+	}
+	return out, true
+}
+
+// kernelSide drives the real kernel with the same specs.
+type kernelSide struct {
+	k      *Kernel
+	timers map[int]Timer // handle -> what its scheduling returned (absent: zero Timer)
+	log    []int
+	// onDeliver is bound once, as Network binds its deliver method; the
+	// delivery form's spec rides in the message payload.
+	onDeliver func(*Message)
+}
+
+func newKernelSide() *kernelSide {
+	ks := &kernelSide{k: NewKernel(1), timers: map[int]Timer{}}
+	ks.onDeliver = func(m *Message) { ks.fire(m.Payload.(*evSpec)) }
+	return ks
+}
+
+func (ks *kernelSide) fire(s *evSpec) {
+	ks.log = append(ks.log, s.id)
+	if s.cancelSelf {
+		ks.log = append(ks.log, logCancel(ks.timers[s.handle].Cancel()))
+	}
+	if s.cancelIdx >= 0 {
+		ks.log = append(ks.log, logCancel(ks.timers[s.cancelIdx].Cancel()))
+	}
+	if s.child != nil {
+		ks.schedule(ks.k.Now().Add(s.childDt), s.child)
+	}
+}
+
+func (ks *kernelSide) schedule(at Time, s *evSpec) {
+	switch {
+	case s.delivery:
+		ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s})
+	case s.tagged:
+		ks.timers[s.handle] = ks.k.AtTagged(at, s.tag(), func() { ks.fire(s) })
+	default:
+		ks.timers[s.handle] = ks.k.At(at, func() { ks.fire(s) })
+	}
+}
+
+// program decodes operations from a byte string; reads past the end are 0.
+type program struct {
+	data    []byte
+	pos     int
+	nextID  int
+	handles int
+}
+
+func (p *program) done() bool { return p.pos >= len(p.data) }
+
+func (p *program) byte() byte {
+	if p.done() {
+		return 0
+	}
+	b := p.data[p.pos]
+	p.pos++
+	return b
+}
+
+// spec decodes one event, with up to depth nested children. mask clears
+// flag bits the caller cannot use (a restored event is never a delivery).
+func (p *program) spec(depth int, mask byte) *evSpec {
+	flags := p.byte() &^ mask
+	s := &evSpec{id: p.nextID, handle: p.handles, cancelIdx: -1}
+	p.nextID++
+	s.delivery = flags&1 != 0
+	s.tagged = flags&2 != 0
+	if !s.delivery {
+		p.handles++
+		s.cancelSelf = flags&4 != 0
+	}
+	if flags&8 != 0 && p.handles > 0 {
+		s.cancelIdx = int(p.byte()) % p.handles
+	}
+	if flags&16 != 0 && depth > 0 {
+		s.childDt = Duration(p.byte() % 8)
+		s.child = p.spec(depth-1, 0)
+	}
+	return s
+}
+
+// maxProgram bounds a program's length: the model is quadratic by design,
+// and a fuzzer left alone grows inputs until one execution takes seconds.
+const maxProgram = 2048
+
+// runProgram executes data on both sides, comparing after every operation.
+func runProgram(t *testing.T, data []byte) {
+	t.Helper()
+	if len(data) > maxProgram {
+		data = data[:maxProgram]
+	}
+	p := &program{data: data}
+	ks := newKernelSide()
+	m := &modelKernel{live: map[int]bool{}}
+	k := ks.k
+	defTag := EventTag{Owner: "model", Kind: "default"}
+	compared := 0 // log entries already found equal
+
+	for op := 0; !p.done(); op++ {
+		code := p.byte() % 10
+		switch code {
+		case 0, 1: // schedule at now+dt; dt < 0 exercises the clamp
+			dt := Duration(p.byte()%24) - 2
+			s := p.spec(2, 0)
+			at := m.now.Add(dt)
+			ks.schedule(at, s)
+			m.schedule(at, s)
+		case 2: // cancel a handle: live, fired, canceled, stale or never issued
+			h := int(p.byte()) % (p.handles + 1)
+			tm := ks.timers[h]
+			if got, want := tm.Pending(), m.live[h]; got != want {
+				t.Fatalf("op %d: handle %d Pending() = %v, model %v", op, h, got, want)
+			}
+			got, want := tm.Cancel(), m.cancel(h)
+			if got != want {
+				t.Fatalf("op %d: handle %d Cancel() = %v, model %v", op, h, got, want)
+			}
+			if tm.Pending() {
+				t.Fatalf("op %d: handle %d pending after Cancel", op, h)
+			}
+		case 3: // Step
+			if got, want := k.Step(), m.step(); got != want {
+				t.Fatalf("op %d: Step() = %v, model %v", op, got, want)
+			}
+		case 4: // Run(until); now+0 at time 0 is Drain
+			until := m.now.Add(Duration(p.byte() % 32))
+			k.Run(until)
+			m.run(until)
+		case 5: // RestorePending with an explicit seq
+			at := m.now.Add(Duration(p.byte()%16) - 1)
+			// As the restore orchestration does: explicit sequence numbers
+			// come from at or below where the counter ends up, so no later
+			// schedule can collide with one.
+			seq := uint64(p.byte()) % (m.seq + 4)
+			s := p.spec(1, 1)
+			dup := false
+			for _, e := range m.pending {
+				dup = dup || (e.at == at && e.seq == seq)
+			}
+			if dup {
+				continue // a restore never reuses a pending (at, seq)
+			}
+			tm, err := k.RestorePending(at, seq, s.tag(), func() { ks.fire(s) })
+			if (err != nil) != (at < m.now) {
+				t.Fatalf("op %d: RestorePending(at=%d, now=%d) err = %v", op, at, m.now, err)
+			}
+			if err == nil {
+				ks.timers[s.handle] = tm
+				m.insert(at, seq, s.tag(), s)
+			}
+			if seq > m.seq {
+				m.seq = seq
+				k.SetSeq(seq)
+			}
+		case 6: // CaptureSnapshot
+			snap, ok := k.CaptureSnapshot()
+			want, wantOK := m.capture()
+			if ok != wantOK {
+				t.Fatalf("op %d: CaptureSnapshot ok = %v, model %v", op, ok, wantOK)
+			}
+			if ok && !reflect.DeepEqual(snap.Pending, want) {
+				t.Fatalf("op %d: captured\n %v\nmodel\n %v", op, snap.Pending, want)
+			}
+			if ok && (snap.Now != m.now || snap.Seq != m.seq || snap.Steps != m.steps) {
+				t.Fatalf("op %d: snapshot header %+v, model now=%d seq=%d steps=%d", op, snap, m.now, m.seq, m.steps)
+			}
+		case 7: // the burn path: schedule under rehydration around a cutoff
+			cutoff := m.now.Add(Duration(p.byte() % 8))
+			at := m.now.Add(Duration(p.byte() % 8))
+			s := p.spec(1, 0)
+			k.BeginRehydrate(cutoff)
+			m.rehydrating, m.cutoff = true, cutoff
+			ks.schedule(at, s)
+			m.schedule(at, s)
+			k.EndRehydrate()
+			m.rehydrating = false
+			if at < cutoff && !s.delivery {
+				if tm := ks.timers[s.handle]; tm != (Timer{}) {
+					t.Fatalf("op %d: burned schedule returned %+v, want the zero Timer", op, tm)
+				}
+			}
+		case 8: // toggle the default tag / strict-past recording
+			if b := p.byte(); b&1 != 0 {
+				if m.defaultTag == nil {
+					m.defaultTag = &defTag
+				} else {
+					m.defaultTag = nil
+				}
+				k.SetDefaultTag(m.defaultTag)
+			} else {
+				m.strict = !m.strict
+				if m.strict {
+					m.violated = false
+				}
+				k.SetStrictPast(m.strict)
+			}
+		case 9: // the restore path's counter jump (forward only)
+			m.seq += uint64(p.byte() % 4)
+			k.SetSeq(m.seq)
+		}
+
+		if !reflect.DeepEqual(ks.log[compared:], m.log[min(compared, len(m.log)):]) {
+			t.Fatalf("op %d (code %d): fire log\n kernel %v\n model  %v", op, code, ks.log, m.log)
+		}
+		compared = len(ks.log)
+		if k.Now() != m.now || k.Steps() != m.steps || k.Seq() != m.seq || k.Pending() != len(m.pending) {
+			t.Fatalf("op %d (code %d): kernel now=%d steps=%d seq=%d pending=%d, model now=%d steps=%d seq=%d pending=%d",
+				op, code, k.Now(), k.Steps(), k.Seq(), k.Pending(), m.now, m.steps, m.seq, len(m.pending))
+		}
+		if got := k.StrictViolation() != ""; got != m.violated {
+			t.Fatalf("op %d (code %d): strict violation %q, model %v", op, code, k.StrictViolation(), m.violated)
+		}
+	}
+
+	// Whatever is left fires in the model's order too.
+	k.Drain()
+	m.run(0)
+	if !reflect.DeepEqual(ks.log, m.log) || k.Now() != m.now || k.Steps() != m.steps {
+		t.Fatalf("final drain: kernel log %v now=%d steps=%d\n model log %v now=%d steps=%d",
+			ks.log, k.Now(), k.Steps(), m.log, m.now, m.steps)
+	}
+	// The slot table never outgrows the most events ever pending at once:
+	// every popped entry's slot went back on the free list.
+	if len(k.free) != len(k.slots) {
+		t.Fatalf("after drain %d of %d slots are free", len(k.free), len(k.slots))
+	}
+}
+
+// modelSeeds are the hand-written programs: one per hazard worth naming.
+var modelSeeds = [][]byte{
+	// three at one instant fire in scheduling order
+	{0, 7, 0, 0, 7, 0, 0, 7, 0, 4, 31},
+	// fire, let the slot be reused, cancel the old handle
+	{0, 3, 0, 3, 0, 3, 0, 2, 0, 3},
+	// cancel, run past it (the lazy pop), reuse, cancel again
+	{0, 5, 0, 2, 0, 4, 20, 0, 5, 0, 2, 0, 2, 1, 4, 20},
+	// a callback that cancels itself and schedules a child into its own slot
+	{0, 2, 4 | 16, 0, 0, 3, 3},
+	// a callback that cancels a later event, which must not fire
+	{0, 9, 0, 0, 2, 8, 0, 4, 31},
+	// delivery form between two closures at the same instant
+	{0, 4, 0, 0, 4, 1, 0, 4, 0, 4, 31},
+	// burn: seq moves, nothing fires, the handle is inert
+	{7, 5, 1, 0, 2, 0, 0, 3, 0, 4, 31},
+	// restore below the counter sorts ahead of an equal-time event
+	{0, 6, 0, 5, 5, 0, 0, 4, 31},
+	// snapshot refused while an anonymous event is pending, granted under a default tag
+	{0, 4, 0, 6, 3, 8, 1, 0, 4, 0, 6},
+	// strict past: the clamp is a violation
+	{4, 9, 8, 0, 0, 0, 0, 3},
+}
+
+func TestKernelMatchesModel(t *testing.T) {
+	for i, seed := range modelSeeds {
+		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { runProgram(t, seed) })
+	}
+	// Random programs: long enough for slots to be recycled many times over.
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 300; i++ {
+		data := make([]byte, 64+rng.Intn(512))
+		rng.Read(data)
+		runProgram(t, data)
+	}
+}
+
+func FuzzKernelMatchesModel(f *testing.F) {
+	for _, seed := range modelSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(runProgram)
+}
+
+// TestStaleTimerCannotCancelRecycledSlot is the hazard slot reuse creates:
+// a handle kept past its event's firing points at a slot that now belongs
+// to someone else, and canceling it must not cancel the new occupant.
+func TestStaleTimerCannotCancelRecycledSlot(t *testing.T) {
+	k := NewKernel(1)
+	old := k.Schedule(1, func() {})
+	k.Drain()
+	fired := false
+	fresh := k.Schedule(1, func() { fired = true })
+	if fresh.slot != old.slot {
+		t.Fatalf("the freed slot %d was not reused (got %d): the test no longer bites", old.slot, fresh.slot)
+	}
+	if old.Pending() || old.Cancel() {
+		t.Fatal("a stale handle answered for the slot's new occupant")
+	}
+	if !fresh.Pending() {
+		t.Fatal("the new occupant was canceled through a stale handle")
+	}
+	k.Drain()
+	if !fired {
+		t.Fatal("the new occupant never fired")
+	}
+}
+
+// TestTimerInsideOwnCallback: the slot is released before the callback
+// runs, so the handle is already spent there (leasecache's expiry timer
+// calls finish, which cancels that very timer) — even once a re-arm has
+// taken the slot over.
+func TestTimerInsideOwnCallback(t *testing.T) {
+	k := NewKernel(1)
+	var tm, rearm Timer
+	ran := false
+	tm = k.Schedule(1, func() {
+		if tm.Pending() || tm.Cancel() {
+			t.Error("a timer is still pending inside its own callback")
+		}
+		rearm = k.Schedule(1, func() { ran = true })
+		if rearm.slot != tm.slot {
+			t.Errorf("re-arm took slot %d, not the slot %d just vacated", rearm.slot, tm.slot)
+		}
+		if tm.Cancel() {
+			t.Error("the spent handle canceled the re-armed event")
+		}
+	})
+	k.Drain()
+	if !ran {
+		t.Fatal("the re-armed event did not fire")
+	}
+}
+
+func TestZeroTimerIsInert(t *testing.T) {
+	var tm Timer
+	if tm.Pending() || tm.Cancel() {
+		t.Fatal("the zero Timer must answer false")
+	}
+}
+
+// TestBurnedScheduleReturnsInertTimer: under rehydration a schedule before
+// the cutoff consumes a sequence number — every later event keeps its
+// full-replay identity — schedules nothing, and hands back the zero Timer.
+func TestBurnedScheduleReturnsInertTimer(t *testing.T) {
+	k := NewKernel(1)
+	k.BeginRehydrate(10)
+	tm := k.At(5, func() { t.Error("a burned event fired") })
+	k.atDeliver(5, func(*Message) { t.Error("a burned delivery fired") }, &Message{})
+	k.EndRehydrate()
+	if tm != (Timer{}) || tm.Pending() || tm.Cancel() {
+		t.Fatalf("burned schedule returned %+v, want the inert zero Timer", tm)
+	}
+	if k.Seq() != 2 || k.Pending() != 0 || len(k.slots) != 0 {
+		t.Fatalf("after two burns: seq=%d pending=%d slots=%d, want 2, 0, 0", k.Seq(), k.Pending(), len(k.slots))
+	}
+	k.Drain()
+}
+
+// TestScheduleAndFireAllocateNothing pins the tentpole: on a warm kernel an
+// event costs no allocation in either form.
+func TestScheduleAndFireAllocateNothing(t *testing.T) {
+	k := NewKernel(1)
+	fn := func() {}
+	deliver := func(*Message) {}
+	m := &Message{}
+	tag := EventTag{Owner: "o", Kind: "k"}
+	for i := 0; i < 64; i++ { // warm: grow the slot table, free list and heap
+		k.Schedule(Duration(i), fn)
+	}
+	k.Drain()
+	allocs := testing.AllocsPerRun(1000, func() {
+		k.Schedule(3, fn)
+		k.ScheduleTagged(2, tag, fn).Cancel()
+		k.atDeliver(k.Now().Add(1), deliver, m)
+		k.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("schedule + fire allocates %v per run, want 0", allocs)
+	}
+}

@@ -167,9 +167,15 @@ func (t TopologyLatency) classFor(a, b Location) Duration {
 
 type linkKey struct{ from, to NodeID }
 
+// linkState is everything the network knows about one directed link: one
+// record per pair that was ever configured or sent on, found by one lookup
+// per Send. The zero value is a healthy, connected link that has carried
+// nothing.
 type linkState struct {
 	partitioned bool
 	extraDelay  Duration
+	lastAt      Time        // FIFO frontier (stream ordering)
+	quality     LinkQuality // the zero value is a healthy link
 }
 
 // LinkQuality models a degraded-but-alive (gray-failure) link: latency
@@ -217,13 +223,11 @@ type Network struct {
 	k       *Kernel
 	nodes   map[NodeID]Handler
 	down    map[NodeID]bool
-	links   map[linkKey]linkState
+	links   map[linkKey]*linkState
 	latency Duration
 	jitter  Duration
 	seq     uint64
 	held    map[uint64]*Message
-	lastAt  map[linkKey]Time // per-link FIFO frontier (stream ordering)
-	quality map[linkKey]LinkQuality
 	locs    map[NodeID]Location
 	topo    TopologyLatency
 	icpts   []Interceptor
@@ -231,9 +235,14 @@ type Network struct {
 	obs     []Observer
 	stats   NetStats
 
+	// deliverFn is n.deliver bound once, so scheduling a delivery allocates
+	// no method value and no closure (Kernel.atDeliver).
+	deliverFn func(*Message)
+
 	// msgChunk is the arena messages are allocated from (one make per
-	// msgChunkSize sends). Messages are never reused — holders (held map,
-	// observers) stay valid — so handing out chunk pointers is safe.
+	// msgChunkSize sends). Unlike event slots, messages are never reused:
+	// handlers, observers and RPC reply closures keep the pointer, so
+	// handing out chunk pointers is safe only because none comes back.
 	msgChunk []Message
 }
 
@@ -251,18 +260,31 @@ func (n *Network) newMessage() *Message {
 // NewNetwork creates a network on kernel k with the given base one-way
 // latency and uniform jitter in [0, jitter).
 func NewNetwork(k *Kernel, latency, jitter Duration) *Network {
-	return &Network{
+	n := &Network{
 		k:       k,
 		nodes:   make(map[NodeID]Handler),
 		down:    make(map[NodeID]bool),
-		links:   make(map[linkKey]linkState),
+		links:   make(map[linkKey]*linkState),
 		latency: latency,
 		jitter:  jitter,
 		held:    make(map[uint64]*Message),
-		lastAt:  make(map[linkKey]Time),
-		quality: make(map[linkKey]LinkQuality),
 		locs:    make(map[NodeID]Location),
 	}
+	n.deliverFn = n.deliver
+	return n
+}
+
+// link returns the record of the directed link from->to, creating it if the
+// link has none yet. Only Send and the setters call it; read-only paths
+// (Partitioned, LinkQualityOf, deliver) index n.links directly and treat a
+// missing record as the zero value, so a query never grows the table.
+func (n *Network) link(key linkKey) *linkState {
+	l := n.links[key]
+	if l == nil {
+		l = new(linkState)
+		n.links[key] = l
+	}
+	return l
 }
 
 // Kernel returns the kernel driving this network.
@@ -343,23 +365,18 @@ func (n *Network) PartitionOneWay(a, b NodeID) { n.setPartition(a, b, true) }
 func (n *Network) HealOneWay(a, b NodeID) { n.setPartition(a, b, false) }
 
 func (n *Network) setPartition(from, to NodeID, v bool) {
-	key := linkKey{from, to}
-	st := n.links[key]
-	st.partitioned = v
-	n.links[key] = st
+	n.link(linkKey{from, to}).partitioned = v
 }
 
 // Partitioned reports whether the directed link from->to is cut.
 func (n *Network) Partitioned(from, to NodeID) bool {
-	return n.links[linkKey{from, to}].partitioned
+	l := n.links[linkKey{from, to}]
+	return l != nil && l.partitioned
 }
 
 // SetLinkDelay adds extra one-way delay on the directed link from->to.
 func (n *Network) SetLinkDelay(from, to NodeID, d Duration) {
-	key := linkKey{from, to}
-	st := n.links[key]
-	st.extraDelay = d
-	n.links[key] = st
+	n.link(linkKey{from, to}).extraDelay = d
 }
 
 // SetLinkQuality degrades both directions between a and b. A zero-value
@@ -371,24 +388,24 @@ func (n *Network) SetLinkQuality(a, b NodeID, q LinkQuality) {
 
 // SetLinkQualityOneWay degrades only messages from->to.
 func (n *Network) SetLinkQualityOneWay(from, to NodeID, q LinkQuality) {
-	key := linkKey{from, to}
 	if !q.active() {
-		delete(n.quality, key)
-		return
+		q = LinkQuality{} // a link is degraded exactly when its quality is non-zero
 	}
-	n.quality[key] = q
+	n.link(linkKey{from, to}).quality = q
 }
 
 // ClearLinkQuality restores both directions between a and b to healthy.
 func (n *Network) ClearLinkQuality(a, b NodeID) {
-	delete(n.quality, linkKey{a, b})
-	delete(n.quality, linkKey{b, a})
+	n.SetLinkQuality(a, b, LinkQuality{})
 }
 
 // LinkQualityOf returns the degradation configured on the directed link
 // from->to (the zero value if the link is healthy).
 func (n *Network) LinkQualityOf(from, to NodeID) LinkQuality {
-	return n.quality[linkKey{from, to}]
+	if l := n.links[linkKey{from, to}]; l != nil {
+		return l.quality
+	}
+	return LinkQuality{}
 }
 
 // SetLocation places node id in the topology. A zero Location removes the
@@ -447,7 +464,10 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		o.OnSend(m)
 	}
 
-	if n.links[linkKey{from, to}].partitioned {
+	// The link's one lookup; everything below reads and writes the record
+	// through l, so an interceptor that reconfigures the link is seen.
+	l := n.link(linkKey{from, to})
+	if l.partitioned {
 		n.stats.Dropped++
 		n.stats.PartitionRx++
 		n.drop(m, "partitioned")
@@ -473,12 +493,12 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		}
 	}
 
-	key := linkKey{from, to}
 	// Gray-failure link quality. Every RNG draw below is gated on the link
 	// actually being degraded, so runs without LinkQuality consume exactly
 	// the RNG sequence they always did — perturbation-free executions stay
 	// byte-identical with or without this feature compiled in.
-	q, degraded := n.quality[key]
+	q := l.quality
+	degraded := q.active()
 	if degraded && q.DropPercent > 0 && n.k.Rand().Intn(100) < q.DropPercent {
 		n.stats.Dropped++
 		n.stats.FlakyDrops++
@@ -486,7 +506,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		return m.Seq
 	}
 
-	lat := n.baseLatency(from, to) + n.links[key].extraDelay + extra
+	lat := n.baseLatency(from, to) + l.extraDelay + extra
 	if n.jitter > 0 {
 		lat += Duration(n.k.Rand().Int63n(int64(n.jitter)))
 	}
@@ -510,12 +530,12 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		deliverAt = deliverAt.Add(Duration(n.k.Rand().Int63n(int64(q.reorderBound())) + 1))
 		n.stats.Reordered++
 	} else {
-		if prev := n.lastAt[key]; deliverAt < prev {
-			deliverAt = prev
+		if deliverAt < l.lastAt {
+			deliverAt = l.lastAt
 		}
-		n.lastAt[key] = deliverAt
+		l.lastAt = deliverAt
 	}
-	n.k.At(deliverAt, func() { n.deliver(m) })
+	n.k.atDeliver(deliverAt, n.deliverFn, m)
 
 	if degraded && q.DupPercent > 0 && n.k.Rand().Intn(100) < q.DupPercent {
 		// Duplicate delivery: the same message arrives a second time a
@@ -523,7 +543,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		// e.g. a retried watch notification).
 		dupAt := deliverAt.Add(Duration(n.k.Rand().Int63n(int64(q.reorderBound())) + 1))
 		n.stats.Duplicated++
-		n.k.At(dupAt, func() { n.deliver(m) })
+		n.k.atDeliver(dupAt, n.deliverFn, m)
 	}
 	return m.Seq
 }
@@ -537,7 +557,7 @@ func (n *Network) Release(seq uint64) bool {
 	}
 	delete(n.held, seq)
 	n.stats.Released++
-	n.k.Schedule(0, func() { n.deliver(m) })
+	n.k.atDeliver(n.k.Now(), n.deliverFn, m)
 	return true
 }
 
@@ -559,7 +579,7 @@ func (n *Network) ReleaseAll() int {
 func (n *Network) HeldCount() int { return len(n.held) }
 
 func (n *Network) deliver(m *Message) {
-	if n.links[linkKey{m.From, m.To}].partitioned {
+	if n.Partitioned(m.From, m.To) {
 		n.stats.Dropped++
 		n.stats.PartitionRx++
 		n.drop(m, "partitioned-in-flight")
@@ -596,7 +616,7 @@ func (n *Network) deliver(m *Message) {
 			if delay <= 0 {
 				delay = Millisecond
 			}
-			n.k.At(n.k.Now().Add(delay), func() { n.deliver(m) })
+			n.k.atDeliver(n.k.Now().Add(delay), n.deliverFn, m)
 			return
 		}
 	}

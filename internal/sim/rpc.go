@@ -37,21 +37,21 @@ type RPCClient struct {
 	self    NodeID
 	timeout Duration
 	next    uint64
-	pending map[uint64]*pendingCall
+	pending map[uint64]pendingCall
 	// reqKinds interns "rpc-req:"+method per method: every call sends one.
 	reqKinds map[string]string
 }
 
 type pendingCall struct {
 	cb    func(any, error)
-	timer *Timer
+	timer Timer // zero (inert) when the client has no timeout
 }
 
 // NewRPCClient creates a client for node self with the given call timeout
 // (0 disables timeouts).
 func NewRPCClient(net *Network, self NodeID, timeout Duration) *RPCClient {
 	return &RPCClient{net: net, self: self, timeout: timeout,
-		pending: make(map[uint64]*pendingCall), reqKinds: make(map[string]string)}
+		pending: make(map[uint64]pendingCall), reqKinds: make(map[string]string)}
 }
 
 // messageKind returns prefix+method, concatenated once per method and kept
@@ -70,8 +70,7 @@ func messageKind(kinds map[string]string, prefix, method string) string {
 func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)) {
 	c.next++
 	id := c.next
-	pc := &pendingCall{cb: cb}
-	c.pending[id] = pc
+	pc := pendingCall{cb: cb}
 	if c.timeout > 0 {
 		pc.timer = c.net.Kernel().Schedule(c.timeout, func() {
 			if _, ok := c.pending[id]; ok {
@@ -80,6 +79,7 @@ func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)
 			}
 		})
 	}
+	c.pending[id] = pc
 	c.net.Send(c.self, to, messageKind(c.reqKinds, "rpc-req:", method), &RPCRequest{ID: id, Method: method, Body: body})
 }
 
@@ -96,9 +96,7 @@ func (c *RPCClient) HandleResponse(m *Message) bool {
 		return true // late response after timeout/reset; swallow it
 	}
 	delete(c.pending, resp.ID)
-	if pc.timer != nil {
-		pc.timer.Cancel()
-	}
+	pc.timer.Cancel()
 	if resp.Err != "" {
 		pc.cb(nil, ErrRemote{Msg: resp.Err})
 		return true
@@ -111,11 +109,9 @@ func (c *RPCClient) HandleResponse(m *Message) bool {
 // call it from their Crash hook: a crashed process forgets in-flight work.
 func (c *RPCClient) Reset() {
 	for _, pc := range c.pending {
-		if pc.timer != nil {
-			pc.timer.Cancel()
-		}
+		pc.timer.Cancel()
 	}
-	c.pending = make(map[uint64]*pendingCall)
+	c.pending = make(map[uint64]pendingCall)
 }
 
 // PendingCalls returns the number of outstanding calls.

@@ -187,3 +187,29 @@ func TestRPCMessageKindsAreInterned(t *testing.T) {
 		t.Fatalf("message kind of a method already seen allocates %v times", n)
 	}
 }
+
+// One round trip allocates what it hands to other code and no more: the
+// timeout closure, the request, the reply closure and the response. The
+// pending-call record lives in the map by value, both deliveries are
+// closure-free events, and the timeout timer is a value.
+func TestRPCRoundTripAllocations(t *testing.T) {
+	f := newRPCFixture(100 * Millisecond)
+	f.server.Handle("echo", func(_ NodeID, body any) (any, error) { return body, nil })
+	body := &struct{}{}
+	done := 0
+	cb := func(any, error) { done++ }
+	for i := 0; i < 64; i++ { // warm: slot table, link records, kind strings, the pending map
+		f.client.Call("server", "echo", body, cb)
+	}
+	f.k.Drain()
+	allocs := testing.AllocsPerRun(1000, func() {
+		f.client.Call("server", "echo", body, cb)
+		f.k.Drain()
+	})
+	if allocs > 4 {
+		t.Fatalf("an RPC round trip allocates %v, want <= 4", allocs)
+	}
+	if done != 64+1001 || f.client.PendingCalls() != 0 {
+		t.Fatalf("done = %d, pending = %d", done, f.client.PendingCalls())
+	}
+}

@@ -2,12 +2,13 @@ package sim
 
 // Slab is a chunked arena for the short, immutable-once-sent slices the
 // actors allocate on every watch push (the same discipline as the
-// kernel's event chunk and the network's message chunk): instead of one
-// `make` per push, allocations carve capped sub-slices out of a chunk
-// and a fresh chunk is made only every slabChunkSize elements. Handed-out
-// slices are never reused or reclaimed — holders (in-flight messages,
-// recorders, delayed deliveries) stay valid forever — so the only effect
-// is fewer, larger allocations.
+// network's message chunk — and unlike the kernel's event slots, which are
+// recycled because only a generation-checked Timer can outlive one):
+// instead of one `make` per push, allocations carve capped sub-slices out
+// of a chunk and a fresh chunk is made only every slabChunkSize elements.
+// Handed-out slices are never reused or reclaimed — holders (in-flight
+// messages, recorders, delayed deliveries) stay valid forever — so the
+// only effect is fewer, larger allocations.
 //
 // Slices are handed out with a full slice expression (cap == len), so a
 // holder that appends reallocates instead of scribbling over the next

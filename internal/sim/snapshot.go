@@ -49,14 +49,15 @@ type KernelSnapshot struct {
 // abandon this checkpoint.
 func (k *Kernel) CaptureSnapshot() (KernelSnapshot, bool) {
 	pending := make([]PendingEvent, 0, len(k.heap))
-	for _, ev := range k.heap {
+	for _, e := range k.heap {
+		ev := &k.slots[e.slot]
 		if ev.canceled {
 			continue
 		}
 		if ev.tag == (EventTag{}) {
 			return KernelSnapshot{}, false
 		}
-		pending = append(pending, PendingEvent{At: ev.at, Seq: ev.seq, Tag: ev.tag})
+		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: ev.tag})
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		if pending[i].At != pending[j].At {
@@ -142,14 +143,11 @@ func (k *Kernel) SetSteps(n uint64) { k.steps = n }
 // RestorePending re-inserts a pending event with an explicit sequence
 // number without touching the sequence counter. at must not precede the
 // restored clock. Restore orchestration only.
-func (k *Kernel) RestorePending(at Time, seq uint64, tag EventTag, fn func()) (*Timer, error) {
+func (k *Kernel) RestorePending(at Time, seq uint64, tag EventTag, fn func()) (Timer, error) {
 	if at < k.now {
-		return nil, fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", tag, at, k.now)
+		return Timer{}, fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", tag, at, k.now)
 	}
-	ev := k.newEvent()
-	ev.at, ev.seq, ev.fn, ev.tag = at, seq, fn, tag
-	k.heap.push(ev)
-	return &ev.timer, nil
+	return k.insert(at, seq, &tag, fn, nil, nil), nil
 }
 
 // NetworkSnapshot is the network's mutable routing state at a checkpoint.
@@ -159,9 +157,7 @@ func (k *Kernel) RestorePending(at Time, seq uint64, tag EventTag, fn func()) (*
 type NetworkSnapshot struct {
 	Seq       uint64
 	Down      map[NodeID]bool
-	Links     map[linkKey]linkState
-	LastAt    map[linkKey]Time
-	Quality   map[linkKey]LinkQuality
+	Links     map[linkKey]linkState // by value: a snapshot shares no record with a live network
 	Locations map[NodeID]Location
 	Topo      TopologyLatency
 	Stats     NetStats
@@ -174,8 +170,6 @@ func (n *Network) Snapshot() NetworkSnapshot {
 		Seq:       n.seq,
 		Down:      make(map[NodeID]bool, len(n.down)),
 		Links:     make(map[linkKey]linkState, len(n.links)),
-		LastAt:    make(map[linkKey]Time, len(n.lastAt)),
-		Quality:   make(map[linkKey]LinkQuality, len(n.quality)),
 		Locations: make(map[NodeID]Location, len(n.locs)),
 		Topo:      n.topo,
 		Stats:     n.stats,
@@ -183,14 +177,8 @@ func (n *Network) Snapshot() NetworkSnapshot {
 	for k, v := range n.down {
 		s.Down[k] = v
 	}
-	for k, v := range n.links {
-		s.Links[k] = v
-	}
-	for k, v := range n.lastAt {
-		s.LastAt[k] = v
-	}
-	for k, v := range n.quality {
-		s.Quality[k] = v
+	for k, l := range n.links {
+		s.Links[k] = *l
 	}
 	for k, v := range n.locs {
 		s.Locations[k] = v
@@ -205,17 +193,11 @@ func (n *Network) Snapshot() NetworkSnapshot {
 func (n *Network) RestoreRouting(s NetworkSnapshot) {
 	n.seq = s.Seq
 	n.stats = s.Stats
-	n.links = make(map[linkKey]linkState, len(s.Links))
+	n.links = make(map[linkKey]*linkState, len(s.Links))
+	recs := make([]linkState, 0, len(s.Links)) // one allocation for every restored record
 	for k, v := range s.Links {
-		n.links[k] = v
-	}
-	n.lastAt = make(map[linkKey]Time, len(s.LastAt))
-	for k, v := range s.LastAt {
-		n.lastAt[k] = v
-	}
-	n.quality = make(map[linkKey]LinkQuality, len(s.Quality))
-	for k, v := range s.Quality {
-		n.quality[k] = v
+		recs = append(recs, v)
+		n.links[k] = &recs[len(recs)-1]
 	}
 	n.locs = make(map[NodeID]Location, len(s.Locations))
 	for k, v := range s.Locations {

@@ -1,6 +1,9 @@
 package store
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // LeaseID identifies a lease. 0 is "no lease".
 type LeaseID int64
@@ -62,7 +65,10 @@ func (s *Store) ExpireDue() []string {
 			due = append(due, id)
 		}
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	if len(due) == 0 {
+		return nil // the common tick: nothing to sort, nothing to revoke
+	}
+	slices.Sort(due)
 	var deleted []string
 	for _, id := range due {
 		keys, _ := s.RevokeLease(id)
