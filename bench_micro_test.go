@@ -26,15 +26,30 @@ import (
 )
 
 func BenchmarkMicro_KernelScheduleAndRun(b *testing.B) {
-	k := sim.NewKernel(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k.Schedule(sim.Duration(i%100), func() {})
-		if i%1024 == 0 {
-			k.Drain()
+	b.Run("closure", func(b *testing.B) {
+		k := sim.NewKernel(1)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k.Schedule(sim.Duration(i%100), func() {})
+			if i%1024 == 0 {
+				k.Drain()
+			}
 		}
-	}
-	k.Drain()
+		k.Drain()
+	})
+	// A component timer: armed through its owner, the event is its tag.
+	b.Run("owner", func(b *testing.B) {
+		k := sim.NewKernel(1)
+		o := k.Own("kubelet-k1", func(sim.EventTag) {})
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			o.After(sim.Duration(i%100), sim.EventTag{Kind: "sync", Epoch: uint64(i)})
+			if i%1024 == 0 {
+				k.Drain()
+			}
+		}
+		k.Drain()
+	})
 }
 
 // BenchmarkMicro_NetSendDeliver is one message end to end: Send (link

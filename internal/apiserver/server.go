@@ -95,9 +95,10 @@ type ServeStats struct {
 // typed API. Multiple Servers can sync from the same store, and each can
 // lag independently — the precondition for time-travel bugs.
 type Server struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   Config
+	id     sim.NodeID
+	world  *sim.World
+	cfg    Config
+	timers *sim.Owner
 
 	rpcSrv *sim.RPCServer
 	rpcCl  *sim.RPCClient
@@ -143,6 +144,7 @@ func New(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	s.register()
 	w.Network().Register(id, s)
 	w.AddProcess(s)
+	s.timers = w.Kernel().Own(string(id), s.resyncFire)
 	s.bootstrap()
 	s.scheduleResync()
 	return s
@@ -569,17 +571,14 @@ func (s *Server) sortedSubs() []string {
 func (s *Server) scheduleResync() { s.armResync(s.epoch) }
 
 // armResync schedules one resync firing carrying the epoch observed at arm
-// time. The tag lets the prefix-checkpoint layer re-arm a pending firing
-// with the identical armed epoch (a stale firing must stay a no-op in a
-// forked run, exactly as it would in a full replay).
+// time: a firing armed before a crash finds its epoch stale.
 func (s *Server) armResync(epoch uint64) {
-	s.world.Kernel().ScheduleTagged(s.cfg.ResyncInterval,
-		sim.EventTag{Owner: string(s.id), Kind: "resync", Epoch: epoch},
-		func() { s.resyncFire(epoch) })
+	s.timers.After(s.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
 }
 
-func (s *Server) resyncFire(epoch uint64) {
-	if s.down || epoch != s.epoch {
+// resyncFire is the resync timer body, the one timer the server owns.
+func (s *Server) resyncFire(tag sim.EventTag) {
+	if s.down || tag.Epoch != s.epoch {
 		return
 	}
 	if s.ready && s.world.Now().Sub(s.lastEventAt) >= s.cfg.ResyncInterval {

@@ -71,9 +71,8 @@ func (s *Server) Snapshot() *Snapshot {
 
 // Restore reconstructs an apiserver from a snapshot inside world w without
 // bootstrapping or scheduling: the watch cache, subscriptions, epoch, and
-// RPC counters come straight from the snapshot; pending timers (the resync
-// liveness firing) are re-installed by the restore orchestration via
-// Rearm.
+// RPC counters come straight from the snapshot; the kernel re-inserts a
+// pending resync firing from its own.
 func Restore(w *sim.World, snap *Snapshot) *Server {
 	s := &Server{
 		id:          snap.ID,
@@ -110,17 +109,6 @@ func Restore(w *sim.World, snap *Snapshot) *Server {
 	s.register()
 	w.Network().Register(s.id, s)
 	w.AddProcess(s)
+	s.timers = w.Kernel().Own(string(s.id), s.resyncFire)
 	return s
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// apiserver, identified by its snapshot tag.
-func (s *Server) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "resync":
-		epoch := tag.Epoch
-		return func() { s.resyncFire(epoch) }, nil
-	default:
-		return nil, fmt.Errorf("apiserver: unknown pending event kind %q for %s", tag.Kind, s.id)
-	}
 }

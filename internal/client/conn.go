@@ -11,6 +11,8 @@
 package client
 
 import (
+	"slices"
+
 	"repro/internal/apiserver"
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -31,17 +33,38 @@ type Conn struct {
 
 	nextSub   uint64
 	informers map[uint64]*Informer
+	// timers owns the informers' liveness and resync timers. A connection
+	// lives for one boot of its component, so it is the connection, not the
+	// component, that owns them: Reset retires them with it.
+	timers *sim.Owner
 }
 
 // NewConn creates a connection owned by node self, initially pointed at
 // the apiserver node api.
 func NewConn(w *sim.World, self, api sim.NodeID, timeout sim.Duration) *Conn {
-	return &Conn{
+	return newConn(w, self, api, timeout, string(self)+"/informers")
+}
+
+func newConn(w *sim.World, self, api sim.NodeID, timeout sim.Duration, owner string) *Conn {
+	c := &Conn{
 		world:     w,
 		self:      self,
 		api:       api,
 		rpc:       sim.NewRPCClient(w.Network(), self, timeout),
 		informers: make(map[uint64]*Informer),
+	}
+	c.timers = w.Kernel().Own(owner, c.fire)
+	return c
+}
+
+// fire runs an informer timer. A live connection never loses an informer,
+// so the subscription the tag names is there.
+func (c *Conn) fire(tag sim.EventTag) {
+	switch inf := c.informers[tag.N]; tag.Kind {
+	case "inf-liveness":
+		inf.livenessFire(tag.Epoch)
+	case "inf-relist":
+		inf.periodicRelistFire()
 	}
 }
 
@@ -66,11 +89,14 @@ func (c *Conn) SwitchAPIServer(api sim.NodeID) {
 	}
 }
 
-// Reset drops all in-flight calls (crash semantics). Informers must be
-// recreated by the component's Restart.
+// Reset drops all in-flight calls and informers (crash semantics) and
+// retires their timers: a dropped informer's pending liveness or resync
+// event still comes due, and runs nothing. The component's Restart makes a
+// new connection.
 func (c *Conn) Reset() {
 	c.rpc.Reset()
 	c.informers = make(map[uint64]*Informer)
+	c.timers.Retire()
 }
 
 // HandleMessage routes a message; it reports whether it was consumed.
@@ -154,18 +180,20 @@ func writeCB(cb func(*cluster.Object, error)) func(any, error) {
 	}
 }
 
-// Informers returns the connection's live informers in subscription-ID
-// order.
-func (c *Conn) Informers() []*Informer {
+// sortedSubIDs returns the live informers' subscription IDs in order.
+func (c *Conn) sortedSubIDs() []uint64 {
 	ids := make([]uint64, 0, len(c.informers))
 	for id := range c.informers {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
+	return ids
+}
+
+// Informers returns the connection's live informers in subscription-ID
+// order.
+func (c *Conn) Informers() []*Informer {
+	ids := c.sortedSubIDs()
 	out := make([]*Informer, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, c.informers[id])

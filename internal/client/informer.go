@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/apiserver"
@@ -140,17 +139,11 @@ func (i *Informer) Run() {
 }
 
 func (i *Informer) schedulePeriodicRelist() {
-	i.conn.world.Kernel().ScheduleTagged(i.cfg.RelistEvery,
-		sim.EventTag{Owner: string(i.conn.self), Kind: "inf-relist", Key: fmt.Sprint(i.subID)},
-		i.periodicRelistFire)
+	i.conn.timers.After(i.cfg.RelistEvery, sim.EventTag{Kind: "inf-relist", N: i.subID})
 }
 
-// periodicRelistFire is the periodic-resync timer body; the tag lets a
-// restored world re-arm a pending firing.
+// periodicRelistFire is the periodic-resync timer body.
 func (i *Informer) periodicRelistFire() {
-	if _, ok := i.conn.informers[i.subID]; !ok {
-		return // informer dropped (component crashed)
-	}
 	i.relist("periodic resync")
 	i.schedulePeriodicRelist()
 }
@@ -364,19 +357,12 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 func (i *Informer) scheduleLiveness() { i.armLiveness(i.epoch) }
 
 // armLiveness schedules one liveness firing carrying the epoch observed at
-// arm time; the tag lets a restored world re-arm a pending firing with the
-// identical armed epoch (stale firings must stay no-ops in forked runs,
-// exactly as in a full replay).
+// arm time: a firing armed before a relist finds its epoch stale.
 func (i *Informer) armLiveness(epoch uint64) {
-	i.conn.world.Kernel().ScheduleTagged(i.cfg.WatchTimeout,
-		sim.EventTag{Owner: string(i.conn.self), Kind: "inf-liveness", Key: fmt.Sprint(i.subID), Epoch: epoch},
-		func() { i.livenessFire(epoch) })
+	i.conn.timers.After(i.cfg.WatchTimeout, sim.EventTag{Kind: "inf-liveness", N: i.subID, Epoch: epoch})
 }
 
 func (i *Informer) livenessFire(epoch uint64) {
-	if _, ok := i.conn.informers[i.subID]; !ok {
-		return // informer dropped (component crashed)
-	}
 	if i.synced && epoch == i.epoch &&
 		i.conn.world.Now().Sub(i.lastEventAt) >= i.cfg.WatchTimeout {
 		// Stream went quiet: the apiserver may have restarted and lost

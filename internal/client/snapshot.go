@@ -1,9 +1,6 @@
 package client
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/cluster"
 	"repro/internal/history"
 	"repro/internal/sim"
@@ -20,6 +17,10 @@ type ConnSnapshot struct {
 	NextSub   uint64
 	RPCNext   uint64
 	Informers []*InformerSnapshot // sorted by subscription ID
+	// Owner is the name the informers' timers are armed under; Retired says
+	// the connection had been Reset (its component is down).
+	Owner   string
+	Retired bool
 }
 
 // InformerSnapshot captures one informer cache. Cached object pointers are
@@ -57,17 +58,10 @@ func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
 		Timeout: c.rpc.Timeout(),
 		NextSub: c.nextSub,
 		RPCNext: c.rpc.Next(),
+		Owner:   c.timers.Name(),
+		Retired: c.timers.Retired(),
 	}
-	ids := make([]uint64, 0, len(c.informers))
-	for id := range c.informers {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	for _, id := range ids {
+	for _, id := range c.sortedSubIDs() {
 		snap.Informers = append(snap.Informers, c.informers[id].snapshot())
 	}
 	return snap, true
@@ -97,15 +91,12 @@ func (i *Informer) snapshot() *InformerSnapshot {
 // RestoreConn reconstructs a connection (and its informers) from a
 // snapshot. Event handlers are NOT restored — the owning component
 // re-attaches its own handlers via RestoreHandler — and no timers are
-// armed; pending informer timers are re-installed by the restore
-// orchestration via RearmInformer.
+// armed: the kernel re-inserts the pending ones under the restored
+// connection's owner name.
 func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
-	c := &Conn{
-		world:     w,
-		self:      snap.Self,
-		api:       snap.API,
-		rpc:       sim.NewRPCClient(w.Network(), snap.Self, snap.Timeout),
-		informers: make(map[uint64]*Informer, len(snap.Informers)),
+	c := newConn(w, snap.Self, snap.API, snap.Timeout, snap.Owner)
+	if snap.Retired {
+		c.timers.Retire()
 	}
 	c.rpc.SetNext(snap.RPCNext)
 	c.nextSub = snap.NextSub
@@ -136,10 +127,16 @@ func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
 // SubID returns the informer's watch subscription ID.
 func (i *Informer) SubID() uint64 { return i.subID }
 
-// Informer returns the restored informer with the given subscription ID.
-func (c *Conn) Informer(subID uint64) (*Informer, bool) {
-	inf, ok := c.informers[subID]
-	return inf, ok
+// InformerFor returns the connection's informer of the given kind — no
+// component runs two of one kind — or nil: a connection that has been Reset
+// has none. It is how a restored component finds its informers again.
+func (c *Conn) InformerFor(kind cluster.Kind) *Informer {
+	for _, inf := range c.informers {
+		if inf.kind == kind {
+			return inf
+		}
+	}
+	return nil
 }
 
 // RestoreHandler appends a handler without replaying the cache contents
@@ -147,29 +144,4 @@ func (c *Conn) Informer(subID uint64) (*Informer, bool) {
 // those OnAdd calls in the checkpointed prefix).
 func (i *Informer) RestoreHandler(h EventHandler) {
 	i.handlers = append(i.handlers, h)
-}
-
-// RearmInformer returns the callback for a pending informer timer owned by
-// one of this connection's informers, identified by its snapshot tag.
-func (c *Conn) RearmInformer(tag sim.EventTag) (func(), error) {
-	id, err := strconv.ParseUint(tag.Key, 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("client: bad informer tag key %q: %v", tag.Key, err)
-	}
-	inf, ok := c.informers[id]
-	if !ok {
-		// A crash (Conn.Reset) drops informers but leaves their timers
-		// pending; the live fire paths no-op on an unregistered sub. Rearm
-		// the same no-op so the restored schedule keeps the event slot.
-		return func() {}, nil
-	}
-	switch tag.Kind {
-	case "inf-liveness":
-		epoch := tag.Epoch
-		return func() { inf.livenessFire(epoch) }, nil
-	case "inf-relist":
-		return inf.periodicRelistFire, nil
-	default:
-		return nil, fmt.Errorf("client: unknown pending event kind %q for %s", tag.Kind, c.self)
-	}
 }

@@ -57,10 +57,9 @@ const time500ms = 500 * sim.Millisecond
 // A key present in the queue is not added twice; a key being processed is
 // re-queued if re-added during processing (client-go semantics).
 type Queue struct {
-	k        *sim.Kernel
 	cfg      QueueConfig
 	rec      Reconciler
-	owner    string // event-tag owner for snapshots
+	timers   *sim.Owner // addafter and process; a queue lives for one boot, and Stop retires them
 	order    []string
 	set      map[string]bool
 	failures map[string]int
@@ -72,9 +71,22 @@ type Queue struct {
 	Errors    int
 }
 
-// NewQueue creates a queue that feeds keys to rec.
-func NewQueue(k *sim.Kernel, cfg QueueConfig, rec Reconciler) *Queue {
-	return &Queue{k: k, cfg: cfg, rec: rec, set: make(map[string]bool), failures: make(map[string]int)}
+// NewQueue creates a queue that feeds keys to rec. Its timers are armed
+// under the name owner, which no other live queue or component may hold.
+func NewQueue(k *sim.Kernel, owner string, cfg QueueConfig, rec Reconciler) *Queue {
+	q := &Queue{cfg: cfg, rec: rec, set: make(map[string]bool), failures: make(map[string]int)}
+	q.timers = k.Own(owner, q.fire)
+	return q
+}
+
+// fire runs a queue timer.
+func (q *Queue) fire(tag sim.EventTag) {
+	switch tag.Kind {
+	case "addafter":
+		q.Add(tag.Key)
+	case "process":
+		q.processNext()
+	}
 }
 
 // Add enqueues key if not already queued.
@@ -87,31 +99,27 @@ func (q *Queue) Add(key string) {
 	q.kick()
 }
 
-// SetOwner names the queue in kernel event tags, making its pending timers
-// identifiable in snapshots. Must be set before the first Add.
-func (q *Queue) SetOwner(name string) { q.owner = name }
-
 // AddAfter enqueues key after a delay.
 func (q *Queue) AddAfter(key string, d sim.Duration) {
-	q.k.ScheduleTagged(d,
-		sim.EventTag{Owner: q.owner, Kind: "addafter", Key: key},
-		func() { q.Add(key) })
+	q.timers.After(d, sim.EventTag{Kind: "addafter", Key: key})
 }
 
 // Len returns the number of queued keys.
 func (q *Queue) Len() int { return len(q.order) }
 
-// Stop permanently halts processing (crash semantics).
-func (q *Queue) Stop() { q.stopped = true }
+// Stop permanently halts processing (crash semantics): the queue's pending
+// timers still come due, and run nothing.
+func (q *Queue) Stop() {
+	q.stopped = true
+	q.timers.Retire()
+}
 
 func (q *Queue) kick() {
 	if q.running || q.stopped || len(q.order) == 0 {
 		return
 	}
 	q.running = true
-	q.k.ScheduleTagged(q.cfg.BaseDelay,
-		sim.EventTag{Owner: q.owner, Kind: "process"},
-		q.processNext)
+	q.timers.After(q.cfg.BaseDelay, sim.EventTag{Kind: "process"})
 }
 
 func (q *Queue) processNext() {

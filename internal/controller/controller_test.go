@@ -11,7 +11,7 @@ import (
 func TestQueueProcessesInOrder(t *testing.T) {
 	k := sim.NewKernel(1)
 	var got []string
-	q := NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		got = append(got, key)
 		return Result{}, nil
 	}))
@@ -31,7 +31,7 @@ func TestQueueReaddDuringProcessing(t *testing.T) {
 	k := sim.NewKernel(1)
 	count := 0
 	var q *Queue
-	q = NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q = NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		count++
 		if count == 1 {
 			q.Add(key) // re-add while being processed: must run again
@@ -48,7 +48,7 @@ func TestQueueReaddDuringProcessing(t *testing.T) {
 func TestQueueErrorBackoff(t *testing.T) {
 	k := sim.NewKernel(1)
 	attempts := 0
-	q := NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		attempts++
 		if attempts < 4 {
 			return Result{}, errors.New("boom")
@@ -73,7 +73,7 @@ func TestQueueBackoffCapped(t *testing.T) {
 	cfg := QueueConfig{BaseDelay: sim.Millisecond, BaseBackoff: 100 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond}
 	k := sim.NewKernel(1)
 	attempts := 0
-	q := NewQueue(k, cfg, ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", cfg, ReconcilerFunc(func(key string) (Result, error) {
 		attempts++
 		if attempts < 6 {
 			return Result{}, errors.New("boom")
@@ -95,7 +95,7 @@ func TestQueueBackoffCapped(t *testing.T) {
 func TestQueueRequeueAfter(t *testing.T) {
 	k := sim.NewKernel(1)
 	runs := 0
-	q := NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		runs++
 		if runs == 1 {
 			return Result{Requeue: true, RequeueAfter: 50 * sim.Millisecond}, nil
@@ -115,7 +115,7 @@ func TestQueueRequeueAfter(t *testing.T) {
 func TestQueueStop(t *testing.T) {
 	k := sim.NewKernel(1)
 	runs := 0
-	q := NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		runs++
 		return Result{Requeue: true}, nil
 	}))
@@ -138,7 +138,7 @@ func TestQueueStop(t *testing.T) {
 func TestEnqueueHandler(t *testing.T) {
 	k := sim.NewKernel(1)
 	var got []string
-	q := NewQueue(k, DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
+	q := NewQueue(k, "q", DefaultQueueConfig(), ReconcilerFunc(func(key string) (Result, error) {
 		got = append(got, key)
 		return Result{}, nil
 	}))

@@ -1,14 +1,10 @@
 package controller
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // QueueSnapshot captures a work queue at a checkpoint. Pending AddAfter
-// and process timers are kernel events (tagged with the queue's owner) and
-// are restored by the orchestration layer via Rearm, not here.
+// and process timers are kernel events armed under the queue's owner name;
+// the kernel snapshot carries them, not this one.
 type QueueSnapshot struct {
 	Cfg       QueueConfig
 	Owner     string
@@ -24,7 +20,7 @@ type QueueSnapshot struct {
 func (q *Queue) Snapshot() *QueueSnapshot {
 	s := &QueueSnapshot{
 		Cfg:       q.cfg,
-		Owner:     q.owner,
+		Owner:     q.timers.Name(),
 		Order:     append([]string(nil), q.order...),
 		Failures:  make(map[string]int, len(q.failures)),
 		Running:   q.running,
@@ -39,14 +35,13 @@ func (q *Queue) Snapshot() *QueueSnapshot {
 }
 
 // RestoreQueue reconstructs a queue from a snapshot, feeding keys to rec.
-// No timers are armed: a captured in-flight "process" event is re-installed
-// by the restore orchestration via Rearm.
+// No timers are armed: the kernel re-inserts a captured in-flight "process"
+// event under the restored queue's owner name. A stopped queue comes back
+// retired.
 func RestoreQueue(k *sim.Kernel, snap *QueueSnapshot, rec Reconciler) *Queue {
 	q := &Queue{
-		k:         k,
 		cfg:       snap.Cfg,
 		rec:       rec,
-		owner:     snap.Owner,
 		order:     append([]string(nil), snap.Order...),
 		set:       make(map[string]bool, len(snap.Order)),
 		failures:  make(map[string]int, len(snap.Failures)),
@@ -61,19 +56,9 @@ func RestoreQueue(k *sim.Kernel, snap *QueueSnapshot, rec Reconciler) *Queue {
 	for key, n := range snap.Failures {
 		q.failures[key] = n
 	}
-	return q
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// queue, identified by its snapshot tag.
-func (q *Queue) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "addafter":
-		key := tag.Key
-		return func() { q.Add(key) }, nil
-	case "process":
-		return q.processNext, nil
-	default:
-		return nil, fmt.Errorf("controller: unknown pending event kind %q for queue %s", tag.Kind, q.owner)
+	q.timers = k.Own(snap.Owner, q.fire)
+	if q.stopped {
+		q.timers.Retire()
 	}
+	return q
 }

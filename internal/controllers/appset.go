@@ -39,9 +39,10 @@ func DefaultAppSetConfig(api sim.NodeID) AppSetConfig {
 // pods one at a time when the image changes (the rolling-upgrade actor of
 // the Figure 2 scenario, here as a controller instead of a human).
 type AppSetController struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   AppSetConfig
+	id     sim.NodeID
+	world  *sim.World
+	cfg    AppSetConfig
+	timers *sim.Owner
 
 	conn   *client.Conn
 	appInf *client.Informer
@@ -76,6 +77,7 @@ func NewAppSetController(w *sim.World, cfg AppSetConfig) *AppSetController {
 	}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.resyncFire)
 	c.boot()
 	return c
 }
@@ -118,20 +120,27 @@ func (c *AppSetController) boot() {
 	c.epoch++
 	epoch := c.epoch
 	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
-	c.queue = controller.NewQueue(c.world.Kernel(), controller.DefaultQueueConfig(),
+	c.queue = controller.NewQueue(c.world.Kernel(), appSetQueueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(c.reconcile))
-	c.queue.SetOwner(string(c.id))
 	c.appInf = client.NewInformer(c.conn, cluster.KindAppSet, client.InformerConfig{WatchTimeout: sim.Second})
 	c.appInf.AddHandler(controller.EnqueueHandler{Queue: c.queue})
 	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
-	c.podInf.AddHandler(client.HandlerFuncs{
-		AddFunc:    func(p *cluster.Object) { c.enqueueOwner(p) },
-		UpdateFunc: func(_, p *cluster.Object) { c.enqueueOwner(p) },
-		DeleteFunc: func(p *cluster.Object) { c.enqueueOwner(p) },
-	})
+	c.podInf.AddHandler(c.podHandler())
 	c.appInf.Run()
 	c.podInf.Run()
 	c.scheduleResync(epoch)
+}
+
+// appSetQueueOwner is the name the work queue's timers are armed under.
+const appSetQueueOwner = string(AppSetControllerID) + "/queue"
+
+// podHandler queues the app that owns a pod on any change to the pod.
+func (c *AppSetController) podHandler() client.EventHandler {
+	return client.HandlerFuncs{
+		AddFunc:    func(p *cluster.Object) { c.enqueueOwner(p) },
+		UpdateFunc: func(_, p *cluster.Object) { c.enqueueOwner(p) },
+		DeleteFunc: func(p *cluster.Object) { c.enqueueOwner(p) },
+	}
 }
 
 func (c *AppSetController) enqueueOwner(p *cluster.Object) {
@@ -144,13 +153,13 @@ func (c *AppSetController) enqueueOwner(p *cluster.Object) {
 }
 
 func (c *AppSetController) scheduleResync(epoch uint64) {
-	tag := sim.EventTag{Owner: string(c.id), Kind: "resync", Epoch: epoch}
-	c.world.Kernel().ScheduleTagged(c.cfg.ResyncInterval, tag, func() { c.resyncFire(epoch) })
+	c.timers.After(c.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
 }
 
-// resyncFire is the resync timer body, named so a restored cluster can
-// rearm a pending resync event by tag.
-func (c *AppSetController) resyncFire(epoch uint64) {
+// resyncFire is the resync timer body, the one timer the controller owns
+// (its queue and its informers own theirs).
+func (c *AppSetController) resyncFire(tag sim.EventTag) {
+	epoch := tag.Epoch
 	if c.down || epoch != c.epoch {
 		return
 	}

@@ -42,9 +42,10 @@ func DefaultNodeLifecycleConfig(api sim.NodeID) NodeLifecycleConfig {
 // node-deletion and pod-eviction events whose (non-)observation drives the
 // membership-related bug family (§5 of the paper).
 type NodeLifecycleController struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   NodeLifecycleConfig
+	id     sim.NodeID
+	world  *sim.World
+	cfg    NodeLifecycleConfig
+	timers *sim.Owner
 
 	conn    *client.Conn
 	nodeInf *client.Informer
@@ -66,6 +67,7 @@ func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLife
 	c := &NodeLifecycleController{id: NodeLifecycleID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.checkFire)
 	c.boot()
 	return c
 }
@@ -112,13 +114,13 @@ func (c *NodeLifecycleController) boot() {
 }
 
 func (c *NodeLifecycleController) scheduleCheck(epoch uint64) {
-	tag := sim.EventTag{Owner: string(c.id), Kind: "check", Epoch: epoch}
-	c.world.Kernel().ScheduleTagged(c.cfg.CheckInterval, tag, func() { c.checkFire(epoch) })
+	c.timers.After(c.cfg.CheckInterval, sim.EventTag{Kind: "check", Epoch: epoch})
 }
 
-// checkFire is the heartbeat-scan timer body, named so a restored cluster
-// can rearm a pending check event by tag.
-func (c *NodeLifecycleController) checkFire(epoch uint64) {
+// checkFire is the heartbeat-scan timer body, the one timer the controller
+// owns.
+func (c *NodeLifecycleController) checkFire(tag sim.EventTag) {
+	epoch := tag.Epoch
 	if c.down || epoch != c.epoch {
 		return
 	}

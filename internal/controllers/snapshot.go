@@ -1,8 +1,6 @@
 package controllers
 
 import (
-	"fmt"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -11,8 +9,9 @@ import (
 
 // This file gives every built-in controller a snapshot/restore pair
 // following the scheduler's contract: mutable maps are deep-copied at
-// capture, informer caches travel inside the connection snapshot, and
-// pending kernel timers are re-installed by the orchestration via Rearm.
+// capture, informer caches travel inside the connection snapshot, pending
+// timers inside the kernel's, and a restored controller finds its informers
+// in the restored connection by kind.
 
 // VolumeSnapshot captures the volume releaser at a checkpoint.
 type VolumeSnapshot struct {
@@ -21,10 +20,7 @@ type VolumeSnapshot struct {
 	Epoch    uint64
 	Releases int
 
-	Conn         *client.ConnSnapshot
-	HasInformers bool
-	PodSub       uint64
-	PVCSub       uint64
+	Conn *client.ConnSnapshot
 }
 
 // Snapshot captures the controller's state. It fails (ok=false) when an
@@ -34,19 +30,13 @@ func (c *VolumeController) Snapshot() (*VolumeSnapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	snap := &VolumeSnapshot{
+	return &VolumeSnapshot{
 		Cfg:      c.cfg,
 		Down:     c.down,
 		Epoch:    c.epoch,
 		Releases: c.Releases,
 		Conn:     cs,
-	}
-	if c.podInf != nil && c.pvcInf != nil {
-		snap.HasInformers = true
-		snap.PodSub = c.podInf.SubID()
-		snap.PVCSub = c.pvcInf.SubID()
-	}
-	return snap, true
+	}, true
 }
 
 // RestoreVolume reconstructs a volume controller from a snapshot inside
@@ -64,26 +54,10 @@ func RestoreVolume(w *sim.World, snap *VolumeSnapshot) *VolumeController {
 	}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.pollFire)
 	c.conn = client.RestoreConn(w, snap.Conn)
-	if snap.HasInformers {
-		c.podInf = mustInformer(c.conn, snap.PodSub, "volume", "pod")
-		c.pvcInf = mustInformer(c.conn, snap.PVCSub, "volume", "PVC")
-	}
+	c.podInf, c.pvcInf = c.conn.InformerFor(cluster.KindPod), c.conn.InformerFor(cluster.KindPVC)
 	return c
-}
-
-// Rearm returns the callback for a pending kernel event owned by the
-// volume controller.
-func (c *VolumeController) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "inf-liveness", "inf-relist":
-		return c.conn.RearmInformer(tag)
-	case "poll":
-		epoch := tag.Epoch
-		return func() { c.pollFire(epoch) }, nil
-	default:
-		return nil, fmt.Errorf("volume: unknown pending event kind %q", tag.Kind)
-	}
 }
 
 // NodeLifecycleSnapshot captures the node lifecycle controller at a
@@ -96,10 +70,7 @@ type NodeLifecycleSnapshot struct {
 	DeletedNodes   int
 	EvictedPods    int
 
-	Conn         *client.ConnSnapshot
-	HasInformers bool
-	NodeSub      uint64
-	PodSub       uint64
+	Conn *client.ConnSnapshot
 }
 
 // Snapshot captures the controller's state. It fails (ok=false) when an
@@ -109,7 +80,7 @@ func (c *NodeLifecycleController) Snapshot() (*NodeLifecycleSnapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	snap := &NodeLifecycleSnapshot{
+	return &NodeLifecycleSnapshot{
 		Cfg:            c.cfg,
 		Down:           c.down,
 		Epoch:          c.epoch,
@@ -117,13 +88,7 @@ func (c *NodeLifecycleController) Snapshot() (*NodeLifecycleSnapshot, bool) {
 		DeletedNodes:   c.DeletedNodes,
 		EvictedPods:    c.EvictedPods,
 		Conn:           cs,
-	}
-	if c.nodeInf != nil && c.podInf != nil {
-		snap.HasInformers = true
-		snap.NodeSub = c.nodeInf.SubID()
-		snap.PodSub = c.podInf.SubID()
-	}
-	return snap, true
+	}, true
 }
 
 // RestoreNodeLifecycle reconstructs a node lifecycle controller from a
@@ -141,26 +106,10 @@ func RestoreNodeLifecycle(w *sim.World, snap *NodeLifecycleSnapshot) *NodeLifecy
 	}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.checkFire)
 	c.conn = client.RestoreConn(w, snap.Conn)
-	if snap.HasInformers {
-		c.nodeInf = mustInformer(c.conn, snap.NodeSub, "node-lifecycle", "node")
-		c.podInf = mustInformer(c.conn, snap.PodSub, "node-lifecycle", "pod")
-	}
+	c.nodeInf, c.podInf = c.conn.InformerFor(cluster.KindNode), c.conn.InformerFor(cluster.KindPod)
 	return c
-}
-
-// Rearm returns the callback for a pending kernel event owned by the node
-// lifecycle controller.
-func (c *NodeLifecycleController) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "inf-liveness", "inf-relist":
-		return c.conn.RearmInformer(tag)
-	case "check":
-		epoch := tag.Epoch
-		return func() { c.checkFire(epoch) }, nil
-	default:
-		return nil, fmt.Errorf("node-lifecycle: unknown pending event kind %q", tag.Kind)
-	}
 }
 
 // AppSetSnapshot captures the appset controller at a checkpoint.
@@ -174,11 +123,8 @@ type AppSetSnapshot struct {
 	PodDeletes int
 	Rollouts   int
 
-	Conn         *client.ConnSnapshot
-	HasInformers bool
-	AppSub       uint64
-	PodSub       uint64
-	Queue        *controller.QueueSnapshot
+	Conn  *client.ConnSnapshot
+	Queue *controller.QueueSnapshot
 }
 
 // Snapshot captures the controller's state. It fails (ok=false) when an
@@ -202,11 +148,6 @@ func (c *AppSetController) Snapshot() (*AppSetSnapshot, bool) {
 	}
 	for app, n := range c.replacing {
 		snap.Replacing[app] = n
-	}
-	if c.appInf != nil && c.podInf != nil {
-		snap.HasInformers = true
-		snap.AppSub = c.appInf.SubID()
-		snap.PodSub = c.podInf.SubID()
 	}
 	return snap, true
 }
@@ -233,43 +174,13 @@ func RestoreAppSet(w *sim.World, snap *AppSetSnapshot) *AppSetController {
 	}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.resyncFire)
 	c.conn = client.RestoreConn(w, snap.Conn)
 	c.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(c.reconcile))
-	if snap.HasInformers {
-		appInf := mustInformer(c.conn, snap.AppSub, "appset", "appset")
-		appInf.RestoreHandler(controller.EnqueueHandler{Queue: c.queue})
-		c.appInf = appInf
-		podInf := mustInformer(c.conn, snap.PodSub, "appset", "pod")
-		podInf.RestoreHandler(client.HandlerFuncs{
-			AddFunc:    func(p *cluster.Object) { c.enqueueOwner(p) },
-			UpdateFunc: func(_, p *cluster.Object) { c.enqueueOwner(p) },
-			DeleteFunc: func(p *cluster.Object) { c.enqueueOwner(p) },
-		})
-		c.podInf = podInf
+	c.appInf, c.podInf = c.conn.InformerFor(cluster.KindAppSet), c.conn.InformerFor(cluster.KindPod)
+	if c.appInf != nil {
+		c.appInf.RestoreHandler(controller.EnqueueHandler{Queue: c.queue})
+		c.podInf.RestoreHandler(c.podHandler())
 	}
 	return c
-}
-
-// Rearm returns the callback for a pending kernel event owned by the
-// appset controller.
-func (c *AppSetController) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "addafter", "process":
-		return c.queue.Rearm(tag)
-	case "inf-liveness", "inf-relist":
-		return c.conn.RearmInformer(tag)
-	case "resync":
-		epoch := tag.Epoch
-		return func() { c.resyncFire(epoch) }, nil
-	default:
-		return nil, fmt.Errorf("appset: unknown pending event kind %q", tag.Kind)
-	}
-}
-
-func mustInformer(conn *client.Conn, sub uint64, who, kind string) *client.Informer {
-	inf, ok := conn.Informer(sub)
-	if !ok {
-		panic(fmt.Sprintf("%s: restore: %s informer sub %d missing", who, kind, sub))
-	}
-	return inf
 }

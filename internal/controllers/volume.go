@@ -44,9 +44,10 @@ func DefaultVolumeConfig(api sim.NodeID) VolumeConfig {
 // Kubernetes controller bug [17]: "the controller only learns of the state
 // of the system via sparse reads of its local view S'".
 type VolumeController struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   VolumeConfig
+	id     sim.NodeID
+	world  *sim.World
+	cfg    VolumeConfig
+	timers *sim.Owner
 
 	conn   *client.Conn
 	podInf *client.Informer
@@ -66,6 +67,7 @@ func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
 	c := &VolumeController{id: VolumeControllerID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.pollFire)
 	c.boot()
 	return c
 }
@@ -112,13 +114,12 @@ func (c *VolumeController) boot() {
 }
 
 func (c *VolumeController) schedulePoll(epoch uint64) {
-	tag := sim.EventTag{Owner: string(c.id), Kind: "poll", Epoch: epoch}
-	c.world.Kernel().ScheduleTagged(c.cfg.PollInterval, tag, func() { c.pollFire(epoch) })
+	c.timers.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll", Epoch: epoch})
 }
 
-// pollFire is the poll timer body, named so a restored cluster can rearm a
-// pending poll event by tag.
-func (c *VolumeController) pollFire(epoch uint64) {
+// pollFire is the poll timer body, the one timer the controller owns.
+func (c *VolumeController) pollFire(tag sim.EventTag) {
+	epoch := tag.Epoch
 	if c.down || epoch != c.epoch {
 		return
 	}

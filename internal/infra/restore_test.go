@@ -1,0 +1,229 @@
+package infra_test
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/infra"
+	"repro/internal/kubelet"
+	"repro/internal/scheduler"
+	"repro/internal/sim"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// restoreRow is one comparison of TestRestoredClusterContinuesIdentically:
+// a target at a world seed, a fault laid over its workload (nil: none), and
+// the instant at which the run is captured.
+type restoreRow struct {
+	label   string
+	t       core.Target
+	seed    int64
+	fault   func(c *infra.Cluster)
+	capture sim.Time
+	// wantRetired names a kind of timer the capture must hold pending for an
+	// owner that has since retired — the crashed incarnation's — or the row
+	// compared nothing it was written for.
+	wantRetired string
+}
+
+// continueVsRestore runs the row twice over: the original execution is
+// captured and left to run on, and a cluster restored from the capture the
+// way campaign's forkFrom restores one — plan band, then workload, both
+// rehydrated, then the pending events — runs beside it to the same horizon.
+// It reports how many retired events the capture held.
+func continueVsRestore(t *testing.T, r restoreRow) (retired int) {
+	t.Helper()
+	drive := func(c *infra.Cluster) {
+		k := c.World.Kernel()
+		ptag := sim.EventTag{Owner: "plan", Kind: "action"}
+		k.SetDefaultTag(&ptag)
+		if r.fault != nil {
+			r.fault(c)
+		}
+		wtag := sim.EventTag{Owner: "workload", Kind: "action"}
+		k.SetDefaultTag(&wtag)
+		r.t.Workload(c)
+		k.SetDefaultTag(nil)
+	}
+	c := r.t.Build(r.seed)
+	k := c.World.Kernel()
+	buildSeq, end := k.Seq(), k.Now().Add(r.t.Horizon)
+	rec := trace.NewRecorder()
+	rec.Attach(c.World.Network(), c.Store.Store())
+	drive(c)
+	k.Run(r.capture)
+	var snap *infra.Snapshot
+	for ok := false; !ok; k.RunFor(sim.Millisecond) {
+		if k.Now() >= end {
+			t.Fatalf("%s: no quiescent instant between %s and the horizon", r.label, r.capture)
+		}
+		if snap, ok = c.Capture(); ok {
+			break
+		}
+	}
+	found := r.wantRetired == ""
+	for _, pe := range snap.Kernel.Pending {
+		if pe.Retired {
+			retired++
+			found = found || pe.Tag.Kind == r.wantRetired
+		}
+	}
+	if !found {
+		t.Errorf("%s: captured at %s with no retired %s timer pending: the row does not reach the case it names", r.label, snap.Kernel.Now, r.wantRetired)
+	}
+
+	c2, err := snap.NewCluster()
+	if err != nil {
+		t.Fatalf("%s: restore: %v", r.label, err)
+	}
+	k2 := c2.World.Kernel()
+	rec2 := trace.NewRecorderFor(rec.T.Fork())
+	rec2.Attach(c2.World.Network(), c2.Store.Store())
+	k2.SetSeq(buildSeq)
+	k2.BeginRehydrate(snap.Kernel.Now)
+	drive(c2)
+	k2.EndRehydrate()
+	if err := c2.InstallPending(snap.Kernel.Pending, buildSeq, 0); err != nil {
+		t.Fatalf("%s: install pending: %v", r.label, err)
+	}
+	k2.SetSeq(snap.Kernel.Seq)
+
+	// Both to the horizon, then on until the original's queue is one a
+	// kernel snapshot can describe (no anonymous event pending).
+	k.Run(end)
+	final, ok := k.CaptureSnapshot()
+	for ; !ok; final, ok = k.CaptureSnapshot() {
+		k.RunFor(sim.Millisecond)
+	}
+	k2.Run(k.Now())
+	final2, ok := k2.CaptureSnapshot()
+	if !ok {
+		t.Errorf("%s: the restored run ends with an anonymous event pending, the original does not", r.label)
+	}
+	if final.Steps != final2.Steps || final.Seq != final2.Seq || final.RNGDraws != final2.RNGDraws {
+		t.Errorf("%s: continued: %d steps, seq %d, %d draws; restored at %s: %d steps, seq %d, %d draws",
+			r.label, final.Steps, final.Seq, final.RNGDraws, snap.Kernel.Now, final2.Steps, final2.Seq, final2.RNGDraws)
+	}
+	t.Logf("%s: captured at %s with %d retired; %d steps, seq %d, %d draws", r.label, snap.Kernel.Now, retired, final.Steps, final.Seq, final.RNGDraws)
+	if !reflect.DeepEqual(final.Pending, final2.Pending) {
+		t.Errorf("%s: pending events differ at %s:\n continued %v\n restored  %v", r.label, k.Now(), final.Pending, final2.Pending)
+	}
+	if a, b := rec.T.StateHash(), rec2.T.StateHash(); a != b {
+		t.Errorf("%s: state hash %016x continued, %016x restored", r.label, a, b)
+	}
+	if a, b := c.Violations(), c2.Violations(); !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: violations differ:\n continued %v\n restored  %v", r.label, a, b)
+	}
+	if a, b := c.Oracles.Snapshot().Since, c2.Oracles.Snapshot().Since; !reflect.DeepEqual(a, b) {
+		t.Errorf("%s: first-seen tables differ:\n continued %v\n restored  %v", r.label, a, b)
+	}
+	return retired
+}
+
+// TestRestoredClusterContinuesIdentically is the comparison DESIGN.md §7
+// rests on and every other fork test only implies: a cluster restored from
+// a capture must be the captured execution, event for event — the same
+// number of steps, the same sequence counter and RNG position, the same
+// events left pending — not merely an execution with the same verdict. The
+// rows that matter are the ones a fork reaches after a crash: until its
+// deadline, the crashed incarnation's last informer or work-queue timer is
+// still in the queue, and it must come back as inert as it had become.
+func TestRestoredClusterContinuesIdentically(t *testing.T) {
+	const restartAfter = 100 * sim.Millisecond // CrashPlan's default
+	ms := func(n int) sim.Time { return sim.Time(n) * sim.Time(sim.Millisecond) }
+	targets := append(workload.AllTargets(),
+		workload.ScaleRackDrainTarget(workload.ScaleProfile{Racks: 10, NodesPerRack: 5}))
+	var rows []restoreRow
+	for _, tg := range targets {
+		for _, after := range []sim.Duration{50 * sim.Millisecond, 300 * sim.Millisecond} {
+			rows = append(rows, restoreRow{
+				label: fmt.Sprintf("%s no fault, capture %s", tg.Name, ms(3000).Add(after)),
+				t:     tg, seed: 1, capture: ms(3000).Add(after),
+			})
+			// Kubelet informers watch for 400 ms and everything else's for
+			// 1 s, all from t=0: crashed 150 ms before a multiple of 400 ms,
+			// a component is back up 50 ms before its old liveness timer is
+			// due.
+			for _, comp := range tg.Topology.Restartable {
+				for _, crash := range []sim.Time{ms(2650), ms(3050), ms(3450)} {
+					r := restoreRow{
+						label: fmt.Sprintf("%s crash %s at %s, capture +%s", tg.Name, comp, crash, restartAfter+after),
+						t:     tg, seed: 1,
+						fault:   func(c *infra.Cluster) { core.CrashPlan{Component: comp, At: crash}.Apply(c) },
+						capture: crash.Add(restartAfter + after),
+					}
+					if after < restartAfter {
+						r.wantRetired = "inf-liveness"
+					}
+					rows = append(rows, r)
+				}
+			}
+		}
+	}
+	// Captured while the component is down: the restart is a top-level
+	// action, so the fork re-creates it by rehydration and boots the
+	// component itself, over a connection restored retired.
+	for _, comp := range []sim.NodeID{kubelet.NodeID("k1"), scheduler.ID} {
+		tg := workload.Target59848()
+		if comp == scheduler.ID {
+			tg = workload.Target56261()
+		}
+		rows = append(rows, restoreRow{
+			label: fmt.Sprintf("%s captured with %s down", tg.Name, comp),
+			t:     tg, seed: 1,
+			fault: func(c *infra.Cluster) {
+				c.World.Kernel().At(ms(3050), func() { _ = c.World.Crash(comp) })
+				c.World.Kernel().At(ms(3150), func() { _ = c.World.Restart(comp) })
+			},
+			capture:     ms(3100),
+			wantRetired: "inf-liveness",
+		})
+	}
+	// A work-queue timer across the crash: with no node to place it on, the
+	// scheduler puts a pod back every 50 ms, so a scheduler that is down
+	// for 10 ms comes back while its old queue's addafter is still pending.
+	stuck := workload.Target56261()
+	stuck.Name = "k8s-56261 unschedulable"
+	stuck.Workload = func(c *infra.Cluster) {
+		k := c.World.Kernel()
+		k.At(ms(500), func() {
+			_ = c.World.Crash(kubelet.NodeID("n1"))
+			_ = c.World.Crash(kubelet.NodeID("n2"))
+			c.Admin.DeleteNode("n1", nil)
+			c.Admin.DeleteNode("n2", nil)
+		})
+		k.At(ms(1000), func() { c.Admin.CreatePod("job-1", "", "v1", nil) })
+	}
+	stuck.Horizon = 4 * sim.Second
+	for _, crash := range []sim.Time{ms(2000), ms(2040), ms(2080)} {
+		rows = append(rows, restoreRow{
+			label: fmt.Sprintf("%s crash scheduler at %s for 10 ms", stuck.Name, crash),
+			t:     stuck, seed: 1,
+			fault: func(c *infra.Cluster) {
+				core.CrashPlan{Component: scheduler.ID, At: crash, RestartDelay: 10 * sim.Millisecond}.Apply(c)
+			},
+			capture:     crash.Add(15 * sim.Millisecond),
+			wantRetired: "addafter",
+		})
+	}
+	// World seeds beyond 1, on the rows the defect was found on.
+	for _, seed := range []int64{1021, 4060} {
+		rows = append(rows, restoreRow{
+			label: fmt.Sprintf("k8s-59848 seed %d crash kubelet-k1 at %s", seed, ms(3050)),
+			t:     workload.Target59848(), seed: seed,
+			fault:       func(c *infra.Cluster) { core.CrashPlan{Component: kubelet.NodeID("k1"), At: ms(3050)}.Apply(c) },
+			capture:     ms(3200),
+			wantRetired: "inf-liveness",
+		})
+	}
+	withRetired := 0
+	for _, r := range rows {
+		if continueVsRestore(t, r) > 0 {
+			withRetired++
+		}
+	}
+	t.Logf("%d rows, %d captured with a retired timer pending", len(rows), withRetired)
+}

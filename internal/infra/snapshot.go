@@ -2,8 +2,9 @@
 // (internal/sim/snapshot.go holds the simulation half). A cluster snapshot
 // bundles the kernel's scheduling identity with every component's state;
 // Snapshot.NewCluster rebuilds an equivalent cluster positioned mid-run,
-// and InstallPending re-inserts the captured pending events with their
-// sequence numbers shifted past a forked plan's allocation band.
+// whose components have registered as the owners of their timers again, and
+// InstallPending hands the captured pending events back to the kernel with
+// their sequence numbers shifted past a forked plan's allocation band.
 //
 // Sharing rules (see DESIGN.md, "Prefix checkpointing"): committed history
 // events, apiserver watch windows, informer observation logs, and cached
@@ -15,7 +16,6 @@ package infra
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/apiserver"
 	"repro/internal/client"
@@ -233,80 +233,21 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 // fewer sequence numbers than the base plan the snapshot was captured
 // under. Workload-owned and plan-owned events are skipped: rehydrating the
 // workload and re-applying the plan recreate them with exactly the
-// sequence numbers a full replay would use.
+// sequence numbers a full replay would use. Every other event is its tag:
+// the kernel finds the owner NewCluster registered under the tag's name,
+// and fails when there is none.
 func (c *Cluster) InstallPending(pending []sim.PendingEvent, buildSeq uint64, shift int64) error {
 	for _, pe := range pending {
 		if pe.Tag.Owner == "workload" || pe.Tag.Owner == "plan" {
 			continue
 		}
-		fn, err := c.rearm(pe.Tag)
-		if err != nil {
-			return err
-		}
 		seq := pe.Seq
 		if seq > buildSeq {
 			seq = uint64(int64(seq) + shift)
 		}
-		if _, err := c.World.Kernel().RestorePending(pe.At, seq, pe.Tag, fn); err != nil {
+		if err := c.World.Kernel().RestorePending(pe, seq); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// rearm routes a pending event tag to its owning component.
-func (c *Cluster) rearm(tag sim.EventTag) (func(), error) {
-	owner := sim.NodeID(tag.Owner)
-	switch {
-	case tag.Owner == "oracles":
-		return c.Oracles.Rearm(tag)
-	case owner == StoreID:
-		return c.Store.Rearm(tag)
-	case owner == scheduler.ID:
-		if c.Scheduler == nil {
-			return nil, fmt.Errorf("infra: pending event for disabled scheduler: %v", tag)
-		}
-		return c.Scheduler.Rearm(tag)
-	case strings.HasPrefix(tag.Owner, "api-"):
-		for _, api := range c.APIs {
-			if api.ID() == owner {
-				return api.Rearm(tag)
-			}
-		}
-		return nil, fmt.Errorf("infra: pending event for unknown apiserver: %v", tag)
-	case strings.HasPrefix(tag.Owner, "kubelet-"):
-		node := strings.TrimPrefix(tag.Owner, "kubelet-")
-		k, ok := c.Kubelet[node]
-		if !ok {
-			return nil, fmt.Errorf("infra: pending event for unknown kubelet: %v", tag)
-		}
-		return k.Rearm(tag)
-	case owner == controllers.VolumeControllerID:
-		if c.Volume == nil {
-			return nil, fmt.Errorf("infra: pending event for disabled volume controller: %v", tag)
-		}
-		return c.Volume.Rearm(tag)
-	case owner == controllers.NodeLifecycleID:
-		if c.NodeLC == nil {
-			return nil, fmt.Errorf("infra: pending event for disabled node lifecycle controller: %v", tag)
-		}
-		return c.NodeLC.Rearm(tag)
-	case owner == controllers.AppSetControllerID:
-		if c.App == nil {
-			return nil, fmt.Errorf("infra: pending event for disabled appset controller: %v", tag)
-		}
-		return c.App.Rearm(tag)
-	case owner == cassandra.OperatorID:
-		if c.Cassandra == nil {
-			return nil, fmt.Errorf("infra: pending event for disabled cassandra operator: %v", tag)
-		}
-		return c.Cassandra.Rearm(tag)
-	case owner == regions.ManagerID:
-		// The manager's move timers are untagged by design (transient
-		// closures over in-flight transitions); a tagged manager event in a
-		// snapshot means the contract was broken.
-		return nil, fmt.Errorf("infra: unexpected tagged region-manager event: %v", tag)
-	default:
-		return nil, fmt.Errorf("infra: pending event with unknown owner: %v", tag)
-	}
 }

@@ -134,11 +134,12 @@ func DefaultConfig(node string, apis []sim.NodeID) Config {
 
 // Kubelet is the node agent process.
 type Kubelet struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   Config
-	host  *Host
-	uids  *cluster.UIDGen
+	id     sim.NodeID
+	world  *sim.World
+	cfg    Config
+	host   *Host
+	uids   *cluster.UIDGen
+	timers *sim.Owner
 
 	conn     *client.Conn
 	informer *client.Informer
@@ -176,8 +177,21 @@ func New(w *sim.World, host *Host, cfg Config) *Kubelet {
 	}
 	w.Network().Register(k.id, k)
 	w.AddProcess(k)
+	k.timers = w.Kernel().Own(string(k.id), k.fire)
 	k.boot()
 	return k
+}
+
+// fire runs one of the kubelet's own timers.
+func (k *Kubelet) fire(tag sim.EventTag) {
+	switch tag.Kind {
+	case "heartbeat":
+		k.heartbeatFire(tag.Epoch)
+	case "sync":
+		k.syncFire(tag.Epoch)
+	case "syncsoon":
+		k.syncSoonFire(tag.Epoch)
+	}
 }
 
 // ID implements sim.Process.
@@ -246,14 +260,20 @@ func (k *Kubelet) boot() {
 	k.informer = client.NewInformer(k.conn, cluster.KindPod, client.InformerConfig{
 		WatchTimeout: 4 * k.cfg.SyncInterval,
 	})
-	k.informer.AddHandler(client.HandlerFuncs{
-		AddFunc:    func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
-		UpdateFunc: func(_, _ *cluster.Object) { k.scheduleSyncSoon(epoch) },
-		DeleteFunc: func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
-	})
+	k.informer.AddHandler(k.podHandler(epoch))
 	k.informer.Run()
 	k.schedulePeriodicSync(epoch)
 	k.scheduleHeartbeat(epoch)
+}
+
+// podHandler is the pod informer's handler for the boot with the given
+// epoch: any change to a pod asks for a sync.
+func (k *Kubelet) podHandler(epoch uint64) client.EventHandler {
+	return client.HandlerFuncs{
+		AddFunc:    func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
+		UpdateFunc: func(_, _ *cluster.Object) { k.scheduleSyncSoon(epoch) },
+		DeleteFunc: func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
+	}
 }
 
 // registerNode creates or refreshes this node's object.
@@ -279,9 +299,7 @@ func (k *Kubelet) registerNode(epoch uint64) {
 }
 
 func (k *Kubelet) scheduleHeartbeat(epoch uint64) {
-	k.world.Kernel().ScheduleTagged(k.cfg.HeartbeatInterval,
-		sim.EventTag{Owner: string(k.id), Kind: "heartbeat", Epoch: epoch},
-		func() { k.heartbeatFire(epoch) })
+	k.timers.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat", Epoch: epoch})
 }
 
 func (k *Kubelet) heartbeatFire(epoch uint64) {
@@ -313,9 +331,7 @@ func (k *Kubelet) heartbeat(epoch uint64) {
 }
 
 func (k *Kubelet) schedulePeriodicSync(epoch uint64) {
-	k.world.Kernel().ScheduleTagged(k.cfg.SyncInterval,
-		sim.EventTag{Owner: string(k.id), Kind: "sync", Epoch: epoch},
-		func() { k.syncFire(epoch) })
+	k.timers.After(k.cfg.SyncInterval, sim.EventTag{Kind: "sync", Epoch: epoch})
 }
 
 func (k *Kubelet) syncFire(epoch uint64) {
@@ -327,9 +343,7 @@ func (k *Kubelet) syncFire(epoch uint64) {
 }
 
 func (k *Kubelet) scheduleSyncSoon(epoch uint64) {
-	k.world.Kernel().ScheduleTagged(sim.Millisecond,
-		sim.EventTag{Owner: string(k.id), Kind: "syncsoon", Epoch: epoch},
-		func() { k.syncSoonFire(epoch) })
+	k.timers.After(sim.Millisecond, sim.EventTag{Kind: "syncsoon", Epoch: epoch})
 }
 
 func (k *Kubelet) syncSoonFire(epoch uint64) {

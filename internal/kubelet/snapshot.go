@@ -1,8 +1,6 @@
 package kubelet
 
 import (
-	"fmt"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -17,9 +15,7 @@ type Snapshot struct {
 	Running    map[string]Container
 	UIDCounter int
 
-	Conn        *client.ConnSnapshot
-	HasInformer bool
-	InformerSub uint64
+	Conn *client.ConnSnapshot
 
 	Down             bool
 	Epoch            uint64
@@ -58,17 +54,13 @@ func (k *Kubelet) Snapshot() (*Snapshot, bool) {
 	for name, c := range k.host.running {
 		snap.Running[name] = c
 	}
-	if k.informer != nil {
-		snap.HasInformer = true
-		snap.InformerSub = k.informer.SubID()
-	}
 	return snap, true
 }
 
 // Restore reconstructs a kubelet (with a fresh Host carrying the captured
-// containers) inside world w. No timers are armed — pending kernel events
-// are re-installed by the restore orchestration via Rearm — and the
-// informer's event handler is re-attached without replaying the cache.
+// containers) inside world w. No timers are armed — the kernel re-inserts
+// the pending ones from its snapshot — and the informer's event handler is
+// re-attached without replaying the cache.
 func Restore(w *sim.World, snap *Snapshot) *Kubelet {
 	host := NewHost(snap.Cfg.NodeName)
 	for name, c := range snap.Running {
@@ -92,43 +84,12 @@ func Restore(w *sim.World, snap *Snapshot) *Kubelet {
 	k.uids.SetCounter(snap.UIDCounter)
 	w.Network().Register(k.id, k)
 	w.AddProcess(k)
+	k.timers = w.Kernel().Own(string(k.id), k.fire)
 	k.conn = client.RestoreConn(w, snap.Conn)
-	if snap.HasInformer {
-		inf, ok := k.conn.Informer(snap.InformerSub)
-		if !ok {
-			panic(fmt.Sprintf("kubelet: restore: informer sub %d missing from conn snapshot", snap.InformerSub))
-		}
-		// The informer is non-nil in the snapshot, so no crash happened
-		// since the boot that created it: the handler's epoch is the
-		// captured epoch.
-		epoch := snap.Epoch
-		inf.RestoreHandler(client.HandlerFuncs{
-			AddFunc:    func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
-			UpdateFunc: func(_, _ *cluster.Object) { k.scheduleSyncSoon(epoch) },
-			DeleteFunc: func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
-		})
-		k.informer = inf
+	if k.informer = k.conn.InformerFor(cluster.KindPod); k.informer != nil {
+		// The connection still has its informer, so no crash happened since
+		// the boot that created it: the handler's epoch is the captured one.
+		k.informer.RestoreHandler(k.podHandler(snap.Epoch))
 	}
 	return k
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// kubelet, identified by its snapshot tag. Informer-owned tags are routed
-// through the connection.
-func (k *Kubelet) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "heartbeat":
-		epoch := tag.Epoch
-		return func() { k.heartbeatFire(epoch) }, nil
-	case "sync":
-		epoch := tag.Epoch
-		return func() { k.syncFire(epoch) }, nil
-	case "syncsoon":
-		epoch := tag.Epoch
-		return func() { k.syncSoonFire(epoch) }, nil
-	case "inf-liveness", "inf-relist":
-		return k.conn.RearmInformer(tag)
-	default:
-		return nil, fmt.Errorf("kubelet: unknown pending event kind %q for %s", tag.Kind, k.id)
-	}
 }

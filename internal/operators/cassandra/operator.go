@@ -86,9 +86,10 @@ func DefaultConfig(api sim.NodeID, name string) Config {
 
 // Operator is the Cassandra operator process.
 type Operator struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   Config
+	id     sim.NodeID
+	world  *sim.World
+	cfg    Config
+	timers *sim.Owner
 
 	conn   *client.Conn
 	crInf  *client.Informer
@@ -130,8 +131,21 @@ func New(w *sim.World, cfg Config) *Operator {
 	}
 	w.Network().Register(o.id, o)
 	w.AddProcess(o)
+	o.timers = w.Kernel().Own(string(o.id), o.fire)
 	o.boot()
 	return o
+}
+
+// fire runs one of the operator's own timers.
+func (o *Operator) fire(tag sim.EventTag) {
+	switch tag.Kind {
+	case "resync":
+		o.resyncFire(tag.Epoch)
+	case "drain":
+		o.drainFire(tag.Epoch, tag.Key)
+	case "awaitgone":
+		o.awaitGoneThenCleanup(tag.Epoch, tag.Key, int(tag.N))
+	}
 }
 
 // ID implements sim.Process.
@@ -190,9 +204,8 @@ func (o *Operator) boot() {
 	o.epoch++
 	epoch := o.epoch
 	o.conn = client.NewConn(o.world, o.id, o.cfg.APIServer, o.cfg.RPCTimeout)
-	o.queue = controller.NewQueue(o.world.Kernel(), controller.DefaultQueueConfig(),
+	o.queue = controller.NewQueue(o.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(o.reconcile))
-	o.queue.SetOwner(string(o.id))
 	infCfg := client.InformerConfig{WatchTimeout: sim.Second}
 	if o.cfg.Fixes.DefensiveRelist {
 		infCfg.RelistEvery = 1500 * sim.Millisecond
@@ -200,22 +213,29 @@ func (o *Operator) boot() {
 	o.crInf = client.NewInformer(o.conn, cluster.KindCassandra, infCfg)
 	o.crInf.AddHandler(controller.EnqueueHandler{Queue: o.queue})
 	o.podInf = client.NewInformer(o.conn, cluster.KindPod, infCfg)
-	o.podInf.AddHandler(client.HandlerFuncs{
-		AddFunc: func(p *cluster.Object) { o.observePod(p) },
-		UpdateFunc: func(_, p *cluster.Object) {
-			o.observePod(p)
-		},
-		DeleteFunc: func(p *cluster.Object) {
-			if o.isMember(p) {
-				o.queue.Add(o.cfg.ClusterName)
-			}
-		},
-	})
+	o.podInf.AddHandler(o.podHandler())
 	o.pvcInf = client.NewInformer(o.conn, cluster.KindPVC, infCfg)
 	o.crInf.Run()
 	o.podInf.Run()
 	o.pvcInf.Run()
 	o.scheduleResync(epoch)
+}
+
+// queueOwner is the name the work queue's timers are armed under.
+const queueOwner = string(OperatorID) + "/queue"
+
+// podHandler notes what the operator sees of its members' pods and queues
+// the cluster on every change to one.
+func (o *Operator) podHandler() client.EventHandler {
+	return client.HandlerFuncs{
+		AddFunc:    func(p *cluster.Object) { o.observePod(p) },
+		UpdateFunc: func(_, p *cluster.Object) { o.observePod(p) },
+		DeleteFunc: func(p *cluster.Object) {
+			if o.isMember(p) {
+				o.queue.Add(o.cfg.ClusterName)
+			}
+		},
+	}
 }
 
 func (o *Operator) observePod(p *cluster.Object) {
@@ -229,12 +249,10 @@ func (o *Operator) observePod(p *cluster.Object) {
 }
 
 func (o *Operator) scheduleResync(epoch uint64) {
-	tag := sim.EventTag{Owner: string(o.id), Kind: "resync", Epoch: epoch}
-	o.world.Kernel().ScheduleTagged(o.cfg.ResyncInterval, tag, func() { o.resyncFire(epoch) })
+	o.timers.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
 }
 
-// resyncFire is the resync timer body, named so a restored cluster can
-// rearm a pending resync event by tag.
+// resyncFire is the resync timer body.
 func (o *Operator) resyncFire(epoch uint64) {
 	if o.down || epoch != o.epoch {
 		return
@@ -476,12 +494,10 @@ func (o *Operator) drain(epoch uint64, member string) {
 	// "resumes" an operation this process is still executing. Only a crash
 	// (which wipes the map) leaves a resumable CR marker behind.
 	o.draining[member] = true
-	tag := sim.EventTag{Owner: string(o.id), Kind: "drain", Key: member, Epoch: epoch}
-	o.world.Kernel().ScheduleTagged(o.cfg.DrainTime, tag, func() { o.drainFire(epoch, member) })
+	o.timers.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member, Epoch: epoch})
 }
 
-// drainFire completes a drain once the drain time elapses, named so a
-// restored cluster can rearm a pending drain event by tag.
+// drainFire completes a drain once the drain time elapses.
 func (o *Operator) drainFire(epoch uint64, member string) {
 	if o.down || epoch != o.epoch {
 		return
@@ -537,14 +553,8 @@ func (o *Operator) awaitGoneThenCleanup(epoch uint64, member string, attempts in
 		delete(o.draining, member)
 		return
 	}
-	next := attempts - 1
-	tag := sim.EventTag{
-		Owner: string(o.id), Kind: "awaitgone",
-		Key: member + "#" + strconv.Itoa(next), Epoch: epoch,
-	}
-	o.world.Kernel().ScheduleTagged(20*sim.Millisecond, tag, func() {
-		o.awaitGoneThenCleanup(epoch, member, next)
-	})
+	o.timers.After(20*sim.Millisecond,
+		sim.EventTag{Kind: "awaitgone", Key: member, N: uint64(attempts - 1), Epoch: epoch})
 }
 
 // maybeCleanupPVC removes the decommissioned member's PVC.

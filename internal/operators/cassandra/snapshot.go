@@ -1,10 +1,6 @@
 package cassandra
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -12,9 +8,9 @@ import (
 )
 
 // Snapshot captures the operator at a checkpoint. The informer caches live
-// inside the connection snapshot; the queue's pending timers and the
-// operator's own resync/drain/awaitgone timers are kernel events restored
-// by the orchestration via Rearm.
+// inside the connection snapshot; the queue's and the informers' pending
+// timers and the operator's own resync/drain/awaitgone timers are kernel
+// events, carried by the kernel snapshot.
 type Snapshot struct {
 	Cfg   Config
 	Down  bool
@@ -32,12 +28,8 @@ type Snapshot struct {
 	WrongDecomm    int
 	StuckReconcile int
 
-	Conn         *client.ConnSnapshot
-	HasInformers bool
-	CRSub        uint64
-	PodSub       uint64
-	PVCSub       uint64
-	Queue        *controller.QueueSnapshot
+	Conn  *client.ConnSnapshot
+	Queue *controller.QueueSnapshot
 }
 
 // Snapshot captures the operator's state. It fails (ok=false) when an RPC
@@ -71,12 +63,6 @@ func (o *Operator) Snapshot() (*Snapshot, bool) {
 	for m, v := range o.sawTerminating {
 		snap.SawTerminating[m] = v
 	}
-	if o.crInf != nil && o.podInf != nil && o.pvcInf != nil {
-		snap.HasInformers = true
-		snap.CRSub = o.crInf.SubID()
-		snap.PodSub = o.podInf.SubID()
-		snap.PVCSub = o.pvcInf.SubID()
-	}
 	return snap, true
 }
 
@@ -109,68 +95,14 @@ func Restore(w *sim.World, snap *Snapshot) *Operator {
 	}
 	w.Network().Register(o.id, o)
 	w.AddProcess(o)
+	o.timers = w.Kernel().Own(string(o.id), o.fire)
 	o.conn = client.RestoreConn(w, snap.Conn)
 	o.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(o.reconcile))
-	if snap.HasInformers {
-		crInf, ok := o.conn.Informer(snap.CRSub)
-		if !ok {
-			panic(fmt.Sprintf("cassandra: restore: CR informer sub %d missing", snap.CRSub))
-		}
-		crInf.RestoreHandler(controller.EnqueueHandler{Queue: o.queue})
-		o.crInf = crInf
-		podInf, ok := o.conn.Informer(snap.PodSub)
-		if !ok {
-			panic(fmt.Sprintf("cassandra: restore: pod informer sub %d missing", snap.PodSub))
-		}
-		podInf.RestoreHandler(client.HandlerFuncs{
-			AddFunc: func(p *cluster.Object) { o.observePod(p) },
-			UpdateFunc: func(_, p *cluster.Object) {
-				o.observePod(p)
-			},
-			DeleteFunc: func(p *cluster.Object) {
-				if o.isMember(p) {
-					o.queue.Add(o.cfg.ClusterName)
-				}
-			},
-		})
-		o.podInf = podInf
-		pvcInf, ok := o.conn.Informer(snap.PVCSub)
-		if !ok {
-			panic(fmt.Sprintf("cassandra: restore: PVC informer sub %d missing", snap.PVCSub))
-		}
-		o.pvcInf = pvcInf
+	o.crInf, o.podInf, o.pvcInf = o.conn.InformerFor(cluster.KindCassandra),
+		o.conn.InformerFor(cluster.KindPod), o.conn.InformerFor(cluster.KindPVC)
+	if o.crInf != nil {
+		o.crInf.RestoreHandler(controller.EnqueueHandler{Queue: o.queue})
+		o.podInf.RestoreHandler(o.podHandler())
 	}
 	return o
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// operator (work-queue timers, informer timers, and the operator's own
-// resync/drain/awaitgone timers share its owner name).
-func (o *Operator) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "addafter", "process":
-		return o.queue.Rearm(tag)
-	case "inf-liveness", "inf-relist":
-		return o.conn.RearmInformer(tag)
-	case "resync":
-		epoch := tag.Epoch
-		return func() { o.resyncFire(epoch) }, nil
-	case "drain":
-		epoch, member := tag.Epoch, tag.Key
-		return func() { o.drainFire(epoch, member) }, nil
-	case "awaitgone":
-		sep := strings.LastIndex(tag.Key, "#")
-		if sep < 0 {
-			return nil, fmt.Errorf("cassandra: malformed awaitgone key %q", tag.Key)
-		}
-		member := tag.Key[:sep]
-		attempts, err := strconv.Atoi(tag.Key[sep+1:])
-		if err != nil {
-			return nil, fmt.Errorf("cassandra: malformed awaitgone key %q: %w", tag.Key, err)
-		}
-		epoch := tag.Epoch
-		return func() { o.awaitGoneThenCleanup(epoch, member, attempts) }, nil
-	default:
-		return nil, fmt.Errorf("cassandra: unknown pending event kind %q", tag.Kind)
-	}
 }

@@ -67,9 +67,7 @@ type Runner struct {
 	// Periodic-tick binding (set by InstallPeriodic / BindPeriodic).
 	w     *sim.World
 	every sim.Duration
-	// tickFn caches the tickFire method value: armTick runs every tick and
-	// binding the method fresh each time allocates.
-	tickFn func()
+	tick  *sim.Owner
 }
 
 // NewRunner creates an empty runner.
@@ -234,42 +232,27 @@ func (r *Runner) CheckNow(now sim.Time) {
 }
 
 // InstallPeriodic schedules CheckNow every interval on the world's kernel,
-// forever (the simulation's run bound ends it). The tick is tagged so
-// prefix checkpoints can capture and re-arm it.
+// forever (the simulation's run bound ends it).
 func (r *Runner) InstallPeriodic(w *sim.World, every sim.Duration) {
 	r.BindPeriodic(w, every)
 	r.armTick()
 }
 
-// BindPeriodic records the world and interval the periodic tick uses
-// without scheduling anything (restore path: the pending tick event is
-// re-installed by the orchestration via Rearm).
+// BindPeriodic records the world and interval the periodic tick uses and
+// registers the runner as the tick's owner without scheduling anything
+// (restore path: the kernel re-inserts the pending tick from its snapshot).
 func (r *Runner) BindPeriodic(w *sim.World, every sim.Duration) {
 	r.w = w
 	r.every = every
+	r.tick = w.Kernel().Own("oracles", r.tickFire)
 }
 
-func (r *Runner) armTick() {
-	if r.tickFn == nil {
-		r.tickFn = r.tickFire
-	}
-	r.w.Kernel().ScheduleTagged(r.every, sim.EventTag{Owner: "oracles", Kind: "tick"}, r.tickFn)
-}
+func (r *Runner) armTick() { r.tick.After(r.every, sim.EventTag{Kind: "tick"}) }
 
-func (r *Runner) tickFire() {
+// tickFire is the periodic tick, the one timer the runner owns.
+func (r *Runner) tickFire(sim.EventTag) {
 	r.CheckNow(r.w.Now())
 	r.armTick()
-}
-
-// Rearm returns the callback for a pending kernel event owned by the
-// oracle runner. BindPeriodic must have been called first.
-func (r *Runner) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "tick":
-		return r.tickFire, nil
-	default:
-		return nil, fmt.Errorf("oracle: unknown pending event kind %q", tag.Kind)
-	}
 }
 
 // RunnerSnapshot captures the runner's recorded violations and its

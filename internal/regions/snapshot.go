@@ -79,8 +79,8 @@ func (m *Manager) Snapshot() (*ManagerSnapshot, bool) {
 }
 
 // RestoreManager reconstructs the assignment manager from a snapshot
-// inside world w. The manager runs no informers and owns no tagged timers,
-// so there is no Rearm counterpart.
+// inside world w. The manager runs no informers and owns no timers of its
+// own: its move timers are closures, and a capture waits them out.
 func RestoreManager(w *sim.World, snap *ManagerSnapshot) *Manager {
 	m := &Manager{
 		id:          ManagerID,

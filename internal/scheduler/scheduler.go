@@ -128,21 +128,29 @@ func (s *Scheduler) NodeView() []string {
 func (s *Scheduler) boot() {
 	s.epoch++
 	s.conn = client.NewConn(s.world, s.id, s.cfg.APIServer, s.cfg.RPCTimeout)
-	s.queue = controller.NewQueue(s.world.Kernel(), controller.DefaultQueueConfig(),
+	s.queue = controller.NewQueue(s.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(s.reconcile))
-	s.queue.SetOwner(string(s.id))
 	s.nodeInf = client.NewInformer(s.conn, cluster.KindNode, client.InformerConfig{
 		WatchTimeout: sim.Second,
 	})
-	s.nodeInf.AddHandler(client.HandlerFuncs{
-		DeleteFunc: func(o *cluster.Object) { delete(s.deadNodes, o.Meta.Name) },
-	})
+	s.nodeInf.AddHandler(s.nodeHandler())
 	s.podInf = client.NewInformer(s.conn, cluster.KindPod, client.InformerConfig{
 		WatchTimeout: sim.Second,
 	})
 	s.podInf.AddHandler(controller.EnqueueHandler{Queue: s.queue})
 	s.nodeInf.Run()
 	s.podInf.Run()
+}
+
+// queueOwner is the name the work queue's timers are armed under.
+const queueOwner = string(ID) + "/queue"
+
+// nodeHandler forgets a bind failure once the node it was held against is
+// gone.
+func (s *Scheduler) nodeHandler() client.EventHandler {
+	return client.HandlerFuncs{
+		DeleteFunc: func(o *cluster.Object) { delete(s.deadNodes, o.Meta.Name) },
+	}
 }
 
 // reconcile attempts to place one pod.

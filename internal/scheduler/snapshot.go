@@ -1,8 +1,6 @@
 package scheduler
 
 import (
-	"fmt"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -10,8 +8,9 @@ import (
 )
 
 // Snapshot captures the scheduler at a checkpoint. The informer caches
-// live inside the connection snapshot; the queue's pending timers are
-// kernel events restored by the orchestration via Rearm.
+// live inside the connection snapshot; the queue's and the informers'
+// pending timers are kernel events, carried by the kernel snapshot (the
+// scheduler has no timer of its own).
 type Snapshot struct {
 	Cfg          Config
 	Down         bool
@@ -20,11 +19,8 @@ type Snapshot struct {
 	Binds        int
 	BindFailures int
 
-	Conn         *client.ConnSnapshot
-	HasInformers bool
-	PodSub       uint64
-	NodeSub      uint64
-	Queue        *controller.QueueSnapshot
+	Conn  *client.ConnSnapshot
+	Queue *controller.QueueSnapshot
 }
 
 // Snapshot captures the scheduler's state. It fails (ok=false) when an RPC
@@ -47,11 +43,6 @@ func (s *Scheduler) Snapshot() (*Snapshot, bool) {
 	}
 	for n, v := range s.deadNodes {
 		snap.DeadNodes[n] = v
-	}
-	if s.podInf != nil && s.nodeInf != nil {
-		snap.HasInformers = true
-		snap.PodSub = s.podInf.SubID()
-		snap.NodeSub = s.nodeInf.SubID()
 	}
 	return snap, true
 }
@@ -76,34 +67,10 @@ func Restore(w *sim.World, snap *Snapshot) *Scheduler {
 	w.AddProcess(s)
 	s.conn = client.RestoreConn(w, snap.Conn)
 	s.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(s.reconcile))
-	if snap.HasInformers {
-		nodeInf, ok := s.conn.Informer(snap.NodeSub)
-		if !ok {
-			panic(fmt.Sprintf("scheduler: restore: node informer sub %d missing", snap.NodeSub))
-		}
-		nodeInf.RestoreHandler(client.HandlerFuncs{
-			DeleteFunc: func(o *cluster.Object) { delete(s.deadNodes, o.Meta.Name) },
-		})
-		s.nodeInf = nodeInf
-		podInf, ok := s.conn.Informer(snap.PodSub)
-		if !ok {
-			panic(fmt.Sprintf("scheduler: restore: pod informer sub %d missing", snap.PodSub))
-		}
-		podInf.RestoreHandler(controller.EnqueueHandler{Queue: s.queue})
-		s.podInf = podInf
+	s.nodeInf, s.podInf = s.conn.InformerFor(cluster.KindNode), s.conn.InformerFor(cluster.KindPod)
+	if s.nodeInf != nil {
+		s.nodeInf.RestoreHandler(s.nodeHandler())
+		s.podInf.RestoreHandler(controller.EnqueueHandler{Queue: s.queue})
 	}
 	return s
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// scheduler (work-queue timers and informer timers share its owner name).
-func (s *Scheduler) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "addafter", "process":
-		return s.queue.Rearm(tag)
-	case "inf-liveness", "inf-relist":
-		return s.conn.RearmInformer(tag)
-	default:
-		return nil, fmt.Errorf("scheduler: unknown pending event kind %q", tag.Kind)
-	}
 }

@@ -88,37 +88,98 @@ func (t Timer) Cancel() bool {
 // canceled. It is false from inside the timer's own callback.
 func (t Timer) Pending() bool { return t.live() != nil }
 
-// EventTag identifies the semantic role of a pending kernel event so a
-// snapshot can describe it declaratively (and a restored world can re-arm
-// it) without serializing the closure itself. The zero tag marks an
-// anonymous event: such events cannot be captured by a snapshot, so a
-// checkpoint is only taken at instants where every pending event is
-// tagged (see Kernel.CapturePending).
+// EventTag says what a pending kernel event is, so a snapshot can describe
+// it and a restored kernel can re-insert it. For an event armed through an
+// Owner the tag is all there is: the owner's fire function is handed the tag
+// when the event comes due, in the original run and in a restored one alike.
+// The zero tag marks an anonymous event: such events cannot be captured by a
+// snapshot, so a checkpoint is only taken at instants where every pending
+// event is tagged (see Kernel.CaptureSnapshot).
 type EventTag struct {
-	// Owner is the component the event belongs to (a NodeID string such
-	// as "etcd" or "kubelet-n1", or a well-known owner like "workload"
-	// and "oracles").
+	// Owner is the name the event's owner registered under (a NodeID string
+	// such as "etcd" or "kubelet-n1", a part of a component such as
+	// "scheduler/queue", or "oracles"); Owner.After fills it in. "workload"
+	// and "plan" are not owners: they mark the closures the campaign layer
+	// blanket-tags (SetDefaultTag) and re-creates by re-running them.
 	Owner string
 	// Kind names the timer within its owner ("leasetick", "resync",
 	// "heartbeat", ...).
 	Kind string
-	// Key discriminates multiple timers of the same kind (an informer
-	// subscription ID, a workqueue key, ...).
+	// Key and N are the timer's arguments: a workqueue key or a member
+	// name, an informer subscription ID or an attempt count.
 	Key string
+	N   uint64
 	// Epoch carries the owner's crash/relist epoch at arm time for timers
 	// whose fire-time behaviour depends on whether the epoch is stale.
 	Epoch uint64
 }
 
+// Owner is whatever arms tagged timers — a component, a connection's
+// informers, a work queue — under the one function that runs them. What is
+// created anew each time its component boots owns its timers itself and
+// retires with them when the component crashes: the events of a retired
+// owner stay in the queue, come due, count as steps, and run nothing.
+type Owner struct {
+	k       *Kernel
+	name    string
+	fire    func(EventTag)
+	retired bool
+}
+
+// retiredOwner stands in, read-only, for the owner of an event restored
+// from a snapshot that recorded it as retired.
+var retiredOwner = &Owner{retired: true}
+
+// Own registers fire as the function that runs every event armed through
+// the returned Owner. The name is how a restored kernel finds the owner of
+// a captured event (RestorePending), so only one live owner may hold it.
+func (k *Kernel) Own(name string, fire func(EventTag)) *Owner {
+	if _, dup := k.owners[name]; dup {
+		panic("sim: two live owners named " + name)
+	}
+	o := &Owner{k: k, name: name, fire: fire}
+	k.owners[name] = o
+	return o
+}
+
+// Name returns the name the owner registered under.
+func (o *Owner) Name() string { return o.name }
+
+// After arms fire(tag) to run after virtual duration d (>= 0), with the
+// tag's Owner set to this owner's name. It is scheduled exactly as Schedule
+// would schedule a closure, and allocates nothing.
+func (o *Owner) After(d Duration, tag EventTag) Timer {
+	if d < 0 {
+		d = 0
+	}
+	tag.Owner = o.name
+	return o.k.enqueue(o.k.now.Add(d), &tag, o, nil, nil, nil)
+}
+
+// Retire makes every event the owner has armed, or arms from now on, run
+// nothing when it comes due, and frees the owner's name for a successor.
+func (o *Owner) Retire() {
+	if !o.retired {
+		o.retired = true
+		delete(o.k.owners, o.name)
+	}
+}
+
+// Retired reports whether Retire has been called.
+func (o *Owner) Retired() bool { return o.retired }
+
 // event is one slot of the kernel's event table. A slot is either free or
 // the occupant of exactly one heap entry, which holds its (at, seq). An
-// event takes one of two forms: a closure (fn), or a message delivery
-// (deliver, msg) — the network's per-message form, which needs no closure.
-// gen counts the slot's releases and is what a Timer is checked against.
+// event takes one of three forms: a closure (fn); a message delivery
+// (deliver, msg) — the network's per-message form; or an owner-dispatched
+// timer (owner, with tag as its argument) — the only form a snapshot can
+// re-create. The last two need no closure. gen counts the slot's releases
+// and is what a Timer is checked against.
 type event struct {
 	fn       func()
 	deliver  func(*Message)
 	msg      *Message
+	owner    *Owner
 	tag      EventTag
 	gen      uint64
 	canceled bool
@@ -240,6 +301,9 @@ type Kernel struct {
 	strictPast      bool
 	strictErr       string
 
+	// owners are the live (registered, not retired) owners by name.
+	owners map[string]*Owner
+
 	// slots is the event table and free the indices of its unoccupied
 	// slots (see DESIGN.md, "Event ownership rule"). A slot is released the
 	// moment its heap entry is popped — before the callback runs, so a
@@ -255,7 +319,7 @@ type Kernel struct {
 // Timer issued for the old occupant goes inert.
 func (k *Kernel) release(slot uint32) {
 	ev := &k.slots[slot]
-	ev.fn, ev.deliver, ev.msg = nil, nil, nil
+	ev.fn, ev.deliver, ev.msg, ev.owner = nil, nil, nil, nil
 	ev.canceled = false
 	ev.gen++
 	k.free = append(k.free, slot)
@@ -265,7 +329,7 @@ func (k *Kernel) release(slot uint32) {
 // Identical seeds yield identical simulations for identical inputs.
 func NewKernel(seed int64) *Kernel {
 	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Kernel{rng: rand.New(src), src: src}
+	return &Kernel{rng: rand.New(src), src: src, owners: make(map[string]*Owner)}
 }
 
 // Now returns the current virtual time.
@@ -292,31 +356,18 @@ func (k *Kernel) Schedule(d Duration, fn func()) Timer {
 	return k.At(k.now.Add(d), fn)
 }
 
-// ScheduleTagged is Schedule with an explicit snapshot tag (see EventTag).
-func (k *Kernel) ScheduleTagged(d Duration, tag EventTag, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return k.AtTagged(k.now.Add(d), tag, fn)
-}
-
 // At runs fn at absolute virtual time t (clamped to now) and returns a
 // cancelable timer. When a default tag is installed (SetDefaultTag) the
 // event carries it; otherwise the event is anonymous and blocks snapshots
 // while pending.
 func (k *Kernel) At(t Time, fn func()) Timer {
-	return k.enqueue(t, k.untagged(), fn, nil, nil)
-}
-
-// AtTagged is At with an explicit snapshot tag.
-func (k *Kernel) AtTagged(t Time, tag EventTag, fn func()) Timer {
-	return k.enqueue(t, &tag, fn, nil, nil)
+	return k.enqueue(t, k.untagged(), nil, fn, nil, nil)
 }
 
 // atDeliver is At for the network: the event is deliver(m), with no closure
 // to allocate. It is scheduled exactly as At would schedule it.
 func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message) {
-	k.enqueue(t, k.untagged(), nil, deliver, m)
+	k.enqueue(t, k.untagged(), nil, nil, deliver, m)
 }
 
 // anonymous is the zero tag, shared read-only by every untagged event.
@@ -330,10 +381,10 @@ func (k *Kernel) untagged() *EventTag {
 	return &anonymous
 }
 
-// enqueue is the one scheduling path, for both event forms (fn, or deliver
-// and m): it allocates the next sequence number and, unless the event
-// belongs to a rehydrated prefix, inserts the event at (t, seq).
-func (k *Kernel) enqueue(t Time, tag *EventTag, fn func(), deliver func(*Message), m *Message) Timer {
+// enqueue is the one scheduling path, for all three event forms (o, or fn,
+// or deliver and m): it allocates the next sequence number and, unless the
+// event belongs to a rehydrated prefix, inserts the event at (t, seq).
+func (k *Kernel) enqueue(t Time, tag *EventTag, o *Owner, fn func(), deliver func(*Message), m *Message) Timer {
 	if k.rehydrating && t < k.rehydrateCutoff {
 		// Fork-time workload rehydration: the full-replay run scheduled
 		// (and already fired) this event before the checkpoint. Burn the
@@ -355,11 +406,11 @@ func (k *Kernel) enqueue(t Time, tag *EventTag, fn func(), deliver func(*Message
 		t = k.now
 	}
 	k.seq++
-	return k.insert(t, k.seq, tag, fn, deliver, m)
+	return k.insert(t, k.seq, tag, o, fn, deliver, m)
 }
 
 // insert occupies a slot with the event and pushes its heap entry.
-func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, fn func(), deliver func(*Message), m *Message) Timer {
+func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, o *Owner, fn func(), deliver func(*Message), m *Message) Timer {
 	var slot uint32
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
@@ -369,7 +420,7 @@ func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, fn func(), deliver f
 		k.slots = append(k.slots, event{})
 	}
 	ev := &k.slots[slot]
-	ev.fn, ev.deliver, ev.msg, ev.tag = fn, deliver, m, *tag
+	ev.owner, ev.fn, ev.deliver, ev.msg, ev.tag = o, fn, deliver, m, *tag
 	k.heap.push(heapEntry{at: at, seq: seq, slot: slot})
 	return Timer{k: k, slot: slot, gen: ev.gen}
 }
@@ -383,17 +434,29 @@ func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
 		e := k.heap.pop()
 		ev := &k.slots[e.slot]
-		fn, deliver, m, canceled := ev.fn, ev.deliver, ev.msg, ev.canceled
-		k.release(e.slot)
-		if canceled {
+		if ev.canceled {
+			k.release(e.slot)
 			continue
 		}
 		k.now = e.at
 		k.steps++
-		if deliver != nil {
+		// Whatever form the event takes, it is copied out of the slot and
+		// the slot released before it runs.
+		switch {
+		case ev.deliver != nil:
+			deliver, m := ev.deliver, ev.msg
+			k.release(e.slot)
 			deliver(m)
-		} else {
+		case ev.owner == nil:
+			fn := ev.fn
+			k.release(e.slot)
 			fn()
+		default:
+			owner, tag := ev.owner, ev.tag
+			k.release(e.slot)
+			if !owner.retired {
+				owner.fire(tag)
+			}
 		}
 		return true
 	}

@@ -13,7 +13,7 @@ import (
 // code with the heap, the slot table or Timer — and after every operation
 // the two must agree on everything observable: what fired and in which
 // order, every Cancel result, Now, Steps, Seq, Pending, the strict-past
-// verdict, and the (at, seq, tag) set a snapshot captures.
+// verdict, and the (at, seq, tag, retired) set a snapshot captures.
 
 // evSpec is one event of a program: what it logs when it fires and what it
 // does from inside its callback. Specs (and their ids and handle numbers)
@@ -22,16 +22,28 @@ type evSpec struct {
 	id         int     // logged on fire
 	handle     int     // index of the Timer this event's scheduling returns
 	delivery   bool    // scheduled through atDeliver, not At (no Timer)
-	tagged     bool    // scheduled with its own tag
+	owned      bool    // armed through an Owner: the event is its tag
+	owner      int     // which of the two owners
 	cancelSelf bool    // the callback cancels its own handle (always false)
 	cancelIdx  int     // >= 0: the callback cancels that handle
 	child      *evSpec // the callback schedules this at now+childDt
 	childDt    Duration
 }
 
+// ownerNames are the two names owners register under. An owned event's tag
+// carries its spec's id, which is how the owner's fire function finds what
+// to run: nothing but the tag travels through the kernel.
+var ownerNames = [2]string{"model-a", "model-b"}
+
 func (s *evSpec) tag() EventTag {
-	return EventTag{Owner: "model", Kind: "ev", Epoch: uint64(s.id)}
+	return EventTag{Owner: ownerNames[s.owner], Kind: "ev", N: uint64(s.id)}
 }
+
+// incarnation is one registration of an owner name: the n-th.
+type incarnation struct{ owner, n int }
+
+// inert is the incarnation of an event restored as retired.
+var inert = incarnation{owner: -1}
 
 // Log entries: an event id (>= 0) for a fire, or one of these for a Cancel
 // made from inside a callback.
@@ -53,6 +65,7 @@ type modelEvent struct {
 	seq  uint64
 	tag  EventTag
 	spec *evSpec
+	inc  incarnation // of an owned event: the registration it was armed through
 }
 
 // modelKernel restates the kernel's contract over a flat slice. Canceled
@@ -68,6 +81,14 @@ type modelKernel struct {
 	cutoff      Time
 	strict      bool
 	violated    bool
+	// inc is each owner name's current registration and gone the retired
+	// ones: a name between Retire and the next Own has its current one gone.
+	inc  [2]int
+	gone map[incarnation]bool
+}
+
+func (m *modelKernel) retired(e modelEvent) bool {
+	return e.spec.owned && (e.inc == inert || m.gone[e.inc])
 }
 
 func (m *modelKernel) min() int {
@@ -84,8 +105,11 @@ func (m *modelKernel) min() int {
 func (m *modelKernel) schedule(at Time, s *evSpec) {
 	var tag EventTag
 	switch {
-	case s.tagged && !s.delivery:
+	case s.owned:
 		tag = s.tag()
+		if at < m.now {
+			at = m.now // After clamps the delay, not the instant: no strict-past verdict
+		}
 	case m.defaultTag != nil:
 		tag = *m.defaultTag
 	}
@@ -103,11 +127,8 @@ func (m *modelKernel) schedule(at Time, s *evSpec) {
 		at = m.now
 	}
 	m.seq++
-	m.insert(at, m.seq, tag, s)
-}
-
-func (m *modelKernel) insert(at Time, seq uint64, tag EventTag, s *evSpec) {
-	m.pending = append(m.pending, modelEvent{at: at, seq: seq, tag: tag, spec: s})
+	m.pending = append(m.pending, modelEvent{at: at, seq: m.seq, tag: tag, spec: s,
+		inc: incarnation{s.owner, m.inc[s.owner]}})
 	if !s.delivery {
 		m.live[s.handle] = true
 	}
@@ -139,6 +160,9 @@ func (m *modelKernel) step() bool {
 	}
 	m.now = e.at
 	m.steps++
+	if m.retired(e) {
+		return true // a step like any other, and nothing else
+	}
 	s := e.spec
 	m.log = append(m.log, s.id)
 	if s.cancelSelf {
@@ -186,7 +210,7 @@ func (m *modelKernel) capture() ([]PendingEvent, bool) {
 		if e.tag == (EventTag{}) {
 			return nil, false
 		}
-		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag})
+		out = append(out, PendingEvent{At: e.at, Seq: e.seq, Tag: e.tag, Retired: m.retired(e)})
 	}
 	return out, true
 }
@@ -196,15 +220,25 @@ type kernelSide struct {
 	k      *Kernel
 	timers map[int]Timer // handle -> what its scheduling returned (absent: zero Timer)
 	log    []int
+	// owners holds each name's latest registration, retired or not, and
+	// specs what an owned event's tag stands for, by spec id.
+	owners [2]*Owner
+	specs  map[int]*evSpec
 	// onDeliver is bound once, as Network binds its deliver method; the
 	// delivery form's spec rides in the message payload.
 	onDeliver func(*Message)
 }
 
 func newKernelSide() *kernelSide {
-	ks := &kernelSide{k: NewKernel(1), timers: map[int]Timer{}}
+	ks := &kernelSide{k: NewKernel(1), timers: map[int]Timer{}, specs: map[int]*evSpec{}}
 	ks.onDeliver = func(m *Message) { ks.fire(m.Payload.(*evSpec)) }
+	ks.own(0)
+	ks.own(1)
 	return ks
+}
+
+func (ks *kernelSide) own(i int) {
+	ks.owners[i] = ks.k.Own(ownerNames[i], func(tag EventTag) { ks.fire(ks.specs[int(tag.N)]) })
 }
 
 func (ks *kernelSide) fire(s *evSpec) {
@@ -224,8 +258,9 @@ func (ks *kernelSide) schedule(at Time, s *evSpec) {
 	switch {
 	case s.delivery:
 		ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s})
-	case s.tagged:
-		ks.timers[s.handle] = ks.k.AtTagged(at, s.tag(), func() { ks.fire(s) })
+	case s.owned:
+		ks.specs[s.id] = s
+		ks.timers[s.handle] = ks.owners[s.owner].After(at.Sub(ks.k.Now()), EventTag{Kind: "ev", N: uint64(s.id)})
 	default:
 		ks.timers[s.handle] = ks.k.At(at, func() { ks.fire(s) })
 	}
@@ -257,7 +292,8 @@ func (p *program) spec(depth int, mask byte) *evSpec {
 	s := &evSpec{id: p.nextID, handle: p.handles, cancelIdx: -1}
 	p.nextID++
 	s.delivery = flags&1 != 0
-	s.tagged = flags&2 != 0
+	s.owned = flags&2 != 0 && !s.delivery
+	s.owner = int(flags >> 5 & 1)
 	if !s.delivery {
 		p.handles++
 		s.cancelSelf = flags&4 != 0
@@ -284,13 +320,13 @@ func runProgram(t *testing.T, data []byte) {
 	}
 	p := &program{data: data}
 	ks := newKernelSide()
-	m := &modelKernel{live: map[int]bool{}}
+	m := &modelKernel{live: map[int]bool{}, gone: map[incarnation]bool{}}
 	k := ks.k
 	defTag := EventTag{Owner: "model", Kind: "default"}
 	compared := 0 // log entries already found equal
 
 	for op := 0; !p.done(); op++ {
-		code := p.byte() % 10
+		code := p.byte() % 11
 		switch code {
 		case 0, 1: // schedule at now+dt; dt < 0 exercises the clamp
 			dt := Duration(p.byte()%24) - 2
@@ -319,13 +355,26 @@ func runProgram(t *testing.T, data []byte) {
 			until := m.now.Add(Duration(p.byte() % 32))
 			k.Run(until)
 			m.run(until)
-		case 5: // RestorePending with an explicit seq
+		case 5: // RestorePending by tag, with an explicit seq
 			at := m.now.Add(Duration(p.byte()%16) - 1)
 			// As the restore orchestration does: explicit sequence numbers
 			// come from at or below where the counter ends up, so no later
 			// schedule can collide with one.
 			seq := uint64(p.byte()) % (m.seq + 4)
 			s := p.spec(1, 1)
+			s.owned = true // the only form a snapshot re-creates
+			// The captured event, as its owner stands; or captured retired;
+			// or under a name nobody registered.
+			pe := PendingEvent{At: at, Seq: seq, Tag: s.tag()}
+			inc := incarnation{s.owner, m.inc[s.owner]}
+			wantErr := at < m.now || m.gone[inc]
+			switch p.byte() % 4 {
+			case 2:
+				pe.Retired, inc = true, inert
+				wantErr = at < m.now
+			case 3:
+				pe.Tag.Owner, wantErr = "nobody", true
+			}
 			dup := false
 			for _, e := range m.pending {
 				dup = dup || (e.at == at && e.seq == seq)
@@ -333,13 +382,13 @@ func runProgram(t *testing.T, data []byte) {
 			if dup {
 				continue // a restore never reuses a pending (at, seq)
 			}
-			tm, err := k.RestorePending(at, seq, s.tag(), func() { ks.fire(s) })
-			if (err != nil) != (at < m.now) {
-				t.Fatalf("op %d: RestorePending(at=%d, now=%d) err = %v", op, at, m.now, err)
+			ks.specs[s.id] = s
+			err := k.RestorePending(pe, seq)
+			if (err != nil) != wantErr {
+				t.Fatalf("op %d: RestorePending(%+v) at now=%d: err = %v, want one: %v", op, pe, m.now, err, wantErr)
 			}
-			if err == nil {
-				ks.timers[s.handle] = tm
-				m.insert(at, seq, s.tag(), s)
+			if err == nil { // no handle: a restored event cannot be canceled
+				m.pending = append(m.pending, modelEvent{at: at, seq: seq, tag: pe.Tag, spec: s, inc: inc})
 			}
 			if seq > m.seq {
 				m.seq = seq
@@ -390,6 +439,15 @@ func runProgram(t *testing.T, data []byte) {
 		case 9: // the restore path's counter jump (forward only)
 			m.seq += uint64(p.byte() % 4)
 			k.SetSeq(m.seq)
+		case 10: // retire an owner; or, if it is retired, register its successor
+			i := int(p.byte() % 2)
+			if inc := (incarnation{i, m.inc[i]}); !m.gone[inc] {
+				ks.owners[i].Retire()
+				m.gone[inc] = true
+			} else {
+				ks.own(i)
+				m.inc[i]++
+			}
 		}
 
 		if !reflect.DeepEqual(ks.log[compared:], m.log[min(compared, len(m.log)):]) {
@@ -436,7 +494,18 @@ var modelSeeds = [][]byte{
 	// burn: seq moves, nothing fires, the handle is inert
 	{7, 5, 1, 0, 2, 0, 0, 3, 0, 4, 31},
 	// restore below the counter sorts ahead of an equal-time event
-	{0, 6, 0, 5, 5, 0, 0, 4, 31},
+	{0, 6, 0, 5, 5, 0, 0, 0, 4, 31},
+	// an owned event between two closures at one instant, run by its owner
+	{0, 4, 0, 0, 4, 2, 0, 4, 0, 4, 31},
+	// one of two owners retires: its event is a step that logs nothing and
+	// captures retired, the other owner's fires
+	{0, 5, 2, 0, 5, 2 | 32, 10, 0, 6, 3, 6, 3},
+	// a successor under the retired owner's name: its events run, the old
+	// incarnation's stay inert; an arm through the retired handle is born inert
+	{0, 5, 2, 10, 0, 0, 6, 2, 10, 0, 0, 7, 2, 6, 4, 31},
+	// restore by tag: a live owner's, one captured retired, one nobody owns
+	// (refused), one whose owner has retired since (refused)
+	{5, 3, 1, 0, 0, 5, 3, 2, 0, 2, 5, 3, 3, 0, 3, 10, 1, 5, 3, 4, 32, 0, 6, 4, 31},
 	// snapshot refused while an anonymous event is pending, granted under a default tag
 	{0, 4, 0, 6, 3, 8, 1, 0, 4, 0, 6},
 	// strict past: the clamp is a violation
@@ -461,6 +530,36 @@ func FuzzKernelMatchesModel(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(runProgram)
+}
+
+// TestOwnerNameHasOneLiveHolder: a restored event finds its owner by name,
+// so a name has at most one live owner — a second registration is a bug in
+// the caller — and retiring passes it on: a retired owner retired again must
+// not take the name from its successor.
+func TestOwnerNameHasOneLiveHolder(t *testing.T) {
+	k := NewKernel(1)
+	ran := ""
+	first := k.Own("conn", func(EventTag) { ran += "first " })
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a second live owner took a held name")
+			}
+		}()
+		k.Own("conn", func(EventTag) {})
+	}()
+	first.After(1, EventTag{Kind: "k"})
+	first.Retire()
+	second := k.Own("conn", func(EventTag) { ran += "second " })
+	first.Retire()
+	if err := k.RestorePending(PendingEvent{At: 2, Tag: EventTag{Owner: "conn", Kind: "k"}}, 100); err != nil {
+		t.Fatalf("the successor lost its name to a repeated Retire: %v", err)
+	}
+	second.After(3, EventTag{Kind: "k"})
+	k.Drain()
+	if ran != "second second " || k.Steps() != 3 {
+		t.Fatalf("ran %q in %d steps, want the successor twice in 3", ran, k.Steps())
+	}
 }
 
 // TestStaleTimerCannotCancelRecycledSlot is the hazard slot reuse creates:
@@ -538,25 +637,31 @@ func TestBurnedScheduleReturnsInertTimer(t *testing.T) {
 	k.Drain()
 }
 
-// TestScheduleAndFireAllocateNothing pins the tentpole: on a warm kernel an
-// event costs no allocation in either form.
+// TestScheduleAndFireAllocateNothing pins the event path: on a warm kernel
+// an event costs no allocation in any of its three forms.
 func TestScheduleAndFireAllocateNothing(t *testing.T) {
 	k := NewKernel(1)
 	fn := func() {}
 	deliver := func(*Message) {}
 	m := &Message{}
-	tag := EventTag{Owner: "o", Kind: "k"}
+	fired := 0
+	o := k.Own("o", func(EventTag) { fired++ })
+	tag := EventTag{Kind: "k", Key: "key", N: 7, Epoch: 3}
 	for i := 0; i < 64; i++ { // warm: grow the slot table, free list and heap
 		k.Schedule(Duration(i), fn)
 	}
 	k.Drain()
 	allocs := testing.AllocsPerRun(1000, func() {
 		k.Schedule(3, fn)
-		k.ScheduleTagged(2, tag, fn).Cancel()
+		o.After(2, tag).Cancel()
+		o.After(2, tag)
 		k.atDeliver(k.Now().Add(1), deliver, m)
 		k.Drain()
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule + fire allocates %v per run, want 0", allocs)
+	}
+	if fired != 1001 { // AllocsPerRun warms up with one extra run
+		t.Fatalf("the owner ran %d of its 1001 uncanceled events", fired)
 	}
 }

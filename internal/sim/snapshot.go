@@ -10,10 +10,11 @@ import (
 // captures the kernel's scheduling identity — virtual clock, sequence
 // counter, step counter, RNG stream position, and the (tag, at, seq) of
 // every pending event — plus the network's mutable routing state. It does
-// NOT capture event closures: a restored world reconstructs each pending
-// event's callback from its tag and re-inserts it with its original
-// sequence number, so tie-breaking order in the forked run is
-// byte-identical to a full replay.
+// NOT capture closures, and needs none: a component timer is armed through
+// an Owner and is its tag, so a restored kernel re-inserts it, under its
+// original sequence number, for the owner registered under the tag's name —
+// the body it runs is the one function the original run would have run, and
+// tie-breaking order in the forked run is byte-identical to a full replay.
 //
 // The contract that makes forking exact (see DESIGN.md, "Prefix
 // checkpointing"):
@@ -28,10 +29,14 @@ import (
 //     the prefix counter plus that same shift.
 
 // PendingEvent describes one pending, tagged kernel event at capture time.
+// Retired marks an event whose owner had retired (its component crashed):
+// it is restored to come due, count as a step and run nothing, as it would
+// have in the captured run.
 type PendingEvent struct {
-	At  Time
-	Seq uint64
-	Tag EventTag
+	At      Time
+	Seq     uint64
+	Tag     EventTag
+	Retired bool
 }
 
 // KernelSnapshot is the kernel's scheduling identity at a checkpoint.
@@ -57,7 +62,8 @@ func (k *Kernel) CaptureSnapshot() (KernelSnapshot, bool) {
 		if ev.tag == (EventTag{}) {
 			return KernelSnapshot{}, false
 		}
-		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: ev.tag})
+		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: ev.tag,
+			Retired: ev.owner != nil && ev.owner.retired})
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		if pending[i].At != pending[j].At {
@@ -140,14 +146,25 @@ func (k *Kernel) SetSeq(n uint64) { k.seq = n }
 // SetSteps overwrites the executed-event counter (restore path only).
 func (k *Kernel) SetSteps(n uint64) { k.steps = n }
 
-// RestorePending re-inserts a pending event with an explicit sequence
-// number without touching the sequence counter. at must not precede the
-// restored clock. Restore orchestration only.
-func (k *Kernel) RestorePending(at Time, seq uint64, tag EventTag, fn func()) (Timer, error) {
-	if at < k.now {
-		return Timer{}, fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", tag, at, k.now)
+// RestorePending re-inserts a captured owner-dispatched event under the
+// given sequence number, without touching the sequence counter, for the
+// live owner registered under the tag's name (none, if the event was
+// captured retired). It fails, inserting nothing, when no such owner is
+// registered or the event precedes the restored clock. Restore
+// orchestration only.
+func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
+	o := retiredOwner
+	if !pe.Retired {
+		o = k.owners[pe.Tag.Owner]
 	}
-	return k.insert(at, seq, &tag, fn, nil, nil), nil
+	switch {
+	case o == nil:
+		return fmt.Errorf("sim: restore pending event %v: no owner registered under that name", pe.Tag)
+	case pe.At < k.now:
+		return fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", pe.Tag, pe.At, k.now)
+	}
+	k.insert(pe.At, seq, &pe.Tag, o, nil, nil, nil)
+	return nil
 }
 
 // NetworkSnapshot is the network's mutable routing state at a checkpoint.

@@ -130,9 +130,7 @@ type Server struct {
 	down  bool
 
 	leaseTick sim.Duration
-	// leaseTickFn caches the leaseTickFire method value (the tick re-arms
-	// itself constantly; binding the method fresh each time allocates).
-	leaseTickFn func()
+	timers    *sim.Owner
 
 	// pushSlab arena-allocates the per-watcher copies of notify batches
 	// (the store mutates its own batch buffer after notifying, so each
@@ -153,6 +151,7 @@ func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
 	s.register()
 	w.Network().Register(id, s)
 	w.AddProcess(s)
+	s.timers = w.Kernel().Own(string(id), s.leaseTickFire)
 	s.scheduleLeaseTick()
 	return s
 }
@@ -189,16 +188,12 @@ func (s *Server) HandleMessage(m *sim.Message) {
 }
 
 func (s *Server) scheduleLeaseTick() {
-	if s.leaseTickFn == nil {
-		s.leaseTickFn = s.leaseTickFire
-	}
-	s.world.Kernel().ScheduleTagged(s.leaseTick,
-		sim.EventTag{Owner: string(s.id), Kind: "leasetick"}, s.leaseTickFn)
+	s.timers.After(s.leaseTick, sim.EventTag{Kind: "leasetick"})
 }
 
-// leaseTickFire is the lease-expiry timer body; scheduleLeaseTick arms it
-// and a restored world re-arms it from its snapshot tag.
-func (s *Server) leaseTickFire() {
+// leaseTickFire is the lease-expiry timer body, the one timer the server
+// owns.
+func (s *Server) leaseTickFire(sim.EventTag) {
 	if s.down {
 		return
 	}

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/history"
@@ -103,9 +102,8 @@ func (s *Server) Snapshot() (*Snapshot, bool) {
 }
 
 // RestoreServer reconstructs a store server (and its store) from a
-// snapshot inside world w. Pending kernel timers (the lease tick) are NOT
-// re-armed here; the restore orchestration re-installs them from the
-// kernel snapshot via Rearm.
+// snapshot inside world w. No timer is armed: the kernel re-inserts a
+// pending lease tick from its snapshot.
 func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	st := &Store{
 		rev:       snap.Rev,
@@ -147,6 +145,7 @@ func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	s.register()
 	w.Network().Register(s.id, s)
 	w.AddProcess(s)
+	s.timers = w.Kernel().Own(string(s.id), s.leaseTickFire)
 
 	for _, sub := range snap.Subs {
 		subID, client := sub.SubID, sub.Client
@@ -163,15 +162,4 @@ func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 		}
 	}
 	return s
-}
-
-// Rearm returns the callback for a pending kernel event owned by this
-// server, identified by its snapshot tag.
-func (s *Server) Rearm(tag sim.EventTag) (func(), error) {
-	switch tag.Kind {
-	case "leasetick":
-		return s.leaseTickFire, nil
-	default:
-		return nil, fmt.Errorf("store: unknown pending event kind %q for %s", tag.Kind, s.id)
-	}
 }
