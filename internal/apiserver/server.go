@@ -103,48 +103,70 @@ type Server struct {
 	rpcSrv *sim.RPCServer
 	rpcCl  *sim.RPCClient
 
-	down  bool
-	ready bool
-	epoch uint64 // bumped on restart; stale async callbacks check it
-
-	cache       map[string]store.KV
-	cachedRev   int64
-	window      []history.Event
-	winHead     int   // logical window start: window[winHead:] is the live window
-	minStartRev int64 // newest revision no longer replayable from the window
-	subs        map[string]*clientSub
-	subsOrder   []string                  // cached sorted sub keys; nil means stale
-	subsByKind  map[cluster.Kind][]string // per-kind relay index over subsOrder; nil means stale
-	kindKeys    map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
-	kindBroken  bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
-	decoded     map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
-	stats       ServeStats
-	storeSubID  uint64
-	lastEventAt sim.Time
+	subsOrder  []string                  // cached sorted sub keys; nil means stale
+	subsByKind map[cluster.Kind][]string // per-kind relay index over subsOrder; nil means stale
+	kindKeys   map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
+	kindBroken bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
+	decoded    map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
+	stats      ServeStats
 
 	// pushSlab arena-allocates the per-subscriber single-event push
 	// slices (relay sends one per subscriber per event — the hottest
 	// allocation on the watch path).
 	pushSlab sim.Slab[WatchEvent]
+	state
 }
 
-// New creates and wires an apiserver into the world and begins its initial
-// cache sync.
-func New(w *sim.World, id sim.NodeID, cfg Config) *Server {
-	s := &Server{
-		id:       id,
-		world:    w,
-		cfg:      cfg,
-		cache:    make(map[string]store.KV),
-		subs:     make(map[string]*clientSub),
-		kindKeys: make(map[cluster.Kind][]string),
-	}
+// state is everything the server's watch cache carries from one event to
+// the next. The retained event window is shared copy-on-write with every
+// snapshot (applyOne's append reallocates a capped slice, and compaction
+// always allocates fresh); cached KVs share their value bytes — the
+// apiserver never mutates a cached value in place, it installs fresh KV
+// structs.
+type state struct {
+	down  bool
+	ready bool
+	epoch uint64 // bumped on restart; stale async callbacks check it
+
+	cache       map[string]store.KV `snap:"shared-elems"`
+	cachedRev   int64
+	window      []history.Event `snap:"shared"`
+	winHead     int             // logical window start: window[winHead:] is the live window
+	minStartRev int64           // newest revision no longer replayable from the window
+	subs        map[string]clientSub
+	storeSubID  uint64
+	lastEventAt sim.Time
+}
+
+// clone re-makes the maps and caps the live window (dropping the dead
+// prefix), so an append on either side reallocates.
+func (s state) clone() state {
+	s.cache = sim.CloneMap(s.cache)
+	s.subs = sim.CloneMap(s.subs)
+	s.window, s.winHead = s.window[s.winHead:len(s.window):len(s.window)], 0
+	return s
+}
+
+// wire registers an apiserver with no state in the world: what New
+// bootstraps and Restore assigns a captured state to.
+func wire(w *sim.World, id sim.NodeID, cfg Config) *Server {
+	s := &Server{id: id, world: w, cfg: cfg}
 	s.rpcSrv = sim.NewRPCServer(w.Network(), id)
 	s.rpcCl = sim.NewRPCClient(w.Network(), id, cfg.RPCTimeout)
 	s.register()
 	w.Network().Register(id, s)
 	w.AddProcess(s)
 	s.timers = w.Kernel().Own(string(id), s.resyncFire)
+	return s
+}
+
+// New creates and wires an apiserver into the world and begins its initial
+// cache sync.
+func New(w *sim.World, id sim.NodeID, cfg Config) *Server {
+	s := wire(w, id, cfg)
+	s.cache = make(map[string]store.KV)
+	s.subs = make(map[string]clientSub)
+	s.kindKeys = make(map[cluster.Kind][]string)
 	s.bootstrap()
 	s.scheduleResync()
 	return s
@@ -172,7 +194,7 @@ func (s *Server) Crash() {
 	s.window = nil
 	s.winHead = 0
 	s.cachedRev = 0
-	s.subs = make(map[string]*clientSub)
+	s.subs = make(map[string]clientSub)
 	s.subsOrder = nil
 	s.subsByKind = nil
 	s.kindKeys = make(map[cluster.Kind][]string)
@@ -402,7 +424,7 @@ func (s *Server) relay(ev WatchEvent, key string) {
 			if !ok || sub.kind != kind || ev.Revision <= sub.lastSent {
 				continue
 			}
-			s.relayTo(sub, ev)
+			s.relayTo(sk, sub, ev)
 		}
 		return
 	}
@@ -412,14 +434,15 @@ func (s *Server) relay(ev WatchEvent, key string) {
 		if !ok || ev.Revision <= sub.lastSent {
 			continue
 		}
-		s.relayTo(sub, ev)
+		s.relayTo(sk, sub, ev)
 	}
 }
 
 // relayTo delivers one event to one subscriber and advances its
 // high-water mark.
-func (s *Server) relayTo(sub *clientSub, ev WatchEvent) {
+func (s *Server) relayTo(key string, sub clientSub, ev WatchEvent) {
 	sub.lastSent = ev.Revision
+	s.subs[key] = sub
 	s.stats.RelaySends++
 	s.world.Network().Send(s.id, sub.client, KindWatchPush,
 		&WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})
@@ -548,7 +571,7 @@ func (s *Server) Memoized() []*cluster.Object {
 // Stats returns a copy of the serving-path counters.
 func (s *Server) Stats() ServeStats { return s.stats }
 
-func sortedSubKeys(m map[string]*clientSub) []string {
+func sortedSubKeys(m map[string]clientSub) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -758,7 +781,7 @@ func (s *Server) register() {
 			return nil, ErrTooOldResourceVersion
 		}
 		key := fmt.Sprintf("%s/%d", from, req.SubID)
-		sub := &clientSub{subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
+		sub := clientSub{subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
 		// An informer on a quiet stream re-issues its watch every
 		// WatchTimeout. The order caches hold keys, not subs: a live key
 		// re-registered with the same kind leaves both of them valid.
@@ -766,7 +789,6 @@ func (s *Server) register() {
 			s.subsOrder = nil
 			s.subsByKind = nil
 		}
-		s.subs[key] = sub
 		// Replay the window backlog beyond the client's start revision.
 		// The window is revision-ordered.
 		win := s.window[s.winHead:]
@@ -782,6 +804,7 @@ func (s *Server) register() {
 				sub.lastSent = e.Revision
 			}
 		}
+		s.subs[key] = sub
 		if len(backlog) > 0 {
 			s.world.Network().Send(s.id, from, KindWatchPush, &WatchPushMsg{SubID: req.SubID, Events: backlog})
 		}

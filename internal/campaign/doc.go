@@ -50,7 +50,7 @@
 //     reference run: one tree per (target, seed) serves the whole sweep)
 //     or a detected plan (mid-plan rungs serve that bucket's probes).
 //     Whatever the divergence rule cannot bound, or a fork guard rejects
-//     (unsnapshotable, strict_past, restore_error, watchdog — counted
+//     (strict_past, restore_error, watchdog — counted
 //     per cause in Stats.SnapshotFallbacks), runs through the one full
 //     replay, runGuarded (guard.go): Build → Apply → Workload → Run
 //     under panic recovery and the event-budget watchdog. Records are

@@ -81,10 +81,10 @@ type Config struct {
 	// re-simulating the prefix from t=0; with Explain, each bucket's
 	// minimization probes fork from a tree rooted at its example plan. Any
 	// execution whose fork cannot be proven byte-equivalent to a full
-	// replay (unsnapshotable cluster, unknown plan type, strict-past
-	// violation, restore error, panic, watchdog trip) falls back to the
-	// full-replay path, so every artifact — buckets, outcomes, telemetry
-	// records — is byte-identical to the same campaign with Snapshot off.
+	// replay (unknown plan type, strict-past violation, restore error,
+	// panic, watchdog trip) falls back to the full-replay path, so every
+	// artifact — buckets, outcomes, telemetry records — is byte-identical
+	// to the same campaign with Snapshot off.
 	Snapshot bool
 	// Coverage seeds the campaign from a persistent cross-campaign corpus
 	// (see CoverageSeed): previously-detected buckets' example plans run
@@ -675,9 +675,9 @@ func (e *Engine) runGuided(t core.Target, plans []planRef, seed int64, maxExec i
 // set the returned trace is the execution's full trace from t=0 (nil for
 // failed and hung executions). Execution RECORDS are identical either way
 // — fork vs. full replay must never change any artifact byte — but
-// diagnosable fallbacks (unsnapshotable cluster, strict-past violation,
-// restore error, watchdog trip) are returned per cause so a substrate that
-// silently degrades to full replay is visible in Stats.SnapshotFallbacks.
+// diagnosable fallbacks (strict-past violation, restore error, watchdog
+// trip) are returned per cause so a substrate that silently degrades to
+// full replay is visible in Stats.SnapshotFallbacks.
 func (e *Engine) execute(t core.Target, p core.Plan, seed int64, instrument bool, pt *planTree) (core.Execution, *trace.Trace, fallbackCause) {
 	cause := fallbackNone
 	if pt != nil {

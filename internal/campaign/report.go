@@ -98,9 +98,11 @@ type Stats struct {
 
 // SnapshotFallbacks breaks down fork-to-full-replay fallbacks by cause.
 // Routine "no qualifying checkpoint" replays are not fallbacks and are not
-// counted; these four causes all indicate a snapshot-layer defect or a
+// counted; these causes all indicate a snapshot-layer defect or a
 // component contract violation worth investigating.
 type SnapshotFallbacks struct {
+	// Unsnapshotable is never counted: every cluster captures. The field
+	// stays for benchmark/workloads.go, which sums it.
 	Unsnapshotable int `json:"unsnapshotable,omitempty"`
 	StrictPast     int `json:"strict_past,omitempty"`
 	RestoreError   int `json:"restore_error,omitempty"`
@@ -295,8 +297,6 @@ func (st *Stats) noteFallback(c fallbackCause) {
 		st.SnapshotFallbacks = &SnapshotFallbacks{}
 	}
 	switch c {
-	case fallbackUnsnapshotable:
-		st.SnapshotFallbacks.Unsnapshotable++
 	case fallbackStrictPast:
 		st.SnapshotFallbacks.StrictPast++
 	case fallbackRestoreError:

@@ -52,8 +52,6 @@ import (
 // Guards at fork time — each a counted fallback cause, never a silently
 // different execution:
 //
-//   - unsnapshotable: the cluster refused Snapshotable(); the tree is a
-//     sentinel and every run reports the cause;
 //   - strict_past: with a plan-free base, a plan timer landing before the
 //     rung means the plan acts inside the checkpointed prefix (with a plan
 //     base such timers are the shared perturbations and burn their
@@ -98,7 +96,6 @@ type fallbackCause uint8
 
 const (
 	fallbackNone fallbackCause = iota
-	fallbackUnsnapshotable
 	fallbackStrictPast
 	fallbackRestoreError
 	fallbackWatchdog
@@ -132,9 +129,6 @@ type planTree struct {
 	horizon    sim.Duration
 	shiftBase  uint64 // sequence numbers the base plan's Apply allocated
 	rungs      []rung // ascending capture time
-	// unsnapshotable marks the sentinel tree of a cluster that refused
-	// Snapshotable(): every run falls back with a counted cause.
-	unsnapshotable bool
 }
 
 // subCount is one entry of a sub-plan multiset: a representative plan and
@@ -147,8 +141,7 @@ type subCount struct {
 // buildPlanTree executes base once from t=0, capturing a rung at the build
 // boundary and captureMargin before (a quantile sample of) the hinted
 // instants. Returns nil when no rung could be captured — the caller then
-// runs full replays, exactly as with snapshotting off — and the
-// unsnapshotable sentinel when the cluster cannot snapshot at all.
+// runs full replays, exactly as with snapshotting off.
 func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, hints []sim.Time) (pt *planTree) {
 	defer func() {
 		if recover() != nil {
@@ -156,9 +149,6 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 		}
 	}()
 	c := t.Build(seed)
-	if !c.Snapshotable() {
-		return &planTree{unsnapshotable: true}
-	}
 	k := c.World.Kernel()
 	_, planFree := base.(core.NopPlan)
 	pt = &planTree{
@@ -405,9 +395,6 @@ func (pt *planTree) forkRung(q core.Plan) *rung {
 // fall back to runGuarded; cause classifies diagnosable failures
 // (fallbackNone: no eligible rung — routine).
 func (pt *planTree) run(t core.Target, q core.Plan, instrument bool, budget uint64) (core.Execution, *trace.Trace, bool, fallbackCause) {
-	if pt.unsnapshotable {
-		return core.Execution{}, nil, false, fallbackUnsnapshotable
-	}
 	if !pt.planFree && !instrument && q.ID() == pt.base.ID() && q.Describe() == pt.base.Describe() {
 		return pt.baseExec, nil, true, fallbackNone
 	}

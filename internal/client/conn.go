@@ -28,32 +28,34 @@ import (
 type Conn struct {
 	world *sim.World
 	self  sim.NodeID
-	api   sim.NodeID
 	rpc   *sim.RPCClient
 
-	nextSub   uint64
 	informers map[uint64]*Informer
 	// timers owns the informers' liveness and resync timers. A connection
 	// lives for one boot of its component, so it is the connection, not the
 	// component, that owns them: Reset retires them with it.
 	timers *sim.Owner
+	connState
+}
+
+// connState is what a connection itself carries from one event to the
+// next; its informers and its RPC client carry their own.
+type connState struct {
+	api     sim.NodeID
+	nextSub uint64
 }
 
 // NewConn creates a connection owned by node self, initially pointed at
 // the apiserver node api.
 func NewConn(w *sim.World, self, api sim.NodeID, timeout sim.Duration) *Conn {
-	return newConn(w, self, api, timeout, string(self)+"/informers")
-}
-
-func newConn(w *sim.World, self, api sim.NodeID, timeout sim.Duration, owner string) *Conn {
 	c := &Conn{
 		world:     w,
 		self:      self,
-		api:       api,
 		rpc:       sim.NewRPCClient(w.Network(), self, timeout),
 		informers: make(map[uint64]*Informer),
+		connState: connState{api: api},
 	}
-	c.timers = w.Kernel().Own(owner, c.fire)
+	c.timers = w.Kernel().Own(string(self)+"/informers", c.fire)
 	return c
 }
 

@@ -84,17 +84,25 @@ type Informer struct {
 	kind cluster.Kind
 	cfg  InformerConfig
 
-	subID    uint64
-	epoch    uint64 // guards async callbacks across relists
-	synced   bool
-	store    map[string]*cluster.Object // S'
-	names    []string                   // sorted keys of store; nil means stale (membership changed)
-	lastRev  int64                      // frontier of H'
+	names    []string // sorted keys of store; nil means stale (membership changed)
 	handlers []EventHandler
+	informerState
+}
+
+// informerState is everything an informer carries from one event to the
+// next. The cached objects and the observation log are shared with every
+// snapshot and fork: API objects are immutable once received (DESIGN.md,
+// "Object ownership") and the log is copy-on-write.
+type informerState struct {
+	subID   uint64
+	epoch   uint64 // guards async callbacks across relists
+	synced  bool
+	store   map[string]*cluster.Object `snap:"shared-elems"` // S'
+	lastRev int64                      // frontier of H'
 
 	// Obs records the order in which revisions were observed — raw
 	// material for time-travel detection by oracles.
-	Obs history.ObservationLog
+	Obs history.ObservationLog `snap:"shared"`
 
 	lastEventAt sim.Time
 	relists     int
@@ -102,14 +110,16 @@ type Informer struct {
 	backoff     sim.Duration // next retry's base delay; 0 = healthy
 }
 
+func (s informerState) clone() informerState {
+	s.store = sim.CloneMap(s.store)
+	s.Obs = s.Obs.Fork()
+	return s
+}
+
 // NewInformer creates (but does not start) an informer for kind on conn.
 func NewInformer(conn *Conn, kind cluster.Kind, cfg InformerConfig) *Informer {
-	inf := &Informer{
-		conn:  conn,
-		kind:  kind,
-		cfg:   cfg,
-		store: make(map[string]*cluster.Object),
-	}
+	inf := &Informer{conn: conn, kind: kind, cfg: cfg}
+	inf.store = make(map[string]*cluster.Object)
 	conn.nextSub++
 	inf.subID = conn.nextSub
 	conn.informers[inf.subID] = inf

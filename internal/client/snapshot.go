@@ -2,45 +2,28 @@ package client
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/history"
 	"repro/internal/sim"
 )
 
 // ConnSnapshot captures a connection and all of its informers at a
 // checkpoint. RPC in-flight state is forbidden (a checkpoint is only taken
 // at quiescent instants where every pending call's timeout timer has been
-// canceled), so only counters survive.
+// canceled), so of the RPC client only its request counter survives.
 type ConnSnapshot struct {
 	Self      sim.NodeID
-	API       sim.NodeID
 	Timeout   sim.Duration
-	NextSub   uint64
+	State     connState
 	RPCNext   uint64
-	Informers []*InformerSnapshot // sorted by subscription ID
-	// Owner is the name the informers' timers are armed under; Retired says
-	// the connection had been Reset (its component is down).
-	Owner   string
+	Informers []InformerSnapshot // sorted by subscription ID
+	// Retired says the connection had been Reset (its component is down).
 	Retired bool
 }
 
-// InformerSnapshot captures one informer cache. Cached object pointers are
-// shared with the live informer, with every fork restored from the
-// snapshot (possibly on other goroutines) and with whoever the informer
-// handed them to: API objects are immutable once received (DESIGN.md,
-// "Object ownership"), so nothing needs copying.
+// InformerSnapshot captures one informer cache.
 type InformerSnapshot struct {
-	Kind        cluster.Kind
-	Cfg         InformerConfig
-	SubID       uint64
-	Epoch       uint64
-	Synced      bool
-	Store       map[string]*cluster.Object
-	LastRev     int64
-	Obs         history.ObservationLog // copy-on-write fork
-	LastEventAt sim.Time
-	Relists     int
-	Retries     int
-	Backoff     sim.Duration
+	Kind  cluster.Kind
+	Cfg   InformerConfig
+	State informerState
 }
 
 // Snapshot captures the connection. It fails (ok=false) when a call is in
@@ -53,39 +36,18 @@ func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
 		return nil, false
 	}
 	snap := &ConnSnapshot{
-		Self:    c.self,
-		API:     c.api,
-		Timeout: c.rpc.Timeout(),
-		NextSub: c.nextSub,
-		RPCNext: c.rpc.Next(),
-		Owner:   c.timers.Name(),
-		Retired: c.timers.Retired(),
+		Self:      c.self,
+		Timeout:   c.rpc.Timeout(),
+		State:     c.connState,
+		RPCNext:   c.rpc.Next(),
+		Informers: make([]InformerSnapshot, 0, len(c.informers)),
+		Retired:   c.timers.Retired(),
 	}
 	for _, id := range c.sortedSubIDs() {
-		snap.Informers = append(snap.Informers, c.informers[id].snapshot())
+		inf := c.informers[id]
+		snap.Informers = append(snap.Informers, InformerSnapshot{Kind: inf.kind, Cfg: inf.cfg, State: inf.informerState.clone()})
 	}
 	return snap, true
-}
-
-func (i *Informer) snapshot() *InformerSnapshot {
-	s := &InformerSnapshot{
-		Kind:        i.kind,
-		Cfg:         i.cfg,
-		SubID:       i.subID,
-		Epoch:       i.epoch,
-		Synced:      i.synced,
-		Store:       make(map[string]*cluster.Object, len(i.store)),
-		LastRev:     i.lastRev,
-		Obs:         i.Obs.Fork(),
-		LastEventAt: i.lastEventAt,
-		Relists:     i.relists,
-		Retries:     i.retries,
-		Backoff:     i.backoff,
-	}
-	for name, obj := range i.store {
-		s.Store[name] = obj // shared; see type comment
-	}
-	return s
 }
 
 // RestoreConn reconstructs a connection (and its informers) from a
@@ -94,32 +56,14 @@ func (i *Informer) snapshot() *InformerSnapshot {
 // armed: the kernel re-inserts the pending ones under the restored
 // connection's owner name.
 func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
-	c := newConn(w, snap.Self, snap.API, snap.Timeout, snap.Owner)
+	c := NewConn(w, snap.Self, snap.State.api, snap.Timeout)
+	c.connState = snap.State
+	c.rpc.SetNext(snap.RPCNext)
 	if snap.Retired {
 		c.timers.Retire()
 	}
-	c.rpc.SetNext(snap.RPCNext)
-	c.nextSub = snap.NextSub
 	for _, is := range snap.Informers {
-		inf := &Informer{
-			conn:        c,
-			kind:        is.Kind,
-			cfg:         is.Cfg,
-			subID:       is.SubID,
-			epoch:       is.Epoch,
-			synced:      is.Synced,
-			store:       make(map[string]*cluster.Object, len(is.Store)),
-			lastRev:     is.LastRev,
-			Obs:         is.Obs,
-			lastEventAt: is.LastEventAt,
-			relists:     is.Relists,
-			retries:     is.Retries,
-			backoff:     is.Backoff,
-		}
-		for name, obj := range is.Store {
-			inf.store[name] = obj
-		}
-		c.informers[is.SubID] = inf
+		c.informers[is.State.subID] = &Informer{conn: c, kind: is.Kind, cfg: is.Cfg, informerState: is.State.clone()}
 	}
 	return c
 }

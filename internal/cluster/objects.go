@@ -276,23 +276,19 @@ func ParseKey(key string) (Kind, string, error) {
 	return Kind(kind), name, nil
 }
 
-// UIDGen deterministically generates unique object UIDs.
+// UIDGen deterministically generates unique object UIDs. It is a plain
+// value: a component keeps it in its state, so copying the state carries
+// the count of UIDs issued.
 type UIDGen struct {
 	prefix string
 	n      int
 }
 
 // NewUIDGen creates a generator whose UIDs carry the given prefix.
-func NewUIDGen(prefix string) *UIDGen { return &UIDGen{prefix: prefix} }
+func NewUIDGen(prefix string) UIDGen { return UIDGen{prefix: prefix} }
 
 // Next returns a fresh UID.
 func (g *UIDGen) Next() string {
 	g.n++
 	return fmt.Sprintf("%s-%04d", g.prefix, g.n)
 }
-
-// Counter returns how many UIDs have been issued (snapshot path).
-func (g *UIDGen) Counter() int { return g.n }
-
-// SetCounter overwrites the issued-UID count (restore path only).
-func (g *UIDGen) SetCounter(n int) { g.n = n }

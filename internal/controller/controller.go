@@ -5,6 +5,7 @@
 package controller
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -57,11 +58,16 @@ const time500ms = 500 * sim.Millisecond
 // A key present in the queue is not added twice; a key being processed is
 // re-queued if re-added during processing (client-go semantics).
 type Queue struct {
-	cfg      QueueConfig
-	rec      Reconciler
-	timers   *sim.Owner // addafter and process; a queue lives for one boot, and Stop retires them
+	cfg    QueueConfig
+	rec    Reconciler
+	timers *sim.Owner      // addafter and process; a queue lives for one boot, and Stop retires them
+	set    map[string]bool // the keys in order: an index, rebuilt from it on restore
+	queueState
+}
+
+// queueState is everything a queue carries from one event to the next.
+type queueState struct {
 	order    []string
-	set      map[string]bool
 	failures map[string]int
 	running  bool
 	stopped  bool
@@ -71,10 +77,17 @@ type Queue struct {
 	Errors    int
 }
 
+func (s queueState) clone() queueState {
+	s.order = slices.Clone(s.order)
+	s.failures = sim.CloneMap(s.failures)
+	return s
+}
+
 // NewQueue creates a queue that feeds keys to rec. Its timers are armed
 // under the name owner, which no other live queue or component may hold.
 func NewQueue(k *sim.Kernel, owner string, cfg QueueConfig, rec Reconciler) *Queue {
-	q := &Queue{cfg: cfg, rec: rec, set: make(map[string]bool), failures: make(map[string]int)}
+	q := &Queue{cfg: cfg, rec: rec, set: make(map[string]bool)}
+	q.failures = make(map[string]int)
 	q.timers = k.Own(owner, q.fire)
 	return q
 }

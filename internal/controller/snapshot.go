@@ -6,32 +6,14 @@ import "repro/internal/sim"
 // and process timers are kernel events armed under the queue's owner name;
 // the kernel snapshot carries them, not this one.
 type QueueSnapshot struct {
-	Cfg       QueueConfig
-	Owner     string
-	Order     []string
-	Failures  map[string]int
-	Running   bool
-	Stopped   bool
-	Processed int
-	Errors    int
+	Cfg   QueueConfig
+	Owner string
+	State queueState
 }
 
 // Snapshot captures the queue's state.
 func (q *Queue) Snapshot() *QueueSnapshot {
-	s := &QueueSnapshot{
-		Cfg:       q.cfg,
-		Owner:     q.timers.Name(),
-		Order:     append([]string(nil), q.order...),
-		Failures:  make(map[string]int, len(q.failures)),
-		Running:   q.running,
-		Stopped:   q.stopped,
-		Processed: q.Processed,
-		Errors:    q.Errors,
-	}
-	for k, v := range q.failures {
-		s.Failures[k] = v
-	}
-	return s
+	return &QueueSnapshot{Cfg: q.cfg, Owner: q.timers.Name(), State: q.queueState.clone()}
 }
 
 // RestoreQueue reconstructs a queue from a snapshot, feeding keys to rec.
@@ -39,24 +21,11 @@ func (q *Queue) Snapshot() *QueueSnapshot {
 // event under the restored queue's owner name. A stopped queue comes back
 // retired.
 func RestoreQueue(k *sim.Kernel, snap *QueueSnapshot, rec Reconciler) *Queue {
-	q := &Queue{
-		cfg:       snap.Cfg,
-		rec:       rec,
-		order:     append([]string(nil), snap.Order...),
-		set:       make(map[string]bool, len(snap.Order)),
-		failures:  make(map[string]int, len(snap.Failures)),
-		running:   snap.Running,
-		stopped:   snap.Stopped,
-		Processed: snap.Processed,
-		Errors:    snap.Errors,
-	}
-	for _, key := range snap.Order {
+	q := NewQueue(k, snap.Owner, snap.Cfg, rec)
+	q.queueState = snap.State.clone()
+	for _, key := range q.order {
 		q.set[key] = true
 	}
-	for key, n := range snap.Failures {
-		q.failures[key] = n
-	}
-	q.timers = k.Own(snap.Owner, q.fire)
 	if q.stopped {
 		q.timers.Retire()
 	}

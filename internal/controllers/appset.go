@@ -48,9 +48,15 @@ type AppSetController struct {
 	appInf *client.Informer
 	podInf *client.Informer
 	queue  *controller.Queue
-	down   bool
-	epoch  uint64
-	uids   *cluster.UIDGen
+	appSetState
+}
+
+// appSetState is everything the controller itself carries from one event
+// to the next; its connection and its queue carry their own.
+type appSetState struct {
+	down  bool
+	epoch uint64
+	uids  cluster.UIDGen
 	// replacing tracks in-flight rolling replacements per app.
 	replacing map[string]int
 
@@ -60,24 +66,33 @@ type AppSetController struct {
 	Rollouts   int
 }
 
+func (s appSetState) clone() appSetState {
+	s.replacing = sim.CloneMap(s.replacing)
+	return s
+}
+
 // AppSetControllerID is the controller's network identity.
 const AppSetControllerID sim.NodeID = "appset-controller"
+
+// wireAppSet registers an appset controller with no state in the world:
+// what NewAppSetController boots and RestoreAppSet assigns a captured state
+// to.
+func wireAppSet(w *sim.World, cfg AppSetConfig) *AppSetController {
+	c := &AppSetController{id: AppSetControllerID, world: w, cfg: cfg}
+	w.Network().Register(c.id, c)
+	w.AddProcess(c)
+	c.timers = w.Kernel().Own(string(c.id), c.resyncFire)
+	return c
+}
 
 // NewAppSetController wires the controller into the world.
 func NewAppSetController(w *sim.World, cfg AppSetConfig) *AppSetController {
 	if cfg.MaxUnavailable < 1 {
 		cfg.MaxUnavailable = 1
 	}
-	c := &AppSetController{
-		id:        AppSetControllerID,
-		world:     w,
-		cfg:       cfg,
-		uids:      cluster.NewUIDGen("appset"),
-		replacing: make(map[string]int),
-	}
-	w.Network().Register(c.id, c)
-	w.AddProcess(c)
-	c.timers = w.Kernel().Own(string(c.id), c.resyncFire)
+	c := wireAppSet(w, cfg)
+	c.uids = cluster.NewUIDGen("appset")
+	c.replacing = make(map[string]int)
 	c.boot()
 	return c
 }

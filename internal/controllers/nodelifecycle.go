@@ -50,8 +50,14 @@ type NodeLifecycleController struct {
 	conn    *client.Conn
 	nodeInf *client.Informer
 	podInf  *client.Informer
-	down    bool
-	epoch   uint64
+	nodeLifecycleState
+}
+
+// nodeLifecycleState is everything the controller itself carries from one
+// event to the next; its connection carries its own.
+type nodeLifecycleState struct {
+	down  bool
+	epoch uint64
 
 	// Metrics.
 	MarkedNotReady int
@@ -62,12 +68,20 @@ type NodeLifecycleController struct {
 // NodeLifecycleID is the controller's network identity.
 const NodeLifecycleID sim.NodeID = "node-lifecycle"
 
-// NewNodeLifecycleController wires the controller into the world.
-func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
+// wireNodeLifecycle registers a node lifecycle controller with no state in
+// the world: what NewNodeLifecycleController boots and RestoreNodeLifecycle
+// assigns a captured state to.
+func wireNodeLifecycle(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
 	c := &NodeLifecycleController{id: NodeLifecycleID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
 	c.timers = w.Kernel().Own(string(c.id), c.checkFire)
+	return c
+}
+
+// NewNodeLifecycleController wires the controller into the world.
+func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
+	c := wireNodeLifecycle(w, cfg)
 	c.boot()
 	return c
 }

@@ -52,8 +52,14 @@ type VolumeController struct {
 	conn   *client.Conn
 	podInf *client.Informer
 	pvcInf *client.Informer
-	down   bool
-	epoch  uint64
+	volumeState
+}
+
+// volumeState is everything the controller itself carries from one event
+// to the next; its connection carries its own.
+type volumeState struct {
+	down  bool
+	epoch uint64
 
 	// Releases counts successful PVC releases (experiment metric).
 	Releases int
@@ -62,12 +68,20 @@ type VolumeController struct {
 // VolumeControllerID is the controller's network identity.
 const VolumeControllerID sim.NodeID = "volume-controller"
 
-// NewVolumeController wires the controller into the world.
-func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
+// wireVolume registers a volume controller with no state in the world:
+// what NewVolumeController boots and RestoreVolume assigns a captured state
+// to.
+func wireVolume(w *sim.World, cfg VolumeConfig) *VolumeController {
 	c := &VolumeController{id: VolumeControllerID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
 	c.timers = w.Kernel().Own(string(c.id), c.pollFire)
+	return c
+}
+
+// NewVolumeController wires the controller into the world.
+func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
+	c := wireVolume(w, cfg)
 	c.boot()
 	return c
 }

@@ -151,20 +151,13 @@ func (h *History) Compact(rev int64) int {
 	return dropped
 }
 
-// FromRetained wraps an already-validated retained event window without
-// copying it. The prefix-checkpoint layer uses it to share the (immutable)
-// committed-event log between a snapshot and its forks: callers must pass
-// a full slice expression (events[:len:len]) so a later Append reallocates
-// instead of scribbling over the shared backing array, and must never
-// mutate the shared elements.
-func FromRetained(events []Event) *History {
-	return &History{events: events}
-}
-
-// Retained returns the retained event window capped at its length
-// (cap == len), safe to share copy-on-write with FromRetained.
-func (h *History) Retained() []Event {
-	return h.events[:len(h.events):len(h.events)]
+// Fork returns a copy-on-write fork of the history: it shares the retained
+// events, which are immutable once committed, capped at their length so an
+// Append on either side reallocates instead of scribbling over the shared
+// backing array (Compact always allocates) — the prefix-checkpoint layer's
+// snapshot primitive, as ObservationLog.Fork is.
+func (h *History) Fork() History {
+	return History{events: h.events[:len(h.events):len(h.events)]}
 }
 
 // Clone returns a deep copy of the history.

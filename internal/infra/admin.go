@@ -13,33 +13,16 @@ import (
 type Admin struct {
 	c    *Cluster
 	conn *client.Conn
-	uids *cluster.UIDGen
+	uids cluster.UIDGen
 }
 
 // AdminID is the admin client's network identity.
 const AdminID sim.NodeID = "admin"
 
-func newAdmin(c *Cluster) *Admin {
-	a := &Admin{
-		c:    c,
-		uids: cluster.NewUIDGen("admin"),
-	}
-	a.conn = client.NewConn(c.World, AdminID, APIServerID(0), 300*sim.Millisecond)
-	c.World.Network().Register(AdminID, sim.HandlerFunc(func(m *sim.Message) {
-		a.conn.HandleMessage(m)
-	}))
-	return a
-}
-
-// restoreAdmin reconstructs the admin client from a checkpoint (snapshot
-// orchestration only).
-func restoreAdmin(c *Cluster, conn *client.ConnSnapshot, uidCounter int) *Admin {
-	a := &Admin{
-		c:    c,
-		uids: cluster.NewUIDGen("admin"),
-	}
-	a.uids.SetCounter(uidCounter)
-	a.conn = client.RestoreConn(c.World, conn)
+// newAdmin registers an admin client over conn that issues UIDs from uids:
+// a fresh connection and generator in New, the captured ones in a restore.
+func newAdmin(c *Cluster, conn *client.Conn, uids cluster.UIDGen) *Admin {
+	a := &Admin{c: c, conn: conn, uids: uids}
 	c.World.Network().Register(AdminID, sim.HandlerFunc(func(m *sim.Message) {
 		a.conn.HandleMessage(m)
 	}))

@@ -117,6 +117,23 @@ func APIServerID(i int) sim.NodeID { return sim.NodeID(fmt.Sprintf("api-%d", i+1
 // StoreID is the store server's node ID.
 const StoreID sim.NodeID = "etcd"
 
+// worldConfig is the world every cluster lives in, built or restored.
+func worldConfig(seed int64) sim.WorldConfig {
+	return sim.WorldConfig{Seed: seed, Latency: sim.Millisecond, Jitter: sim.Millisecond / 2}
+}
+
+// newCluster returns a cluster of no components in world w.
+func newCluster(opts Options, w *sim.World) *Cluster {
+	return &Cluster{
+		Opts:          opts,
+		World:         w,
+		Hosts:         make(map[string]*kubelet.Host),
+		Kubelet:       make(map[string]*kubelet.Kubelet),
+		RegionServers: make(map[string]*regions.RegionServer),
+		Oracles:       oracle.NewRunner(),
+	}
+}
+
 // New builds a cluster.
 func New(opts Options) *Cluster {
 	if opts.NumAPIServers < 1 {
@@ -137,18 +154,11 @@ func New(opts Options) *Cluster {
 			opts.Nodes = topo.NodeNames()
 		}
 	}
-	w := sim.NewWorld(sim.WorldConfig{Seed: opts.Seed, Latency: sim.Millisecond, Jitter: sim.Millisecond / 2})
+	w := sim.NewWorld(worldConfig(opts.Seed))
 	if topo != nil {
 		w.Network().SetTopologyLatency(topo.ladder())
 	}
-	c := &Cluster{
-		Opts:          opts,
-		World:         w,
-		Hosts:         make(map[string]*kubelet.Host),
-		Kubelet:       make(map[string]*kubelet.Kubelet),
-		RegionServers: make(map[string]*regions.RegionServer),
-		Oracles:       oracle.NewRunner(),
-	}
+	c := newCluster(opts, w)
 
 	c.Store = store.NewServer(w, StoreID, store.New())
 
@@ -236,7 +246,7 @@ func New(opts Options) *Cluster {
 		}
 	}
 
-	c.Admin = newAdmin(c)
+	c.Admin = newAdmin(c, client.NewConn(w, AdminID, APIServerID(0), 300*sim.Millisecond), cluster.NewUIDGen("admin"))
 	c.installOracles()
 	// Let apiservers/informers complete their initial sync before the
 	// workload starts.

@@ -6,12 +6,13 @@
 // InstallPending hands the captured pending events back to the kernel with
 // their sequence numbers shifted past a forked plan's allocation band.
 //
-// Sharing rules (see DESIGN.md, "Prefix checkpointing"): committed history
-// events, apiserver watch windows, informer observation logs, and cached
-// object pointers are shared copy-on-write; every mutable map (store KVs,
-// caches, leases, queue sets, counters, the oracle runner's first-seen
-// table) is deep-copied at capture. Oracles themselves are not captured:
-// they keep no state of their own between ticks (DESIGN.md §5).
+// Sharing rules (see DESIGN.md §7, "Component snapshot contracts"): a
+// component's snapshot is its configuration, a clone() of its state struct
+// and its children's snapshots; clone() re-makes every map and slice not
+// tagged snap:"shared" (committed history events, apiserver watch windows,
+// informer observation logs) or snap:"shared-elems" (cached object
+// pointers, KV value bytes). Oracles themselves are not captured: they
+// keep no state of their own between ticks (DESIGN.md §5).
 package infra
 
 import (
@@ -19,6 +20,7 @@ import (
 
 	"repro/internal/apiserver"
 	"repro/internal/client"
+	"repro/internal/cluster"
 	"repro/internal/controllers"
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
@@ -48,15 +50,13 @@ type Snapshot struct {
 	RegionServers map[string]*regions.ServerSnapshot
 	RegionManager *regions.ManagerSnapshot
 	AdminConn     *client.ConnSnapshot
-	AdminUIDs     int
+	AdminUIDs     cluster.UIDGen
 	Oracles       *oracle.RunnerSnapshot
 }
 
 // Snapshotable reports whether every component in this cluster has a
-// snapshot/restore implementation. Every built-in component — apiservers,
-// kubelets, scheduler, the volume/node-lifecycle/app controllers, the
-// Cassandra operator, and the region service — now does, so every cluster
-// assembled by New is snapshotable.
+// snapshot/restore implementation: every built-in one does. Its one reader
+// is bench.ComputeE10, which fills BENCH_E10.json's snapshotable column.
 func (c *Cluster) Snapshotable() bool { return true }
 
 // Capture snapshots the cluster. It fails (ok=false) when the instant is
@@ -64,9 +64,6 @@ func (c *Cluster) Snapshotable() bool { return true }
 // held, or a component RPC call is in flight. The caller should advance
 // virtual time slightly and retry.
 func (c *Cluster) Capture() (*Snapshot, bool) {
-	if !c.Snapshotable() {
-		return nil, false
-	}
 	if c.World.Network().HeldCount() > 0 {
 		return nil, false
 	}
@@ -80,7 +77,7 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 		Net:       c.World.Network().Snapshot(),
 		DownAt:    c.World.DownAtSnapshot(),
 		Kubelets:  make(map[string]*kubelet.Snapshot, len(c.Kubelet)),
-		AdminUIDs: c.Admin.uids.Counter(),
+		AdminUIDs: c.Admin.uids,
 		Oracles:   c.Oracles.Snapshot(),
 	}
 	ss, ok := c.Store.Snapshot()
@@ -160,17 +157,8 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 // kernel events via InstallPending after applying the forked plan and
 // rehydrating the workload.
 func (s *Snapshot) NewCluster() (*Cluster, error) {
-	w := sim.NewRestoredWorld(
-		sim.WorldConfig{Seed: s.Opts.Seed, Latency: sim.Millisecond, Jitter: sim.Millisecond / 2},
-		s.Kernel.Now, s.Kernel.Steps, s.Kernel.RNGDraws, s.Net)
-	c := &Cluster{
-		Opts:          s.Opts,
-		World:         w,
-		Hosts:         make(map[string]*kubelet.Host),
-		Kubelet:       make(map[string]*kubelet.Kubelet),
-		RegionServers: make(map[string]*regions.RegionServer),
-		Oracles:       oracle.NewRunner(),
-	}
+	w := sim.NewRestoredWorld(worldConfig(s.Opts.Seed), s.Kernel.Now, s.Kernel.Steps, s.Kernel.RNGDraws, s.Net)
+	c := newCluster(s.Opts, w)
 	c.Store = store.RestoreServer(w, s.Store)
 	for _, as := range s.APIs {
 		c.APIs = append(c.APIs, apiserver.Restore(w, as))
@@ -213,7 +201,7 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 			c.RegionManager = regions.RestoreManager(w, s.RegionManager)
 		}
 	}
-	c.Admin = restoreAdmin(c, s.AdminConn, s.AdminUIDs)
+	c.Admin = newAdmin(c, client.RestoreConn(w, s.AdminConn), s.AdminUIDs)
 	// Oracles: the same set on a fresh runner, then the captured runner's
 	// violations and first-seen table — all the state oracles have.
 	c.addOracles()

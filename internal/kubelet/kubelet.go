@@ -30,19 +30,29 @@ type Container struct {
 // *process* crashes (as real containers do) but are lost if the whole node
 // is reset.
 type Host struct {
-	Name    string
-	running map[string]Container
+	Name string
 	// names caches the sorted container-name list (the oracle layer reads
 	// it whenever the set changed); nil means stale.
 	names []string
 	// gen counts the changes to running. changed is the only place it moves
 	// and every write to running goes through there.
 	gen sim.Generation
+	hostState
+}
+
+// hostState is the host's container set.
+type hostState struct {
+	running map[string]Container
+}
+
+func (s hostState) clone() hostState {
+	s.running = sim.CloneMap(s.running)
+	return s
 }
 
 // NewHost creates an empty host.
 func NewHost(name string) *Host {
-	return &Host{Name: name, running: make(map[string]Container)}
+	return &Host{Name: name, hostState: hostState{running: make(map[string]Container)}}
 }
 
 // Running returns the running containers keyed by pod name (copy).
@@ -138,14 +148,20 @@ type Kubelet struct {
 	world  *sim.World
 	cfg    Config
 	host   *Host
-	uids   *cluster.UIDGen
 	timers *sim.Owner
 
 	conn     *client.Conn
 	informer *client.Informer
-	down     bool
-	epoch    uint64
-	apiIdx   int
+	state
+}
+
+// state is everything the kubelet process itself carries from one event to
+// the next; its connection and its host carry their own.
+type state struct {
+	uids   cluster.UIDGen
+	down   bool
+	epoch  uint64
+	apiIdx int
 	// restartPending marks that no sync has used verified (quorum) state
 	// since the last (re)start; SafeRestartSync refuses cached reconciles
 	// while it is set. safeSyncInFlight dedups the verification list.
@@ -165,19 +181,21 @@ type Kubelet struct {
 // NodeID returns the kubelet's network ID for a node name.
 func NodeID(nodeName string) sim.NodeID { return sim.NodeID("kubelet-" + nodeName) }
 
-// New wires a kubelet into the world and boots it against its first
-// apiserver.
-func New(w *sim.World, host *Host, cfg Config) *Kubelet {
-	k := &Kubelet{
-		id:    NodeID(cfg.NodeName),
-		world: w,
-		cfg:   cfg,
-		host:  host,
-		uids:  cluster.NewUIDGen("kubelet-" + cfg.NodeName),
-	}
+// wire registers a kubelet with no state in the world: what New boots and
+// Restore assigns a captured state to.
+func wire(w *sim.World, host *Host, cfg Config) *Kubelet {
+	k := &Kubelet{id: NodeID(cfg.NodeName), world: w, cfg: cfg, host: host}
 	w.Network().Register(k.id, k)
 	w.AddProcess(k)
 	k.timers = w.Kernel().Own(string(k.id), k.fire)
+	return k
+}
+
+// New wires a kubelet into the world and boots it against its first
+// apiserver.
+func New(w *sim.World, host *Host, cfg Config) *Kubelet {
+	k := wire(w, host, cfg)
+	k.uids = cluster.NewUIDGen("kubelet-" + cfg.NodeName)
 	k.boot()
 	return k
 }

@@ -96,9 +96,15 @@ type Operator struct {
 	podInf *client.Informer
 	pvcInf *client.Informer
 	queue  *controller.Queue
-	down   bool
-	epoch  uint64
-	uids   *cluster.UIDGen
+	state
+}
+
+// state is everything the operator itself carries from one event to the
+// next; its connection and its queue carry their own.
+type state struct {
+	down  bool
+	epoch uint64
+	uids  cluster.UIDGen
 
 	// draining tracks an in-flight drain (decommission) per member.
 	draining map[string]bool
@@ -116,22 +122,31 @@ type Operator struct {
 	StuckReconcile int
 }
 
+func (s state) clone() state {
+	s.draining = sim.CloneMap(s.draining)
+	s.sawTerminating = sim.CloneMap(s.sawTerminating)
+	return s
+}
+
 // OperatorID is the operator's network identity.
 const OperatorID sim.NodeID = "cassandra-operator"
 
-// New wires the operator into the world.
-func New(w *sim.World, cfg Config) *Operator {
-	o := &Operator{
-		id:             OperatorID,
-		world:          w,
-		cfg:            cfg,
-		uids:           cluster.NewUIDGen("cass-op"),
-		draining:       make(map[string]bool),
-		sawTerminating: make(map[string]bool),
-	}
+// wire registers an operator with no state in the world: what New boots and
+// Restore assigns a captured state to.
+func wire(w *sim.World, cfg Config) *Operator {
+	o := &Operator{id: OperatorID, world: w, cfg: cfg}
 	w.Network().Register(o.id, o)
 	w.AddProcess(o)
 	o.timers = w.Kernel().Own(string(o.id), o.fire)
+	return o
+}
+
+// New wires the operator into the world.
+func New(w *sim.World, cfg Config) *Operator {
+	o := wire(w, cfg)
+	o.uids = cluster.NewUIDGen("cass-op")
+	o.draining = make(map[string]bool)
+	o.sawTerminating = make(map[string]bool)
 	o.boot()
 	return o
 }

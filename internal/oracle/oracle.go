@@ -7,8 +7,8 @@ package oracle
 
 import (
 	"fmt"
-	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -58,11 +58,10 @@ func (f Func) Check(now sim.Time) *Violation { return f.CheckFunc(now) }
 // violation of each.
 type Runner struct {
 	oracles []gated
-	first   map[string]Violation
-	order   []string
-	// since is the first-seen table, (oracle, subject) → first seen: the
-	// one place an oracle keeps a clock from one tick to the next.
-	since map[string]*Since
+	state   RunnerSnapshot
+	// handles are the row sets Since has handed out, by oracle: each holds
+	// the oracle's entry of state.Since, and RestoreFrom re-points it.
+	handles map[string]*Since
 
 	// Periodic-tick binding (set by InstallPeriodic / BindPeriodic).
 	w     *sim.World
@@ -70,9 +69,33 @@ type Runner struct {
 	tick  *sim.Owner
 }
 
+// RunnerSnapshot is a runner's state, everything it carries from one tick
+// to the next: the first violation of each oracle, in detection order, and
+// the first-seen table, (oracle, subject) → first seen — the one place an
+// oracle keeps a clock.
+type RunnerSnapshot struct {
+	First map[string]Violation
+	Order []string
+	Since map[string]map[string]sim.Time
+}
+
+func (s RunnerSnapshot) clone() RunnerSnapshot {
+	s.First = sim.CloneMap(s.First)
+	s.Order = slices.Clone(s.Order)
+	since := make(map[string]map[string]sim.Time, len(s.Since))
+	for oracle, rows := range s.Since {
+		since[oracle] = sim.CloneMap(rows)
+	}
+	s.Since = since
+	return s
+}
+
 // NewRunner creates an empty runner.
 func NewRunner() *Runner {
-	return &Runner{first: make(map[string]Violation), since: make(map[string]*Since)}
+	return &Runner{
+		state:   RunnerSnapshot{First: make(map[string]Violation), Since: make(map[string]map[string]sim.Time)},
+		handles: make(map[string]*Since),
+	}
 }
 
 // Since is one oracle's rows of its runner's first-seen table: for every
@@ -99,12 +122,22 @@ func (r *Runner) Since(oracle string, within sim.Duration) *Since {
 }
 
 func (r *Runner) rows(oracle string) *Since {
-	s := r.since[oracle]
+	s := r.handles[oracle]
 	if s == nil {
-		s = &Since{rows: map[string]sim.Time{}}
-		r.since[oracle] = s
+		s = &Since{rows: r.table(oracle)}
+		r.handles[oracle] = s
 	}
 	return s
+}
+
+// table returns the oracle's entry of the first-seen table, made on demand.
+func (r *Runner) table(oracle string) map[string]sim.Time {
+	rows := r.state.Since[oracle]
+	if rows == nil {
+		rows = make(map[string]sim.Time)
+		r.state.Since[oracle] = rows
+	}
+	return rows
 }
 
 // Mark records that subject is seen at now and returns how long it has
@@ -200,11 +233,11 @@ func (r *Runner) Add(o Oracle, deps ...*sim.Generation) {
 // oracles hooked into the store). Only the first violation per oracle is
 // kept.
 func (r *Runner) Report(v Violation) {
-	if _, ok := r.first[v.Oracle]; ok {
+	if _, ok := r.state.First[v.Oracle]; ok {
 		return
 	}
-	r.first[v.Oracle] = v
-	r.order = append(r.order, v.Oracle)
+	r.state.First[v.Oracle] = v
+	r.state.Order = append(r.state.Order, v.Oracle)
 }
 
 // CheckNow is one tick: it evaluates every oracle that is due and has not
@@ -216,7 +249,7 @@ func (r *Runner) CheckNow(now sim.Time) {
 			continue
 		}
 		name := g.o.Name()
-		if _, violated := r.first[name]; !violated {
+		if _, violated := r.state.First[name]; !violated {
 			if v := g.o.Check(now); v != nil {
 				r.Report(*v)
 			}
@@ -225,7 +258,7 @@ func (r *Runner) CheckNow(now sim.Time) {
 			g.deps[j].seen = g.deps[j].gen.Value()
 		}
 		g.wake = never
-		if s := r.since[name]; s != nil {
+		if s := r.handles[name]; s != nil {
 			g.wake = s.wake(now)
 		}
 	}
@@ -255,25 +288,10 @@ func (r *Runner) tickFire(sim.EventTag) {
 	r.armTick()
 }
 
-// RunnerSnapshot captures the runner's recorded violations and its
-// first-seen table: everything a runner carries from one tick to the next.
-type RunnerSnapshot struct {
-	First map[string]Violation
-	Order []string
-	Since map[string]map[string]sim.Time
-}
-
 // Snapshot captures the runner.
 func (r *Runner) Snapshot() *RunnerSnapshot {
-	s := &RunnerSnapshot{
-		First: maps.Clone(r.first),
-		Order: append([]string(nil), r.order...),
-		Since: make(map[string]map[string]sim.Time, len(r.since)),
-	}
-	for oracle, since := range r.since {
-		s.Since[oracle] = maps.Clone(since.rows)
-	}
-	return s
+	s := r.state.clone()
+	return &s
 }
 
 // RestoreFrom replaces this runner's violations and first-seen table with
@@ -282,14 +300,9 @@ func (r *Runner) Snapshot() *RunnerSnapshot {
 // continues exactly where the captured one stood. What each oracle last
 // saw was seen of another table: the next tick evaluates them all.
 func (r *Runner) RestoreFrom(snap *RunnerSnapshot) {
-	r.first = maps.Clone(snap.First)
-	r.order = append([]string(nil), snap.Order...)
-	// In place: the registered oracles hold these row sets.
-	for _, since := range r.since {
-		clear(since.rows)
-	}
-	for oracle, rows := range snap.Since {
-		maps.Copy(r.rows(oracle).rows, rows)
+	r.state = snap.clone()
+	for oracle, s := range r.handles {
+		s.rows = r.table(oracle)
 	}
 	for i := range r.oracles {
 		r.oracles[i].wake = 0
@@ -298,16 +311,16 @@ func (r *Runner) RestoreFrom(snap *RunnerSnapshot) {
 
 // Violations returns all recorded violations in detection order.
 func (r *Runner) Violations() []Violation {
-	out := make([]Violation, 0, len(r.order))
-	for _, name := range r.order {
-		out = append(out, r.first[name])
+	out := make([]Violation, 0, len(r.state.Order))
+	for _, name := range r.state.Order {
+		out = append(out, r.state.First[name])
 	}
 	return out
 }
 
 // Violated reports whether the named oracle was breached.
 func (r *Runner) Violated(name string) bool {
-	_, ok := r.first[name]
+	_, ok := r.state.First[name]
 	return ok
 }
 
@@ -318,7 +331,7 @@ func (r *Runner) Names() []string {
 	for _, g := range r.oracles {
 		set[g.o.Name()] = true
 	}
-	for n := range r.first {
+	for n := range r.state.First {
 		set[n] = true
 	}
 	out := make([]string, 0, len(set))

@@ -56,10 +56,21 @@ func (m Mode) String() string {
 type RegionServer struct {
 	id    sim.NodeID
 	world *sim.World
-	owned map[string]bool
 	// gen counts the changes to owned; setOwned is the one writer of both.
-	gen  sim.Generation
-	down bool
+	gen sim.Generation
+	serverState
+}
+
+// serverState is everything a region server carries from one event to the
+// next.
+type serverState struct {
+	owned map[string]bool
+	down  bool
+}
+
+func (s serverState) clone() serverState {
+	s.owned = sim.CloneMap(s.owned)
+	return s
 }
 
 // ServerID returns the network ID for region server name.
@@ -67,7 +78,8 @@ func ServerID(name string) sim.NodeID { return sim.NodeID("rs-" + name) }
 
 // NewRegionServer wires a region server into the world.
 func NewRegionServer(w *sim.World, name string) *RegionServer {
-	s := &RegionServer{id: ServerID(name), world: w, owned: make(map[string]bool)}
+	s := &RegionServer{id: ServerID(name), world: w}
+	s.owned = make(map[string]bool)
 	w.Network().Register(s.id, s)
 	w.AddProcess(s)
 	return s
@@ -148,6 +160,12 @@ type Manager struct {
 	world *sim.World
 	cfg   ManagerConfig
 	conn  *client.Conn
+	managerState
+}
+
+// managerState is everything the manager itself carries from one event to
+// the next; its connection carries its own.
+type managerState struct {
 	down  bool
 	epoch uint64
 
@@ -161,15 +179,23 @@ type Manager struct {
 // ManagerID is the manager's network identity.
 const ManagerID sim.NodeID = "region-manager"
 
+// wireManager registers a manager with no state and no connection in the
+// world: NewManager connects it, RestoreManager assigns it a captured state
+// and connection.
+func wireManager(w *sim.World, cfg ManagerConfig) *Manager {
+	m := &Manager{id: ManagerID, world: w, cfg: cfg}
+	w.Network().Register(m.id, m)
+	w.AddProcess(m)
+	return m
+}
+
 // NewManager wires the assignment manager into the world.
 func NewManager(w *sim.World, cfg ManagerConfig) *Manager {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 5
 	}
-	m := &Manager{id: ManagerID, world: w, cfg: cfg}
+	m := wireManager(w, cfg)
 	m.conn = client.NewConn(w, m.id, cfg.APIServer, cfg.RPCTimeout)
-	w.Network().Register(m.id, m)
-	w.AddProcess(m)
 	return m
 }
 

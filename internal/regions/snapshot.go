@@ -13,49 +13,28 @@ import (
 // untagged and a capture attempted mid-move simply slides past the window.
 
 // ServerSnapshot captures one region server.
-type ServerSnapshot struct {
-	Owned map[string]bool
-	Down  bool
-}
+type ServerSnapshot struct{ State serverState }
 
 // Snapshot captures the server's state (always possible: no connection, no
 // timers).
 func (s *RegionServer) Snapshot() *ServerSnapshot {
-	snap := &ServerSnapshot{Owned: make(map[string]bool, len(s.owned)), Down: s.down}
-	for r, v := range s.owned {
-		snap.Owned[r] = v
-	}
-	return snap
+	return &ServerSnapshot{State: s.serverState.clone()}
 }
 
 // RestoreServer reconstructs a region server named name from a snapshot
 // inside world w.
 func RestoreServer(w *sim.World, name string, snap *ServerSnapshot) *RegionServer {
-	s := &RegionServer{
-		id:    ServerID(name),
-		world: w,
-		owned: make(map[string]bool, len(snap.Owned)),
-		down:  snap.Down,
-	}
-	for r, serve := range snap.Owned {
-		s.setOwned(r, serve)
-	}
-	w.Network().Register(s.id, s)
-	w.AddProcess(s)
+	s := NewRegionServer(w, name)
+	s.serverState = snap.State.clone()
+	s.gen.Bump()
 	return s
 }
 
 // ManagerSnapshot captures the assignment manager at a checkpoint.
 type ManagerSnapshot struct {
-	Cfg         ManagerConfig
-	Down        bool
-	Epoch       uint64
-	Transitions int
-	Succeeded   int
-	CASFailures int
-	Retries     int
-
-	Conn *client.ConnSnapshot
+	Cfg   ManagerConfig
+	State managerState
+	Conn  *client.ConnSnapshot
 }
 
 // Snapshot captures the manager's state. It fails (ok=false) when an RPC
@@ -66,35 +45,15 @@ func (m *Manager) Snapshot() (*ManagerSnapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &ManagerSnapshot{
-		Cfg:         m.cfg,
-		Down:        m.down,
-		Epoch:       m.epoch,
-		Transitions: m.Transitions,
-		Succeeded:   m.Succeeded,
-		CASFailures: m.CASFailures,
-		Retries:     m.Retries,
-		Conn:        cs,
-	}, true
+	return &ManagerSnapshot{Cfg: m.cfg, State: m.managerState, Conn: cs}, true
 }
 
 // RestoreManager reconstructs the assignment manager from a snapshot
 // inside world w. The manager runs no informers and owns no timers of its
 // own: its move timers are closures, and a capture waits them out.
 func RestoreManager(w *sim.World, snap *ManagerSnapshot) *Manager {
-	m := &Manager{
-		id:          ManagerID,
-		world:       w,
-		cfg:         snap.Cfg,
-		down:        snap.Down,
-		epoch:       snap.Epoch,
-		Transitions: snap.Transitions,
-		Succeeded:   snap.Succeeded,
-		CASFailures: snap.CASFailures,
-		Retries:     snap.Retries,
-	}
-	w.Network().Register(m.id, m)
-	w.AddProcess(m)
+	m := wireManager(w, snap.Cfg)
+	m.managerState = snap.State
 	m.conn = client.RestoreConn(w, snap.Conn)
 	return m
 }

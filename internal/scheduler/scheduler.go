@@ -51,8 +51,14 @@ type Scheduler struct {
 	podInf  *client.Informer
 	nodeInf *client.Informer
 	queue   *controller.Queue
-	down    bool
-	epoch   uint64
+	state
+}
+
+// state is everything the scheduler itself carries from one event to the
+// next; its connection and its queue carry their own.
+type state struct {
+	down  bool
+	epoch uint64
 
 	// deadNodes are nodes evicted from consideration after bind failures
 	// (only populated by the fixed variant).
@@ -63,14 +69,27 @@ type Scheduler struct {
 	BindFailures int
 }
 
+func (s state) clone() state {
+	s.deadNodes = sim.CloneMap(s.deadNodes)
+	return s
+}
+
 // ID is the scheduler's network identity.
 const ID sim.NodeID = "scheduler"
 
-// New wires a scheduler into the world.
-func New(w *sim.World, cfg Config) *Scheduler {
-	s := &Scheduler{id: ID, world: w, cfg: cfg, deadNodes: make(map[string]bool)}
+// wire registers a scheduler with no state in the world: what New boots and
+// Restore assigns a captured state to.
+func wire(w *sim.World, cfg Config) *Scheduler {
+	s := &Scheduler{id: ID, world: w, cfg: cfg}
 	w.Network().Register(s.id, s)
 	w.AddProcess(s)
+	return s
+}
+
+// New wires a scheduler into the world.
+func New(w *sim.World, cfg Config) *Scheduler {
+	s := wire(w, cfg)
+	s.deadNodes = make(map[string]bool)
 	s.boot()
 	return s
 }

@@ -12,13 +12,8 @@ import (
 // pending timers are kernel events, carried by the kernel snapshot (the
 // scheduler has no timer of its own).
 type Snapshot struct {
-	Cfg          Config
-	Down         bool
-	Epoch        uint64
-	DeadNodes    map[string]bool
-	Binds        int
-	BindFailures int
-
+	Cfg   Config
+	State state
 	Conn  *client.ConnSnapshot
 	Queue *controller.QueueSnapshot
 }
@@ -31,40 +26,14 @@ func (s *Scheduler) Snapshot() (*Snapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	snap := &Snapshot{
-		Cfg:          s.cfg,
-		Down:         s.down,
-		Epoch:        s.epoch,
-		DeadNodes:    make(map[string]bool, len(s.deadNodes)),
-		Binds:        s.Binds,
-		BindFailures: s.BindFailures,
-		Conn:         cs,
-		Queue:        s.queue.Snapshot(),
-	}
-	for n, v := range s.deadNodes {
-		snap.DeadNodes[n] = v
-	}
-	return snap, true
+	return &Snapshot{Cfg: s.cfg, State: s.state.clone(), Conn: cs, Queue: s.queue.Snapshot()}, true
 }
 
 // Restore reconstructs a scheduler from a snapshot inside world w. Informer
 // handlers are re-attached without cache replay; no timers are armed.
 func Restore(w *sim.World, snap *Snapshot) *Scheduler {
-	s := &Scheduler{
-		id:           ID,
-		world:        w,
-		cfg:          snap.Cfg,
-		down:         snap.Down,
-		epoch:        snap.Epoch,
-		deadNodes:    make(map[string]bool, len(snap.DeadNodes)),
-		Binds:        snap.Binds,
-		BindFailures: snap.BindFailures,
-	}
-	for n, v := range snap.DeadNodes {
-		s.deadNodes[n] = v
-	}
-	w.Network().Register(s.id, s)
-	w.AddProcess(s)
+	s := wire(w, snap.Cfg)
+	s.state = snap.State.clone()
 	s.conn = client.RestoreConn(w, snap.Conn)
 	s.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(s.reconcile))
 	s.nodeInf, s.podInf = s.conn.InformerFor(cluster.KindNode), s.conn.InformerFor(cluster.KindPod)

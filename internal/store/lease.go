@@ -25,9 +25,9 @@ type Lease struct {
 // current virtual time.
 func (s *Store) GrantLease(ttl int64) Lease {
 	s.nextLease++
-	l := &Lease{ID: s.nextLease, TTL: ttl, ExpiresAt: s.now + ttl}
+	l := Lease{ID: s.nextLease, TTL: ttl, ExpiresAt: s.now + ttl}
 	s.leases[l.ID] = l
-	return *l
+	return l
 }
 
 // KeepAlive renews a lease for its full TTL from the current virtual time.
@@ -37,7 +37,8 @@ func (s *Store) KeepAlive(id LeaseID) (Lease, error) {
 		return Lease{}, ErrLeaseNotFound
 	}
 	l.ExpiresAt = s.now + l.TTL
-	return *l, nil
+	s.leases[id] = l
+	return l, nil
 }
 
 // RevokeLease removes a lease and deletes every attached key (each deletion
@@ -80,10 +81,7 @@ func (s *Store) ExpireDue() []string {
 // LeaseInfo returns a lease's current metadata.
 func (s *Store) LeaseInfo(id LeaseID) (Lease, bool) {
 	l, ok := s.leases[id]
-	if !ok {
-		return Lease{}, false
-	}
-	return *l, true
+	return l, ok
 }
 
 // Leases returns the IDs of all live leases, sorted.

@@ -127,7 +127,6 @@ type Server struct {
 	st    *Store
 	rpc   *sim.RPCServer
 	subs  map[string]*subscription // key: client/subID
-	down  bool
 
 	leaseTick sim.Duration
 	timers    *sim.Owner
@@ -136,10 +135,20 @@ type Server struct {
 	// (the store mutates its own batch buffer after notifying, so each
 	// push needs a private copy — slab-carved rather than one make each).
 	pushSlab sim.Slab[history.Event]
+	serverState
 }
 
-// NewServer wires a store actor into the world under the given node ID.
-func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
+// serverState is what the actor itself carries from one event to the next;
+// the store carries the data and the subscriptions are rebuilt with their
+// watchers.
+type serverState struct {
+	down bool
+}
+
+// wireServer registers a store actor over st in the world under the given
+// node ID: what NewServer starts ticking and RestoreServer assigns captured
+// subscriptions to.
+func wireServer(w *sim.World, id sim.NodeID, st *Store) *Server {
 	s := &Server{
 		id:        id,
 		world:     w,
@@ -152,6 +161,12 @@ func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
 	w.Network().Register(id, s)
 	w.AddProcess(s)
 	s.timers = w.Kernel().Own(string(id), s.leaseTickFire)
+	return s
+}
+
+// NewServer wires a store actor into the world under the given node ID.
+func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
+	s := wireServer(w, id, st)
 	s.scheduleLeaseTick()
 	return s
 }
@@ -202,6 +217,15 @@ func (s *Server) leaseTickFire(sim.EventTag) {
 	s.scheduleLeaseTick()
 }
 
+// pushTo returns the notify of client's subscription subID: each batch goes
+// out as one watch-push message.
+func (s *Server) pushTo(client sim.NodeID, subID uint64) WatchNotify {
+	return func(events []history.Event) {
+		cp := s.pushSlab.Clone(events)
+		s.world.Network().Send(s.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: cp})
+	}
+}
+
 func subKey(client sim.NodeID, subID uint64) string {
 	return fmt.Sprintf("%s/%d", client, subID)
 }
@@ -246,11 +270,7 @@ func (s *Server) register() {
 	})
 	s.rpc.Handle(MethodWatch, func(from sim.NodeID, body any) (any, error) {
 		req := body.(*WatchRequest)
-		subID, client := req.SubID, from
-		h, err := s.st.Watch(req.Prefix, req.StartRev, func(events []history.Event) {
-			cp := s.pushSlab.Clone(events)
-			s.world.Network().Send(s.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: cp})
-		})
+		h, err := s.st.Watch(req.Prefix, req.StartRev, s.pushTo(from, req.SubID))
 		if err != nil {
 			return nil, err
 		}

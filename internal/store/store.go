@@ -74,18 +74,10 @@ type watcher struct {
 // Store is the MVCC keyspace. Not safe for concurrent use; the simulated
 // world is single-threaded by design.
 type Store struct {
-	rev         int64
-	compacted   int64 // all events with revision < compacted+1 are dropped... (first retained revision - 1)
-	kvs         map[string]KV
-	hist        *history.History
+	// watchers are rebuilt on restore by the Server that owns their
+	// subscriptions (their notify is a closure over it).
 	watchers    map[int64]*watcher
-	nextWatch   int64
-	leases      map[LeaseID]*Lease
-	nextLease   LeaseID
-	leaseKeys   map[LeaseID]map[string]bool
-	retainMax   int // max retained history events; 0 = unlimited
 	notifyHooks []func([]history.Event)
-	now         int64 // virtual time stamped on committed events
 
 	// decoded memoizes DecodedGet/Prefix.Decoded results per key: values are
 	// immutable per ModRevision, so a decode is valid until the key is
@@ -99,6 +91,37 @@ type Store struct {
 	// watcherOrder caches the sorted watcher IDs used on every commit;
 	// rebuilt only when the watcher set changes.
 	watcherOrder []int64
+	storeState
+}
+
+// storeState is everything the keyspace carries from one commit to the
+// next. The committed-event log is shared copy-on-write with every snapshot
+// (it is immutable once committed; Append on either side reallocates); KV
+// value byte slices are shared because the store never mutates a committed
+// value in place (writes install fresh KVs and reads clone).
+type storeState struct {
+	rev       int64
+	compacted int64           // all events with revision < compacted+1 are dropped... (first retained revision - 1)
+	kvs       map[string]KV   `snap:"shared-elems"`
+	hist      history.History `snap:"shared"`
+	nextWatch int64
+	leases    map[LeaseID]Lease
+	nextLease LeaseID
+	leaseKeys map[LeaseID]map[string]bool
+	retainMax int   // max retained history events; 0 = unlimited
+	now       int64 // virtual time stamped on committed events
+}
+
+func (s storeState) clone() storeState {
+	s.kvs = sim.CloneMap(s.kvs)
+	s.hist = s.hist.Fork()
+	s.leases = sim.CloneMap(s.leases)
+	keys := make(map[LeaseID]map[string]bool, len(s.leaseKeys))
+	for id, set := range s.leaseKeys {
+		keys[id] = sim.CloneMap(set)
+	}
+	s.leaseKeys = keys
+	return s
 }
 
 type decodedVal struct {
@@ -138,11 +161,12 @@ func (p *Prefix) Generation() *sim.Generation { return &p.gen }
 // New returns an empty store at revision 0.
 func New() *Store {
 	return &Store{
-		kvs:       make(map[string]KV),
-		hist:      history.New(),
-		watchers:  make(map[int64]*watcher),
-		leases:    make(map[LeaseID]*Lease),
-		leaseKeys: make(map[LeaseID]map[string]bool),
+		watchers: make(map[int64]*watcher),
+		storeState: storeState{
+			kvs:       make(map[string]KV),
+			leases:    make(map[LeaseID]Lease),
+			leaseKeys: make(map[LeaseID]map[string]bool),
+		},
 	}
 }
 
