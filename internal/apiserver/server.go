@@ -126,7 +126,6 @@ type Server struct {
 type state struct {
 	down  bool
 	ready bool
-	epoch uint64 // bumped on restart; stale async callbacks check it
 
 	cache       map[string]store.KV `snap:"shared-elems"`
 	cachedRev   int64
@@ -156,9 +155,12 @@ func wire(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	s.register()
 	w.Network().Register(id, s)
 	w.AddProcess(s)
-	s.timers = w.Kernel().Own(string(id), s.resyncFire)
+	s.own()
 	return s
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (s *Server) own() { s.timers = s.world.Kernel().Own(string(s.id), s.resyncFire) }
 
 // New creates and wires an apiserver into the world and begins its initial
 // cache sync.
@@ -188,7 +190,7 @@ func (s *Server) CacheLen() int { return len(s.cache) }
 func (s *Server) Crash() {
 	s.down = true
 	s.ready = false
-	s.epoch++
+	s.timers.Retire()
 	s.rpcCl.Reset()
 	s.cache = make(map[string]store.KV)
 	s.window = nil
@@ -205,6 +207,7 @@ func (s *Server) Crash() {
 // Restart implements sim.Process: rebuild the cache from the store.
 func (s *Server) Restart() {
 	s.down = false
+	s.own()
 	s.bootstrap()
 	s.scheduleResync()
 }
@@ -227,18 +230,10 @@ func (s *Server) HandleMessage(m *sim.Message) {
 // bootstrap lists the full registry from the store, then watches from the
 // listed revision. Retries on timeout.
 func (s *Server) bootstrap() {
-	epoch := s.epoch
 	s.rpcCl.Call(s.cfg.StoreNode, store.MethodRange, &store.RangeRequest{Prefix: cluster.RegistryPrefix},
 		func(body any, err error) {
-			if s.down || epoch != s.epoch {
-				return
-			}
 			if err != nil {
-				s.world.Kernel().Schedule(s.cfg.RPCTimeout, func() {
-					if !s.down && epoch == s.epoch {
-						s.bootstrap()
-					}
-				})
+				s.retryBootstrap()
 				return
 			}
 			resp := body.(*store.RangeResponse)
@@ -253,26 +248,31 @@ func (s *Server) bootstrap() {
 			// Events before the relist revision cannot be replayed to
 			// clients anymore.
 			s.minStartRev = resp.Revision
-			s.startStoreWatch(epoch)
+			s.startStoreWatch()
 		})
 }
 
-func (s *Server) startStoreWatch(epoch uint64) {
+// retryBootstrap relists one RPC timeout from now. The retry is a closure,
+// not a tag — a snapshot must not be taken while one is pending — so it is
+// guarded by the kernel fact itself: the owner of the boot that armed it.
+func (s *Server) retryBootstrap() {
+	boot := s.timers
+	s.world.Kernel().Schedule(s.cfg.RPCTimeout, func() {
+		if !boot.Retired() {
+			s.bootstrap()
+		}
+	})
+}
+
+func (s *Server) startStoreWatch() {
 	s.storeSubID++
 	subID := s.storeSubID
 	s.rpcCl.Call(s.cfg.StoreNode, store.MethodWatch,
 		&store.WatchRequest{Prefix: cluster.RegistryPrefix, StartRev: s.cachedRev, SubID: subID},
 		func(body any, err error) {
-			if s.down || epoch != s.epoch {
-				return
-			}
 			if err != nil {
 				// Compacted or timeout: full relist.
-				s.world.Kernel().Schedule(s.cfg.RPCTimeout, func() {
-					if !s.down && epoch == s.epoch {
-						s.bootstrap()
-					}
-				})
+				s.retryBootstrap()
 				return
 			}
 			s.ready = true
@@ -289,14 +289,13 @@ func (s *Server) onStoreEvents(push *store.WatchPush) {
 }
 
 func (s *Server) applyEvents(events []history.Event, allowRecover bool) {
-	for i, e := range events {
+	for _, e := range events {
 		if e.Revision <= s.cachedRev {
 			continue // duplicate
 		}
 		if e.Revision > s.cachedRev+1 && allowRecover && s.cfg.RecoverGaps {
 			// Gap detected: pull the missing span, then the rest.
-			rest := events[i:]
-			s.recoverGap(rest)
+			s.recoverGap()
 			return
 		}
 		s.applyOne(e)
@@ -304,14 +303,12 @@ func (s *Server) applyEvents(events []history.Event, allowRecover bool) {
 	s.lastEventAt = s.world.Now()
 }
 
-func (s *Server) recoverGap(pending []history.Event) {
-	epoch := s.epoch
+// recoverGap pulls every event past the cache frontier: the pulled span is
+// contiguous, so it covers whatever the gapped push still held.
+func (s *Server) recoverGap() {
 	s.rpcCl.Call(s.cfg.StoreNode, store.MethodEventsSince,
 		&store.EventsSinceRequest{Prefix: cluster.RegistryPrefix, Rev: s.cachedRev},
 		func(body any, err error) {
-			if s.down || epoch != s.epoch {
-				return
-			}
 			if err != nil {
 				// Compacted or unreachable: schedule a full relist; apply
 				// nothing now (the resync timer also backstops this).
@@ -320,10 +317,7 @@ func (s *Server) recoverGap(pending []history.Event) {
 				}
 				return
 			}
-			resp := body.(*store.EventsSinceResponse)
-			// The pulled span is contiguous and covers pending too.
-			s.applyEvents(resp.Events, false)
-			_ = pending
+			s.applyEvents(body.(*store.EventsSinceResponse).Events, false)
 		})
 }
 
@@ -591,21 +585,14 @@ func (s *Server) sortedSubs() []string {
 
 // scheduleResync keeps a liveness timer: if the store stream has been
 // silent for ResyncInterval, pull any missed events.
-func (s *Server) scheduleResync() { s.armResync(s.epoch) }
-
-// armResync schedules one resync firing carrying the epoch observed at arm
-// time: a firing armed before a crash finds its epoch stale.
-func (s *Server) armResync(epoch uint64) {
-	s.timers.After(s.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
+func (s *Server) scheduleResync() {
+	s.timers.After(s.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // resyncFire is the resync timer body, the one timer the server owns.
-func (s *Server) resyncFire(tag sim.EventTag) {
-	if s.down || tag.Epoch != s.epoch {
-		return
-	}
+func (s *Server) resyncFire(sim.EventTag) {
 	if s.ready && s.world.Now().Sub(s.lastEventAt) >= s.cfg.ResyncInterval {
-		s.recoverGap(nil)
+		s.recoverGap()
 	}
 	s.scheduleResync()
 }
@@ -623,12 +610,8 @@ func (s *Server) register() {
 			reply(s.getCached(req.Kind, req.Name))
 			return
 		}
-		epoch := s.epoch
 		s.rpcCl.Call(s.cfg.StoreNode, store.MethodGet, &store.GetRequest{Key: cluster.Key(req.Kind, req.Name)},
 			func(b any, err error) {
-				if s.down || epoch != s.epoch {
-					return
-				}
 				if err != nil {
 					reply(nil, err)
 					return
@@ -656,12 +639,8 @@ func (s *Server) register() {
 			reply(s.listCached(req.Kind))
 			return
 		}
-		epoch := s.epoch
 		s.rpcCl.Call(s.cfg.StoreNode, store.MethodRange, &store.RangeRequest{Prefix: cluster.KindPrefix(req.Kind)},
 			func(b any, err error) {
-				if s.down || epoch != s.epoch {
-					return
-				}
 				if err != nil {
 					reply(nil, err)
 					return
@@ -847,11 +826,7 @@ func (s *Server) eventFromWindow(e history.Event) (WatchEvent, bool) {
 }
 
 func (s *Server) storeTxn(req *store.TxnRequest, cb func(*store.TxnResponse, error)) {
-	epoch := s.epoch
 	s.rpcCl.Call(s.cfg.StoreNode, store.MethodTxn, req, func(b any, err error) {
-		if s.down || epoch != s.epoch {
-			return
-		}
 		if err != nil {
 			cb(nil, err)
 			return

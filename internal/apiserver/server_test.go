@@ -281,6 +281,32 @@ func TestQuorumReadBypassesStaleCache(t *testing.T) {
 // readable).
 func Pass() sim.Verdict { return sim.Pass }
 
+// A bootstrap retry belongs to the boot that armed it: pending across a
+// crash and a restart, it comes due in the next boot's time and must not
+// list and watch a second time beside that boot's own bootstrap.
+func TestBootstrapRetryDiesWithItsBoot(t *testing.T) {
+	h := newHarness(t, 1)
+	api, k, timeout := h.apis[0], h.w.Kernel(), h.apis[0].cfg.RPCTimeout
+	reboot := func() {
+		t.Helper()
+		if err := h.w.Crash("api-1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := h.w.Restart("api-1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.w.Network().Partition("api-1", "etcd")
+	reboot() // this boot's list times out and arms a retry one more timeout on
+	k.RunFor(timeout + timeout/2)
+	h.w.Network().Heal("api-1", "etcd")
+	reboot() // and this one lists at once
+	k.RunFor(4 * timeout)
+	if !api.Ready() || api.storeSubID != 2 {
+		t.Fatalf("ready=%v after %d store watches, want ready after 2: the first boot's and the last's", api.Ready(), api.storeSubID)
+	}
+}
+
 func TestAPIServerCrashRestartRebuildsCache(t *testing.T) {
 	h := newHarness(t, 1)
 	if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod("p1", "k1")}); err != nil {

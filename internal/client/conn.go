@@ -101,6 +101,10 @@ func (c *Conn) Reset() {
 	c.timers.Retire()
 }
 
+// Retired reports whether the connection has been Reset: the boot of its
+// component that made it is over.
+func (c *Conn) Retired() bool { return c.timers.Retired() }
+
 // HandleMessage routes a message; it reports whether it was consumed.
 func (c *Conn) HandleMessage(m *sim.Message) bool {
 	if c.rpc.HandleResponse(m) {

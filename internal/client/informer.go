@@ -364,12 +364,10 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 	i.lastEventAt = i.conn.world.Now()
 }
 
-func (i *Informer) scheduleLiveness() { i.armLiveness(i.epoch) }
-
-// armLiveness schedules one liveness firing carrying the epoch observed at
+// scheduleLiveness arms one liveness firing carrying the epoch observed at
 // arm time: a firing armed before a relist finds its epoch stale.
-func (i *Informer) armLiveness(epoch uint64) {
-	i.conn.timers.After(i.cfg.WatchTimeout, sim.EventTag{Kind: "inf-liveness", N: i.subID, Epoch: epoch})
+func (i *Informer) scheduleLiveness() {
+	i.conn.timers.After(i.cfg.WatchTimeout, sim.EventTag{Kind: "inf-liveness", N: i.subID, Epoch: i.epoch})
 }
 
 func (i *Informer) livenessFire(epoch uint64) {

@@ -8,12 +8,11 @@ import (
 // ConnSnapshot captures a connection and all of its informers at a
 // checkpoint. RPC in-flight state is forbidden (a checkpoint is only taken
 // at quiescent instants where every pending call's timeout timer has been
-// canceled), so of the RPC client only its request counter survives.
+// canceled), so nothing of the RPC client but its timeout survives.
 type ConnSnapshot struct {
 	Self      sim.NodeID
 	Timeout   sim.Duration
 	State     connState
-	RPCNext   uint64
 	Informers []InformerSnapshot // sorted by subscription ID
 	// Retired says the connection had been Reset (its component is down).
 	Retired bool
@@ -39,9 +38,8 @@ func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
 		Self:      c.self,
 		Timeout:   c.rpc.Timeout(),
 		State:     c.connState,
-		RPCNext:   c.rpc.Next(),
 		Informers: make([]InformerSnapshot, 0, len(c.informers)),
-		Retired:   c.timers.Retired(),
+		Retired:   c.Retired(),
 	}
 	for _, id := range c.sortedSubIDs() {
 		inf := c.informers[id]
@@ -58,7 +56,6 @@ func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
 func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
 	c := NewConn(w, snap.Self, snap.State.api, snap.Timeout)
 	c.connState = snap.State
-	c.rpc.SetNext(snap.RPCNext)
 	if snap.Retired {
 		c.timers.Retire()
 	}

@@ -54,9 +54,8 @@ type AppSetController struct {
 // appSetState is everything the controller itself carries from one event
 // to the next; its connection and its queue carry their own.
 type appSetState struct {
-	down  bool
-	epoch uint64
-	uids  cluster.UIDGen
+	down bool
+	uids cluster.UIDGen
 	// replacing tracks in-flight rolling replacements per app.
 	replacing map[string]int
 
@@ -81,9 +80,12 @@ func wireAppSet(w *sim.World, cfg AppSetConfig) *AppSetController {
 	c := &AppSetController{id: AppSetControllerID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
-	c.timers = w.Kernel().Own(string(c.id), c.resyncFire)
+	c.own()
 	return c
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (c *AppSetController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.resyncFire) }
 
 // NewAppSetController wires the controller into the world.
 func NewAppSetController(w *sim.World, cfg AppSetConfig) *AppSetController {
@@ -106,13 +108,9 @@ func (c *AppSetController) Conn() *client.Conn { return c.conn }
 // Crash implements sim.Process.
 func (c *AppSetController) Crash() {
 	c.down = true
-	c.epoch++
-	if c.conn != nil {
-		c.conn.Reset()
-	}
-	if c.queue != nil {
-		c.queue.Stop()
-	}
+	c.timers.Retire()
+	c.conn.Reset()
+	c.queue.Stop()
 	c.appInf, c.podInf = nil, nil
 	c.replacing = make(map[string]int)
 }
@@ -120,20 +118,15 @@ func (c *AppSetController) Crash() {
 // Restart implements sim.Process.
 func (c *AppSetController) Restart() {
 	c.down = false
+	c.own()
 	c.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (c *AppSetController) HandleMessage(m *sim.Message) {
-	if c.down || c.conn == nil {
-		return
-	}
-	c.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (c *AppSetController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
 
 func (c *AppSetController) boot() {
-	c.epoch++
-	epoch := c.epoch
 	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
 	c.queue = controller.NewQueue(c.world.Kernel(), appSetQueueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(c.reconcile))
@@ -143,7 +136,7 @@ func (c *AppSetController) boot() {
 	c.podInf.AddHandler(c.podHandler())
 	c.appInf.Run()
 	c.podInf.Run()
-	c.scheduleResync(epoch)
+	c.scheduleResync()
 }
 
 // appSetQueueOwner is the name the work queue's timers are armed under.
@@ -167,21 +160,17 @@ func (c *AppSetController) enqueueOwner(p *cluster.Object) {
 	}
 }
 
-func (c *AppSetController) scheduleResync(epoch uint64) {
-	c.timers.After(c.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
+func (c *AppSetController) scheduleResync() {
+	c.timers.After(c.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // resyncFire is the resync timer body, the one timer the controller owns
 // (its queue and its informers own theirs).
-func (c *AppSetController) resyncFire(tag sim.EventTag) {
-	epoch := tag.Epoch
-	if c.down || epoch != c.epoch {
-		return
-	}
+func (c *AppSetController) resyncFire(sim.EventTag) {
 	for _, app := range c.appInf.ListCached() {
 		c.queue.Add(app.Meta.Name)
 	}
-	c.scheduleResync(epoch)
+	c.scheduleResync()
 }
 
 func (c *AppSetController) podName(app string, ordinal int) string {
@@ -206,9 +195,8 @@ func (c *AppSetController) reconcile(name string) (controller.Result, error) {
 	if !ok || app.AppSet == nil {
 		return controller.Result{}, nil
 	}
-	epoch := c.epoch
 	if app.Terminating() {
-		c.teardown(epoch, app)
+		c.teardown(app)
 		return controller.Result{}, nil
 	}
 
@@ -223,14 +211,14 @@ func (c *AppSetController) reconcile(name string) (controller.Result, error) {
 
 	switch {
 	case len(live) < desired:
-		c.scaleUp(epoch, app, live, desired)
+		c.scaleUp(app, live, desired)
 	case len(live) > desired:
-		c.scaleDown(epoch, app, live, desired)
+		c.scaleDown(app, live, desired)
 	default:
-		if c.rollForward(epoch, app, live) {
+		if c.rollForward(app, live) {
 			c.Rollouts++
 		} else {
-			c.updateStatus(epoch, app, live)
+			c.updateStatus(app, live)
 		}
 	}
 	return controller.Result{}, nil
@@ -251,7 +239,7 @@ func (c *AppSetController) ownedPods(app string) []*cluster.Object {
 	return out
 }
 
-func (c *AppSetController) scaleUp(epoch uint64, app *cluster.Object, live []*cluster.Object, desired int) {
+func (c *AppSetController) scaleUp(app *cluster.Object, live []*cluster.Object, desired int) {
 	have := map[string]bool{}
 	for _, p := range live {
 		have[p.Meta.Name] = true
@@ -271,9 +259,6 @@ func (c *AppSetController) scaleUp(epoch uint64, app *cluster.Object, live []*cl
 		})
 		pod.Meta.OwnerUID = app.Meta.UID
 		c.conn.Create(pod, func(_ *cluster.Object, err error) {
-			if c.down || epoch != c.epoch {
-				return
-			}
 			if err == nil {
 				c.PodCreates++
 			}
@@ -282,16 +267,16 @@ func (c *AppSetController) scaleUp(epoch uint64, app *cluster.Object, live []*cl
 	}
 }
 
-func (c *AppSetController) scaleDown(epoch uint64, app *cluster.Object, live []*cluster.Object, desired int) {
+func (c *AppSetController) scaleDown(app *cluster.Object, live []*cluster.Object, desired int) {
 	// Remove highest ordinals first.
 	for i := len(live) - 1; i >= desired; i-- {
-		c.markDelete(epoch, app.Meta.Name, live[i])
+		c.markDelete(app.Meta.Name, live[i])
 	}
 }
 
 // rollForward replaces at most MaxUnavailable pods running an outdated
 // image; it reports whether a replacement is in progress.
-func (c *AppSetController) rollForward(epoch uint64, app *cluster.Object, live []*cluster.Object) bool {
+func (c *AppSetController) rollForward(app *cluster.Object, live []*cluster.Object) bool {
 	inFlight := 0
 	for _, p := range c.ownedPods(app.Meta.Name) {
 		if p.Terminating() {
@@ -306,20 +291,17 @@ func (c *AppSetController) rollForward(epoch uint64, app *cluster.Object, live [
 		if p.Pod.Image == app.AppSet.Image {
 			continue
 		}
-		c.markDelete(epoch, app.Meta.Name, p)
+		c.markDelete(app.Meta.Name, p)
 		inFlight++
 		rolled = true
 	}
 	return rolled
 }
 
-func (c *AppSetController) markDelete(epoch uint64, app string, pod *cluster.Object) {
+func (c *AppSetController) markDelete(app string, pod *cluster.Object) {
 	upd := pod.Clone()
 	upd.Meta.DeletionTimestamp = int64(c.world.Now())
 	c.conn.Update(upd, func(_ *cluster.Object, err error) {
-		if c.down || epoch != c.epoch {
-			return
-		}
 		if err != nil {
 			c.queue.AddAfter(app, 50*sim.Millisecond)
 			return
@@ -333,15 +315,15 @@ func (c *AppSetController) markDelete(epoch uint64, app string, pod *cluster.Obj
 	})
 }
 
-func (c *AppSetController) teardown(epoch uint64, app *cluster.Object) {
+func (c *AppSetController) teardown(app *cluster.Object) {
 	for _, p := range c.ownedPods(app.Meta.Name) {
 		if !p.Terminating() {
-			c.markDelete(epoch, app.Meta.Name, p)
+			c.markDelete(app.Meta.Name, p)
 		}
 	}
 }
 
-func (c *AppSetController) updateStatus(epoch uint64, app *cluster.Object, live []*cluster.Object) {
+func (c *AppSetController) updateStatus(app *cluster.Object, live []*cluster.Object) {
 	ready := 0
 	for _, p := range live {
 		if p.Pod.Phase == cluster.PodRunning && p.Pod.Image == app.AppSet.Image {

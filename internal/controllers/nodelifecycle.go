@@ -56,8 +56,7 @@ type NodeLifecycleController struct {
 // nodeLifecycleState is everything the controller itself carries from one
 // event to the next; its connection carries its own.
 type nodeLifecycleState struct {
-	down  bool
-	epoch uint64
+	down bool
 
 	// Metrics.
 	MarkedNotReady int
@@ -75,9 +74,12 @@ func wireNodeLifecycle(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleCont
 	c := &NodeLifecycleController{id: NodeLifecycleID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
-	c.timers = w.Kernel().Own(string(c.id), c.checkFire)
+	c.own()
 	return c
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (c *NodeLifecycleController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.checkFire) }
 
 // NewNodeLifecycleController wires the controller into the world.
 func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
@@ -95,54 +97,43 @@ func (c *NodeLifecycleController) Conn() *client.Conn { return c.conn }
 // Crash implements sim.Process.
 func (c *NodeLifecycleController) Crash() {
 	c.down = true
-	c.epoch++
-	if c.conn != nil {
-		c.conn.Reset()
-	}
+	c.timers.Retire()
+	c.conn.Reset()
 	c.nodeInf, c.podInf = nil, nil
 }
 
 // Restart implements sim.Process.
 func (c *NodeLifecycleController) Restart() {
 	c.down = false
+	c.own()
 	c.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (c *NodeLifecycleController) HandleMessage(m *sim.Message) {
-	if c.down || c.conn == nil {
-		return
-	}
-	c.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (c *NodeLifecycleController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
 
 func (c *NodeLifecycleController) boot() {
-	c.epoch++
-	epoch := c.epoch
 	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
 	c.nodeInf = client.NewInformer(c.conn, cluster.KindNode, client.InformerConfig{WatchTimeout: sim.Second})
 	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
 	c.nodeInf.Run()
 	c.podInf.Run()
-	c.scheduleCheck(epoch)
+	c.scheduleCheck()
 }
 
-func (c *NodeLifecycleController) scheduleCheck(epoch uint64) {
-	c.timers.After(c.cfg.CheckInterval, sim.EventTag{Kind: "check", Epoch: epoch})
+func (c *NodeLifecycleController) scheduleCheck() {
+	c.timers.After(c.cfg.CheckInterval, sim.EventTag{Kind: "check"})
 }
 
 // checkFire is the heartbeat-scan timer body, the one timer the controller
 // owns.
-func (c *NodeLifecycleController) checkFire(tag sim.EventTag) {
-	epoch := tag.Epoch
-	if c.down || epoch != c.epoch {
-		return
-	}
-	c.check(epoch)
-	c.scheduleCheck(epoch)
+func (c *NodeLifecycleController) checkFire(sim.EventTag) {
+	c.check()
+	c.scheduleCheck()
 }
 
-func (c *NodeLifecycleController) check(epoch uint64) {
+func (c *NodeLifecycleController) check() {
 	if !c.nodeInf.Synced() || !c.podInf.Synced() {
 		return
 	}
@@ -157,7 +148,7 @@ func (c *NodeLifecycleController) check(epoch uint64) {
 		case hb == 0:
 			// Never heartbeated (just registered); leave it alone.
 		case age > int64(c.cfg.DeleteAfter):
-			c.deleteNode(epoch, node)
+			c.deleteNode(node)
 		case age > int64(c.cfg.NotReadyAfter) && node.Node.Ready:
 			upd := node.Clone()
 			upd.Node.Ready = false
@@ -170,9 +161,9 @@ func (c *NodeLifecycleController) check(epoch uint64) {
 	}
 }
 
-func (c *NodeLifecycleController) deleteNode(epoch uint64, node *cluster.Object) {
+func (c *NodeLifecycleController) deleteNode(node *cluster.Object) {
 	c.conn.Delete(cluster.KindNode, node.Meta.Name, node.Meta.ResourceVersion, func(err error) {
-		if c.down || epoch != c.epoch || err != nil {
+		if err != nil {
 			return
 		}
 		c.DeletedNodes++

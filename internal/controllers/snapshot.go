@@ -39,6 +39,9 @@ func RestoreVolume(w *sim.World, snap *VolumeSnapshot) *VolumeController {
 	c := wireVolume(w, snap.Cfg)
 	c.volumeState = snap.State
 	c.conn = client.RestoreConn(w, snap.Conn)
+	if c.down {
+		c.timers.Retire()
+	}
 	c.podInf, c.pvcInf = c.conn.InformerFor(cluster.KindPod), c.conn.InformerFor(cluster.KindPVC)
 	return c
 }
@@ -67,6 +70,9 @@ func RestoreNodeLifecycle(w *sim.World, snap *NodeLifecycleSnapshot) *NodeLifecy
 	c := wireNodeLifecycle(w, snap.Cfg)
 	c.nodeLifecycleState = snap.State
 	c.conn = client.RestoreConn(w, snap.Conn)
+	if c.down {
+		c.timers.Retire()
+	}
 	c.nodeInf, c.podInf = c.conn.InformerFor(cluster.KindNode), c.conn.InformerFor(cluster.KindPod)
 	return c
 }
@@ -97,6 +103,9 @@ func RestoreAppSet(w *sim.World, snap *AppSetSnapshot) *AppSetController {
 	c.appSetState = snap.State.clone()
 	c.conn = client.RestoreConn(w, snap.Conn)
 	c.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(c.reconcile))
+	if c.down {
+		c.timers.Retire()
+	}
 	c.appInf, c.podInf = c.conn.InformerFor(cluster.KindAppSet), c.conn.InformerFor(cluster.KindPod)
 	if c.appInf != nil {
 		c.appInf.RestoreHandler(controller.EnqueueHandler{Queue: c.queue})

@@ -58,8 +58,7 @@ type VolumeController struct {
 // volumeState is everything the controller itself carries from one event
 // to the next; its connection carries its own.
 type volumeState struct {
-	down  bool
-	epoch uint64
+	down bool
 
 	// Releases counts successful PVC releases (experiment metric).
 	Releases int
@@ -75,9 +74,12 @@ func wireVolume(w *sim.World, cfg VolumeConfig) *VolumeController {
 	c := &VolumeController{id: VolumeControllerID, world: w, cfg: cfg}
 	w.Network().Register(c.id, c)
 	w.AddProcess(c)
-	c.timers = w.Kernel().Own(string(c.id), c.pollFire)
+	c.own()
 	return c
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (c *VolumeController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.pollFire) }
 
 // NewVolumeController wires the controller into the world.
 func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
@@ -95,54 +97,43 @@ func (c *VolumeController) Conn() *client.Conn { return c.conn }
 // Crash implements sim.Process.
 func (c *VolumeController) Crash() {
 	c.down = true
-	c.epoch++
-	if c.conn != nil {
-		c.conn.Reset()
-	}
+	c.timers.Retire()
+	c.conn.Reset()
 	c.podInf, c.pvcInf = nil, nil
 }
 
 // Restart implements sim.Process.
 func (c *VolumeController) Restart() {
 	c.down = false
+	c.own()
 	c.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (c *VolumeController) HandleMessage(m *sim.Message) {
-	if c.down || c.conn == nil {
-		return
-	}
-	c.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (c *VolumeController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
 
 func (c *VolumeController) boot() {
-	c.epoch++
-	epoch := c.epoch
 	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
 	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
 	c.pvcInf = client.NewInformer(c.conn, cluster.KindPVC, client.InformerConfig{WatchTimeout: sim.Second})
 	c.podInf.Run()
 	c.pvcInf.Run()
-	c.schedulePoll(epoch)
+	c.schedulePoll()
 }
 
-func (c *VolumeController) schedulePoll(epoch uint64) {
-	c.timers.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll", Epoch: epoch})
+func (c *VolumeController) schedulePoll() {
+	c.timers.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll"})
 }
 
 // pollFire is the poll timer body, the one timer the controller owns.
-func (c *VolumeController) pollFire(tag sim.EventTag) {
-	epoch := tag.Epoch
-	if c.down || epoch != c.epoch {
-		return
-	}
-	c.poll(epoch)
-	c.schedulePoll(epoch)
+func (c *VolumeController) pollFire(sim.EventTag) {
+	c.poll()
+	c.schedulePoll()
 }
 
 // poll is one sparse read of S': scan cached PVCs and decide releases.
-func (c *VolumeController) poll(epoch uint64) {
+func (c *VolumeController) poll() {
 	if !c.podInf.Synced() || !c.pvcInf.Synced() {
 		return
 	}
@@ -156,11 +147,11 @@ func (c *VolumeController) poll(epoch uint64) {
 		switch {
 		case ok && owner.Terminating():
 			// e1 observed: owner is being deleted → release.
-			c.release(epoch, pvc)
+			c.release(pvc)
 		case !ok && c.cfg.ReleaseOnAbsentOwner:
 			// Fixed variant: owner vanished entirely (e1+e2 both fell
 			// between polls) → still release.
-			c.release(epoch, pvc)
+			c.release(pvc)
 		case !ok:
 			// Buggy variant: the pod is gone and we never saw the mark.
 			// The controller assumes it will observe Terminating first,
@@ -169,13 +160,12 @@ func (c *VolumeController) poll(epoch uint64) {
 	}
 }
 
-func (c *VolumeController) release(epoch uint64, pvc *cluster.Object) {
+func (c *VolumeController) release(pvc *cluster.Object) {
 	upd := pvc.Clone()
 	upd.PVC.Phase = cluster.PVCReleased
 	c.conn.Update(upd, func(_ *cluster.Object, err error) {
-		if c.down || epoch != c.epoch || err != nil {
-			return
+		if err == nil {
+			c.Releases++
 		}
-		c.Releases++
 	})
 }

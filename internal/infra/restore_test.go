@@ -5,9 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/apiserver"
+	"repro/internal/cluster"
+	"repro/internal/controllers"
 	"repro/internal/core"
 	"repro/internal/infra"
 	"repro/internal/kubelet"
+	"repro/internal/operators/cassandra"
+	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -24,9 +29,10 @@ type restoreRow struct {
 	fault   func(c *infra.Cluster)
 	capture sim.Time
 	// wantRetired names a kind of timer the capture must hold pending for an
-	// owner that has since retired — the crashed incarnation's — or the row
-	// compared nothing it was written for.
-	wantRetired string
+	// owner that has since retired — the crashed incarnation's — and wantLive
+	// one it must hold for a live owner, or the row compared nothing it was
+	// written for.
+	wantRetired, wantLive string
 }
 
 // continueVsRestore runs the row twice over: the original execution is
@@ -64,15 +70,18 @@ func continueVsRestore(t *testing.T, r restoreRow) (retired int) {
 			break
 		}
 	}
-	found := r.wantRetired == ""
+	found, live := r.wantRetired == "", r.wantLive == ""
 	for _, pe := range snap.Kernel.Pending {
 		if pe.Retired {
 			retired++
 			found = found || pe.Tag.Kind == r.wantRetired
+		} else {
+			live = live || pe.Tag.Kind == r.wantLive
 		}
 	}
-	if !found {
-		t.Errorf("%s: captured at %s with no retired %s timer pending: the row does not reach the case it names", r.label, snap.Kernel.Now, r.wantRetired)
+	if !found || !live {
+		t.Errorf("%s: captured at %s without a retired %q timer or a live %q timer pending: the row does not reach the case it names",
+			r.label, snap.Kernel.Now, r.wantRetired, r.wantLive)
 	}
 
 	c2, err := snap.NewCluster()
@@ -241,30 +250,45 @@ func TestRestoredClusterContinuesIdentically(t *testing.T) {
 			}
 		}
 	}
-	// Captured while the component is down: the restart is a top-level
-	// action, so the fork re-creates it by rehydration and boots the
-	// component itself, over a connection restored retired.
-	// The store and an apiserver own their one timer for life and retire
-	// nothing: their rows are here for what a crash leaves of their state —
-	// no subscriptions, an empty watch cache, a tick that was not re-armed.
-	for _, comp := range []sim.NodeID{kubelet.NodeID("k1"), scheduler.ID, infra.StoreID, infra.APIServerID(0)} {
-		tg := workload.Target59848()
-		if comp == scheduler.ID {
-			tg = workload.Target56261()
-		}
-		r := restoreRow{
-			label: fmt.Sprintf("%s captured with %s down", tg.Name, comp),
-			t:     tg, seed: 1,
+	// Captured while the component is down, one row per component type: the
+	// capture holds the dead boot's own timer, retired, and the component's
+	// owner comes back retired with it; the restart is a top-level action, so
+	// the fork re-creates it by rehydration and the restored component boots
+	// itself — registers its next owner under the name the retired one freed,
+	// over a connection restored retired. A Restore that forgets to retire a
+	// down component's owner panics there ("two live owners").
+	everything := everythingTarget()
+	for _, d := range []struct {
+		tg      core.Target
+		comp    sim.NodeID
+		crash   sim.Time
+		retired string
+	}{
+		{workload.Target59848(), kubelet.NodeID("k1"), ms(3055), "heartbeat"},
+		{workload.Target56261(), scheduler.ID, ms(3055), "inf-liveness"}, // no timer of its own: its connection's
+		{workload.Target59848(), infra.StoreID, ms(3055), "leasetick"},
+		{workload.Target59848(), infra.APIServerID(0), ms(3055), "resync"},
+		{everything, controllers.VolumeControllerID, ms(3055), "poll"},
+		{everything, controllers.NodeLifecycleID, ms(3055), "check"},
+		{everything, controllers.AppSetControllerID, ms(3055), "resync"},
+		{everything, cassandra.OperatorID, ms(3055), "resync"},
+		{everything, regions.ManagerID, ms(3055), ""}, // no timer and no informer: a connection to make anew
+		// The operator's two one-shot timers, mid-decommission: the scale-down
+		// lands at 4 s, the drain is pending from 4.017 s and the wait for the
+		// pod to go from 4.122 s to 4.147 s.
+		{workload.TargetCass398(), cassandra.OperatorID, ms(4050), "drain"},
+		{workload.TargetCass398(), cassandra.OperatorID, ms(4125), "awaitgone"},
+	} {
+		rows = append(rows, restoreRow{
+			label: fmt.Sprintf("%s captured with %s down since %s", d.tg.Name, d.comp, d.crash),
+			t:     d.tg, seed: 1,
 			fault: func(c *infra.Cluster) {
-				c.World.Kernel().At(ms(3050), func() { _ = c.World.Crash(comp) })
-				c.World.Kernel().At(ms(3150), func() { _ = c.World.Restart(comp) })
+				c.World.Kernel().At(d.crash, func() { _ = c.World.Crash(d.comp) })
+				c.World.Kernel().At(d.crash.Add(restartAfter), func() { _ = c.World.Restart(d.comp) })
 			},
-			capture: ms(3100),
-		}
-		if comp != infra.StoreID && comp != infra.APIServerID(0) {
-			r.wantRetired = "inf-liveness"
-		}
-		rows = append(rows, r)
+			capture:     d.crash.Add(5 * sim.Millisecond),
+			wantRetired: d.retired,
+		})
 	}
 	// A work-queue timer across the crash: with no node to place it on, the
 	// scheduler puts a pod back every 50 ms, so a scheduler that is down
@@ -293,6 +317,25 @@ func TestRestoredClusterContinuesIdentically(t *testing.T) {
 			wantRetired: "addafter",
 		})
 	}
+	// A key in the queue across the capture: the 2.025281 s addafter has put
+	// job-1 back and its process timer is due a millisecond later, and in
+	// between a watch push delivered a second time (links may duplicate) asks
+	// for the same pod again. A restored queue that lost track of what it
+	// holds takes the pod twice.
+	rows = append(rows, restoreRow{
+		label: stuck.Name + " captured with job-1 queued, then a duplicate push",
+		t:     stuck, seed: 1,
+		fault: func(c *infra.Cluster) {
+			c.World.Kernel().At(ms(2026).Add(100*sim.Microsecond), func() {
+				inf := c.Scheduler.Conn().InformerFor(cluster.KindPod)
+				pod, _ := inf.Get("job-1")
+				c.Scheduler.HandleMessage(&sim.Message{Payload: &apiserver.WatchPushMsg{SubID: inf.SubID(),
+					Events: []apiserver.WatchEvent{{Type: apiserver.Modified, Object: pod}}}})
+			})
+		},
+		capture:  ms(2026),
+		wantLive: "process",
+	})
 	// World seeds beyond 1, on the rows the defect was found on.
 	for _, seed := range []int64{1021, 4060} {
 		rows = append(rows, restoreRow{

@@ -36,8 +36,10 @@ type role struct {
 	state, carried string
 	// children maps a field holding one child, or a map or slice of them, to
 	// the snapshot field that carries theirs; "." when the child's snapshot
-	// fields lie in this same snapshot. Children of a type without a role
-	// (sim's RPC client and timer owner) are not walked.
+	// fields lie in this same snapshot. A timer owner is a child too: it
+	// lives for one boot, and what the snapshot carries of it is whether that
+	// boot is over — the state's down (a queue's stopped) flag, a
+	// connection's Retired.
 	children map[string]string
 	wiring   map[string]string
 }
@@ -46,6 +48,9 @@ const (
 	fixed  = "fixed at construction"
 	config = "configuration: the snapshot's Cfg, or rebuilt from it"
 	found  = "found again in the restored connection by kind"
+	// An RPC client holds calls in flight and nothing else, and a capture is
+	// only taken with none: a call is named by its request message.
+	inFlight = "empty at every capture"
 )
 
 var roles = map[reflect.Type]role{
@@ -60,56 +65,51 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"conn": "AdminConn"},
 		wiring:   map[string]string{"c": fixed}},
 	reflect.TypeFor[store.Server](): {state: "serverState", carried: "Server",
-		children: map[string]string{"st": ".", "subs": "Subs"},
+		children: map[string]string{"st": ".", "subs": "Subs", "timers": "Server"},
 		wiring: map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed,
-			"timers": "the owner: pending ticks are the kernel's", "pushSlab": "allocator"}},
+			"pushSlab": "allocator"}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
 			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache"}},
 	reflect.TypeFor[apiserver.Server](): {state: "state", carried: "State",
-		children: map[string]string{"rpcCl": "RPCNext"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "timers": "the owner: pending ticks are the kernel's",
+		children: map[string]string{"timers": "State"},
+		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
 			"kindBroken": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator"}},
 	reflect.TypeFor[kubelet.Kubelet](): {state: "state", carried: "State",
-		children: map[string]string{"conn": "Conn", "host": "Host"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config,
-			"timers": "the owner: pending ticks are the kernel's", "informer": found}},
+		children: map[string]string{"conn": "Conn", "host": "Host", "timers": "State"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "informer": found}},
 	reflect.TypeFor[kubelet.Host](): {state: "hostState",
 		wiring: map[string]string{"Name": fixed, "names": "cache", "gen": "means nothing across owners"}},
 	reflect.TypeFor[scheduler.Scheduler](): {state: "state", carried: "State",
 		children: map[string]string{"conn": "Conn", "queue": "Queue"},
 		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "podInf": found, "nodeInf": found}},
 	reflect.TypeFor[controllers.VolumeController](): {state: "volumeState", carried: "State",
-		children: map[string]string{"conn": "Conn"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config,
-			"timers": "the owner: pending ticks are the kernel's", "podInf": found, "pvcInf": found}},
+		children: map[string]string{"conn": "Conn", "timers": "State"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "podInf": found, "pvcInf": found}},
 	reflect.TypeFor[controllers.NodeLifecycleController](): {state: "nodeLifecycleState", carried: "State",
-		children: map[string]string{"conn": "Conn"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config,
-			"timers": "the owner: pending ticks are the kernel's", "nodeInf": found, "podInf": found}},
+		children: map[string]string{"conn": "Conn", "timers": "State"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "nodeInf": found, "podInf": found}},
 	reflect.TypeFor[controllers.AppSetController](): {state: "appSetState", carried: "State",
-		children: map[string]string{"conn": "Conn", "queue": "Queue"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config,
-			"timers": "the owner: pending ticks are the kernel's", "appInf": found, "podInf": found}},
+		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "State"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "appInf": found, "podInf": found}},
 	reflect.TypeFor[cassandra.Operator](): {state: "state", carried: "State",
-		children: map[string]string{"conn": "Conn", "queue": "Queue"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config,
-			"timers": "the owner: pending ticks are the kernel's", "crInf": found, "podInf": found, "pvcInf": found}},
+		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "State"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "crInf": found, "podInf": found, "pvcInf": found}},
 	reflect.TypeFor[regions.RegionServer](): {state: "serverState", carried: "State",
 		wiring: map[string]string{"id": fixed, "world": fixed, "gen": "means nothing across owners"}},
 	reflect.TypeFor[regions.Manager](): {state: "managerState", carried: "State",
 		children: map[string]string{"conn": "Conn"},
 		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config}},
 	reflect.TypeFor[client.Conn](): {state: "connState", carried: "State",
-		children: map[string]string{"informers": "Informers", "rpc": "RPCNext", "timers": "Retired"},
-		wiring:   map[string]string{"world": fixed, "self": fixed}},
+		children: map[string]string{"informers": "Informers", "timers": "Retired"},
+		wiring:   map[string]string{"world": fixed, "self": fixed, "rpc": inFlight}},
 	reflect.TypeFor[client.Informer](): {state: "informerState", carried: "State",
 		wiring: map[string]string{"conn": fixed, "kind": config, "cfg": config, "names": "cache",
 			"handlers": "re-attached by the component's Restore"}},
 	reflect.TypeFor[controller.Queue](): {state: "queueState", carried: "State",
-		wiring: map[string]string{"cfg": config, "rec": "the component's reconcile", "set": "index",
-			"timers": "the owner: pending timers are the kernel's"}},
+		children: map[string]string{"timers": "State"},
+		wiring:   map[string]string{"cfg": config, "rec": "the component's reconcile", "set": "index"}},
 	reflect.TypeFor[oracle.Runner](): {state: "state",
 		wiring: map[string]string{"oracles": "re-registered by addOracles; RestoreFrom voids their gates",
 			"handles": "re-pointed by RestoreFrom", "w": fixed, "every": config,
@@ -182,6 +182,13 @@ func (w *stateWalk) children(path string, live, snap, restored reflect.Value) {
 	elem := live.Type()
 	for elem.Kind() != reflect.Struct {
 		elem = elem.Elem()
+	}
+	if elem == reflect.TypeFor[sim.Owner]() {
+		// All a snapshot carries of an owner: whether its boot is over.
+		if l, r := live.Elem().FieldByName("retired").Bool(), restored.Elem().FieldByName("retired").Bool(); l != r {
+			w.t.Errorf("%s: retired is %v, and %v restored: Restore must retire the owner of a boot that is over", path, l, r)
+		}
+		return
 	}
 	if _, ok := roles[elem]; !ok {
 		return
@@ -316,12 +323,35 @@ func everythingTarget() core.Target {
 	inner := t.Workload
 	t.Workload = func(c *infra.Cluster) {
 		inner(c)
-		c.Admin.CreateAppSet("web", 2, "v1", nil)
-		st := c.Store.Store()
-		_, _ = st.PutWithLease("/members/probe", []byte("up"), st.GrantLease(int64(sim.Hour)).ID)
-		c.Oracles.Report(oracle.Violation{Oracle: "probe", Time: c.World.Now()})
-		c.RegionManager.CreateRegion("r1", "a", func(error) {})
-		c.World.Kernel().Schedule(500*sim.Millisecond, func() { c.RegionManager.Move("r1", "b", func(error) {}) })
+		// At absolute instants, as the targets' own actions are: a fork
+		// re-creates a workload by running it again, and what lies before the
+		// fork must schedule nothing.
+		k := c.World.Kernel()
+		k.At(sim.Time(300*sim.Millisecond), func() {
+			c.Admin.CreateAppSet("web", 2, "v1", nil)
+			st := c.Store.Store()
+			_, _ = st.PutWithLease("/members/probe", []byte("up"), st.GrantLease(int64(sim.Hour)).ID)
+			c.Oracles.Report(oracle.Violation{Oracle: "probe", Time: c.World.Now()})
+			c.RegionManager.CreateRegion("r1", "a", func(error) {})
+		})
+		k.At(sim.Time(800*sim.Millisecond), func() { c.RegionManager.Move("r1", "b", func(error) {}) })
+	}
+	return t
+}
+
+// allDown is t with every process crashed a millisecond before the test's
+// mid-run capture: each owner is walked retired, beside a twin that must
+// have been restored retired.
+func allDown(t core.Target) core.Target {
+	inner := t.Workload
+	t.Name += ", all down"
+	t.Workload = func(c *infra.Cluster) {
+		inner(c)
+		c.World.Kernel().Schedule(t.Horizon/2-sim.Millisecond, func() {
+			for _, id := range c.World.ProcessIDs() {
+				_ = c.World.Crash(id)
+			}
+		})
 	}
 	return t
 }
@@ -339,7 +369,7 @@ func everythingTarget() core.Target {
 func TestEveryFieldIsStateOrWiring(t *testing.T) {
 	w := &stateWalk{t: t, visited: map[reflect.Type]bool{}}
 	targets := append(workload.AllTargets(),
-		workload.ScaleRackDrainTarget(workload.ScaleProfile{Racks: 10, NodesPerRack: 5}), everythingTarget())
+		workload.ScaleRackDrainTarget(workload.ScaleProfile{Racks: 10, NodesPerRack: 5}), everythingTarget(), allDown(everythingTarget()))
 	for _, tg := range targets {
 		c := tg.Build(1)
 		k := c.World.Kernel()

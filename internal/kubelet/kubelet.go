@@ -160,7 +160,6 @@ type Kubelet struct {
 type state struct {
 	uids   cluster.UIDGen
 	down   bool
-	epoch  uint64
 	apiIdx int
 	// restartPending marks that no sync has used verified (quorum) state
 	// since the last (re)start; SafeRestartSync refuses cached reconciles
@@ -187,9 +186,12 @@ func wire(w *sim.World, host *Host, cfg Config) *Kubelet {
 	k := &Kubelet{id: NodeID(cfg.NodeName), world: w, cfg: cfg, host: host}
 	w.Network().Register(k.id, k)
 	w.AddProcess(k)
-	k.timers = w.Kernel().Own(string(k.id), k.fire)
+	k.own()
 	return k
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (k *Kubelet) own() { k.timers = k.world.Kernel().Own(string(k.id), k.fire) }
 
 // New wires a kubelet into the world and boots it against its first
 // apiserver.
@@ -204,11 +206,13 @@ func New(w *sim.World, host *Host, cfg Config) *Kubelet {
 func (k *Kubelet) fire(tag sim.EventTag) {
 	switch tag.Kind {
 	case "heartbeat":
-		k.heartbeatFire(tag.Epoch)
+		k.heartbeat()
+		k.scheduleHeartbeat()
 	case "sync":
-		k.syncFire(tag.Epoch)
+		k.syncPods()
+		k.schedulePeriodicSync()
 	case "syncsoon":
-		k.syncSoonFire(tag.Epoch)
+		k.syncPods()
 	}
 }
 
@@ -248,57 +252,47 @@ func (k *Kubelet) SetRestartUpstream(api sim.NodeID) {
 // the host keep running.
 func (k *Kubelet) Crash() {
 	k.down = true
-	k.epoch++
-	if k.conn != nil {
-		k.conn.Reset()
-	}
+	k.timers.Retire()
+	k.conn.Reset()
 	k.informer = nil
 }
 
 // Restart implements sim.Process: reboot against the configured upstream.
 func (k *Kubelet) Restart() {
 	k.down = false
+	k.own()
 	k.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (k *Kubelet) HandleMessage(m *sim.Message) {
-	if k.down || k.conn == nil {
-		return
-	}
-	k.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (k *Kubelet) HandleMessage(m *sim.Message) { k.conn.HandleMessage(m) }
 
 func (k *Kubelet) boot() {
-	k.epoch++
-	epoch := k.epoch
 	k.restartPending = true
 	k.conn = client.NewConn(k.world, k.id, k.cfg.APIServers[k.apiIdx], k.cfg.RPCTimeout)
-	k.registerNode(epoch)
+	k.registerNode()
 	k.informer = client.NewInformer(k.conn, cluster.KindPod, client.InformerConfig{
 		WatchTimeout: 4 * k.cfg.SyncInterval,
 	})
-	k.informer.AddHandler(k.podHandler(epoch))
+	k.informer.AddHandler(k.podHandler())
 	k.informer.Run()
-	k.schedulePeriodicSync(epoch)
-	k.scheduleHeartbeat(epoch)
+	k.schedulePeriodicSync()
+	k.scheduleHeartbeat()
 }
 
-// podHandler is the pod informer's handler for the boot with the given
-// epoch: any change to a pod asks for a sync.
-func (k *Kubelet) podHandler(epoch uint64) client.EventHandler {
+// podHandler is the pod informer's handler: any change to a pod asks for a
+// sync.
+func (k *Kubelet) podHandler() client.EventHandler {
 	return client.HandlerFuncs{
-		AddFunc:    func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
-		UpdateFunc: func(_, _ *cluster.Object) { k.scheduleSyncSoon(epoch) },
-		DeleteFunc: func(*cluster.Object) { k.scheduleSyncSoon(epoch) },
+		AddFunc:    func(*cluster.Object) { k.scheduleSyncSoon() },
+		UpdateFunc: func(_, _ *cluster.Object) { k.scheduleSyncSoon() },
+		DeleteFunc: func(*cluster.Object) { k.scheduleSyncSoon() },
 	}
 }
 
 // registerNode creates or refreshes this node's object.
-func (k *Kubelet) registerNode(epoch uint64) {
-	if k.down || epoch != k.epoch {
-		return
-	}
+func (k *Kubelet) registerNode() {
 	node := cluster.NewNode(k.cfg.NodeName, k.uids.Next(), cluster.NodeSpec{
 		Ready:    true,
 		Capacity: k.cfg.Capacity,
@@ -308,34 +302,25 @@ func (k *Kubelet) registerNode(epoch uint64) {
 	})
 	node.Meta.Labels = map[string]string{"heartbeat": fmt.Sprint(int64(k.world.Now()))}
 	k.conn.Create(node, func(_ *cluster.Object, err error) {
-		if err == nil || k.down || epoch != k.epoch {
-			return
+		if err != nil {
+			// Already registered: refresh via heartbeat path instead.
+			k.heartbeat()
 		}
-		// Already registered: refresh via heartbeat path instead.
-		k.heartbeat(epoch)
 	})
 }
 
-func (k *Kubelet) scheduleHeartbeat(epoch uint64) {
-	k.timers.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat", Epoch: epoch})
-}
-
-func (k *Kubelet) heartbeatFire(epoch uint64) {
-	if k.down || epoch != k.epoch {
-		return
-	}
-	k.heartbeat(epoch)
-	k.scheduleHeartbeat(epoch)
+func (k *Kubelet) scheduleHeartbeat() {
+	k.timers.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat"})
 }
 
 // heartbeat refreshes the node object's liveness label.
-func (k *Kubelet) heartbeat(epoch uint64) {
+func (k *Kubelet) heartbeat() {
 	k.conn.Get(cluster.KindNode, k.cfg.NodeName, false, func(node *cluster.Object, found bool, err error) {
-		if k.down || epoch != k.epoch || err != nil {
+		if err != nil {
 			return
 		}
 		if !found {
-			k.registerNode(epoch)
+			k.registerNode()
 			return
 		}
 		node = node.Clone()
@@ -348,33 +333,18 @@ func (k *Kubelet) heartbeat(epoch uint64) {
 	})
 }
 
-func (k *Kubelet) schedulePeriodicSync(epoch uint64) {
-	k.timers.After(k.cfg.SyncInterval, sim.EventTag{Kind: "sync", Epoch: epoch})
+func (k *Kubelet) schedulePeriodicSync() {
+	k.timers.After(k.cfg.SyncInterval, sim.EventTag{Kind: "sync"})
 }
 
-func (k *Kubelet) syncFire(epoch uint64) {
-	if k.down || epoch != k.epoch {
-		return
-	}
-	k.syncPods(epoch)
-	k.schedulePeriodicSync(epoch)
-}
-
-func (k *Kubelet) scheduleSyncSoon(epoch uint64) {
-	k.timers.After(sim.Millisecond, sim.EventTag{Kind: "syncsoon", Epoch: epoch})
-}
-
-func (k *Kubelet) syncSoonFire(epoch uint64) {
-	if k.down || epoch != k.epoch {
-		return
-	}
-	k.syncPods(epoch)
+func (k *Kubelet) scheduleSyncSoon() {
+	k.timers.After(sim.Millisecond, sim.EventTag{Kind: "syncsoon"})
 }
 
 // syncPods reconciles host containers against the pods bound to this node
 // in the kubelet's view S'. This is the decision point the paper's model
 // highlights: the desired set comes from a partial history.
-func (k *Kubelet) syncPods(epoch uint64) {
+func (k *Kubelet) syncPods() {
 	if !k.informer.Synced() {
 		return
 	}
@@ -388,16 +358,13 @@ func (k *Kubelet) syncPods(epoch uint64) {
 			}
 			k.safeSyncInFlight = true
 			k.conn.List(cluster.KindPod, true, func(objs []*cluster.Object, rev int64, err error) {
-				if k.down || epoch != k.epoch {
-					return
-				}
 				k.safeSyncInFlight = false
 				if err != nil {
 					return // retry on next periodic sync
 				}
 				k.restartPending = false
 				k.minTrustRev = rev
-				k.reconcile(epoch, objs)
+				k.reconcile(objs)
 			})
 			return
 		}
@@ -409,10 +376,10 @@ func (k *Kubelet) syncPods(epoch uint64) {
 		}
 	}
 	k.restartPending = false
-	k.reconcile(epoch, k.informer.ListCached())
+	k.reconcile(k.informer.ListCached())
 }
 
-func (k *Kubelet) reconcile(epoch uint64, pods []*cluster.Object) {
+func (k *Kubelet) reconcile(pods []*cluster.Object) {
 	desired := make(map[string]*cluster.Object)
 	for _, p := range pods {
 		if p.Pod == nil || p.Pod.NodeName != k.cfg.NodeName {
@@ -458,7 +425,7 @@ func (k *Kubelet) reconcile(epoch uint64, pods []*cluster.Object) {
 			StartedAt: k.world.Now(),
 		})
 		k.Starts++
-		k.reportRunning(epoch, p)
+		k.reportRunning(p)
 	}
 
 	// Finalize terminating pods bound here: container stopped above, so
@@ -476,7 +443,7 @@ func (k *Kubelet) reconcile(epoch uint64, pods []*cluster.Object) {
 }
 
 // reportRunning writes pod phase Running back through the apiserver.
-func (k *Kubelet) reportRunning(epoch uint64, p *cluster.Object) {
+func (k *Kubelet) reportRunning(p *cluster.Object) {
 	if p.Pod.Phase == cluster.PodRunning {
 		return
 	}

@@ -39,10 +39,11 @@ func Restore(w *sim.World, snap *Snapshot) *Kubelet {
 	k := wire(w, host, snap.Cfg)
 	k.state = snap.State
 	k.conn = client.RestoreConn(w, snap.Conn)
+	if k.down {
+		k.timers.Retire()
+	}
 	if k.informer = k.conn.InformerFor(cluster.KindPod); k.informer != nil {
-		// The connection still has its informer, so no crash happened since
-		// the boot that created it: the handler's epoch is the captured one.
-		k.informer.RestoreHandler(k.podHandler(k.epoch))
+		k.informer.RestoreHandler(k.podHandler())
 	}
 	return k
 }

@@ -102,9 +102,8 @@ type Operator struct {
 // state is everything the operator itself carries from one event to the
 // next; its connection and its queue carry their own.
 type state struct {
-	down  bool
-	epoch uint64
-	uids  cluster.UIDGen
+	down bool
+	uids cluster.UIDGen
 
 	// draining tracks an in-flight drain (decommission) per member.
 	draining map[string]bool
@@ -137,9 +136,12 @@ func wire(w *sim.World, cfg Config) *Operator {
 	o := &Operator{id: OperatorID, world: w, cfg: cfg}
 	w.Network().Register(o.id, o)
 	w.AddProcess(o)
-	o.timers = w.Kernel().Own(string(o.id), o.fire)
+	o.own()
 	return o
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (o *Operator) own() { o.timers = o.world.Kernel().Own(string(o.id), o.fire) }
 
 // New wires the operator into the world.
 func New(w *sim.World, cfg Config) *Operator {
@@ -155,11 +157,12 @@ func New(w *sim.World, cfg Config) *Operator {
 func (o *Operator) fire(tag sim.EventTag) {
 	switch tag.Kind {
 	case "resync":
-		o.resyncFire(tag.Epoch)
+		o.queue.Add(o.cfg.ClusterName)
+		o.scheduleResync()
 	case "drain":
-		o.drainFire(tag.Epoch, tag.Key)
+		o.drainFire(tag.Key)
 	case "awaitgone":
-		o.awaitGoneThenCleanup(tag.Epoch, tag.Key, int(tag.N))
+		o.awaitGoneThenCleanup(tag.Key, int(tag.N))
 	}
 }
 
@@ -172,13 +175,9 @@ func (o *Operator) Conn() *client.Conn { return o.conn }
 // Crash implements sim.Process.
 func (o *Operator) Crash() {
 	o.down = true
-	o.epoch++
-	if o.conn != nil {
-		o.conn.Reset()
-	}
-	if o.queue != nil {
-		o.queue.Stop()
-	}
+	o.timers.Retire()
+	o.conn.Reset()
+	o.queue.Stop()
 	o.crInf, o.podInf, o.pvcInf = nil, nil, nil
 	// Volatile memory: in-flight drains and observed marks are forgotten —
 	// which is why the 398 gap also opens across operator restarts.
@@ -189,22 +188,17 @@ func (o *Operator) Crash() {
 // Restart implements sim.Process.
 func (o *Operator) Restart() {
 	o.down = false
+	o.own()
 	o.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (o *Operator) HandleMessage(m *sim.Message) {
-	if o.down || o.conn == nil {
-		return
-	}
-	o.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (o *Operator) HandleMessage(m *sim.Message) { o.conn.HandleMessage(m) }
 
 // SwitchAPIServer repoints the operator (perturbation hook).
 func (o *Operator) SwitchAPIServer(api sim.NodeID) {
-	if o.conn != nil {
-		o.conn.SwitchAPIServer(api)
-	}
+	o.conn.SwitchAPIServer(api)
 }
 
 // SetUpstream changes the apiserver the operator will connect to on its
@@ -216,8 +210,6 @@ func (o *Operator) SetUpstream(api sim.NodeID) { o.cfg.APIServer = api }
 func (o *Operator) SetRestartUpstream(api sim.NodeID) { o.SetUpstream(api) }
 
 func (o *Operator) boot() {
-	o.epoch++
-	epoch := o.epoch
 	o.conn = client.NewConn(o.world, o.id, o.cfg.APIServer, o.cfg.RPCTimeout)
 	o.queue = controller.NewQueue(o.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(o.reconcile))
@@ -233,7 +225,7 @@ func (o *Operator) boot() {
 	o.crInf.Run()
 	o.podInf.Run()
 	o.pvcInf.Run()
-	o.scheduleResync(epoch)
+	o.scheduleResync()
 }
 
 // queueOwner is the name the work queue's timers are armed under.
@@ -263,17 +255,8 @@ func (o *Operator) observePod(p *cluster.Object) {
 	o.queue.Add(o.cfg.ClusterName)
 }
 
-func (o *Operator) scheduleResync(epoch uint64) {
-	o.timers.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync", Epoch: epoch})
-}
-
-// resyncFire is the resync timer body.
-func (o *Operator) resyncFire(epoch uint64) {
-	if o.down || epoch != o.epoch {
-		return
-	}
-	o.queue.Add(o.cfg.ClusterName)
-	o.scheduleResync(epoch)
+func (o *Operator) scheduleResync() {
+	o.timers.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // Naming helpers.
@@ -323,7 +306,6 @@ func (o *Operator) reconcile(key string) (controller.Result, error) {
 	if !ok || cr.Cassandra == nil || cr.Terminating() {
 		return controller.Result{}, nil
 	}
-	epoch := o.epoch
 	desired := cr.Cassandra.Replicas
 	members := o.members()
 	live := make([]*cluster.Object, 0, len(members))
@@ -335,25 +317,25 @@ func (o *Operator) reconcile(key string) (controller.Result, error) {
 
 	// In-flight decommission: wait for it to finish before other moves.
 	if cr.Cassandra.Decommissioning != "" {
-		o.continueDecommission(epoch, cr)
-		o.sweepOrphanPVCs(epoch, cr, members)
+		o.continueDecommission(cr)
+		o.sweepOrphanPVCs(cr, members)
 		return controller.Result{Requeue: true, RequeueAfter: 50 * sim.Millisecond}, nil
 	}
 
 	switch {
 	case len(live) < desired:
-		o.scaleUp(epoch, cr, live, desired)
+		o.scaleUp(cr, live, desired)
 	case len(live) > desired:
-		o.startDecommission(epoch, cr, live)
+		o.startDecommission(cr, live)
 	default:
-		o.updateStatus(epoch, cr, live)
+		o.updateStatus(cr, live)
 	}
-	o.sweepOrphanPVCs(epoch, cr, members)
+	o.sweepOrphanPVCs(cr, members)
 	return controller.Result{}, nil
 }
 
 // scaleUp creates missing member pods (and their PVCs) up to desired.
-func (o *Operator) scaleUp(epoch uint64, cr *cluster.Object, live []*cluster.Object, desired int) {
+func (o *Operator) scaleUp(cr *cluster.Object, live []*cluster.Object, desired int) {
 	have := make(map[string]bool, len(live))
 	for _, m := range live {
 		have[m.Meta.Name] = true
@@ -363,16 +345,13 @@ func (o *Operator) scaleUp(epoch uint64, cr *cluster.Object, live []*cluster.Obj
 		if have[name] {
 			continue
 		}
-		o.ensurePVC(epoch, name)
+		o.ensurePVC(name)
 		pod := cluster.NewPod(name, o.uids.Next(), cluster.PodSpec{
 			App:   o.cfg.ClusterName,
 			Phase: cluster.PodPending,
 		})
 		pod.Meta.OwnerUID = cr.Meta.UID
 		o.conn.Create(pod, func(_ *cluster.Object, err error) {
-			if o.down || epoch != o.epoch {
-				return
-			}
 			if err == nil {
 				o.PodCreates++
 			}
@@ -381,7 +360,7 @@ func (o *Operator) scaleUp(epoch uint64, cr *cluster.Object, live []*cluster.Obj
 	}
 }
 
-func (o *Operator) ensurePVC(epoch uint64, member string) {
+func (o *Operator) ensurePVC(member string) {
 	name := o.pvcName(member)
 	if _, ok := o.pvcInf.Get(name); ok {
 		return
@@ -392,9 +371,6 @@ func (o *Operator) ensurePVC(epoch uint64, member string) {
 		SizeGB:   100,
 	})
 	o.conn.Create(pvc, func(_ *cluster.Object, err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		if err == nil {
 			o.PVCCreates++
 		}
@@ -462,7 +438,7 @@ func (o *Operator) decommissionTarget(racks, names []string) string {
 // Fixed behaviour: the target is chosen from the live pod list. Either
 // way the choice within the list is decommissionTarget's (rack-aware when
 // the CR configures racks, flat tail otherwise).
-func (o *Operator) startDecommission(epoch uint64, cr *cluster.Object, live []*cluster.Object) {
+func (o *Operator) startDecommission(cr *cluster.Object, live []*cluster.Object) {
 	racks := cr.Cassandra.Racks
 	liveNames := make([]string, 0, len(live))
 	for _, m := range live {
@@ -484,9 +460,6 @@ func (o *Operator) startDecommission(epoch uint64, cr *cluster.Object, live []*c
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = target
 	o.conn.Update(upd, func(_ *cluster.Object, err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		if err != nil {
 			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
 			return
@@ -495,13 +468,13 @@ func (o *Operator) startDecommission(epoch uint64, cr *cluster.Object, live []*c
 		if target != trueTail {
 			o.WrongDecomm++
 		}
-		o.drain(epoch, target)
+		o.drain(target)
 	})
 }
 
 // drain simulates the Cassandra drain, then two-phase-deletes the pod and
 // cleans up its storage.
-func (o *Operator) drain(epoch uint64, member string) {
+func (o *Operator) drain(member string) {
 	if o.draining[member] {
 		return
 	}
@@ -509,29 +482,23 @@ func (o *Operator) drain(epoch uint64, member string) {
 	// "resumes" an operation this process is still executing. Only a crash
 	// (which wipes the map) leaves a resumable CR marker behind.
 	o.draining[member] = true
-	o.timers.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member, Epoch: epoch})
+	o.timers.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member})
 }
 
 // drainFire completes a drain once the drain time elapses.
-func (o *Operator) drainFire(epoch uint64, member string) {
-	if o.down || epoch != o.epoch {
-		return
-	}
+func (o *Operator) drainFire(member string) {
 	pod, ok := o.podInf.Get(member)
 	if !ok {
 		// Target already gone (e.g. a ghost from stale status, or the
 		// kubelet finalized faster than the drain).
-		o.maybeCleanupPVC(epoch, member)
+		o.maybeCleanupPVC(member)
 		delete(o.draining, member)
-		o.clearDecommission(epoch)
+		o.clearDecommission()
 		return
 	}
 	marked := pod.Clone()
 	marked.Meta.DeletionTimestamp = int64(o.world.Now())
 	o.conn.Update(marked, func(_ *cluster.Object, err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		if err != nil {
 			delete(o.draining, member)
 			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
@@ -547,20 +514,17 @@ func (o *Operator) drainFire(epoch uint64, member string) {
 				}
 			})
 		}
-		o.awaitGoneThenCleanup(epoch, member, 64)
+		o.awaitGoneThenCleanup(member, 64)
 	})
 }
 
 // awaitGoneThenCleanup polls the operator's own view until the member pod
 // disappears, then cleans up the PVC and finishes the decommission.
-func (o *Operator) awaitGoneThenCleanup(epoch uint64, member string, attempts int) {
-	if o.down || epoch != o.epoch {
-		return
-	}
+func (o *Operator) awaitGoneThenCleanup(member string, attempts int) {
 	if _, ok := o.podInf.Get(member); !ok {
-		o.maybeCleanupPVC(epoch, member)
+		o.maybeCleanupPVC(member)
 		delete(o.draining, member)
-		o.clearDecommission(epoch)
+		o.clearDecommission()
 		return
 	}
 	if attempts <= 0 {
@@ -569,7 +533,7 @@ func (o *Operator) awaitGoneThenCleanup(epoch uint64, member string, attempts in
 		return
 	}
 	o.timers.After(20*sim.Millisecond,
-		sim.EventTag{Kind: "awaitgone", Key: member, N: uint64(attempts - 1), Epoch: epoch})
+		sim.EventTag{Kind: "awaitgone", Key: member, N: uint64(attempts - 1)})
 }
 
 // maybeCleanupPVC removes the decommissioned member's PVC.
@@ -579,7 +543,7 @@ func (o *Operator) awaitGoneThenCleanup(epoch uint64, member string, attempts in
 // observation was lost — dropped notification, or an operator restart wiped
 // the in-memory record — the PVC is silently kept forever (storage leak).
 // Fix398 deletes on absence regardless.
-func (o *Operator) maybeCleanupPVC(epoch uint64, member string) {
+func (o *Operator) maybeCleanupPVC(member string) {
 	if !o.cfg.Fixes.Fix398 && !o.sawTerminating[member] {
 		return // never saw the deletionTimestamp → skip (the bug)
 	}
@@ -588,9 +552,6 @@ func (o *Operator) maybeCleanupPVC(epoch uint64, member string) {
 		return
 	}
 	o.conn.Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		if err == nil {
 			o.PVCDeletes++
 			delete(o.sawTerminating, member)
@@ -607,17 +568,17 @@ func (o *Operator) maybeCleanupPVC(epoch uint64, member string) {
 // member: it deletes the PVC first (storage cleanup before kill, as the
 // original code did) and then removes the pod. Fix402 verifies the CR with
 // a quorum read before resuming.
-func (o *Operator) continueDecommission(epoch uint64, cr *cluster.Object) {
+func (o *Operator) continueDecommission(cr *cluster.Object) {
 	member := cr.Cassandra.Decommissioning
 	if o.draining[member] {
 		return
 	}
 	if !o.cfg.Fixes.Fix402 {
-		o.resumeDecommission(epoch, member)
+		o.resumeDecommission(member)
 		return
 	}
 	o.conn.Get(cluster.KindCassandra, o.cfg.ClusterName, true, func(truth *cluster.Object, found bool, err error) {
-		if o.down || epoch != o.epoch || err != nil || !found || truth.Cassandra == nil {
+		if err != nil || !found || truth.Cassandra == nil {
 			return
 		}
 		if truth.Cassandra.Decommissioning != member {
@@ -627,20 +588,20 @@ func (o *Operator) continueDecommission(epoch uint64, cr *cluster.Object) {
 		}
 		// Genuine resume: re-run the drain in the safe order (mark,
 		// await disappearance, then clean up storage).
-		o.drain(epoch, member)
+		o.drain(member)
 	})
 }
 
-func (o *Operator) resumeDecommission(epoch uint64, member string) {
+func (o *Operator) resumeDecommission(member string) {
 	if o.draining[member] {
 		return
 	}
 	o.draining[member] = true
 	pod, ok := o.podInf.Get(member)
 	if !ok {
-		o.maybeCleanupPVC(epoch, member)
+		o.maybeCleanupPVC(member)
 		delete(o.draining, member)
-		o.clearDecommission(epoch)
+		o.clearDecommission()
 		return
 	}
 	// Resume: the drain is assumed already done before the interruption.
@@ -655,9 +616,6 @@ func (o *Operator) resumeDecommission(epoch uint64, member string) {
 	marked := pod.Clone()
 	marked.Meta.DeletionTimestamp = int64(o.world.Now())
 	o.conn.Update(marked, func(_ *cluster.Object, err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		if err != nil {
 			delete(o.draining, member)
 			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
@@ -670,11 +628,11 @@ func (o *Operator) resumeDecommission(epoch uint64, member string) {
 				}
 			})
 		}
-		o.awaitGoneThenCleanup(epoch, member, 64)
+		o.awaitGoneThenCleanup(member, 64)
 	})
 }
 
-func (o *Operator) clearDecommission(epoch uint64) {
+func (o *Operator) clearDecommission() {
 	cr, ok := o.crInf.Get(o.cfg.ClusterName)
 	if !ok {
 		return
@@ -682,16 +640,13 @@ func (o *Operator) clearDecommission(epoch uint64) {
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = ""
 	o.conn.Update(upd, func(_ *cluster.Object, err error) {
-		if o.down || epoch != o.epoch {
-			return
-		}
 		o.queue.AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
 	})
 }
 
 // updateStatus records the observed membership in the CR status. This is
 // the data the stock decommission later trusts (#400).
-func (o *Operator) updateStatus(epoch uint64, cr *cluster.Object, live []*cluster.Object) {
+func (o *Operator) updateStatus(cr *cluster.Object, live []*cluster.Object) {
 	names := make([]string, 0, len(live))
 	for _, m := range live {
 		names = append(names, m.Meta.Name)
@@ -711,7 +666,7 @@ func (o *Operator) updateStatus(epoch uint64, cr *cluster.Object, live []*cluste
 // stale cache). The stock operator has no such sweep — PVC cleanup is
 // purely observation-triggered, which is exactly why missing the
 // deletionTimestamp observation leaks storage.
-func (o *Operator) sweepOrphanPVCs(epoch uint64, cr *cluster.Object, members []*cluster.Object) {
+func (o *Operator) sweepOrphanPVCs(cr *cluster.Object, members []*cluster.Object) {
 	if !o.cfg.Fixes.Fix398 {
 		return
 	}
@@ -732,7 +687,7 @@ func (o *Operator) sweepOrphanPVCs(epoch uint64, cr *cluster.Object, members []*
 		name := pvc.Meta.Name
 		// Verify against ground truth before destroying storage.
 		o.conn.Get(cluster.KindPod, owner, true, func(_ *cluster.Object, found bool, err error) {
-			if o.down || epoch != o.epoch || err != nil || found {
+			if err != nil || found {
 				return
 			}
 			o.conn.Delete(cluster.KindPVC, name, 0, func(err error) {

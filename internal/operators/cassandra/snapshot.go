@@ -37,6 +37,9 @@ func Restore(w *sim.World, snap *Snapshot) *Operator {
 	o.state = snap.State.clone()
 	o.conn = client.RestoreConn(w, snap.Conn)
 	o.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(o.reconcile))
+	if o.down {
+		o.timers.Retire()
+	}
 	o.crInf, o.podInf, o.pvcInf = o.conn.InformerFor(cluster.KindCassandra),
 		o.conn.InformerFor(cluster.KindPod), o.conn.InformerFor(cluster.KindPVC)
 	if o.crInf != nil {

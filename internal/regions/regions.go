@@ -166,9 +166,6 @@ type Manager struct {
 // managerState is everything the manager itself carries from one event to
 // the next; its connection carries its own.
 type managerState struct {
-	down  bool
-	epoch uint64
-
 	// Metrics.
 	Transitions int // attempted
 	Succeeded   int
@@ -203,36 +200,21 @@ func NewManager(w *sim.World, cfg ManagerConfig) *Manager {
 func (m *Manager) ID() sim.NodeID { return m.id }
 
 // Crash implements sim.Process.
-func (m *Manager) Crash() {
-	m.down = true
-	m.epoch++
-	m.conn.Reset()
-}
+func (m *Manager) Crash() { m.conn.Reset() }
 
 // Restart implements sim.Process.
 func (m *Manager) Restart() {
-	m.down = false
-	m.epoch++
 	m.conn = client.NewConn(m.world, m.id, m.cfg.APIServer, m.cfg.RPCTimeout)
 }
 
 // HandleMessage implements sim.Handler.
-func (m *Manager) HandleMessage(msg *sim.Message) {
-	if m.down {
-		return
-	}
-	m.conn.HandleMessage(msg)
-}
+func (m *Manager) HandleMessage(msg *sim.Message) { m.conn.HandleMessage(msg) }
 
 // CreateRegion registers a region served by owner and tells the server to
 // open it. done is invoked when the object is stored.
 func (m *Manager) CreateRegion(name, owner string, done func(error)) {
 	obj := cluster.NewRegion(name, "region-"+name, cluster.RegionSpec{Owner: owner, State: cluster.RegionOnline})
-	epoch := m.epoch
 	m.conn.Create(obj, func(_ *cluster.Object, err error) {
-		if m.down || epoch != m.epoch {
-			return
-		}
 		if err == nil {
 			m.world.Network().Send(m.id, ServerID(owner), "region-open", &openCmd{Region: name})
 		}
@@ -245,15 +227,16 @@ func (m *Manager) CreateRegion(name, owner string, done func(error)) {
 // out), or the final error.
 func (m *Manager) Move(region, newOwner string, done func(error)) {
 	m.Transitions++
-	m.moveAttempt(m.epoch, region, newOwner, 0, done)
+	m.moveAttempt(region, newOwner, 0, done)
 }
 
-func (m *Manager) moveAttempt(epoch uint64, region, newOwner string, attempt int, done func(error)) {
+func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(error)) {
 	quorum := m.cfg.Mode == ModeSyncBeforeCAS
+	// The move's two delays are closures over its continuation, so each asks
+	// the kernel fact itself whether the boot that armed it is still the
+	// live one: the connection this attempt runs on.
+	boot := m.conn
 	m.conn.Get(cluster.KindRegion, region, quorum, func(obj *cluster.Object, found bool, err error) {
-		if m.down || epoch != m.epoch {
-			return
-		}
 		if err != nil || !found {
 			done(errOr(err, errNotFound))
 			return
@@ -266,9 +249,6 @@ func (m *Manager) moveAttempt(epoch uint64, region, newOwner string, attempt int
 			upd.Meta.ResourceVersion = 0 // unguarded write
 		}
 		m.conn.Update(upd, func(_ *cluster.Object, uerr error) {
-			if m.down || epoch != m.epoch {
-				return
-			}
 			if uerr != nil {
 				m.CASFailures++
 				if m.cfg.Mode == ModeOptimisticCAS && attempt+1 < m.cfg.MaxRetries {
@@ -276,10 +256,9 @@ func (m *Manager) moveAttempt(epoch uint64, region, newOwner string, attempt int
 					// Refresh (the failed CAS proves our view was stale;
 					// sync once) and retry.
 					m.world.Kernel().Schedule(5*sim.Millisecond, func() {
-						if m.down || epoch != m.epoch {
-							return
+						if !boot.Retired() {
+							m.moveAttempt(region, newOwner, attempt+1, done)
 						}
-						m.moveAttempt(epoch, region, newOwner, attempt+1, done)
 					})
 					return
 				}
@@ -295,7 +274,7 @@ func (m *Manager) moveAttempt(epoch uint64, region, newOwner string, attempt int
 				m.world.Network().Send(m.id, ServerID(prevOwner), "region-close", &closeCmd{Region: region})
 			}
 			m.world.Kernel().Schedule(3*sim.Millisecond, func() {
-				if m.down {
+				if boot.Retired() {
 					return
 				}
 				m.world.Network().Send(m.id, ServerID(newOwner), "region-open", &openCmd{Region: region})

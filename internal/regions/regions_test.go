@@ -160,6 +160,43 @@ func TestSyncModeStaysAtomicUnderChurn(t *testing.T) {
 	}
 }
 
+// A move is a continuation of the manager boot that started it: its CAS
+// retry and its close-before-open delay are timers of that boot, and come
+// due as nothing once it has crashed — also when its successor is already up.
+func TestMoveDiesWithItsManager(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mode regions.Mode
+		// armed reports that the delay under test is pending.
+		armed func(f *fixture) bool
+	}{
+		{"close-before-open", regions.ModeSyncBeforeCAS, func(f *fixture) bool { return len(ownerOf(f, "r1")) == 0 }},
+		{"CAS retry", regions.ModeOptimisticCAS, func(f *fixture) bool { return f.mgr.Retries > 0 }},
+	} {
+		f := newFixture(t, tc.mode, []string{"a", "b", "c"})
+		f.create(t, "r1", "a")
+		f.w.Kernel().RunFor(100 * sim.Millisecond)
+		done := 0
+		f.mgr.Move("r1", "b", func(error) { done++ })
+		if tc.mode == regions.ModeOptimisticCAS {
+			f.mgr.Move("r1", "c", func(error) { done++ }) // reads the cache behind the first: its CAS fails
+		}
+		for !tc.armed(f) && f.w.Kernel().Step() {
+		}
+		if !tc.armed(f) {
+			t.Fatalf("%s: never armed", tc.name)
+		}
+		_ = f.w.Crash(regions.ManagerID)
+		_ = f.w.Restart(regions.ManagerID)
+		doneAt, succeededAt := done, f.mgr.Succeeded
+		f.w.Kernel().RunFor(200 * sim.Millisecond)
+		if done != doneAt || f.mgr.Succeeded != succeededAt {
+			t.Errorf("%s: after the crash %d moves completed and %d succeeded, want none: the dead boot's delay ran",
+				tc.name, done-doneAt, f.mgr.Succeeded-succeededAt)
+		}
+	}
+}
+
 func TestMoveUnknownRegionFails(t *testing.T) {
 	f := newFixture(t, regions.ModeSyncBeforeCAS, []string{"a"})
 	if err := f.move(t, "ghost", "a"); err == nil {

@@ -57,9 +57,6 @@ type Scheduler struct {
 // state is everything the scheduler itself carries from one event to the
 // next; its connection and its queue carry their own.
 type state struct {
-	down  bool
-	epoch uint64
-
 	// deadNodes are nodes evicted from consideration after bind failures
 	// (only populated by the fixed variant).
 	deadNodes map[string]bool
@@ -102,31 +99,20 @@ func (s *Scheduler) Conn() *client.Conn { return s.conn }
 
 // Crash implements sim.Process.
 func (s *Scheduler) Crash() {
-	s.down = true
-	s.epoch++
-	if s.conn != nil {
-		s.conn.Reset()
-	}
-	if s.queue != nil {
-		s.queue.Stop()
-	}
+	s.conn.Reset()
+	s.queue.Stop()
 	s.podInf, s.nodeInf = nil, nil
 }
 
 // Restart implements sim.Process.
 func (s *Scheduler) Restart() {
-	s.down = false
 	s.deadNodes = make(map[string]bool)
 	s.boot()
 }
 
-// HandleMessage implements sim.Handler.
-func (s *Scheduler) HandleMessage(m *sim.Message) {
-	if s.down || s.conn == nil {
-		return
-	}
-	s.conn.HandleMessage(m)
-}
+// HandleMessage implements sim.Handler. The network delivers nothing to a
+// crashed node, and a reset connection has nothing for a message to reach.
+func (s *Scheduler) HandleMessage(m *sim.Message) { s.conn.HandleMessage(m) }
 
 // NodeView returns the node names currently schedulable in the scheduler's
 // cache (S'), sorted. Oracles compare this against ground truth.
@@ -145,7 +131,6 @@ func (s *Scheduler) NodeView() []string {
 }
 
 func (s *Scheduler) boot() {
-	s.epoch++
 	s.conn = client.NewConn(s.world, s.id, s.cfg.APIServer, s.cfg.RPCTimeout)
 	s.queue = controller.NewQueue(s.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
 		controller.ReconcilerFunc(s.reconcile))
@@ -183,7 +168,7 @@ func (s *Scheduler) reconcile(podName string) (controller.Result, error) {
 		// No nodes in view: try again later.
 		return controller.Result{Requeue: true, RequeueAfter: 50 * sim.Millisecond}, nil
 	}
-	s.bind(s.epoch, pod, node)
+	s.bind(pod, node)
 	return controller.Result{}, nil
 }
 
@@ -244,11 +229,8 @@ func (s *Scheduler) pickNode() (string, error) {
 
 // bind validates the node's existence (the binding subresource check) and
 // writes the assignment.
-func (s *Scheduler) bind(epoch uint64, pod *cluster.Object, node string) {
+func (s *Scheduler) bind(pod *cluster.Object, node string) {
 	s.conn.Get(cluster.KindNode, node, true, func(_ *cluster.Object, found bool, err error) {
-		if s.down || epoch != s.epoch {
-			return
-		}
 		if err != nil {
 			s.BindFailures++
 			s.queue.AddAfter(pod.Meta.Name, 50*sim.Millisecond)
@@ -269,9 +251,6 @@ func (s *Scheduler) bind(epoch uint64, pod *cluster.Object, node string) {
 		bound.Pod.NodeName = node
 		bound.Pod.Phase = cluster.PodScheduled
 		s.conn.Update(bound, func(_ *cluster.Object, err error) {
-			if s.down || epoch != s.epoch {
-				return
-			}
 			if err != nil {
 				s.BindFailures++
 				s.queue.AddAfter(pod.Meta.Name, 50*sim.Millisecond)

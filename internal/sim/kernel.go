@@ -109,8 +109,10 @@ type EventTag struct {
 	// name, an informer subscription ID or an attempt count.
 	Key string
 	N   uint64
-	// Epoch carries the owner's crash/relist epoch at arm time for timers
-	// whose fire-time behaviour depends on whether the epoch is stale.
+	// Epoch is an informer's relist generation at arm time, on its
+	// "inf-liveness" timer: a relist within one boot leaves the old firing
+	// pending, and it must not re-establish a watch the relist replaced. No
+	// tag counts boots — a boot is its Owner.
 	Epoch uint64
 }
 

@@ -15,14 +15,16 @@ type ErrRemote struct{ Msg string }
 
 func (e ErrRemote) Error() string { return e.Msg }
 
-// RPCRequest is the payload of a request message.
+// RPCRequest is the payload of a request message. The message's Seq is the
+// call's identity: unique in the world, so no two boots of a client — and no
+// two clients — ever name a call alike.
 type RPCRequest struct {
-	ID     uint64
 	Method string
 	Body   any
 }
 
-// RPCResponse is the payload of a response message.
+// RPCResponse is the payload of a response message. ID is the Seq of the
+// request message it answers.
 type RPCResponse struct {
 	ID   uint64
 	Body any
@@ -36,8 +38,7 @@ type RPCClient struct {
 	net     *Network
 	self    NodeID
 	timeout Duration
-	next    uint64
-	pending map[uint64]pendingCall
+	pending map[uint64]pendingCall // by request message Seq
 	// reqKinds interns "rpc-req:"+method per method: every call sends one.
 	reqKinds map[string]string
 }
@@ -68,8 +69,7 @@ func messageKind(kinds map[string]string, prefix, method string) string {
 // Call sends method(body) to the server node and invokes cb exactly once:
 // with the response body, with a remote error, or with ErrRPCTimeout.
 func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)) {
-	c.next++
-	id := c.next
+	id := c.net.Send(c.self, to, messageKind(c.reqKinds, "rpc-req:", method), &RPCRequest{Method: method, Body: body})
 	pc := pendingCall{cb: cb}
 	if c.timeout > 0 {
 		pc.timer = c.net.Kernel().Schedule(c.timeout, func() {
@@ -80,7 +80,6 @@ func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)
 		})
 	}
 	c.pending[id] = pc
-	c.net.Send(c.self, to, messageKind(c.reqKinds, "rpc-req:", method), &RPCRequest{ID: id, Method: method, Body: body})
 }
 
 // HandleResponse consumes a message if it is an RPC response for this
@@ -158,7 +157,7 @@ func (s *RPCServer) HandleRequest(m *Message) bool {
 		return false
 	}
 	reply := func(body any, err error) {
-		resp := &RPCResponse{ID: req.ID, Body: body}
+		resp := &RPCResponse{ID: m.Seq, Body: body}
 		if err != nil {
 			resp.Err = err.Error()
 			resp.Body = nil

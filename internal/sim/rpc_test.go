@@ -136,6 +136,28 @@ func TestRPCResetDropsPending(t *testing.T) {
 	}
 }
 
+// A response that outlives its caller's boot is nobody's: the next boot's
+// client numbers its calls from the same network as everyone else, so the
+// late answer to the dead boot's first call cannot be taken for the answer
+// to the new boot's first call.
+func TestLateResponseDoesNotCrossBoots(t *testing.T) {
+	f := newRPCFixture(0)
+	f.server.Handle("get", func(NodeID, any) (any, error) { return "get-body", nil })
+	f.server.Handle("put", func(NodeID, any) (any, error) { return "put-body", nil })
+	f.n.SetLinkDelay("server", "client", 50*Millisecond)
+	f.client.Call("server", "get", nil, func(any, error) { t.Error("the dead boot's callback ran") })
+	var got []any
+	f.k.Schedule(5*Millisecond, func() {
+		f.client.Reset() // crash ...
+		f.client = NewRPCClient(f.n, "client", 0)
+		f.client.Call("server", "put", nil, func(body any, _ error) { got = append(got, body) }) // ... and reboot
+	})
+	f.k.Drain()
+	if len(got) != 1 || got[0] != "put-body" {
+		t.Fatalf("the new boot's put was answered with %v, want [put-body]", got)
+	}
+}
+
 func TestRPCConcurrentCallsCorrelate(t *testing.T) {
 	f := newRPCFixture(0)
 	f.server.Handle("double", func(_ NodeID, body any) (any, error) {

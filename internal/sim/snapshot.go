@@ -250,15 +250,8 @@ func (n *Network) RestoreDown(s NetworkSnapshot) {
 	}
 }
 
-// Next returns the RPC client's request-ID counter (restore path only).
-func (c *RPCClient) Next() uint64 { return c.next }
-
 // Timeout returns the client's configured call timeout.
 func (c *RPCClient) Timeout() Duration { return c.timeout }
-
-// SetNext overwrites the RPC client's request-ID counter (restore path
-// only).
-func (c *RPCClient) SetNext(n uint64) { c.next = n }
 
 // NewRestoredWorld builds a world around a mid-run kernel: the kernel is
 // positioned by NewRestoredKernel, the network's routing state is

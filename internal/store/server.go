@@ -160,9 +160,12 @@ func wireServer(w *sim.World, id sim.NodeID, st *Store) *Server {
 	s.register()
 	w.Network().Register(id, s)
 	w.AddProcess(s)
-	s.timers = w.Kernel().Own(string(id), s.leaseTickFire)
+	s.own()
 	return s
 }
+
+// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
+func (s *Server) own() { s.timers = s.world.Kernel().Own(string(s.id), s.leaseTickFire) }
 
 // NewServer wires a store actor into the world under the given node ID.
 func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
@@ -181,6 +184,7 @@ func (s *Server) Store() *Store { return s.st }
 // Crash stops serving and drops all watch subscriptions.
 func (s *Server) Crash() {
 	s.down = true
+	s.timers.Retire()
 	for _, sub := range s.subs {
 		sub.handle.Cancel()
 	}
@@ -190,6 +194,7 @@ func (s *Server) Crash() {
 // Restart resumes serving. Durable store state is retained.
 func (s *Server) Restart() {
 	s.down = false
+	s.own()
 	s.scheduleLeaseTick()
 }
 
@@ -209,9 +214,6 @@ func (s *Server) scheduleLeaseTick() {
 // leaseTickFire is the lease-expiry timer body, the one timer the server
 // owns.
 func (s *Server) leaseTickFire(sim.EventTag) {
-	if s.down {
-		return
-	}
 	s.st.SetNow(int64(s.world.Now()))
 	s.st.ExpireDue()
 	s.scheduleLeaseTick()

@@ -166,6 +166,35 @@ func TestServerCrashStopsServingAndDropsWatches(t *testing.T) {
 	}
 }
 
+// A crash shorter than a lease tick leaves the dead boot's tick pending
+// when the restart arms its own: it must come due as nothing, or the chain
+// runs doubled from then on.
+func TestOneLiveChainAcrossAShortCrash(t *testing.T) {
+	steps := func(crash bool) uint64 {
+		w, _, _ := newServerWorld(t)
+		k := w.Kernel()
+		if crash {
+			k.At(sim.Time(1010*sim.Millisecond), func() { _ = w.CrashFor("etcd", 10*sim.Millisecond) })
+		}
+		k.Run(sim.Time(10 * sim.Second))
+		snap, _ := k.CaptureSnapshot()
+		live := 0
+		for _, pe := range snap.Pending {
+			if pe.Tag.Kind == "leasetick" && !pe.Retired {
+				live++
+			}
+		}
+		if live != 1 {
+			t.Errorf("crashed=%v: %d live lease ticks pending at 10 s, want 1", crash, live)
+		}
+		return k.Steps()
+	}
+	// The crash itself, the restart, and the dead boot's tick popping inert.
+	if quiet, crashed := steps(false), steps(true); crashed != quiet+3 {
+		t.Errorf("%d steps over 10 s crashed for 10 ms, %d uncrashed: want 3 more", crashed, quiet)
+	}
+}
+
 func TestServerLeaseExpiryOverNetwork(t *testing.T) {
 	w, _, cl := newServerWorld(t)
 	g, err := cl.call("etcd", MethodLeaseGrant, &LeaseGrantRequest{TTL: int64(200 * sim.Millisecond)})

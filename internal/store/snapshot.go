@@ -66,6 +66,9 @@ func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	st := &Store{watchers: make(map[int64]*watcher), storeState: snap.Store.clone()}
 	s := wireServer(w, snap.ID, st)
 	s.serverState = snap.Server
+	if s.down {
+		s.timers.Retire()
+	}
 	for _, sub := range snap.Subs {
 		st.watchers[sub.WatcherID] = &watcher{id: sub.WatcherID, prefix: sub.Prefix, notify: s.pushTo(sub.Client, sub.SubID)}
 		s.subs[subKey(sub.Client, sub.SubID)] = &subscription{
