@@ -25,15 +25,15 @@ type InformerSnapshot struct {
 	State informerState
 }
 
-// Snapshot captures the connection. It fails (ok=false) when a call is in
-// flight — forks must not be taken there because the pending timeout timer
-// carries a closure this layer cannot reconstruct (the kernel-side
+// Quiescent reports whether the connection can be captured: no call is in
+// flight. Forks must not be taken with one, because its pending timeout
+// timer carries a closure this layer cannot reconstruct (the kernel-side
 // anonymous-event check catches this too; this is a belt-and-braces
 // check).
-func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
-	if c.rpc.PendingCalls() > 0 {
-		return nil, false
-	}
+func (c *Conn) Quiescent() bool { return c.rpc.PendingCalls() == 0 }
+
+// Snapshot captures the connection, which must be Quiescent.
+func (c *Conn) Snapshot() *ConnSnapshot {
 	snap := &ConnSnapshot{
 		Self:      c.self,
 		Timeout:   c.rpc.Timeout(),
@@ -45,7 +45,7 @@ func (c *Conn) Snapshot() (*ConnSnapshot, bool) {
 		inf := c.informers[id]
 		snap.Informers = append(snap.Informers, InformerSnapshot{Kind: inf.kind, Cfg: inf.cfg, State: inf.informerState.clone()})
 	}
-	return snap, true
+	return snap
 }
 
 // RestoreConn reconstructs a connection (and its informers) from a
@@ -68,9 +68,11 @@ func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
 // SubID returns the informer's watch subscription ID.
 func (i *Informer) SubID() uint64 { return i.subID }
 
-// InformerFor returns the connection's informer of the given kind — no
-// component runs two of one kind — or nil: a connection that has been Reset
-// has none. It is how a restored component finds its informers again.
+// InformerFor returns the connection's informer of the given kind, or nil:
+// a connection that has been Reset has none. It is how a restored component
+// finds its informers again. No connection runs two of one kind — a
+// controller.Shell refuses the declaration — so which one the map yields
+// first is not a question.
 func (c *Conn) InformerFor(kind cluster.Kind) *Informer {
 	for _, inf := range c.informers {
 		if inf.kind == kind {

@@ -1,12 +1,12 @@
-// Package controller provides the reconcile-loop machinery shared by all
-// simulated control-plane components: a deduplicating, rate-limited work
-// queue and a Controller that binds informer events to a Reconcile
-// function — the analog of controller-runtime.
+// Package controller provides the machinery shared by every simulated
+// component that holds an API connection — the analog of
+// controller-runtime: the Shell that binds a component's declared informers,
+// Reconcile function and timers into one crash/restart/capture/restore
+// lifecycle, and the deduplicating, rate-limited work queue it feeds.
 package controller
 
 import (
 	"slices"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -48,11 +48,9 @@ func DefaultQueueConfig() QueueConfig {
 	return QueueConfig{
 		BaseDelay:   sim.Millisecond,
 		BaseBackoff: 5 * sim.Millisecond,
-		MaxBackoff:  time500ms,
+		MaxBackoff:  500 * sim.Millisecond,
 	}
 }
-
-const time500ms = 500 * sim.Millisecond
 
 // Queue is a deduplicating work queue driven by the simulation kernel.
 // A key present in the queue is not added twice; a key being processed is
@@ -187,11 +185,3 @@ func (h EnqueueHandler) OnUpdate(_, newObj *cluster.Object) { h.Queue.Add(newObj
 
 // OnDelete implements client.EventHandler.
 func (h EnqueueHandler) OnDelete(obj *cluster.Object) { h.Queue.Add(obj.Meta.Name) }
-
-// SortedKeys returns the queue's pending keys in deterministic order
-// (diagnostics).
-func (q *Queue) SortedKeys() []string {
-	out := append([]string(nil), q.order...)
-	sort.Strings(out)
-	return out
-}

@@ -39,22 +39,17 @@ func DefaultAppSetConfig(api sim.NodeID) AppSetConfig {
 // pods one at a time when the image changes (the rolling-upgrade actor of
 // the Figure 2 scenario, here as a controller instead of a human).
 type AppSetController struct {
-	id     sim.NodeID
-	world  *sim.World
-	cfg    AppSetConfig
-	timers *sim.Owner
+	controller.Shell
+	cfg AppSetConfig
 
-	conn   *client.Conn
 	appInf *client.Informer
 	podInf *client.Informer
-	queue  *controller.Queue
 	appSetState
 }
 
 // appSetState is everything the controller itself carries from one event
-// to the next; its connection and its queue carry their own.
+// to the next; its shell carries its connection's and its queue's.
 type appSetState struct {
-	down bool
 	uids cluster.UIDGen
 	// replacing tracks in-flight rolling replacements per app.
 	replacing map[string]int
@@ -73,74 +68,33 @@ func (s appSetState) clone() appSetState {
 // AppSetControllerID is the controller's network identity.
 const AppSetControllerID sim.NodeID = "appset-controller"
 
-// wireAppSet registers an appset controller with no state in the world:
-// what NewAppSetController boots and RestoreAppSet assigns a captured state
-// to.
-func wireAppSet(w *sim.World, cfg AppSetConfig) *AppSetController {
-	c := &AppSetController{id: AppSetControllerID, world: w, cfg: cfg}
-	w.Network().Register(c.id, c)
-	w.AddProcess(c)
-	c.own()
-	return c
+// spec declares the controller to its shell.
+func (c *AppSetController) spec() controller.Spec {
+	return controller.Spec{
+		ID:       AppSetControllerID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return c.cfg.APIServer, c.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{
+			{Into: &c.appInf, Kind: cluster.KindAppSet, Cfg: watch, Handler: c.EnqueueHandler},
+			{Into: &c.podInf, Kind: cluster.KindPod, Cfg: watch, Handler: c.podHandler},
+		},
+		Reconcile: c.reconcile,
+		Fire:      c.resyncFire,
+		Booted:    c.scheduleResync,
+		Crashed:   func() { c.replacing = make(map[string]int) },
+	}
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (c *AppSetController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.resyncFire) }
 
 // NewAppSetController wires the controller into the world.
 func NewAppSetController(w *sim.World, cfg AppSetConfig) *AppSetController {
 	if cfg.MaxUnavailable < 1 {
 		cfg.MaxUnavailable = 1
 	}
-	c := wireAppSet(w, cfg)
+	c := &AppSetController{cfg: cfg}
 	c.uids = cluster.NewUIDGen("appset")
 	c.replacing = make(map[string]int)
-	c.boot()
+	c.Start(w, c, c.spec())
 	return c
 }
-
-// ID implements sim.Process.
-func (c *AppSetController) ID() sim.NodeID { return c.id }
-
-// Conn returns the controller's API connection.
-func (c *AppSetController) Conn() *client.Conn { return c.conn }
-
-// Crash implements sim.Process.
-func (c *AppSetController) Crash() {
-	c.down = true
-	c.timers.Retire()
-	c.conn.Reset()
-	c.queue.Stop()
-	c.appInf, c.podInf = nil, nil
-	c.replacing = make(map[string]int)
-}
-
-// Restart implements sim.Process.
-func (c *AppSetController) Restart() {
-	c.down = false
-	c.own()
-	c.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (c *AppSetController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
-
-func (c *AppSetController) boot() {
-	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
-	c.queue = controller.NewQueue(c.world.Kernel(), appSetQueueOwner, controller.DefaultQueueConfig(),
-		controller.ReconcilerFunc(c.reconcile))
-	c.appInf = client.NewInformer(c.conn, cluster.KindAppSet, client.InformerConfig{WatchTimeout: sim.Second})
-	c.appInf.AddHandler(controller.EnqueueHandler{Queue: c.queue})
-	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
-	c.podInf.AddHandler(c.podHandler())
-	c.appInf.Run()
-	c.podInf.Run()
-	c.scheduleResync()
-}
-
-// appSetQueueOwner is the name the work queue's timers are armed under.
-const appSetQueueOwner = string(AppSetControllerID) + "/queue"
 
 // podHandler queues the app that owns a pod on any change to the pod.
 func (c *AppSetController) podHandler() client.EventHandler {
@@ -156,19 +110,19 @@ func (c *AppSetController) enqueueOwner(p *cluster.Object) {
 		return
 	}
 	if _, ok := c.appInf.Get(p.Pod.App); ok {
-		c.queue.Add(p.Pod.App)
+		c.Queue().Add(p.Pod.App)
 	}
 }
 
 func (c *AppSetController) scheduleResync() {
-	c.timers.After(c.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
+	c.After(c.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // resyncFire is the resync timer body, the one timer the controller owns
 // (its queue and its informers own theirs).
 func (c *AppSetController) resyncFire(sim.EventTag) {
 	for _, app := range c.appInf.ListCached() {
-		c.queue.Add(app.Meta.Name)
+		c.Queue().Add(app.Meta.Name)
 	}
 	c.scheduleResync()
 }
@@ -258,11 +212,11 @@ func (c *AppSetController) scaleUp(app *cluster.Object, live []*cluster.Object, 
 			Phase: cluster.PodPending,
 		})
 		pod.Meta.OwnerUID = app.Meta.UID
-		c.conn.Create(pod, func(_ *cluster.Object, err error) {
+		c.Conn().Create(pod, func(_ *cluster.Object, err error) {
 			if err == nil {
 				c.PodCreates++
 			}
-			c.queue.AddAfter(app.Meta.Name, 20*sim.Millisecond)
+			c.Queue().AddAfter(app.Meta.Name, 20*sim.Millisecond)
 		})
 	}
 }
@@ -300,18 +254,18 @@ func (c *AppSetController) rollForward(app *cluster.Object, live []*cluster.Obje
 
 func (c *AppSetController) markDelete(app string, pod *cluster.Object) {
 	upd := pod.Clone()
-	upd.Meta.DeletionTimestamp = int64(c.world.Now())
-	c.conn.Update(upd, func(_ *cluster.Object, err error) {
+	upd.Meta.DeletionTimestamp = int64(c.World().Now())
+	c.Conn().Update(upd, func(_ *cluster.Object, err error) {
 		if err != nil {
-			c.queue.AddAfter(app, 50*sim.Millisecond)
+			c.Queue().AddAfter(app, 50*sim.Millisecond)
 			return
 		}
 		c.PodDeletes++
 		// Unscheduled pods have no kubelet finalizer.
 		if pod.Pod.NodeName == "" {
-			c.conn.Delete(cluster.KindPod, pod.Meta.Name, 0, nil)
+			c.Conn().Delete(cluster.KindPod, pod.Meta.Name, 0, nil)
 		}
-		c.queue.AddAfter(app, 50*sim.Millisecond)
+		c.Queue().AddAfter(app, 50*sim.Millisecond)
 	})
 }
 
@@ -335,5 +289,5 @@ func (c *AppSetController) updateStatus(app *cluster.Object, live []*cluster.Obj
 	}
 	upd := app.Clone()
 	upd.AppSet.ReadyReplicas = ready
-	c.conn.Update(upd, func(*cluster.Object, error) {})
+	c.Conn().Update(upd, func(*cluster.Object, error) {})
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
@@ -42,22 +43,17 @@ func DefaultNodeLifecycleConfig(api sim.NodeID) NodeLifecycleConfig {
 // node-deletion and pod-eviction events whose (non-)observation drives the
 // membership-related bug family (§5 of the paper).
 type NodeLifecycleController struct {
-	id     sim.NodeID
-	world  *sim.World
-	cfg    NodeLifecycleConfig
-	timers *sim.Owner
+	controller.Shell
+	cfg NodeLifecycleConfig
 
-	conn    *client.Conn
 	nodeInf *client.Informer
 	podInf  *client.Informer
 	nodeLifecycleState
 }
 
 // nodeLifecycleState is everything the controller itself carries from one
-// event to the next; its connection carries its own.
+// event to the next; its shell carries its connection's.
 type nodeLifecycleState struct {
-	down bool
-
 	// Metrics.
 	MarkedNotReady int
 	DeletedNodes   int
@@ -67,63 +63,30 @@ type nodeLifecycleState struct {
 // NodeLifecycleID is the controller's network identity.
 const NodeLifecycleID sim.NodeID = "node-lifecycle"
 
-// wireNodeLifecycle registers a node lifecycle controller with no state in
-// the world: what NewNodeLifecycleController boots and RestoreNodeLifecycle
-// assigns a captured state to.
-func wireNodeLifecycle(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
-	c := &NodeLifecycleController{id: NodeLifecycleID, world: w, cfg: cfg}
-	w.Network().Register(c.id, c)
-	w.AddProcess(c)
-	c.own()
-	return c
+// spec declares the controller to its shell. No handlers: it is
+// timer-driven.
+func (c *NodeLifecycleController) spec() controller.Spec {
+	return controller.Spec{
+		ID:       NodeLifecycleID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return c.cfg.APIServer, c.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{
+			{Into: &c.nodeInf, Kind: cluster.KindNode, Cfg: watch},
+			{Into: &c.podInf, Kind: cluster.KindPod, Cfg: watch},
+		},
+		Fire:   c.checkFire,
+		Booted: c.scheduleCheck,
+	}
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (c *NodeLifecycleController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.checkFire) }
 
 // NewNodeLifecycleController wires the controller into the world.
 func NewNodeLifecycleController(w *sim.World, cfg NodeLifecycleConfig) *NodeLifecycleController {
-	c := wireNodeLifecycle(w, cfg)
-	c.boot()
+	c := &NodeLifecycleController{cfg: cfg}
+	c.Start(w, c, c.spec())
 	return c
 }
 
-// ID implements sim.Process.
-func (c *NodeLifecycleController) ID() sim.NodeID { return c.id }
-
-// Conn returns the controller's API connection.
-func (c *NodeLifecycleController) Conn() *client.Conn { return c.conn }
-
-// Crash implements sim.Process.
-func (c *NodeLifecycleController) Crash() {
-	c.down = true
-	c.timers.Retire()
-	c.conn.Reset()
-	c.nodeInf, c.podInf = nil, nil
-}
-
-// Restart implements sim.Process.
-func (c *NodeLifecycleController) Restart() {
-	c.down = false
-	c.own()
-	c.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (c *NodeLifecycleController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
-
-func (c *NodeLifecycleController) boot() {
-	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
-	c.nodeInf = client.NewInformer(c.conn, cluster.KindNode, client.InformerConfig{WatchTimeout: sim.Second})
-	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
-	c.nodeInf.Run()
-	c.podInf.Run()
-	c.scheduleCheck()
-}
-
 func (c *NodeLifecycleController) scheduleCheck() {
-	c.timers.After(c.cfg.CheckInterval, sim.EventTag{Kind: "check"})
+	c.After(c.cfg.CheckInterval, sim.EventTag{Kind: "check"})
 }
 
 // checkFire is the heartbeat-scan timer body, the one timer the controller
@@ -137,7 +100,7 @@ func (c *NodeLifecycleController) check() {
 	if !c.nodeInf.Synced() || !c.podInf.Synced() {
 		return
 	}
-	now := int64(c.world.Now())
+	now := int64(c.World().Now())
 	for _, node := range c.nodeInf.ListCached() {
 		if node.Node == nil {
 			continue
@@ -152,7 +115,7 @@ func (c *NodeLifecycleController) check() {
 		case age > int64(c.cfg.NotReadyAfter) && node.Node.Ready:
 			upd := node.Clone()
 			upd.Node.Ready = false
-			c.conn.Update(upd, func(_ *cluster.Object, err error) {
+			c.Conn().Update(upd, func(_ *cluster.Object, err error) {
 				if err == nil {
 					c.MarkedNotReady++
 				}
@@ -162,7 +125,7 @@ func (c *NodeLifecycleController) check() {
 }
 
 func (c *NodeLifecycleController) deleteNode(node *cluster.Object) {
-	c.conn.Delete(cluster.KindNode, node.Meta.Name, node.Meta.ResourceVersion, func(err error) {
+	c.Conn().Delete(cluster.KindNode, node.Meta.Name, node.Meta.ResourceVersion, func(err error) {
 		if err != nil {
 			return
 		}
@@ -173,7 +136,7 @@ func (c *NodeLifecycleController) deleteNode(node *cluster.Object) {
 				continue
 			}
 			name := pod.Meta.Name
-			c.conn.Delete(cluster.KindPod, name, 0, func(err error) {
+			c.Conn().Delete(cluster.KindPod, name, 0, func(err error) {
 				if err == nil {
 					c.EvictedPods++
 				}

@@ -1,48 +1,31 @@
 package controllers
 
 import (
-	"repro/internal/client"
-	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
-// This file gives every built-in controller a snapshot/restore pair
-// following the scheduler's contract: a snapshot is the controller's
-// configuration, its state, and its children's snapshots; informer caches
-// travel inside the connection snapshot, pending timers inside the
-// kernel's, and a restored controller finds its informers in the restored
-// connection by kind.
+// This file gives every built-in controller a snapshot/restore pair: a
+// snapshot is the controller's configuration, its state, and its shell's
+// snapshot; a restore is the same declaration handed to the shell with it.
 
 // VolumeSnapshot captures the volume releaser at a checkpoint.
 type VolumeSnapshot struct {
 	Cfg   VolumeConfig
 	State volumeState
-	Conn  *client.ConnSnapshot
+	Shell controller.ShellSnapshot
 }
 
-// Snapshot captures the controller's state. It fails (ok=false) when an
-// RPC call is in flight.
-func (c *VolumeController) Snapshot() (*VolumeSnapshot, bool) {
-	cs, ok := c.conn.Snapshot()
-	if !ok {
-		return nil, false
-	}
-	return &VolumeSnapshot{Cfg: c.cfg, State: c.volumeState, Conn: cs}, true
+// Snapshot captures the controller, whose connection must be Quiescent.
+func (c *VolumeController) Snapshot() *VolumeSnapshot {
+	return &VolumeSnapshot{Cfg: c.cfg, State: c.volumeState, Shell: c.Shell.Snapshot()}
 }
 
 // RestoreVolume reconstructs a volume controller from a snapshot inside
-// world w. The controller attaches no informer handlers (it is purely
-// poll-driven), so restore only needs the cache pointers; no timers are
-// armed.
+// world w.
 func RestoreVolume(w *sim.World, snap *VolumeSnapshot) *VolumeController {
-	c := wireVolume(w, snap.Cfg)
-	c.volumeState = snap.State
-	c.conn = client.RestoreConn(w, snap.Conn)
-	if c.down {
-		c.timers.Retire()
-	}
-	c.podInf, c.pvcInf = c.conn.InformerFor(cluster.KindPod), c.conn.InformerFor(cluster.KindPVC)
+	c := &VolumeController{cfg: snap.Cfg, volumeState: snap.State}
+	c.Shell.Restore(w, c, c.spec(), snap.Shell)
 	return c
 }
 
@@ -51,29 +34,19 @@ func RestoreVolume(w *sim.World, snap *VolumeSnapshot) *VolumeController {
 type NodeLifecycleSnapshot struct {
 	Cfg   NodeLifecycleConfig
 	State nodeLifecycleState
-	Conn  *client.ConnSnapshot
+	Shell controller.ShellSnapshot
 }
 
-// Snapshot captures the controller's state. It fails (ok=false) when an
-// RPC call is in flight.
-func (c *NodeLifecycleController) Snapshot() (*NodeLifecycleSnapshot, bool) {
-	cs, ok := c.conn.Snapshot()
-	if !ok {
-		return nil, false
-	}
-	return &NodeLifecycleSnapshot{Cfg: c.cfg, State: c.nodeLifecycleState, Conn: cs}, true
+// Snapshot captures the controller, whose connection must be Quiescent.
+func (c *NodeLifecycleController) Snapshot() *NodeLifecycleSnapshot {
+	return &NodeLifecycleSnapshot{Cfg: c.cfg, State: c.nodeLifecycleState, Shell: c.Shell.Snapshot()}
 }
 
 // RestoreNodeLifecycle reconstructs a node lifecycle controller from a
-// snapshot inside world w. No handlers (timer-driven) and no timers armed.
+// snapshot inside world w.
 func RestoreNodeLifecycle(w *sim.World, snap *NodeLifecycleSnapshot) *NodeLifecycleController {
-	c := wireNodeLifecycle(w, snap.Cfg)
-	c.nodeLifecycleState = snap.State
-	c.conn = client.RestoreConn(w, snap.Conn)
-	if c.down {
-		c.timers.Retire()
-	}
-	c.nodeInf, c.podInf = c.conn.InformerFor(cluster.KindNode), c.conn.InformerFor(cluster.KindPod)
+	c := &NodeLifecycleController{cfg: snap.Cfg, nodeLifecycleState: snap.State}
+	c.Shell.Restore(w, c, c.spec(), snap.Shell)
 	return c
 }
 
@@ -81,35 +54,18 @@ func RestoreNodeLifecycle(w *sim.World, snap *NodeLifecycleSnapshot) *NodeLifecy
 type AppSetSnapshot struct {
 	Cfg   AppSetConfig
 	State appSetState
-	Conn  *client.ConnSnapshot
-	Queue *controller.QueueSnapshot
+	Shell controller.ShellSnapshot
 }
 
-// Snapshot captures the controller's state. It fails (ok=false) when an
-// RPC call is in flight.
-func (c *AppSetController) Snapshot() (*AppSetSnapshot, bool) {
-	cs, ok := c.conn.Snapshot()
-	if !ok {
-		return nil, false
-	}
-	return &AppSetSnapshot{Cfg: c.cfg, State: c.appSetState.clone(), Conn: cs, Queue: c.queue.Snapshot()}, true
+// Snapshot captures the controller, whose connection must be Quiescent.
+func (c *AppSetController) Snapshot() *AppSetSnapshot {
+	return &AppSetSnapshot{Cfg: c.cfg, State: c.appSetState.clone(), Shell: c.Shell.Snapshot()}
 }
 
 // RestoreAppSet reconstructs an appset controller from a snapshot inside
-// world w. Informer handlers are re-attached without cache replay; no
-// timers are armed.
+// world w.
 func RestoreAppSet(w *sim.World, snap *AppSetSnapshot) *AppSetController {
-	c := wireAppSet(w, snap.Cfg)
-	c.appSetState = snap.State.clone()
-	c.conn = client.RestoreConn(w, snap.Conn)
-	c.queue = controller.RestoreQueue(w.Kernel(), snap.Queue, controller.ReconcilerFunc(c.reconcile))
-	if c.down {
-		c.timers.Retire()
-	}
-	c.appInf, c.podInf = c.conn.InformerFor(cluster.KindAppSet), c.conn.InformerFor(cluster.KindPod)
-	if c.appInf != nil {
-		c.appInf.RestoreHandler(controller.EnqueueHandler{Queue: c.queue})
-		c.podInf.RestoreHandler(c.podHandler())
-	}
+	c := &AppSetController{cfg: snap.Cfg, appSetState: snap.State.clone()}
+	c.Shell.Restore(w, c, c.spec(), snap.Shell)
 	return c
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
@@ -44,22 +45,17 @@ func DefaultVolumeConfig(api sim.NodeID) VolumeConfig {
 // Kubernetes controller bug [17]: "the controller only learns of the state
 // of the system via sparse reads of its local view S'".
 type VolumeController struct {
-	id     sim.NodeID
-	world  *sim.World
-	cfg    VolumeConfig
-	timers *sim.Owner
+	controller.Shell
+	cfg VolumeConfig
 
-	conn   *client.Conn
 	podInf *client.Informer
 	pvcInf *client.Informer
 	volumeState
 }
 
 // volumeState is everything the controller itself carries from one event
-// to the next; its connection carries its own.
+// to the next; its shell carries its connection's.
 type volumeState struct {
-	down bool
-
 	// Releases counts successful PVC releases (experiment metric).
 	Releases int
 }
@@ -67,63 +63,33 @@ type volumeState struct {
 // VolumeControllerID is the controller's network identity.
 const VolumeControllerID sim.NodeID = "volume-controller"
 
-// wireVolume registers a volume controller with no state in the world:
-// what NewVolumeController boots and RestoreVolume assigns a captured state
-// to.
-func wireVolume(w *sim.World, cfg VolumeConfig) *VolumeController {
-	c := &VolumeController{id: VolumeControllerID, world: w, cfg: cfg}
-	w.Network().Register(c.id, c)
-	w.AddProcess(c)
-	c.own()
-	return c
-}
+// watch is how every built-in controller's informers are configured.
+var watch = client.InformerConfig{WatchTimeout: sim.Second}
 
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (c *VolumeController) own() { c.timers = c.world.Kernel().Own(string(c.id), c.pollFire) }
+// spec declares the controller to its shell. It attaches no informer
+// handlers: it is purely poll-driven.
+func (c *VolumeController) spec() controller.Spec {
+	return controller.Spec{
+		ID:       VolumeControllerID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return c.cfg.APIServer, c.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{
+			{Into: &c.podInf, Kind: cluster.KindPod, Cfg: watch},
+			{Into: &c.pvcInf, Kind: cluster.KindPVC, Cfg: watch},
+		},
+		Fire:   c.pollFire,
+		Booted: c.schedulePoll,
+	}
+}
 
 // NewVolumeController wires the controller into the world.
 func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
-	c := wireVolume(w, cfg)
-	c.boot()
+	c := &VolumeController{cfg: cfg}
+	c.Start(w, c, c.spec())
 	return c
 }
 
-// ID implements sim.Process.
-func (c *VolumeController) ID() sim.NodeID { return c.id }
-
-// Conn returns the controller's API connection.
-func (c *VolumeController) Conn() *client.Conn { return c.conn }
-
-// Crash implements sim.Process.
-func (c *VolumeController) Crash() {
-	c.down = true
-	c.timers.Retire()
-	c.conn.Reset()
-	c.podInf, c.pvcInf = nil, nil
-}
-
-// Restart implements sim.Process.
-func (c *VolumeController) Restart() {
-	c.down = false
-	c.own()
-	c.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (c *VolumeController) HandleMessage(m *sim.Message) { c.conn.HandleMessage(m) }
-
-func (c *VolumeController) boot() {
-	c.conn = client.NewConn(c.world, c.id, c.cfg.APIServer, c.cfg.RPCTimeout)
-	c.podInf = client.NewInformer(c.conn, cluster.KindPod, client.InformerConfig{WatchTimeout: sim.Second})
-	c.pvcInf = client.NewInformer(c.conn, cluster.KindPVC, client.InformerConfig{WatchTimeout: sim.Second})
-	c.podInf.Run()
-	c.pvcInf.Run()
-	c.schedulePoll()
-}
-
 func (c *VolumeController) schedulePoll() {
-	c.timers.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll"})
+	c.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll"})
 }
 
 // pollFire is the poll timer body, the one timer the controller owns.
@@ -163,7 +129,7 @@ func (c *VolumeController) poll() {
 func (c *VolumeController) release(pvc *cluster.Object) {
 	upd := pvc.Clone()
 	upd.PVC.Phase = cluster.PVCReleased
-	c.conn.Update(upd, func(_ *cluster.Object, err error) {
+	c.Conn().Update(upd, func(_ *cluster.Object, err error) {
 		if err == nil {
 			c.Releases++
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/apiserver"
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/controller"
 	"repro/internal/controllers"
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
@@ -302,27 +303,41 @@ func (c *Cluster) addOracles() {
 	}
 }
 
-// Conns returns the API connection of every component that keeps informer
-// caches, plus the admin's, in a fixed order.
-func (c *Cluster) Conns() []*client.Conn {
-	var out []*client.Conn
+// shells returns the lifecycle shell of every component that holds an API
+// connection, in the order New builds them.
+func (c *Cluster) shells() []*controller.Shell {
+	out := make([]*controller.Shell, 0, len(c.Opts.Nodes)+6)
 	for _, node := range c.Opts.Nodes {
-		out = append(out, c.Kubelet[node].Conn())
+		out = append(out, &c.Kubelet[node].Shell)
 	}
 	if c.Scheduler != nil {
-		out = append(out, c.Scheduler.Conn())
+		out = append(out, &c.Scheduler.Shell)
 	}
 	if c.Volume != nil {
-		out = append(out, c.Volume.Conn())
+		out = append(out, &c.Volume.Shell)
 	}
 	if c.NodeLC != nil {
-		out = append(out, c.NodeLC.Conn())
+		out = append(out, &c.NodeLC.Shell)
 	}
 	if c.App != nil {
-		out = append(out, c.App.Conn())
+		out = append(out, &c.App.Shell)
 	}
 	if c.Cassandra != nil {
-		out = append(out, c.Cassandra.Conn())
+		out = append(out, &c.Cassandra.Shell)
+	}
+	if c.RegionManager != nil {
+		out = append(out, &c.RegionManager.Shell)
+	}
+	return out
+}
+
+// Conns returns the API connection of every component that holds one, plus
+// the admin's, in a fixed order.
+func (c *Cluster) Conns() []*client.Conn {
+	shells := c.shells()
+	out := make([]*client.Conn, 0, len(shells)+1)
+	for _, sh := range shells {
+		out = append(out, sh.Conn())
 	}
 	return append(out, c.Admin.Conn())
 }

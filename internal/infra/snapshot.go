@@ -61,8 +61,10 @@ func (c *Cluster) Snapshotable() bool { return true }
 
 // Capture snapshots the cluster. It fails (ok=false) when the instant is
 // not quiescent: an untagged kernel event is pending, a network message is
-// held, or a component RPC call is in flight. The caller should advance
-// virtual time slightly and retry.
+// held, or a component RPC call is in flight — asked of every connection
+// here, once, before any component is copied (the kernel is asked first: a
+// call in flight has an untagged timeout pending, so that is where a refusal
+// is cheapest). The caller should advance virtual time slightly and retry.
 func (c *Cluster) Capture() (*Snapshot, bool) {
 	if c.World.Network().HeldCount() > 0 {
 		return nil, false
@@ -71,64 +73,46 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 	if !ok {
 		return nil, false
 	}
-	snap := &Snapshot{
-		Opts:      c.Opts,
-		Kernel:    ks,
-		Net:       c.World.Network().Snapshot(),
-		DownAt:    c.World.DownAtSnapshot(),
-		Kubelets:  make(map[string]*kubelet.Snapshot, len(c.Kubelet)),
-		AdminUIDs: c.Admin.uids,
-		Oracles:   c.Oracles.Snapshot(),
+	for _, conn := range c.Conns() {
+		if !conn.Quiescent() {
+			return nil, false
+		}
 	}
 	ss, ok := c.Store.Snapshot()
 	if !ok {
 		return nil, false
 	}
-	snap.Store = ss
+	snap := &Snapshot{
+		Opts:      c.Opts,
+		Kernel:    ks,
+		Net:       c.World.Network().Snapshot(),
+		DownAt:    c.World.DownAtSnapshot(),
+		Store:     ss,
+		Kubelets:  make(map[string]*kubelet.Snapshot, len(c.Kubelet)),
+		AdminConn: c.Admin.conn.Snapshot(),
+		AdminUIDs: c.Admin.uids,
+		Oracles:   c.Oracles.Snapshot(),
+	}
 	for _, api := range c.APIs {
 		snap.APIs = append(snap.APIs, api.Snapshot())
 	}
 	for _, node := range c.Opts.Nodes {
-		ksnap, ok := c.Kubelet[node].Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.Kubelets[node] = ksnap
+		snap.Kubelets[node] = c.Kubelet[node].Snapshot()
 	}
 	if c.Scheduler != nil {
-		sc, ok := c.Scheduler.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.Scheduler = sc
+		snap.Scheduler = c.Scheduler.Snapshot()
 	}
 	if c.Volume != nil {
-		vs, ok := c.Volume.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.Volume = vs
+		snap.Volume = c.Volume.Snapshot()
 	}
 	if c.NodeLC != nil {
-		ns, ok := c.NodeLC.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.NodeLC = ns
+		snap.NodeLC = c.NodeLC.Snapshot()
 	}
 	if c.App != nil {
-		as, ok := c.App.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.App = as
+		snap.App = c.App.Snapshot()
 	}
 	if c.Cassandra != nil {
-		cass, ok := c.Cassandra.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.Cassandra = cass
+		snap.Cassandra = c.Cassandra.Snapshot()
 	}
 	if len(c.RegionServers) > 0 {
 		snap.RegionServers = make(map[string]*regions.ServerSnapshot, len(c.RegionServers))
@@ -137,17 +121,8 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 		}
 	}
 	if c.RegionManager != nil {
-		ms, ok := c.RegionManager.Snapshot()
-		if !ok {
-			return nil, false
-		}
-		snap.RegionManager = ms
+		snap.RegionManager = c.RegionManager.Snapshot()
 	}
-	ac, ok := c.Admin.conn.Snapshot()
-	if !ok {
-		return nil, false
-	}
-	snap.AdminConn = ac
 	return snap, true
 }
 

@@ -38,8 +38,8 @@ type role struct {
 	// the snapshot field that carries theirs; "." when the child's snapshot
 	// fields lie in this same snapshot. A timer owner is a child too: it
 	// lives for one boot, and what the snapshot carries of it is whether that
-	// boot is over — the state's down (a queue's stopped) flag, a
-	// connection's Retired.
+	// boot is over — the state's down (a shell's Down, a queue's stopped)
+	// flag, a connection's Retired.
 	children map[string]string
 	wiring   map[string]string
 }
@@ -47,7 +47,7 @@ type role struct {
 const (
 	fixed  = "fixed at construction"
 	config = "configuration: the snapshot's Cfg, or rebuilt from it"
-	found  = "found again in the restored connection by kind"
+	found  = "stored by the shell at every boot and restore: found again in the restored connection by kind"
 	// An RPC client holds calls in flight and nothing else, and a capture is
 	// only taken with none: a call is named by its request message.
 	inFlight = "empty at every capture"
@@ -76,31 +76,34 @@ var roles = map[reflect.Type]role{
 		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
 			"kindBroken": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator"}},
+	reflect.TypeFor[controller.Shell](): {state: "down", carried: "Down",
+		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "Down"},
+		wiring:   map[string]string{"world": fixed, "spec": "the declaration, written in the component's source"}},
 	reflect.TypeFor[kubelet.Kubelet](): {state: "state", carried: "State",
-		children: map[string]string{"conn": "Conn", "host": "Host", "timers": "State"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "informer": found}},
+		children: map[string]string{"Shell": "Shell", "host": "Host"},
+		wiring:   map[string]string{"cfg": config, "informer": found}},
 	reflect.TypeFor[kubelet.Host](): {state: "hostState",
 		wiring: map[string]string{"Name": fixed, "names": "cache", "gen": "means nothing across owners"}},
 	reflect.TypeFor[scheduler.Scheduler](): {state: "state", carried: "State",
-		children: map[string]string{"conn": "Conn", "queue": "Queue"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "podInf": found, "nodeInf": found}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config, "podInf": found, "nodeInf": found}},
 	reflect.TypeFor[controllers.VolumeController](): {state: "volumeState", carried: "State",
-		children: map[string]string{"conn": "Conn", "timers": "State"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "podInf": found, "pvcInf": found}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config, "podInf": found, "pvcInf": found}},
 	reflect.TypeFor[controllers.NodeLifecycleController](): {state: "nodeLifecycleState", carried: "State",
-		children: map[string]string{"conn": "Conn", "timers": "State"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "nodeInf": found, "podInf": found}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config, "nodeInf": found, "podInf": found}},
 	reflect.TypeFor[controllers.AppSetController](): {state: "appSetState", carried: "State",
-		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "State"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "appInf": found, "podInf": found}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config, "appInf": found, "podInf": found}},
 	reflect.TypeFor[cassandra.Operator](): {state: "state", carried: "State",
-		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "State"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config, "crInf": found, "podInf": found, "pvcInf": found}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config, "crInf": found, "podInf": found, "pvcInf": found}},
 	reflect.TypeFor[regions.RegionServer](): {state: "serverState", carried: "State",
 		wiring: map[string]string{"id": fixed, "world": fixed, "gen": "means nothing across owners"}},
 	reflect.TypeFor[regions.Manager](): {state: "managerState", carried: "State",
-		children: map[string]string{"conn": "Conn"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "cfg": config}},
+		children: map[string]string{"Shell": "Shell"},
+		wiring:   map[string]string{"cfg": config}},
 	reflect.TypeFor[client.Conn](): {state: "connState", carried: "State",
 		children: map[string]string{"informers": "Informers", "timers": "Retired"},
 		wiring:   map[string]string{"world": fixed, "self": fixed, "rpc": inFlight}},
@@ -184,7 +187,14 @@ func (w *stateWalk) children(path string, live, snap, restored reflect.Value) {
 		elem = elem.Elem()
 	}
 	if elem == reflect.TypeFor[sim.Owner]() {
-		// All a snapshot carries of an owner: whether its boot is over.
+		// All a snapshot carries of an owner: whether its boot is over. A
+		// component that arms no timer of its own has none.
+		if live.IsNil() || restored.IsNil() {
+			if live.IsNil() != restored.IsNil() {
+				w.t.Errorf("%s: an owner on one side only (live nil: %v, restored nil: %v)", path, live.IsNil(), restored.IsNil())
+			}
+			return
+		}
 		if l, r := live.Elem().FieldByName("retired").Bool(), restored.Elem().FieldByName("retired").Bool(); l != r {
 			w.t.Errorf("%s: retired is %v, and %v restored: Restore must retire the owner of a boot that is over", path, l, r)
 		}
@@ -194,6 +204,8 @@ func (w *stateWalk) children(path string, live, snap, restored reflect.Value) {
 		return
 	}
 	switch live.Kind() {
+	case reflect.Struct:
+		w.component(path, live, snap, restored)
 	case reflect.Pointer:
 		if live.IsNil() {
 			return

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
@@ -144,22 +145,18 @@ func DefaultConfig(node string, apis []sim.NodeID) Config {
 
 // Kubelet is the node agent process.
 type Kubelet struct {
-	id     sim.NodeID
-	world  *sim.World
-	cfg    Config
-	host   *Host
-	timers *sim.Owner
+	controller.Shell
+	cfg  Config
+	host *Host
 
-	conn     *client.Conn
 	informer *client.Informer
 	state
 }
 
 // state is everything the kubelet process itself carries from one event to
-// the next; its connection and its host carry their own.
+// the next; its shell and its host carry their own.
 type state struct {
 	uids   cluster.UIDGen
-	down   bool
 	apiIdx int
 	// restartPending marks that no sync has used verified (quorum) state
 	// since the last (re)start; SafeRestartSync refuses cached reconciles
@@ -180,25 +177,29 @@ type state struct {
 // NodeID returns the kubelet's network ID for a node name.
 func NodeID(nodeName string) sim.NodeID { return sim.NodeID("kubelet-" + nodeName) }
 
-// wire registers a kubelet with no state in the world: what New boots and
-// Restore assigns a captured state to.
-func wire(w *sim.World, host *Host, cfg Config) *Kubelet {
-	k := &Kubelet{id: NodeID(cfg.NodeName), world: w, cfg: cfg, host: host}
-	w.Network().Register(k.id, k)
-	w.AddProcess(k)
-	k.own()
-	return k
+// spec declares the kubelet to its shell.
+func (k *Kubelet) spec() controller.Spec {
+	return controller.Spec{
+		ID:       NodeID(k.cfg.NodeName),
+		Upstream: func() (sim.NodeID, sim.Duration) { return k.Upstream(), k.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{{Into: &k.informer, Kind: cluster.KindPod,
+			Cfg: client.InformerConfig{WatchTimeout: 4 * k.cfg.SyncInterval}, Handler: k.podHandler}},
+		Fire: k.fire,
+		// The node object is asked for before the pods are listed.
+		Connected: k.registerNode,
+		Booted: func() {
+			k.restartPending = true
+			k.schedulePeriodicSync()
+			k.scheduleHeartbeat()
+		},
+	}
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (k *Kubelet) own() { k.timers = k.world.Kernel().Own(string(k.id), k.fire) }
 
 // New wires a kubelet into the world and boots it against its first
 // apiserver.
 func New(w *sim.World, host *Host, cfg Config) *Kubelet {
-	k := wire(w, host, cfg)
-	k.uids = cluster.NewUIDGen("kubelet-" + cfg.NodeName)
-	k.boot()
+	k := &Kubelet{cfg: cfg, host: host, state: state{uids: cluster.NewUIDGen("kubelet-" + cfg.NodeName)}}
+	k.Start(w, k, k.spec())
 	return k
 }
 
@@ -215,12 +216,6 @@ func (k *Kubelet) fire(tag sim.EventTag) {
 		k.syncPods()
 	}
 }
-
-// ID implements sim.Process.
-func (k *Kubelet) ID() sim.NodeID { return k.id }
-
-// Conn returns the kubelet's API connection.
-func (k *Kubelet) Conn() *client.Conn { return k.conn }
 
 // Host returns the machine this kubelet manages.
 func (k *Kubelet) Host() *Host { return k.host }
@@ -248,39 +243,6 @@ func (k *Kubelet) SetRestartUpstream(api sim.NodeID) {
 	}
 }
 
-// Crash implements sim.Process: the kubelet process dies; containers on
-// the host keep running.
-func (k *Kubelet) Crash() {
-	k.down = true
-	k.timers.Retire()
-	k.conn.Reset()
-	k.informer = nil
-}
-
-// Restart implements sim.Process: reboot against the configured upstream.
-func (k *Kubelet) Restart() {
-	k.down = false
-	k.own()
-	k.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (k *Kubelet) HandleMessage(m *sim.Message) { k.conn.HandleMessage(m) }
-
-func (k *Kubelet) boot() {
-	k.restartPending = true
-	k.conn = client.NewConn(k.world, k.id, k.cfg.APIServers[k.apiIdx], k.cfg.RPCTimeout)
-	k.registerNode()
-	k.informer = client.NewInformer(k.conn, cluster.KindPod, client.InformerConfig{
-		WatchTimeout: 4 * k.cfg.SyncInterval,
-	})
-	k.informer.AddHandler(k.podHandler())
-	k.informer.Run()
-	k.schedulePeriodicSync()
-	k.scheduleHeartbeat()
-}
-
 // podHandler is the pod informer's handler: any change to a pod asks for a
 // sync.
 func (k *Kubelet) podHandler() client.EventHandler {
@@ -300,8 +262,8 @@ func (k *Kubelet) registerNode() {
 		Zone:     k.cfg.Zone,
 		DC:       k.cfg.DC,
 	})
-	node.Meta.Labels = map[string]string{"heartbeat": fmt.Sprint(int64(k.world.Now()))}
-	k.conn.Create(node, func(_ *cluster.Object, err error) {
+	node.Meta.Labels = map[string]string{"heartbeat": fmt.Sprint(int64(k.World().Now()))}
+	k.Conn().Create(node, func(_ *cluster.Object, err error) {
 		if err != nil {
 			// Already registered: refresh via heartbeat path instead.
 			k.heartbeat()
@@ -310,12 +272,12 @@ func (k *Kubelet) registerNode() {
 }
 
 func (k *Kubelet) scheduleHeartbeat() {
-	k.timers.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat"})
+	k.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat"})
 }
 
 // heartbeat refreshes the node object's liveness label.
 func (k *Kubelet) heartbeat() {
-	k.conn.Get(cluster.KindNode, k.cfg.NodeName, false, func(node *cluster.Object, found bool, err error) {
+	k.Conn().Get(cluster.KindNode, k.cfg.NodeName, false, func(node *cluster.Object, found bool, err error) {
 		if err != nil {
 			return
 		}
@@ -327,18 +289,18 @@ func (k *Kubelet) heartbeat() {
 		if node.Meta.Labels == nil {
 			node.Meta.Labels = map[string]string{}
 		}
-		node.Meta.Labels["heartbeat"] = fmt.Sprint(int64(k.world.Now()))
+		node.Meta.Labels["heartbeat"] = fmt.Sprint(int64(k.World().Now()))
 		node.Node.Ready = true
-		k.conn.Update(node, func(*cluster.Object, error) {})
+		k.Conn().Update(node, func(*cluster.Object, error) {})
 	})
 }
 
 func (k *Kubelet) schedulePeriodicSync() {
-	k.timers.After(k.cfg.SyncInterval, sim.EventTag{Kind: "sync"})
+	k.After(k.cfg.SyncInterval, sim.EventTag{Kind: "sync"})
 }
 
 func (k *Kubelet) scheduleSyncSoon() {
-	k.timers.After(sim.Millisecond, sim.EventTag{Kind: "syncsoon"})
+	k.After(sim.Millisecond, sim.EventTag{Kind: "syncsoon"})
 }
 
 // syncPods reconciles host containers against the pods bound to this node
@@ -357,7 +319,7 @@ func (k *Kubelet) syncPods() {
 				return
 			}
 			k.safeSyncInFlight = true
-			k.conn.List(cluster.KindPod, true, func(objs []*cluster.Object, rev int64, err error) {
+			k.Conn().List(cluster.KindPod, true, func(objs []*cluster.Object, rev int64, err error) {
 				k.safeSyncInFlight = false
 				if err != nil {
 					return // retry on next periodic sync
@@ -422,7 +384,7 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 			PodName:   name,
 			PodUID:    p.Meta.UID,
 			Image:     p.Pod.Image,
-			StartedAt: k.world.Now(),
+			StartedAt: k.World().Now(),
 		})
 		k.Starts++
 		k.reportRunning(p)
@@ -438,7 +400,7 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 		if _, stillRunning := k.host.running[name]; stillRunning {
 			continue
 		}
-		k.conn.Delete(cluster.KindPod, name, p.Meta.ResourceVersion, func(error) {})
+		k.Conn().Delete(cluster.KindPod, name, p.Meta.ResourceVersion, func(error) {})
 	}
 }
 
@@ -449,7 +411,7 @@ func (k *Kubelet) reportRunning(p *cluster.Object) {
 	}
 	obj := p.Clone()
 	obj.Pod.Phase = cluster.PodRunning
-	k.conn.Update(obj, func(_ *cluster.Object, err error) {
+	k.Conn().Update(obj, func(_ *cluster.Object, err error) {
 		// Conflicts are resolved by the next sync; nothing to do here.
 	})
 }

@@ -86,23 +86,18 @@ func DefaultConfig(api sim.NodeID, name string) Config {
 
 // Operator is the Cassandra operator process.
 type Operator struct {
-	id     sim.NodeID
-	world  *sim.World
-	cfg    Config
-	timers *sim.Owner
+	controller.Shell
+	cfg Config
 
-	conn   *client.Conn
 	crInf  *client.Informer
 	podInf *client.Informer
 	pvcInf *client.Informer
-	queue  *controller.Queue
 	state
 }
 
 // state is everything the operator itself carries from one event to the
-// next; its connection and its queue carry their own.
+// next; its shell carries its connection's and its queue's.
 type state struct {
-	down bool
 	uids cluster.UIDGen
 
 	// draining tracks an in-flight drain (decommission) per member.
@@ -130,26 +125,40 @@ func (s state) clone() state {
 // OperatorID is the operator's network identity.
 const OperatorID sim.NodeID = "cassandra-operator"
 
-// wire registers an operator with no state in the world: what New boots and
-// Restore assigns a captured state to.
-func wire(w *sim.World, cfg Config) *Operator {
-	o := &Operator{id: OperatorID, world: w, cfg: cfg}
-	w.Network().Register(o.id, o)
-	w.AddProcess(o)
-	o.own()
-	return o
+// spec declares the operator to its shell. Upstream reads the live
+// configuration: SetUpstream changes it between a crash and the restart.
+func (o *Operator) spec() controller.Spec {
+	watch := client.InformerConfig{WatchTimeout: sim.Second}
+	if o.cfg.Fixes.DefensiveRelist {
+		watch.RelistEvery = 1500 * sim.Millisecond
+	}
+	return controller.Spec{
+		ID:       OperatorID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return o.cfg.APIServer, o.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{
+			{Into: &o.crInf, Kind: cluster.KindCassandra, Cfg: watch, Handler: o.EnqueueHandler},
+			{Into: &o.podInf, Kind: cluster.KindPod, Cfg: watch, Handler: o.podHandler},
+			{Into: &o.pvcInf, Kind: cluster.KindPVC, Cfg: watch},
+		},
+		Reconcile: o.reconcile,
+		Fire:      o.fire,
+		Booted:    o.scheduleResync,
+		// Volatile memory: in-flight drains and observed marks are forgotten —
+		// which is why the 398 gap also opens across operator restarts.
+		Crashed: func() {
+			o.draining = make(map[string]bool)
+			o.sawTerminating = make(map[string]bool)
+		},
+	}
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (o *Operator) own() { o.timers = o.world.Kernel().Own(string(o.id), o.fire) }
 
 // New wires the operator into the world.
 func New(w *sim.World, cfg Config) *Operator {
-	o := wire(w, cfg)
+	o := &Operator{cfg: cfg}
 	o.uids = cluster.NewUIDGen("cass-op")
 	o.draining = make(map[string]bool)
 	o.sawTerminating = make(map[string]bool)
-	o.boot()
+	o.Start(w, o, o.spec())
 	return o
 }
 
@@ -157,7 +166,7 @@ func New(w *sim.World, cfg Config) *Operator {
 func (o *Operator) fire(tag sim.EventTag) {
 	switch tag.Kind {
 	case "resync":
-		o.queue.Add(o.cfg.ClusterName)
+		o.Queue().Add(o.cfg.ClusterName)
 		o.scheduleResync()
 	case "drain":
 		o.drainFire(tag.Key)
@@ -166,39 +175,9 @@ func (o *Operator) fire(tag sim.EventTag) {
 	}
 }
 
-// ID implements sim.Process.
-func (o *Operator) ID() sim.NodeID { return o.id }
-
-// Conn returns the operator's API connection.
-func (o *Operator) Conn() *client.Conn { return o.conn }
-
-// Crash implements sim.Process.
-func (o *Operator) Crash() {
-	o.down = true
-	o.timers.Retire()
-	o.conn.Reset()
-	o.queue.Stop()
-	o.crInf, o.podInf, o.pvcInf = nil, nil, nil
-	// Volatile memory: in-flight drains and observed marks are forgotten —
-	// which is why the 398 gap also opens across operator restarts.
-	o.draining = make(map[string]bool)
-	o.sawTerminating = make(map[string]bool)
-}
-
-// Restart implements sim.Process.
-func (o *Operator) Restart() {
-	o.down = false
-	o.own()
-	o.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (o *Operator) HandleMessage(m *sim.Message) { o.conn.HandleMessage(m) }
-
 // SwitchAPIServer repoints the operator (perturbation hook).
 func (o *Operator) SwitchAPIServer(api sim.NodeID) {
-	o.conn.SwitchAPIServer(api)
+	o.Conn().SwitchAPIServer(api)
 }
 
 // SetUpstream changes the apiserver the operator will connect to on its
@@ -209,28 +188,6 @@ func (o *Operator) SetUpstream(api sim.NodeID) { o.cfg.APIServer = api }
 // SetRestartUpstream implements core.Resteerable.
 func (o *Operator) SetRestartUpstream(api sim.NodeID) { o.SetUpstream(api) }
 
-func (o *Operator) boot() {
-	o.conn = client.NewConn(o.world, o.id, o.cfg.APIServer, o.cfg.RPCTimeout)
-	o.queue = controller.NewQueue(o.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
-		controller.ReconcilerFunc(o.reconcile))
-	infCfg := client.InformerConfig{WatchTimeout: sim.Second}
-	if o.cfg.Fixes.DefensiveRelist {
-		infCfg.RelistEvery = 1500 * sim.Millisecond
-	}
-	o.crInf = client.NewInformer(o.conn, cluster.KindCassandra, infCfg)
-	o.crInf.AddHandler(controller.EnqueueHandler{Queue: o.queue})
-	o.podInf = client.NewInformer(o.conn, cluster.KindPod, infCfg)
-	o.podInf.AddHandler(o.podHandler())
-	o.pvcInf = client.NewInformer(o.conn, cluster.KindPVC, infCfg)
-	o.crInf.Run()
-	o.podInf.Run()
-	o.pvcInf.Run()
-	o.scheduleResync()
-}
-
-// queueOwner is the name the work queue's timers are armed under.
-const queueOwner = string(OperatorID) + "/queue"
-
 // podHandler notes what the operator sees of its members' pods and queues
 // the cluster on every change to one.
 func (o *Operator) podHandler() client.EventHandler {
@@ -239,7 +196,7 @@ func (o *Operator) podHandler() client.EventHandler {
 		UpdateFunc: func(_, p *cluster.Object) { o.observePod(p) },
 		DeleteFunc: func(p *cluster.Object) {
 			if o.isMember(p) {
-				o.queue.Add(o.cfg.ClusterName)
+				o.Queue().Add(o.cfg.ClusterName)
 			}
 		},
 	}
@@ -252,11 +209,11 @@ func (o *Operator) observePod(p *cluster.Object) {
 	if p.Terminating() {
 		o.sawTerminating[p.Meta.Name] = true
 	}
-	o.queue.Add(o.cfg.ClusterName)
+	o.Queue().Add(o.cfg.ClusterName)
 }
 
 func (o *Operator) scheduleResync() {
-	o.timers.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
+	o.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // Naming helpers.
@@ -351,11 +308,11 @@ func (o *Operator) scaleUp(cr *cluster.Object, live []*cluster.Object, desired i
 			Phase: cluster.PodPending,
 		})
 		pod.Meta.OwnerUID = cr.Meta.UID
-		o.conn.Create(pod, func(_ *cluster.Object, err error) {
+		o.Conn().Create(pod, func(_ *cluster.Object, err error) {
 			if err == nil {
 				o.PodCreates++
 			}
-			o.queue.AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
+			o.Queue().AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
 		})
 	}
 }
@@ -370,7 +327,7 @@ func (o *Operator) ensurePVC(member string) {
 		Phase:    cluster.PVCBound,
 		SizeGB:   100,
 	})
-	o.conn.Create(pvc, func(_ *cluster.Object, err error) {
+	o.Conn().Create(pvc, func(_ *cluster.Object, err error) {
 		if err == nil {
 			o.PVCCreates++
 		}
@@ -459,9 +416,9 @@ func (o *Operator) startDecommission(cr *cluster.Object, live []*cluster.Object)
 	trueTail := o.decommissionTarget(racks, liveNames)
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = target
-	o.conn.Update(upd, func(_ *cluster.Object, err error) {
+	o.Conn().Update(upd, func(_ *cluster.Object, err error) {
 		if err != nil {
-			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
 			return
 		}
 		o.Decommissions++
@@ -482,7 +439,7 @@ func (o *Operator) drain(member string) {
 	// "resumes" an operation this process is still executing. Only a crash
 	// (which wipes the map) leaves a resumable CR marker behind.
 	o.draining[member] = true
-	o.timers.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member})
+	o.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member})
 }
 
 // drainFire completes a drain once the drain time elapses.
@@ -497,18 +454,18 @@ func (o *Operator) drainFire(member string) {
 		return
 	}
 	marked := pod.Clone()
-	marked.Meta.DeletionTimestamp = int64(o.world.Now())
-	o.conn.Update(marked, func(_ *cluster.Object, err error) {
+	marked.Meta.DeletionTimestamp = int64(o.World().Now())
+	o.Conn().Update(marked, func(_ *cluster.Object, err error) {
 		if err != nil {
 			delete(o.draining, member)
-			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
 			return
 		}
 		// Unscheduled members have no kubelet to finalize them; the
 		// operator removes the object itself. Scheduled members are
 		// finalized by their kubelet once containers stop.
 		if pod.Pod.NodeName == "" {
-			o.conn.Delete(cluster.KindPod, member, 0, func(err error) {
+			o.Conn().Delete(cluster.KindPod, member, 0, func(err error) {
 				if err == nil {
 					o.PodDeletes++
 				}
@@ -532,7 +489,7 @@ func (o *Operator) awaitGoneThenCleanup(member string, attempts int) {
 		delete(o.draining, member)
 		return
 	}
-	o.timers.After(20*sim.Millisecond,
+	o.After(20*sim.Millisecond,
 		sim.EventTag{Kind: "awaitgone", Key: member, N: uint64(attempts - 1)})
 }
 
@@ -551,7 +508,7 @@ func (o *Operator) maybeCleanupPVC(member string) {
 	if !ok {
 		return
 	}
-	o.conn.Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
+	o.Conn().Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
 		if err == nil {
 			o.PVCDeletes++
 			delete(o.sawTerminating, member)
@@ -577,7 +534,7 @@ func (o *Operator) continueDecommission(cr *cluster.Object) {
 		o.resumeDecommission(member)
 		return
 	}
-	o.conn.Get(cluster.KindCassandra, o.cfg.ClusterName, true, func(truth *cluster.Object, found bool, err error) {
+	o.Conn().Get(cluster.KindCassandra, o.cfg.ClusterName, true, func(truth *cluster.Object, found bool, err error) {
 		if err != nil || !found || truth.Cassandra == nil {
 			return
 		}
@@ -607,22 +564,22 @@ func (o *Operator) resumeDecommission(member string) {
 	// Resume: the drain is assumed already done before the interruption.
 	// Clean up storage first, then remove the pod.
 	if pvc, pok := o.pvcInf.Get(o.pvcName(member)); pok {
-		o.conn.Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
+		o.Conn().Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
 			if err == nil {
 				o.PVCDeletes++
 			}
 		})
 	}
 	marked := pod.Clone()
-	marked.Meta.DeletionTimestamp = int64(o.world.Now())
-	o.conn.Update(marked, func(_ *cluster.Object, err error) {
+	marked.Meta.DeletionTimestamp = int64(o.World().Now())
+	o.Conn().Update(marked, func(_ *cluster.Object, err error) {
 		if err != nil {
 			delete(o.draining, member)
-			o.queue.AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
 			return
 		}
 		if pod.Pod.NodeName == "" {
-			o.conn.Delete(cluster.KindPod, member, 0, func(err error) {
+			o.Conn().Delete(cluster.KindPod, member, 0, func(err error) {
 				if err == nil {
 					o.PodDeletes++
 				}
@@ -639,8 +596,8 @@ func (o *Operator) clearDecommission() {
 	}
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = ""
-	o.conn.Update(upd, func(_ *cluster.Object, err error) {
-		o.queue.AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
+	o.Conn().Update(upd, func(_ *cluster.Object, err error) {
+		o.Queue().AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
 	})
 }
 
@@ -656,7 +613,7 @@ func (o *Operator) updateStatus(cr *cluster.Object, live []*cluster.Object) {
 	}
 	upd := cr.Clone()
 	upd.Cassandra.ReadyMembers = names
-	o.conn.Update(upd, func(*cluster.Object, error) {})
+	o.Conn().Update(upd, func(*cluster.Object, error) {})
 }
 
 // sweepOrphanPVCs is the level-triggered garbage collector that the fixed
@@ -686,11 +643,11 @@ func (o *Operator) sweepOrphanPVCs(cr *cluster.Object, members []*cluster.Object
 		}
 		name := pvc.Meta.Name
 		// Verify against ground truth before destroying storage.
-		o.conn.Get(cluster.KindPod, owner, true, func(_ *cluster.Object, found bool, err error) {
+		o.Conn().Get(cluster.KindPod, owner, true, func(_ *cluster.Object, found bool, err error) {
 			if err != nil || found {
 				return
 			}
-			o.conn.Delete(cluster.KindPVC, name, 0, func(err error) {
+			o.Conn().Delete(cluster.KindPVC, name, 0, func(err error) {
 				if err == nil {
 					o.PVCDeletes++
 					delete(o.sawTerminating, owner)

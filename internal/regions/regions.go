@@ -20,8 +20,8 @@ package regions
 import (
 	"sort"
 
-	"repro/internal/client"
 	"repro/internal/cluster"
+	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
@@ -156,15 +156,13 @@ type ManagerConfig struct {
 
 // Manager is the assignment manager performing region transitions.
 type Manager struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   ManagerConfig
-	conn  *client.Conn
+	controller.Shell
+	cfg ManagerConfig
 	managerState
 }
 
 // managerState is everything the manager itself carries from one event to
-// the next; its connection carries its own.
+// the next; its shell carries its connection's.
 type managerState struct {
 	// Metrics.
 	Transitions int // attempted
@@ -176,14 +174,13 @@ type managerState struct {
 // ManagerID is the manager's network identity.
 const ManagerID sim.NodeID = "region-manager"
 
-// wireManager registers a manager with no state and no connection in the
-// world: NewManager connects it, RestoreManager assigns it a captured state
-// and connection.
-func wireManager(w *sim.World, cfg ManagerConfig) *Manager {
-	m := &Manager{id: ManagerID, world: w, cfg: cfg}
-	w.Network().Register(m.id, m)
-	w.AddProcess(m)
-	return m
+// spec declares the manager to its shell: a connection, and nothing on it.
+// It runs no informers and owns no timers: its move delays are closures.
+func (m *Manager) spec() controller.Spec {
+	return controller.Spec{
+		ID:       ManagerID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return m.cfg.APIServer, m.cfg.RPCTimeout },
+	}
 }
 
 // NewManager wires the assignment manager into the world.
@@ -191,32 +188,18 @@ func NewManager(w *sim.World, cfg ManagerConfig) *Manager {
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = 5
 	}
-	m := wireManager(w, cfg)
-	m.conn = client.NewConn(w, m.id, cfg.APIServer, cfg.RPCTimeout)
+	m := &Manager{cfg: cfg}
+	m.Start(w, m, m.spec())
 	return m
 }
-
-// ID implements sim.Process.
-func (m *Manager) ID() sim.NodeID { return m.id }
-
-// Crash implements sim.Process.
-func (m *Manager) Crash() { m.conn.Reset() }
-
-// Restart implements sim.Process.
-func (m *Manager) Restart() {
-	m.conn = client.NewConn(m.world, m.id, m.cfg.APIServer, m.cfg.RPCTimeout)
-}
-
-// HandleMessage implements sim.Handler.
-func (m *Manager) HandleMessage(msg *sim.Message) { m.conn.HandleMessage(msg) }
 
 // CreateRegion registers a region served by owner and tells the server to
 // open it. done is invoked when the object is stored.
 func (m *Manager) CreateRegion(name, owner string, done func(error)) {
 	obj := cluster.NewRegion(name, "region-"+name, cluster.RegionSpec{Owner: owner, State: cluster.RegionOnline})
-	m.conn.Create(obj, func(_ *cluster.Object, err error) {
+	m.Conn().Create(obj, func(_ *cluster.Object, err error) {
 		if err == nil {
-			m.world.Network().Send(m.id, ServerID(owner), "region-open", &openCmd{Region: name})
+			m.World().Network().Send(ManagerID, ServerID(owner), "region-open", &openCmd{Region: name})
 		}
 		done(err)
 	})
@@ -235,8 +218,8 @@ func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(er
 	// The move's two delays are closures over its continuation, so each asks
 	// the kernel fact itself whether the boot that armed it is still the
 	// live one: the connection this attempt runs on.
-	boot := m.conn
-	m.conn.Get(cluster.KindRegion, region, quorum, func(obj *cluster.Object, found bool, err error) {
+	boot := m.Conn()
+	m.Conn().Get(cluster.KindRegion, region, quorum, func(obj *cluster.Object, found bool, err error) {
 		if err != nil || !found {
 			done(errOr(err, errNotFound))
 			return
@@ -248,14 +231,14 @@ func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(er
 		if m.cfg.Mode == ModeStaleBlind {
 			upd.Meta.ResourceVersion = 0 // unguarded write
 		}
-		m.conn.Update(upd, func(_ *cluster.Object, uerr error) {
+		m.Conn().Update(upd, func(_ *cluster.Object, uerr error) {
 			if uerr != nil {
 				m.CASFailures++
 				if m.cfg.Mode == ModeOptimisticCAS && attempt+1 < m.cfg.MaxRetries {
 					m.Retries++
 					// Refresh (the failed CAS proves our view was stale;
 					// sync once) and retry.
-					m.world.Kernel().Schedule(5*sim.Millisecond, func() {
+					m.World().Kernel().Schedule(5*sim.Millisecond, func() {
 						if !boot.Retired() {
 							m.moveAttempt(region, newOwner, attempt+1, done)
 						}
@@ -271,13 +254,13 @@ func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(er
 			// (close-before-open discipline; the links are FIFO but close
 			// and open travel different links).
 			if prevOwner != "" && prevOwner != newOwner {
-				m.world.Network().Send(m.id, ServerID(prevOwner), "region-close", &closeCmd{Region: region})
+				m.World().Network().Send(ManagerID, ServerID(prevOwner), "region-close", &closeCmd{Region: region})
 			}
-			m.world.Kernel().Schedule(3*sim.Millisecond, func() {
+			m.World().Kernel().Schedule(3*sim.Millisecond, func() {
 				if boot.Retired() {
 					return
 				}
-				m.world.Network().Send(m.id, ServerID(newOwner), "region-open", &openCmd{Region: region})
+				m.World().Network().Send(ManagerID, ServerID(newOwner), "region-open", &openCmd{Region: region})
 				m.Succeeded++
 				done(nil)
 			})

@@ -1,7 +1,7 @@
 package regions
 
 import (
-	"repro/internal/client"
+	"repro/internal/controller"
 	"repro/internal/sim"
 )
 
@@ -34,26 +34,19 @@ func RestoreServer(w *sim.World, name string, snap *ServerSnapshot) *RegionServe
 type ManagerSnapshot struct {
 	Cfg   ManagerConfig
 	State managerState
-	Conn  *client.ConnSnapshot
+	Shell controller.ShellSnapshot
 }
 
-// Snapshot captures the manager's state. It fails (ok=false) when an RPC
-// call is in flight (an in-flight move's continuation cannot be
-// reconstructed).
-func (m *Manager) Snapshot() (*ManagerSnapshot, bool) {
-	cs, ok := m.conn.Snapshot()
-	if !ok {
-		return nil, false
-	}
-	return &ManagerSnapshot{Cfg: m.cfg, State: m.managerState, Conn: cs}, true
+// Snapshot captures the manager, whose connection must be Quiescent (an
+// in-flight move's continuation cannot be reconstructed).
+func (m *Manager) Snapshot() *ManagerSnapshot {
+	return &ManagerSnapshot{Cfg: m.cfg, State: m.managerState, Shell: m.Shell.Snapshot()}
 }
 
 // RestoreManager reconstructs the assignment manager from a snapshot
-// inside world w. The manager runs no informers and owns no timers of its
-// own: its move timers are closures, and a capture waits them out.
+// inside world w.
 func RestoreManager(w *sim.World, snap *ManagerSnapshot) *Manager {
-	m := wireManager(w, snap.Cfg)
-	m.managerState = snap.State
-	m.conn = client.RestoreConn(w, snap.Conn)
+	m := &Manager{cfg: snap.Cfg, managerState: snap.State}
+	m.Shell.Restore(w, m, m.spec(), snap.Shell)
 	return m
 }

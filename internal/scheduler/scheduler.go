@@ -18,8 +18,8 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrNoNodes is returned internally when no candidate node is available.
-var ErrNoNodes = errors.New("scheduler: no schedulable nodes")
+// errNoNodes says no candidate node is available.
+var errNoNodes = errors.New("scheduler: no schedulable nodes")
 
 // errNodeNotFound marks a bind rejected because the target node is gone.
 var errNodeNotFound = errors.New("scheduler: bind failed, node not found")
@@ -43,19 +43,16 @@ func DefaultConfig(api sim.NodeID) Config {
 
 // Scheduler is the control-plane scheduler process.
 type Scheduler struct {
-	id    sim.NodeID
-	world *sim.World
-	cfg   Config
+	controller.Shell
+	cfg Config
 
-	conn    *client.Conn
 	podInf  *client.Informer
 	nodeInf *client.Informer
-	queue   *controller.Queue
 	state
 }
 
 // state is everything the scheduler itself carries from one event to the
-// next; its connection and its queue carry their own.
+// next; its shell carries its connection's and its queue's.
 type state struct {
 	// deadNodes are nodes evicted from consideration after bind failures
 	// (only populated by the fixed variant).
@@ -74,45 +71,27 @@ func (s state) clone() state {
 // ID is the scheduler's network identity.
 const ID sim.NodeID = "scheduler"
 
-// wire registers a scheduler with no state in the world: what New boots and
-// Restore assigns a captured state to.
-func wire(w *sim.World, cfg Config) *Scheduler {
-	s := &Scheduler{id: ID, world: w, cfg: cfg}
-	w.Network().Register(s.id, s)
-	w.AddProcess(s)
-	return s
+// spec declares the scheduler to its shell. It arms no timer of its own.
+func (s *Scheduler) spec() controller.Spec {
+	watch := client.InformerConfig{WatchTimeout: sim.Second}
+	return controller.Spec{
+		ID:       ID,
+		Upstream: func() (sim.NodeID, sim.Duration) { return s.cfg.APIServer, s.cfg.RPCTimeout },
+		Informers: []controller.InformerSpec{
+			{Into: &s.nodeInf, Kind: cluster.KindNode, Cfg: watch, Handler: s.nodeHandler},
+			{Into: &s.podInf, Kind: cluster.KindPod, Cfg: watch, Handler: s.EnqueueHandler},
+		},
+		Reconcile: s.reconcile,
+		Crashed:   func() { s.deadNodes = make(map[string]bool) },
+	}
 }
 
 // New wires a scheduler into the world.
 func New(w *sim.World, cfg Config) *Scheduler {
-	s := wire(w, cfg)
-	s.deadNodes = make(map[string]bool)
-	s.boot()
+	s := &Scheduler{cfg: cfg, state: state{deadNodes: make(map[string]bool)}}
+	s.Start(w, s, s.spec())
 	return s
 }
-
-// ID implements sim.Process.
-func (s *Scheduler) ID() sim.NodeID { return s.id }
-
-// Conn returns the scheduler's API connection.
-func (s *Scheduler) Conn() *client.Conn { return s.conn }
-
-// Crash implements sim.Process.
-func (s *Scheduler) Crash() {
-	s.conn.Reset()
-	s.queue.Stop()
-	s.podInf, s.nodeInf = nil, nil
-}
-
-// Restart implements sim.Process.
-func (s *Scheduler) Restart() {
-	s.deadNodes = make(map[string]bool)
-	s.boot()
-}
-
-// HandleMessage implements sim.Handler. The network delivers nothing to a
-// crashed node, and a reset connection has nothing for a message to reach.
-func (s *Scheduler) HandleMessage(m *sim.Message) { s.conn.HandleMessage(m) }
 
 // NodeView returns the node names currently schedulable in the scheduler's
 // cache (S'), sorted. Oracles compare this against ground truth.
@@ -129,25 +108,6 @@ func (s *Scheduler) NodeView() []string {
 	sort.Strings(out)
 	return out
 }
-
-func (s *Scheduler) boot() {
-	s.conn = client.NewConn(s.world, s.id, s.cfg.APIServer, s.cfg.RPCTimeout)
-	s.queue = controller.NewQueue(s.world.Kernel(), queueOwner, controller.DefaultQueueConfig(),
-		controller.ReconcilerFunc(s.reconcile))
-	s.nodeInf = client.NewInformer(s.conn, cluster.KindNode, client.InformerConfig{
-		WatchTimeout: sim.Second,
-	})
-	s.nodeInf.AddHandler(s.nodeHandler())
-	s.podInf = client.NewInformer(s.conn, cluster.KindPod, client.InformerConfig{
-		WatchTimeout: sim.Second,
-	})
-	s.podInf.AddHandler(controller.EnqueueHandler{Queue: s.queue})
-	s.nodeInf.Run()
-	s.podInf.Run()
-}
-
-// queueOwner is the name the work queue's timers are armed under.
-const queueOwner = string(ID) + "/queue"
 
 // nodeHandler forgets a bind failure once the node it was held against is
 // gone.
@@ -213,7 +173,7 @@ func (s *Scheduler) pickNode() (string, error) {
 		}
 	}
 	if len(cands) == 0 {
-		return "", ErrNoNodes
+		return "", errNoNodes
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].free != cands[j].free {
@@ -230,10 +190,10 @@ func (s *Scheduler) pickNode() (string, error) {
 // bind validates the node's existence (the binding subresource check) and
 // writes the assignment.
 func (s *Scheduler) bind(pod *cluster.Object, node string) {
-	s.conn.Get(cluster.KindNode, node, true, func(_ *cluster.Object, found bool, err error) {
+	s.Conn().Get(cluster.KindNode, node, true, func(_ *cluster.Object, found bool, err error) {
 		if err != nil {
 			s.BindFailures++
-			s.queue.AddAfter(pod.Meta.Name, 50*sim.Millisecond)
+			s.Queue().AddAfter(pod.Meta.Name, 50*sim.Millisecond)
 			return
 		}
 		if !found {
@@ -244,16 +204,16 @@ func (s *Scheduler) bind(pod *cluster.Object, node string) {
 			if s.cfg.EvictUnknownNodes {
 				s.deadNodes[node] = true
 			}
-			s.queue.AddAfter(pod.Meta.Name, 50*sim.Millisecond)
+			s.Queue().AddAfter(pod.Meta.Name, 50*sim.Millisecond)
 			return
 		}
 		bound := pod.Clone()
 		bound.Pod.NodeName = node
 		bound.Pod.Phase = cluster.PodScheduled
-		s.conn.Update(bound, func(_ *cluster.Object, err error) {
+		s.Conn().Update(bound, func(_ *cluster.Object, err error) {
 			if err != nil {
 				s.BindFailures++
-				s.queue.AddAfter(pod.Meta.Name, 50*sim.Millisecond)
+				s.Queue().AddAfter(pod.Meta.Name, 50*sim.Millisecond)
 				return
 			}
 			s.Binds++

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/sim"
 )
 
 // TestReferenceRunsAreClean verifies that no target bug manifests without
@@ -83,6 +84,34 @@ func TestBaselinesGeneratePlans(t *testing.T) {
 				t.Errorf("%s generated duplicate plan %s", s.Name(), p.ID())
 			}
 			ids[p.ID()] = true
+		}
+	}
+}
+
+// TestTopologyNamesProcessesThePlansCanReach: every ID a target's topology
+// lists is a process of the world it builds, and every Resteerable one
+// implements core.Resteerable. TimeTravelPlan.Apply skips a process that
+// does not — silently, turning a whole plan family into crash-and-restart —
+// and a component that takes its lifecycle from an embedded shell keeps the
+// method only as long as it is the component the world registers.
+func TestTopologyNamesProcessesThePlansCanReach(t *testing.T) {
+	for _, tg := range append(AllTargets(), ScaleTargets()...) {
+		w := tg.Build(1).World
+		for _, list := range []struct {
+			name string
+			ids  []sim.NodeID
+		}{{"APIServers", tg.Topology.APIServers}, {"Restartable", tg.Topology.Restartable}, {"Resteerable", tg.Topology.Resteerable}} {
+			if len(list.ids) == 0 && list.name != "Resteerable" {
+				t.Errorf("%s: Topology.%s is empty", tg.Name, list.name)
+			}
+			for _, id := range list.ids {
+				p, ok := w.Process(id)
+				if !ok {
+					t.Errorf("%s: Topology.%s names %s, which is no process of the world", tg.Name, list.name, id)
+				} else if _, steers := p.(core.Resteerable); list.name == "Resteerable" && !steers {
+					t.Errorf("%s: Topology.Resteerable names %s, and %T has no SetRestartUpstream", tg.Name, id, p)
+				}
+			}
 		}
 	}
 }
