@@ -62,17 +62,54 @@ type clientSub struct {
 	lastSent int64 // highest revision pushed
 }
 
-// decodedObj is one entry of the ModRevision-keyed decode memo: obj is
+// decodedObj is one entry of a ModRevision-keyed decode memo: obj is
 // the decode of the cached value at revision rev. Same discipline as the
 // store layer's memo (store.go): a pure cache, never part of snapshots or
 // equality, self-invalidating by revision compare. The memoized object is
-// THE object for (this apiserver, key, rev): watch pushes, list and get
-// replies, informer caches and handler arguments all carry this pointer,
-// so nobody may mutate it — a holder that wants to change it Clones first
+// THE object for (cluster, key, rev): watch pushes, list and get replies,
+// informer caches and handler arguments all carry this pointer, so nobody
+// may mutate it — a holder that wants to change it Clones first
 // (DESIGN.md, "Object ownership").
 type decodedObj struct {
 	rev int64
 	obj *cluster.Object
+}
+
+// Decodes is one cluster's memo of committed revisions decoded by its
+// apiservers: the newest decode of each key. Every apiserver of the
+// cluster asks it before decoding a pushed revision, so a revision is
+// decoded once per cluster, not once per apiserver. It is a pure function
+// of committed bytes: it is never captured (a restored cluster starts with
+// an empty one and refills it on miss), and an apiserver looks up only a
+// (key, revision) whose bytes it has itself received. One cluster's
+// apiservers share one; two clusters never do.
+type Decodes struct {
+	m map[string]decodedObj
+}
+
+// NewDecodes returns an empty memo.
+func NewDecodes() *Decodes { return &Decodes{m: make(map[string]decodedObj)} }
+
+// lookup returns the memoized decode of key at rev. A nil memo holds
+// nothing.
+func (d *Decodes) lookup(key string, rev int64) (*cluster.Object, bool) {
+	if d == nil {
+		return nil, false
+	}
+	e, ok := d.m[key]
+	return e.obj, ok && e.rev == rev
+}
+
+// offer memoizes obj as key's decode at rev unless a newer revision of key
+// is already there: a lagging apiserver decodes an older revision for
+// itself and leaves the newer entry alone.
+func (d *Decodes) offer(key string, rev int64, obj *cluster.Object) {
+	if d == nil {
+		return
+	}
+	if e, ok := d.m[key]; !ok || e.rev < rev {
+		d.m[key] = decodedObj{rev: rev, obj: obj}
+	}
 }
 
 // ServeStats counts serving-path work. Pure observability — never part
@@ -88,7 +125,7 @@ type ServeStats struct {
 	DecodeHits      uint64 // cached-read decodes answered from the memo
 	DecodeMisses    uint64 // cached-read decodes that ran cluster.Decode
 	WindowTrims     uint64 // head advances of the retained event window
-	WindowCompacts  uint64 // allocations that reclaimed the window's dead prefix
+	WindowCompacts  uint64 // WindowSize-event spans of dead prefix the window has released
 }
 
 // Server is one apiserver instance: a watch cache over the store plus a
@@ -108,6 +145,7 @@ type Server struct {
 	kindKeys   map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
 	kindBroken bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
 	decoded    map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
+	shared     *Decodes                  // the cluster's decode memo (ShareDecodes); nil decodes alone
 	stats      ServeStats
 
 	// pushSlab arena-allocates the per-subscriber single-event push
@@ -119,30 +157,27 @@ type Server struct {
 
 // state is everything the server's watch cache carries from one event to
 // the next. The retained event window is shared copy-on-write with every
-// snapshot (applyOne's append reallocates a capped slice, and compaction
-// always allocates fresh); cached KVs share their value bytes — the
-// apiserver never mutates a cached value in place, it installs fresh KV
-// structs.
+// snapshot (history.Log: a fork copies at most the chunk it appends to);
+// cached KVs share their value bytes — the apiserver never mutates a cached
+// value in place, it installs fresh KV structs.
 type state struct {
 	down  bool
 	ready bool
 
 	cache       map[string]store.KV `snap:"shared-elems"`
 	cachedRev   int64
-	window      []history.Event `snap:"shared"`
-	winHead     int             // logical window start: window[winHead:] is the live window
-	minStartRev int64           // newest revision no longer replayable from the window
+	window      history.Log[history.Event] `snap:"shared"`
+	minStartRev int64                      // newest revision no longer replayable from the window
 	subs        map[string]clientSub
 	storeSubID  uint64
 	lastEventAt sim.Time
 }
 
-// clone re-makes the maps and caps the live window (dropping the dead
-// prefix), so an append on either side reallocates.
+// clone re-makes the maps and forks the window.
 func (s state) clone() state {
 	s.cache = sim.CloneMap(s.cache)
 	s.subs = sim.CloneMap(s.subs)
-	s.window, s.winHead = s.window[s.winHead:len(s.window):len(s.window)], 0
+	s.window = s.window.Fork()
 	return s
 }
 
@@ -174,6 +209,11 @@ func New(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	return s
 }
 
+// ShareDecodes hands the server its cluster's decode memo: applyOne asks
+// it before decoding a pushed revision. infra wires one per cluster, built
+// or restored.
+func (s *Server) ShareDecodes(d *Decodes) { s.shared = d }
+
 // ID returns the apiserver's node ID.
 func (s *Server) ID() sim.NodeID { return s.id }
 
@@ -193,8 +233,7 @@ func (s *Server) Crash() {
 	s.timers.Retire()
 	s.rpcCl.Reset()
 	s.cache = make(map[string]store.KV)
-	s.window = nil
-	s.winHead = 0
+	s.window = history.Log[history.Event]{}
 	s.cachedRev = 0
 	s.subs = make(map[string]clientSub)
 	s.subsOrder = nil
@@ -243,8 +282,7 @@ func (s *Server) bootstrap() {
 			}
 			s.rebuildKindIndex()
 			s.cachedRev = resp.Revision
-			s.window = nil
-			s.winHead = 0
+			s.window = history.Log[history.Event]{}
 			// Events before the relist revision cannot be replayed to
 			// clients anymore.
 			s.minStartRev = resp.Revision
@@ -338,12 +376,16 @@ func (s *Server) applyOne(e history.Event) {
 		if !existed {
 			s.kindIndexInsert(e.Key)
 		}
-		obj, err := cluster.Decode(e.Value, e.Revision)
-		if err != nil {
-			return
+		// The one decode of this revision in this cluster: cached reads,
+		// every subscriber and the other apiservers share it.
+		obj, ok := s.shared.lookup(e.Key, e.Revision)
+		if !ok {
+			var err error
+			if obj, err = cluster.Decode(e.Value, e.Revision); err != nil {
+				return
+			}
+			s.shared.offer(e.Key, e.Revision, obj)
 		}
-		// The one decode of this revision on this apiserver: cached reads
-		// and every subscriber share it.
 		s.memoize(e.Key, e.Revision, obj)
 		if kv.Version == 1 {
 			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision}
@@ -382,21 +424,14 @@ func (s *Server) applyOne(e history.Event) {
 		relay = WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision}
 	}
 	s.cachedRev = e.Revision
-	s.window = append(s.window, e)
-	if s.cfg.WindowSize > 0 && len(s.window)-s.winHead > s.cfg.WindowSize {
-		// Amortized trim: advance the logical head instead of copying the
-		// retained suffix on every committed event. The dead prefix is
-		// reclaimed in one fresh allocation once it has grown to a full
-		// window, so trimming is O(1) amortized and the backing array
-		// never exceeds 2× WindowSize live slots. Compaction must
-		// allocate (not slide in place): snapshots share the backing
-		// array copy-on-write.
-		s.winHead++
-		s.minStartRev = s.window[s.winHead-1].Revision
+	s.window.Append(e)
+	if s.cfg.WindowSize > 0 && s.window.Len() > s.cfg.WindowSize {
+		// Trim: the head advances past the oldest event, and a chunk it
+		// has passed is released whole — nothing is copied.
+		s.minStartRev = s.window.At(0).Revision
+		s.window.DropFront(1)
 		s.stats.WindowTrims++
-		if s.winHead >= s.cfg.WindowSize {
-			s.window = append([]history.Event(nil), s.window[s.winHead:]...)
-			s.winHead = 0
+		if s.window.Offset()%s.cfg.WindowSize == 0 {
 			s.stats.WindowCompacts++
 		}
 	}
@@ -770,11 +805,11 @@ func (s *Server) register() {
 		}
 		// Replay the window backlog beyond the client's start revision.
 		// The window is revision-ordered.
-		win := s.window[s.winHead:]
-		first := sort.Search(len(win), func(i int) bool { return win[i].Revision > req.StartRev })
+		first := s.window.Search(func(e history.Event) bool { return e.Revision > req.StartRev })
 		prefix := cluster.KindPrefix(req.Kind)
 		var backlog []WatchEvent
-		for _, e := range win[first:] {
+		for i := first; i < s.window.Len(); i++ {
+			e := s.window.At(i)
 			if !strings.HasPrefix(e.Key, prefix) {
 				continue
 			}

@@ -160,7 +160,7 @@ func TestWatchDeliversTypedEvents(t *testing.T) {
 	}
 	// Update → Modified; Delete → Deleted with tombstone.
 	g, _ := h.cl.call("api-1", MethodGet, &GetRequest{Kind: cluster.KindPod, Name: "p1"})
-	obj := g.(*GetResponse).Object
+	obj := g.(*GetResponse).Object.Clone()
 	obj.Pod.Phase = cluster.PodTerminating
 	if _, err := h.cl.call("api-1", MethodUpdate, &UpdateRequest{Object: obj}); err != nil {
 		t.Fatal(err)

@@ -190,10 +190,62 @@ func TestDecodeMemoHitsOnRepeatedLists(t *testing.T) {
 	}
 }
 
-// TestWindowTrimAmortized: the watch window must not be re-sliced with a
-// fresh allocation on every appended event. The head index advances
-// per-event (free) and the backing array is compacted only once per
-// WindowSize trims, so the array never exceeds twice the logical window.
+// TestCommittedRevisionDecodedOncePerWorld: the apiservers of one world
+// share one decode of a committed revision — both memos and both watch
+// pushes carry the same pointer, and the read-path counters do not see it.
+// A world restored from a capture starts with an empty memo: its apiserver
+// decodes on first use, to an equal object.
+func TestCommittedRevisionDecodedOncePerWorld(t *testing.T) {
+	h := newHarness(t, 2)
+	decodes := NewDecodes()
+	for i, api := range h.apis {
+		api.ShareDecodes(decodes)
+		if _, err := h.cl.call(api.ID(), MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: uint64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := [2]ServeStats{h.apis[0].Stats(), h.apis[1].Stats()}
+	if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod("p1", "k1")}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(50 * sim.Millisecond)
+
+	var pushed [2]*cluster.Object
+	for _, p := range h.cl.pushes {
+		pushed[p.SubID-1] = p.Events[0].Object
+	}
+	obj := pushed[0]
+	if obj == nil || pushed[1] != obj {
+		t.Fatalf("watch pushes carry %p and %p, want one object", pushed[0], pushed[1])
+	}
+	for i, api := range h.apis {
+		if m := api.Memoized(); len(m) != 1 || m[0] != obj {
+			t.Fatalf("%s memoizes %v, want the pushed %p", api.ID(), m, obj)
+		}
+		if st := api.Stats(); st.DecodeHits != before[i].DecodeHits || st.DecodeMisses != before[i].DecodeMisses {
+			t.Fatalf("%s counted the watch path as reads: %+v -> %+v", api.ID(), before[i], st)
+		}
+	}
+
+	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
+	restored := Restore(w, h.apis[1].Snapshot())
+	restored.ShareDecodes(NewDecodes())
+	resp, err := restored.getCached(cluster.KindPod, "p1")
+	if err != nil || !resp.Found {
+		t.Fatalf("restored get: %+v, %v", resp, err)
+	}
+	if resp.Object == obj || !reflect.DeepEqual(resp.Object, obj) {
+		t.Fatalf("restored apiserver served %p %+v, want a fresh decode equal to %+v", resp.Object, resp.Object, obj)
+	}
+	if st := restored.Stats(); st.DecodeMisses != 1 || st.DecodeHits != 0 {
+		t.Fatalf("restored first read: %+v, want one decode", st)
+	}
+}
+
+// TestWindowTrimAmortized: trimming the watch window must not copy or
+// allocate per appended event. The log's head advances per event (free),
+// whole chunks are released as it passes them, and a compaction is
+// counted once per WindowSize trims.
 func TestWindowTrimAmortized(t *testing.T) {
 	h := servingHarness(t, func(c *Config) { c.WindowSize = 64 })
 	api := h.apis[0]

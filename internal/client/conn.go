@@ -151,16 +151,17 @@ func (c *Conn) Get(kind cluster.Kind, name string, quorum bool, cb func(*cluster
 		})
 }
 
-// Create stores a new object.
+// Create stores a new object. The caller hands obj over: it becomes the
+// request, and nobody writes to it again (DESIGN.md, "Object ownership").
 func (c *Conn) Create(obj *cluster.Object, cb func(*cluster.Object, error)) {
-	c.rpc.Call(c.api, apiserver.MethodCreate, &apiserver.CreateRequest{Object: obj.Clone()},
-		writeCB(cb))
+	c.rpc.Call(c.api, apiserver.MethodCreate, &apiserver.CreateRequest{Object: obj}, writeCB(cb))
 }
 
 // Update overwrites an object guarded by its ResourceVersion (0 = blind).
+// The caller hands obj — a fresh Clone or a new object — over, as for
+// Create.
 func (c *Conn) Update(obj *cluster.Object, cb func(*cluster.Object, error)) {
-	c.rpc.Call(c.api, apiserver.MethodUpdate, &apiserver.UpdateRequest{Object: obj.Clone()},
-		writeCB(cb))
+	c.rpc.Call(c.api, apiserver.MethodUpdate, &apiserver.UpdateRequest{Object: obj}, writeCB(cb))
 }
 
 // Delete removes an object; expectRV of 0 deletes unconditionally.

@@ -33,6 +33,10 @@ func newFixture(t *testing.T) *fixture {
 	f.st = store.NewServer(w, "etcd", store.New())
 	f.api1 = apiserver.New(w, "api-1", apiserver.DefaultConfig("etcd"))
 	f.api2 = apiserver.New(w, "api-2", apiserver.DefaultConfig("etcd"))
+	// One world, one decode memo — wired as infra wires a cluster.
+	decodes := apiserver.NewDecodes()
+	f.api1.ShareDecodes(decodes)
+	f.api2.ShareDecodes(decodes)
 	f.c = &comp{}
 	f.c.conn = NewConn(w, "comp", "api-1", 300*sim.Millisecond)
 	w.Network().Register("comp", f.c)
@@ -99,9 +103,10 @@ func TestInformerUpdateAndDeleteEvents(t *testing.T) {
 	inf.Run()
 	f.w.Kernel().RunFor(100 * sim.Millisecond)
 
-	obj.Pod.Phase = cluster.PodTerminating
+	upd := obj.Clone()
+	upd.Pod.Phase = cluster.PodTerminating
 	done := false
-	f.c.conn.Update(obj, func(o *cluster.Object, err error) {
+	f.c.conn.Update(upd, func(o *cluster.Object, err error) {
 		if err != nil {
 			t.Errorf("update: %v", err)
 		}
@@ -469,11 +474,13 @@ func TestInformerStaleRelistHandsOutStaleObjects(t *testing.T) {
 			stale, stale.Pod.Phase, created.Meta.ResourceVersion)
 	}
 	back := mustGet(t, inf, "p2")
-	if len(h.adds) != 1 || h.adds[0] != back || back == p2 {
-		t.Fatalf("resurrected add got %v, cache holds %p (before the delete: %p)", h.adds, back, p2)
+	if len(h.adds) != 1 || h.adds[0] != back {
+		t.Fatalf("resurrected add got %v, cache holds %p", h.adds, back)
 	}
-	if back.Meta.ResourceVersion != p2.Meta.ResourceVersion || back.Meta.UID != p2.Meta.UID {
-		t.Fatalf("resurrected %s uid %s, deleted incarnation was %s uid %s", back, back.Meta.UID, p2, p2.Meta.UID)
+	if back.Meta.ResourceVersion != p2.Meta.ResourceVersion || back.Meta.ResourceVersion >= frontier ||
+		back.Meta.UID != p2.Meta.UID || back.Pod.Phase != p2.Pod.Phase {
+		t.Fatalf("resurrected %s uid %s phase %q, deleted incarnation was %s uid %s phase %q (frontier %d)",
+			back, back.Meta.UID, back.Pod.Phase, p2, p2.Meta.UID, p2.Pod.Phase, frontier)
 	}
 }
 

@@ -60,27 +60,22 @@ type Observation struct {
 // Unlike History it permits out-of-order and duplicate entries — that is
 // exactly what it exists to detect.
 type ObservationLog struct {
-	obs []Observation
+	obs Log[Observation]
 }
 
 // Record appends an observation.
-func (l *ObservationLog) Record(o Observation) { l.obs = append(l.obs, o) }
+func (l *ObservationLog) Record(o Observation) { l.obs.Append(o) }
 
 // Fork returns a copy-on-write fork of the log: it shares the recorded
-// prefix (capped so the first Record on either side reallocates) — the
-// prefix-checkpoint layer's snapshot primitive.
-func (l *ObservationLog) Fork() ObservationLog {
-	return ObservationLog{obs: l.obs[:len(l.obs):len(l.obs)]}
-}
+// prefix (Log.Fork) — the prefix-checkpoint layer's snapshot primitive.
+func (l *ObservationLog) Fork() ObservationLog { return ObservationLog{obs: l.obs.Fork()} }
 
 // Len returns the number of recorded observations.
-func (l *ObservationLog) Len() int { return len(l.obs) }
+func (l *ObservationLog) Len() int { return l.obs.Len() }
 
 // Observations returns a copy of the log.
 func (l *ObservationLog) Observations() []Observation {
-	out := make([]Observation, len(l.obs))
-	copy(out, l.obs)
-	return out
+	return l.obs.AppendTo(make([]Observation, 0, l.obs.Len()), 0)
 }
 
 // TimeTravelEpisode marks a regression in a component's observations: at
@@ -98,7 +93,8 @@ type TimeTravelEpisode struct {
 func (l *ObservationLog) TimeTravels() []TimeTravelEpisode {
 	var eps []TimeTravelEpisode
 	var maxSeen int64
-	for i, o := range l.obs {
+	for i := 0; i < l.obs.Len(); i++ {
+		o := l.obs.At(i)
 		if o.Revision < maxSeen {
 			eps = append(eps, TimeTravelEpisode{Index: i, Revision: o.Revision, MaxSeen: maxSeen})
 		}
@@ -113,7 +109,8 @@ func (l *ObservationLog) TimeTravels() []TimeTravelEpisode {
 // in the log (0 when the log is monotone).
 func (l *ObservationLog) MaxRegression() int64 {
 	var maxSeen, worst int64
-	for _, o := range l.obs {
+	for i := 0; i < l.obs.Len(); i++ {
+		o := l.obs.At(i)
 		if d := maxSeen - o.Revision; d > worst {
 			worst = d
 		}

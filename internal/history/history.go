@@ -12,7 +12,6 @@ package history
 import (
 	"bytes"
 	"fmt"
-	"sort"
 )
 
 // EventType classifies a change to the state.
@@ -63,7 +62,7 @@ func (e Event) Equal(o Event) bool {
 // History is an ordered sequence of committed events with strictly
 // increasing revisions. The zero value is an empty history.
 type History struct {
-	events []Event
+	events Log[Event]
 }
 
 // New returns an empty history.
@@ -84,59 +83,57 @@ func FromEvents(events []Event) (*History, error) {
 // Append adds a committed event. The event's revision must exceed the last
 // appended revision; otherwise Append fails and the history is unchanged.
 func (h *History) Append(e Event) error {
-	if n := len(h.events); n > 0 && e.Revision <= h.events[n-1].Revision {
-		return fmt.Errorf("history: non-monotonic revision %d after %d", e.Revision, h.events[n-1].Revision)
+	if last := h.LastRevision(); h.Len() > 0 && e.Revision <= last {
+		return fmt.Errorf("history: non-monotonic revision %d after %d", e.Revision, last)
 	}
 	if e.Revision <= 0 {
 		return fmt.Errorf("history: revision must be positive, got %d", e.Revision)
 	}
-	h.events = append(h.events, e)
+	h.events.Append(e)
 	return nil
 }
 
 // Len returns the number of events.
-func (h *History) Len() int { return len(h.events) }
+func (h *History) Len() int { return h.events.Len() }
 
 // LastRevision returns the revision of the newest event, or 0 if empty.
 func (h *History) LastRevision() int64 {
-	if len(h.events) == 0 {
+	if h.Len() == 0 {
 		return 0
 	}
-	return h.events[len(h.events)-1].Revision
+	return h.events.At(h.Len() - 1).Revision
 }
 
 // FirstRevision returns the revision of the oldest retained event, or 0 if
 // empty. After compaction this can exceed 1.
 func (h *History) FirstRevision() int64 {
-	if len(h.events) == 0 {
+	if h.Len() == 0 {
 		return 0
 	}
-	return h.events[0].Revision
+	return h.events.At(0).Revision
 }
 
 // Events returns a copy of the event sequence.
-func (h *History) Events() []Event {
-	out := make([]Event, len(h.events))
-	copy(out, h.events)
-	return out
-}
+func (h *History) Events() []Event { return h.events.AppendTo(make([]Event, 0, h.Len()), 0) }
 
 // At returns the i-th event (0-based).
-func (h *History) At(i int) Event { return h.events[i] }
+func (h *History) At(i int) Event { return h.events.At(i) }
+
+// after returns the index of the first event with revision > rev.
+func (h *History) after(rev int64) int {
+	return h.events.Search(func(e Event) bool { return e.Revision > rev })
+}
 
 // Since returns all events with revision > rev, in order.
 func (h *History) Since(rev int64) []Event {
-	i := sort.Search(len(h.events), func(i int) bool { return h.events[i].Revision > rev })
-	out := make([]Event, len(h.events)-i)
-	copy(out, h.events[i:])
-	return out
+	i := h.after(rev)
+	return h.events.AppendTo(make([]Event, 0, h.Len()-i), i)
 }
 
 // Find returns the event with the given revision.
 func (h *History) Find(rev int64) (Event, bool) {
-	i := sort.Search(len(h.events), func(i int) bool { return h.events[i].Revision >= rev })
-	if i < len(h.events) && h.events[i].Revision == rev {
-		return h.events[i], true
+	if i := h.after(rev - 1); i < h.Len() && h.events.At(i).Revision == rev {
+		return h.events.At(i), true
 	}
 	return Event{}, false
 }
@@ -145,26 +142,21 @@ func (h *History) Find(rev int64) (Event, bool) {
 // window of etcd / the apiserver ([7] in the paper): earlier events become
 // unobservable even if a client explicitly asks for them.
 func (h *History) Compact(rev int64) int {
-	i := sort.Search(len(h.events), func(i int) bool { return h.events[i].Revision >= rev })
-	dropped := i
-	h.events = append([]Event(nil), h.events[i:]...)
+	dropped := h.after(rev - 1)
+	h.events.DropFront(dropped)
 	return dropped
 }
 
 // Fork returns a copy-on-write fork of the history: it shares the retained
-// events, which are immutable once committed, capped at their length so an
-// Append on either side reallocates instead of scribbling over the shared
-// backing array (Compact always allocates) — the prefix-checkpoint layer's
-// snapshot primitive, as ObservationLog.Fork is.
-func (h *History) Fork() History {
-	return History{events: h.events[:len(h.events):len(h.events)]}
-}
+// events, which are immutable once committed (Log.Fork) — the
+// prefix-checkpoint layer's snapshot primitive.
+func (h *History) Fork() History { return History{events: h.events.Fork()} }
 
-// Clone returns a deep copy of the history.
+// Clone returns an independent copy of the history: a Fork behind a
+// pointer.
 func (h *History) Clone() *History {
-	c := &History{events: make([]Event, len(h.events))}
-	copy(c.events, h.events)
-	return c
+	c := h.Fork()
+	return &c
 }
 
 // IsPartialOf reports whether h is a partial history of full: a subsequence
@@ -174,11 +166,12 @@ func (h *History) Clone() *History {
 // check guards against fabricated events that reuse a revision number.
 func (h *History) IsPartialOf(full *History) bool {
 	j := 0
-	for _, e := range h.events {
-		for j < len(full.events) && full.events[j].Revision < e.Revision {
+	for i := 0; i < h.Len(); i++ {
+		e := h.At(i)
+		for j < full.Len() && full.At(j).Revision < e.Revision {
 			j++
 		}
-		if j >= len(full.events) || !full.events[j].Equal(e) {
+		if j >= full.Len() || !full.At(j).Equal(e) {
 			return false
 		}
 		j++
@@ -193,14 +186,15 @@ func (h *History) MissingFrom(full *History) []Event {
 	frontier := h.LastRevision()
 	var missing []Event
 	j := 0
-	for _, fe := range full.events {
+	for i := 0; i < full.Len(); i++ {
+		fe := full.At(i)
 		if fe.Revision > frontier {
 			break
 		}
-		for j < len(h.events) && h.events[j].Revision < fe.Revision {
+		for j < h.Len() && h.At(j).Revision < fe.Revision {
 			j++
 		}
-		if j < len(h.events) && h.events[j].Revision == fe.Revision {
+		if j < h.Len() && h.At(j).Revision == fe.Revision {
 			continue
 		}
 		missing = append(missing, fe)

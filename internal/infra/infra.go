@@ -164,10 +164,12 @@ func New(opts Options) *Cluster {
 	c.Store = store.NewServer(w, StoreID, store.New())
 
 	var apiIDs []sim.NodeID
+	decodes := apiserver.NewDecodes()
 	for i := 0; i < opts.NumAPIServers; i++ {
 		cfg := apiserver.DefaultConfig(StoreID)
 		cfg.UnindexedServing = opts.APIUnindexedServing
 		api := apiserver.New(w, APIServerID(i), cfg)
+		api.ShareDecodes(decodes)
 		c.APIs = append(c.APIs, api)
 		apiIDs = append(apiIDs, api.ID())
 	}

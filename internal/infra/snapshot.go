@@ -135,8 +135,13 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 	w := sim.NewRestoredWorld(worldConfig(s.Opts.Seed), s.Kernel.Now, s.Kernel.Steps, s.Kernel.RNGDraws, s.Net)
 	c := newCluster(s.Opts, w)
 	c.Store = store.RestoreServer(w, s.Store)
+	// The decode memo is not captured: the restored apiservers share an
+	// empty one and refill it on miss.
+	decodes := apiserver.NewDecodes()
 	for _, as := range s.APIs {
-		c.APIs = append(c.APIs, apiserver.Restore(w, as))
+		api := apiserver.Restore(w, as)
+		api.ShareDecodes(decodes)
+		c.APIs = append(c.APIs, api)
 	}
 	for _, node := range s.Opts.Nodes {
 		ks, ok := s.Kubelets[node]

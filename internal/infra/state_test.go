@@ -66,8 +66,7 @@ var roles = map[reflect.Type]role{
 		wiring:   map[string]string{"c": fixed}},
 	reflect.TypeFor[store.Server](): {state: "serverState", carried: "Server",
 		children: map[string]string{"st": ".", "subs": "Subs", "timers": "Server"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed,
-			"pushSlab": "allocator"}},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
 			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache"}},
@@ -75,7 +74,8 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"timers": "State"},
 		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
-			"kindBroken": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator"}},
+			"kindBroken": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator",
+			"shared": "the cluster's decode memo: a restored cluster wires an empty one"}},
 	reflect.TypeFor[controller.Shell](): {state: "down", carried: "Down",
 		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "Down"},
 		wiring:   map[string]string{"world": fixed, "spec": "the declaration, written in the component's source"}},

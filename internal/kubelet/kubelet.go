@@ -10,8 +10,8 @@
 package kubelet
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
@@ -262,7 +262,7 @@ func (k *Kubelet) registerNode() {
 		Zone:     k.cfg.Zone,
 		DC:       k.cfg.DC,
 	})
-	node.Meta.Labels = map[string]string{"heartbeat": fmt.Sprint(int64(k.World().Now()))}
+	node.Meta.Labels = map[string]string{"heartbeat": strconv.FormatInt(int64(k.World().Now()), 10)}
 	k.Conn().Create(node, func(_ *cluster.Object, err error) {
 		if err != nil {
 			// Already registered: refresh via heartbeat path instead.
@@ -289,7 +289,7 @@ func (k *Kubelet) heartbeat() {
 		if node.Meta.Labels == nil {
 			node.Meta.Labels = map[string]string{}
 		}
-		node.Meta.Labels["heartbeat"] = fmt.Sprint(int64(k.World().Now()))
+		node.Meta.Labels["heartbeat"] = strconv.FormatInt(int64(k.World().Now()), 10)
 		node.Node.Ready = true
 		k.Conn().Update(node, func(*cluster.Object, error) {})
 	})

@@ -10,9 +10,11 @@ import (
 type NodeID string
 
 // Message is a unit of communication between simulated processes. Payloads
-// are arbitrary Go values; the simulated network never serializes them, but
-// components must treat received payloads as immutable (the store and
-// apiservers deep-copy objects at their boundaries).
+// are arbitrary Go values that the simulated network never serializes or
+// copies: a sender hands its payload over and never writes to it again, and
+// receivers treat it as immutable — it may be shared with other receivers
+// (one commit's watch batch, one decoded object per revision) and with
+// checkpoint forks on other goroutines (DESIGN.md §12, "Object ownership").
 type Message struct {
 	Seq     uint64 // unique, monotonically increasing per network
 	From    NodeID

@@ -62,10 +62,6 @@ type ReplicaServer struct {
 
 	pending map[uint64]sim.Reply // raft index -> reply to the proposer's client
 	subs    map[string]*subscription
-
-	// pushSlab arena-allocates the per-watcher notify-batch copies, same
-	// as the single-node Server.
-	pushSlab sim.Slab[history.Event]
 }
 
 // NewReplicaGroup creates n replicas (ids like "etcd-1".."etcd-n") wired
@@ -219,8 +215,7 @@ func (r *ReplicaServer) register() {
 		req := body.(*WatchRequest)
 		subID, client := req.SubID, from
 		h, err := r.st.Watch(req.Prefix, req.StartRev, func(events []history.Event) {
-			cp := r.pushSlab.Clone(events)
-			r.world.Network().Send(r.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: cp})
+			r.world.Network().Send(r.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: events})
 		})
 		if err != nil {
 			return nil, err

@@ -26,9 +26,9 @@ const (
 // perturbation interceptors match on it to create staleness and gaps.
 const KindWatchPush = "store.watch-push"
 
-// Request/response bodies. These cross the simulated network by reference;
-// all slices are freshly allocated per message, so receivers may retain
-// them.
+// Request/response bodies. These cross the simulated network by reference
+// and receivers may retain them; none is modified once sent (a WatchPush's
+// Events are the commit's batch, shared by every subscriber).
 type (
 	// RangeRequest lists live keys under Prefix.
 	RangeRequest struct{ Prefix string }
@@ -130,11 +130,6 @@ type Server struct {
 
 	leaseTick sim.Duration
 	timers    *sim.Owner
-
-	// pushSlab arena-allocates the per-watcher copies of notify batches
-	// (the store mutates its own batch buffer after notifying, so each
-	// push needs a private copy — slab-carved rather than one make each).
-	pushSlab sim.Slab[history.Event]
 	serverState
 }
 
@@ -220,11 +215,11 @@ func (s *Server) leaseTickFire(sim.EventTag) {
 }
 
 // pushTo returns the notify of client's subscription subID: each batch goes
-// out as one watch-push message.
+// out as one watch-push message. Committed events are immutable, so every
+// subscriber's push carries the commit's one batch.
 func (s *Server) pushTo(client sim.NodeID, subID uint64) WatchNotify {
 	return func(events []history.Event) {
-		cp := s.pushSlab.Clone(events)
-		s.world.Network().Send(s.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: cp})
+		s.world.Network().Send(s.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: events})
 	}
 }
 

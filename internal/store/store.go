@@ -62,7 +62,8 @@ func (kv KV) clone() KV {
 // WatchNotify delivers committed events to a watcher, in commit order.
 // Handlers run synchronously inside the commit; network-facing wrappers
 // (Server) forward them as messages so delivery becomes asynchronous and
-// perturbable.
+// perturbable. The batch is shared with every other watcher of the commit
+// and is never modified: a handler may retain it but not write to it.
 type WatchNotify func(events []history.Event)
 
 type watcher struct {
@@ -295,9 +296,12 @@ func (s *Store) PutWithLease(key string, value []byte, id LeaseID) (int64, error
 func (s *Store) putWithLease(key string, value []byte, id LeaseID) int64 {
 	prev, existed := s.kvs[key]
 	s.rev++
+	// One copy of the caller's bytes, shared by the KV and the history
+	// event: neither is ever written in place.
+	value = append([]byte(nil), value...)
 	kv := KV{
 		Key:            key,
-		Value:          append([]byte(nil), value...),
+		Value:          value,
 		ModRevision:    s.rev,
 		CreateRevision: s.rev,
 		Version:        1,
@@ -318,7 +322,7 @@ func (s *Store) putWithLease(key string, value []byte, id LeaseID) int64 {
 	s.kvs[key] = kv
 	s.commit(history.Event{
 		Revision: s.rev, Type: history.Put, Key: key,
-		Value: append([]byte(nil), value...), PrevRev: prevRev,
+		Value: value, PrevRev: prevRev,
 	})
 	return s.rev
 }
@@ -357,6 +361,7 @@ func (s *Store) commit(e history.Event) {
 		first := s.hist.At(s.hist.Len() - s.retainMax).Revision
 		s.CompactTo(first)
 	}
+	// One batch per commit, shared by every watcher and hook.
 	batch := []history.Event{e}
 	for _, id := range s.watcherIDs() {
 		w, ok := s.watchers[id]

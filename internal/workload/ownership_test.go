@@ -19,10 +19,11 @@ import (
 // ownership") after the fact: every object an apiserver or an informer
 // cache still shares must encode to exactly the bytes the store committed
 // for its key at its ResourceVersion. Anything else was changed in place
-// by someone who should have cloned it first. The same holds for replies:
-// the object a Create or Update reply carried shares its labels and payload
-// with the request it answered. It returns one line per offending holder.
-func mutatedSharedObjects(c *infra.Cluster, replies *writeReplies) []string {
+// by someone who should have cloned it first. The same holds for writes: a
+// Create or Update request's object was handed over by its caller, and the
+// reply's object shares its labels and payload with the request it
+// answered. It returns one line per offending holder.
+func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	hist := c.Store.Store().History()
 	var bad []string
 	check := func(holder string, obj *cluster.Object) {
@@ -49,16 +50,36 @@ func mutatedSharedObjects(c *infra.Cluster, replies *writeReplies) []string {
 			}
 		}
 	}
-	for _, r := range replies.sent {
+	for _, r := range writes.requests {
+		if r.rev == 0 {
+			continue // never committed
+		}
+		// Encode leaves ResourceVersion out: the request at the revision
+		// it committed must encode to the committed bytes.
+		o := *r.obj
+		o.Meta.ResourceVersion = r.rev
+		check(fmt.Sprintf("%s %s request to %s", r.from, r.method, r.to), &o)
+	}
+	for _, r := range writes.replies {
 		check(fmt.Sprintf("%s write reply to %s", r.from, r.to), r.obj)
 	}
 	return bad
 }
 
-// writeReplies is a network observer collecting the object of every Create
-// and Update reply an apiserver sends.
-type writeReplies struct {
-	sent []writeReply
+// writes is a network observer collecting the object of every Create and
+// Update request a component sends, with the revision it committed at, and
+// of every reply an apiserver sends to one.
+type writes struct {
+	requests []writeRequest
+	bySeq    map[uint64]int // request message Seq -> index in requests
+	replies  []writeReply
+}
+
+type writeRequest struct {
+	from, to sim.NodeID
+	method   string
+	obj      *cluster.Object
+	rev      int64 // the committed revision; 0 until a reply reports one
 }
 
 type writeReply struct {
@@ -66,23 +87,43 @@ type writeReply struct {
 	obj      *cluster.Object
 }
 
-func (w *writeReplies) OnSend(m *sim.Message) {
-	resp, ok := m.Payload.(*sim.RPCResponse)
-	if !ok {
-		return
-	}
-	if wr, ok := resp.Body.(*apiserver.WriteResponse); ok && wr.Object != nil {
-		w.sent = append(w.sent, writeReply{from: m.From, to: m.To, obj: wr.Object})
+func (w *writes) OnSend(m *sim.Message) {
+	switch p := m.Payload.(type) {
+	case *sim.RPCRequest:
+		var obj *cluster.Object
+		switch body := p.Body.(type) {
+		case *apiserver.CreateRequest:
+			obj = body.Object
+		case *apiserver.UpdateRequest:
+			obj = body.Object
+		default:
+			return
+		}
+		if w.bySeq == nil {
+			w.bySeq = make(map[uint64]int)
+		}
+		w.bySeq[m.Seq] = len(w.requests)
+		w.requests = append(w.requests, writeRequest{from: m.From, to: m.To, method: p.Method, obj: obj})
+	case *sim.RPCResponse:
+		wr, ok := p.Body.(*apiserver.WriteResponse)
+		if !ok || wr.Object == nil {
+			return
+		}
+		w.replies = append(w.replies, writeReply{from: m.From, to: m.To, obj: wr.Object})
+		if i, ok := w.bySeq[p.ID]; ok {
+			w.requests[i].rev = wr.Revision
+		}
 	}
 }
-func (w *writeReplies) OnDeliver(*sim.Message)      {}
-func (w *writeReplies) OnDrop(*sim.Message, string) {}
+func (w *writes) OnDeliver(*sim.Message)      {}
+func (w *writes) OnDrop(*sim.Message, string) {}
 
 // TestSharedObjectsNeverMutated runs every target — the five committed
 // ones and both scale targets on the benchmark's 50-node worlds — through
 // its reference execution and its first planner plans, and requires that
 // no component changed an object it shares with the apiserver memo, the
-// informer caches and the other handlers, or one a write reply handed it.
+// informer caches and the other handlers, one it handed over in a write
+// request, or one a write reply handed it.
 func TestSharedObjectsNeverMutated(t *testing.T) {
 	const plansPerTarget = 8
 	scale := ScaleProfile{Racks: 10, NodesPerRack: 5}
@@ -94,24 +135,30 @@ func TestSharedObjectsNeverMutated(t *testing.T) {
 			if len(plans) > plansPerTarget {
 				plans = plans[:plansPerTarget]
 			}
-			held, replied := 0, 0
+			held, requested, replied := 0, 0, 0
 			for _, p := range append([]core.Plan{core.NopPlan{}}, plans...) {
 				c := target.Build(1)
-				var replies writeReplies
-				c.World.Network().AddObserver(&replies)
+				var writes writes
+				c.World.Network().AddObserver(&writes)
 				p.Apply(c)
 				target.Workload(c)
 				c.RunFor(target.Horizon)
-				for _, line := range mutatedSharedObjects(c, &replies) {
+				for _, line := range mutatedSharedObjects(c, &writes) {
 					t.Errorf("plan %q: %s", p.Describe(), line)
 				}
 				for _, api := range c.APIs {
 					held += len(api.Memoized())
 				}
-				replied += len(replies.sent)
+				for _, r := range writes.requests {
+					if r.rev != 0 {
+						requested++
+					}
+				}
+				replied += len(writes.replies)
 			}
-			if held == 0 || replied == 0 {
-				t.Fatalf("apiservers shared %d objects and sent %d write replies; the check is vacuous", held, replied)
+			if held == 0 || requested == 0 || replied == 0 {
+				t.Fatalf("apiservers shared %d objects, committed %d write requests and sent %d write replies; the check is vacuous",
+					held, requested, replied)
 			}
 		})
 	}
@@ -120,8 +167,9 @@ func TestSharedObjectsNeverMutated(t *testing.T) {
 // TestMutatingHandlerTripsOwnershipCheck is the detector's own test: one
 // handler that edits what it is handed is reported, by holder — for its
 // own cache, for the apiserver memo the object came from, and for another
-// component's cache fed by the same object — and so is a caller that edits
-// the object its write reply carried.
+// component's cache fed by the same object — and so are a caller that edits
+// the object its write reply carried and one that edits the object it
+// handed to Update.
 func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	target := Target59848()
 	c := target.Build(1)
@@ -135,14 +183,26 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 		UpdateFunc: func(_, pod *cluster.Object) { edit(pod) },
 	})
 	inf.Run()
-	var replies writeReplies
-	c.World.Network().AddObserver(&replies)
-	c.Admin.Conn().Create(cluster.NewPVC("scratch", "uid-scratch", cluster.PVCSpec{SizeGB: 1}),
+	var writes writes
+	c.World.Network().AddObserver(&writes)
+	conn := c.Admin.Conn()
+	conn.Create(cluster.NewPVC("scratch", "uid-scratch", cluster.PVCSpec{SizeGB: 1}),
 		func(reply *cluster.Object, err error) {
 			if err != nil {
 				t.Errorf("create: %v", err)
 				return
 			}
+			upd := reply.Clone()
+			upd.PVC.SizeGB = 3
+			conn.Update(upd, func(_ *cluster.Object, err error) {
+				if err != nil {
+					t.Errorf("update: %v", err)
+					return
+				}
+				// The Update took upd over. Meta is copied, not shared,
+				// into the reply, so only the request sees this edit.
+				upd.Meta.DeletionTimestamp = 1
+			})
 			reply.PVC.SizeGB = 2
 		})
 	target.Workload(c)
@@ -150,11 +210,12 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	if inf.Len() == 0 {
 		t.Fatal("the mutating informer saw no pods")
 	}
-	report := strings.Join(mutatedSharedObjects(c, &replies), "\n")
+	report := strings.Join(mutatedSharedObjects(c, &writes), "\n")
 	for _, holder := range []string{
-		fmt.Sprintf("%s write reply to %s holds", c.Admin.Conn().APIServer(), c.Admin.Conn().Self()),
-		fmt.Sprintf("%s informer %d holds", c.Admin.Conn().Self(), inf.SubID()),
-		fmt.Sprintf("%s memo holds", c.Admin.Conn().APIServer()),
+		fmt.Sprintf("%s write reply to %s holds", conn.APIServer(), conn.Self()),
+		fmt.Sprintf("%s %s request to %s holds", conn.Self(), apiserver.MethodUpdate, conn.APIServer()),
+		fmt.Sprintf("%s informer %d holds", conn.Self(), inf.SubID()),
+		fmt.Sprintf("%s memo holds", conn.APIServer()),
 		"kubelet-",
 	} {
 		if !strings.Contains(report, holder) {
