@@ -341,9 +341,9 @@ func BenchmarkMicro_InformerEventPipeline(b *testing.B) {
 }
 
 // BenchmarkMicro_KubeletSyncAtScale is one sync period of a 50-node
-// world: every kubelet reads its whole pod cache and keeps the pods bound
-// to its node (Kubelet.syncPods → reconcile). All 50 caches are fed by one
-// apiserver, so they hold the same 50 pod objects.
+// world: every kubelet reads the pods bound to its node from its pod cache
+// and keeps the live ones (Kubelet.syncPods → reconcile). All 50 caches are
+// fed by one apiserver, so they hold the same 50 pod objects.
 func BenchmarkMicro_KubeletSyncAtScale(b *testing.B) {
 	const nodes = 50
 	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
@@ -374,8 +374,8 @@ func BenchmarkMicro_KubeletSyncAtScale(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for n, inf := range infs {
 			node := nodeName(n)
-			for _, p := range inf.ListCached() {
-				if p.Pod != nil && p.Pod.NodeName == node && !p.Terminating() {
+			for _, p := range inf.ListOnNode(node) {
+				if !p.Terminating() {
 					mine++
 				}
 			}

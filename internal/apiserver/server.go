@@ -2,8 +2,8 @@ package apiserver
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/cluster"
@@ -148,6 +148,12 @@ type Server struct {
 	shared     *Decodes                  // the cluster's decode memo (ShareDecodes); nil decodes alone
 	stats      ServeStats
 
+	// windowRev holds, per kind, a revision no older than the newest event
+	// of that kind in the window (after a trim it may be newer than all of
+	// them, never older); nil means not built. A Watch starting at or past
+	// it has no backlog.
+	windowRev map[cluster.Kind]int64
+
 	// pushSlab arena-allocates the per-subscriber single-event push
 	// slices (relay sends one per subscriber per event — the hottest
 	// allocation on the watch path).
@@ -234,6 +240,7 @@ func (s *Server) Crash() {
 	s.rpcCl.Reset()
 	s.cache = make(map[string]store.KV)
 	s.window = history.Log[history.Event]{}
+	s.windowRev = nil
 	s.cachedRev = 0
 	s.subs = make(map[string]clientSub)
 	s.subsOrder = nil
@@ -283,6 +290,7 @@ func (s *Server) bootstrap() {
 			s.rebuildKindIndex()
 			s.cachedRev = resp.Revision
 			s.window = history.Log[history.Event]{}
+			s.windowRev = nil
 			// Events before the relist revision cannot be replayed to
 			// clients anymore.
 			s.minStartRev = resp.Revision
@@ -425,6 +433,11 @@ func (s *Server) applyOne(e history.Event) {
 	}
 	s.cachedRev = e.Revision
 	s.window.Append(e)
+	if s.windowRev != nil {
+		if kind, ok := windowKind(e.Key); ok {
+			s.windowRev[kind] = e.Revision
+		}
+	}
 	if s.cfg.WindowSize > 0 && s.window.Len() > s.cfg.WindowSize {
 		// Trim: the head advances past the oldest event, and a chunk it
 		// has passed is released whole — nothing is copied.
@@ -794,7 +807,7 @@ func (s *Server) register() {
 		if req.StartRev < s.minStartRev {
 			return nil, ErrTooOldResourceVersion
 		}
-		key := fmt.Sprintf("%s/%d", from, req.SubID)
+		key := subKey(from, req.SubID)
 		sub := clientSub{subID: req.SubID, client: from, kind: req.Kind, lastSent: req.StartRev}
 		// An informer on a quiet stream re-issues its watch every
 		// WatchTimeout. The order caches hold keys, not subs: a live key
@@ -803,21 +816,7 @@ func (s *Server) register() {
 			s.subsOrder = nil
 			s.subsByKind = nil
 		}
-		// Replay the window backlog beyond the client's start revision.
-		// The window is revision-ordered.
-		first := s.window.Search(func(e history.Event) bool { return e.Revision > req.StartRev })
-		prefix := cluster.KindPrefix(req.Kind)
-		var backlog []WatchEvent
-		for i := first; i < s.window.Len(); i++ {
-			e := s.window.At(i)
-			if !strings.HasPrefix(e.Key, prefix) {
-				continue
-			}
-			if we, ok := s.eventFromWindow(e); ok {
-				backlog = append(backlog, we)
-				sub.lastSent = e.Revision
-			}
-		}
+		backlog := s.backlog(req.Kind, req.StartRev, &sub)
 		s.subs[key] = sub
 		if len(backlog) > 0 {
 			s.world.Network().Send(s.id, from, KindWatchPush, &WatchPushMsg{SubID: req.SubID, Events: backlog})
@@ -826,11 +825,69 @@ func (s *Server) register() {
 	})
 	s.rpcSrv.Handle(MethodCancelWatch, func(from sim.NodeID, body any) (any, error) {
 		req := body.(*CancelWatchRequest)
-		delete(s.subs, fmt.Sprintf("%s/%d", from, req.SubID))
+		delete(s.subs, subKey(from, req.SubID))
 		s.subsOrder = nil
 		s.subsByKind = nil
 		return &struct{}{}, nil
 	})
+}
+
+// subKey names a client's watch subscription in subs.
+func subKey(from sim.NodeID, subID uint64) string {
+	return string(from) + "/" + strconv.FormatUint(subID, 10)
+}
+
+// backlog returns the window's events of kind past startRev, advancing
+// sub.lastSent to the last one. A re-watch from a quiet informer usually
+// has nothing newer of its kind, and windowRev says so without a search
+// or a scan. The window is revision-ordered.
+func (s *Server) backlog(kind cluster.Kind, startRev int64, sub *clientSub) []WatchEvent {
+	if startRev >= s.newestInWindow(kind) {
+		return nil
+	}
+	first := s.window.Search(func(e history.Event) bool { return e.Revision > startRev })
+	prefix := cluster.KindPrefix(kind)
+	var backlog []WatchEvent
+	for i := first; i < s.window.Len(); i++ {
+		e := s.window.At(i)
+		if !strings.HasPrefix(e.Key, prefix) {
+			continue
+		}
+		if we, ok := s.eventFromWindow(e); ok {
+			backlog = append(backlog, we)
+			sub.lastSent = e.Revision
+		}
+	}
+	return backlog
+}
+
+// newestInWindow returns windowRev's entry for the kind, building the table
+// from the window on first use after a restore, crash or bootstrap.
+func (s *Server) newestInWindow(kind cluster.Kind) int64 {
+	if s.windowRev == nil {
+		s.windowRev = make(map[cluster.Kind]int64)
+		for i := 0; i < s.window.Len(); i++ {
+			e := s.window.At(i)
+			if k, ok := windowKind(e.Key); ok {
+				s.windowRev[k] = e.Revision
+			}
+		}
+	}
+	k, _ := windowKind(cluster.KindPrefix(kind))
+	return s.windowRev[k]
+}
+
+// windowKind returns the first path segment after the registry prefix: the
+// kind of every key a Watch's prefix match could select. A kind with a
+// slash in it shares its first segment with the keys it matches, so the
+// table stays conservative for it too.
+func windowKind(key string) (cluster.Kind, bool) {
+	rest, ok := strings.CutPrefix(key, cluster.RegistryPrefix)
+	if !ok {
+		return "", false
+	}
+	kind, _, ok := strings.Cut(rest, "/")
+	return cluster.Kind(kind), ok
 }
 
 // eventFromWindow converts a retained raw event into a typed WatchEvent.

@@ -1,7 +1,9 @@
 package client
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/apiserver"
 	"repro/internal/cluster"
@@ -84,7 +86,14 @@ type Informer struct {
 	kind cluster.Kind
 	cfg  InformerConfig
 
-	names    []string // sorted keys of store; nil means stale (membership changed)
+	// order is the cache in name order, handed out by ListCached; nil means
+	// stale (membership changed). An update under a cached name replaces
+	// its slot.
+	order []*cluster.Object
+	// byNode holds the cached pods bound to each node, each list in name
+	// order; nil means not built. ListOnNode builds it, and from then on
+	// set and remove edit it in place.
+	byNode   map[string][]*cluster.Object
 	handlers []EventHandler
 	informerState
 }
@@ -131,8 +140,8 @@ func NewInformer(conn *Conn, kind cluster.Kind, cfg InformerConfig) *Informer {
 func (i *Informer) AddHandler(h EventHandler) {
 	i.handlers = append(i.handlers, h)
 	if i.synced {
-		for _, name := range i.sortedNames() {
-			h.OnAdd(i.store[name])
+		for _, o := range i.sorted() {
+			h.OnAdd(o)
 		}
 	}
 }
@@ -179,42 +188,78 @@ func (i *Informer) Get(name string) (*cluster.Object, bool) {
 }
 
 // ListCached returns all cached objects ordered by name — a sparse read of
-// S' in the paper's terms. The slice is the caller's; the objects are the
-// cached objects themselves and are read-only: Clone before changing one.
-func (i *Informer) ListCached() []*cluster.Object {
-	out := make([]*cluster.Object, 0, len(i.store))
-	for _, name := range i.sortedNames() {
-		out = append(out, i.store[name])
+// S' in the paper's terms. The slice is the informer's own: it is read-only
+// (no sorting, appending or writing into it) and valid until the informer's
+// next change. The objects are the cached objects themselves and are
+// read-only too: Clone before changing one.
+func (i *Informer) ListCached() []*cluster.Object { return i.sorted() }
+
+// ListOnNode returns the cached pods bound to node, ordered by name: the
+// subsequence of ListCached whose Pod.NodeName is node — the kubelet's
+// spec.nodeName field selector, applied in the client so the wire does not
+// change. Like ListCached's, the slice is read-only and valid until the
+// informer's next change.
+func (i *Informer) ListOnNode(node string) []*cluster.Object {
+	if i.byNode == nil {
+		i.byNode = make(map[string][]*cluster.Object)
+		for _, o := range i.sorted() {
+			if n := nodeOf(o); n != "" {
+				i.byNode[n] = append(i.byNode[n], o)
+			}
+		}
 	}
-	return out
+	return i.byNode[node]
 }
 
 // Len returns the number of cached objects.
 func (i *Informer) Len() int { return len(i.store) }
 
-// sortedNames returns the cached names in order. The result is kept until
-// cache membership changes (set and remove invalidate it; replacing an
-// object under a cached name does not) and must not be modified or held
-// across one.
-func (i *Informer) sortedNames() []string {
-	if i.names == nil {
-		i.names = make([]string, 0, len(i.store))
-		for n := range i.store {
-			i.names = append(i.names, n)
+// sorted returns the cached objects in name order, rebuilding the order
+// after a membership change.
+func (i *Informer) sorted() []*cluster.Object {
+	if i.order == nil {
+		i.order = make([]*cluster.Object, 0, len(i.store))
+		for _, o := range i.store {
+			i.order = append(i.order, o)
 		}
-		sort.Strings(i.names)
+		slices.SortFunc(i.order, byName)
 	}
-	return i.names
+	return i.order
 }
 
 // set installs obj under its name and returns the object it replaced.
 func (i *Informer) set(obj *cluster.Object) (old *cluster.Object, existed bool) {
 	name := obj.Meta.Name
 	old, existed = i.store[name]
-	if !existed {
-		i.names = nil
-	}
 	i.store[name] = obj
+	if i.order != nil {
+		// A new name changes membership. So does an order a caller wrote
+		// into against the rule above ListCached: the name is not where a
+		// search finds it.
+		if k := slot(i.order, name); existed && k < len(i.order) && i.order[k].Meta.Name == name {
+			i.order[k] = obj
+		} else {
+			i.order = nil
+		}
+	}
+	if i.byNode != nil {
+		from, to := "", nodeOf(obj)
+		if existed {
+			from = nodeOf(old)
+		}
+		if from == to && to != "" {
+			l := i.byNode[to]
+			l[slot(l, name)] = obj
+			return old, existed
+		}
+		if from != "" {
+			i.unindex(from, name)
+		}
+		if to != "" {
+			l := i.byNode[to]
+			i.byNode[to] = slices.Insert(l, slot(l, name), obj)
+		}
+	}
 	return old, existed
 }
 
@@ -222,11 +267,39 @@ func (i *Informer) set(obj *cluster.Object) (old *cluster.Object, existed bool) 
 func (i *Informer) remove(name string) (old *cluster.Object, existed bool) {
 	old, existed = i.store[name]
 	if existed {
-		i.names = nil
+		i.order = nil
 		delete(i.store, name)
+		if n := nodeOf(old); i.byNode != nil && n != "" {
+			i.unindex(n, name)
+		}
 	}
 	return old, existed
 }
+
+// unindex drops name from node's list in byNode.
+func (i *Informer) unindex(node, name string) {
+	l := i.byNode[node]
+	k := slot(l, name)
+	i.byNode[node] = slices.Delete(l, k, k+1)
+}
+
+// nodeOf is the node a cached object is bound to; "" for none.
+func nodeOf(o *cluster.Object) string {
+	if o.Pod == nil {
+		return ""
+	}
+	return o.Pod.NodeName
+}
+
+// slot returns where name sits, or would sit, in a name-ordered list.
+func slot(l []*cluster.Object, name string) int {
+	n, _ := slices.BinarySearchFunc(l, name, func(o *cluster.Object, name string) int {
+		return strings.Compare(o.Meta.Name, name)
+	})
+	return n
+}
+
+func byName(a, b *cluster.Object) int { return strings.Compare(a.Meta.Name, b.Meta.Name) }
 
 // relist pulls a full list and reconciles the cache against it, emitting
 // synthetic Added/Modified/Deleted notifications for the difference — the
@@ -292,10 +365,10 @@ func (i *Informer) replace(objs []*cluster.Object, rev int64) {
 			i.emitUpdate(old, newObj)
 		}
 	}
-	for _, name := range i.sortedNames() {
-		if _, ok := incoming[name]; !ok {
-			old, _ := i.remove(name)
-			i.emitDelete(old)
+	for _, o := range i.sorted() {
+		if _, ok := incoming[o.Meta.Name]; !ok {
+			i.remove(o.Meta.Name)
+			i.emitDelete(o)
 		}
 	}
 	i.lastRev = rev

@@ -2,7 +2,9 @@ package client
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/apiserver"
@@ -484,10 +486,11 @@ func TestInformerStaleRelistHandsOutStaleObjects(t *testing.T) {
 	}
 }
 
-// TestInformerNameOrderFollowsMembership: the sorted-name order is cached
-// until membership changes. Add → delete → add leaves the same count with
+// TestInformerNameOrderFollowsMembership: the name order is cached until
+// membership changes. Add → delete → add leaves the same count with
 // different names, which an order cache keyed on length would miss; an
-// update changes no membership and must not re-sort.
+// update changes no membership, so it keeps the slice and replaces the
+// updated object's slot.
 func TestInformerNameOrderFollowsMembership(t *testing.T) {
 	f := newFixture(t)
 	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
@@ -496,18 +499,23 @@ func TestInformerNameOrderFollowsMembership(t *testing.T) {
 	a := f.create(t, "a", "k1")
 	f.create(t, "c", "k1")
 	f.w.Kernel().RunFor(100 * sim.Millisecond)
-	if got := names(inf.ListCached()); !reflect.DeepEqual(got, []string{"a", "c"}) {
+	order := inf.ListCached()
+	if got := names(order); !reflect.DeepEqual(got, []string{"a", "c"}) {
 		t.Fatalf("ListCached = %v", got)
 	}
-	order := &inf.sortedNames()[0]
+	c := order[1]
 
 	upd := a.Clone()
 	upd.Pod.Phase = cluster.PodRunning
 	f.settle(t, func(done func(error)) {
 		f.c.conn.Update(upd, func(_ *cluster.Object, err error) { done(err) })
 	})
-	if got := inf.ListCached(); got[0].Pod.Phase != cluster.PodRunning || &inf.sortedNames()[0] != order {
-		t.Fatalf("update: phase %q, order cache rebuilt=%v", got[0].Pod.Phase, &inf.sortedNames()[0] != order)
+	got := inf.ListCached()
+	if &got[0] != &order[0] {
+		t.Fatal("an update rebuilt the order")
+	}
+	if got[0] != mustGet(t, inf, "a") || got[0].Pod.Phase != cluster.PodRunning || got[1] != c {
+		t.Fatalf("update: slots hold %v phase %q, want the updated a and the untouched c", names(got), got[0].Pod.Phase)
 	}
 
 	f.settle(t, func(done func(error)) { f.c.conn.Delete(cluster.KindPod, "c", 0, done) })
@@ -529,28 +537,133 @@ func TestInformerNameOrderFollowsMembership(t *testing.T) {
 }
 
 // TestInformerReadsDoNotCopy guards the kubelet sync loop's cost: reading
-// the cache allocates the result slice and nothing else, and the name
-// order is sorted once per membership change, not once per read.
+// the cache allocates nothing — ListCached and ListOnNode hand out the
+// informer's own slices — and the name order is sorted once per
+// membership change, not once per read.
 func TestInformerReadsDoNotCopy(t *testing.T) {
 	f := newFixture(t)
 	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
 	inf.Run()
 	for i := 0; i < 100; i++ {
-		f.create(t, fmt.Sprintf("p%03d", i), "k1")
+		f.create(t, fmt.Sprintf("p%03d", i), fmt.Sprintf("k%d", i%4))
 	}
 	f.w.Kernel().RunFor(100 * sim.Millisecond)
 	if !inf.Synced() || inf.Len() != 100 {
 		t.Fatalf("synced=%v len=%d", inf.Synced(), inf.Len())
 	}
-	inf.ListCached()
-	order := &inf.sortedNames()[0]
-	if n := testing.AllocsPerRun(20, func() { inf.ListCached() }); n > 1 {
-		t.Fatalf("ListCached on a 100-object cache: %.0f allocs, want the result slice only", n)
+	order := &inf.ListCached()[0]
+	if n := testing.AllocsPerRun(20, func() { inf.ListCached() }); n != 0 {
+		t.Fatalf("ListCached on a 100-object cache: %.0f allocs, want 0", n)
 	}
-	if &inf.sortedNames()[0] != order {
+	if &inf.ListCached()[0] != order {
 		t.Fatal("ListCached re-sorted the names with no membership change")
+	}
+	if len(inf.ListOnNode("k1")) != 25 {
+		t.Fatalf("ListOnNode(k1) holds %d pods, want 25", len(inf.ListOnNode("k1")))
+	}
+	if n := testing.AllocsPerRun(20, func() { inf.ListOnNode("k1") }); n != 0 {
+		t.Fatalf("ListOnNode: %.0f allocs, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { inf.Get("p050") }); n != 0 {
 		t.Fatalf("Get: %.0f allocs, want 0", n)
 	}
+}
+
+// TestInformerNodeIndexMatchesFilter is the pod-by-node index against its
+// definition. A random program of adds, rebinds ("" → node → another
+// node), deletes and stale relists runs on one informer, which is captured
+// and restored onto a fresh world partway through. After every step the
+// cache must equal a plain map model, and ListOnNode(n) must be ListCached
+// filtered by n, pointer for pointer, for every node.
+func TestInformerNodeIndexMatchesFilter(t *testing.T) {
+	nodes := []string{"", "k1", "k2", "k3", "k4"}
+	f := newFixture(t)
+	inf := NewInformer(f.c.conn, cluster.KindPod, InformerConfig{})
+	rng := rand.New(rand.NewSource(7))
+	model := map[string]*cluster.Object{}
+	rev := int64(100)
+	pod := func(name string) *cluster.Object {
+		rev++
+		p := cluster.NewPod(name, "uid-"+name, cluster.PodSpec{NodeName: nodes[rng.Intn(len(nodes))]})
+		p.Meta.ResourceVersion = rev
+		return p
+	}
+	check := func(step int, op string) {
+		t.Helper()
+		want := make([]*cluster.Object, 0, len(model))
+		for _, o := range model {
+			want = append(want, o)
+		}
+		slices.SortFunc(want, byName)
+		all := inf.ListCached()
+		if !slices.Equal(all, want) {
+			t.Fatalf("step %d (%s): ListCached = %v, model %v", step, op, names(all), names(want))
+		}
+		for _, n := range nodes[1:] {
+			var on []*cluster.Object
+			for _, o := range all {
+				if o.Pod.NodeName == n {
+					on = append(on, o)
+				}
+			}
+			if got := inf.ListOnNode(n); !slices.Equal(got, on) {
+				t.Fatalf("step %d (%s): ListOnNode(%s) = %v, filter gives %v", step, op, n, names(got), names(on))
+			}
+		}
+		if got := inf.ListOnNode(""); len(got) != 0 {
+			t.Fatalf("step %d (%s): ListOnNode(\"\") = %v, want no pods", step, op, names(got))
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		if step == 1500 {
+			w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
+			inf = RestoreConn(w, f.c.conn.Snapshot()).InformerFor(cluster.KindPod)
+			if inf.byNode != nil || inf.order != nil {
+				t.Fatal("a restored informer carries its caches")
+			}
+		}
+		name := fmt.Sprintf("p%02d", rng.Intn(24))
+		var op string
+		switch r := rng.Intn(20); {
+		case r < 12:
+			op = "put " + name
+			p := pod(name)
+			inf.onPush([]apiserver.WatchEvent{{Type: apiserver.Modified, Object: p, Revision: rev}})
+			model[name] = p
+		case r < 19:
+			op = "delete " + name
+			rev++
+			tomb := &cluster.Object{Meta: cluster.Meta{Kind: cluster.KindPod, Name: name, ResourceVersion: rev}}
+			inf.onPush([]apiserver.WatchEvent{{Type: apiserver.Deleted, Object: tomb, Revision: rev}})
+			delete(model, name)
+		default:
+			// A stale upstream's list: some names kept as cached, some
+			// at another binding, some gone, some back.
+			op = "relist"
+			var objs []*cluster.Object
+			next := map[string]*cluster.Object{}
+			for i := 0; i < 24; i++ {
+				n := fmt.Sprintf("p%02d", i)
+				switch cur, ok := model[n]; {
+				case rng.Intn(3) == 0:
+				case ok && rng.Intn(2) == 0:
+					next[n] = cur
+				default:
+					next[n] = pod(n)
+				}
+				if o, ok := next[n]; ok {
+					objs = append(objs, o)
+				}
+			}
+			rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+			inf.replace(objs, rev-int64(rng.Intn(50)))
+			model = next
+		}
+		// Read sometimes only, so that changes meet a built, a stale and
+		// an unbuilt cache.
+		if rng.Intn(4) == 0 || step == 1500 {
+			check(step, op)
+		}
+	}
+	check(3000, "end")
 }

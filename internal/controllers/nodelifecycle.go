@@ -131,10 +131,7 @@ func (c *NodeLifecycleController) deleteNode(node *cluster.Object) {
 		}
 		c.DeletedNodes++
 		// Force-delete pods stranded on the dead node.
-		for _, pod := range c.podInf.ListCached() {
-			if pod.Pod == nil || pod.Pod.NodeName != node.Meta.Name {
-				continue
-			}
+		for _, pod := range c.podInf.ListOnNode(node.Meta.Name) {
 			name := pod.Meta.Name
 			c.Conn().Delete(cluster.KindPod, name, 0, func(err error) {
 				if err == nil {

@@ -5,8 +5,6 @@
 package controllers
 
 import (
-	"sort"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -103,9 +101,7 @@ func (c *VolumeController) poll() {
 	if !c.podInf.Synced() || !c.pvcInf.Synced() {
 		return
 	}
-	pvcs := c.pvcInf.ListCached()
-	sort.Slice(pvcs, func(i, j int) bool { return pvcs[i].Meta.Name < pvcs[j].Meta.Name })
-	for _, pvc := range pvcs {
+	for _, pvc := range c.pvcInf.ListCached() {
 		if pvc.PVC == nil || pvc.PVC.Phase != cluster.PVCBound || pvc.PVC.OwnerPod == "" {
 			continue
 		}

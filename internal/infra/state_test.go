@@ -74,7 +74,7 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"timers": "State"},
 		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
-			"kindBroken": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator",
+			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator",
 			"shared": "the cluster's decode memo: a restored cluster wires an empty one"}},
 	reflect.TypeFor[controller.Shell](): {state: "down", carried: "Down",
 		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "Down"},
@@ -108,7 +108,7 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"informers": "Informers", "timers": "Retired"},
 		wiring:   map[string]string{"world": fixed, "self": fixed, "rpc": inFlight}},
 	reflect.TypeFor[client.Informer](): {state: "informerState", carried: "State",
-		wiring: map[string]string{"conn": fixed, "kind": config, "cfg": config, "names": "cache",
+		wiring: map[string]string{"conn": fixed, "kind": config, "cfg": config, "order": "cache", "byNode": "index",
 			"handlers": "re-attached by the component's Restore"}},
 	reflect.TypeFor[controller.Queue](): {state: "queueState", carried: "State",
 		children: map[string]string{"timers": "State"},

@@ -338,9 +338,12 @@ func (k *Kubelet) syncPods() {
 		}
 	}
 	k.restartPending = false
-	k.reconcile(k.informer.ListCached())
+	k.reconcile(k.informer.ListOnNode(k.cfg.NodeName))
 }
 
+// reconcile brings the host in line with the pods among pods that are bound
+// to this node: pods is the informer's list of this node's pods, or a
+// quorum list of every pod.
 func (k *Kubelet) reconcile(pods []*cluster.Object) {
 	desired := make(map[string]*cluster.Object)
 	for _, p := range pods {

@@ -1,6 +1,7 @@
 package kubelet_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -179,5 +180,28 @@ func TestHostReset(t *testing.T) {
 	c.Hosts["k1"].Reset()
 	if len(c.Hosts["k1"].Running()) != 0 {
 		t.Fatal("reset host still runs containers")
+	}
+}
+
+// TestIdleSyncAllocatesNothing pins the cost of the sync an idle node runs
+// ten times a second: with every pod of the world bound elsewhere, a sync
+// reads the kubelet's own (empty) list and allocates nothing. Before the
+// pod-by-node index it copied every pod of the world into a fresh slice
+// and filtered it: 1 allocation, and a walk of the whole cache.
+func TestIdleSyncAllocatesNothing(t *testing.T) {
+	c := newCluster(t, false)
+	for i := 0; i < 20; i++ {
+		c.Admin.CreatePod(fmt.Sprintf("p%02d", i), "k2", "v1", nil)
+	}
+	c.RunFor(sim.Second)
+	if n := len(c.Hosts["k2"].Running()); n != 20 {
+		t.Fatalf("k2 runs %d containers, want 20", n)
+	}
+	kl := c.Kubelet["k1"]
+	if n := testing.AllocsPerRun(50, kl.SyncPods); n != 0 {
+		t.Fatalf("idle sync: %.0f allocs, want 0", n)
+	}
+	if len(c.Hosts["k1"].Running()) != 0 {
+		t.Fatal("the idle node started a container")
 	}
 }

@@ -10,16 +10,12 @@ package scheduler
 
 import (
 	"errors"
-	"sort"
 
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/sim"
 )
-
-// errNoNodes says no candidate node is available.
-var errNoNodes = errors.New("scheduler: no schedulable nodes")
 
 // errNodeNotFound marks a bind rejected because the target node is gone.
 var errNodeNotFound = errors.New("scheduler: bind failed, node not found")
@@ -105,7 +101,6 @@ func (s *Scheduler) NodeView() []string {
 			out = append(out, n.Meta.Name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -123,8 +118,8 @@ func (s *Scheduler) reconcile(podName string) (controller.Result, error) {
 	if !ok || pod.Pod == nil || pod.Terminating() || pod.Pod.NodeName != "" {
 		return controller.Result{}, nil
 	}
-	node, err := s.pickNode()
-	if err != nil {
+	node, ok := pick(s.nodeInf.ListCached(), s.podInf.ListCached(), s.deadNodes)
+	if !ok {
 		// No nodes in view: try again later.
 		return controller.Result{Requeue: true, RequeueAfter: 50 * sim.Millisecond}, nil
 	}
@@ -132,59 +127,46 @@ func (s *Scheduler) reconcile(podName string) (controller.Result, error) {
 	return controller.Result{}, nil
 }
 
-// pickNode chooses the ready cached node with most free capacity,
-// breaking ties by topology spread (fewest pods already in the node's
-// rack) and then by name. Nodes without a rack label all share one
-// neutral rack, so unlabeled worlds order exactly as before the spread
-// rule existed. The choice uses only S' — the scheduler cannot know
-// about nodes or deletions it never observed.
-func (s *Scheduler) pickNode() (string, error) {
-	type cand struct {
-		name     string
-		free     int
-		rackLoad int
-	}
+// pick chooses the ready node with most free capacity, breaking ties by
+// topology spread (fewest pods already in the node's rack) and then by
+// name. Nodes without a rack label all share one neutral rack, so
+// unlabeled worlds order exactly as before the spread rule existed. The
+// scheduler passes its caches, so the choice uses only S' — it cannot know
+// about nodes or deletions it never observed. nodes is in name order: the
+// pass over it keeps the first node no later node beats, which is the name
+// tie-break.
+func pick(nodes, pods []*cluster.Object, dead map[string]bool) (string, bool) {
 	used := make(map[string]int)
-	for _, p := range s.podInf.ListCached() {
+	for _, p := range pods {
 		if p.Pod != nil && p.Pod.NodeName != "" && !p.Terminating() {
 			used[p.Pod.NodeName]++
 		}
 	}
-	rackOf := make(map[string]string)
-	for _, n := range s.nodeInf.ListCached() {
-		if n.Node != nil && n.Node.Rack != "" {
-			rackOf[n.Meta.Name] = n.Node.Rack
-		}
-	}
 	rackLoad := make(map[string]int)
-	for node, count := range used {
-		if rack, ok := rackOf[node]; ok {
-			rackLoad[rack] += count
+	for _, n := range nodes {
+		if n.Node != nil && n.Node.Rack != "" {
+			rackLoad[n.Node.Rack] += used[n.Meta.Name]
 		}
 	}
-	var cands []cand
-	for _, n := range s.nodeInf.ListCached() {
-		if n.Node == nil || !n.Node.Ready || s.deadNodes[n.Meta.Name] {
+	var (
+		best           string
+		bestFree, load int
+		found          bool
+	)
+	for _, n := range nodes {
+		if n.Node == nil || !n.Node.Ready || dead[n.Meta.Name] {
 			continue
 		}
 		free := n.Node.Capacity - used[n.Meta.Name]
-		if free > 0 {
-			cands = append(cands, cand{n.Meta.Name, free, rackLoad[n.Node.Rack]})
+		if free <= 0 {
+			continue
+		}
+		l := rackLoad[n.Node.Rack]
+		if !found || free > bestFree || free == bestFree && l < load {
+			best, bestFree, load, found = n.Meta.Name, free, l, true
 		}
 	}
-	if len(cands) == 0 {
-		return "", errNoNodes
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].free != cands[j].free {
-			return cands[i].free > cands[j].free
-		}
-		if cands[i].rackLoad != cands[j].rackLoad {
-			return cands[i].rackLoad < cands[j].rackLoad
-		}
-		return cands[i].name < cands[j].name
-	})
-	return cands[0].name, nil
+	return best, found
 }
 
 // bind validates the node's existence (the binding subresource check) and

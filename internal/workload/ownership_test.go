@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +23,9 @@ import (
 // by someone who should have cloned it first. The same holds for writes: a
 // Create or Update request's object was handed over by its caller, and the
 // reply's object shares its labels and payload with the request it
-// answered. It returns one line per offending holder.
+// answered. The slice ListCached hands out is the informer's own: it must
+// still be its cache in name order, or a caller sorted it or wrote into
+// it. It returns one line per offending holder.
 func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	hist := c.Store.Store().History()
 	var bad []string
@@ -45,8 +48,17 @@ func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	}
 	for _, conn := range c.Conns() {
 		for _, inf := range conn.Informers() {
-			for _, obj := range inf.ListCached() {
-				check(fmt.Sprintf("%s informer %d", conn.Self(), inf.SubID()), obj)
+			holder := fmt.Sprintf("%s informer %d", conn.Self(), inf.SubID())
+			order := inf.ListCached()
+			for k, obj := range order {
+				check(holder, obj)
+				if cached, _ := inf.Get(obj.Meta.Name); cached != obj || k > 0 && order[k-1].Meta.Name >= obj.Meta.Name {
+					bad = append(bad, fmt.Sprintf("%s order is not its cache in name order: %s at %d of %v", holder, obj, k, order))
+					break
+				}
+			}
+			if len(order) != inf.Len() {
+				bad = append(bad, fmt.Sprintf("%s order holds %d objects, its cache %d", holder, len(order), inf.Len()))
 			}
 		}
 	}
@@ -168,8 +180,8 @@ func TestSharedObjectsNeverMutated(t *testing.T) {
 // handler that edits what it is handed is reported, by holder — for its
 // own cache, for the apiserver memo the object came from, and for another
 // component's cache fed by the same object — and so are a caller that edits
-// the object its write reply carried and one that edits the object it
-// handed to Update.
+// the object its write reply carried, one that edits the object it handed
+// to Update, and one that reorders the slice ListCached handed it.
 func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	target := Target59848()
 	c := target.Build(1)
@@ -183,6 +195,13 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 		UpdateFunc: func(_, pod *cluster.Object) { edit(pod) },
 	})
 	inf.Run()
+	// The other bug: a caller that sorts the slice ListCached handed it —
+	// the informer's own order — by anything but name.
+	sorter := client.NewInformer(c.Admin.Conn(), cluster.KindNode, client.InformerConfig{})
+	sorter.AddHandler(client.HandlerFuncs{
+		UpdateFunc: func(_, _ *cluster.Object) { slices.Reverse(sorter.ListCached()) },
+	})
+	sorter.Run()
 	var writes writes
 	c.World.Network().AddObserver(&writes)
 	conn := c.Admin.Conn()
@@ -215,6 +234,7 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 		fmt.Sprintf("%s write reply to %s holds", conn.APIServer(), conn.Self()),
 		fmt.Sprintf("%s %s request to %s holds", conn.Self(), apiserver.MethodUpdate, conn.APIServer()),
 		fmt.Sprintf("%s informer %d holds", conn.Self(), inf.SubID()),
+		fmt.Sprintf("%s informer %d order is not its cache", conn.Self(), sorter.SubID()),
 		fmt.Sprintf("%s memo holds", conn.APIServer()),
 		"kubelet-",
 	} {
