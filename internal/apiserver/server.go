@@ -135,7 +135,7 @@ type Server struct {
 	id     sim.NodeID
 	world  *sim.World
 	cfg    Config
-	timers *sim.Owner
+	timers *sim.Timers // the world's: a boot is its owner
 
 	rpcSrv *sim.RPCServer
 	rpcCl  *sim.RPCClient
@@ -167,7 +167,6 @@ type Server struct {
 // cached KVs share their value bytes — the apiserver never mutates a cached
 // value in place, it installs fresh KV structs.
 type state struct {
-	down  bool
 	ready bool
 
 	cache       map[string]store.KV `snap:"shared-elems"`
@@ -194,14 +193,9 @@ func wire(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	s.rpcSrv = sim.NewRPCServer(w.Network(), id)
 	s.rpcCl = sim.NewRPCClient(w.Network(), id, cfg.RPCTimeout)
 	s.register()
-	w.Network().Register(id, s)
-	w.AddProcess(s)
-	s.own()
+	s.timers = w.Join(s, s.resyncFire)
 	return s
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (s *Server) own() { s.timers = s.world.Kernel().Own(string(s.id), s.resyncFire) }
 
 // New creates and wires an apiserver into the world and begins its initial
 // cache sync.
@@ -224,7 +218,7 @@ func (s *Server) ShareDecodes(d *Decodes) { s.shared = d }
 func (s *Server) ID() sim.NodeID { return s.id }
 
 // Ready reports whether the watch cache is synced and serving.
-func (s *Server) Ready() bool { return s.ready && !s.down }
+func (s *Server) Ready() bool { return s.ready }
 
 // CachedRevision returns the cache frontier (the apiserver's H' position).
 func (s *Server) CachedRevision() int64 { return s.cachedRev }
@@ -234,9 +228,7 @@ func (s *Server) CacheLen() int { return len(s.cache) }
 
 // Crash implements sim.Process: the watch cache is volatile.
 func (s *Server) Crash() {
-	s.down = true
 	s.ready = false
-	s.timers.Retire()
 	s.rpcCl.Reset()
 	s.cache = make(map[string]store.KV)
 	s.window = history.Log[history.Event]{}
@@ -252,17 +244,12 @@ func (s *Server) Crash() {
 
 // Restart implements sim.Process: rebuild the cache from the store.
 func (s *Server) Restart() {
-	s.down = false
-	s.own()
 	s.bootstrap()
 	s.scheduleResync()
 }
 
 // HandleMessage implements sim.Handler.
 func (s *Server) HandleMessage(m *sim.Message) {
-	if s.down {
-		return
-	}
 	if s.rpcCl.HandleResponse(m) {
 		return
 	}
@@ -302,7 +289,7 @@ func (s *Server) bootstrap() {
 // not a tag — a snapshot must not be taken while one is pending — so it is
 // guarded by the kernel fact itself: the owner of the boot that armed it.
 func (s *Server) retryBootstrap() {
-	boot := s.timers
+	boot := s.timers.Owner()
 	s.world.Kernel().Schedule(s.cfg.RPCTimeout, func() {
 		if !boot.Retired() {
 			s.bootstrap()

@@ -24,8 +24,5 @@ func Restore(w *sim.World, snap *Snapshot) *Server {
 	s := wire(w, snap.ID, snap.Cfg)
 	s.state = snap.State.clone()
 	s.rebuildKindIndex()
-	if s.down {
-		s.timers.Retire()
-	}
 	return s
 }

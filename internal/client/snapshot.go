@@ -14,8 +14,6 @@ type ConnSnapshot struct {
 	Timeout   sim.Duration
 	State     connState
 	Informers []InformerSnapshot // sorted by subscription ID
-	// Retired says the connection had been Reset (its component is down).
-	Retired bool
 }
 
 // InformerSnapshot captures one informer cache.
@@ -39,7 +37,6 @@ func (c *Conn) Snapshot() *ConnSnapshot {
 		Timeout:   c.rpc.Timeout(),
 		State:     c.connState,
 		Informers: make([]InformerSnapshot, 0, len(c.informers)),
-		Retired:   c.Retired(),
 	}
 	for _, id := range c.sortedSubIDs() {
 		inf := c.informers[id]
@@ -52,11 +49,12 @@ func (c *Conn) Snapshot() *ConnSnapshot {
 // snapshot. Event handlers are NOT restored — the owning component
 // re-attaches its own handlers via RestoreHandler — and no timers are
 // armed: the kernel re-inserts the pending ones under the restored
-// connection's owner name.
+// connection's owner name. The connection of a component the world records
+// as down had been Reset with its boot, and comes back retired.
 func RestoreConn(w *sim.World, snap *ConnSnapshot) *Conn {
 	c := NewConn(w, snap.Self, snap.State.api, snap.Timeout)
 	c.connState = snap.State
-	if snap.Retired {
+	if w.Crashed(snap.Self) {
 		c.timers.Retire()
 	}
 	for _, is := range snap.Informers {

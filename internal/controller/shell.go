@@ -58,39 +58,32 @@ type InformerSpec struct {
 // and is made by Start or Restore; the sim.Process and sim.Handler the world
 // sees is the component, through the methods promoted from here.
 //
-// A boot is its owners (DESIGN.md §7, "the incarnation rule"): Crash retires
-// them and Restart registers the next, so nothing a dead boot armed — timer,
+// A boot is its owners (DESIGN.md §7, "the incarnation rule"): the world
+// retires the component's at a crash and registers the next at a restart,
+// and Crash retires the children's, so nothing a dead boot armed — timer,
 // watch push or RPC response — reaches the live one.
 type Shell struct {
 	spec  Spec
 	world *sim.World
 
-	down   bool
-	timers *sim.Owner // nil without spec.Fire
+	timers *sim.Timers // the world's; nil without spec.Fire
 	conn   *client.Conn
 	queue  *Queue // nil without spec.Reconcile
 }
 
-// ShellSnapshot captures a shell: whether its component is down, and its
-// children. The informer caches live inside the connection snapshot; every
-// pending timer — the component's, the informers', the queue's — is a kernel
-// event, carried by the kernel snapshot.
+// ShellSnapshot captures a shell's children. The informer caches live inside
+// the connection snapshot; every pending timer — the component's, the
+// informers', the queue's — is a kernel event, carried by the kernel
+// snapshot; whether the component is down is the network's.
 type ShellSnapshot struct {
-	Down  bool
 	Conn  *client.ConnSnapshot
 	Queue *QueueSnapshot // nil without a queue
 }
 
-// component is what embeds a Shell: the process the world crashes, restarts
-// and delivers to. It is the component that is registered, not the shell,
-// so what else the component implements (core.Resteerable) is found on it.
-type component interface {
-	sim.Process
-	sim.Handler
-}
-
-// wire registers comp, the component embedding s, in the world.
-func (s *Shell) wire(w *sim.World, comp component, spec Spec) {
+// wire joins comp, the component embedding s, to the world. It is the
+// component that joins, not the shell, so what else the component
+// implements (core.Resteerable) is found on the process.
+func (s *Shell) wire(w *sim.World, comp sim.Node, spec Spec) {
 	for i, is := range spec.Informers {
 		for _, earlier := range spec.Informers[:i] {
 			if earlier.Kind == is.Kind {
@@ -99,20 +92,11 @@ func (s *Shell) wire(w *sim.World, comp component, spec Spec) {
 		}
 	}
 	s.spec, s.world = spec, w
-	w.Network().Register(spec.ID, comp)
-	w.AddProcess(comp)
-	s.own()
-}
-
-// own registers the owner of one boot's timers.
-func (s *Shell) own() {
-	if s.spec.Fire != nil {
-		s.timers = s.world.Kernel().Own(string(s.spec.ID), s.spec.Fire)
-	}
+	s.timers = w.Join(comp, spec.Fire)
 }
 
 // Start registers comp, the component embedding s, and boots it.
-func (s *Shell) Start(w *sim.World, comp component, spec Spec) {
+func (s *Shell) Start(w *sim.World, comp sim.Node, spec Spec) {
 	s.wire(w, comp, spec)
 	s.boot()
 }
@@ -164,10 +148,6 @@ func (s *Shell) After(d sim.Duration, tag sim.EventTag) sim.Timer { return s.tim
 // Crash implements sim.Process: the boot is over. Its timers, its
 // connection's and its queue's still come due, and run nothing.
 func (s *Shell) Crash() {
-	s.down = true
-	if s.timers != nil {
-		s.timers.Retire()
-	}
 	s.conn.Reset()
 	if s.queue != nil {
 		s.queue.Stop()
@@ -182,11 +162,7 @@ func (s *Shell) Crash() {
 
 // Restart implements sim.Process: the next boot, under the names the last
 // one's retirement freed.
-func (s *Shell) Restart() {
-	s.down = false
-	s.own()
-	s.boot()
-}
+func (s *Shell) Restart() { s.boot() }
 
 // HandleMessage implements sim.Handler. The network delivers nothing to a
 // crashed node, and a reset connection has nothing for a message to reach.
@@ -195,7 +171,7 @@ func (s *Shell) HandleMessage(m *sim.Message) { s.conn.HandleMessage(m) }
 // Snapshot captures the shell, whose connection must be Quiescent: the
 // continuation of a call in flight is nothing a snapshot can carry.
 func (s *Shell) Snapshot() ShellSnapshot {
-	snap := ShellSnapshot{Down: s.down, Conn: s.conn.Snapshot()}
+	snap := ShellSnapshot{Conn: s.conn.Snapshot()}
 	if s.queue != nil {
 		snap.Queue = s.queue.Snapshot()
 	}
@@ -205,14 +181,10 @@ func (s *Shell) Snapshot() ShellSnapshot {
 // Restore registers comp, the component embedding s, as Start does, and
 // gives it the captured boot back instead of a new one: the connection with
 // its informer caches, the queue, each declared handler attached without a
-// replay of the cache, no timer armed. A component captured down comes back
-// with its owners retired, ready to Restart.
-func (s *Shell) Restore(w *sim.World, comp component, spec Spec, snap ShellSnapshot) {
+// replay of the cache, no timer armed. A component the world records as down
+// comes back with its owners retired, ready to Restart.
+func (s *Shell) Restore(w *sim.World, comp sim.Node, spec Spec, snap ShellSnapshot) {
 	s.wire(w, comp, spec)
-	s.down = snap.Down
-	if s.down && s.timers != nil {
-		s.timers.Retire()
-	}
 	s.conn = client.RestoreConn(w, snap.Conn)
 	if snap.Queue != nil {
 		s.queue = RestoreQueue(w.Kernel(), snap.Queue, ReconcilerFunc(spec.Reconcile))

@@ -102,9 +102,6 @@ func (cp *toyCapture) restore(t *testing.T) *toyWorld {
 	}
 	ty := &toy{toyState: cp.state.clone()}
 	ty.Shell.Restore(c.World, ty, ty.spec(), cp.shell)
-	// Registering the toy cleared its down flag.
-	c.World.Network().RestoreDown(cp.cluster.Net)
-	c.World.RestoreDownAt(cp.cluster.DownAt)
 	return &toyWorld{c, ty}
 }
 
@@ -264,7 +261,7 @@ func TestShellRestoredTwinContinuesIdentically(t *testing.T) {
 		reached func(*toyWorld, *toyCapture) bool
 	}{
 		{"running", drive(0), ms(2000), func(w *toyWorld, _ *toyCapture) bool { return w.toy.pods.Len() == 2 }},
-		{"down", drive(ms(2055)), ms(2060), func(_ *toyWorld, cp *toyCapture) bool { return cp.shell.Down }},
+		{"down", drive(ms(2055)), ms(2060), func(_ *toyWorld, cp *toyCapture) bool { return cp.cluster.Net.Down[toyID] }},
 		{"restarted, the dead boot's timers pending", drive(ms(1850)), ms(2000), func(_ *toyWorld, cp *toyCapture) bool {
 			return slices.ContainsFunc(cp.cluster.Kernel.Pending, func(pe sim.PendingEvent) bool { return pe.Retired && pe.Tag.Kind == "inf-liveness" })
 		}},

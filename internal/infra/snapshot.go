@@ -36,7 +36,6 @@ type Snapshot struct {
 	Opts   Options
 	Kernel sim.KernelSnapshot
 	Net    sim.NetworkSnapshot
-	DownAt map[sim.NodeID]sim.Time
 
 	Store     *store.Snapshot
 	APIs      []*apiserver.Snapshot
@@ -86,7 +85,6 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 		Opts:      c.Opts,
 		Kernel:    ks,
 		Net:       c.World.Network().Snapshot(),
-		DownAt:    c.World.DownAtSnapshot(),
 		Store:     ss,
 		Kubelets:  make(map[string]*kubelet.Snapshot, len(c.Kubelet)),
 		AdminConn: c.Admin.conn.Snapshot(),
@@ -127,8 +125,9 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 }
 
 // NewCluster rebuilds a cluster from the snapshot, positioned at the
-// capture instant. No timers are armed and network down flags are applied
-// after every component has re-registered; the caller re-installs pending
+// capture instant. The restored world records which processes are down
+// before any component joins it, so a component captured down joins with
+// its owners retired. No timers are armed; the caller re-installs pending
 // kernel events via InstallPending after applying the forked plan and
 // rehydrating the workload.
 func (s *Snapshot) NewCluster() (*Cluster, error) {
@@ -187,10 +186,6 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 	c.addOracles()
 	c.Oracles.RestoreFrom(s.Oracles)
 	c.Oracles.BindPeriodic(w, c.Opts.OraclePeriod)
-	// Down flags last: Network.Register (called by every component restore
-	// above) clears them.
-	w.Network().RestoreDown(s.Net)
-	w.RestoreDownAt(s.DownAt)
 	return c, nil
 }
 

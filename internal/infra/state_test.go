@@ -38,8 +38,9 @@ type role struct {
 	// the snapshot field that carries theirs; "." when the child's snapshot
 	// fields lie in this same snapshot. A timer owner is a child too: it
 	// lives for one boot, and what the snapshot carries of it is whether that
-	// boot is over — the state's down (a shell's Down, a queue's stopped)
-	// flag, a connection's Retired.
+	// boot is over — a queue's stopped, or, for a connection, its Self, whose
+	// down flag the network snapshot carries. A process's own owner is the
+	// world's (sim.World.Join), and wiring here.
 	children map[string]string
 	wiring   map[string]string
 }
@@ -48,6 +49,7 @@ const (
 	fixed  = "fixed at construction"
 	config = "configuration: the snapshot's Cfg, or rebuilt from it"
 	found  = "stored by the shell at every boot and restore: found again in the restored connection by kind"
+	joined = "the world's: registered by Join, retired by Crash, replaced by Restart"
 	// An RPC client holds calls in flight and nothing else, and a capture is
 	// only taken with none: a call is named by its request message.
 	inFlight = "empty at every capture"
@@ -58,27 +60,26 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"Store": "Store", "APIs": "APIs", "Kubelet": "Kubelets", "Scheduler": "Scheduler",
 			"Volume": "Volume", "NodeLC": "NodeLC", "App": "App", "Cassandra": "Cassandra",
 			"RegionServers": "RegionServers", "RegionManager": "RegionManager", "Oracles": "Oracles", "Admin": "."},
-		wiring: map[string]string{"Opts": config, "World": "sim's own snapshots: Kernel, Net, DownAt",
+		wiring: map[string]string{"Opts": config, "World": "sim's own snapshots: Kernel, Net",
 			"Hosts": "the kubelets' hosts, by node"},
 	},
 	reflect.TypeFor[infra.Admin](): {state: "uids", carried: "AdminUIDs",
 		children: map[string]string{"conn": "AdminConn"},
 		wiring:   map[string]string{"c": fixed}},
-	reflect.TypeFor[store.Server](): {state: "serverState", carried: "Server",
-		children: map[string]string{"st": ".", "subs": "Subs", "timers": "Server"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed}},
+	reflect.TypeFor[store.Server](): {
+		children: map[string]string{"st": ".", "subs": "Subs"},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed, "timers": joined}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
 			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache"}},
 	reflect.TypeFor[apiserver.Server](): {state: "state", carried: "State",
-		children: map[string]string{"timers": "State"},
-		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "rpcCl": inFlight,
+		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "timers": joined, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
 			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator",
 			"shared": "the cluster's decode memo: a restored cluster wires an empty one"}},
-	reflect.TypeFor[controller.Shell](): {state: "down", carried: "Down",
-		children: map[string]string{"conn": "Conn", "queue": "Queue", "timers": "Down"},
-		wiring:   map[string]string{"world": fixed, "spec": "the declaration, written in the component's source"}},
+	reflect.TypeFor[controller.Shell](): {
+		children: map[string]string{"conn": "Conn", "queue": "Queue"},
+		wiring:   map[string]string{"world": fixed, "spec": "the declaration, written in the component's source", "timers": joined}},
 	reflect.TypeFor[kubelet.Kubelet](): {state: "state", carried: "State",
 		children: map[string]string{"Shell": "Shell", "host": "Host"},
 		wiring:   map[string]string{"cfg": config, "informer": found}},
@@ -105,7 +106,7 @@ var roles = map[reflect.Type]role{
 		children: map[string]string{"Shell": "Shell"},
 		wiring:   map[string]string{"cfg": config}},
 	reflect.TypeFor[client.Conn](): {state: "connState", carried: "State",
-		children: map[string]string{"informers": "Informers", "timers": "Retired"},
+		children: map[string]string{"informers": "Informers", "timers": "Self"},
 		wiring:   map[string]string{"world": fixed, "self": fixed, "rpc": inFlight}},
 	reflect.TypeFor[client.Informer](): {state: "informerState", carried: "State",
 		wiring: map[string]string{"conn": fixed, "kind": config, "cfg": config, "order": "cache", "byNode": "index",

@@ -65,7 +65,6 @@ type RegionServer struct {
 // next.
 type serverState struct {
 	owned map[string]bool
-	down  bool
 }
 
 func (s serverState) clone() serverState {
@@ -80,21 +79,21 @@ func ServerID(name string) sim.NodeID { return sim.NodeID("rs-" + name) }
 func NewRegionServer(w *sim.World, name string) *RegionServer {
 	s := &RegionServer{id: ServerID(name), world: w}
 	s.owned = make(map[string]bool)
-	w.Network().Register(s.id, s)
-	w.AddProcess(s)
+	w.Join(s, nil)
 	return s
 }
 
 // ID implements sim.Process.
 func (s *RegionServer) ID() sim.NodeID { return s.id }
 
-// Crash implements sim.Process.
-func (s *RegionServer) Crash() { s.down = true }
+// Crash implements sim.Process: what the server serves is the world's to
+// stop (no message reaches a down node), and the owned set survives for
+// Restart to close.
+func (s *RegionServer) Crash() {}
 
 // Restart implements sim.Process; a restarted server serves nothing until
 // told to open regions again.
 func (s *RegionServer) Restart() {
-	s.down = false
 	for r := range s.owned {
 		s.setOwned(r, false)
 	}
@@ -131,9 +130,6 @@ type closeCmd struct{ Region string }
 
 // HandleMessage implements sim.Handler.
 func (s *RegionServer) HandleMessage(m *sim.Message) {
-	if s.down {
-		return
-	}
 	switch c := m.Payload.(type) {
 	case *openCmd:
 		s.setOwned(c.Region, true)

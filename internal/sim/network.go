@@ -296,16 +296,11 @@ func (n *Network) Kernel() *Kernel { return n.k }
 func (n *Network) Stats() NetStats { return n.stats }
 
 // Register attaches handler h as node id. Registering an existing id
-// replaces its handler (used when a process restarts with fresh state).
+// replaces its handler (store.ReplicaServer takes over its raft node's).
+// Whether the node is down is left as it is: a crash and a restart
+// (World.Crash, World.Restart) are what change it.
 func (n *Network) Register(id NodeID, h Handler) {
 	n.nodes[id] = h
-	delete(n.down, id)
-}
-
-// Unregister removes a node entirely.
-func (n *Network) Unregister(id NodeID) {
-	delete(n.nodes, id)
-	delete(n.down, id)
 }
 
 // SetDown marks a node crashed (true) or alive (false). Messages to a down

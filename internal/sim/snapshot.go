@@ -220,13 +220,18 @@ func (n *Network) Snapshot() NetworkSnapshot {
 	return s
 }
 
-// RestoreRouting re-applies captured link and stream state. Down flags are
-// NOT applied here: Network.Register clears a node's down flag, so the
-// restore orchestration must call RestoreDown after all components have
-// re-registered their handlers.
+// RestoreRouting re-applies captured link, stream and down state. A restore
+// may ask which processes are down (World.Crashed) from here on: no later
+// registration changes it.
 func (n *Network) RestoreRouting(s NetworkSnapshot) {
 	n.seq = s.Seq
 	n.stats = s.Stats
+	n.down = make(map[NodeID]bool, len(s.Down))
+	for id, v := range s.Down {
+		if v {
+			n.down[id] = true
+		}
+	}
 	n.links = make(map[linkKey]*linkState, len(s.Links))
 	recs := make([]linkState, 0, len(s.Links)) // one allocation for every restored record
 	for k, v := range s.Links {
@@ -240,48 +245,21 @@ func (n *Network) RestoreRouting(s NetworkSnapshot) {
 	n.topo = s.Topo
 }
 
-// RestoreDown re-applies captured down flags. Must run after every
-// component handler registration (Register deletes the flag).
-func (n *Network) RestoreDown(s NetworkSnapshot) {
-	for id, v := range s.Down {
-		if v {
-			n.down[id] = true
-		}
-	}
-}
-
 // Timeout returns the client's configured call timeout.
 func (c *RPCClient) Timeout() Duration { return c.timeout }
 
 // NewRestoredWorld builds a world around a mid-run kernel: the kernel is
-// positioned by NewRestoredKernel, the network's routing state is
-// re-applied, and the process registry starts empty (components re-add
-// themselves). Down flags must be re-applied by the caller via
-// Network.RestoreDown + RestoreDownAt after component registration.
+// positioned by NewRestoredKernel, the network's routing state — down flags
+// included — is re-applied, and the process registry starts empty
+// (components re-join, and a down one joins with its timer owner retired).
 func NewRestoredWorld(cfg WorldConfig, now Time, steps, rngDraws uint64, net NetworkSnapshot) *World {
 	k := NewRestoredKernel(cfg.Seed, now, steps, rngDraws)
 	w := &World{
 		kernel: k,
 		net:    NewNetwork(k, cfg.Latency, cfg.Jitter),
 		procs:  make(map[NodeID]Process),
-		downAt: make(map[NodeID]Time),
+		timers: make(map[NodeID]*Timers),
 	}
 	w.net.RestoreRouting(net)
 	return w
-}
-
-// DownAtSnapshot returns a copy of the crash-time registry.
-func (w *World) DownAtSnapshot() map[NodeID]Time {
-	out := make(map[NodeID]Time, len(w.downAt))
-	for id, t := range w.downAt {
-		out[id] = t
-	}
-	return out
-}
-
-// RestoreDownAt re-applies a captured crash-time registry.
-func (w *World) RestoreDownAt(m map[NodeID]Time) {
-	for id, t := range m {
-		w.downAt[id] = t
-	}
 }

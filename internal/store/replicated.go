@@ -58,7 +58,6 @@ type ReplicaServer struct {
 	raft  *raftlite.Node
 	st    *Store
 	rpc   *sim.RPCServer
-	down  bool
 
 	pending map[uint64]sim.Reply // raft index -> reply to the proposer's client
 	subs    map[string]*subscription
@@ -92,8 +91,7 @@ func newReplica(w *sim.World, id sim.NodeID, peers []sim.NodeID, cfg raftlite.Co
 	// The raft node registered itself as the network handler and process
 	// for id; take over both so client RPCs are demultiplexed and crash
 	// semantics include the applied store and subscriptions.
-	w.Network().Register(id, r)
-	w.AddProcess(r)
+	w.Join(r, nil)
 	return r
 }
 
@@ -109,7 +107,6 @@ func (r *ReplicaServer) Raft() *raftlite.Node { return r.raft }
 // Crash implements sim.Process (delegating volatile-state loss to raft;
 // the applied store is rebuilt on restart by replaying the WAL).
 func (r *ReplicaServer) Crash() {
-	r.down = true
 	r.raft.Crash()
 	r.pending = make(map[uint64]sim.Reply)
 	for _, sub := range r.subs {
@@ -121,15 +118,11 @@ func (r *ReplicaServer) Crash() {
 
 // Restart implements sim.Process.
 func (r *ReplicaServer) Restart() {
-	r.down = false
 	r.raft.Restart()
 }
 
 // HandleMessage implements sim.Handler: demultiplex raft vs client RPC.
 func (r *ReplicaServer) HandleMessage(m *sim.Message) {
-	if r.down {
-		return
-	}
 	if strings.HasPrefix(m.Kind, "raft.") {
 		r.raft.HandleMessage(m)
 		return

@@ -1,7 +1,7 @@
 package store
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/history"
 	"repro/internal/sim"
@@ -129,15 +129,7 @@ type Server struct {
 	subs  map[string]*subscription // key: client/subID
 
 	leaseTick sim.Duration
-	timers    *sim.Owner
-	serverState
-}
-
-// serverState is what the actor itself carries from one event to the next;
-// the store carries the data and the subscriptions are rebuilt with their
-// watchers.
-type serverState struct {
-	down bool
+	timers    *sim.Timers // the world's: a boot is its owner
 }
 
 // wireServer registers a store actor over st in the world under the given
@@ -153,14 +145,9 @@ func wireServer(w *sim.World, id sim.NodeID, st *Store) *Server {
 	}
 	s.rpc = sim.NewRPCServer(w.Network(), id)
 	s.register()
-	w.Network().Register(id, s)
-	w.AddProcess(s)
-	s.own()
+	s.timers = w.Join(s, s.leaseTickFire)
 	return s
 }
-
-// own registers the owner of one boot's timers: Crash retires it, Restart registers the next.
-func (s *Server) own() { s.timers = s.world.Kernel().Own(string(s.id), s.leaseTickFire) }
 
 // NewServer wires a store actor into the world under the given node ID.
 func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
@@ -178,8 +165,6 @@ func (s *Server) Store() *Store { return s.st }
 
 // Crash stops serving and drops all watch subscriptions.
 func (s *Server) Crash() {
-	s.down = true
-	s.timers.Retire()
 	for _, sub := range s.subs {
 		sub.handle.Cancel()
 	}
@@ -188,16 +173,11 @@ func (s *Server) Crash() {
 
 // Restart resumes serving. Durable store state is retained.
 func (s *Server) Restart() {
-	s.down = false
-	s.own()
 	s.scheduleLeaseTick()
 }
 
 // HandleMessage implements sim.Handler.
 func (s *Server) HandleMessage(m *sim.Message) {
-	if s.down {
-		return
-	}
 	s.st.SetNow(int64(s.world.Now()))
 	s.rpc.HandleRequest(m)
 }
@@ -223,8 +203,9 @@ func (s *Server) pushTo(client sim.NodeID, subID uint64) WatchNotify {
 	}
 }
 
+// subKey names a client's watch subscription in subs.
 func subKey(client sim.NodeID, subID uint64) string {
-	return fmt.Sprintf("%s/%d", client, subID)
+	return string(client) + "/" + strconv.FormatUint(subID, 10)
 }
 
 func (s *Server) register() {

@@ -8,10 +8,9 @@ import (
 
 // Snapshot captures a Store plus its Server wrapper at a checkpoint.
 type Snapshot struct {
-	ID     sim.NodeID
-	Store  storeState
-	Server serverState
-	Subs   []SubSnapshot // sorted by subscription key
+	ID    sim.NodeID
+	Store storeState
+	Subs  []SubSnapshot // sorted by subscription key
 }
 
 // SubSnapshot describes one live watch subscription: which client it
@@ -29,7 +28,7 @@ type SubSnapshot struct {
 // closures this layer cannot reconstruct.
 func (s *Server) Snapshot() (*Snapshot, bool) {
 	st := s.st
-	snap := &Snapshot{ID: s.id, Store: st.storeState.clone(), Server: s.serverState}
+	snap := &Snapshot{ID: s.id, Store: st.storeState.clone()}
 
 	owned := make(map[int64]bool, len(s.subs))
 	keys := make([]string, 0, len(s.subs))
@@ -65,10 +64,6 @@ func (s *Server) Snapshot() (*Snapshot, bool) {
 func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	st := &Store{watchers: make(map[int64]*watcher), storeState: snap.Store.clone()}
 	s := wireServer(w, snap.ID, st)
-	s.serverState = snap.Server
-	if s.down {
-		s.timers.Retire()
-	}
 	for _, sub := range snap.Subs {
 		st.watchers[sub.WatcherID] = &watcher{id: sub.WatcherID, prefix: sub.Prefix, notify: s.pushTo(sub.Client, sub.SubID)}
 		s.subs[subKey(sub.Client, sub.SubID)] = &subscription{
