@@ -83,8 +83,8 @@ func main() {
 	}
 
 	st := c.World.Network().Stats()
-	fmt.Printf("\nnetwork: sent=%d delivered=%d dropped=%d held=%d\n",
-		st.Sent, st.Delivered, st.Dropped, st.Held)
+	fmt.Printf("\nnetwork: sent=%d delivered=%d dropped=%d\n",
+		st.Sent, st.Delivered, st.Dropped)
 	fmt.Printf("store: revision=%d keys=%d\n", c.Store.Store().Revision(), c.Store.Store().Len())
 }
 

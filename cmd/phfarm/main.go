@@ -299,10 +299,14 @@ func runMatrix(ctx context.Context, o matrixOpts, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stdout, "\ncorpus updated: %s (%d cells)\n", o.corpusDir, len(merged))
 	}
 
+	cfgs := make([]campaign.Config, len(merged))
+	for i, res := range merged {
+		cfgs[i] = cellConfig(o.base, coverage[farm.Cell{Target: res.Target, Strategy: res.Strategy}])
+	}
 	if o.jsonPath != "" {
 		var artifacts []campaign.Artifact
-		for _, res := range merged {
-			art := campaign.BuildArtifact(res, cellConfig(o.base, coverage[farm.Cell{Target: res.Target, Strategy: res.Strategy}]))
+		for i, res := range merged {
+			art := campaign.BuildArtifact(res, cfgs[i])
 			if o.canonical {
 				art = campaign.CanonicalizeArtifact(art)
 			}
@@ -315,7 +319,7 @@ func runMatrix(ctx context.Context, o matrixOpts, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stdout, "\ncampaign artifact: %s (%d campaigns)\n", o.jsonPath, len(artifacts))
 	}
 	if o.ndjsonPath != "" {
-		if err := writeNDJSON(o.ndjsonPath, merged, o.base, coverage); err != nil {
+		if err := campaign.WriteNDJSONFile(o.ndjsonPath, merged, cfgs); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -416,21 +420,6 @@ func cellConfig(base farm.TaskSpec, cov *campaign.CoverageSeed) campaign.Config 
 		Snapshot:      base.Snapshot,
 		Coverage:      cov,
 	}
-}
-
-func writeNDJSON(path string, merged []campaign.Result, base farm.TaskSpec, coverage map[farm.Cell]*campaign.CoverageSeed) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("phfarm: create telemetry file: %w", err)
-	}
-	for _, res := range merged {
-		cfg := cellConfig(base, coverage[farm.Cell{Target: res.Target, Strategy: res.Strategy}])
-		if err := campaign.WriteNDJSON(f, res, cfg); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }
 
 func printMatrix(w io.Writer, targets, strategies []string, merged []campaign.Result, multiSeed bool) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,11 @@ import (
 	"repro/internal/farm"
 	"repro/internal/workload"
 )
+
+// run is runCtx without cancellation.
+func run(args []string, stdout, stderr io.Writer) int {
+	return runCtx(context.Background(), args, stdout, stderr)
+}
 
 // The table-driven validator test lives with the shared rules in
 // internal/farm (TestValidateFlags); here we verify the full CLI path.
@@ -95,6 +101,9 @@ func TestParseSeeds(t *testing.T) {
 	if _, err := farm.ParseSeeds(""); err == nil {
 		t.Fatal("empty seed list accepted")
 	}
+	if _, err := farm.ParseSeeds("1, 2,1"); err == nil {
+		t.Fatal("repeated seed accepted")
+	}
 }
 
 // TestCampaignArtifactRoundTrip runs one campaign the way main does with
@@ -107,7 +116,7 @@ func TestCampaignArtifactRoundTrip(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	art := campaign.BuildArtifact(res, cfg)
-	if err := campaign.WriteArtifacts(path, []campaign.Artifact{art}); err != nil {
+	if err := campaign.WriteArtifactsStatus(path, []campaign.Artifact{art}, false); err != nil {
 		t.Fatal(err)
 	}
 	back, err := campaign.ReadArtifacts(path)

@@ -41,15 +41,6 @@ func matchesSentinel(err, sentinel error) bool {
 	return errors.Is(err, sentinel) || err.Error() == sentinel.Error()
 }
 
-// IsConflict reports whether err is a ResourceVersion conflict.
-func IsConflict(err error) bool { return matchesSentinel(err, ErrConflict) }
-
-// IsAlreadyExists reports whether err signals a name collision on create.
-func IsAlreadyExists(err error) bool { return matchesSentinel(err, ErrAlreadyExists) }
-
-// IsNotFound reports whether err signals an absent object.
-func IsNotFound(err error) bool { return matchesSentinel(err, ErrNotFound) }
-
 // IsTooOld reports whether err demands a relist.
 func IsTooOld(err error) bool { return matchesSentinel(err, ErrTooOldResourceVersion) }
 

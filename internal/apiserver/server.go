@@ -16,9 +16,6 @@ import (
 // cache from the store; clients retry.
 var ErrNotReady = errors.New("apiserver: not ready, cache syncing")
 
-// IsNotReady reports whether err is a not-ready rejection.
-func IsNotReady(err error) bool { return matchesSentinel(err, ErrNotReady) }
-
 // Config tunes an apiserver.
 type Config struct {
 	// StoreNode is the store server this apiserver syncs from.

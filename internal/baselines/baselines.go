@@ -88,20 +88,16 @@ func (r Random) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 // membership ("meta-info") update, then restarts it — the heuristic of
 // Lu et al. (SOSP'19) as characterized by the paper's Section 5: "crashing
 // a node immediately creates diverging (H', S') at other components".
-type CrashTuner struct {
-	// RestartDelay is how long the victim stays down.
-	RestartDelay sim.Duration
-}
+type CrashTuner struct{}
+
+// crashTunerRestartDelay is how long a CrashTuner victim stays down.
+const crashTunerRestartDelay = 500 * sim.Millisecond
 
 // Name implements core.Strategy.
 func (CrashTuner) Name() string { return "crashtuner" }
 
 // Plans implements core.Strategy.
-func (s CrashTuner) Plans(t core.Target, ref *trace.Trace) []core.Plan {
-	delay := s.RestartDelay
-	if delay <= 0 {
-		delay = 500 * sim.Millisecond
-	}
+func (CrashTuner) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 	restartable := map[sim.NodeID]bool{}
 	for _, id := range t.Topology.Restartable {
 		restartable[id] = true
@@ -115,7 +111,7 @@ func (s CrashTuner) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 		plans = append(plans, core.CrashPlan{
 			Component:    d.To,
 			At:           d.Time.Add(2 * sim.Millisecond),
-			RestartDelay: delay,
+			RestartDelay: crashTunerRestartDelay,
 		})
 	}
 	// ...or right after it *writes* membership state (kubelet heartbeats,
@@ -128,7 +124,7 @@ func (s CrashTuner) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 		plans = append(plans, core.CrashPlan{
 			Component:    w.From,
 			At:           w.Time.Add(2 * sim.Millisecond),
-			RestartDelay: delay,
+			RestartDelay: crashTunerRestartDelay,
 		})
 	}
 	return dedupe(plans)
@@ -138,20 +134,16 @@ func (s CrashTuner) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 // state is about to change or has just changed — "a network partition
 // prevents (H', S') at a component from being synchronized with (H, S)"
 // (paper §5).
-type CoFI struct {
-	// Window is how long each injected partition lasts.
-	Window sim.Duration
-}
+type CoFI struct{}
+
+// cofiWindow is how long each CoFI partition lasts.
+const cofiWindow = sim.Second
 
 // Name implements core.Strategy.
 func (CoFI) Name() string { return "cofi" }
 
 // Plans implements core.Strategy.
-func (s CoFI) Plans(t core.Target, ref *trace.Trace) []core.Plan {
-	window := s.Window
-	if window <= 0 {
-		window = sim.Second
-	}
+func (CoFI) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 	var plans []core.Plan
 	for _, d := range ref.Deliveries {
 		if !membershipKinds[d.Kind] || d.To == "admin" {
@@ -163,14 +155,14 @@ func (s CoFI) Plans(t core.Target, ref *trace.Trace) []core.Plan {
 			A:     d.To,
 			B:     d.From,
 			From:  d.Time.Add(-2 * sim.Millisecond),
-			Until: d.Time.Add(window),
+			Until: d.Time.Add(cofiWindow),
 		})
 		// ... and the apiserver from the store just before the change
 		// reaches it (freezing the whole subtree's view).
 		plans = append(plans, core.StalenessPlan{
 			Victim: d.From,
 			From:   d.Time.Add(-4 * sim.Millisecond),
-			Until:  d.Time.Add(window),
+			Until:  d.Time.Add(cofiWindow),
 		})
 	}
 	return dedupe(plans)

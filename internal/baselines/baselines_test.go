@@ -59,7 +59,7 @@ func TestCrashTunerTargetsMembershipObservers(t *testing.T) {
 func TestCoFIPlansAreWindowedPartitions(t *testing.T) {
 	target := workload.TargetCass398()
 	ref, _ := core.ReferenceSeed(target, 1)
-	plans := baselines.CoFI{Window: sim.Second}.Plans(target, ref)
+	plans := baselines.CoFI{}.Plans(target, ref)
 	if len(plans) == 0 {
 		t.Fatal("no plans")
 	}

@@ -64,20 +64,6 @@ func DiffEntries(committed, fresh any) []DiffEntry {
 	return out
 }
 
-// Diff is DiffEntries rendered as human-readable lines (empty means
-// identical) — the form benchcheck prints without -json.
-func Diff(committed, fresh any) []string {
-	entries := DiffEntries(committed, fresh)
-	if len(entries) == 0 {
-		return nil
-	}
-	out := make([]string, len(entries))
-	for i, e := range entries {
-		out[i] = e.String()
-	}
-	return out
-}
-
 func diffValue(path string, a, b any, out *[]DiffEntry) {
 	switch av := a.(type) {
 	case map[string]any:

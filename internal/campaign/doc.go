@@ -37,7 +37,7 @@
 //   - Failure dedup and reporting. Violating executions are bucketed by
 //     signature, the engine keeps progress counters (raw executions,
 //     executions/sec, coverage classes, novel signatures, detections),
-//     and BuildArtifact/WriteArtifacts emit a campaign.json with per-plan
+//     and BuildArtifact/WriteArtifactsStatus emit a campaign.json with per-plan
 //     outcomes for offline analysis and the bench trajectory.
 //
 //   - One execution path, forked when provable (Config.Snapshot). Every

@@ -491,13 +491,8 @@ func BuildArtifact(res Result, cfg Config) Artifact {
 	return art
 }
 
-// WriteArtifacts writes the campaign artifact file: a JSON document with
-// one entry per (target, strategy) campaign.
-func WriteArtifacts(path string, artifacts []Artifact) error {
-	return WriteArtifactsStatus(path, artifacts, false)
-}
-
-// WriteArtifactsStatus is WriteArtifacts with an explicit interrupted
+// WriteArtifactsStatus writes the campaign artifact file: a JSON document
+// with one entry per (target, strategy) campaign, and an interrupted
 // marker: a run cancelled by SIGINT/SIGTERM flushes the campaigns it
 // completed as a valid document tagged "interrupted": true, instead of
 // dying mid-write and leaving a truncated file.
@@ -519,7 +514,7 @@ func WriteArtifactsStatus(path string, artifacts []Artifact, interrupted bool) e
 }
 
 // ReadArtifacts loads a campaign artifact file (the inverse of
-// WriteArtifacts), for tools and tests.
+// WriteArtifactsStatus), for tools and tests.
 func ReadArtifacts(path string) ([]Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

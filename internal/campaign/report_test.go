@@ -37,7 +37,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "campaign.json")
 	art := BuildArtifact(res, cfg)
-	if err := WriteArtifacts(path, []Artifact{art}); err != nil {
+	if err := WriteArtifactsStatus(path, []Artifact{art}, false); err != nil {
 		t.Fatal(err)
 	}
 

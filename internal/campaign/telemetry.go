@@ -276,15 +276,17 @@ func WriteNDJSON(w io.Writer, res Result, cfg Config) error {
 }
 
 // WriteNDJSONFile writes the concatenated telemetry streams of several
-// campaigns (in matrix order) to path.
-func WriteNDJSONFile(path string, results []Result, cfg Config) error {
+// campaigns (in matrix order) to path, each with the config its cell ran
+// under: cfgs[i] is results[i]'s (cells differ when a corpus seeds each
+// from its own slice).
+func WriteNDJSONFile(path string, results []Result, cfgs []Config) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("campaign: create telemetry file: %w", err)
 	}
 	bw := bufio.NewWriter(f)
-	for _, res := range results {
-		if err := WriteNDJSON(bw, res, cfg); err != nil {
+	for i, res := range results {
+		if err := WriteNDJSON(bw, res, cfgs[i]); err != nil {
 			f.Close()
 			return err
 		}

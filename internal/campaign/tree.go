@@ -260,7 +260,7 @@ func effectTimes(plans []core.Plan, ref *trace.Trace) []sim.Time {
 
 // captureWithSlide captures the cluster at the current instant, advancing
 // virtual time in 1ms steps while the instant is not quiescent (an untagged
-// timer pending, a message held, an RPC call in flight).
+// timer pending, an RPC call in flight).
 func captureWithSlide(c *infra.Cluster, k *sim.Kernel, end sim.Time) (*infra.Snapshot, bool) {
 	for attempt := 0; attempt < captureSlideAttempts; attempt++ {
 		if snap, ok := c.Capture(); ok {

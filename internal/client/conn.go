@@ -76,9 +76,6 @@ func (c *Conn) Self() sim.NodeID { return c.self }
 // APIServer returns the current upstream apiserver.
 func (c *Conn) APIServer() sim.NodeID { return c.api }
 
-// World returns the connection's world.
-func (c *Conn) World() *sim.World { return c.world }
-
 // SwitchAPIServer repoints the connection at a different apiserver and
 // tells every informer to relist from it.
 func (c *Conn) SwitchAPIServer(api sim.NodeID) {

@@ -176,10 +176,6 @@ func (i *Informer) LastRevision() int64 { return i.lastRev }
 // Relists returns how many list operations the informer has performed.
 func (i *Informer) Relists() int { return i.relists }
 
-// Retries returns how many list attempts failed against an unavailable
-// upstream and were rescheduled with backoff.
-func (i *Informer) Retries() int { return i.retries }
-
 // Get returns the cached object by name. The result is the cached object
 // itself and is read-only: Clone before changing it.
 func (i *Informer) Get(name string) (*cluster.Object, bool) {

@@ -234,13 +234,6 @@ func appendObject(b []byte, o *Object) ([]byte, bool) {
 		e = e.optStr(`"state":`, string(s.State))
 		e = e.close()
 	}
-	if s := o.AppSet; s != nil {
-		e = e.key(`"appSet":`).open()
-		e = e.key(`"replicas":`).integer(int64(s.Replicas))
-		e = e.optStr(`"image":`, s.Image)
-		e = e.optInt(`"readyReplicas":`, int64(s.ReadyReplicas))
-		e = e.close()
-	}
 	e = e.close()
 	return e.b, !e.escaped
 }
@@ -445,7 +438,7 @@ func parseObject(data []byte) (*Object, bool) {
 		m := &o.Meta
 		p.open()
 		if p.key(`"kind":`) {
-			m.Kind = wellKnown(p.str(), KindPod, KindNode, KindPVC, KindCassandra, KindRegion, KindAppSet)
+			m.Kind = wellKnown(p.str(), KindPod, KindNode, KindPVC, KindCassandra, KindRegion)
 		}
 		if p.key(`"name":`) {
 			m.Name = p.str()
@@ -547,21 +540,6 @@ func parseObject(data []byte) (*Object, bool) {
 		}
 		p.close()
 		o.Region = s
-	}
-	if p.key(`"appSet":`) {
-		s := new(AppSetSpec)
-		p.open()
-		if p.key(`"replicas":`) {
-			s.Replicas = p.intField()
-		}
-		if p.key(`"image":`) {
-			s.Image = p.str()
-		}
-		if p.key(`"readyReplicas":`) {
-			s.ReadyReplicas = p.intField()
-		}
-		p.close()
-		o.AppSet = s
 	}
 	p.close()
 	if p.bad || p.i != len(p.s) {

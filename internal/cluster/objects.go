@@ -25,12 +25,11 @@ const (
 	KindPVC       Kind = "pvcs"
 	KindCassandra Kind = "cassandraclusters"
 	KindRegion    Kind = "regions"
-	KindAppSet    Kind = "appsets"
 )
 
 // Kinds lists every known kind in stable order.
 func Kinds() []Kind {
-	return []Kind{KindPod, KindNode, KindPVC, KindCassandra, KindRegion, KindAppSet}
+	return []Kind{KindPod, KindNode, KindPVC, KindCassandra, KindRegion}
 }
 
 // PodPhase is the lifecycle phase of a pod.
@@ -94,17 +93,6 @@ type CassandraSpec struct {
 	Racks []string `json:"racks,omitempty"`
 }
 
-// AppSetSpec describes a replicated application (a Deployment/ReplicaSet
-// analog): the controller in internal/controllers keeps Replicas pod
-// copies running on the template Image, replacing pods one at a time when
-// the image changes (rolling upgrade).
-type AppSetSpec struct {
-	Replicas int    `json:"replicas"`
-	Image    string `json:"image,omitempty"`
-	// ReadyReplicas is status: pods observed Running on the current image.
-	ReadyReplicas int `json:"readyReplicas,omitempty"`
-}
-
 // RegionState is the assignment state of a region (HBase analog).
 type RegionState string
 
@@ -152,7 +140,6 @@ type Object struct {
 	PVC       *PVCSpec       `json:"pvc,omitempty"`
 	Cassandra *CassandraSpec `json:"cassandra,omitempty"`
 	Region    *RegionSpec    `json:"region,omitempty"`
-	AppSet    *AppSetSpec    `json:"appSet,omitempty"`
 }
 
 // NewPod constructs a pod object.
@@ -178,11 +165,6 @@ func NewCassandra(name, uid string, spec CassandraSpec) *Object {
 // NewRegion constructs a region object.
 func NewRegion(name, uid string, spec RegionSpec) *Object {
 	return &Object{Meta: Meta{Kind: KindRegion, Name: name, UID: uid}, Region: &spec}
-}
-
-// NewAppSet constructs a replicated-application object.
-func NewAppSet(name, uid string, spec AppSetSpec) *Object {
-	return &Object{Meta: Meta{Kind: KindAppSet, Name: name, UID: uid}, AppSet: &spec}
 }
 
 // Clone returns a deep copy of the object. Objects handed to or received
@@ -222,10 +204,6 @@ func (o *Object) Clone() *Object {
 		r := *o.Region
 		c.Region = &r
 	}
-	if o.AppSet != nil {
-		a := *o.AppSet
-		c.AppSet = &a
-	}
 	return &c
 }
 
@@ -252,7 +230,6 @@ var kindPrefixes = map[Kind]string{
 	KindPVC:       RegistryPrefix + string(KindPVC) + "/",
 	KindCassandra: RegistryPrefix + string(KindCassandra) + "/",
 	KindRegion:    RegistryPrefix + string(KindRegion) + "/",
-	KindAppSet:    RegistryPrefix + string(KindAppSet) + "/",
 }
 
 // KindPrefix returns the store key prefix holding all objects of a kind.

@@ -115,9 +115,6 @@ func (q *Queue) AddAfter(key string, d sim.Duration) {
 	q.timers.After(d, sim.EventTag{Kind: "addafter", Key: key})
 }
 
-// Len returns the number of queued keys.
-func (q *Queue) Len() int { return len(q.order) }
-
 // Stop permanently halts processing (crash semantics): the queue's pending
 // timers still come due, and run nothing.
 func (q *Queue) Stop() {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controllers"
 	"repro/internal/infra"
-	"repro/internal/kubelet"
 	"repro/internal/sim"
 )
 
@@ -107,68 +106,5 @@ func TestVolumeControllerCrashRestart(t *testing.T) {
 	pvcs := c.GroundTruth(cluster.KindPVC)
 	if len(pvcs) != 1 || pvcs[0].PVC.Phase != cluster.PVCReleased {
 		t.Fatalf("restarted fixed controller did not release: %+v", pvcs)
-	}
-}
-
-func TestNodeLifecycleMarksAndDeletesDeadNode(t *testing.T) {
-	opts := infra.DefaultOptions()
-	opts.Nodes = []string{"k1", "k2"}
-	opts.EnableScheduler = false
-	opts.EnableVolumeController = false
-	opts.EnableNodeLifecycle = true
-	c := infra.New(opts)
-	c.RunFor(sim.Second)
-
-	c.Admin.CreatePod("p1", "k1", "v1", nil)
-	c.RunFor(sim.Second)
-
-	// Kill k1's kubelet process AND its host: heartbeats stop.
-	if err := c.World.Crash(kubelet.NodeID("k1")); err != nil {
-		t.Fatal(err)
-	}
-	c.Hosts["k1"].Reset()
-
-	// After NotReadyAfter the node is marked; after DeleteAfter it is
-	// removed and its pods force-deleted.
-	c.RunFor(2 * sim.Second)
-	var k1Ready *bool
-	for _, n := range c.GroundTruth(cluster.KindNode) {
-		if n.Meta.Name == "k1" {
-			v := n.Node.Ready
-			k1Ready = &v
-		}
-	}
-	if k1Ready == nil || *k1Ready {
-		t.Fatalf("dead node not marked NotReady (ready=%v)", k1Ready)
-	}
-
-	c.RunFor(4 * sim.Second)
-	for _, n := range c.GroundTruth(cluster.KindNode) {
-		if n.Meta.Name == "k1" {
-			t.Fatal("dead node object not deleted")
-		}
-	}
-	for _, p := range c.GroundTruth(cluster.KindPod) {
-		if p.Pod.NodeName == "k1" {
-			t.Fatal("pod on dead node not evicted")
-		}
-	}
-	if c.NodeLC.DeletedNodes != 1 || c.NodeLC.MarkedNotReady < 1 {
-		t.Fatalf("nodeLC counters: %+v", *c.NodeLC)
-	}
-}
-
-func TestNodeLifecycleLeavesHealthyNodesAlone(t *testing.T) {
-	opts := infra.DefaultOptions()
-	opts.EnableScheduler = false
-	opts.EnableVolumeController = false
-	opts.EnableNodeLifecycle = true
-	c := infra.New(opts)
-	c.RunFor(6 * sim.Second)
-	if got := len(c.GroundTruth(cluster.KindNode)); got != 2 {
-		t.Fatalf("healthy nodes GCed: %d left", got)
-	}
-	if c.NodeLC.MarkedNotReady != 0 || c.NodeLC.DeletedNodes != 0 {
-		t.Fatalf("nodeLC acted on healthy nodes: %+v", *c.NodeLC)
 	}
 }

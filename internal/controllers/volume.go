@@ -1,7 +1,6 @@
-// Package controllers hosts built-in control-plane controllers of the
-// simulated infrastructure: the volume releaser (the observability-gap bug
-// of paper §4.2.3 / cassandra-operator-398's generic form) and the node
-// lifecycle controller that garbage-collects dead nodes.
+// Package controllers hosts the built-in volume releaser of the simulated
+// infrastructure: the observability-gap bug of paper §4.2.3, the generic
+// form of cassandra-operator-398.
 package controllers
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // Toggle is one plan-family / engine-mode configuration of a grid — a
@@ -86,6 +87,11 @@ func (g *Grid) validate() error {
 	}
 	if len(g.Seeds) == 0 {
 		return fmt.Errorf("seeds must be non-empty")
+	}
+	for i, s := range g.Seeds {
+		if slices.Contains(g.Seeds[:i], s) {
+			return fmt.Errorf("seed %d repeated", s)
+		}
 	}
 	if len(g.Toggles) == 0 {
 		return fmt.Errorf("toggles must be non-empty")

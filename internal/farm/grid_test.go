@@ -44,6 +44,7 @@ func TestLoadGridValidation(t *testing.T) {
 		"missing name":    `{"targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"name":"t"}]}`,
 		"no targets":      `{"name":"g","targets":[],"strategies":["s"],"seeds":[1],"toggles":[{"name":"t"}]}`,
 		"no seeds":        `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[],"toggles":[{"name":"t"}]}`,
+		"repeated seed":   `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1,2,1],"toggles":[{"name":"t"}]}`,
 		"no toggles":      `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[]}`,
 		"unnamed toggle":  `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"guided":true}]}`,
 		"dup toggle":      `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"name":"t"},{"name":"t"}]}`,

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -180,7 +181,8 @@ func ValidateFlags(r FlagRules) error {
 	return nil
 }
 
-// ParseSeeds parses a comma-separated list of world seeds.
+// ParseSeeds parses a comma-separated list of distinct world seeds: a
+// repeated seed would run one world twice and count it as two.
 func ParseSeeds(spec string) ([]int64, error) {
 	var out []int64
 	for _, part := range strings.Split(spec, ",") {
@@ -191,6 +193,9 @@ func ParseSeeds(spec string) ([]int64, error) {
 		v, err := strconv.ParseInt(part, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad seed %q: %v", part, err)
+		}
+		if slices.Contains(out, v) {
+			return nil, fmt.Errorf("-seeds: seed %d repeated in %q", v, spec)
 		}
 		out = append(out, v)
 	}

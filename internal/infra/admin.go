@@ -57,11 +57,6 @@ func (a *Admin) MarkPodDeleted(name string, done func(error)) {
 	})
 }
 
-// ForceDeletePod removes the pod object immediately (e2).
-func (a *Admin) ForceDeletePod(name string, done func(error)) {
-	a.conn.Delete(cluster.KindPod, name, 0, func(err error) { callback(done, err) })
-}
-
 // MigratePod performs the Figure 2 rolling-upgrade move: mark+delete the
 // pod, wait for it to disappear from ground truth, then re-create it (same
 // name, new UID) bound to toNode.
@@ -120,28 +115,6 @@ func (a *Admin) DeleteNode(name string, done func(error)) {
 		host.Reset()
 	}
 	a.conn.Delete(cluster.KindNode, name, 0, func(err error) { callback(done, err) })
-}
-
-// CreateAppSet creates a replicated-application object for the app
-// controller to reconcile.
-func (a *Admin) CreateAppSet(name string, replicas int, image string, done func(error)) {
-	app := cluster.NewAppSet(name, a.uids.Next(), cluster.AppSetSpec{Replicas: replicas, Image: image})
-	a.conn.Create(app, func(_ *cluster.Object, err error) { callback(done, err) })
-}
-
-// UpdateAppSet changes an AppSet's replica count and/or image (a rolling
-// upgrade when the image changes).
-func (a *Admin) UpdateAppSet(name string, replicas int, image string, done func(error)) {
-	a.conn.Get(cluster.KindAppSet, name, true, func(app *cluster.Object, found bool, err error) {
-		if err != nil || !found {
-			callback(done, errOrNotFound(err, found))
-			return
-		}
-		upd := app.Clone()
-		upd.AppSet.Replicas = replicas
-		upd.AppSet.Image = image
-		a.conn.Update(upd, func(_ *cluster.Object, err error) { callback(done, err) })
-	})
 }
 
 // CreateCassandra creates the CassandraCluster CR.

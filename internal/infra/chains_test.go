@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/controllers"
 	"repro/internal/core"
 	"repro/internal/infra"
 	"repro/internal/operators/cassandra"
@@ -27,10 +26,8 @@ func ownPeriod(id sim.NodeID) sim.Duration {
 		return 50 * sim.Millisecond // leasetick
 	case strings.HasPrefix(string(id), "api-"):
 		return 500 * sim.Millisecond // resync
-	case id == controllers.AppSetControllerID || id == cassandra.OperatorID:
+	case id == cassandra.OperatorID:
 		return 200 * sim.Millisecond // resync
-	case id == controllers.NodeLifecycleID:
-		return 250 * sim.Millisecond // check
 	}
 	return 100 * sim.Millisecond // the kubelet's sync, the volume controller's poll
 }

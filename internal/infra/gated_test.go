@@ -9,7 +9,6 @@ import (
 	"repro/internal/infra"
 	"repro/internal/kubelet"
 	"repro/internal/oracle"
-	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -42,13 +41,6 @@ func shadowOracles(c *infra.Cluster) *oracle.Runner {
 	if c.Opts.Cassandra != nil {
 		r.Add(oracle.ScaleDownCompletes(r, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience))
 		oracle.InstallNoLivePVCDeletion(st, r)
-	}
-	if c.Opts.Regions != nil {
-		var servers []*regions.RegionServer
-		for _, name := range c.Opts.Regions.Servers {
-			servers = append(servers, c.RegionServers[name])
-		}
-		r.Add(oracle.CASAtomicity(servers))
 	}
 	c.Oracles.Add(oracle.Func{OracleName: shadowName, CheckFunc: func(now sim.Time) *oracle.Violation {
 		r.CheckNow(now)
@@ -198,29 +190,4 @@ func TestGatedOraclesMatchEveryTick(t *testing.T) {
 			t.Errorf("no row made %s report: the comparison never saw it cross from holding to violated", name)
 		}
 	}
-}
-
-// TestGatedCASAtomicityMatchesEveryTick is the same comparison on the one
-// oracle no campaign target registers: region servers under the stale-blind
-// manager, moved back to back until a region is served twice.
-func TestGatedCASAtomicityMatchesEveryTick(t *testing.T) {
-	opts := infra.DefaultOptions()
-	opts.Regions = &infra.RegionOptions{Servers: []string{"a", "b", "c"}, Mode: regions.ModeStaleBlind}
-	c := infra.New(opts)
-	shadow := shadowOracles(c)
-	c.RegionManager.CreateRegion("r1", "a", func(error) {})
-	c.RunFor(100 * sim.Millisecond)
-	for i := 0; i < 20 && len(shadow.Violations()) == 0; i++ {
-		to1, to2 := "b", "c"
-		if i%2 == 1 {
-			to1, to2 = "c", "b"
-		}
-		c.RegionManager.Move("r1", to1, func(error) {})
-		c.RegionManager.Move("r1", to2, func(error) {})
-		c.RunFor(100 * sim.Millisecond)
-	}
-	if !shadow.Violated(oracle.NameCASAtomicity) {
-		t.Fatal("stale-blind moves never produced dual ownership: nothing compared")
-	}
-	assertGatedMatchesEveryTick(t, "regions", c, shadow)
 }

@@ -1,7 +1,7 @@
 // Package infra assembles complete simulated infrastructures: a store, a
-// set of apiservers, kubelets with hosts, the scheduler, built-in
-// controllers, the Cassandra operator, the region service, and the oracle
-// runner — the Figure 1 architecture in one call.
+// set of apiservers, kubelets with hosts, the scheduler, the volume
+// controller, the Cassandra operator, and the oracle runner — the Figure 1
+// architecture in one call.
 //
 // Every experiment execution builds a fresh Cluster from an Options value
 // and a seed, runs a workload against it (optionally under a perturbation
@@ -19,7 +19,6 @@ import (
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
 	"repro/internal/oracle"
-	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -29,12 +28,6 @@ import (
 type CassandraOptions struct {
 	Name  string
 	Fixes cassandra.Fixes
-}
-
-// RegionOptions enables the region service.
-type RegionOptions struct {
-	Servers []string
-	Mode    regions.Mode
 }
 
 // Options selects the components of a cluster.
@@ -53,15 +46,8 @@ type Options struct {
 	EnableVolumeController bool
 	// VolumeControllerFix enables the release-on-absent-owner fix.
 	VolumeControllerFix bool
-	// EnableNodeLifecycle runs node heartbeat GC.
-	EnableNodeLifecycle bool
-	// EnableAppController runs the replicaset-style application controller.
-	EnableAppController bool
 	// Cassandra, when non-nil, runs the Cassandra operator.
 	Cassandra *CassandraOptions
-	// Regions, when non-nil, runs region servers and the assignment
-	// manager.
-	Regions *RegionOptions
 	// Topology, when non-nil, builds a racked multi-DC world: Nodes (if
 	// empty) is generated as Racks × NodesPerRack rack-major names, every
 	// process gets a sim.Location, and the network serves
@@ -101,12 +87,7 @@ type Cluster struct {
 
 	Scheduler *scheduler.Scheduler
 	Volume    *controllers.VolumeController
-	NodeLC    *controllers.NodeLifecycleController
-	App       *controllers.AppSetController
 	Cassandra *cassandra.Operator
-
-	RegionServers map[string]*regions.RegionServer
-	RegionManager *regions.Manager
 
 	Oracles *oracle.Runner
 	Admin   *Admin
@@ -126,12 +107,11 @@ func worldConfig(seed int64) sim.WorldConfig {
 // newCluster returns a cluster of no components in world w.
 func newCluster(opts Options, w *sim.World) *Cluster {
 	return &Cluster{
-		Opts:          opts,
-		World:         w,
-		Hosts:         make(map[string]*kubelet.Host),
-		Kubelet:       make(map[string]*kubelet.Kubelet),
-		RegionServers: make(map[string]*regions.RegionServer),
-		Oracles:       oracle.NewRunner(),
+		Opts:    opts,
+		World:   w,
+		Hosts:   make(map[string]*kubelet.Host),
+		Kubelet: make(map[string]*kubelet.Kubelet),
+		Oracles: oracle.NewRunner(),
 	}
 }
 
@@ -216,31 +196,16 @@ func New(opts Options) *Cluster {
 		cfg.ReleaseOnAbsentOwner = opts.VolumeControllerFix
 		c.Volume = controllers.NewVolumeController(w, cfg)
 	}
-	if opts.EnableNodeLifecycle {
-		c.NodeLC = controllers.NewNodeLifecycleController(w, controllers.DefaultNodeLifecycleConfig(apiIDs[0]))
-	}
-	if opts.EnableAppController {
-		c.App = controllers.NewAppSetController(w, controllers.DefaultAppSetConfig(apiIDs[0]))
-	}
 	if opts.Cassandra != nil {
 		cfg := cassandra.DefaultConfig(apiIDs[0], opts.Cassandra.Name)
 		cfg.Fixes = opts.Cassandra.Fixes
 		c.Cassandra = cassandra.New(w, cfg)
 	}
-	if opts.Regions != nil {
-		for _, name := range opts.Regions.Servers {
-			c.RegionServers[name] = regions.NewRegionServer(w, name)
-		}
-		c.RegionManager = regions.NewManager(w, regions.ManagerConfig{
-			APIServer: apiIDs[0],
-			Mode:      opts.Regions.Mode,
-		})
-	}
 
 	if topo != nil {
 		// Every process without an explicit placement — the store, the
-		// non-affine apiservers, scheduler, controllers, operators,
-		// region servers — lives in the control rack of the first DC.
+		// non-affine apiservers, scheduler, controller, operator — lives
+		// in the control rack of the first DC.
 		ctrl := topo.controlLocation()
 		for _, id := range w.Network().Nodes() {
 			if w.Network().LocationOf(id).IsZero() {
@@ -294,15 +259,6 @@ func (c *Cluster) addOracles() {
 			kind(cluster.KindCassandra), pods)
 		oracle.InstallNoLivePVCDeletion(st, c.Oracles)
 	}
-	if c.Opts.Regions != nil {
-		var servers []*regions.RegionServer
-		var owned []*sim.Generation
-		for _, name := range c.Opts.Regions.Servers {
-			servers = append(servers, c.RegionServers[name])
-			owned = append(owned, c.RegionServers[name].Generation())
-		}
-		c.Oracles.Add(oracle.CASAtomicity(servers), owned...)
-	}
 }
 
 // shells returns the lifecycle shell of every component that holds an API
@@ -318,17 +274,8 @@ func (c *Cluster) shells() []*controller.Shell {
 	if c.Volume != nil {
 		out = append(out, &c.Volume.Shell)
 	}
-	if c.NodeLC != nil {
-		out = append(out, &c.NodeLC.Shell)
-	}
-	if c.App != nil {
-		out = append(out, &c.App.Shell)
-	}
 	if c.Cassandra != nil {
 		out = append(out, &c.Cassandra.Shell)
-	}
-	if c.RegionManager != nil {
-		out = append(out, &c.RegionManager.Shell)
 	}
 	return out
 }

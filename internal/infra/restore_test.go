@@ -12,7 +12,6 @@ import (
 	"repro/internal/infra"
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
-	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -269,10 +268,7 @@ func TestRestoredClusterContinuesIdentically(t *testing.T) {
 		{workload.Target59848(), infra.StoreID, ms(3055), "leasetick"},
 		{workload.Target59848(), infra.APIServerID(0), ms(3055), "resync"},
 		{everything, controllers.VolumeControllerID, ms(3055), "poll"},
-		{everything, controllers.NodeLifecycleID, ms(3055), "check"},
-		{everything, controllers.AppSetControllerID, ms(3055), "resync"},
 		{everything, cassandra.OperatorID, ms(3055), "resync"},
-		{everything, regions.ManagerID, ms(3055), ""}, // no timer and no informer: a connection to make anew
 		// The operator's two one-shot timers, mid-decommission: the scale-down
 		// lands at 4 s, the drain is pending from 4.017 s and the wait for the
 		// pod to go from 4.122 s to 4.147 s.

@@ -25,7 +25,6 @@ import (
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
 	"repro/internal/oracle"
-	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -42,15 +41,10 @@ type Snapshot struct {
 	Kubelets  map[string]*kubelet.Snapshot
 	Scheduler *scheduler.Snapshot // nil when the scheduler is disabled
 	Volume    *controllers.VolumeSnapshot
-	NodeLC    *controllers.NodeLifecycleSnapshot
-	App       *controllers.AppSetSnapshot
 	Cassandra *cassandra.Snapshot
-	// RegionServers is keyed by server name (Opts.Regions.Servers entries).
-	RegionServers map[string]*regions.ServerSnapshot
-	RegionManager *regions.ManagerSnapshot
-	AdminConn     *client.ConnSnapshot
-	AdminUIDs     cluster.UIDGen
-	Oracles       *oracle.RunnerSnapshot
+	AdminConn *client.ConnSnapshot
+	AdminUIDs cluster.UIDGen
+	Oracles   *oracle.RunnerSnapshot
 }
 
 // Snapshotable reports whether every component in this cluster has a
@@ -59,15 +53,12 @@ type Snapshot struct {
 func (c *Cluster) Snapshotable() bool { return true }
 
 // Capture snapshots the cluster. It fails (ok=false) when the instant is
-// not quiescent: an untagged kernel event is pending, a network message is
-// held, or a component RPC call is in flight — asked of every connection
-// here, once, before any component is copied (the kernel is asked first: a
-// call in flight has an untagged timeout pending, so that is where a refusal
-// is cheapest). The caller should advance virtual time slightly and retry.
+// not quiescent: an untagged kernel event is pending or a component RPC
+// call is in flight — asked of every connection here, once, before any
+// component is copied (the kernel is asked first: a call in flight has an
+// untagged timeout pending, so that is where a refusal is cheapest). The
+// caller should advance virtual time slightly and retry.
 func (c *Cluster) Capture() (*Snapshot, bool) {
-	if c.World.Network().HeldCount() > 0 {
-		return nil, false
-	}
 	ks, ok := c.World.Kernel().CaptureSnapshot()
 	if !ok {
 		return nil, false
@@ -103,23 +94,8 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 	if c.Volume != nil {
 		snap.Volume = c.Volume.Snapshot()
 	}
-	if c.NodeLC != nil {
-		snap.NodeLC = c.NodeLC.Snapshot()
-	}
-	if c.App != nil {
-		snap.App = c.App.Snapshot()
-	}
 	if c.Cassandra != nil {
 		snap.Cassandra = c.Cassandra.Snapshot()
-	}
-	if len(c.RegionServers) > 0 {
-		snap.RegionServers = make(map[string]*regions.ServerSnapshot, len(c.RegionServers))
-		for name, rs := range c.RegionServers {
-			snap.RegionServers[name] = rs.Snapshot()
-		}
-	}
-	if c.RegionManager != nil {
-		snap.RegionManager = c.RegionManager.Snapshot()
 	}
 	return snap, true
 }
@@ -157,28 +133,8 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 	if s.Volume != nil {
 		c.Volume = controllers.RestoreVolume(w, s.Volume)
 	}
-	if s.NodeLC != nil {
-		c.NodeLC = controllers.RestoreNodeLifecycle(w, s.NodeLC)
-	}
-	if s.App != nil {
-		c.App = controllers.RestoreAppSet(w, s.App)
-	}
 	if s.Cassandra != nil {
 		c.Cassandra = cassandra.Restore(w, s.Cassandra)
-	}
-	if s.Opts.Regions != nil {
-		// Registration order matches New (and the oracle set depends on the
-		// same Opts.Regions.Servers order).
-		for _, name := range s.Opts.Regions.Servers {
-			rs, ok := s.RegionServers[name]
-			if !ok {
-				return nil, fmt.Errorf("infra: snapshot missing region server %s", name)
-			}
-			c.RegionServers[name] = regions.RestoreServer(w, name, rs)
-		}
-		if s.RegionManager != nil {
-			c.RegionManager = regions.RestoreManager(w, s.RegionManager)
-		}
 	}
 	c.Admin = newAdmin(c, client.RestoreConn(w, s.AdminConn), s.AdminUIDs)
 	// Oracles: the same set on a fresh runner, then the captured runner's

@@ -16,7 +16,6 @@ import (
 	"repro/internal/kubelet"
 	"repro/internal/operators/cassandra"
 	"repro/internal/oracle"
-	"repro/internal/regions"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -58,8 +57,7 @@ const (
 var roles = map[reflect.Type]role{
 	reflect.TypeFor[infra.Cluster](): {
 		children: map[string]string{"Store": "Store", "APIs": "APIs", "Kubelet": "Kubelets", "Scheduler": "Scheduler",
-			"Volume": "Volume", "NodeLC": "NodeLC", "App": "App", "Cassandra": "Cassandra",
-			"RegionServers": "RegionServers", "RegionManager": "RegionManager", "Oracles": "Oracles", "Admin": "."},
+			"Volume": "Volume", "Cassandra": "Cassandra", "Oracles": "Oracles", "Admin": "."},
 		wiring: map[string]string{"Opts": config, "World": "sim's own snapshots: Kernel, Net",
 			"Hosts": "the kubelets' hosts, by node"},
 	},
@@ -91,20 +89,9 @@ var roles = map[reflect.Type]role{
 	reflect.TypeFor[controllers.VolumeController](): {state: "volumeState", carried: "State",
 		children: map[string]string{"Shell": "Shell"},
 		wiring:   map[string]string{"cfg": config, "podInf": found, "pvcInf": found}},
-	reflect.TypeFor[controllers.NodeLifecycleController](): {state: "nodeLifecycleState", carried: "State",
-		children: map[string]string{"Shell": "Shell"},
-		wiring:   map[string]string{"cfg": config, "nodeInf": found, "podInf": found}},
-	reflect.TypeFor[controllers.AppSetController](): {state: "appSetState", carried: "State",
-		children: map[string]string{"Shell": "Shell"},
-		wiring:   map[string]string{"cfg": config, "appInf": found, "podInf": found}},
 	reflect.TypeFor[cassandra.Operator](): {state: "state", carried: "State",
 		children: map[string]string{"Shell": "Shell"},
 		wiring:   map[string]string{"cfg": config, "crInf": found, "podInf": found, "pvcInf": found}},
-	reflect.TypeFor[regions.RegionServer](): {state: "serverState", carried: "State",
-		wiring: map[string]string{"id": fixed, "world": fixed, "gen": "means nothing across owners"}},
-	reflect.TypeFor[regions.Manager](): {state: "managerState", carried: "State",
-		children: map[string]string{"Shell": "Shell"},
-		wiring:   map[string]string{"cfg": config}},
 	reflect.TypeFor[client.Conn](): {state: "connState", carried: "State",
 		children: map[string]string{"informers": "Informers", "timers": "Self"},
 		wiring:   map[string]string{"world": fixed, "self": fixed, "rpc": inFlight}},
@@ -318,10 +305,10 @@ func btoi(b bool) int {
 	return 0
 }
 
-// everythingTarget is a cluster with every component no campaign target
-// runs — the node-lifecycle and app controllers, the region service, the
-// fixed scheduler — and enough of a workload that their maps, and the
-// store's lease tables and the runner's violations, are not empty.
+// everythingTarget is a cluster with every component — the cassandra
+// operator beside the fixed scheduler and the volume controller — and enough
+// of a workload that the store's lease tables and the runner's violations
+// are not empty.
 func everythingTarget() core.Target {
 	t := workload.TargetCass398()
 	t.Name = "everything"
@@ -329,8 +316,7 @@ func everythingTarget() core.Target {
 	t.Build = func(seed int64) *infra.Cluster {
 		opts := build(seed).Opts
 		opts.EnableScheduler, opts.SchedulerEvictFix = true, true
-		opts.EnableVolumeController, opts.EnableNodeLifecycle, opts.EnableAppController = true, true, true
-		opts.Regions = &infra.RegionOptions{Servers: []string{"a", "b"}, Mode: regions.ModeOptimisticCAS}
+		opts.EnableVolumeController = true
 		return infra.New(opts)
 	}
 	inner := t.Workload
@@ -341,13 +327,10 @@ func everythingTarget() core.Target {
 		// fork must schedule nothing.
 		k := c.World.Kernel()
 		k.At(sim.Time(300*sim.Millisecond), func() {
-			c.Admin.CreateAppSet("web", 2, "v1", nil)
 			st := c.Store.Store()
-			_, _ = st.PutWithLease("/members/probe", []byte("up"), st.GrantLease(int64(sim.Hour)).ID)
+			_, _ = st.PutWithLease("/members/probe", []byte("up"), st.GrantLease(int64(3600*sim.Second)).ID)
 			c.Oracles.Report(oracle.Violation{Oracle: "probe", Time: c.World.Now()})
-			c.RegionManager.CreateRegion("r1", "a", func(error) {})
 		})
-		k.At(sim.Time(800*sim.Millisecond), func() { c.RegionManager.Move("r1", "b", func(error) {}) })
 	}
 	return t
 }

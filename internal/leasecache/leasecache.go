@@ -10,8 +10,6 @@
 package leasecache
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 )
 
@@ -247,19 +245,6 @@ func (s *Server) commit(pw *pendingWrite) {
 	s.world.Network().Send(s.id, pw.client, "lease.write-resp",
 		&writeResp{SubID: pw.subID, Version: s.versions[pw.key]})
 }
-
-// Holders returns the live leaseholders of key, sorted (diagnostics).
-func (s *Server) Holders(key string) []sim.NodeID {
-	var out []sim.NodeID
-	for _, g := range s.pruned(key) {
-		out = append(out, g.holder)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Version returns the authoritative version of key.
-func (s *Server) Version(key string) uint64 { return s.versions[key] }
 
 type cacheEntry struct {
 	value     []byte

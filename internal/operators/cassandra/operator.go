@@ -21,7 +21,6 @@
 package cassandra
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,11 +172,6 @@ func (o *Operator) fire(tag sim.EventTag) {
 	case "awaitgone":
 		o.awaitGoneThenCleanup(tag.Key, int(tag.N))
 	}
-}
-
-// SwitchAPIServer repoints the operator (perturbation hook).
-func (o *Operator) SwitchAPIServer(api sim.NodeID) {
-	o.Conn().SwitchAPIServer(api)
 }
 
 // SetUpstream changes the apiserver the operator will connect to on its
@@ -667,14 +661,4 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// MemberPVCName exposes the operator's PVC naming for oracles/tests.
-func MemberPVCName(clusterName string, ordinal int) string {
-	return fmt.Sprintf("%s-%d-data", clusterName, ordinal)
-}
-
-// MemberPodName exposes the operator's pod naming for oracles/tests.
-func MemberPodName(clusterName string, ordinal int) string {
-	return fmt.Sprintf("%s-%d", clusterName, ordinal)
 }

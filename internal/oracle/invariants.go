@@ -9,7 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/history"
 	"repro/internal/kubelet"
-	"repro/internal/regions"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -21,7 +20,6 @@ const (
 	NameNoOrphanPVC        = "NoOrphanPVC"
 	NameNoLivePVCDeletion  = "NoLivePVCDeletion"
 	NameScaleDownCompletes = "ScaleDownCompletes"
-	NameCASAtomicity       = "CASAtomicity"
 )
 
 // listOf returns the handle on all objects of a kind in ground truth (the
@@ -323,33 +321,6 @@ func ScaleDownCompletes(r *Runner, st *store.Store, crName string, patience sim.
 				}
 			}
 			return nil
-		},
-	}
-}
-
-// CASAtomicity checks the HBASE-3136 guarantee: no region is served by two
-// region servers at once.
-func CASAtomicity(servers []*regions.RegionServer) Oracle {
-	return Func{
-		OracleName: NameCASAtomicity,
-		CheckFunc: func(now sim.Time) *Violation {
-			dual := regions.DualOwners(servers)
-			if len(dual) == 0 {
-				return nil
-			}
-			names := make([]string, 0, len(dual))
-			for r := range dual {
-				names = append(names, r)
-			}
-			sort.Strings(names)
-			r0 := names[0]
-			return &Violation{
-				Oracle: NameCASAtomicity,
-				Time:   now,
-				Detail: fmt.Sprintf("region %q served by %s", r0, strings.Join(dual[r0], " and ")),
-				Kind:   "Region",
-				Object: r0,
-			}
 		},
 	}
 }

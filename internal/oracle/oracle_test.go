@@ -311,13 +311,6 @@ func TestRunnerSnapshotCarriesPatienceClocks(t *testing.T) {
 	}
 }
 
-func TestCASAtomicityOracleNoServers(t *testing.T) {
-	o := CASAtomicity(nil)
-	if v := o.Check(1); v != nil {
-		t.Fatalf("empty server set violated: %v", v)
-	}
-}
-
 // kindGen is the dependency infra.addOracles declares for a kind of object.
 func kindGen(st *store.Store, kind cluster.Kind) *sim.Generation {
 	return st.Track(cluster.KindPrefix(kind)).Generation()

@@ -52,24 +52,10 @@ func (m Mode) String() string {
 }
 
 // RegionServer is a worker that serves regions. Its owned set is the
-// ground-truth serving state used by the dual-ownership oracle.
+// ground truth DualOwners checks.
 type RegionServer struct {
 	id    sim.NodeID
-	world *sim.World
-	// gen counts the changes to owned; setOwned is the one writer of both.
-	gen sim.Generation
-	serverState
-}
-
-// serverState is everything a region server carries from one event to the
-// next.
-type serverState struct {
 	owned map[string]bool
-}
-
-func (s serverState) clone() serverState {
-	s.owned = sim.CloneMap(s.owned)
-	return s
 }
 
 // ServerID returns the network ID for region server name.
@@ -77,8 +63,7 @@ func ServerID(name string) sim.NodeID { return sim.NodeID("rs-" + name) }
 
 // NewRegionServer wires a region server into the world.
 func NewRegionServer(w *sim.World, name string) *RegionServer {
-	s := &RegionServer{id: ServerID(name), world: w}
-	s.owned = make(map[string]bool)
+	s := &RegionServer{id: ServerID(name), owned: make(map[string]bool)}
 	w.Join(s, nil)
 	return s
 }
@@ -94,24 +79,7 @@ func (s *RegionServer) Crash() {}
 // Restart implements sim.Process; a restarted server serves nothing until
 // told to open regions again.
 func (s *RegionServer) Restart() {
-	for r := range s.owned {
-		s.setOwned(r, false)
-	}
-}
-
-// Generation returns the change counter of the owned set: the CASAtomicity
-// oracle's declared dependency on this server.
-func (s *RegionServer) Generation() *sim.Generation { return &s.gen }
-
-// setOwned starts or stops serving region. Every write to owned goes
-// through here, so none can forget the generation.
-func (s *RegionServer) setOwned(region string, serve bool) {
-	if serve {
-		s.owned[region] = true
-	} else {
-		delete(s.owned, region)
-	}
-	s.gen.Bump()
+	clear(s.owned)
 }
 
 // Owned returns the regions this server currently serves, sorted.
@@ -132,9 +100,9 @@ type closeCmd struct{ Region string }
 func (s *RegionServer) HandleMessage(m *sim.Message) {
 	switch c := m.Payload.(type) {
 	case *openCmd:
-		s.setOwned(c.Region, true)
+		s.owned[c.Region] = true
 	case *closeCmd:
-		s.setOwned(c.Region, false)
+		delete(s.owned, c.Region)
 	}
 }
 
@@ -144,8 +112,6 @@ type ManagerConfig struct {
 	APIServer sim.NodeID
 	// Mode selects the transition protocol.
 	Mode Mode
-	// RPCTimeout bounds apiserver calls.
-	RPCTimeout sim.Duration
 	// MaxRetries bounds optimistic-CAS retries per transition.
 	MaxRetries int
 }
@@ -172,10 +138,11 @@ const ManagerID sim.NodeID = "region-manager"
 
 // spec declares the manager to its shell: a connection, and nothing on it.
 // It runs no informers and owns no timers: its move delays are closures.
+// Its calls wait without a timeout (0).
 func (m *Manager) spec() controller.Spec {
 	return controller.Spec{
 		ID:       ManagerID,
-		Upstream: func() (sim.NodeID, sim.Duration) { return m.cfg.APIServer, m.cfg.RPCTimeout },
+		Upstream: func() (sim.NodeID, sim.Duration) { return m.cfg.APIServer, 0 },
 	}
 }
 
@@ -278,7 +245,7 @@ func errOr(err error, fallback error) error {
 }
 
 // DualOwners returns regions currently served by more than one of the
-// given servers — the CASAtomicity oracle's ground truth check.
+// given servers: the HBASE-3136 guarantee, checked on ground truth.
 func DualOwners(servers []*RegionServer) map[string][]string {
 	owners := make(map[string][]string)
 	for _, s := range servers {

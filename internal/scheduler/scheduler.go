@@ -9,16 +9,11 @@
 package scheduler
 
 import (
-	"errors"
-
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
 	"repro/internal/sim"
 )
-
-// errNodeNotFound marks a bind rejected because the target node is gone.
-var errNodeNotFound = errors.New("scheduler: bind failed, node not found")
 
 // Config tunes the scheduler.
 type Config struct {
@@ -87,21 +82,6 @@ func New(w *sim.World, cfg Config) *Scheduler {
 	s := &Scheduler{cfg: cfg, state: state{deadNodes: make(map[string]bool)}}
 	s.Start(w, s, s.spec())
 	return s
-}
-
-// NodeView returns the node names currently schedulable in the scheduler's
-// cache (S'), sorted. Oracles compare this against ground truth.
-func (s *Scheduler) NodeView() []string {
-	if s.nodeInf == nil {
-		return nil
-	}
-	var out []string
-	for _, n := range s.nodeInf.ListCached() {
-		if n.Node != nil && n.Node.Ready && !s.deadNodes[n.Meta.Name] {
-			out = append(out, n.Meta.Name)
-		}
-	}
-	return out
 }
 
 // nodeHandler forgets a bind failure once the node it was held against is

@@ -1,0 +1,44 @@
+package sim
+
+// Stop makes Run return after the currently executing event completes.
+func (k *Kernel) Stop() { k.stopped = true }
+
+// Pending returns the number of scheduled, non-canceled events.
+func (k *Kernel) Pending() int {
+	n := 0
+	for _, e := range k.heap {
+		if !k.slots[e.slot].canceled {
+			n++
+		}
+	}
+	return n
+}
+
+// Pending reports whether the timer's callback has neither fired nor been
+// canceled. It is false from inside the timer's own callback.
+func (t Timer) Pending() bool { return t.live() != nil }
+
+// RemoveDeliveryGates clears all delivery gates.
+func (n *Network) RemoveDeliveryGates() { n.gates = nil }
+
+// PartitionOneWay cuts only messages from a to b.
+func (n *Network) PartitionOneWay(a, b NodeID) { n.setPartition(a, b, true) }
+
+// LinkQualityOf returns the degradation configured on the directed link
+// from->to (the zero value if the link is healthy).
+func (n *Network) LinkQualityOf(from, to NodeID) LinkQuality {
+	if l := n.links[linkKey{from, to}]; l != nil {
+		return l.quality
+	}
+	return LinkQuality{}
+}
+
+// Clone returns a slab-backed copy of src (nil for an empty src).
+func (s *Slab[T]) Clone(src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	out := s.alloc(len(src))
+	copy(out, src)
+	return out
+}

@@ -67,33 +67,3 @@ func TestPropertyPerLinkFIFO(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestHoldReleaseCanReorder documents the one sanctioned reordering path:
-// Hold/Release is how the perturbation engine breaks stream order on
-// purpose.
-func TestHoldReleaseCanReorder(t *testing.T) {
-	k := NewKernel(1)
-	net := NewNetwork(k, Millisecond, 0)
-	var got []int
-	net.Register("dst", HandlerFunc(func(m *Message) { got = append(got, m.Payload.(int)) }))
-	net.Register("src", HandlerFunc(func(*Message) {}))
-
-	holdFirst := true
-	var heldSeq uint64
-	net.AddInterceptor(InterceptorFunc(func(m *Message) Decision {
-		if holdFirst {
-			holdFirst = false
-			heldSeq = m.Seq
-			return Decision{Verdict: Hold}
-		}
-		return Decision{Verdict: Pass}
-	}))
-	net.Send("src", "dst", "msg", 1) // held
-	net.Send("src", "dst", "msg", 2)
-	k.Drain()
-	net.Release(heldSeq)
-	k.Drain()
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("got %v, want [2 1] (deliberate reorder)", got)
-	}
-}

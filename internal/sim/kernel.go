@@ -27,8 +27,6 @@ const (
 	Microsecond          = 1000 * Nanosecond
 	Millisecond          = 1000 * Microsecond
 	Second               = 1000 * Millisecond
-	Minute               = 60 * Second
-	Hour                 = 60 * Minute
 )
 
 // Add returns t shifted by d.
@@ -83,10 +81,6 @@ func (t Timer) Cancel() bool {
 	ev.fn = nil // the entry may sit in the heap until its deadline; the closure need not
 	return true
 }
-
-// Pending reports whether the timer's callback has neither fired nor been
-// canceled. It is false from inside the timer's own callback.
-func (t Timer) Pending() bool { return t.live() != nil }
 
 // EventTag says what a pending kernel event is, so a snapshot can describe
 // it and a restored kernel can re-insert it. For an event armed through an
@@ -427,9 +421,6 @@ func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, o *Owner, fn func(),
 	return Timer{k: k, slot: slot, gen: ev.gen}
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
 // Step executes the single next pending event. It reports whether an event
 // was executed (false when the queue is empty).
 func (k *Kernel) Step() bool {
@@ -502,14 +493,3 @@ func (k *Kernel) RunFor(d Duration) Time { return k.Run(k.now.Add(d)) }
 
 // Drain runs until no events remain (subject to the step budget).
 func (k *Kernel) Drain() Time { return k.Run(0) }
-
-// Pending returns the number of scheduled, non-canceled events.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.heap {
-		if !k.slots[e.slot].canceled {
-			n++
-		}
-	}
-	return n
-}

@@ -47,9 +47,6 @@ const (
 	Pass Verdict = iota
 	// Drop discards the message permanently (models a lost notification).
 	Drop
-	// Hold parks the message; it is delivered only when Network.Release is
-	// called (models delayed cache updates / staleness injection).
-	Hold
 	// Delay delivers the message after Decision.Delay extra virtual time.
 	Delay
 )
@@ -60,8 +57,6 @@ func (v Verdict) String() string {
 		return "pass"
 	case Drop:
 		return "drop"
-	case Hold:
-		return "hold"
 	case Delay:
 		return "delay"
 	default:
@@ -108,10 +103,9 @@ type Observer interface {
 // order, and the first non-Pass verdict wins. Evaluating all gates (rather
 // than short-circuiting) keeps each gate's internal counters a pure
 // function of the arrival stream, independent of what other gates decide
-// about the same message. Hold is not a valid gate verdict and is treated
-// as Pass. A Delay verdict re-enqueues the message; it will re-enter every
-// gate on re-arrival, so stateful gates must remember ruled-on sequence
-// numbers to avoid re-matching their own deferral.
+// about the same message. A Delay verdict re-enqueues the message; it will
+// re-enter every gate on re-arrival, so stateful gates must remember
+// ruled-on sequence numbers to avoid re-matching their own deferral.
 type DeliveryGate interface {
 	OnArrival(m *Message) Decision
 }
@@ -209,8 +203,6 @@ type NetStats struct {
 	Sent        uint64
 	Delivered   uint64
 	Dropped     uint64
-	Held        uint64
-	Released    uint64
 	PartitionRx uint64 // drops due to partitions
 	DownRx      uint64 // drops due to crashed receivers
 	FlakyDrops  uint64 // drops due to LinkQuality.DropPercent
@@ -229,7 +221,6 @@ type Network struct {
 	latency Duration
 	jitter  Duration
 	seq     uint64
-	held    map[uint64]*Message
 	locs    map[NodeID]Location
 	topo    TopologyLatency
 	icpts   []Interceptor
@@ -269,7 +260,6 @@ func NewNetwork(k *Kernel, latency, jitter Duration) *Network {
 		links:   make(map[linkKey]*linkState),
 		latency: latency,
 		jitter:  jitter,
-		held:    make(map[uint64]*Message),
 		locs:    make(map[NodeID]Location),
 	}
 	n.deliverFn = n.deliver
@@ -330,15 +320,9 @@ func (n *Network) Nodes() []NodeID {
 // order and the first non-Pass decision wins.
 func (n *Network) AddInterceptor(i Interceptor) { n.icpts = append(n.icpts, i) }
 
-// RemoveInterceptors clears all interceptors.
-func (n *Network) RemoveInterceptors() { n.icpts = nil }
-
 // AddDeliveryGate appends a delivery gate; gates run in registration order
 // on every arriving message and the first non-Pass verdict wins.
 func (n *Network) AddDeliveryGate(g DeliveryGate) { n.gates = append(n.gates, g) }
-
-// RemoveDeliveryGates clears all delivery gates.
-func (n *Network) RemoveDeliveryGates() { n.gates = nil }
 
 // AddObserver appends a lifecycle observer.
 func (n *Network) AddObserver(o Observer) { n.obs = append(n.obs, o) }
@@ -354,12 +338,6 @@ func (n *Network) Heal(a, b NodeID) {
 	n.setPartition(a, b, false)
 	n.setPartition(b, a, false)
 }
-
-// PartitionOneWay cuts only messages from a to b.
-func (n *Network) PartitionOneWay(a, b NodeID) { n.setPartition(a, b, true) }
-
-// HealOneWay restores only messages from a to b.
-func (n *Network) HealOneWay(a, b NodeID) { n.setPartition(a, b, false) }
 
 func (n *Network) setPartition(from, to NodeID, v bool) {
 	n.link(linkKey{from, to}).partitioned = v
@@ -394,15 +372,6 @@ func (n *Network) SetLinkQualityOneWay(from, to NodeID, q LinkQuality) {
 // ClearLinkQuality restores both directions between a and b to healthy.
 func (n *Network) ClearLinkQuality(a, b NodeID) {
 	n.SetLinkQuality(a, b, LinkQuality{})
-}
-
-// LinkQualityOf returns the degradation configured on the directed link
-// from->to (the zero value if the link is healthy).
-func (n *Network) LinkQualityOf(from, to NodeID) LinkQuality {
-	if l := n.links[linkKey{from, to}]; l != nil {
-		return l.quality
-	}
-	return LinkQuality{}
 }
 
 // SetLocation places node id in the topology. A zero Location removes the
@@ -451,7 +420,7 @@ func (q LinkQuality) reorderBound() Duration {
 }
 
 // Send enqueues a message for delivery. It returns the message's unique
-// sequence number (useful for Release after a Hold verdict).
+// sequence number.
 func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 	n.seq++
 	m := n.newMessage()
@@ -480,10 +449,6 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		case Drop:
 			n.stats.Dropped++
 			n.drop(m, "intercepted")
-			return m.Seq
-		case Hold:
-			n.stats.Held++
-			n.held[m.Seq] = m
 			return m.Seq
 		case Delay:
 			extra += d.Delay
@@ -516,8 +481,8 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 
 	// Per-link FIFO: messages between the same pair model an ordered
 	// stream (TCP); jitter and interceptor delays may stretch the link but
-	// never reorder it. Reordering is only possible via Hold/Release — a
-	// deliberate perturbation — or a degraded link's ReorderPercent below.
+	// never reorder it. Reordering is only possible through a degraded link's
+	// ReorderPercent below.
 	deliverAt := n.k.Now().Add(lat)
 	if degraded && q.ReorderPercent > 0 && n.k.Rand().Intn(100) < q.ReorderPercent {
 		// Bounded reorder: this message escapes the FIFO frontier. It
@@ -544,36 +509,6 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 	}
 	return m.Seq
 }
-
-// Release delivers a previously held message immediately. It reports whether
-// the sequence number referred to a held message.
-func (n *Network) Release(seq uint64) bool {
-	m, ok := n.held[seq]
-	if !ok {
-		return false
-	}
-	delete(n.held, seq)
-	n.stats.Released++
-	n.k.atDeliver(n.k.Now(), n.deliverFn, m)
-	return true
-}
-
-// ReleaseAll delivers every held message (in sequence order) and returns how
-// many were released.
-func (n *Network) ReleaseAll() int {
-	seqs := make([]uint64, 0, len(n.held))
-	for s := range n.held {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		n.Release(s)
-	}
-	return len(seqs)
-}
-
-// HeldCount returns the number of currently held messages.
-func (n *Network) HeldCount() int { return len(n.held) }
 
 func (n *Network) deliver(m *Message) {
 	if n.Partitioned(m.From, m.To) {

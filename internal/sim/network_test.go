@@ -133,56 +133,6 @@ func TestInterceptorDrop(t *testing.T) {
 	}
 }
 
-func TestInterceptorHoldAndRelease(t *testing.T) {
-	k, n, _, b := newTestNet(t)
-	var heldSeq uint64
-	n.AddInterceptor(InterceptorFunc(func(m *Message) Decision {
-		if m.Kind == "watch" {
-			heldSeq = m.Seq
-			return Decision{Verdict: Hold}
-		}
-		return Decision{Verdict: Pass}
-	}))
-	n.Send("a", "b", "watch", "stale-me")
-	k.Drain()
-	if len(b.got) != 0 {
-		t.Fatal("held message was delivered")
-	}
-	if n.HeldCount() != 1 {
-		t.Fatalf("held count = %d", n.HeldCount())
-	}
-	if !n.Release(heldSeq) {
-		t.Fatal("release failed")
-	}
-	if n.Release(heldSeq) {
-		t.Fatal("double release succeeded")
-	}
-	k.Drain()
-	if len(b.got) != 1 {
-		t.Fatal("released message not delivered")
-	}
-}
-
-func TestReleaseAllOrder(t *testing.T) {
-	k, n, _, b := newTestNet(t)
-	n.AddInterceptor(InterceptorFunc(func(m *Message) Decision {
-		return Decision{Verdict: Hold}
-	}))
-	for i := 0; i < 5; i++ {
-		n.Send("a", "b", "watch", i)
-	}
-	n.RemoveInterceptors()
-	if got := n.ReleaseAll(); got != 5 {
-		t.Fatalf("ReleaseAll = %d, want 5", got)
-	}
-	k.Drain()
-	for i, m := range b.got {
-		if m.Payload.(int) != i {
-			t.Fatalf("release order broken: %v", b.got)
-		}
-	}
-}
-
 func TestInterceptorDelayAccumulates(t *testing.T) {
 	k, n, _, b := newTestNet(t)
 	n.AddInterceptor(InterceptorFunc(func(m *Message) Decision {

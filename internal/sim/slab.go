@@ -34,16 +34,6 @@ func (s *Slab[T]) alloc(n int) []T {
 	return out
 }
 
-// Clone returns a slab-backed copy of src (nil for an empty src).
-func (s *Slab[T]) Clone(src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	out := s.alloc(len(src))
-	copy(out, src)
-	return out
-}
-
 // One returns a slab-backed single-element slice holding v.
 func (s *Slab[T]) One(v T) []T {
 	out := s.alloc(1)

@@ -20,7 +20,7 @@ import (
 // checkpointing"):
 //
 //   - a snapshot is only legal at a quiescent instant: every pending
-//     non-canceled event is tagged and no network messages are held;
+//     non-canceled event is tagged;
 //   - a forked run re-applies the plan first (consuming the same sequence
 //     band a full replay's Apply would), then replays the workload in
 //     rehydration mode (burning the sequence numbers of pre-checkpoint
@@ -160,9 +160,6 @@ func NewRestoredKernel(seed int64, now Time, steps, rngDraws uint64) *Kernel {
 // SetSeq overwrites the event sequence counter (restore path only).
 func (k *Kernel) SetSeq(n uint64) { k.seq = n }
 
-// SetSteps overwrites the executed-event counter (restore path only).
-func (k *Kernel) SetSteps(n uint64) { k.steps = n }
-
 // RestorePending re-inserts a captured owner-dispatched event under the
 // given sequence number, without touching the sequence counter, for the
 // live owner registered under the tag's name (none, if the event was
@@ -185,9 +182,8 @@ func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
 }
 
 // NetworkSnapshot is the network's mutable routing state at a checkpoint.
-// Registered handlers and observers are not part of it — the restored
-// components re-register themselves — and held messages are forbidden at
-// capture (checked by the caller via HeldCount).
+// Registered handlers and observers are not part of it: the restored
+// components re-register themselves.
 type NetworkSnapshot struct {
 	Seq       uint64
 	Down      map[NodeID]bool
@@ -197,8 +193,7 @@ type NetworkSnapshot struct {
 	Stats     NetStats
 }
 
-// Snapshot captures the network's mutable state. The caller must have
-// verified HeldCount() == 0.
+// Snapshot captures the network's mutable state.
 func (n *Network) Snapshot() NetworkSnapshot {
 	s := NetworkSnapshot{
 		Seq:       n.seq,

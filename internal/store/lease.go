@@ -78,22 +78,6 @@ func (s *Store) ExpireDue() []string {
 	return deleted
 }
 
-// LeaseInfo returns a lease's current metadata.
-func (s *Store) LeaseInfo(id LeaseID) (Lease, bool) {
-	l, ok := s.leases[id]
-	return l, ok
-}
-
-// Leases returns the IDs of all live leases, sorted.
-func (s *Store) Leases() []LeaseID {
-	ids := make([]LeaseID, 0, len(s.leases))
-	for id := range s.leases {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 func (s *Store) attachLease(id LeaseID, key string) {
 	set := s.leaseKeys[id]
 	if set == nil {

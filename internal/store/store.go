@@ -179,25 +179,8 @@ func (s *Store) SetRetainLimit(n int) { s.retainMax = n }
 // Revision returns the latest committed revision.
 func (s *Store) Revision() int64 { return s.rev }
 
-// CompactedRevision returns the newest revision that has been compacted
-// away (0 when nothing was compacted).
-func (s *Store) CompactedRevision() int64 { return s.compacted }
-
 // History returns a clone of the retained history window.
 func (s *Store) History() *history.History { return s.hist.Clone() }
-
-// State returns the materialized current state as a history.State clone.
-func (s *Store) State() *history.State {
-	st := history.NewState()
-	// Rebuild from kvs to include keys whose events were compacted.
-	for _, kv := range s.kvs {
-		st.Apply(history.Event{
-			Revision: kv.ModRevision, Type: history.Put, Key: kv.Key, Value: kv.Value,
-		})
-	}
-	st.Revision = s.rev
-	return st
-}
 
 // Len returns the number of live keys.
 func (s *Store) Len() int { return len(s.kvs) }

@@ -133,16 +133,3 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value []byte) (bool,
 	}
 	return res.Succeeded, res.Revision
 }
-
-// CompareAndDelete removes key only if its ModRevision equals expectRev.
-func (s *Store) CompareAndDelete(key string, expectRev int64) (bool, int64) {
-	res, err := s.Txn(
-		[]Cmp{{Key: key, Target: CmpModRevision, IntVal: expectRev}},
-		[]Op{{Type: OpDelete, Key: key}},
-		nil,
-	)
-	if err != nil {
-		return false, s.rev
-	}
-	return res.Succeeded, res.Revision
-}

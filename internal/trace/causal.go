@@ -3,7 +3,6 @@ package trace
 import (
 	"sort"
 
-	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -42,25 +41,6 @@ func NewCausalGraph(t *Trace, window sim.Duration) *CausalGraph {
 		window = 500 * sim.Millisecond
 	}
 	return &CausalGraph{trace: t, ReactionWindow: window}
-}
-
-// CausesOf returns the deliveries that plausibly caused a write: events
-// delivered to the writing component within the reaction window before the
-// write, newest first.
-func (g *CausalGraph) CausesOf(w Write) []CausalLink {
-	var out []CausalLink
-	for _, d := range g.trace.Deliveries {
-		if d.To != w.From || d.Time > w.Time {
-			continue
-		}
-		gap := w.Time.Sub(d.Time)
-		if gap > g.ReactionWindow {
-			continue
-		}
-		out = append(out, CausalLink{Delivery: d, Write: w, Gap: gap})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Gap < out[j].Gap })
-	return out
 }
 
 // EffectsOf returns the writes plausibly caused by deliveries of the given
@@ -142,23 +122,4 @@ func (g *CausalGraph) Score(d Delivery) int {
 		}
 	}
 	return n
-}
-
-// ChainsThrough returns the commit→delivery→write chains for one object:
-// how changes to (kind, name) propagated into component actions.
-func (g *CausalGraph) ChainsThrough(kind cluster.Kind, name string) []CausalLink {
-	var out []CausalLink
-	for _, d := range g.trace.Deliveries {
-		if d.Kind != kind || d.Name != name {
-			continue
-		}
-		for _, w := range g.trace.Writes {
-			if w.From != d.To || w.Time < d.Time || w.Time.Sub(d.Time) > g.ReactionWindow {
-				continue
-			}
-			out = append(out, CausalLink{Delivery: d, Write: w, Gap: w.Time.Sub(d.Time)})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Delivery.Time < out[j].Delivery.Time })
-	return out
 }

@@ -1,0 +1,118 @@
+package trace
+
+import (
+	"hash/fnv"
+	"sort"
+
+	"repro/internal/cluster"
+	"repro/internal/sim"
+)
+
+// CausesOf returns the deliveries that plausibly caused a write: events
+// delivered to the writing component within the reaction window before the
+// write, newest first.
+func (g *CausalGraph) CausesOf(w Write) []CausalLink {
+	var out []CausalLink
+	for _, d := range g.trace.Deliveries {
+		if d.To != w.From || d.Time > w.Time {
+			continue
+		}
+		gap := w.Time.Sub(d.Time)
+		if gap > g.ReactionWindow {
+			continue
+		}
+		out = append(out, CausalLink{Delivery: d, Write: w, Gap: gap})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Gap < out[j].Gap })
+	return out
+}
+
+// ChainsThrough returns the commit→delivery→write chains for one object:
+// how changes to (kind, name) propagated into component actions.
+func (g *CausalGraph) ChainsThrough(kind cluster.Kind, name string) []CausalLink {
+	var out []CausalLink
+	for _, d := range g.trace.Deliveries {
+		if d.Kind != kind || d.Name != name {
+			continue
+		}
+		for _, w := range g.trace.Writes {
+			if w.From != d.To || w.Time < d.Time || w.Time.Sub(d.Time) > g.ReactionWindow {
+				continue
+			}
+			out = append(out, CausalLink{Delivery: d, Write: w, Gap: w.Time.Sub(d.Time)})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Delivery.Time < out[j].Delivery.Time })
+	return out
+}
+
+// ComponentHash returns an order-sensitive FNV-1a hash of the sequence of
+// watch deliveries one component observed: kind, object name, event type,
+// and the terminating marker, in delivery order. It deliberately excludes
+// revisions and timestamps so that two runs differing only in incidental
+// timing (but observing the same decision-relevant sequence) coincide.
+func (t *Trace) ComponentHash(id sim.NodeID) uint64 {
+	h := fnv.New64a()
+	for _, d := range t.Deliveries {
+		if d.To != id {
+			continue
+		}
+		writeDelivery(h, d)
+	}
+	return h.Sum64()
+}
+
+// StateHashUpTo is StateHash restricted to the execution prefix at or
+// before virtual time upto: deliveries by arrival time, commits by commit
+// time. Two schedules whose prefixes hash alike have delivered the same
+// decision-relevant sequences to every component and committed the same
+// ground truth up to that instant (timing differences inside the prefix
+// are deliberately abstracted away, exactly as in StateHash). Note the
+// systematic explorer keys its visited-state set on the FULL-run
+// StateHash, not a prefix: a delay can push behaviour past any clipping
+// point, so prefix equality alone does not imply suffix equality.
+func (t *Trace) StateHashUpTo(upto sim.Time) uint64 {
+	h := fnv.New64a()
+	for _, id := range t.Components() {
+		h.Write([]byte("@"))
+		h.Write([]byte(id))
+		for _, d := range t.Deliveries {
+			if d.To != id || d.Time > upto {
+				continue
+			}
+			writeDelivery(h, d)
+		}
+	}
+	h.Write([]byte("#commits"))
+	for _, e := range t.Commits {
+		if sim.Time(e.Time) > upto {
+			continue
+		}
+		h.Write([]byte{byte(e.Type)})
+		h.Write([]byte(e.Key))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
+
+// ComponentHashes returns the per-component delivery hashes, keyed by
+// component, for diagnostics and finer-grained coverage accounting.
+func (t *Trace) ComponentHashes() map[sim.NodeID]uint64 {
+	out := make(map[sim.NodeID]uint64)
+	for _, id := range t.Components() {
+		out[id] = t.ComponentHash(id)
+	}
+	return out
+}
+
+// ActedOn reports whether component wrote to (kind, name) at any point —
+// the causality approximation: events about objects a component itself
+// manipulates are the likeliest to change its decisions (§7).
+func (t *Trace) ActedOn(component sim.NodeID, kind cluster.Kind, name string) bool {
+	for _, w := range t.Writes {
+		if w.From == component && w.Kind == kind && w.Name == name {
+			return true
+		}
+	}
+	return false
+}

@@ -2,8 +2,6 @@ package trace
 
 import (
 	"hash/fnv"
-
-	"repro/internal/sim"
 )
 
 // This file derives compact behavioural fingerprints from a recorded
@@ -12,22 +10,6 @@ import (
 // the same components and committed the same ground-truth history are, for
 // bug-finding purposes, the same execution — running a third plan that
 // lands in the same class is unlikely to flip any component's decision.
-
-// ComponentHash returns an order-sensitive FNV-1a hash of the sequence of
-// watch deliveries one component observed: kind, object name, event type,
-// and the terminating marker, in delivery order. It deliberately excludes
-// revisions and timestamps so that two runs differing only in incidental
-// timing (but observing the same decision-relevant sequence) coincide.
-func (t *Trace) ComponentHash(id sim.NodeID) uint64 {
-	h := fnv.New64a()
-	for _, d := range t.Deliveries {
-		if d.To != id {
-			continue
-		}
-		writeDelivery(h, d)
-	}
-	return h.Sum64()
-}
 
 // StateHash folds every component's delivery sequence plus the committed
 // ground-truth event sequence into one 64-bit fingerprint. Components are
@@ -52,49 +34,6 @@ func (t *Trace) StateHash() uint64 {
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
-}
-
-// StateHashUpTo is StateHash restricted to the execution prefix at or
-// before virtual time upto: deliveries by arrival time, commits by commit
-// time. Two schedules whose prefixes hash alike have delivered the same
-// decision-relevant sequences to every component and committed the same
-// ground truth up to that instant (timing differences inside the prefix
-// are deliberately abstracted away, exactly as in StateHash). Note the
-// systematic explorer keys its visited-state set on the FULL-run
-// StateHash, not a prefix: a delay can push behaviour past any clipping
-// point, so prefix equality alone does not imply suffix equality.
-func (t *Trace) StateHashUpTo(upto sim.Time) uint64 {
-	h := fnv.New64a()
-	for _, id := range t.Components() {
-		h.Write([]byte("@"))
-		h.Write([]byte(id))
-		for _, d := range t.Deliveries {
-			if d.To != id || d.Time > upto {
-				continue
-			}
-			writeDelivery(h, d)
-		}
-	}
-	h.Write([]byte("#commits"))
-	for _, e := range t.Commits {
-		if sim.Time(e.Time) > upto {
-			continue
-		}
-		h.Write([]byte{byte(e.Type)})
-		h.Write([]byte(e.Key))
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-// ComponentHashes returns the per-component delivery hashes, keyed by
-// component, for diagnostics and finer-grained coverage accounting.
-func (t *Trace) ComponentHashes() map[sim.NodeID]uint64 {
-	out := make(map[sim.NodeID]uint64)
-	for _, id := range t.Components() {
-		out[id] = t.ComponentHash(id)
-	}
-	return out
 }
 
 func writeDelivery(h interface{ Write([]byte) (int, error) }, d Delivery) {

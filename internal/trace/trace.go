@@ -279,29 +279,6 @@ func (t *Trace) DeliveriesTo(id sim.NodeID) []Delivery {
 	return out
 }
 
-// ActedOn reports whether component wrote to (kind, name) at any point —
-// the causality approximation: events about objects a component itself
-// manipulates are the likeliest to change its decisions (§7).
-func (t *Trace) ActedOn(component sim.NodeID, kind cluster.Kind, name string) bool {
-	for _, w := range t.Writes {
-		if w.From == component && w.Kind == kind && w.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// ListsBy returns how many full lists (relists) component id issued.
-func (t *Trace) ListsBy(id sim.NodeID) int {
-	n := 0
-	for _, l := range t.Lists {
-		if l.From == id {
-			n++
-		}
-	}
-	return n
-}
-
 // DroppedPushesTo returns how many watch pushes to id were lost in flight.
 func (t *Trace) DroppedPushesTo(id sim.NodeID) int { return t.DroppedPushes[id] }
 

@@ -20,7 +20,7 @@
 // testing tool the paper sketches:
 //
 //   - internal/sim — deterministic discrete-event kernel, network with
-//     interceptors (delay/drop/hold), crash/restart process model.
+//     interceptors (delay/drop), crash/restart process model.
 //   - internal/store — etcd-like MVCC store: revisions, transactions,
 //     watches, leases, compaction; WAL persistence (internal/wal) and a
 //     raft-replicated variant (internal/raftlite).
