@@ -309,15 +309,6 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seed int64, affinity ma
 	cr.PlansTotal = len(plans)
 	cr.Executions = 1 // the reference run
 
-	// Fork substrate: one checkpoint tree over the plan-free base per
-	// (target, seed), rungs hinted at the plans' earliest effects, shared
-	// read-only by all workers. nil (snapshotting off, or no capturable
-	// checkpoint) means every plan runs as a full replay.
-	var pt *planTree
-	if e.cfg.Snapshot {
-		pt = buildPlanTree(t, core.NopPlan{}, seed, ref, effectTimes(plans, ref))
-	}
-
 	// Execution order: identity without learning; kept-then-deferred
 	// (optionally impact-ranked) with it. Original strategy indices ride
 	// along in planRefs so every report keeps its coordinates.
@@ -359,6 +350,12 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seed int64, affinity ma
 			preSeen = parseSignatures(cs.KnownSignatures)
 		}
 	}
+
+	// Fork substrate: one checkpoint tree over the plan-free base per
+	// (target, seed), shared read-only by all workers, built once the
+	// execution order is fixed. nil (snapshotting off, or no capturable
+	// checkpoint) means every plan runs as a full replay.
+	pt := e.sweepTree(t, seed, ref, regRefs, refs)
 
 	run := func(plans []planRef, maxExec int) ([]slot, int) {
 		if e.cfg.Guided {
@@ -452,6 +449,32 @@ func (e *Engine) runSeed(t core.Target, s core.Strategy, seed int64, affinity ma
 		cr.Executions = 1 + ran
 	}
 	return agg.result(SeedResult{Seed: seed, Campaign: cr, RefHash: refHash}), ref
+}
+
+// sweepTree builds a seed's plan-free checkpoint tree (nil with
+// snapshotting off) for an execution order — blocks run one after the
+// other — with rungs hinted at the earliest effects of the plans the
+// campaign can reach: the first MaxExecutions, or all of them when the
+// budget is unbounded or the campaign is guided (the coverage scheduler
+// may pick any plan of a block).
+func (e *Engine) sweepTree(t core.Target, seed int64, ref *trace.Trace, order ...[]planRef) *planTree {
+	if !e.cfg.Snapshot {
+		return nil
+	}
+	budget := e.cfg.MaxExecutions
+	if e.cfg.Guided {
+		budget = 0
+	}
+	var reachable []core.Plan
+	for _, block := range order {
+		for _, r := range block {
+			if budget > 0 && len(reachable) == budget {
+				break
+			}
+			reachable = append(reachable, r.plan)
+		}
+	}
+	return buildPlanTree(t, core.NopPlan{}, seed, ref, effectTimes(reachable, ref))
 }
 
 // parseSignatures decodes the corpus's hex signature list; malformed

@@ -12,7 +12,9 @@ import (
 // exploration window — so it builds one tree over the plan-free base (the
 // reference run itself) with rungs requested at its choice-point send
 // times, then executes each candidate schedule by forking from the deepest
-// eligible rung. Everything that fails the tree's divergence rule or fork
+// eligible rung — the last one before the schedule's earliest decision,
+// since each drop/delay gate resumes its arrival count at the rung.
+// Everything that fails the tree's divergence rule or fork
 // guards falls back to a full instrumented replay, whose result is
 // canonical: explorer output is identical with or without snapshots.
 type Forker struct {

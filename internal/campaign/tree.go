@@ -37,25 +37,32 @@ import (
 //   - the divergence bound d is the earliest effect of any sub-plan in the
 //     symmetric difference of the base's and Q's sub-plan multisets,
 //     evaluated against BOTH the unperturbed reference trace and the base
-//     run's trace (a perturbation can move a mined delivery);
-//   - occurrence-counted sub-plans contribute their first matching
-//     delivery even when shared: their interceptor state (matches seen) is
-//     not part of a snapshot, so a fork is exact only when counting had not
-//     started by the rung;
+//     run's trace (a perturbation can move a mined delivery). An
+//     occurrence-counted sub-plan's effect is the send time of the
+//     delivery it acts on (core.EarliestEffect), not its first match: the
+//     fork resumes its counter at the count the rung's trace prefix
+//     records (core.ApplyResumed), so a shared one does not bound d at
+//     all;
 //   - a rung qualifies iff its capture instant is at or before d. A
 //     sub-plan with an unbounded effect time disqualifies the tree for Q,
-//     and so does an occurrence-counted sub-plan when the base trace lost
-//     watch pushes: a dropped push is counted by the send-side interceptor
-//     but absent from Trace.Deliveries, so the first-match bound can be
-//     late.
+//     and so does an occurrence-counted sub-plan when the base trace
+//     cannot vouch for a count (countsExact).
+//
+// The resumed count is exact for three reasons: a rung is captured only at
+// a quiescent instant, so no push is in flight; a delayed push is in
+// flight until it lands, so no rung splits it; and on a base that lost no
+// push, every push the send-side interceptor or an arrival gate counted
+// before the rung is a recorded delivery, once (countsExact).
 //
 // Guards at fork time — each a counted fallback cause, never a silently
 // different execution:
 //
-//   - strict_past: with a plan-free base, a plan timer landing before the
-//     rung means the plan acts inside the checkpointed prefix (with a plan
+//   - strict_past: the plan would act inside the checkpointed prefix — with
+//     a plan-free base, a plan timer landing before the rung (with a plan
 //     base such timers are the shared perturbations and burn their
-//     sequence numbers by design);
+//     sequence numbers by design); with any base, an occurrence-counted
+//     sub-plan the base does not share whose resumed count has already
+//     reached its occurrence;
 //   - restore_error: the snapshot failed to restore, InstallPending
 //     rejected an event, or anything in the fork panicked;
 //   - watchdog: the fork exhausted the per-call event budget short of the
@@ -81,17 +88,18 @@ const maxCheckpoints = 12
 const captureSlideAttempts = 25
 
 // captureMargin is how far before a hinted instant a rung aims its
-// capture. Hints sit AT mined moments (effect times, choice-point sends),
-// which are exactly the busy instants where capture must slide forward —
-// often past the instant itself, leaving the rung useless for the very
-// plans that put it there. Aiming a few virtual milliseconds early gives
-// the slide room to land at or before the hint.
-const captureMargin = 4 * sim.Millisecond
+// capture. Hints sit AT mined moments (effect times — the very delivery
+// an occurrence-counted plan acts on — and choice-point sends), which are
+// exactly the busy instants where capture must slide forward, often past
+// the instant itself, leaving the rung useless for the very plans that put
+// it there. The margin exceeds the longest slide (captureSlideAttempts
+// 1 ms steps), so a rung that is captured at all lands before its hint.
+const captureMargin = 30 * sim.Millisecond
 
 // fallbackCause classifies why a fork fell back to full replay. Only
 // diagnosable causes are counted in Stats.SnapshotFallbacks; a plan with
 // no qualifying rung (effect before the first rung, an unbounded effect
-// time, an untrusted occurrence bound) is routine prefix economics.
+// time, an untrusted occurrence count) is routine prefix economics.
 type fallbackCause uint8
 
 const (
@@ -121,7 +129,8 @@ type planTree struct {
 	planFree   bool
 	ref        *trace.Trace
 	baseTrace  *trace.Trace
-	baseDrops  int
+	baseDrops  int // watch pushes the base run lost in flight
+	baseDups   int // watch pushes the base run delivered twice
 	baseExec   core.Execution
 	buildSeq   uint64   // kernel sequence counter right after Build
 	buildSteps uint64   // kernel step counter right after Build
@@ -211,12 +220,16 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 	for _, n := range pt.baseTrace.DroppedPushes {
 		pt.baseDrops += n
 	}
+	for _, n := range pt.baseTrace.DuplicatePushes {
+		pt.baseDups += n
+	}
 	return pt
 }
 
 // rungSchedule converts hinted instants — a multiset: the earliest-effect
-// times of the plans the tree will serve, or the explorer's choice-point
-// send times — into capture candidates: the build boundary (every plan
+// times of the plans the tree will serve (for an occurrence-counted plan,
+// the send time of the delivery it acts on), or the explorer's
+// choice-point send times — into capture candidates: the build boundary (every plan
 // whose effect follows warmup can fork from it) plus up to
 // maxCheckpoints-1 mass-weighted quantiles of the hints inside
 // (buildEnd, end), each shifted captureMargin early. Quantiles are taken
@@ -301,22 +314,6 @@ func subplanMultiset(p core.Plan) map[string]subCount {
 	return out
 }
 
-// isOccurrenceCounted reports whether p counts matching deliveries at
-// runtime — the plan kinds whose interceptor or gate carries state a
-// snapshot cannot hold. Covers send-side occurrence gaps and the
-// delivery-coordinate plans (drop/delay gates) the explorer emits.
-func isOccurrenceCounted(p core.Plan) bool {
-	switch q := p.(type) {
-	case core.GapPlan:
-		return q.Occurrence > 0
-	case core.DropDeliveryPlan:
-		return true
-	case core.DelayDeliveryPlan:
-		return true
-	}
-	return false
-}
-
 // divergence returns the latest instant up to which an execution of q is
 // provably identical to the base run, or ok=false when no such bound can
 // be established.
@@ -358,20 +355,25 @@ func (pt *planTree) divergence(q core.Plan) (sim.Time, bool) {
 		if sub == nil {
 			sub = inQ.plan
 		}
-		occ := isOccurrenceCounted(sub)
-		if occ && pt.baseDrops > 0 {
-			// The base trace lost watch pushes; its match stream is
-			// incomplete and no occurrence bound is trustworthy.
+		if _, occ := core.Occurrence(sub); occ && !pt.countsExact() {
 			return 0, false
 		}
-		// A shared occurrence-counted sub-plan still bounds the fork: the
-		// fresh interceptor starts at zero matches, so counting must not
-		// have begun by the rung.
-		if (b.count != inQ.count || occ) && !consider(sub) {
+		if b.count != inQ.count && !consider(sub) {
 			return 0, false
 		}
 	}
 	return d, true
+}
+
+// countsExact reports whether the base trace's deliveries are exactly what
+// an occurrence counter counted: the base lost no watch push (a dropped
+// push is counted but never recorded) and duplicated none (recorded twice,
+// counted once), and no push was in flight at the Build boundary, where
+// counting begins (the send-side interceptor never sees such a push; the
+// boundary rung is captured there only if it was quiescent). Otherwise
+// neither an occurrence bound nor a resumed count is trustworthy.
+func (pt *planTree) countsExact() bool {
+	return pt.baseDrops+pt.baseDups == 0 && pt.rungs[0].at == pt.buildEnd
 }
 
 // forkRung returns the latest rung at or before q's divergence bound, or
@@ -405,6 +407,20 @@ func (pt *planTree) run(t core.Target, q core.Plan, instrument bool, budget uint
 	return pt.forkFrom(rg, t, q, instrument, budget)
 }
 
+// actedBefore reports whether an occurrence-counted sub-plan of q that the
+// base does not share has reached its occurrence by rung rg: forked, q
+// would skip that action silently. A shared one that has acted did so in
+// the base run too, inside the prefix.
+func (pt *planTree) actedBefore(rg *rung, q core.Plan) bool {
+	for key, sc := range subplanMultiset(q) {
+		n, ok := core.Occurrence(sc.plan)
+		if ok && pt.baseKeys[key].count != sc.count && core.Seen(sc.plan, rg.trace) >= n {
+			return true
+		}
+	}
+	return false
+}
+
 // forkFrom executes q from rung rg. The caller vouches for eligibility
 // (run does, via forkRung); everything else is guarded here.
 func (pt *planTree) forkFrom(rg *rung, t core.Target, q core.Plan, instrument bool, budget uint64) (exec core.Execution, tr *trace.Trace, ok bool, cause fallbackCause) {
@@ -413,6 +429,9 @@ func (pt *planTree) forkFrom(rg *rung, t core.Target, q core.Plan, instrument bo
 			exec, tr, ok, cause = core.Execution{}, nil, false, fallbackRestoreError
 		}
 	}()
+	if pt.actedBefore(rg, q) {
+		return core.Execution{}, nil, false, fallbackStrictPast
+	}
 	c2, err := rg.snap.NewCluster()
 	if err != nil {
 		return core.Execution{}, nil, false, fallbackRestoreError
@@ -426,11 +445,12 @@ func (pt *planTree) forkFrom(rg *rung, t core.Target, q core.Plan, instrument bo
 	// Q's plan band replays directly after the Build boundary, then the
 	// workload, both in rehydration mode: timers that fired inside the
 	// prefix burn their numbers, later ones schedule for real. With a
-	// plan-free base no plan timer may land inside the prefix.
+	// plan-free base no plan timer may land inside the prefix. Occurrence
+	// counters resume at the rung's counts.
 	k.SetSeq(pt.buildSeq)
 	k.BeginRehydrate(rg.snap.Kernel.Now)
 	k.SetStrictPast(pt.planFree)
-	q.Apply(c2)
+	core.ApplyResumed(q, c2, rg.trace)
 	k.SetStrictPast(false)
 	if k.StrictViolation() != "" {
 		return core.Execution{}, nil, false, fallbackStrictPast

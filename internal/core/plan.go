@@ -89,9 +89,11 @@ func (p GapPlan) Describe() string {
 }
 
 // Apply implements Plan.
-func (p GapPlan) Apply(c *infra.Cluster) {
-	seen := 0
-	done := false
+func (p GapPlan) Apply(c *infra.Cluster) { p.apply(c, 0) }
+
+// apply installs the interceptor with seen matches already counted.
+func (p GapPlan) apply(c *infra.Cluster, seen int) {
+	done := p.Occurrence > 0 && seen >= p.Occurrence
 	c.World.Network().AddInterceptor(sim.InterceptorFunc(func(m *sim.Message) sim.Decision {
 		if done || m.To != p.Victim || m.Kind != apiserver.KindWatchPush {
 			return sim.Decision{Verdict: sim.Pass}

@@ -49,9 +49,12 @@ func (p DropDeliveryPlan) Describe() string {
 }
 
 // Apply implements Plan.
-func (p DropDeliveryPlan) Apply(c *infra.Cluster) {
-	g := &deliveryCounter{victim: p.Victim, kind: p.Kind, name: p.Name, typ: p.Type}
-	done := false
+func (p DropDeliveryPlan) Apply(c *infra.Cluster) { p.apply(c, 0) }
+
+// apply installs the gate with seen matching arrivals already counted.
+func (p DropDeliveryPlan) apply(c *infra.Cluster, seen int) {
+	g := &deliveryCounter{victim: p.Victim, kind: p.Kind, name: p.Name, typ: p.Type, seen: seen}
+	done := seen >= p.Occurrence
 	c.World.Network().AddDeliveryGate(sim.DeliveryGateFunc(func(m *sim.Message) sim.Decision {
 		if done {
 			return sim.Decision{Verdict: sim.Pass}
@@ -89,9 +92,12 @@ func (p DelayDeliveryPlan) Describe() string {
 }
 
 // Apply implements Plan.
-func (p DelayDeliveryPlan) Apply(c *infra.Cluster) {
-	g := &deliveryCounter{victim: p.Victim, kind: p.Kind, name: p.Name, typ: p.Type}
-	done := false
+func (p DelayDeliveryPlan) Apply(c *infra.Cluster) { p.apply(c, 0) }
+
+// apply installs the gate with seen matching arrivals already counted.
+func (p DelayDeliveryPlan) apply(c *infra.Cluster, seen int) {
+	g := &deliveryCounter{victim: p.Victim, kind: p.Kind, name: p.Name, typ: p.Type, seen: seen}
+	done := seen >= p.Occurrence
 	c.World.Network().AddDeliveryGate(sim.DeliveryGateFunc(func(m *sim.Message) sim.Decision {
 		if done {
 			// Covers our own deferral re-arriving: the hit set done, and

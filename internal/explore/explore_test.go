@@ -2,6 +2,7 @@ package explore
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/apiserver"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/explain"
 	"repro/internal/infra"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -150,6 +152,36 @@ func TestExploreForksEngage(t *testing.T) {
 	}
 	if res.Forks == 0 {
 		t.Fatalf("no executions served by checkpoint forks (replays=%d)", res.Replays)
+	}
+}
+
+// The cass-op-398 witness bound at world seed 1005: its schedules fork
+// from rungs inside the window (every decision is past 4 s, and each
+// drop/delay counter resumes at the rung), and the exploration — witness,
+// minimization, explanation, counters — is the same with and without
+// snapshots; only how executions were served differs.
+func TestExploreWitnessSameWithAndWithoutSnapshot(t *testing.T) {
+	var results [2]Result
+	for i, snapshot := range []bool{true, false} {
+		res := Run(Config{
+			Target: workload.TargetCass398(), Seed: 1005,
+			Bounds:   Bounds{Drops: 1, Delays: 1, Start: sim.Time(4 * sim.Second)},
+			POR:      true,
+			Snapshot: snapshot,
+		})
+		if res.Outcome != OutcomeViolation {
+			t.Fatalf("snapshot=%v: outcome = %s, want a witness", snapshot, res.Outcome)
+		}
+		results[i] = *res
+	}
+	if results[0].Forks == 0 || results[0].Replays != 0 {
+		t.Fatalf("snapshot on: %d forks, %d replays; want every schedule forked", results[0].Forks, results[0].Replays)
+	}
+	for i := range results {
+		results[i].Forks, results[i].Replays = 0, 0
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Fatalf("exploration differs with snapshots:\n on: %+v\noff: %+v", results[0], results[1])
 	}
 }
 
