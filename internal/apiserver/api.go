@@ -46,13 +46,12 @@ func IsTooOld(err error) bool { return matchesSentinel(err, ErrTooOldResourceVer
 
 // RPC method names served by apiservers.
 const (
-	MethodList        = "api.List"
-	MethodGet         = "api.Get"
-	MethodCreate      = "api.Create"
-	MethodUpdate      = "api.Update"
-	MethodDelete      = "api.Delete"
-	MethodWatch       = "api.Watch"
-	MethodCancelWatch = "api.CancelWatch"
+	MethodList   = "api.List"
+	MethodGet    = "api.Get"
+	MethodCreate = "api.Create"
+	MethodUpdate = "api.Update"
+	MethodDelete = "api.Delete"
+	MethodWatch  = "api.Watch"
 )
 
 // KindWatchPush is the message kind of apiserver->client event pushes.
@@ -101,37 +100,30 @@ type (
 	}
 	// GetResponse carries the object if found.
 	GetResponse struct {
-		Object   *cluster.Object
-		Found    bool
-		Revision int64
+		Object *cluster.Object
+		Found  bool
 	}
 	// CreateRequest creates a new named object.
 	CreateRequest struct{ Object *cluster.Object }
 	// UpdateRequest overwrites an object guarded by its ResourceVersion.
 	UpdateRequest struct{ Object *cluster.Object }
 	// DeleteRequest removes an object; a nonzero ExpectRV guards the
-	// delete against concurrent modification.
+	// delete against concurrent modification. Its reply carries no body.
 	DeleteRequest struct {
 		Kind     cluster.Kind
 		Name     string
 		ExpectRV int64
 	}
-	// WriteResponse acknowledges a write at Revision; for create/update it
-	// echoes the stored object with its new ResourceVersion.
-	WriteResponse struct {
-		Object   *cluster.Object
-		Revision int64
-	}
-	// WatchRequest subscribes to typed events of a kind after StartRev.
+	// WriteResponse acknowledges a create or update: it echoes the stored
+	// object with its new ResourceVersion.
+	WriteResponse struct{ Object *cluster.Object }
+	// WatchRequest subscribes to typed events of a kind after StartRev. Its
+	// reply carries no body.
 	WatchRequest struct {
 		Kind     cluster.Kind
 		StartRev int64
 		SubID    uint64
 	}
-	// WatchResponse acknowledges the subscription.
-	WatchResponse struct{ Revision int64 }
-	// CancelWatchRequest removes a subscription.
-	CancelWatchRequest struct{ SubID uint64 }
 	// WatchPushMsg is the payload of KindWatchPush messages.
 	WatchPushMsg struct {
 		SubID  uint64

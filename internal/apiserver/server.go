@@ -649,7 +649,7 @@ func (s *Server) register() {
 					return
 				}
 				resp := b.(*store.GetResponse)
-				out := &GetResponse{Found: resp.Found, Revision: resp.Revision}
+				out := &GetResponse{Found: resp.Found}
 				if resp.Found {
 					obj, derr := cluster.Decode(resp.KV.Value, resp.KV.ModRevision)
 					if derr != nil {
@@ -717,7 +717,7 @@ func (s *Server) register() {
 				reply(nil, ErrAlreadyExists)
 			default:
 				obj.Meta.ResourceVersion = resp.Revision
-				reply(&WriteResponse{Object: obj, Revision: resp.Revision}, nil)
+				reply(&WriteResponse{Object: obj}, nil)
 			}
 		})
 	})
@@ -752,7 +752,7 @@ func (s *Server) register() {
 				reply(nil, ErrConflict)
 			default:
 				obj.Meta.ResourceVersion = resp.Revision
-				reply(&WriteResponse{Object: obj, Revision: resp.Revision}, nil)
+				reply(&WriteResponse{Object: obj}, nil)
 			}
 		})
 	})
@@ -779,7 +779,7 @@ func (s *Server) register() {
 			case !resp.Succeeded:
 				reply(nil, conflictErr)
 			default:
-				reply(&WriteResponse{Revision: resp.Revision}, nil)
+				reply(nil, nil)
 			}
 		})
 	})
@@ -805,14 +805,7 @@ func (s *Server) register() {
 		if len(backlog) > 0 {
 			s.world.Network().Send(s.id, from, KindWatchPush, &WatchPushMsg{SubID: req.SubID, Events: backlog})
 		}
-		return &WatchResponse{Revision: s.cachedRev}, nil
-	})
-	s.rpcSrv.Handle(MethodCancelWatch, func(from sim.NodeID, body any) (any, error) {
-		req := body.(*CancelWatchRequest)
-		delete(s.subs, subKey(from, req.SubID))
-		s.subsOrder = nil
-		s.subsByKind = nil
-		return &struct{}{}, nil
+		return nil, nil
 	})
 }
 
@@ -960,7 +953,7 @@ func (s *Server) getCached(kind cluster.Kind, name string) (*GetResponse, error)
 	key := cluster.Key(kind, name)
 	kv, ok := s.cache[key]
 	if !ok {
-		return &GetResponse{Found: false, Revision: s.cachedRev}, nil
+		return &GetResponse{Found: false}, nil
 	}
 	var (
 		obj *cluster.Object
@@ -974,5 +967,5 @@ func (s *Server) getCached(kind cluster.Kind, name string) (*GetResponse, error)
 	if err != nil {
 		return nil, err
 	}
-	return &GetResponse{Object: obj, Found: true, Revision: s.cachedRev}, nil
+	return &GetResponse{Object: obj, Found: true}, nil
 }

@@ -448,7 +448,7 @@ func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		revs = append(revs, body.(*WriteResponse).Revision)
+		revs = append(revs, body.(*WriteResponse).Object.Meta.ResourceVersion)
 		if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkNode(fmt.Sprintf("n%d", i))}); err != nil {
 			t.Fatal(err)
 		}

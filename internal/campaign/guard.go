@@ -41,11 +41,10 @@ func runGuarded(t core.Target, p core.Plan, seed int64, instrument bool, budget 
 	if budget == 0 {
 		budget = DefaultEventBudget
 	}
-	exec = core.Execution{Plan: p, Seed: seed}
 	defer func() {
 		if r := recover(); r != nil {
 			exec = core.Execution{
-				Plan: p, Seed: seed, Failed: true,
+				Failed:  true,
 				Failure: fmt.Sprintf("panic in plan %s: %v\n%s", p.ID(), r, sanitizeStack(debug.Stack())),
 			}
 			tr = nil

@@ -119,7 +119,7 @@ func (f *SnapshotFallbacks) total() int {
 // FleetStats aggregates the farm supervision layer's outcomes: how many
 // workers died, how many were respawned, how many tasks were retried on a
 // healthy worker after a death, and how many tasks were quarantined as
-// poison (killed MaxTaskKills distinct workers). The counters live here —
+// poison (killed farm's maxTaskKills distinct workers). The counters live here —
 // not in the farm package — so they can ride inside Stats; every field is
 // emitted without omitempty so downstream checks can assert
 // tasks_quarantined == 0 on healthy chaos runs.
@@ -186,7 +186,7 @@ type ExecutionFailure struct {
 	Index int    `json:"index"`
 	Plan  string `json:"plan"`
 	// Kind is "panic" (worker guard), "watchdog" (event-budget livelock),
-	// or "quarantine" (a farm task that killed MaxTaskKills workers and
+	// or "quarantine" (a farm task that killed maxTaskKills workers and
 	// was recorded as failed instead of aborting the campaign).
 	Kind   string `json:"kind"`
 	Detail string `json:"detail"`

@@ -120,7 +120,6 @@ type rung struct {
 // planTree is the per-(target, seed, base plan) fork substrate. It is
 // immutable once built and shared read-only by the engine's workers.
 type planTree struct {
-	seed     int64
 	base     core.Plan
 	baseKeys map[string]subCount
 	// planFree marks a NopPlan base: the base run is the reference run, so
@@ -161,7 +160,6 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 	k := c.World.Kernel()
 	_, planFree := base.(core.NopPlan)
 	pt = &planTree{
-		seed:       seed,
 		base:       base,
 		baseKeys:   subplanMultiset(base),
 		planFree:   planFree,
@@ -211,8 +209,6 @@ func buildPlanTree(t core.Target, base core.Plan, seed int64, ref *trace.Trace, 
 		k.Run(end)
 		pt.baseTrace = rec.T
 		pt.baseExec = core.Execution{
-			Plan:       base,
-			Seed:       seed,
 			Violations: c.Violations(),
 			Detected:   c.Oracles.Violated(t.Bug),
 		}
@@ -473,8 +469,6 @@ func (pt *planTree) forkFrom(rg *rung, t core.Target, q core.Plan, instrument bo
 		return core.Execution{}, nil, false, fallbackWatchdog
 	}
 	exec = core.Execution{
-		Plan:       q,
-		Seed:       pt.seed,
 		Violations: c2.Violations(),
 		Detected:   c2.Oracles.Violated(t.Bug),
 	}

@@ -124,12 +124,12 @@ func firstDetecting(t *testing.T, target core.Target, plans []core.Plan, seed in
 	return nil
 }
 
-// checkForks runs probes through the tree and asserts every forked
-// execution agrees with its full replay — violations, detection and (when
+// checkForks runs probes through the tree, built at world seed seed, and
+// asserts every forked execution agrees with its full replay — violations, detection and (when
 // instrumented) coverage signature — that a probe which does not fork has
 // no diagnosable cause, and that at least one probe (allFork: every probe)
 // was really served by a fork.
-func checkForks(t *testing.T, target core.Target, pt *planTree, probes []core.Plan, instrument, allFork bool) {
+func checkForks(t *testing.T, target core.Target, pt *planTree, seed int64, probes []core.Plan, instrument, allFork bool) {
 	t.Helper()
 	if pt == nil || len(pt.rungs) == 0 {
 		t.Fatal("no tree, or a tree without rungs, for a snapshotable target")
@@ -144,7 +144,7 @@ func checkForks(t *testing.T, target core.Target, pt *planTree, probes []core.Pl
 			continue
 		}
 		forked++
-		want, wantTr := runGuarded(target, q, pt.seed, instrument, 0)
+		want, wantTr := runGuarded(target, q, seed, instrument, 0)
 		sig, wantSig := signatureOrZero(tr, exec), signatureOrZero(wantTr, want)
 		if !reflect.DeepEqual(exec.Violations, want.Violations) ||
 			exec.Detected != want.Detected || sig != wantSig {
@@ -203,7 +203,7 @@ func TestSnapshotActuallyForks(t *testing.T) {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
 			pt := buildPlanTree(target, row.base, seed, ref, effectTimes(row.hints, ref))
-			checkForks(t, target, pt, row.probes, row.instrument, false)
+			checkForks(t, target, pt, seed, row.probes, row.instrument, false)
 		})
 	}
 }
@@ -229,7 +229,7 @@ func TestForkAtBuildBoundary(t *testing.T) {
 			if sp.Until != 0 && sp.Until <= sp.From {
 				sp.Until = 0
 			}
-			checkForks(t, target, pt, []core.Plan{sp}, true, true)
+			checkForks(t, target, pt, seed, []core.Plan{sp}, true, true)
 			return
 		}
 	}
@@ -330,7 +330,7 @@ func TestOccurrencePlansForkAtTheirOccurrence(t *testing.T) {
 				if len(probes) == 0 {
 					t.Fatal("no plan among the first five acts on a later occurrence: the row is vacuous")
 				}
-				checkForks(t, target, pt, probes, true, true)
+				checkForks(t, target, pt, seed, probes, true, true)
 			})
 		}
 	}
@@ -381,7 +381,7 @@ func TestExplorerSchedulesForkInsideTheWindow(t *testing.T) {
 			t.Fatalf("%s forks from %s, before %s − captureMargin", q.ID(), rungAt(rg), start)
 		}
 	}
-	checkForks(t, target, pt, probes, true, true)
+	checkForks(t, target, pt, seed, probes, true, true)
 }
 
 // TestBudgetedSweepPlacesRungsForReachablePlans pins the engine's hinting:
@@ -485,7 +485,7 @@ func TestForkPastOccurrenceIsStrictPast(t *testing.T) {
 			t.Fatalf("%s should fork past the shared delay", q.ID())
 		}
 	}
-	checkForks(t, target, bt, probes, true, true)
+	checkForks(t, target, bt, seed, probes, true, true)
 }
 
 // TestDroppedPushesDisqualifyOccurrencePlans pins the dropped-push rule on
@@ -583,7 +583,7 @@ func TestLostOrDuplicatedPushesDisqualifyOccurrencePlans(t *testing.T) {
 			if _, _, ok, cause := pt.run(target, occ, false, 0); ok || cause != fallbackNone {
 				t.Fatalf("%s: ok=%v cause=%d, want a routine full replay", occ.ID(), ok, cause)
 			}
-			checkForks(t, target, pt, []core.Plan{timed}, true, true)
+			checkForks(t, target, pt, seed, []core.Plan{timed}, true, true)
 		})
 	}
 }
@@ -622,7 +622,7 @@ func TestBusyBuildBoundaryDisqualifiesOccurrencePlans(t *testing.T) {
 	if _, _, ok, cause := pt.run(target, gap, false, 0); ok || cause != fallbackNone {
 		t.Fatalf("%s: ok=%v cause=%d, want a routine full replay", gap.Describe(), ok, cause)
 	}
-	checkForks(t, target, pt, []core.Plan{crash}, true, true)
+	checkForks(t, target, pt, seed, []core.Plan{crash}, true, true)
 }
 
 // TestRungSchedule pins rung placement: the build boundary first, hints

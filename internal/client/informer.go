@@ -115,7 +115,6 @@ type informerState struct {
 
 	lastEventAt sim.Time
 	relists     int
-	retries     int          // failed list attempts (upstream unavailable)
 	backoff     sim.Duration // next retry's base delay; 0 = healthy
 }
 
@@ -317,7 +316,6 @@ func (i *Informer) relist(reason string) {
 		if err != nil {
 			// Upstream unavailable: retry with capped exponential backoff
 			// plus kernel-RNG jitter (deterministic under the world seed).
-			i.retries++
 			d := i.backoff
 			if d == 0 {
 				d = relistBackoffBase

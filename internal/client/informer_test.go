@@ -262,8 +262,9 @@ const time1s = sim.Second
 
 // TestInformerRelistBackoff verifies the retry path: with the upstream
 // apiserver partitioned away, the initial list fails repeatedly and is
-// rescheduled with capped exponential backoff (counted in Retries); once
-// the partition heals, the informer syncs and the backoff resets.
+// rescheduled with capped exponential backoff (each attempt counted in
+// Relists); once the partition heals, the informer syncs and the backoff
+// resets.
 func TestInformerRelistBackoff(t *testing.T) {
 	f := newFixture(t)
 	f.create(t, "p1", "k1")
@@ -279,25 +280,25 @@ func TestInformerRelistBackoff(t *testing.T) {
 	if inf.Synced() {
 		t.Fatal("informer synced through a partition")
 	}
-	retries := inf.Retries()
-	if retries < 3 {
-		t.Fatalf("expected several failed list attempts, got %d", retries)
+	attempts := inf.Relists()
+	if attempts < 3 {
+		t.Fatalf("expected several failed list attempts, got %d", attempts)
 	}
 	// Flat 100ms retries against a 300ms RPC timeout would burn ~25
 	// attempts in 10s; the exponential ladder caps it far lower.
-	if retries > 15 {
-		t.Fatalf("backoff not applied: %d retries in 10s", retries)
+	if attempts > 15 {
+		t.Fatalf("backoff not applied: %d attempts in 10s", attempts)
 	}
 
 	f.w.Network().Heal("comp", "api-1")
 	f.w.Kernel().RunFor(5 * sim.Second)
 	if !inf.Synced() || inf.Len() != 1 {
-		t.Fatalf("informer did not recover after heal: synced=%v len=%d retries=%d",
-			inf.Synced(), inf.Len(), inf.Retries())
+		t.Fatalf("informer did not recover after heal: synced=%v len=%d attempts=%d",
+			inf.Synced(), inf.Len(), inf.Relists())
 	}
-	if inf.Retries() != retries+1 && inf.Retries() != retries {
+	if inf.Relists() != attempts+1 && inf.Relists() != attempts {
 		// At most one more attempt could have been in flight at heal time.
-		t.Fatalf("retries kept growing after heal: %d -> %d", retries, inf.Retries())
+		t.Fatalf("attempts kept growing after heal: %d -> %d", attempts, inf.Relists())
 	}
 
 	// Determinism: the same seed reproduces the same retry count.
@@ -307,8 +308,8 @@ func TestInformerRelistBackoff(t *testing.T) {
 	inf2 := NewInformer(g.c.conn, cluster.KindPod, InformerConfig{})
 	inf2.Run()
 	g.w.Kernel().RunFor(10 * sim.Second)
-	if inf2.Retries() != retries {
-		t.Fatalf("retry schedule not deterministic: %d vs %d", inf2.Retries(), retries)
+	if inf2.Relists() != attempts {
+		t.Fatalf("retry schedule not deterministic: %d vs %d", inf2.Relists(), attempts)
 	}
 }
 

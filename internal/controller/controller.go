@@ -69,10 +69,6 @@ type queueState struct {
 	failures map[string]int
 	running  bool
 	stopped  bool
-
-	// Counters for experiments.
-	Processed int
-	Errors    int
 }
 
 func (s queueState) clone() queueState {
@@ -139,14 +135,12 @@ func (q *Queue) processNext() {
 	q.order = q.order[1:]
 	delete(q.set, key)
 
-	q.Processed++
 	res, err := q.rec.Reconcile(key)
 	if q.stopped {
 		return
 	}
 	switch {
 	case err != nil:
-		q.Errors++
 		q.failures[key]++
 		backoff := q.cfg.BaseBackoff
 		for i := 1; i < q.failures[key]; i++ {

@@ -20,10 +20,7 @@ func TestQueueProcessesInOrder(t *testing.T) {
 	q.Add("a") // dedup while queued
 	k.Drain()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got %v", got)
-	}
-	if q.Processed != 2 {
-		t.Fatalf("processed = %d", q.Processed)
+		t.Fatalf("reconciled %v, want [a b]", got)
 	}
 }
 
@@ -58,10 +55,7 @@ func TestQueueErrorBackoff(t *testing.T) {
 	q.Add("x")
 	k.Drain()
 	if attempts != 4 {
-		t.Fatalf("attempts = %d", attempts)
-	}
-	if q.Errors != 3 {
-		t.Fatalf("errors = %d", q.Errors)
+		t.Fatalf("attempts = %d, want three failures and a success", attempts)
 	}
 	// Exponential backoff: successful run happens after cumulative delays.
 	if k.Now() < sim.Time(5*sim.Millisecond+10*sim.Millisecond+20*sim.Millisecond) {

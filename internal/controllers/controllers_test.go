@@ -52,9 +52,6 @@ func TestVolumeControllerReleasesOnObservedTermination(t *testing.T) {
 	if len(pvcs) != 1 || pvcs[0].PVC.Phase != cluster.PVCReleased {
 		t.Fatalf("pvc = %+v", pvcs)
 	}
-	if c.Volume.Releases != 1 {
-		t.Fatalf("releases = %d", c.Volume.Releases)
-	}
 }
 
 func TestVolumeControllerGapBugAndFix(t *testing.T) {

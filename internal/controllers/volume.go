@@ -47,14 +47,6 @@ type VolumeController struct {
 
 	podInf *client.Informer
 	pvcInf *client.Informer
-	volumeState
-}
-
-// volumeState is everything the controller itself carries from one event
-// to the next; its shell carries its connection's.
-type volumeState struct {
-	// Releases counts successful PVC releases (experiment metric).
-	Releases int
 }
 
 // VolumeControllerID is the controller's network identity.
@@ -124,9 +116,5 @@ func (c *VolumeController) poll() {
 func (c *VolumeController) release(pvc *cluster.Object) {
 	upd := pvc.Clone()
 	upd.PVC.Phase = cluster.PVCReleased
-	c.Conn().Update(upd, func(_ *cluster.Object, err error) {
-		if err == nil {
-			c.Releases++
-		}
-	})
+	c.Conn().Update(upd, nil)
 }

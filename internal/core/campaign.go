@@ -46,8 +46,10 @@ type Strategy interface {
 
 // Execution is the outcome of running one plan against a target.
 type Execution struct {
+	// Plan and Seed name the run: the plan and the world seed. Only the
+	// benchmark's staged runner sets them.
 	Plan       Plan
-	Seed       int64 // world seed the execution was built with
+	Seed       int64
 	Violations []oracle.Violation
 	Detected   bool // the target bug's oracle fired
 	// Failed marks an execution whose harness run did not complete: the
@@ -129,8 +131,6 @@ func TracePlanSeed(t Target, p Plan, seed int64) (*trace.Trace, []oracle.Violati
 func RunPlanSeed(t Target, p Plan, seed int64) Execution {
 	c := replay(t, p, seed, nil)
 	return Execution{
-		Plan:       p,
-		Seed:       seed,
 		Violations: c.Violations(),
 		Detected:   c.Oracles.Violated(t.Bug),
 	}

@@ -50,12 +50,11 @@ type Batcher struct {
 	fetch   Fetcher
 	deliver func([]history.Event)
 
-	buf          map[int64][]history.Event // epoch index -> events seen
-	seen         map[int64]bool            // revision -> already buffered
-	nextEpoch    int64                     // next epoch index to deliver
-	maxRevSeen   int64
-	stats        Stats
-	relevantRevs func(epoch int64) []int64 // test hook; nil = contiguous
+	buf        map[int64][]history.Event // epoch index -> events seen
+	seen       map[int64]bool            // revision -> already buffered
+	nextEpoch  int64                     // next epoch index to deliver
+	maxRevSeen int64
+	stats      Stats
 }
 
 // NewBatcher creates a batcher. deliver receives whole epochs, in epoch

@@ -164,7 +164,6 @@ type decision struct {
 type explorer struct {
 	cfg       Config
 	bounds    Bounds
-	ref       *trace.Trace
 	forker    *campaign.Forker
 	decisions []decision // reduced list the DFS walks
 	sufDrop   []int      // decisions[i:] kind counts, len(decisions)+1
@@ -202,8 +201,7 @@ func Run(cfg Config) *Result {
 		wEnd = wStart.Add(b.Window)
 	}
 
-	e := &explorer{cfg: cfg, bounds: b, ref: ref,
-		visited: make(map[uint64][]visitEntry)}
+	e := &explorer{cfg: cfg, bounds: b, visited: make(map[uint64][]visitEntry)}
 
 	// Choice points: window deliveries to components under test.
 	var cps []trace.Delivery

@@ -110,9 +110,8 @@ func assertHandshakeRejected(t *testing.T, version string) {
 		Factory: func(slot, spawn int) Transport {
 			return &scriptedTransport{lines: []string{`{"type":"ready","proto":"` + version + `"}`}}
 		},
-		Workers:     1,
-		MaxRespawns: 1,
-		sleep:       func(time.Duration) {},
+		Workers: 1,
+		sleep:   func(time.Duration) {},
 	}
 	_, report, interrupted, err := RunSupervised(context.Background(), sup, tasks, nil)
 	if err == nil || !strings.Contains(err.Error(), "exhausted") {

@@ -104,20 +104,6 @@ type Supervisor struct {
 	// observers see at-least-once delivery and must key on (task, index)
 	// if they need exactly-once.
 	OnRecord func(spec TaskSpec, out campaign.PlanOutcome)
-	// MaxTaskKills quarantines a task after this many distinct worker
-	// deaths are attributed to it (default 2).
-	MaxTaskKills int
-	// MaxRespawns retires a slot after this many consecutive failed
-	// incarnations — sessions that died without completing a task
-	// (default 5). A completed task resets the count.
-	MaxRespawns int
-	// BackoffBase/BackoffCap shape the capped exponential respawn delay
-	// (defaults 50ms / 2s). The delay is jittered in [d/2, d).
-	BackoffBase time.Duration
-	BackoffCap  time.Duration
-	// HandshakeTimeout bounds how long a fresh worker may take to send
-	// its ready frame (default 30s).
-	HandshakeTimeout time.Duration
 	// Deadline returns the per-task completion deadline (default
 	// DefaultTaskDeadline). A task that exceeds it has its worker killed
 	// and is treated exactly like a crash.
@@ -131,7 +117,27 @@ type Supervisor struct {
 
 	// sleep is the test seam for backoff delays (nil = time.Sleep).
 	sleep func(time.Duration)
+	// taskKills is the test seam for the quarantine threshold (0 =
+	// maxTaskKills).
+	taskKills int
 }
+
+const (
+	// maxTaskKills quarantines a task after this many distinct worker
+	// deaths are attributed to it.
+	maxTaskKills = 2
+	// maxRespawns retires a slot after this many consecutive failed
+	// incarnations — sessions that died without completing a task. A
+	// completed task resets the count.
+	maxRespawns = 5
+	// backoffBase and backoffCap shape the capped exponential respawn
+	// delay. The delay is jittered in [d/2, d).
+	backoffBase = 50 * time.Millisecond
+	backoffCap  = 2 * time.Second
+	// handshakeTimeout bounds how long a fresh worker may take to send
+	// its ready frame.
+	handshakeTimeout = 30 * time.Second
+)
 
 func (s *Supervisor) workers() int {
 	if s.Workers < 1 {
@@ -140,46 +146,26 @@ func (s *Supervisor) workers() int {
 	return s.Workers
 }
 
-func (s *Supervisor) maxTaskKills() int {
-	if s.MaxTaskKills < 1 {
-		return 2
+func (s *Supervisor) killLimit() int {
+	if s.taskKills < 1 {
+		return maxTaskKills
 	}
-	return s.MaxTaskKills
+	return s.taskKills
 }
 
-func (s *Supervisor) maxRespawns() int {
-	if s.MaxRespawns < 1 {
-		return 5
-	}
-	return s.MaxRespawns
-}
-
-func (s *Supervisor) backoff(fails int) time.Duration {
-	base := s.BackoffBase
-	if base <= 0 {
-		base = 50 * time.Millisecond
-	}
-	cap := s.BackoffCap
-	if cap <= 0 {
-		cap = 2 * time.Second
-	}
-	d := base
-	for i := 1; i < fails && d < cap; i++ {
+// backoff is the respawn delay after fails consecutive failed
+// incarnations.
+func backoff(fails int) time.Duration {
+	d := backoffBase
+	for i := 1; i < fails && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
+	if d > backoffCap {
+		d = backoffCap
 	}
 	// Jitter into [d/2, d): respawning workers after a correlated crash
 	// (say, the machine paged) shouldn't stampede back in lockstep.
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
-}
-
-func (s *Supervisor) handshakeTimeout() time.Duration {
-	if s.HandshakeTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return s.HandshakeTimeout
 }
 
 func (s *Supervisor) deadline(spec TaskSpec) time.Duration {
@@ -315,7 +301,7 @@ func (f *fleetState) died(d DeathRecord) {
 	if d.TaskID >= 0 {
 		tr := &f.results[d.TaskID]
 		tr.Deaths = append(tr.Deaths, d)
-		if len(tr.Deaths) >= f.sup.maxTaskKills() {
+		if len(tr.Deaths) >= f.sup.killLimit() {
 			causes := make([]string, len(tr.Deaths))
 			for i, dd := range tr.Deaths {
 				causes[i] = dd.Cause
@@ -402,7 +388,7 @@ type TaskResult struct {
 // backoff, their in-flight tasks retry on healthy workers, and a task
 // that keeps killing workers is quarantined (Res nil, Quarantine set).
 // The run fails outright only when the fleet is exhausted: every slot
-// retired (MaxRespawns consecutive spawn failures) with tasks still
+// retired (maxRespawns consecutive spawn failures) with tasks still
 // pending.
 func RunSupervised(ctx context.Context, sup *Supervisor, tasks []TaskSpec, resumed map[int]ResumedTask) ([]TaskResult, FleetReport, bool, error) {
 	for i, spec := range tasks {
@@ -460,7 +446,7 @@ func RunSupervised(ctx context.Context, sup *Supervisor, tasks []TaskSpec, resum
 
 // runSlot is one slot's supervision loop: spawn, serve a session, and on
 // death back off and respawn — until the queue drains, the run is
-// cancelled, or the slot burns MaxRespawns consecutive incarnations
+// cancelled, or the slot burns maxRespawns consecutive incarnations
 // without completing anything (at which point it retires and leaves the
 // remaining work to healthier slots).
 func (f *fleetState) runSlot(ctx context.Context, slot int) {
@@ -473,7 +459,7 @@ func (f *fleetState) runSlot(ctx context.Context, slot int) {
 			f.mu.Lock()
 			f.report.Respawns++
 			f.mu.Unlock()
-			f.sup.doSleep(f.sup.backoff(fails))
+			f.sup.doSleep(backoff(fails))
 			if f.done() || ctx.Err() != nil {
 				return
 			}
@@ -486,7 +472,7 @@ func (f *fleetState) runSlot(ctx context.Context, slot int) {
 			fails = 0
 		}
 		fails++
-		if fails > f.sup.maxRespawns() {
+		if fails > maxRespawns {
 			f.sup.logf("farm: worker slot %d retired after %d consecutive failures", slot, fails-1)
 			return
 		}
@@ -558,7 +544,7 @@ func (f *fleetState) session(ctx context.Context, slot, spawn int) (completed in
 
 	// Handshake: the worker must announce ready with the right protocol
 	// magic before it gets a task.
-	hs := time.NewTimer(sup.handshakeTimeout())
+	hs := time.NewTimer(handshakeTimeout)
 	select {
 	case ev := <-events:
 		hs.Stop()

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -46,13 +45,12 @@ func TestMain(m *testing.M) {
 }
 
 // inProcSupervisor returns a Supervisor over clean in-process workers
-// with fast test timings.
+// that respawn without a backoff delay.
 func inProcSupervisor(workers int) *Supervisor {
 	return &Supervisor{
-		Factory:     func(slot, spawn int) Transport { return NewInProcTransport() },
-		Workers:     workers,
-		BackoffBase: time.Millisecond,
-		BackoffCap:  4 * time.Millisecond,
+		Factory: func(slot, spawn int) Transport { return NewInProcTransport() },
+		Workers: workers,
+		sleep:   func(time.Duration) {},
 	}
 }
 
@@ -115,7 +113,7 @@ func TestSupervisedByteIdentityUnderFaults(t *testing.T) {
 		// Task assignment races across slots, so several first-spawn faults
 		// can land on the same task; raise the kill threshold so this test
 		// exercises retry, not quarantine (which has its own test below).
-		sup.MaxTaskKills = len(faults) + 1
+		sup.taskKills = len(faults) + 1
 		results, report := supervisedRun(t, sup, tasks)
 		if len(report.Deaths) == 0 {
 			t.Fatalf("workers=%d: chaos injected no deaths", workers)
@@ -241,17 +239,12 @@ func TestProcessWorkerDeathEvidence(t *testing.T) {
 		Parallel:      1,
 	}
 	tasks := Plan([]string{spec.Target}, []string{spec.Strategy}, spec)
+	t.Setenv("FARM_TEST_WORKER", "crash") // the worker inherits the environment
 	sup := &Supervisor{
-		Factory: func(slot, spawn int) Transport {
-			return &ProcessTransport{
-				Path:   exe,
-				Env:    append(os.Environ(), "FARM_TEST_WORKER=crash"),
-				Stderr: io.Discard,
-			}
-		},
-		Workers:      1,
-		MaxTaskKills: 1, // first death quarantines; no healthy respawn exists
-		BackoffBase:  time.Millisecond,
+		Factory:   func(slot, spawn int) Transport { return &ProcessTransport{Path: exe} },
+		Workers:   1,
+		taskKills: 1, // first death quarantines; no healthy respawn exists
+		sleep:     func(time.Duration) {},
 	}
 	results, report, _, err := RunSupervised(context.Background(), sup, tasks, nil)
 	if err != nil {
@@ -278,7 +271,6 @@ func TestProcessWorkerDeathEvidence(t *testing.T) {
 // TestSupervisorBackoff: capped exponential growth with jitter in
 // [d/2, d].
 func TestSupervisorBackoff(t *testing.T) {
-	sup := &Supervisor{BackoffBase: 50 * time.Millisecond, BackoffCap: 2 * time.Second}
 	prevMax := time.Duration(0)
 	for fails := 1; fails <= 10; fails++ {
 		want := 50 * time.Millisecond << (fails - 1)
@@ -286,7 +278,7 @@ func TestSupervisorBackoff(t *testing.T) {
 			want = 2 * time.Second
 		}
 		for i := 0; i < 20; i++ {
-			got := sup.backoff(fails)
+			got := backoff(fails)
 			if got < want/2 || got > want {
 				t.Fatalf("backoff(%d) = %v, want in [%v, %v]", fails, got, want/2, want)
 			}

@@ -32,10 +32,8 @@ type Transport interface {
 // in a ring so a death record can quote what the worker said on the way
 // down.
 type ProcessTransport struct {
-	Path   string
-	Args   []string
-	Env    []string  // nil = inherit; otherwise the full environment
-	Stderr io.Writer // nil = os.Stderr
+	Path string
+	Args []string
 
 	cmd  *exec.Cmd
 	tail *tailWriter
@@ -49,13 +47,8 @@ func NewProcessTransport(path string, args ...string) *ProcessTransport {
 
 func (t *ProcessTransport) Start() (io.WriteCloser, io.Reader, error) {
 	cmd := exec.Command(t.Path, t.Args...)
-	cmd.Env = t.Env
-	stderr := t.Stderr
-	if stderr == nil {
-		stderr = os.Stderr
-	}
 	t.tail = &tailWriter{}
-	cmd.Stderr = io.MultiWriter(stderr, t.tail)
+	cmd.Stderr = io.MultiWriter(os.Stderr, t.tail)
 	in, err := cmd.StdinPipe()
 	if err != nil {
 		return nil, nil, fmt.Errorf("farm: worker stdin: %w", err)

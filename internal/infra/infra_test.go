@@ -105,7 +105,7 @@ func scenario59848(t *testing.T, safeRestart bool) *Cluster {
 	if err := c.World.Crash(kl.ID()); err != nil {
 		t.Fatal(err)
 	}
-	kl.SetUpstreamIndex(1) // api-2
+	kl.SetRestartUpstream(APIServerID(1))
 	c.RunFor(100 * sim.Millisecond)
 	if err := c.World.Restart(kl.ID()); err != nil {
 		t.Fatal(err)
@@ -170,11 +170,12 @@ func scenario56261(t *testing.T, evictFix bool) *Cluster {
 func TestK8s56261SchedulerLivelock(t *testing.T) {
 	c := scenario56261(t, false)
 	if !c.Oracles.Violated(oracle.NameSchedulerProgress) {
-		t.Fatalf("expected SchedulerProgress violation; binds=%d failures=%d",
-			c.Scheduler.Binds, c.Scheduler.BindFailures)
+		t.Fatalf("expected SchedulerProgress violation: %v", c.Violations())
 	}
-	if c.Scheduler.BindFailures == 0 {
-		t.Fatal("expected repeated bind failures against the deleted node")
+	for _, p := range c.GroundTruth(cluster.KindPod) {
+		if p.Meta.Name == "job-1" && p.Pod.NodeName != "" {
+			t.Fatalf("job-1 bound to %s while the scheduler's cache still holds the deleted node", p.Pod.NodeName)
+		}
 	}
 }
 
@@ -216,8 +217,7 @@ func TestVolumeControllerOrphansPVC(t *testing.T) {
 		// The poll may have landed inside the mark→delete window; the
 		// perturbation engine makes this deterministic, but at this seed
 		// the race should lose.
-		t.Fatalf("expected NoOrphanPVC violation; releases=%d violations=%v",
-			c.Volume.Releases, c.Violations())
+		t.Fatalf("expected NoOrphanPVC violation; violations=%v", c.Violations())
 	}
 }
 
@@ -226,7 +226,7 @@ func TestVolumeControllerFixedReleases(t *testing.T) {
 	if c.Oracles.Violated(oracle.NameNoOrphanPVC) {
 		t.Fatalf("fixed controller orphaned PVC: %v", c.Violations())
 	}
-	if c.Volume.Releases == 0 {
-		t.Fatal("fixed controller never released the PVC")
+	if pvcs := c.GroundTruth(cluster.KindPVC); len(pvcs) != 1 || pvcs[0].PVC.Phase != cluster.PVCReleased {
+		t.Fatalf("fixed controller never released the PVC: %+v", pvcs)
 	}
 }

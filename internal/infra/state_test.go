@@ -86,7 +86,7 @@ var roles = map[reflect.Type]role{
 	reflect.TypeFor[scheduler.Scheduler](): {state: "state", carried: "State",
 		children: map[string]string{"Shell": "Shell"},
 		wiring:   map[string]string{"cfg": config, "podInf": found, "nodeInf": found}},
-	reflect.TypeFor[controllers.VolumeController](): {state: "volumeState", carried: "State",
+	reflect.TypeFor[controllers.VolumeController](): {
 		children: map[string]string{"Shell": "Shell"},
 		wiring:   map[string]string{"cfg": config, "podInf": found, "pvcInf": found}},
 	reflect.TypeFor[cassandra.Operator](): {state: "state", carried: "State",

@@ -95,10 +95,10 @@ func TestPerRackAffinityOrdersKubeletUpstreams(t *testing.T) {
 	if k == nil {
 		t.Fatal("no kubelet r01n00")
 	}
-	if got := k.Config().APIServers[0]; got != APIServerID(1) {
+	if got := k.Upstream(); got != APIServerID(1) {
 		t.Fatalf("r01n00 primary upstream = %s, want %s", got, APIServerID(1))
 	}
-	if got := c.Kubelet["r02n00"].Config().APIServers[0]; got != APIServerID(0) {
+	if got := c.Kubelet["r02n00"].Upstream(); got != APIServerID(0) {
 		t.Fatalf("r02n00 primary upstream = %s, want %s", got, APIServerID(0))
 	}
 }

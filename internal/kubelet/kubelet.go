@@ -21,10 +21,7 @@ import (
 
 // Container is a running workload on a host.
 type Container struct {
-	PodName   string
-	PodUID    string
-	Image     string
-	StartedAt sim.Time
+	PodUID string
 }
 
 // Host models the machine under a kubelet: its containers outlive kubelet
@@ -168,10 +165,6 @@ type state struct {
 	restartPending   bool
 	safeSyncInFlight bool
 	minTrustRev      int64
-
-	// Starts and Stops count container transitions (experiment metrics).
-	Starts int
-	Stops  int
 }
 
 // NodeID returns the kubelet's network ID for a node name.
@@ -220,17 +213,8 @@ func (k *Kubelet) fire(tag sim.EventTag) {
 // Host returns the machine this kubelet manages.
 func (k *Kubelet) Host() *Host { return k.host }
 
-// Config returns the kubelet's configuration.
-func (k *Kubelet) Config() Config { return k.cfg }
-
 // Upstream returns the apiserver the kubelet currently syncs from.
 func (k *Kubelet) Upstream() sim.NodeID { return k.cfg.APIServers[k.apiIdx] }
-
-// SetUpstreamIndex forces the kubelet onto a specific apiserver (used by
-// perturbation plans to steer a restarted kubelet to a stale source).
-func (k *Kubelet) SetUpstreamIndex(i int) {
-	k.apiIdx = i % len(k.cfg.APIServers)
-}
 
 // SetRestartUpstream steers the next (re)boot at the given apiserver if it
 // is among the configured upstreams (core.Resteerable).
@@ -369,7 +353,6 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 	}
 	for _, name := range stops {
 		k.host.removeContainer(name)
-		k.Stops++
 	}
 
 	// Start missing containers and report status.
@@ -383,13 +366,7 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 		if c, ok := k.host.running[name]; ok && c.PodUID == p.Meta.UID {
 			continue
 		}
-		k.host.setContainer(name, Container{
-			PodName:   name,
-			PodUID:    p.Meta.UID,
-			Image:     p.Pod.Image,
-			StartedAt: k.World().Now(),
-		})
-		k.Starts++
+		k.host.setContainer(name, Container{PodUID: p.Meta.UID})
 		k.reportRunning(p)
 	}
 

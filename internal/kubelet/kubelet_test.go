@@ -47,15 +47,15 @@ func TestStartsAndReportsPod(t *testing.T) {
 	if !ok {
 		t.Fatal("container not started")
 	}
-	if ctr.Image != "img-1" {
-		t.Fatalf("image = %q", ctr.Image)
-	}
 	pods := c.GroundTruth(cluster.KindPod)
+	if ctr.PodUID != pods[0].Meta.UID {
+		t.Fatalf("container runs pod %s, want %s", ctr.PodUID, pods[0].Meta.UID)
+	}
 	if pods[0].Pod.Phase != cluster.PodRunning {
 		t.Fatalf("phase = %s", pods[0].Pod.Phase)
 	}
-	if c.Kubelet["k1"].Starts != 1 {
-		t.Fatalf("starts = %d", c.Kubelet["k1"].Starts)
+	if n := c.Hosts["k1"].Generation().Value(); n != 1 {
+		t.Fatalf("container set changed %d times, want one start", n)
 	}
 }
 
@@ -71,8 +71,8 @@ func TestStopsAndFinalizesTerminatingPod(t *testing.T) {
 	if len(c.GroundTruth(cluster.KindPod)) != 0 {
 		t.Fatal("pod object not finalized")
 	}
-	if c.Kubelet["k1"].Stops != 1 {
-		t.Fatalf("stops = %d", c.Kubelet["k1"].Stops)
+	if n := c.Hosts["k1"].Generation().Value(); n != 2 {
+		t.Fatalf("container set changed %d times, want one start and one stop", n)
 	}
 }
 
@@ -94,8 +94,8 @@ func TestUIDChangeRestartsContainer(t *testing.T) {
 	if ctr.PodUID == uid1 {
 		t.Fatal("container kept the old incarnation's UID")
 	}
-	if ctr.Image != "v2" {
-		t.Fatalf("image = %q", ctr.Image)
+	if pods := c.GroundTruth(cluster.KindPod); ctr.PodUID != pods[0].Meta.UID {
+		t.Fatalf("container runs pod %s, want the new incarnation %s", ctr.PodUID, pods[0].Meta.UID)
 	}
 }
 
@@ -103,6 +103,7 @@ func TestContainersSurviveKubeletProcessCrash(t *testing.T) {
 	c := newCluster(t, false)
 	c.Admin.CreatePod("p1", "k1", "v1", nil)
 	c.RunFor(sim.Second)
+	gen := c.Hosts["k1"].Generation().Value()
 	if err := c.World.Crash(kubelet.NodeID("k1")); err != nil {
 		t.Fatal(err)
 	}
@@ -115,8 +116,8 @@ func TestContainersSurviveKubeletProcessCrash(t *testing.T) {
 	}
 	c.RunFor(sim.Second)
 	// Still exactly one container; the restarted kubelet adopted it.
-	if got := c.Kubelet["k1"].Starts; got != 1 {
-		t.Fatalf("restart re-started the container: starts=%d", got)
+	if got := c.Hosts["k1"].Generation().Value(); got != gen {
+		t.Fatalf("restart re-started the container: container set changed %d times", got-gen)
 	}
 }
 
@@ -134,9 +135,9 @@ func TestUpstreamFailoverSteering(t *testing.T) {
 	if kl.Upstream() != infra.APIServerID(1) {
 		t.Fatal("unknown upstream changed the index")
 	}
-	kl.SetUpstreamIndex(0)
+	kl.SetRestartUpstream(infra.APIServerID(0))
 	if kl.Upstream() != infra.APIServerID(0) {
-		t.Fatalf("SetUpstreamIndex failed: %s", kl.Upstream())
+		t.Fatalf("steer back failed: %s", kl.Upstream())
 	}
 }
 

@@ -60,9 +60,6 @@ type Consumption struct {
 	// updates). Background-periodic writes (heartbeats) are excluded from
 	// attribution before this is computed; see Mine.
 	CrossKind bool
-	// MinGap is the virtual-time gap to the nearest attributed write
-	// (meaningful only when Writes > 0).
-	MinGap sim.Duration
 }
 
 // DeletionAdjacent reports whether the consumed delivery is a deletion or
@@ -230,7 +227,6 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 
 		attributed, casAttributed := 0, 0
 		crossKind := false
-		minGap := sim.Duration(-1)
 		if wi := writes[d.To]; wi != nil {
 			lo := sort.Search(len(wi.times), func(i int) bool { return wi.times[i] >= d.Time })
 			for i := lo; i < len(wi.times); i++ {
@@ -244,9 +240,6 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 				}
 				if wi.kinds[i] != d.Kind {
 					crossKind = true
-				}
-				if minGap < 0 || gap < minGap {
-					minGap = gap
 				}
 			}
 		}
@@ -262,7 +255,6 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 			CASWrites: casAttributed,
 			ActedOn:   actedOn,
 			CrossKind: crossKind,
-			MinGap:    minGap,
 		}
 		m.consumed = append(m.consumed, c)
 		p.Consumed = append(p.Consumed, c)

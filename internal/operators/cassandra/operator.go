@@ -104,15 +104,6 @@ type state struct {
 	// sawTerminating records member pods observed in Terminating state —
 	// the (gap-prone) trigger for the stock PVC cleanup.
 	sawTerminating map[string]bool
-
-	// Metrics.
-	PodCreates     int
-	PodDeletes     int
-	PVCCreates     int
-	PVCDeletes     int
-	Decommissions  int
-	WrongDecomm    int // decommissions of a member that was not the true tail
-	StuckReconcile int
 }
 
 func (s state) clone() state {
@@ -302,10 +293,7 @@ func (o *Operator) scaleUp(cr *cluster.Object, live []*cluster.Object, desired i
 			Phase: cluster.PodPending,
 		})
 		pod.Meta.OwnerUID = cr.Meta.UID
-		o.Conn().Create(pod, func(_ *cluster.Object, err error) {
-			if err == nil {
-				o.PodCreates++
-			}
+		o.Conn().Create(pod, func(*cluster.Object, error) {
 			o.Queue().AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
 		})
 	}
@@ -321,11 +309,7 @@ func (o *Operator) ensurePVC(member string) {
 		Phase:    cluster.PVCBound,
 		SizeGB:   100,
 	})
-	o.Conn().Create(pvc, func(_ *cluster.Object, err error) {
-		if err == nil {
-			o.PVCCreates++
-		}
-	})
+	o.Conn().Create(pvc, nil)
 }
 
 // rackOfOrdinal returns the rack member ordinal ord occupies under the
@@ -407,17 +391,12 @@ func (o *Operator) startDecommission(cr *cluster.Object, live []*cluster.Object)
 			target = o.decommissionTarget(racks, rm)
 		}
 	}
-	trueTail := o.decommissionTarget(racks, liveNames)
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = target
 	o.Conn().Update(upd, func(_ *cluster.Object, err error) {
 		if err != nil {
 			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
 			return
-		}
-		o.Decommissions++
-		if target != trueTail {
-			o.WrongDecomm++
 		}
 		o.drain(target)
 	})
@@ -459,11 +438,7 @@ func (o *Operator) drainFire(member string) {
 		// operator removes the object itself. Scheduled members are
 		// finalized by their kubelet once containers stop.
 		if pod.Pod.NodeName == "" {
-			o.Conn().Delete(cluster.KindPod, member, 0, func(err error) {
-				if err == nil {
-					o.PodDeletes++
-				}
-			})
+			o.Conn().Delete(cluster.KindPod, member, 0, nil)
 		}
 		o.awaitGoneThenCleanup(member, 64)
 	})
@@ -479,7 +454,6 @@ func (o *Operator) awaitGoneThenCleanup(member string, attempts int) {
 		return
 	}
 	if attempts <= 0 {
-		o.StuckReconcile++
 		delete(o.draining, member)
 		return
 	}
@@ -504,7 +478,6 @@ func (o *Operator) maybeCleanupPVC(member string) {
 	}
 	o.Conn().Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
 		if err == nil {
-			o.PVCDeletes++
 			delete(o.sawTerminating, member)
 		}
 	})
@@ -558,11 +531,7 @@ func (o *Operator) resumeDecommission(member string) {
 	// Resume: the drain is assumed already done before the interruption.
 	// Clean up storage first, then remove the pod.
 	if pvc, pok := o.pvcInf.Get(o.pvcName(member)); pok {
-		o.Conn().Delete(cluster.KindPVC, pvc.Meta.Name, 0, func(err error) {
-			if err == nil {
-				o.PVCDeletes++
-			}
-		})
+		o.Conn().Delete(cluster.KindPVC, pvc.Meta.Name, 0, nil)
 	}
 	marked := pod.Clone()
 	marked.Meta.DeletionTimestamp = int64(o.World().Now())
@@ -573,11 +542,7 @@ func (o *Operator) resumeDecommission(member string) {
 			return
 		}
 		if pod.Pod.NodeName == "" {
-			o.Conn().Delete(cluster.KindPod, member, 0, func(err error) {
-				if err == nil {
-					o.PodDeletes++
-				}
-			})
+			o.Conn().Delete(cluster.KindPod, member, 0, nil)
 		}
 		o.awaitGoneThenCleanup(member, 64)
 	})
@@ -643,7 +608,6 @@ func (o *Operator) sweepOrphanPVCs(cr *cluster.Object, members []*cluster.Object
 			}
 			o.Conn().Delete(cluster.KindPVC, name, 0, func(err error) {
 				if err == nil {
-					o.PVCDeletes++
 					delete(o.sawTerminating, owner)
 				}
 			})

@@ -1,6 +1,7 @@
 package cassandra_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/apiserver"
@@ -170,11 +171,13 @@ func scenario400(t *testing.T, fixes cassandra.Fixes) *infra.Cluster {
 func TestBug400WrongDecommission(t *testing.T) {
 	c := scenario400(t, cassandra.Fixes{})
 	if !c.Oracles.Violated(oracle.NameScaleDownCompletes) {
-		t.Fatalf("expected ScaleDownCompletes; members=%v wrongDecomm=%d violations=%v",
-			memberPods(c), c.Cassandra.WrongDecomm, c.Violations())
+		t.Fatalf("expected ScaleDownCompletes; members=%v violations=%v",
+			memberPods(c), c.Violations())
 	}
-	if c.Cassandra.WrongDecomm == 0 {
-		t.Fatal("expected the operator to decommission a non-tail member")
+	// The operator drained cass-1 from its stale status instead of the
+	// true tail, cass-2.
+	if got := strings.Join(memberPods(c), ","); got != "cass-0,cass-2" {
+		t.Fatalf("members = %s, want cass-0,cass-2: a non-tail member decommissioned", got)
 	}
 }
 

@@ -128,10 +128,6 @@ type Node struct {
 	down          bool
 	epoch         uint64
 	electionTimer sim.Timer
-
-	// Metrics.
-	Elections uint64
-	Commits   uint64
 }
 
 // NewNode wires a raft replica into the world. peers must list every
@@ -289,7 +285,6 @@ func (n *Node) startElection() {
 	n.votedFor = n.id
 	n.leader = ""
 	n.persistMeta()
-	n.Elections++
 	n.votes = map[sim.NodeID]bool{n.id: true}
 	n.resetElectionTimer()
 	if n.hasMajority(len(n.votes)) {
@@ -504,7 +499,6 @@ func (n *Node) applyCommitted() {
 	for n.lastApplied < n.commitIndex {
 		n.lastApplied++
 		e := n.entries[n.lastApplied-1]
-		n.Commits++
 		if n.apply != nil {
 			n.apply(e)
 		}

@@ -127,8 +127,6 @@ type Manager struct {
 // the next; its shell carries its connection's.
 type managerState struct {
 	// Metrics.
-	Transitions int // attempted
-	Succeeded   int
 	CASFailures int // guarded writes rejected (staleness caught safely)
 	Retries     int
 }
@@ -172,7 +170,6 @@ func (m *Manager) CreateRegion(name, owner string, done func(error)) {
 // nil on success (including safe CAS-failure abort paths that were retried
 // out), or the final error.
 func (m *Manager) Move(region, newOwner string, done func(error)) {
-	m.Transitions++
 	m.moveAttempt(region, newOwner, 0, done)
 }
 
@@ -224,7 +221,6 @@ func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(er
 					return
 				}
 				m.World().Network().Send(ManagerID, ServerID(newOwner), "region-open", &openCmd{Region: region})
-				m.Succeeded++
 				done(nil)
 			})
 		})

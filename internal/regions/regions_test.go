@@ -82,7 +82,7 @@ func TestCreateAndMoveSyncMode(t *testing.T) {
 	if got := ownerOf(f, "r1"); len(got) != 1 || got[0] != "rs-b" {
 		t.Fatalf("owners after move = %v", got)
 	}
-	if f.mgr.Succeeded != 1 || f.mgr.CASFailures != 0 {
+	if f.mgr.CASFailures != 0 {
 		t.Fatalf("mgr stats: %+v", *f.mgr)
 	}
 }
@@ -188,11 +188,11 @@ func TestMoveDiesWithItsManager(t *testing.T) {
 		}
 		_ = f.w.Crash(regions.ManagerID)
 		_ = f.w.Restart(regions.ManagerID)
-		doneAt, succeededAt := done, f.mgr.Succeeded
+		doneAt := done
 		f.w.Kernel().RunFor(200 * sim.Millisecond)
-		if done != doneAt || f.mgr.Succeeded != succeededAt {
-			t.Errorf("%s: after the crash %d moves completed and %d succeeded, want none: the dead boot's delay ran",
-				tc.name, done-doneAt, f.mgr.Succeeded-succeededAt)
+		if done != doneAt {
+			t.Errorf("%s: after the crash %d moves completed, want none: the dead boot's delay ran",
+				tc.name, done-doneAt)
 		}
 	}
 }

@@ -48,10 +48,6 @@ type state struct {
 	// deadNodes are nodes evicted from consideration after bind failures
 	// (only populated by the fixed variant).
 	deadNodes map[string]bool
-
-	// Metrics.
-	Binds        int
-	BindFailures int
 }
 
 func (s state) clone() state {
@@ -154,7 +150,6 @@ func pick(nodes, pods []*cluster.Object, dead map[string]bool) (string, bool) {
 func (s *Scheduler) bind(pod *cluster.Object, node string) {
 	s.Conn().Get(cluster.KindNode, node, true, func(_ *cluster.Object, found bool, err error) {
 		if err != nil {
-			s.BindFailures++
 			s.Queue().AddAfter(pod.Meta.Name, 50*sim.Millisecond)
 			return
 		}
@@ -162,7 +157,6 @@ func (s *Scheduler) bind(pod *cluster.Object, node string) {
 			// "node not found": the node is gone but our cache does not
 			// know. The buggy scheduler retries forever against the same
 			// view; the fixed one evicts the node (Kubernetes-56261 fix).
-			s.BindFailures++
 			if s.cfg.EvictUnknownNodes {
 				s.deadNodes[node] = true
 			}
@@ -174,11 +168,8 @@ func (s *Scheduler) bind(pod *cluster.Object, node string) {
 		bound.Pod.Phase = cluster.PodScheduled
 		s.Conn().Update(bound, func(_ *cluster.Object, err error) {
 			if err != nil {
-				s.BindFailures++
 				s.Queue().AddAfter(pod.Meta.Name, 50*sim.Millisecond)
-				return
 			}
-			s.Binds++
 		})
 	})
 }

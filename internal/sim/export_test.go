@@ -42,3 +42,9 @@ func (s *Slab[T]) Clone(src []T) []T {
 	copy(out, src)
 	return out
 }
+
+// DefaultWorldConfig returns a world with 1ms base latency and 0.5ms
+// jitter.
+func DefaultWorldConfig() WorldConfig {
+	return WorldConfig{Seed: 1, Latency: Millisecond, Jitter: Millisecond / 2}
+}

@@ -44,12 +44,6 @@ type WorldConfig struct {
 	Jitter  Duration // uniform jitter in [0, Jitter)
 }
 
-// DefaultWorldConfig returns the configuration used by most experiments:
-// 1ms base latency with 0.5ms jitter.
-func DefaultWorldConfig() WorldConfig {
-	return WorldConfig{Seed: 1, Latency: Millisecond, Jitter: Millisecond / 2}
-}
-
 // NewWorld creates a world with its own kernel and network.
 func NewWorld(cfg WorldConfig) *World {
 	k := NewKernel(cfg.Seed)

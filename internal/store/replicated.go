@@ -37,7 +37,6 @@ func IsNotLeader(err error) (sim.NodeID, bool) {
 type replCommand struct {
 	Guards    []Cmp `json:"guards,omitempty"`
 	OnSuccess []Op  `json:"onSuccess,omitempty"`
-	OnFailure []Op  `json:"onFailure,omitempty"`
 	// Time is the proposal's virtual timestamp; applying it (instead of
 	// each replica's local clock) keeps the state machine deterministic
 	// across replicas.
@@ -139,7 +138,7 @@ func (r *ReplicaServer) applyEntry(e raftlite.Entry) {
 		return
 	}
 	r.st.SetNow(cmd.Time)
-	res, err := r.st.Txn(cmd.Guards, cmd.OnSuccess, cmd.OnFailure)
+	res, err := r.st.Txn(cmd.Guards, cmd.OnSuccess)
 	if reply, ok := r.pending[e.Index]; ok {
 		delete(r.pending, e.Index)
 		if err != nil && err != ErrTxnFailed {
@@ -165,43 +164,19 @@ func (r *ReplicaServer) register() {
 	})
 	r.rpc.Handle(MethodGet, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*GetRequest)
-		kv, rev, found := r.st.Get(req.Key)
-		return &GetResponse{KV: kv, Found: found, Revision: rev}, nil
+		kv, _, found := r.st.Get(req.Key)
+		return &GetResponse{KV: kv, Found: found}, nil
 	})
 	r.rpc.HandleAsync(MethodPut, func(_ sim.NodeID, body any, reply sim.Reply) {
 		req := body.(*PutRequest)
 		r.proposeWithReply(replCommand{
 			OnSuccess: []Op{{Type: OpPut, Key: req.Key, Value: req.Value}},
-		}, func(b any, err error) {
-			if err != nil {
-				reply(nil, err)
-				return
-			}
-			reply(&PutResponse{Revision: b.(*TxnResponse).Revision}, nil)
-		})
-	})
-	r.rpc.HandleAsync(MethodDelete, func(_ sim.NodeID, body any, reply sim.Reply) {
-		req := body.(*DeleteRequest)
-		r.proposeWithReply(replCommand{
-			Guards:    []Cmp{{Key: req.Key, Target: CmpExists, IntVal: 1}},
-			OnSuccess: []Op{{Type: OpDelete, Key: req.Key}},
-		}, func(b any, err error) {
-			if err != nil {
-				reply(nil, err)
-				return
-			}
-			resp := b.(*TxnResponse)
-			if !resp.Succeeded {
-				reply(nil, ErrKeyNotFound)
-				return
-			}
-			reply(&DeleteResponse{Revision: resp.Revision}, nil)
-		})
+		}, func(_ any, err error) { reply(nil, err) })
 	})
 	r.rpc.HandleAsync(MethodTxn, func(_ sim.NodeID, body any, reply sim.Reply) {
 		req := body.(*TxnRequest)
 		r.proposeWithReply(replCommand{
-			Guards: req.Guards, OnSuccess: req.OnSuccess, OnFailure: req.OnFailure,
+			Guards: req.Guards, OnSuccess: req.OnSuccess,
 		}, reply)
 	})
 	r.rpc.Handle(MethodWatch, func(from sim.NodeID, body any) (any, error) {
@@ -218,7 +193,7 @@ func (r *ReplicaServer) register() {
 			old.handle.Cancel()
 		}
 		r.subs[key] = &subscription{subID: req.SubID, client: from, handle: h}
-		return &WatchResponse{Revision: r.st.Revision()}, nil
+		return nil, nil
 	})
 	r.rpc.Handle(MethodEventsSince, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*EventsSinceRequest)
@@ -226,7 +201,7 @@ func (r *ReplicaServer) register() {
 		if err != nil {
 			return nil, err
 		}
-		return &EventsSinceResponse{Events: events, Revision: r.st.Revision()}, nil
+		return &EventsSinceResponse{Events: events}, nil
 	})
 }
 

@@ -37,7 +37,7 @@ func (f *replFixture) leader() *ReplicaServer {
 }
 
 // write issues a Put at the current leader, following redirects.
-func (f *replFixture) write(t *testing.T, key, value string) int64 {
+func (f *replFixture) write(t *testing.T, key, value string) {
 	t.Helper()
 	for attempt := 0; attempt < 10; attempt++ {
 		l := f.leader()
@@ -45,9 +45,9 @@ func (f *replFixture) write(t *testing.T, key, value string) int64 {
 			f.w.Kernel().RunFor(500 * sim.Millisecond)
 			continue
 		}
-		resp, err := f.cl.call(l.ID(), MethodPut, &PutRequest{Key: key, Value: []byte(value)})
+		_, err := f.cl.call(l.ID(), MethodPut, &PutRequest{Key: key, Value: []byte(value)})
 		if err == nil {
-			return resp.(*PutResponse).Revision
+			return
 		}
 		if _, notLeader := IsNotLeader(err); notLeader || errors.Is(err, sim.ErrRPCTimeout) {
 			f.w.Kernel().RunFor(500 * sim.Millisecond)
@@ -56,7 +56,6 @@ func (f *replFixture) write(t *testing.T, key, value string) int64 {
 		t.Fatalf("write %s: %v", key, err)
 	}
 	t.Fatalf("write %s: no leader found", key)
-	return 0
 }
 
 func TestReplicatedWriteVisibleEverywhere(t *testing.T) {
@@ -183,8 +182,10 @@ func TestReplicatedHistoriesIdentical(t *testing.T) {
 
 func TestReplicatedTxnCAS(t *testing.T) {
 	f := newReplFixture(t, 3)
-	rev := f.write(t, "/lock", "a")
+	f.write(t, "/lock", "a")
 	l := f.leader()
+	kv, _, _ := l.Store().Get("/lock")
+	rev := kv.ModRevision
 	resp, err := f.cl.call(l.ID(), MethodTxn, &TxnRequest{
 		Guards:    []Cmp{{Key: "/lock", Target: CmpModRevision, IntVal: rev}},
 		OnSuccess: []Op{{Type: OpPut, Key: "/lock", Value: []byte("b")}},

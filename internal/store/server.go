@@ -12,10 +12,8 @@ const (
 	MethodRange          = "store.Range"
 	MethodGet            = "store.Get"
 	MethodPut            = "store.Put"
-	MethodDelete         = "store.Delete"
 	MethodTxn            = "store.Txn"
 	MethodWatch          = "store.Watch"
-	MethodCancelWatch    = "store.CancelWatch"
 	MethodEventsSince    = "store.EventsSince"
 	MethodLeaseGrant     = "store.LeaseGrant"
 	MethodLeaseKeepAlive = "store.LeaseKeepAlive"
@@ -41,27 +39,20 @@ type (
 	GetRequest struct{ Key string }
 	// GetResponse carries the value if Found.
 	GetResponse struct {
-		KV       KV
-		Found    bool
-		Revision int64
+		KV    KV
+		Found bool
 	}
-	// PutRequest writes Key=Value (optionally bound to a lease).
+	// PutRequest writes Key=Value (optionally bound to a lease). Its
+	// reply carries no body.
 	PutRequest struct {
 		Key   string
 		Value []byte
 		Lease LeaseID
 	}
-	// PutResponse reports the commit revision.
-	PutResponse struct{ Revision int64 }
-	// DeleteRequest removes a key.
-	DeleteRequest struct{ Key string }
-	// DeleteResponse reports the commit revision.
-	DeleteResponse struct{ Revision int64 }
 	// TxnRequest is a guarded atomic batch.
 	TxnRequest struct {
 		Guards    []Cmp
 		OnSuccess []Op
-		OnFailure []Op
 	}
 	// TxnResponse reports which branch ran.
 	TxnResponse struct {
@@ -69,26 +60,20 @@ type (
 		Revision  int64
 	}
 	// WatchRequest subscribes the caller to events under Prefix after
-	// StartRev. SubID is chosen by the caller to demultiplex pushes.
+	// StartRev. SubID is chosen by the caller to demultiplex pushes. Its
+	// reply carries no body.
 	WatchRequest struct {
 		Prefix   string
 		StartRev int64
 		SubID    uint64
 	}
-	// WatchResponse acknowledges the subscription at Revision.
-	WatchResponse struct{ Revision int64 }
-	// CancelWatchRequest removes a subscription.
-	CancelWatchRequest struct{ SubID uint64 }
 	// EventsSinceRequest pulls retained events after Rev under Prefix.
 	EventsSinceRequest struct {
 		Prefix string
 		Rev    int64
 	}
 	// EventsSinceResponse carries the pulled events.
-	EventsSinceResponse struct {
-		Events   []history.Event
-		Revision int64
-	}
+	EventsSinceResponse struct{ Events []history.Event }
 	// LeaseGrantRequest creates a lease with the given TTL.
 	LeaseGrantRequest struct{ TTL int64 }
 	// LeaseGrantResponse returns the new lease.
@@ -216,31 +201,21 @@ func (s *Server) register() {
 	})
 	s.rpc.Handle(MethodGet, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*GetRequest)
-		kv, rev, found := s.st.Get(req.Key)
-		return &GetResponse{KV: kv, Found: found, Revision: rev}, nil
+		kv, _, found := s.st.Get(req.Key)
+		return &GetResponse{KV: kv, Found: found}, nil
 	})
 	s.rpc.Handle(MethodPut, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*PutRequest)
 		if req.Lease != 0 {
-			rev, err := s.st.PutWithLease(req.Key, req.Value, req.Lease)
-			if err != nil {
-				return nil, err
-			}
-			return &PutResponse{Revision: rev}, nil
-		}
-		return &PutResponse{Revision: s.st.Put(req.Key, req.Value)}, nil
-	})
-	s.rpc.Handle(MethodDelete, func(_ sim.NodeID, body any) (any, error) {
-		req := body.(*DeleteRequest)
-		rev, err := s.st.Delete(req.Key)
-		if err != nil {
+			_, err := s.st.PutWithLease(req.Key, req.Value, req.Lease)
 			return nil, err
 		}
-		return &DeleteResponse{Revision: rev}, nil
+		s.st.Put(req.Key, req.Value)
+		return nil, nil
 	})
 	s.rpc.Handle(MethodTxn, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*TxnRequest)
-		res, err := s.st.Txn(req.Guards, req.OnSuccess, req.OnFailure)
+		res, err := s.st.Txn(req.Guards, req.OnSuccess)
 		if err != nil && err != ErrTxnFailed {
 			return nil, err
 		}
@@ -257,16 +232,7 @@ func (s *Server) register() {
 			old.handle.Cancel()
 		}
 		s.subs[key] = &subscription{subID: req.SubID, client: from, handle: h}
-		return &WatchResponse{Revision: s.st.Revision()}, nil
-	})
-	s.rpc.Handle(MethodCancelWatch, func(from sim.NodeID, body any) (any, error) {
-		req := body.(*CancelWatchRequest)
-		key := subKey(from, req.SubID)
-		if sub, ok := s.subs[key]; ok {
-			sub.handle.Cancel()
-			delete(s.subs, key)
-		}
-		return &struct{}{}, nil
+		return nil, nil
 	})
 	s.rpc.Handle(MethodEventsSince, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*EventsSinceRequest)
@@ -274,7 +240,7 @@ func (s *Server) register() {
 		if err != nil {
 			return nil, err
 		}
-		return &EventsSinceResponse{Events: events, Revision: s.st.Revision()}, nil
+		return &EventsSinceResponse{Events: events}, nil
 	})
 	s.rpc.Handle(MethodLeaseGrant, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*LeaseGrantRequest)

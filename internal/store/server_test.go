@@ -60,13 +60,12 @@ func newServerWorld(t *testing.T) (*sim.World, *Server, *testClient) {
 }
 
 func TestServerPutGetRange(t *testing.T) {
-	_, _, cl := newServerWorld(t)
-	resp, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/pods/a", Value: []byte("1")})
-	if err != nil {
+	_, srv, cl := newServerWorld(t)
+	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/pods/a", Value: []byte("1")}); err != nil {
 		t.Fatal(err)
 	}
-	if resp.(*PutResponse).Revision != 1 {
-		t.Fatalf("rev = %d", resp.(*PutResponse).Revision)
+	if rev := srv.Store().Revision(); rev != 1 {
+		t.Fatalf("rev = %d", rev)
 	}
 	g, err := cl.call("etcd", MethodGet, &GetRequest{Key: "/pods/a"})
 	if err != nil || !g.(*GetResponse).Found {
@@ -121,22 +120,6 @@ func TestServerWatchCompactedError(t *testing.T) {
 	}
 	if remote.Msg != ErrCompacted.Error() {
 		t.Fatalf("err = %q", remote.Msg)
-	}
-}
-
-func TestServerCancelWatch(t *testing.T) {
-	_, _, cl := newServerWorld(t)
-	if _, err := cl.call("etcd", MethodWatch, &WatchRequest{SubID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.call("etcd", MethodCancelWatch, &CancelWatchRequest{SubID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/a"}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cl.pushes) != 0 {
-		t.Fatalf("pushes after cancel = %d", len(cl.pushes))
 	}
 }
 

@@ -65,7 +65,7 @@ func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	st := &Store{watchers: make(map[int64]*watcher), storeState: snap.Store.clone()}
 	s := wireServer(w, snap.ID, st)
 	for _, sub := range snap.Subs {
-		st.watchers[sub.WatcherID] = &watcher{id: sub.WatcherID, prefix: sub.Prefix, notify: s.pushTo(sub.Client, sub.SubID)}
+		st.watchers[sub.WatcherID] = &watcher{prefix: sub.Prefix, notify: s.pushTo(sub.Client, sub.SubID)}
 		s.subs[subKey(sub.Client, sub.SubID)] = &subscription{
 			subID:  sub.SubID,
 			client: sub.Client,

@@ -35,8 +35,7 @@ var (
 	// ErrFutureRevision is returned when a read requests a revision newer
 	// than the store has committed.
 	ErrFutureRevision = errors.New("store: required revision is in the future")
-	// ErrTxnFailed is returned by Txn when guards fail and there is no
-	// failure branch.
+	// ErrTxnFailed is returned by Txn when a guard fails.
 	ErrTxnFailed = errors.New("store: transaction guards failed")
 	// ErrLeaseNotFound is returned for operations on unknown leases.
 	ErrLeaseNotFound = errors.New("store: lease not found")
@@ -67,7 +66,6 @@ func (kv KV) clone() KV {
 type WatchNotify func(events []history.Event)
 
 type watcher struct {
-	id     int64
 	prefix string
 	notify WatchNotify
 }

@@ -231,34 +231,23 @@ func TestTxnCompareAndSwap(t *testing.T) {
 func TestTxnBranches(t *testing.T) {
 	s := New()
 	s.Put("/a", []byte("1"))
-	// Failing guard with a failure branch.
-	res, err := s.Txn(
-		[]Cmp{{Key: "/a", Target: CmpValue, BytVal: []byte("nope")}},
-		[]Op{{Type: OpPut, Key: "/won", Value: []byte("t")}},
-		[]Op{{Type: OpPut, Key: "/fallback", Value: []byte("ran")}},
-	)
-	if err != nil || res.Succeeded {
+	s.Put("/fallback", []byte("ran"))
+	// Failing guard → ErrTxnFailed, and no op runs.
+	if res, err := s.Txn([]Cmp{{Key: "/a", Target: CmpVersion, IntVal: 99}},
+		[]Op{{Type: OpPut, Key: "/won", Value: nil}}); !errors.Is(err, ErrTxnFailed) || res.Succeeded {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
-	if _, _, ok := s.Get("/fallback"); !ok {
-		t.Fatal("failure branch did not run")
-	}
 	if _, _, ok := s.Get("/won"); ok {
-		t.Fatal("success branch ran despite failed guard")
-	}
-	// Failing guard without failure branch → ErrTxnFailed.
-	if _, err := s.Txn([]Cmp{{Key: "/a", Target: CmpVersion, IntVal: 99}},
-		[]Op{{Type: OpPut, Key: "/x", Value: nil}}, nil); !errors.Is(err, ErrTxnFailed) {
-		t.Fatalf("err = %v", err)
+		t.Fatal("ops ran despite a failed guard")
 	}
 	// Multi-op success branch commits atomically (consecutive revisions).
 	before := s.Revision()
-	res, err = s.Txn(
+	res, err := s.Txn(
 		[]Cmp{{Key: "/a", Target: CmpExists, IntVal: 1}},
 		[]Op{
 			{Type: OpPut, Key: "/m1", Value: []byte("1")},
 			{Type: OpDelete, Key: "/fallback"},
-		}, nil)
+		})
 	if err != nil || !res.Succeeded {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -279,8 +268,6 @@ func TestTxnGuardTargets(t *testing.T) {
 		{Cmp{Key: "/a", Target: CmpModRevision, IntVal: 1}, false},
 		{Cmp{Key: "/a", Target: CmpCreateRevision, IntVal: 1}, true},
 		{Cmp{Key: "/a", Target: CmpVersion, IntVal: 2}, true},
-		{Cmp{Key: "/a", Target: CmpValue, BytVal: []byte("v2")}, true},
-		{Cmp{Key: "/a", Target: CmpValue, BytVal: []byte("v1")}, false},
 		{Cmp{Key: "/a", Target: CmpExists, IntVal: 1}, true},
 		{Cmp{Key: "/zz", Target: CmpExists, IntVal: 0}, true},
 		{Cmp{Key: "/zz", Target: CmpExists, IntVal: 1}, false},

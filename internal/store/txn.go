@@ -1,11 +1,11 @@
 package store
 
 // Transactions: etcd-style guarded atomic batches. A Txn compares a set of
-// guards against the current state; if all hold, the success ops commit
-// atomically (consecutive revisions, single watcher batch per op); otherwise
-// the failure ops commit. This is the primitive behind optimistic
-// concurrency on ResourceVersion ("compare-and-swap on mod revision") that
-// HBASE-3136's region transitions — and every Kubernetes update — rely on.
+// guards against the current state; if all hold, the ops commit atomically
+// (consecutive revisions, single watcher batch per op); otherwise nothing
+// does. This is the primitive behind optimistic concurrency on
+// ResourceVersion ("compare-and-swap on mod revision") that HBASE-3136's
+// region transitions — and every Kubernetes update — rely on.
 
 // CmpTarget selects which MVCC attribute a guard compares.
 type CmpTarget int
@@ -17,8 +17,6 @@ const (
 	CmpCreateRevision
 	// CmpVersion compares the key's Version.
 	CmpVersion
-	// CmpValue compares the key's value bytes.
-	CmpValue
 	// CmpExists asserts the key exists (IntVal != 0) or not (IntVal == 0).
 	CmpExists
 )
@@ -27,8 +25,7 @@ const (
 type Cmp struct {
 	Key    string
 	Target CmpTarget
-	IntVal int64  // for revision/version/exists targets
-	BytVal []byte // for CmpValue
+	IntVal int64
 }
 
 // OpType is the kind of a transaction operation.
@@ -76,36 +73,25 @@ func (s *Store) Check(c Cmp) bool {
 			return c.IntVal == 0
 		}
 		return kv.Version == c.IntVal
-	case CmpValue:
-		return ok && string(kv.Value) == string(c.BytVal)
 	default:
 		return false
 	}
 }
 
-// Txn atomically evaluates guards and applies the matching branch. With an
-// empty failure branch and failing guards it returns ErrTxnFailed.
-func (s *Store) Txn(guards []Cmp, onSuccess, onFailure []Op) (TxnResult, error) {
-	ok := true
+// Txn atomically evaluates guards and, if all hold, applies ops. A failing
+// guard returns ErrTxnFailed.
+func (s *Store) Txn(guards []Cmp, ops []Op) (TxnResult, error) {
 	for _, c := range guards {
 		if !s.Check(c) {
-			ok = false
-			break
-		}
-	}
-	branch := onSuccess
-	if !ok {
-		branch = onFailure
-		if len(branch) == 0 {
 			return TxnResult{Succeeded: false, Revision: s.rev}, ErrTxnFailed
 		}
 	}
-	for _, op := range branch {
+	for _, op := range ops {
 		switch op.Type {
 		case OpPut:
 			if op.Lease != 0 {
 				if _, err := s.PutWithLease(op.Key, op.Value, op.Lease); err != nil {
-					return TxnResult{Succeeded: ok, Revision: s.rev}, err
+					return TxnResult{Succeeded: true, Revision: s.rev}, err
 				}
 			} else {
 				s.Put(op.Key, op.Value)
@@ -116,7 +102,7 @@ func (s *Store) Txn(guards []Cmp, onSuccess, onFailure []Op) (TxnResult, error) 
 			_, _ = s.Delete(op.Key)
 		}
 	}
-	return TxnResult{Succeeded: ok, Revision: s.rev}, nil
+	return TxnResult{Succeeded: true, Revision: s.rev}, nil
 }
 
 // CompareAndSwap is the common special case: write key=value only if the
@@ -126,7 +112,6 @@ func (s *Store) CompareAndSwap(key string, expectRev int64, value []byte) (bool,
 	res, err := s.Txn(
 		[]Cmp{{Key: key, Target: CmpModRevision, IntVal: expectRev}},
 		[]Op{{Type: OpPut, Key: key, Value: value}},
-		nil,
 	)
 	if err != nil {
 		return false, s.rev

@@ -47,7 +47,7 @@ func (s *Store) Watch(prefix string, startRev int64, notify WatchNotify) (WatchH
 	}
 	s.nextWatch++
 	id := s.nextWatch
-	s.watchers[id] = &watcher{id: id, prefix: prefix, notify: notify}
+	s.watchers[id] = &watcher{prefix: prefix, notify: notify}
 	s.watcherOrder = nil
 	return WatchHandle{id: id, s: s}, nil
 }

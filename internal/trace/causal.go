@@ -16,11 +16,10 @@ import (
 // and a delivery to component C happens-before every later write by C
 // (bounded by a reaction window — controllers act on fresh observations).
 
-// CausalLink ties one observed event to one component action it plausibly
-// caused.
+// CausalLink is one component action plausibly caused by a delivery of the
+// revision EffectsOf was asked about.
 type CausalLink struct {
-	Delivery Delivery
-	Write    Write
+	Write Write
 	// Gap is the virtual time between observation and action; shorter gaps
 	// mean stronger causal suspicion.
 	Gap sim.Duration
@@ -59,7 +58,7 @@ func (g *CausalGraph) EffectsOf(rev int64) []CausalLink {
 			if w.Time.Sub(d.Time) > g.ReactionWindow {
 				continue
 			}
-			out = append(out, CausalLink{Delivery: d, Write: w, Gap: w.Time.Sub(d.Time)})
+			out = append(out, CausalLink{Write: w, Gap: w.Time.Sub(d.Time)})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -39,12 +39,12 @@ func TestCausesOfWrite(t *testing.T) {
 		t.Fatalf("causes = %d, want 2 (node mod + pod add)", len(causes))
 	}
 	// Sorted by gap: pod Added (gap 20) before node Modified (gap 30).
-	if causes[0].Delivery.Kind != cluster.KindPod || causes[1].Delivery.Kind != cluster.KindNode {
-		t.Fatalf("cause order = %v, %v", causes[0].Delivery, causes[1].Delivery)
+	if causes[0].Kind != cluster.KindPod || causes[1].Kind != cluster.KindNode {
+		t.Fatalf("cause order = %v, %v", causes[0], causes[1])
 	}
 	// The late node deletion at t=900 is not a cause of anything.
 	for _, c := range causes {
-		if c.Delivery.Revision == 8 {
+		if c.Revision == 8 {
 			t.Fatal("future delivery attributed as cause")
 		}
 	}
@@ -85,8 +85,8 @@ func TestChainsThroughObject(t *testing.T) {
 	if len(chains) != 2 {
 		t.Fatalf("chains = %d", len(chains))
 	}
-	if chains[0].Delivery.To != "scheduler" || chains[1].Delivery.To != "kubelet-k1" {
-		t.Fatalf("chain order: %v then %v", chains[0].Delivery.To, chains[1].Delivery.To)
+	if chains[0].To != "scheduler" || chains[1].To != "kubelet-k1" {
+		t.Fatalf("chain order: %v then %v", chains[0].To, chains[1].To)
 	}
 }
 

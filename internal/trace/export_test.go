@@ -11,38 +11,34 @@ import (
 // CausesOf returns the deliveries that plausibly caused a write: events
 // delivered to the writing component within the reaction window before the
 // write, newest first.
-func (g *CausalGraph) CausesOf(w Write) []CausalLink {
-	var out []CausalLink
+func (g *CausalGraph) CausesOf(w Write) []Delivery {
+	var out []Delivery
 	for _, d := range g.trace.Deliveries {
-		if d.To != w.From || d.Time > w.Time {
+		if d.To != w.From || d.Time > w.Time || w.Time.Sub(d.Time) > g.ReactionWindow {
 			continue
 		}
-		gap := w.Time.Sub(d.Time)
-		if gap > g.ReactionWindow {
-			continue
-		}
-		out = append(out, CausalLink{Delivery: d, Write: w, Gap: gap})
+		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Gap < out[j].Gap })
+	sort.Slice(out, func(i, j int) bool { return out[i].Time > out[j].Time })
 	return out
 }
 
-// ChainsThrough returns the commit→delivery→write chains for one object:
-// how changes to (kind, name) propagated into component actions.
-func (g *CausalGraph) ChainsThrough(kind cluster.Kind, name string) []CausalLink {
-	var out []CausalLink
+// ChainsThrough returns the deliveries of one object that a component
+// acted on, one per write they plausibly caused, in delivery order: how
+// changes to (kind, name) propagated into component actions.
+func (g *CausalGraph) ChainsThrough(kind cluster.Kind, name string) []Delivery {
+	var out []Delivery
 	for _, d := range g.trace.Deliveries {
 		if d.Kind != kind || d.Name != name {
 			continue
 		}
 		for _, w := range g.trace.Writes {
-			if w.From != d.To || w.Time < d.Time || w.Time.Sub(d.Time) > g.ReactionWindow {
-				continue
+			if w.From == d.To && w.Time >= d.Time && w.Time.Sub(d.Time) <= g.ReactionWindow {
+				out = append(out, d)
 			}
-			out = append(out, CausalLink{Delivery: d, Write: w, Gap: w.Time.Sub(d.Time)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Delivery.Time < out[j].Delivery.Time })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out
 }
 

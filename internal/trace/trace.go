@@ -23,7 +23,6 @@ import (
 
 // Delivery is one typed watch event delivered to a component.
 type Delivery struct {
-	Seq       uint64 // network message sequence
 	From      sim.NodeID
 	To        sim.NodeID
 	Time      sim.Time
@@ -53,13 +52,8 @@ type Write struct {
 // ListOp is one full list (relist) issued by a component: an apiserver List
 // RPC from a client, or a Range against the store (an apiserver bootstrap
 // relist). Relists are the cost the paper's §4.2 warns compaction forces on
-// watchers; counting them per component exposes relist storms.
-type ListOp struct {
-	From sim.NodeID
-	To   sim.NodeID
-	Time sim.Time
-	Kind cluster.Kind // zero value for store-level Range (all kinds)
-}
+// watchers; only how many there were is read, to expose relist storms.
+type ListOp struct{}
 
 // Trace is the recorded reference execution.
 type Trace struct {
@@ -192,14 +186,8 @@ func (r *Recorder) OnSend(m *sim.Message) {
 			From: m.From, Time: m.SentAt, Method: req.Method,
 			Kind: body.Kind, Name: body.Name,
 		})
-	case *apiserver.ListRequest:
-		r.T.Lists = append(r.T.Lists, ListOp{
-			From: m.From, To: m.To, Time: m.SentAt, Kind: body.Kind,
-		})
-	case *store.RangeRequest:
-		r.T.Lists = append(r.T.Lists, ListOp{
-			From: m.From, To: m.To, Time: m.SentAt,
-		})
+	case *apiserver.ListRequest, *store.RangeRequest:
+		r.T.Lists = append(r.T.Lists, ListOp{})
 	}
 }
 
@@ -233,7 +221,6 @@ func (r *Recorder) OnDeliver(m *sim.Message) {
 		key := occKey{to: m.To, kind: ev.Object.Meta.Kind, name: ev.Object.Meta.Name, typ: ev.Type}
 		r.T.occ[key]++
 		r.T.Deliveries = append(r.T.Deliveries, Delivery{
-			Seq:         m.Seq,
 			From:        m.From,
 			To:          m.To,
 			Time:        m.SentAt,

@@ -105,7 +105,7 @@ func TestRecorderSubscriptionsFromWatchRequests(t *testing.T) {
 }
 
 func TestRecorderCommitHook(t *testing.T) {
-	w := sim.NewWorld(sim.DefaultWorldConfig())
+	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
 	st := store.New()
 	r := NewRecorder()
 	r.Attach(w.Network(), st)

@@ -1,4 +1,4 @@
-// Package wal provides a write-ahead log with snapshot support — the
+// Package wal provides a write-ahead log with prefix compaction — the
 // durability substrate under the store and the raftlite replicas. In the
 // simulated world "durable" means the data survives process Crash/Restart
 // (unlike actor memory); records are still serialized/deserialized through
@@ -13,8 +13,8 @@ import (
 )
 
 // ErrTruncated is returned when reading an index below the log's start
-// (compacted into a snapshot).
-var ErrTruncated = errors.New("wal: index truncated into snapshot")
+// (compacted away).
+var ErrTruncated = errors.New("wal: index compacted away")
 
 // Record is one durable log entry.
 type Record struct {
@@ -23,16 +23,11 @@ type Record struct {
 }
 
 // Log is an append-only record log with metadata slots and prefix
-// truncation (for snapshotting). The zero value is an empty log.
+// truncation. The zero value is an empty log.
 type Log struct {
-	start    uint64 // index of the first retained record - 1
-	records  []Record
-	meta     map[string][]byte
-	snapshot []byte
-
-	// Appends and Syncs count write operations (cost accounting for
-	// benchmarks; every Append is an implicit sync).
-	Appends uint64
+	start   uint64 // index of the first retained record - 1
+	records []Record
+	meta    map[string][]byte
 }
 
 // New returns an empty log.
@@ -48,7 +43,6 @@ func (l *Log) Append(v any) (uint64, error) {
 	}
 	idx := l.start + uint64(len(l.records)) + 1
 	l.records = append(l.records, Record{Index: idx, Data: data})
-	l.Appends++
 	return idx, nil
 }
 
@@ -56,7 +50,6 @@ func (l *Log) Append(v any) (uint64, error) {
 func (l *Log) AppendRaw(data []byte) uint64 {
 	idx := l.start + uint64(len(l.records)) + 1
 	l.records = append(l.records, Record{Index: idx, Data: append([]byte(nil), data...)})
-	l.Appends++
 	return idx
 }
 
@@ -114,9 +107,8 @@ func (l *Log) TruncateTail(last uint64) {
 	}
 }
 
-// Compact installs a snapshot covering everything up to and including
-// index, and drops those records.
-func (l *Log) Compact(index uint64, snapshot []byte) {
+// Compact drops the records up to and including index.
+func (l *Log) Compact(index uint64) {
 	if index <= l.start {
 		return
 	}
@@ -126,16 +118,6 @@ func (l *Log) Compact(index uint64, snapshot []byte) {
 	drop := int(index - l.start)
 	l.records = append([]Record(nil), l.records[drop:]...)
 	l.start = index
-	l.snapshot = append([]byte(nil), snapshot...)
-}
-
-// Snapshot returns the installed snapshot bytes (nil if none) and the
-// index it covers.
-func (l *Log) Snapshot() ([]byte, uint64) {
-	if l.snapshot == nil {
-		return nil, 0
-	}
-	return append([]byte(nil), l.snapshot...), l.start
 }
 
 // SetMeta stores a durable metadata value (e.g. raft term and vote).

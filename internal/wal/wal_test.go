@@ -68,27 +68,23 @@ func TestTruncateTail(t *testing.T) {
 	}
 }
 
-func TestCompactAndSnapshot(t *testing.T) {
+func TestCompact(t *testing.T) {
 	l := New()
 	for i := 0; i < 10; i++ {
 		l.AppendRaw([]byte{byte(i)})
 	}
-	l.Compact(6, []byte("snap@6"))
+	l.Compact(6)
 	if l.FirstIndex() != 7 || l.LastIndex() != 10 {
 		t.Fatalf("after compact: first=%d last=%d", l.FirstIndex(), l.LastIndex())
-	}
-	snap, at := l.Snapshot()
-	if string(snap) != "snap@6" || at != 6 {
-		t.Fatalf("snapshot = %q @%d", snap, at)
 	}
 	var r rec
 	if err := l.Read(3, &r); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("read compacted index: %v", err)
 	}
 	// Compacting backwards is a no-op.
-	l.Compact(2, []byte("older"))
-	if _, at := l.Snapshot(); at != 6 {
-		t.Fatalf("backward compact moved snapshot to %d", at)
+	l.Compact(2)
+	if l.FirstIndex() != 7 {
+		t.Fatalf("backward compact moved the first index to %d", l.FirstIndex())
 	}
 }
 

@@ -123,7 +123,7 @@ func (w *writes) OnSend(m *sim.Message) {
 		}
 		w.replies = append(w.replies, writeReply{from: m.From, to: m.To, obj: wr.Object})
 		if i, ok := w.bySeq[p.ID]; ok {
-			w.requests[i].rev = wr.Revision
+			w.requests[i].rev = wr.Object.Meta.ResourceVersion
 		}
 	}
 }

@@ -19,40 +19,83 @@ import (
 	"testing"
 )
 
-// TestEveryDeclarationIsReached holds the module to code that runs. Its
-// roots are the main packages (cmd/, examples/, benchmark/) and this
-// package's Benchmark* functions, the paper's experiments. It fails on
+// TestEveryDeclarationIsReached holds the module to code that runs and
+// state that is read. Its roots are the main packages (cmd/, examples/,
+// benchmark/) and this package's Benchmark* functions, the paper's
+// experiments. It fails on
 //
-//   - a non-test package-level func, method, type, var or const that no root
-//     reaches, and
-//   - a field of a *Options / *Config struct that no reached code assigns,
-//     by composite-literal key, assignment or address,
+//   - (a) a non-test package-level func, method, type, var or const that no
+//     root reaches;
+//   - (b) a field of a reached struct that no reached code writes: by
+//     assignment (also as part of a selector path, x.f.g = …), by
+//     composite-literal key, by taking its address or calling a
+//     pointer method on it, or as a range target;
+//   - (c) a field of a reached struct that no reached code reads: a read is
+//     a selector that is not the direct target of =, :=, op=, ++ or --.
+//     == and != on a struct or array value, a struct used as a map key,
+//     and a value handed to a standard-library interface parameter (fmt,
+//     encoding/json, reflect) read every field; an embedded field is read
+//     when a promoted field or method is selected through it.
 //
-// unless testdata/reach_allowlist.txt names it with a reason, and on an
-// allowlist line whose symbol is gone or reached. A method is reached when
-// its type is and it is either selected in reached code or named by an
-// interface reached code mentions (or one the standard library looks for
-// by itself: fmt, errors, encoding/json). A function only a package's own
-// tests call belongs in that package's export_test.go.
+// Checks (b) and (c) skip structs declared in tests and structs with a json
+// tag, whose fields a decoder writes and an encoder reads. A finding fails
+// unless testdata/reach_allowlist.txt names it with a reason, and an
+// allowlist line whose symbol is gone, reached, read and written fails too.
+// A method is reached when its type is and it is either selected in
+// reached code or named by an interface reached code mentions (or one the
+// standard library looks for by itself: fmt, errors, encoding/json). A
+// function only a package's own tests call belongs in that package's
+// export_test.go. TestReachFixture holds the gate to a module that plants
+// one of each finding and each case that must not be one.
 //
 // Standard-library packages are read from the go command's export data;
 // the module is parsed and type-checked from source.
 func TestEveryDeclarationIsReached(t *testing.T) {
+	for _, b := range reachCheck(t, ".") {
+		t.Error(b)
+	}
+}
+
+// TestReachFixture runs the gate on testdata/reach/fixture, a module of its
+// own that ./... never builds, and requires exactly the findings it plants.
+func TestReachFixture(t *testing.T) {
+	dir := filepath.Join("testdata", "reach", "fixture")
+	got := reachCheck(t, dir)
+	for i, b := range got {
+		got[i] = b[strings.Index(b, " ")+1:] // drop the file position
+	}
+	sort.Strings(got)
+	want := []string{
+		"lib.Config.Unset is a field no reached code writes",
+		"lib.Counter.Hits is a field no reached code reads",
+		"lib.Counter.Zero is a field no reached code writes",
+		"lib.Dead.Gone is gone, reached, read and written; delete the line",
+		"lib.unused is reached from no root",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n  %s\nwant:\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// reachCheck runs the three checks on the module in dir against its
+// testdata/reach_allowlist.txt and returns the failures, sorted.
+func reachCheck(t *testing.T, dir string) []string {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("no go command on PATH")
 	}
-	r := newReach(t, goTool)
-	unreached, unassigned := r.run()
+	r := newReach(t, goTool, dir)
+	unreached, fields := r.run()
 
-	allow, err := readAllowlist(filepath.Join("testdata", "reach_allowlist.txt"))
+	allowPath := filepath.Join(dir, "testdata", "reach_allowlist.txt")
+	allow, err := readAllowlist(allowPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bad []string
 	found := map[string]bool{}
 	allowedLines := 0
-	for _, f := range append(unreached, unassigned...) {
+	for _, f := range append(unreached, fields...) {
 		found[f.symbol] = true
 		if _, ok := allow[f.symbol]; ok {
 			allowedLines += f.lines
@@ -62,15 +105,13 @@ func TestEveryDeclarationIsReached(t *testing.T) {
 	}
 	for sym, line := range allow {
 		if !found[sym] {
-			bad = append(bad, fmt.Sprintf("testdata/reach_allowlist.txt:%d: %s is gone or reached; delete the line", line, sym))
+			bad = append(bad, fmt.Sprintf("%s:%d: %s is gone, reached, read and written; delete the line", allowPath, line, sym))
 		}
 	}
 	sort.Strings(bad)
-	t.Logf("%d declarations unreached, %d option fields unassigned; %d allowlisted (%d declaration lines)",
-		len(unreached), len(unassigned), len(allow), allowedLines)
-	for _, b := range bad {
-		t.Error(b)
-	}
+	t.Logf("%s: %d declarations unreached, %d fields unread or unwritten; %d allowlisted (%d declaration lines)",
+		dir, len(unreached), len(fields), len(allow), allowedLines)
+	return bad
 }
 
 // finding is one symbol the test reports.
@@ -120,6 +161,7 @@ type listed struct {
 
 type reach struct {
 	fset   *token.FileSet
+	dir    string // the module's directory, stripped from positions
 	module string // module path, stripped from symbols
 	pkgs   []*modPkg
 
@@ -133,7 +175,14 @@ type reach struct {
 	ifaceNames map[string]bool
 	pkgInit    map[*types.Package][]types.Object // init funcs and blank vars
 	pkgSeen    map[*types.Package]bool
-	assigned   map[*types.Var]bool
+	written    map[*types.Var]bool
+	read       map[*types.Var]bool
+	readTypes  map[readKey]bool // types whose every field is read
+}
+
+type readKey struct {
+	t    types.Type
+	deep bool
 }
 
 type modPkg struct {
@@ -152,9 +201,14 @@ type decl struct {
 	test bool
 }
 
-func newReach(t *testing.T, goTool string) *reach {
+func newReach(t *testing.T, goTool, dir string) *reach {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := &reach{
 		fset:       token.NewFileSet(),
+		dir:        abs,
 		decls:      map[types.Object]*decl{},
 		reached:    map[types.Object]bool{},
 		selected:   map[*types.Func]bool{},
@@ -163,7 +217,9 @@ func newReach(t *testing.T, goTool string) *reach {
 		ifaceNames: map[string]bool{},
 		pkgInit:    map[*types.Package][]types.Object{},
 		pkgSeen:    map[*types.Package]bool{},
-		assigned:   map[*types.Var]bool{},
+		written:    map[*types.Var]bool{},
+		read:       map[*types.Var]bool{},
+		readTypes:  map[readKey]bool{},
 	}
 	// Methods the standard library looks for on a value passed as any.
 	for _, m := range []string{"String", "GoString", "Format", "Error", "Unwrap", "Is", "As",
@@ -173,7 +229,7 @@ func newReach(t *testing.T, goTool string) *reach {
 
 	// This package is the module's root; its test files import packages
 	// no module code does.
-	root := golist(t, goTool, "-json=ImportPath,Dir,TestGoFiles", ".")
+	root := golist(t, goTool, abs, "-json=ImportPath,Dir,TestGoFiles", ".")
 	r.module = root[0].ImportPath
 	var testImports []string
 	for _, f := range root[0].TestGoFiles {
@@ -185,7 +241,7 @@ func newReach(t *testing.T, goTool string) *reach {
 			testImports = append(testImports, strings.Trim(im.Path.Value, `"`))
 		}
 	}
-	all := golist(t, goTool, append([]string{"-deps", "-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,Standard", "./..."}, testImports...)...)
+	all := golist(t, goTool, abs, append([]string{"-deps", "-json=ImportPath,Dir,Name,GoFiles,TestGoFiles,Standard", "./..."}, testImports...)...)
 	var std []string
 	for _, p := range all {
 		if p.Standard {
@@ -193,7 +249,7 @@ func newReach(t *testing.T, goTool string) *reach {
 		}
 	}
 	exports := map[string]string{}
-	for _, p := range golist(t, goTool, append([]string{"-export", "-json=ImportPath,Export"}, std...)...) {
+	for _, p := range golist(t, goTool, abs, append([]string{"-export", "-json=ImportPath,Export"}, std...)...) {
 		exports[p.ImportPath] = p.Export
 	}
 	gc := importer.ForCompiler(r.fset, "gc", func(path string) (io.ReadCloser, error) {
@@ -253,8 +309,10 @@ type importerFunc func(string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
-func golist(t *testing.T, goTool string, args ...string) []listed {
-	out, err := exec.Command(goTool, append([]string{"list", "-e"}, args...)...).Output()
+func golist(t *testing.T, goTool, dir string, args ...string) []listed {
+	cmd := exec.Command(goTool, append([]string{"list", "-e"}, args...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
 		t.Fatalf("go list %v: %v", args, err)
 	}
@@ -270,9 +328,9 @@ func golist(t *testing.T, goTool string, args ...string) []listed {
 	return pkgs
 }
 
-// run walks from the roots and returns what nothing reached and the option
-// fields nothing assigned.
-func (r *reach) run() (unreached, unassigned []finding) {
+// run walks from the roots and returns what nothing reached and the fields
+// of reached structs that reached code never reads or never writes.
+func (r *reach) run() (unreached, fields []finding) {
 	var roots []types.Object
 	for _, p := range r.pkgs {
 		for _, f := range p.files {
@@ -315,27 +373,45 @@ func (r *reach) run() (unreached, unassigned []finding) {
 	}
 	for o, d := range r.decls {
 		tn, ok := o.(*types.TypeName)
-		if !ok || d.test || !r.reached[o] || !(strings.HasSuffix(tn.Name(), "Options") || strings.HasSuffix(tn.Name(), "Config")) {
+		if !ok || d.test || !r.reached[o] {
 			continue
 		}
 		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
+		if !ok || jsonTagged(st) {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
-			if f.Name() == "_" || r.assigned[f] {
+			var what []string
+			if !r.read[f] {
+				what = append(what, "reads")
+			}
+			if !r.written[f] {
+				what = append(what, "writes")
+			}
+			if f.Name() == "_" || len(what) == 0 {
 				continue
 			}
-			unassigned = append(unassigned, finding{
+			fields = append(fields, finding{
 				symbol: r.symbol(tn) + "." + f.Name(),
-				what:   "is an option field no reached code assigns",
+				what:   "is a field no reached code " + strings.Join(what, " or "),
 				pos:    r.relPos(f.Pos()),
 				lines:  1,
 			})
 		}
 	}
-	return unreached, unassigned
+	return unreached, fields
+}
+
+// jsonTagged reports whether a struct is shaped for encoding/json, which
+// reads and writes its fields by reflection.
+func jsonTagged(st *types.Struct) bool {
+	for i := 0; i < st.NumFields(); i++ {
+		if strings.Contains(st.Tag(i), `json:"`) {
+			return true
+		}
+	}
+	return false
 }
 
 // index records a top-level declaration's objects and the methods of each
@@ -397,42 +473,241 @@ func (r *reach) reach(o types.Object) {
 	}
 }
 
-// visit follows every reference a reached declaration makes.
+// visit follows every reference a reached declaration makes, and records
+// the fields it reads and writes.
 func (r *reach) visit(d *decl) {
 	info := d.pkg.info
+	targets := map[ast.Expr]bool{} // selectors an assignment stores to
 	ast.Inspect(d.node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			r.use(info.Uses[n])
+		case *ast.SelectorExpr:
+			r.selector(info, n, targets[n])
 		case *ast.CompositeLit:
 			r.literal(info, n)
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				r.assign(info, lhs)
+				targets[ast.Unparen(lhs)] = true
+				r.write(info, lhs)
 			}
 		case *ast.IncDecStmt:
-			r.assign(info, n.X)
+			targets[ast.Unparen(n.X)] = true
+			r.write(info, n.X)
 		case *ast.RangeStmt:
-			r.assign(info, n.Key)
-			r.assign(info, n.Value)
+			for _, e := range []ast.Expr{n.Key, n.Value} {
+				if e != nil && n.Tok == token.ASSIGN {
+					targets[ast.Unparen(e)] = true
+					r.write(info, e)
+				}
+			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				r.assign(info, n.X)
+				r.write(info, n.X)
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				r.readAll(info.Types[n.X].Type, false)
+				r.readAll(info.Types[n.Y].Type, false)
 			}
 		case *ast.CallExpr:
 			if sig, ok := info.Types[n.Fun].Type.(*types.Signature); ok {
 				for i := 0; i < sig.Params().Len(); i++ {
 					r.iface(sig.Params().At(i).Type())
 				}
+				if r.walkerCall(info, n.Fun) {
+					r.walkedArgs(info, sig, n)
+				}
 			}
 		}
 		if e, ok := n.(ast.Expr); ok {
 			if tv, ok := info.Types[e]; ok {
 				r.iface(tv.Type)
+				if m, ok := tv.Type.(*types.Map); ok {
+					r.readAll(m.Key(), false) // a map compares its keys
+				}
 			}
 		}
 		return true
 	})
+}
+
+// selector records the fields a selector reads and, for a pointer-method
+// call on an addressable value, writes. An assignment's direct target is
+// not a read.
+func (r *reach) selector(info *types.Info, sel *ast.SelectorExpr, target bool) {
+	s := info.Selections[sel]
+	if s == nil {
+		return
+	}
+	path := selPath(s)
+	switch s.Kind() {
+	case types.FieldVal:
+		for i, f := range path {
+			if i < len(path)-1 || !target {
+				r.read[f] = true
+			}
+		}
+	case types.MethodVal:
+		for _, f := range path {
+			r.read[f] = true
+		}
+		fn := s.Obj().(*types.Func)
+		recv := fn.Type().(*types.Signature).Recv()
+		if _, ptr := recv.Type().(*types.Pointer); !ptr {
+			return
+		}
+		// The method takes the receiver's address: the embedded fields up
+		// to the first pointer, and then the selected expression, are written.
+		for i := len(path) - 1; i >= 0; i-- {
+			if isPointer(path[i].Type()) {
+				return
+			}
+			r.written[path[i]] = true
+		}
+		if !isPointer(s.Recv()) {
+			r.write(info, sel.X)
+		}
+	}
+}
+
+// write marks the fields an assignment target or an address-of stores to:
+// the selected field and each field of the selector path that holds it by
+// value, x.f.g = … writing g and f.
+func (r *reach) write(info *types.Info, e ast.Expr) {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			s := info.Selections[x]
+			if s == nil || s.Kind() != types.FieldVal {
+				return
+			}
+			path := selPath(s)
+			for i := len(path) - 1; i >= 0; i-- {
+				r.written[path[i]] = true
+				if i > 0 && isPointer(path[i-1].Type()) {
+					return
+				}
+			}
+			if isPointer(s.Recv()) {
+				return
+			}
+			e = x.X
+		case *ast.IndexExpr:
+			if _, ok := info.Types[x.X].Type.Underlying().(*types.Array); !ok {
+				return
+			}
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// selPath is the fields a selection passes through: the embedded fields it
+// promotes through and, for a field, the field itself.
+func selPath(s *types.Selection) []*types.Var {
+	index := s.Index()
+	if s.Kind() != types.FieldVal {
+		index = index[:len(index)-1] // the last index is the method's
+	}
+	var path []*types.Var
+	t := s.Recv()
+	for _, i := range index {
+		st := deref(t).Underlying().(*types.Struct)
+		f := st.Field(i)
+		path = append(path, f.Origin())
+		t = f.Type()
+	}
+	return path
+}
+
+// readAll marks every field of the module's structs in t read. Comparison
+// and map keys stop at pointers; a standard-library call that takes any
+// (fmt, encoding/json, reflect) follows them.
+func (r *reach) readAll(t types.Type, deep bool) {
+	if t == nil || r.readTypes[readKey{t, deep}] {
+		return
+	}
+	r.readTypes[readKey{t, deep}] = true
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			r.read[u.Field(i).Origin()] = true
+			r.readAll(u.Field(i).Type(), deep)
+		}
+	case *types.Array:
+		r.readAll(u.Elem(), deep)
+	case *types.Pointer:
+		if deep {
+			r.readAll(u.Elem(), deep)
+		}
+	case *types.Slice:
+		if deep {
+			r.readAll(u.Elem(), deep)
+		}
+	case *types.Map:
+		if deep {
+			r.readAll(u.Key(), deep)
+			r.readAll(u.Elem(), deep)
+		}
+	}
+}
+
+// walkers are the standard-library packages that read every field of a
+// value they take as an interface.
+var walkers = map[string]bool{"fmt": true, "encoding/json": true, "reflect": true}
+
+// walkerCall reports whether a call's function is declared in a package of
+// walkers.
+func (r *reach) walkerCall(info *types.Info, fun ast.Expr) bool {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
+	case *ast.Ident:
+		id = f
+	case *ast.SelectorExpr:
+		id = f.Sel
+	default:
+		return false
+	}
+	o, ok := info.Uses[id].(*types.Func)
+	return ok && o.Pkg() != nil && walkers[o.Pkg().Path()]
+}
+
+// walkedArgs reads every field of each argument a walker takes as an
+// interface: fmt prints it, encoding/json and reflect walk it.
+func (r *reach) walkedArgs(info *types.Info, sig *types.Signature, call *ast.CallExpr) {
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var pt types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			pt = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+			if call.Ellipsis.IsValid() {
+				pt = params.At(params.Len() - 1).Type()
+			}
+		case i < params.Len():
+			pt = params.At(i).Type()
+		default:
+			continue
+		}
+		if _, tp := pt.(*types.TypeParam); tp || !types.IsInterface(pt) {
+			continue
+		}
+		r.readAll(info.Types[arg].Type, true)
+	}
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
 }
 
 // use reaches what an identifier refers to.
@@ -502,30 +777,12 @@ func (r *reach) literal(info *types.Info, lit *ast.CompositeLit) {
 		if kv, ok := e.(*ast.KeyValueExpr); ok {
 			if id, ok := kv.Key.(*ast.Ident); ok {
 				if v, ok := info.Uses[id].(*types.Var); ok {
-					r.assigned[v.Origin()] = true
+					r.written[v.Origin()] = true
 				}
 			}
 		} else if i < st.NumFields() {
-			r.assigned[st.Field(i).Origin()] = true
+			r.written[st.Field(i).Origin()] = true
 		}
-	}
-}
-
-// assign marks the field an assignment target selects.
-func (r *reach) assign(info *types.Info, e ast.Expr) {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = p.X
-	}
-	sel, ok := e.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-		r.assigned[s.Obj().(*types.Var).Origin()] = true
 	}
 }
 
@@ -573,8 +830,7 @@ func (r *reach) finding(o types.Object, node ast.Node, what string) finding {
 
 func (r *reach) relPos(p token.Pos) string {
 	pos := r.fset.Position(p)
-	wd, _ := os.Getwd()
-	if rel, err := filepath.Rel(wd, pos.Filename); err == nil {
+	if rel, err := filepath.Rel(r.dir, pos.Filename); err == nil {
 		pos.Filename = rel
 	}
 	return fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
