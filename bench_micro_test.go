@@ -81,10 +81,11 @@ func BenchmarkMicro_RPCRoundTrip(b *testing.B) {
 	k := sim.NewKernel(1)
 	n := sim.NewNetwork(k, sim.Millisecond, sim.Millisecond/2)
 	client := sim.NewRPCClient(n, "client", 100*sim.Millisecond)
-	server := sim.NewRPCServer(n, "server")
+	server := sim.NewRPCServer(n)
+	echo := sim.NewMethod("echo")
 	n.Register("client", sim.HandlerFunc(func(m *sim.Message) { client.HandleResponse(m) }))
 	n.Register("server", sim.HandlerFunc(func(m *sim.Message) { server.HandleRequest(m) }))
-	server.Handle("echo", func(_ sim.NodeID, body any) (any, error) { return body, nil })
+	server.Handle(echo, func(_ sim.NodeID, body any) (any, error) { return body, nil })
 	body := &struct{}{}
 	answered := 0
 	cb := func(_ any, err error) {
@@ -95,7 +96,7 @@ func BenchmarkMicro_RPCRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		client.Call("server", "echo", body, cb)
+		client.Call("server", echo, body, cb)
 		if i%16 == 0 {
 			k.Drain()
 		}

@@ -25,7 +25,7 @@ type adminClient struct {
 
 func (c *adminClient) handle(m *sim.Message) { c.rpc.HandleResponse(m) }
 
-func (c *adminClient) call(to sim.NodeID, method string, body any) (any, error) {
+func (c *adminClient) call(to sim.NodeID, method *sim.Method, body any) (any, error) {
 	var out any
 	var outErr error
 	done := false

@@ -13,6 +13,7 @@ import (
 	"errors"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 // API error sentinels. They cross the simulated network as strings; use the
@@ -44,14 +45,14 @@ func matchesSentinel(err, sentinel error) bool {
 // IsTooOld reports whether err demands a relist.
 func IsTooOld(err error) bool { return matchesSentinel(err, ErrTooOldResourceVersion) }
 
-// RPC method names served by apiservers.
-const (
-	MethodList   = "api.List"
-	MethodGet    = "api.Get"
-	MethodCreate = "api.Create"
-	MethodUpdate = "api.Update"
-	MethodDelete = "api.Delete"
-	MethodWatch  = "api.Watch"
+// RPC methods served by apiservers.
+var (
+	MethodList   = sim.NewMethod("api.List")
+	MethodGet    = sim.NewMethod("api.Get")
+	MethodCreate = sim.NewMethod("api.Create")
+	MethodUpdate = sim.NewMethod("api.Update")
+	MethodDelete = sim.NewMethod("api.Delete")
+	MethodWatch  = sim.NewMethod("api.Watch")
 )
 
 // KindWatchPush is the message kind of apiserver->client event pushes.

@@ -187,7 +187,7 @@ func (s state) clone() state {
 // bootstraps and Restore assigns a captured state to.
 func wire(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	s := &Server{id: id, world: w, cfg: cfg}
-	s.rpcSrv = sim.NewRPCServer(w.Network(), id)
+	s.rpcSrv = sim.NewRPCServer(w.Network())
 	s.rpcCl = sim.NewRPCClient(w.Network(), id, cfg.RPCTimeout)
 	s.register()
 	s.timers = w.Join(s, s.resyncFire)
@@ -634,18 +634,18 @@ func (s *Server) register() {
 	// store asynchronously.
 	s.rpcSrv.HandleAsync(MethodGet, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
-			reply(nil, ErrNotReady)
+			reply.Send(nil, ErrNotReady)
 			return
 		}
 		req := body.(*GetRequest)
 		if !req.Quorum {
-			reply(s.getCached(req.Kind, req.Name))
+			reply.Send(s.getCached(req.Kind, req.Name))
 			return
 		}
 		s.rpcCl.Call(s.cfg.StoreNode, store.MethodGet, &store.GetRequest{Key: cluster.Key(req.Kind, req.Name)},
 			func(b any, err error) {
 				if err != nil {
-					reply(nil, err)
+					reply.Send(nil, err)
 					return
 				}
 				resp := b.(*store.GetResponse)
@@ -653,28 +653,28 @@ func (s *Server) register() {
 				if resp.Found {
 					obj, derr := cluster.Decode(resp.KV.Value, resp.KV.ModRevision)
 					if derr != nil {
-						reply(nil, derr)
+						reply.Send(nil, derr)
 						return
 					}
 					out.Object = obj
 				}
-				reply(out, nil)
+				reply.Send(out, nil)
 			})
 	})
 	s.rpcSrv.HandleAsync(MethodList, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
-			reply(nil, ErrNotReady)
+			reply.Send(nil, ErrNotReady)
 			return
 		}
 		req := body.(*ListRequest)
 		if !req.Quorum {
-			reply(s.listCached(req.Kind))
+			reply.Send(s.listCached(req.Kind))
 			return
 		}
 		s.rpcCl.Call(s.cfg.StoreNode, store.MethodRange, &store.RangeRequest{Prefix: cluster.KindPrefix(req.Kind)},
 			func(b any, err error) {
 				if err != nil {
-					reply(nil, err)
+					reply.Send(nil, err)
 					return
 				}
 				resp := b.(*store.RangeResponse)
@@ -686,12 +686,12 @@ func (s *Server) register() {
 					}
 					out.Objects = append(out.Objects, obj)
 				}
-				reply(out, nil)
+				reply.Send(out, nil)
 			})
 	})
 	s.rpcSrv.HandleAsync(MethodCreate, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
-			reply(nil, ErrNotReady)
+			reply.Send(nil, ErrNotReady)
 			return
 		}
 		req := body.(*CreateRequest)
@@ -702,7 +702,7 @@ func (s *Server) register() {
 		obj := &o
 		data, err := cluster.Encode(obj)
 		if err != nil {
-			reply(nil, err)
+			reply.Send(nil, err)
 			return
 		}
 		key := cluster.Key(obj.Meta.Kind, obj.Meta.Name)
@@ -712,18 +712,18 @@ func (s *Server) register() {
 		}, func(resp *store.TxnResponse, err error) {
 			switch {
 			case err != nil:
-				reply(nil, err)
+				reply.Send(nil, err)
 			case !resp.Succeeded:
-				reply(nil, ErrAlreadyExists)
+				reply.Send(nil, ErrAlreadyExists)
 			default:
 				obj.Meta.ResourceVersion = resp.Revision
-				reply(&WriteResponse{Object: obj}, nil)
+				reply.Send(&WriteResponse{Object: obj}, nil)
 			}
 		})
 	})
 	s.rpcSrv.HandleAsync(MethodUpdate, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
-			reply(nil, ErrNotReady)
+			reply.Send(nil, ErrNotReady)
 			return
 		}
 		req := body.(*UpdateRequest)
@@ -731,7 +731,7 @@ func (s *Server) register() {
 		obj := &o
 		data, err := cluster.Encode(obj)
 		if err != nil {
-			reply(nil, err)
+			reply.Send(nil, err)
 			return
 		}
 		key := cluster.Key(obj.Meta.Kind, obj.Meta.Name)
@@ -747,18 +747,18 @@ func (s *Server) register() {
 		}, func(resp *store.TxnResponse, err error) {
 			switch {
 			case err != nil:
-				reply(nil, err)
+				reply.Send(nil, err)
 			case !resp.Succeeded:
-				reply(nil, ErrConflict)
+				reply.Send(nil, ErrConflict)
 			default:
 				obj.Meta.ResourceVersion = resp.Revision
-				reply(&WriteResponse{Object: obj}, nil)
+				reply.Send(&WriteResponse{Object: obj}, nil)
 			}
 		})
 	})
 	s.rpcSrv.HandleAsync(MethodDelete, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
-			reply(nil, ErrNotReady)
+			reply.Send(nil, ErrNotReady)
 			return
 		}
 		req := body.(*DeleteRequest)
@@ -775,11 +775,11 @@ func (s *Server) register() {
 		}, func(resp *store.TxnResponse, err error) {
 			switch {
 			case err != nil:
-				reply(nil, err)
+				reply.Send(nil, err)
 			case !resp.Succeeded:
-				reply(nil, conflictErr)
+				reply.Send(nil, conflictErr)
 			default:
-				reply(nil, nil)
+				reply.Send(nil, nil)
 			}
 		})
 	})

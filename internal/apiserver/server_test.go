@@ -34,7 +34,7 @@ func (c *testClient) HandleMessage(m *sim.Message) {
 	}
 }
 
-func (c *testClient) call(to sim.NodeID, method string, body any) (any, error) {
+func (c *testClient) call(to sim.NodeID, method *sim.Method, body any) (any, error) {
 	var out any
 	var outErr error
 	done := false

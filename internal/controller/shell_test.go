@@ -135,7 +135,7 @@ func TestShellBootOrder(t *testing.T) {
 	c.World.Network().AddObserver(&sent)
 	ty := &toy{toyState: toyState{seen: map[string]bool{}}}
 	ty.Start(c.World, ty, ty.spec())
-	if want := []string{"rpc-req:" + apiserver.MethodCreate, "rpc-req:" + apiserver.MethodList}; !slices.Equal([]string(sent), want) {
+	if want := []string{"rpc-req:" + apiserver.MethodCreate.Name, "rpc-req:" + apiserver.MethodList.Name}; !slices.Equal([]string(sent), want) {
 		t.Errorf("a boot sent %v, want %v: Connected runs on the new connection before any informer lists", sent, want)
 	}
 	// The boot's calls are out, their timeouts closures: on to the first

@@ -19,11 +19,10 @@ type chain struct{ owner, kind string }
 
 // ownPeriod is the period of a process's fastest periodic timer of its own,
 // by the defaults infra.New builds it with: what "just under" and "just
-// over" are measured against.
+// over" are measured against. The store arms none; its crashes are measured
+// against the default.
 func ownPeriod(id sim.NodeID) sim.Duration {
 	switch {
-	case id == infra.StoreID:
-		return 50 * sim.Millisecond // leasetick
 	case strings.HasPrefix(string(id), "api-"):
 		return 500 * sim.Millisecond // resync
 	case id == cassandra.OperatorID:
@@ -48,7 +47,7 @@ func liveChains(t *testing.T, label string, k *sim.Kernel, until sim.Time) map[c
 	live := make(map[chain]int)
 	for _, pe := range snap.Pending {
 		switch pe.Tag.Kind {
-		case "leasetick", "resync", "heartbeat", "sync", "poll", "check", "tick", "inf-liveness", "inf-relist":
+		case "resync", "heartbeat", "sync", "poll", "check", "tick", "inf-liveness", "inf-relist":
 			if !pe.Retired {
 				live[chain{pe.Tag.Owner, pe.Tag.Kind}]++
 			}

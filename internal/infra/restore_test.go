@@ -30,8 +30,10 @@ type restoreRow struct {
 	// wantRetired names a kind of timer the capture must hold pending for an
 	// owner that has since retired — the crashed incarnation's — and wantLive
 	// one it must hold for a live owner, or the row compared nothing it was
-	// written for.
+	// written for. timerless names a component that arms no timer: the
+	// capture must hold nothing of its.
 	wantRetired, wantLive string
+	timerless             sim.NodeID
 }
 
 // continueVsRestore runs the row twice over: the original execution is
@@ -71,6 +73,9 @@ func continueVsRestore(t *testing.T, r restoreRow) (retired int) {
 	}
 	found, live := r.wantRetired == "", r.wantLive == ""
 	for _, pe := range snap.Kernel.Pending {
+		if r.timerless != "" && pe.Tag.Owner == string(r.timerless) {
+			t.Errorf("%s: captured at %s with %v pending: %s arms no timer", r.label, snap.Kernel.Now, pe.Tag, r.timerless)
+		}
 		if pe.Retired {
 			retired++
 			found = found || pe.Tag.Kind == r.wantRetired
@@ -261,11 +266,11 @@ func TestRestoredClusterContinuesIdentically(t *testing.T) {
 		tg      core.Target
 		comp    sim.NodeID
 		crash   sim.Time
-		retired string
+		retired string // "": the component arms no timer
 	}{
 		{workload.Target59848(), kubelet.NodeID("k1"), ms(3055), "heartbeat"},
 		{workload.Target56261(), scheduler.ID, ms(3055), "inf-liveness"}, // no timer of its own: its connection's
-		{workload.Target59848(), infra.StoreID, ms(3055), "leasetick"},
+		{workload.Target59848(), infra.StoreID, ms(3055), ""},
 		{workload.Target59848(), infra.APIServerID(0), ms(3055), "resync"},
 		{everything, controllers.VolumeControllerID, ms(3055), "poll"},
 		{everything, cassandra.OperatorID, ms(3055), "resync"},
@@ -285,6 +290,9 @@ func TestRestoredClusterContinuesIdentically(t *testing.T) {
 			capture:     d.crash.Add(5 * sim.Millisecond),
 			wantRetired: d.retired,
 		})
+		if d.retired == "" {
+			rows[len(rows)-1].timerless = d.comp
+		}
 	}
 	// A work-queue timer across the crash: with no node to place it on, the
 	// scheduler puts a pod back every 50 ms, so a scheduler that is down

@@ -66,7 +66,7 @@ var roles = map[reflect.Type]role{
 		wiring:   map[string]string{"c": fixed}},
 	reflect.TypeFor[store.Server](): {
 		children: map[string]string{"st": ".", "subs": "Subs"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "leaseTick": fixed, "timers": joined}},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher"}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
 			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache"}},
@@ -104,7 +104,7 @@ var roles = map[reflect.Type]role{
 	reflect.TypeFor[oracle.Runner](): {state: "state",
 		wiring: map[string]string{"oracles": "re-registered by addOracles; RestoreFrom voids their gates",
 			"handles": "re-pointed by RestoreFrom", "w": fixed, "every": config,
-			"tick": "the owner: the pending tick is the kernel's"}},
+			"tick": "the kernel's observer: the pending tick is the kernel's"}},
 }
 
 // stateWalk checks one captured cluster: the live cluster, its snapshot and
@@ -328,7 +328,7 @@ func everythingTarget() core.Target {
 		k := c.World.Kernel()
 		k.At(sim.Time(300*sim.Millisecond), func() {
 			st := c.Store.Store()
-			_, _ = st.PutWithLease("/members/probe", []byte("up"), st.GrantLease(int64(3600*sim.Second)).ID)
+			st.Put("/members/probe", []byte("up"))
 			c.Oracles.Report(oracle.Violation{Oracle: "probe", Time: c.World.Now()})
 		})
 	}

@@ -184,7 +184,7 @@ func Mine(ref *trace.Trace, window sim.Duration) *Model {
 			totals[w.From] = tot
 		}
 		tot.writes++
-		isCAS := w.Method == apiserver.MethodUpdate || w.Method == apiserver.MethodDelete
+		isCAS := w.Method == apiserver.MethodUpdate.Name || w.Method == apiserver.MethodDelete.Name
 		if isCAS {
 			tot.cas++
 		}

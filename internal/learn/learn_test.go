@@ -34,8 +34,8 @@ func fixtureTrace() *trace.Trace {
 			EventType: et, Occurrence: occ, Terminating: term,
 		})
 	}
-	write := func(from sim.NodeID, at sim.Time, method string, kind cluster.Kind, name string) {
-		tr.Writes = append(tr.Writes, trace.Write{From: from, Time: at, Method: method, Kind: kind, Name: name})
+	write := func(from sim.NodeID, at sim.Time, method *sim.Method, kind cluster.Kind, name string) {
+		tr.Writes = append(tr.Writes, trace.Write{From: from, Time: at, Method: method.Name, Kind: kind, Name: name})
 	}
 
 	// Background heartbeats: 40 node-status updates over 10s.

@@ -144,7 +144,7 @@ func scenario400(t *testing.T, fixes cassandra.Fixes) *infra.Cluster {
 
 	// Drop every status write that would record 3 ready members.
 	c.World.Network().AddInterceptor(sim.InterceptorFunc(func(m *sim.Message) sim.Decision {
-		if m.From != cassandra.OperatorID || m.Kind != "rpc-req:"+apiserver.MethodUpdate {
+		if m.From != cassandra.OperatorID || m.Kind != "rpc-req:"+apiserver.MethodUpdate.Name {
 			return sim.Decision{Verdict: sim.Pass}
 		}
 		req, ok := m.Payload.(*sim.RPCRequest)

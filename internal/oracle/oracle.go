@@ -272,12 +272,13 @@ func (r *Runner) InstallPeriodic(w *sim.World, every sim.Duration) {
 }
 
 // BindPeriodic records the world and interval the periodic tick uses and
-// registers the runner as the tick's owner without scheduling anything
-// (restore path: the kernel re-inserts the pending tick from its snapshot).
+// registers the runner as the kernel's observer, the owner of the tick,
+// without scheduling anything (restore path: the kernel re-inserts the
+// pending tick from its snapshot).
 func (r *Runner) BindPeriodic(w *sim.World, every sim.Duration) {
 	r.w = w
 	r.every = every
-	r.tick = w.Kernel().Own("oracles", r.tickFire)
+	r.tick = w.Kernel().Observe("oracles", r.tickFire)
 }
 
 func (r *Runner) armTick() { r.tick.After(r.every, sim.EventTag{Kind: "tick"}) }

@@ -35,7 +35,7 @@ func TestBindsPendingPod(t *testing.T) {
 }
 
 // schedulerCalls counts the scheduler's requests of one method from now on.
-func schedulerCalls(c *infra.Cluster, method string) *int {
+func schedulerCalls(c *infra.Cluster, method *sim.Method) *int {
 	n := new(int)
 	c.World.Network().AddInterceptor(sim.InterceptorFunc(func(m *sim.Message) sim.Decision {
 		if req, ok := m.Payload.(*sim.RPCRequest); ok && m.From == scheduler.ID && req.Method == method {

@@ -6,6 +6,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Pending returns the number of scheduled, non-canceled events.
 func (k *Kernel) Pending() int {
 	n := 0
+	if k.ticking && !k.slots[k.tick.slot].canceled {
+		n++
+	}
 	for _, e := range k.heap {
 		if !k.slots[e.slot].canceled {
 			n++

@@ -96,7 +96,7 @@ type EventTag struct {
 	// and "plan" are not owners: they mark the closures the campaign layer
 	// blanket-tags (SetDefaultTag) and re-creates by re-running them.
 	Owner string
-	// Kind names the timer within its owner ("leasetick", "resync",
+	// Kind names the timer within its owner ("tick", "resync",
 	// "heartbeat", ...).
 	Kind string
 	// Key and N are the timer's arguments: a workqueue key or a member
@@ -120,6 +120,9 @@ type Owner struct {
 	name    string
 	fire    func(EventTag)
 	retired bool
+	// observer marks the kernel's observer (Kernel.Observe): its one
+	// pending event waits in the kernel's tick entry, not in the heap.
+	observer bool
 }
 
 // retiredOwner stands in, read-only, for the owner of an event restored
@@ -138,18 +141,83 @@ func (k *Kernel) Own(name string, fire func(EventTag)) *Owner {
 	return o
 }
 
+// Observe registers fire as the kernel's observer: an owner like any other,
+// named and restored by name, with at most one event pending at a time — the
+// oracle runner's periodic tick. That event is held in one entry beside the
+// heap, at the (at, seq) the heap would have given it, in a slot kept for it,
+// so a clock that fires on a third of all steps costs no sift and, re-armed
+// with the tag it had, writes no tag. A kernel has one observer.
+func (k *Kernel) Observe(name string, fire func(EventTag)) *Owner {
+	if k.observer != nil {
+		panic("sim: a second observer " + name + " beside " + k.observer.name)
+	}
+	o := k.Own(name, fire)
+	o.observer = true
+	k.observer = o
+	var ev *event
+	k.tick.slot, ev = k.take()
+	ev.owner = o
+	return o
+}
+
 // Name returns the name the owner registered under.
 func (o *Owner) Name() string { return o.name }
 
 // After arms fire(tag) to run after virtual duration d (>= 0), with the
 // tag's Owner set to this owner's name. It is scheduled exactly as Schedule
-// would schedule a closure, and allocates nothing.
+// would schedule a closure, and allocates nothing. The observer's event
+// takes the tick entry, which must be free: the observer arms one event at a
+// time.
 func (o *Owner) After(d Duration, tag EventTag) Timer {
 	if d < 0 {
 		d = 0
 	}
 	tag.Owner = o.name
-	return o.k.enqueue(o.k.now.Add(d), &tag, o, nil, nil, nil)
+	at, ok := o.k.stamp(o.k.now.Add(d))
+	if !ok {
+		return Timer{}
+	}
+	return o.k.place(at, o.k.seq, &tag, o)
+}
+
+// place occupies a slot with o's event and queues it at (at, seq): in the
+// tick entry for the observer, in the heap for every other owner.
+func (k *Kernel) place(at Time, seq uint64, tag *EventTag, o *Owner) Timer {
+	if o.observer {
+		return k.placeTick(at, seq, tag)
+	}
+	slot, ev := k.take()
+	// Field by field: a whole-struct copy into the table pays a bulk write
+	// barrier whenever the collector is marking.
+	ev.owner = o
+	ev.tag.Owner, ev.tag.Kind, ev.tag.Key, ev.tag.N, ev.tag.Epoch = tag.Owner, tag.Kind, tag.Key, tag.N, tag.Epoch
+	return k.push(at, seq, slot)
+}
+
+// placeTick queues the observer's event in the tick entry and its slot. A
+// canceled event still there gives both up.
+func (k *Kernel) placeTick(at Time, seq uint64, tag *EventTag) Timer {
+	ev := &k.slots[k.tick.slot]
+	if k.ticking {
+		if !ev.canceled {
+			panic("sim: observer " + k.observer.name + " armed while its event is pending")
+		}
+		k.untick()
+	}
+	if ev.tag != *tag {
+		ev.tag = *tag
+	}
+	k.tick.at, k.tick.seq, k.ticking = at, seq, true
+	return Timer{k: k, slot: k.tick.slot, gen: ev.gen}
+}
+
+// untick empties the tick entry: its Timer goes inert, its slot stays the
+// observer's.
+func (k *Kernel) untick() {
+	ev := &k.slots[k.tick.slot]
+	ev.canceled = false
+	ev.gen++
+	k.ticking = false
 }
 
 // Retire makes every event the owner has armed, or arms from now on, run
@@ -164,21 +232,34 @@ func (o *Owner) Retire() {
 // Retired reports whether Retire has been called.
 func (o *Owner) Retired() bool { return o.retired }
 
-// event is one slot of the kernel's event table. A slot is either free or
-// the occupant of exactly one heap entry, which holds its (at, seq). An
-// event takes one of three forms: a closure (fn); a message delivery
-// (deliver, msg) — the network's per-message form; or an owner-dispatched
-// timer (owner, with tag as its argument) — the only form a snapshot can
-// re-create. The last two need no closure. gen counts the slot's releases
-// and is what a Timer is checked against.
+// event is one slot of the kernel's event table. A slot is free, or the
+// observer's (Observe keeps one), or the occupant of exactly one heap
+// entry, which holds its (at, seq). An event takes one of three
+// forms: a closure (fn); a message delivery (deliver, msg) — the network's
+// per-message form; or an owner-dispatched timer (owner, with tag as its
+// argument) — the only form a snapshot can re-create. The last two need no
+// closure. Only the owner form carries a tag of its own; the other two
+// point at the tag they were armed under (shared: the anonymous tag or the
+// default one), so scheduling one writes two or three words. A free slot
+// holds no fn, deliver, msg or owner. gen counts the slot's releases and is
+// what a Timer is checked against.
 type event struct {
 	fn       func()
 	deliver  func(*Message)
 	msg      *Message
 	owner    *Owner
-	tag      EventTag
+	shared   *EventTag
 	gen      uint64
 	canceled bool
+	tag      EventTag // last: only the owner form reads it
+}
+
+// tagOf is the tag the event was armed under.
+func (ev *event) tagOf() *EventTag {
+	if ev.owner != nil {
+		return &ev.tag
+	}
+	return ev.shared
 }
 
 // heapEntry is one pending event in the queue: its firing order and the
@@ -300,6 +381,13 @@ type Kernel struct {
 	// owners are the live (registered, not retired) owners by name.
 	owners map[string]*Owner
 
+	// observer is the owner Observe registered, and tick its pending event's
+	// queue entry while ticking: the one event kept out of the heap. tick.slot
+	// is the observer's for good; it never goes on the free list.
+	observer *Owner
+	tick     heapEntry
+	ticking  bool
+
 	// slots is the event table and free the indices of its unoccupied
 	// slots (see DESIGN.md, "Event ownership rule"). A slot is released the
 	// moment its heap entry is popped — before the callback runs, so a
@@ -312,11 +400,17 @@ type Kernel struct {
 
 // release frees a popped entry's slot: the callback and message are dropped
 // so a parked slot retains nothing, and the generation moves on so every
-// Timer issued for the old occupant goes inert.
+// Timer issued for the old occupant goes inert. fire clears a fired event's
+// form itself and calls vacate.
 func (k *Kernel) release(slot uint32) {
 	ev := &k.slots[slot]
 	ev.fn, ev.deliver, ev.msg, ev.owner = nil, nil, nil, nil
 	ev.canceled = false
+	k.vacate(slot, ev)
+}
+
+// vacate returns a slot whose form fields are clear to the free list.
+func (k *Kernel) vacate(slot uint32, ev *event) {
 	ev.gen++
 	k.free = append(k.free, slot)
 }
@@ -357,13 +451,26 @@ func (k *Kernel) Schedule(d Duration, fn func()) Timer {
 // event carries it; otherwise the event is anonymous and blocks snapshots
 // while pending.
 func (k *Kernel) At(t Time, fn func()) Timer {
-	return k.enqueue(t, k.untagged(), nil, fn, nil, nil)
+	at, ok := k.stamp(t)
+	if !ok {
+		return Timer{}
+	}
+	slot, ev := k.take()
+	ev.fn, ev.shared = fn, k.untagged()
+	return k.push(at, k.seq, slot)
 }
 
-// atDeliver is At for the network: the event is deliver(m), with no closure
-// to allocate. It is scheduled exactly as At would schedule it.
-func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message) {
-	k.enqueue(t, k.untagged(), nil, nil, deliver, m)
+// atDeliver is At for the network and the RPC client: the event is
+// deliver(m), with no closure to allocate. It is scheduled exactly as At
+// would schedule it.
+func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message) Timer {
+	at, ok := k.stamp(t)
+	if !ok {
+		return Timer{}
+	}
+	slot, ev := k.take()
+	ev.deliver, ev.msg, ev.shared = deliver, m, k.untagged()
+	return k.push(at, k.seq, slot)
 }
 
 // anonymous is the zero tag, shared read-only by every untagged event.
@@ -377,10 +484,11 @@ func (k *Kernel) untagged() *EventTag {
 	return &anonymous
 }
 
-// enqueue is the one scheduling path, for all three event forms (o, or fn,
-// or deliver and m): it allocates the next sequence number and, unless the
-// event belongs to a rehydrated prefix, inserts the event at (t, seq).
-func (k *Kernel) enqueue(t Time, tag *EventTag, o *Owner, fn func(), deliver func(*Message), m *Message) Timer {
+// stamp is the one scheduling path, for all three event forms: it allocates
+// the next sequence number and returns the instant the event is queued at,
+// t clamped to now. It reports false for an event of a rehydrated prefix,
+// which burns its number and is not queued.
+func (k *Kernel) stamp(t Time) (Time, bool) {
 	if k.rehydrating && t < k.rehydrateCutoff {
 		// Fork-time workload rehydration: the full-replay run scheduled
 		// (and already fired) this event before the checkpoint. Burn the
@@ -393,7 +501,7 @@ func (k *Kernel) enqueue(t Time, tag *EventTag, o *Owner, fn func(), deliver fun
 			k.strictErr = fmt.Sprintf("sim: schedule into the checkpointed prefix: at=%s cutoff=%s", t, k.rehydrateCutoff)
 		}
 		k.seq++
-		return Timer{}
+		return 0, false
 	}
 	if k.strictPast && t < k.now && k.strictErr == "" {
 		k.strictErr = fmt.Sprintf("sim: schedule into the past: at=%s now=%s", t, k.now)
@@ -402,11 +510,11 @@ func (k *Kernel) enqueue(t Time, tag *EventTag, o *Owner, fn func(), deliver fun
 		t = k.now
 	}
 	k.seq++
-	return k.insert(t, k.seq, tag, o, fn, deliver, m)
+	return t, true
 }
 
-// insert occupies a slot with the event and pushes its heap entry.
-func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, o *Owner, fn func(), deliver func(*Message), m *Message) Timer {
+// take hands out a free slot, growing the table when none is.
+func (k *Kernel) take() (uint32, *event) {
 	var slot uint32
 	if n := len(k.free); n > 0 {
 		slot = k.free[n-1]
@@ -415,45 +523,93 @@ func (k *Kernel) insert(at Time, seq uint64, tag *EventTag, o *Owner, fn func(),
 		slot = uint32(len(k.slots))
 		k.slots = append(k.slots, event{})
 	}
-	ev := &k.slots[slot]
-	ev.owner, ev.fn, ev.deliver, ev.msg, ev.tag = o, fn, deliver, m, *tag
+	return slot, &k.slots[slot]
+}
+
+// push queues a filled slot in the heap at (at, seq).
+func (k *Kernel) push(at Time, seq uint64, slot uint32) Timer {
 	k.heap.push(heapEntry{at: at, seq: seq, slot: slot})
-	return Timer{k: k, slot: slot, gen: ev.gen}
+	return Timer{k: k, slot: slot, gen: k.slots[slot].gen}
+}
+
+// peek returns the next entry in firing order and whether it is the tick:
+// the observer's event goes first when it orders before the heap's top.
+func (k *Kernel) peek() (e heapEntry, tick, ok bool) {
+	if k.ticking && (len(k.heap) == 0 || k.tick.before(k.heap[0])) {
+		return k.tick, true, true
+	}
+	if len(k.heap) == 0 {
+		return heapEntry{}, false, false
+	}
+	return k.heap[0], false, true
+}
+
+// dequeue removes the entry peek returned and reports whether its event
+// was canceled, in which case its slot is released.
+func (k *Kernel) dequeue(e heapEntry, tick bool) (canceled bool) {
+	canceled = k.slots[e.slot].canceled
+	switch {
+	case tick:
+		if canceled {
+			k.untick()
+		} else {
+			k.ticking = false
+		}
+	default:
+		k.heap.pop()
+		if canceled {
+			k.release(e.slot)
+		}
+	}
+	return canceled
 }
 
 // Step executes the single next pending event. It reports whether an event
 // was executed (false when the queue is empty).
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
-		e := k.heap.pop()
-		ev := &k.slots[e.slot]
-		if ev.canceled {
-			k.release(e.slot)
-			continue
+	for {
+		e, tick, ok := k.peek()
+		if !ok {
+			return false
 		}
-		k.now = e.at
-		k.steps++
-		// Whatever form the event takes, it is copied out of the slot and
-		// the slot released before it runs.
-		switch {
-		case ev.deliver != nil:
-			deliver, m := ev.deliver, ev.msg
-			k.release(e.slot)
-			deliver(m)
-		case ev.owner == nil:
-			fn := ev.fn
-			k.release(e.slot)
-			fn()
-		default:
-			owner, tag := ev.owner, ev.tag
-			k.release(e.slot)
-			if !owner.retired {
-				owner.fire(tag)
-			}
+		if !k.dequeue(e, tick) {
+			k.fire(e, tick)
+			return true
 		}
-		return true
 	}
-	return false
+}
+
+// fire runs a dequeued, uncanceled entry as one step. Whatever form the
+// event takes, it is copied out of the slot and the slot released before it
+// runs; the tick's slot stays the observer's, and only its generation moves.
+func (k *Kernel) fire(e heapEntry, tick bool) {
+	k.now = e.at
+	k.steps++
+	ev := &k.slots[e.slot]
+	switch {
+	case tick:
+		ev.gen++
+		if o := ev.owner; !o.retired {
+			o.fire(ev.tag)
+		}
+	case ev.deliver != nil:
+		deliver, m := ev.deliver, ev.msg
+		ev.deliver, ev.msg = nil, nil
+		k.vacate(e.slot, ev)
+		deliver(m)
+	case ev.owner == nil:
+		fn := ev.fn
+		ev.fn = nil
+		k.vacate(e.slot, ev)
+		fn()
+	default:
+		owner, tag := ev.owner, ev.tag
+		ev.owner = nil
+		k.vacate(e.slot, ev)
+		if !owner.retired {
+			owner.fire(tag)
+		}
+	}
 }
 
 // Run executes events until the queue is empty, Stop is called, the step
@@ -466,7 +622,8 @@ func (k *Kernel) Run(until Time) Time {
 		if k.maxStep != 0 && k.steps >= k.maxStep {
 			break
 		}
-		if len(k.heap) == 0 {
+		next, tick, ok := k.peek()
+		if !ok {
 			// Virtual time passes even with nothing scheduled: a bounded
 			// run always ends at its bound.
 			if until > 0 && k.now < until {
@@ -474,16 +631,13 @@ func (k *Kernel) Run(until Time) Time {
 			}
 			break
 		}
-		next := k.heap[0]
-		if k.slots[next.slot].canceled {
-			k.release(k.heap.pop().slot)
-			continue
-		}
 		if until > 0 && next.at >= until {
 			k.now = until
 			break
 		}
-		k.Step()
+		if !k.dequeue(next, tick) {
+			k.fire(next, tick)
+		}
 	}
 	return k.now
 }

@@ -10,10 +10,12 @@ import (
 // The kernel's queue against a model. A byte string is a program over the
 // kernel's scheduling surface; the same program drives a real Kernel and
 // modelKernel — a flat slice scanned for the minimum (at, seq), sharing no
-// code with the heap, the slot table or Timer — and after every operation
-// the two must agree on everything observable: what fired and in which
-// order, every Cancel result, Now, Steps, Seq, Pending, the strict-past
-// verdict, and the (at, seq, tag, retired) set a snapshot captures.
+// code with the heap, the tick entry, the slot table or Timer — and after
+// every operation the two must agree on everything observable: what fired
+// and in which order, every Cancel result, Now, Steps, Seq, Pending, the
+// strict-past verdict, and the (at, seq, tag, retired) set a snapshot
+// captures. The kernel's observer is one more owner to the model: its
+// events sit in the same slice as every other.
 
 // evSpec is one event of a program: what it logs when it fires and what it
 // does from inside its callback. Specs (and their ids and handle numbers)
@@ -23,17 +25,22 @@ type evSpec struct {
 	handle     int     // index of the Timer this event's scheduling returns
 	delivery   bool    // scheduled through atDeliver, not At (no Timer)
 	owned      bool    // armed through an Owner: the event is its tag
-	owner      int     // which of the two owners
+	owner      int     // which owner: 0 and 1, or observer
 	cancelSelf bool    // the callback cancels its own handle (always false)
 	cancelIdx  int     // >= 0: the callback cancels that handle
 	child      *evSpec // the callback schedules this at now+childDt
 	childDt    Duration
 }
 
-// ownerNames are the two names owners register under. An owned event's tag
-// carries its spec's id, which is how the owner's fire function finds what
-// to run: nothing but the tag travels through the kernel.
-var ownerNames = [2]string{"model-a", "model-b"}
+// ownerNames are the names owners register under: two owners that retire
+// and are succeeded, and the kernel's observer, which does neither and arms
+// one event at a time. An owned event's tag carries its spec's id, which is
+// how the owner's fire function finds what to run: nothing but the tag
+// travels through the kernel.
+var ownerNames = [3]string{"model-a", "model-b", "model-obs"}
+
+// observer is the index of the observer in ownerNames.
+const observer = 2
 
 func (s *evSpec) tag() EventTag {
 	return EventTag{Owner: ownerNames[s.owner], Kind: "ev", N: uint64(s.id)}
@@ -83,8 +90,19 @@ type modelKernel struct {
 	violated    bool
 	// inc is each owner name's current registration and gone the retired
 	// ones: a name between Retire and the next Own has its current one gone.
-	inc  [2]int
+	inc  [3]int
 	gone map[incarnation]bool
+}
+
+// observing reports whether the observer has an event pending: it arms no
+// second one until that one has fired or been canceled.
+func (m *modelKernel) observing() bool {
+	for _, e := range m.pending {
+		if e.spec.owned && e.spec.owner == observer && e.inc != inert {
+			return true
+		}
+	}
+	return false
 }
 
 func (m *modelKernel) retired(e modelEvent) bool {
@@ -103,6 +121,9 @@ func (m *modelKernel) min() int {
 }
 
 func (m *modelKernel) schedule(at Time, s *evSpec) {
+	if s.owned && s.owner == observer && m.observing() {
+		return // the program does not ask: arming over a pending event is a bug
+	}
 	var tag EventTag
 	switch {
 	case s.owned:
@@ -222,7 +243,7 @@ type kernelSide struct {
 	log    []int
 	// owners holds each name's latest registration, retired or not, and
 	// specs what an owned event's tag stands for, by spec id.
-	owners [2]*Owner
+	owners [3]*Owner
 	specs  map[int]*evSpec
 	// onDeliver is bound once, as Network binds its deliver method; the
 	// delivery form's spec rides in the message payload.
@@ -234,11 +255,42 @@ func newKernelSide() *kernelSide {
 	ks.onDeliver = func(m *Message) { ks.fire(m.Payload.(*evSpec)) }
 	ks.own(0)
 	ks.own(1)
+	ks.owners[observer] = ks.k.Observe(ownerNames[observer], ks.fireTag)
 	return ks
 }
 
-func (ks *kernelSide) own(i int) {
-	ks.owners[i] = ks.k.Own(ownerNames[i], func(tag EventTag) { ks.fire(ks.specs[int(tag.N)]) })
+func (ks *kernelSide) own(i int) { ks.owners[i] = ks.k.Own(ownerNames[i], ks.fireTag) }
+
+func (ks *kernelSide) fireTag(tag EventTag) { ks.fire(ks.specs[int(tag.N)]) }
+
+// fork moves the side onto a kernel restored from snap, as a forked
+// execution is: owners registered anew (retired where the model's current
+// incarnation is), every captured event re-inserted under its sequence
+// number, the counter set. A restored event has no handle.
+func (ks *kernelSide) fork(snap KernelSnapshot, retired [2]bool, defaultTag *EventTag) error {
+	k := NewRestoredKernel(1, snap.Now, snap.Steps, snap.RNGDraws)
+	ks.k, ks.timers = k, map[int]Timer{}
+	for i, gone := range retired {
+		if gone {
+			ks.owners[i] = &Owner{k: k, name: ownerNames[i], fire: ks.fireTag, retired: true}
+		} else {
+			ks.own(i)
+		}
+	}
+	ks.owners[observer] = k.Observe(ownerNames[observer], ks.fireTag)
+	for _, pe := range snap.Pending {
+		if err := k.RestorePending(pe, pe.Seq); err != nil {
+			return err
+		}
+	}
+	k.SetSeq(snap.Seq)
+	k.SetDefaultTag(defaultTag)
+	return nil
+}
+
+// observing is the kernel's own answer to modelKernel.observing.
+func (ks *kernelSide) observing() bool {
+	return ks.k.ticking && !ks.k.slots[ks.k.tick.slot].canceled
 }
 
 func (ks *kernelSide) fire(s *evSpec) {
@@ -259,6 +311,9 @@ func (ks *kernelSide) schedule(at Time, s *evSpec) {
 	case s.delivery:
 		ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s})
 	case s.owned:
+		if s.owner == observer && ks.observing() {
+			return
+		}
 		ks.specs[s.id] = s
 		ks.timers[s.handle] = ks.owners[s.owner].After(at.Sub(ks.k.Now()), EventTag{Kind: "ev", N: uint64(s.id)})
 	default:
@@ -292,8 +347,11 @@ func (p *program) spec(depth int, mask byte) *evSpec {
 	s := &evSpec{id: p.nextID, handle: p.handles, cancelIdx: -1}
 	p.nextID++
 	s.delivery = flags&1 != 0
-	s.owned = flags&2 != 0 && !s.delivery
+	s.owned = flags&(2|64) != 0 && !s.delivery
 	s.owner = int(flags >> 5 & 1)
+	if flags&64 != 0 {
+		s.owner = observer
+	}
 	if !s.delivery {
 		p.handles++
 		s.cancelSelf = flags&4 != 0
@@ -326,7 +384,7 @@ func runProgram(t *testing.T, data []byte) {
 	compared := 0 // log entries already found equal
 
 	for op := 0; !p.done(); op++ {
-		code := p.byte() % 11
+		code := p.byte() % 12
 		switch code {
 		case 0, 1: // schedule at now+dt; dt < 0 exercises the clamp
 			dt := Duration(p.byte()%24) - 2
@@ -381,6 +439,9 @@ func runProgram(t *testing.T, data []byte) {
 			}
 			if dup {
 				continue // a restore never reuses a pending (at, seq)
+			}
+			if s.owner == observer && !pe.Retired && pe.Tag.Owner != "nobody" && m.observing() {
+				continue // a capture holds one observer event at most
 			}
 			ks.specs[s.id] = s
 			err := k.RestorePending(pe, seq)
@@ -448,6 +509,25 @@ func runProgram(t *testing.T, data []byte) {
 				ks.own(i)
 				m.inc[i]++
 			}
+		case 11: // fork: capture, restore onto a fresh kernel, go on there
+			snap, ok := k.CaptureSnapshot()
+			if !ok {
+				break
+			}
+			forkable := true
+			for _, pe := range snap.Pending {
+				forkable = forkable && (pe.Retired || pe.Tag.Owner != defTag.Owner)
+			}
+			if !forkable {
+				break // a default-tagged closure: a fork re-creates it by replaying the workload
+			}
+			retired := [2]bool{m.gone[incarnation{0, m.inc[0]}], m.gone[incarnation{1, m.inc[1]}]}
+			if err := ks.fork(snap, retired, m.defaultTag); err != nil {
+				t.Fatalf("op %d: fork: %v", op, err)
+			}
+			k = ks.k
+			m.live = map[int]bool{}
+			m.strict, m.violated = false, false
 		}
 
 		if !reflect.DeepEqual(ks.log[compared:], m.log[min(compared, len(m.log)):]) {
@@ -461,6 +541,11 @@ func runProgram(t *testing.T, data []byte) {
 		if got := k.StrictViolation() != ""; got != m.violated {
 			t.Fatalf("op %d (code %d): strict violation %q, model %v", op, code, k.StrictViolation(), m.violated)
 		}
+		for _, e := range k.heap {
+			if k.slots[e.slot].owner == ks.owners[observer] {
+				t.Fatalf("op %d (code %d): the observer's event is in the heap", op, code)
+			}
+		}
 	}
 
 	// Whatever is left fires in the model's order too.
@@ -471,9 +556,10 @@ func runProgram(t *testing.T, data []byte) {
 			ks.log, k.Now(), k.Steps(), m.log, m.now, m.steps)
 	}
 	// The slot table never outgrows the most events ever pending at once:
-	// every popped entry's slot went back on the free list.
-	if len(k.free) != len(k.slots) {
-		t.Fatalf("after drain %d of %d slots are free", len(k.free), len(k.slots))
+	// every popped entry's slot went back on the free list, all but the one
+	// the observer keeps.
+	if len(k.free)+1 != len(k.slots) {
+		t.Fatalf("after drain %d of %d slots are free, want all but the observer's", len(k.free), len(k.slots))
 	}
 }
 
@@ -510,6 +596,18 @@ var modelSeeds = [][]byte{
 	{0, 4, 0, 6, 3, 8, 1, 0, 4, 0, 6},
 	// strict past: the clamp is a violation
 	{4, 9, 8, 0, 0, 0, 0, 3},
+	// the observer ties with a closure and an owner's event at one instant
+	// and fires in sequence order among them; it re-arms from its callback
+	{0, 5, 64 | 16, 3, 64, 0, 5, 0, 0, 5, 2, 4, 31},
+	// cancel the observer's event and re-arm it before the canceled entry
+	// is popped; an arm while one is pending is not made
+	{0, 5, 64, 2, 0, 0, 4, 64, 0, 6, 64, 4, 31},
+	// restore an observer event below the counter, ahead of an equal-time
+	// closure; then one captured retired, which waits in the heap
+	{0, 6, 0, 5, 5, 0, 64, 0, 5, 5, 0, 64, 2, 4, 31},
+	// fork mid-run with the observer, an owner and a retired owner's event
+	// pending, and go on in the restored kernel
+	{0, 5, 64 | 16, 3, 64, 0, 5, 2, 0, 5, 2 | 32, 10, 1, 3, 11, 6, 4, 31},
 }
 
 func TestKernelMatchesModel(t *testing.T) {
@@ -559,6 +657,66 @@ func TestOwnerNameHasOneLiveHolder(t *testing.T) {
 	k.Drain()
 	if ran != "second second " || k.Steps() != 3 {
 		t.Fatalf("ran %q in %d steps, want the successor twice in 3", ran, k.Steps())
+	}
+}
+
+// TestObserverTickKeepsTheHeapEmpty: a kernel whose only timer is the
+// observer's periodic tick runs 1 000 ticks without a heap entry, and counts
+// them — steps, sequence numbers, instants — exactly as the same chain armed
+// by an ordinary owner, through the heap.
+func TestObserverTickKeepsTheHeapEmpty(t *testing.T) {
+	run := func(arm func(k *Kernel, fire func(EventTag)) *Owner) (steps, seq uint64, now Time, heapUsed bool) {
+		k := NewKernel(1)
+		var o *Owner
+		ticks := 0
+		o = arm(k, func(EventTag) {
+			heapUsed = heapUsed || len(k.heap) > 0
+			if ticks++; ticks < 1000 {
+				o.After(10*Millisecond, EventTag{Kind: "tick"})
+			}
+		})
+		o.After(10*Millisecond, EventTag{Kind: "tick"})
+		heapUsed = len(k.heap) > 0
+		k.Drain()
+		if ticks != 1000 {
+			t.Fatalf("%d ticks ran, want 1000", ticks)
+		}
+		return k.Steps(), k.Seq(), k.Now(), heapUsed
+	}
+	steps, seq, now, heapUsed := run(func(k *Kernel, fire func(EventTag)) *Owner { return k.Observe("oracles", fire) })
+	if heapUsed {
+		t.Error("the observer's tick went through the heap")
+	}
+	wSteps, wSeq, wNow, _ := run(func(k *Kernel, fire func(EventTag)) *Owner { return k.Own("oracles", fire) })
+	if steps != wSteps || seq != wSeq || now != wNow || steps != 1000 {
+		t.Fatalf("observer: steps=%d seq=%d now=%v; owner through the heap: steps=%d seq=%d now=%v",
+			steps, seq, now, wSteps, wSeq, wNow)
+	}
+}
+
+// TestOneObserverPerKernel: the tick entry holds one owner's event, so a
+// second observer is refused, as a second live owner of a name is, and so is
+// arming the observer while its event is pending.
+func TestOneObserverPerKernel(t *testing.T) {
+	k := NewKernel(1)
+	o := k.Observe("oracles", func(EventTag) {})
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("a second observer", func() { k.Observe("shadow", func(EventTag) {}) })
+	tm := o.After(1, EventTag{Kind: "tick"})
+	mustPanic("a second pending observer event", func() { o.After(2, EventTag{Kind: "tick"}) })
+	tm.Cancel()
+	o.After(2, EventTag{Kind: "tick"}) // a canceled event gives its entry up
+	k.Drain()
+	if k.Steps() != 1 || len(k.free)+1 != len(k.slots) {
+		t.Fatalf("steps=%d, %d of %d slots free: want 1 and all but the observer's", k.Steps(), len(k.free), len(k.slots))
 	}
 }
 

@@ -3,7 +3,8 @@ package sim
 import "testing"
 
 // The network keeps one record per directed link, created by Send and the
-// setters only: a query or a delivery must not grow the table.
+// setters only: a query must not grow the table, and a delivery reads the
+// record its message carries.
 func TestQueriesDoNotGrowLinkTable(t *testing.T) {
 	k, n, _, b := newTestNet(t)
 	n.Send("a", "b", "rpc", 1)
@@ -18,12 +19,14 @@ func TestQueriesDoNotGrowLinkTable(t *testing.T) {
 	if q := n.LinkQualityOf("b", "a"); q != (LinkQuality{}) {
 		t.Fatalf("an untouched link reads degraded: %v", q)
 	}
-	n.deliver(&Message{From: "c", To: "b"}) // arrives over a link nothing was ever sent on
-	if len(b.got) != 2 {
-		t.Fatalf("b got %d messages, want 2", len(b.got))
+	if n.Down("x") || n.LocationOf("y") != (Location{}) {
+		t.Fatal("an unknown node reads down or placed")
+	}
+	if len(b.got) != 1 {
+		t.Fatalf("b got %d messages, want 1", len(b.got))
 	}
 	if len(n.links) != before {
-		t.Fatalf("queries and a delivery grew the link table %d -> %d", before, len(n.links))
+		t.Fatalf("queries grew the link table %d -> %d", before, len(n.links))
 	}
 }
 

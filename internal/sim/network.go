@@ -22,6 +22,11 @@ type Message struct {
 	Kind    string // coarse classification used by interceptors ("watch", "rpc", ...)
 	Payload any
 	SentAt  Time
+
+	// link is the record of the From->To link, resolved once at Send: the
+	// delivery reads the partition, the receiver and its down flag through
+	// it, and an RPC reply goes out on its reverse.
+	link *link
 }
 
 func (m *Message) String() string {
@@ -163,15 +168,35 @@ func (t TopologyLatency) classFor(a, b Location) Duration {
 
 type linkKey struct{ from, to NodeID }
 
-// linkState is everything the network knows about one directed link: one
-// record per pair that was ever configured or sent on, found by one lookup
-// per Send. The zero value is a healthy, connected link that has carried
-// nothing.
+// linkState is the routing state of one directed link, what a snapshot
+// carries by value. The zero value is a healthy, connected link that has
+// carried nothing.
 type linkState struct {
 	partitioned bool
 	extraDelay  Duration
 	lastAt      Time        // FIFO frontier (stream ordering)
 	quality     LinkQuality // the zero value is a healthy link
+}
+
+// link is everything the network knows about one directed link: one record
+// per pair that was ever configured or sent on. Besides its state it holds
+// what a message needs on the way, the records of its two endpoints, whose
+// handler, down flag and placement it reads as they stand. A sender that
+// keeps the record (an RPC client, a reply on its request's link) sends
+// with no lookup at all.
+type link struct {
+	linkState
+	key      linkKey
+	from, to *endpoint
+	reverse  *link // the to->from record, once something has gone back
+}
+
+// endpoint is one node ID as the network knows it: its handler (nil until
+// it registers), whether it is down, and its placement.
+type endpoint struct {
+	h    Handler
+	down bool
+	loc  Location
 }
 
 // LinkQuality models a degraded-but-alive (gray-failure) link: latency
@@ -215,13 +240,11 @@ type NetStats struct {
 // events, so interleavings are deterministic.
 type Network struct {
 	k       *Kernel
-	nodes   map[NodeID]Handler
-	down    map[NodeID]bool
-	links   map[linkKey]*linkState
+	nodes   map[NodeID]*endpoint
+	links   map[linkKey]*link
 	latency Duration
 	jitter  Duration
 	seq     uint64
-	locs    map[NodeID]Location
 	topo    TopologyLatency
 	icpts   []Interceptor
 	gates   []DeliveryGate
@@ -233,20 +256,24 @@ type Network struct {
 	deliverFn func(*Message)
 
 	// msgChunk is the arena messages are allocated from (one make per
-	// msgChunkSize sends). Unlike event slots, messages are never reused:
-	// handlers, observers and RPC reply closures keep the pointer, so
-	// handing out chunk pointers is safe only because none comes back.
+	// msgChunkSize sends), msgNext its first unused message: an index, so
+	// handing one out stores no pointer. Unlike event slots, messages are
+	// never reused: handlers, observers and RPC replies keep the pointer,
+	// so handing out chunk pointers is safe only because none comes back.
 	msgChunk []Message
+	msgNext  int
 }
 
-const msgChunkSize = 128
+// msgChunkSize is how many messages one chunk holds: 116 of 88 bytes fill
+// the runtime's 10 KiB size class.
+const msgChunkSize = 116
 
 func (n *Network) newMessage() *Message {
-	if len(n.msgChunk) == 0 {
-		n.msgChunk = make([]Message, msgChunkSize)
+	if n.msgNext == len(n.msgChunk) {
+		n.msgChunk, n.msgNext = make([]Message, msgChunkSize), 0
 	}
-	m := &n.msgChunk[0]
-	n.msgChunk = n.msgChunk[1:]
+	m := &n.msgChunk[n.msgNext]
+	n.msgNext++
 	return m
 }
 
@@ -255,32 +282,54 @@ func (n *Network) newMessage() *Message {
 func NewNetwork(k *Kernel, latency, jitter Duration) *Network {
 	n := &Network{
 		k:       k,
-		nodes:   make(map[NodeID]Handler),
-		down:    make(map[NodeID]bool),
-		links:   make(map[linkKey]*linkState),
+		nodes:   make(map[NodeID]*endpoint),
+		links:   make(map[linkKey]*link),
 		latency: latency,
 		jitter:  jitter,
-		locs:    make(map[NodeID]Location),
 	}
 	n.deliverFn = n.deliver
 	return n
 }
 
+// endpoint returns the record of node id, creating it if there is none.
+func (n *Network) endpoint(id NodeID) *endpoint {
+	ep := n.nodes[id]
+	if ep == nil {
+		ep = new(endpoint)
+		n.nodes[id] = ep
+	}
+	return ep
+}
+
 // link returns the record of the directed link from->to, creating it if the
-// link has none yet. Only Send and the setters call it; read-only paths
-// (Partitioned, LinkQualityOf, deliver) index n.links directly and treat a
-// missing record as the zero value, so a query never grows the table.
-func (n *Network) link(key linkKey) *linkState {
+// link has none yet. Only senders and the setters call it; read-only paths
+// (Partitioned, LinkQualityOf) index n.links directly and treat a missing
+// record as the zero value, so a query never grows the table.
+func (n *Network) link(key linkKey) *link {
 	l := n.links[key]
 	if l == nil {
-		l = new(linkState)
-		n.links[key] = l
+		l = new(link)
+		n.wire(key, l)
 	}
 	return l
 }
 
-// Kernel returns the kernel driving this network.
-func (n *Network) Kernel() *Kernel { return n.k }
+// wire enters l in the table as the record of key, joined to its
+// endpoints.
+func (n *Network) wire(key linkKey, l *link) {
+	l.key = key
+	l.from, l.to = n.endpoint(key.from), n.endpoint(key.to)
+	n.links[key] = l
+}
+
+// back returns the record of l's reverse link, resolving it once.
+func (n *Network) back(l *link) *link {
+	if l.reverse == nil {
+		l.reverse = n.link(linkKey{l.key.to, l.key.from})
+		l.reverse.reverse = l
+	}
+	return l.reverse
+}
 
 // Stats returns a snapshot of the network counters.
 func (n *Network) Stats() NetStats { return n.stats }
@@ -290,27 +339,28 @@ func (n *Network) Stats() NetStats { return n.stats }
 // Whether the node is down is left as it is: a crash and a restart
 // (World.Crash, World.Restart) are what change it.
 func (n *Network) Register(id NodeID, h Handler) {
-	n.nodes[id] = h
+	n.endpoint(id).h = h
 }
 
 // SetDown marks a node crashed (true) or alive (false). Messages to a down
 // node are dropped, like packets to a dead host.
 func (n *Network) SetDown(id NodeID, down bool) {
-	if down {
-		n.down[id] = true
-	} else {
-		delete(n.down, id)
-	}
+	n.endpoint(id).down = down
 }
 
 // Down reports whether a node is marked crashed.
-func (n *Network) Down(id NodeID) bool { return n.down[id] }
+func (n *Network) Down(id NodeID) bool {
+	ep := n.nodes[id]
+	return ep != nil && ep.down
+}
 
 // Nodes returns the sorted IDs of all registered nodes.
 func (n *Network) Nodes() []NodeID {
 	ids := make([]NodeID, 0, len(n.nodes))
-	for id := range n.nodes {
-		ids = append(ids, id)
+	for id, ep := range n.nodes {
+		if ep.h != nil {
+			ids = append(ids, id)
+		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
@@ -377,15 +427,16 @@ func (n *Network) ClearLinkQuality(a, b NodeID) {
 // SetLocation places node id in the topology. A zero Location removes the
 // placement (the node reverts to base latency on all links).
 func (n *Network) SetLocation(id NodeID, loc Location) {
-	if loc.IsZero() {
-		delete(n.locs, id)
-		return
-	}
-	n.locs[id] = loc
+	n.endpoint(id).loc = loc
 }
 
 // LocationOf returns a node's placement (the zero value if unplaced).
-func (n *Network) LocationOf(id NodeID) Location { return n.locs[id] }
+func (n *Network) LocationOf(id NodeID) Location {
+	if ep := n.nodes[id]; ep != nil {
+		return ep.loc
+	}
+	return Location{}
+}
 
 // SetTopologyLatency installs the topology latency ladder. A zero value
 // disables topology-derived latencies.
@@ -394,18 +445,15 @@ func (n *Network) SetTopologyLatency(t TopologyLatency) { n.topo = t }
 // Topology returns the configured latency ladder.
 func (n *Network) Topology() TopologyLatency { return n.topo }
 
-// baseLatency returns the one-way base latency for the directed link
-// from->to: the topology class latency when a ladder is configured and
-// both endpoints are placed, the network-wide base otherwise. Pure
-// lookup — no RNG is consumed, so topology-free worlds keep the exact
-// draw sequence they always had.
-func (n *Network) baseLatency(from, to NodeID) Duration {
-	if n.topo.active() {
-		if la, ok := n.locs[from]; ok {
-			if lb, ok := n.locs[to]; ok {
-				return n.topo.classFor(la, lb)
-			}
-		}
+// baseLatency returns the one-way base latency of link l: the topology
+// class latency when a ladder is configured and both endpoints are placed,
+// the network-wide base otherwise. It reads the endpoints' records, so a
+// placement made after the link's first message counts from the next. No
+// RNG is consumed, so topology-free worlds keep the exact draw sequence
+// they always had.
+func (n *Network) baseLatency(l *link) Duration {
+	if n.topo.active() && !l.from.loc.IsZero() && !l.to.loc.IsZero() {
+		return n.topo.classFor(l.from.loc, l.to.loc)
 	}
 	return n.latency
 }
@@ -422,22 +470,30 @@ func (q LinkQuality) reorderBound() Duration {
 // Send enqueues a message for delivery. It returns the message's unique
 // sequence number.
 func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
+	return n.send(n.link(linkKey{from, to}), kind, payload).Seq
+}
+
+// send is Send on a resolved link. It returns the message, which rides the
+// delivery event and whatever the caller keeps of it.
+func (n *Network) send(l *link, kind string, payload any) *Message {
 	n.seq++
+	// Field by field into the zeroed chunk: a composite literal assigned
+	// through m is a typed copy, which pays a bulk write barrier whenever
+	// the collector is marking.
 	m := n.newMessage()
-	*m = Message{Seq: n.seq, From: from, To: to, Kind: kind, Payload: payload, SentAt: n.k.Now()}
+	m.Seq, m.From, m.To, m.Kind, m.Payload, m.SentAt, m.link = n.seq, l.key.from, l.key.to, kind, payload, n.k.now, l
 	n.stats.Sent++
 	for _, o := range n.obs {
 		o.OnSend(m)
 	}
 
-	// The link's one lookup; everything below reads and writes the record
-	// through l, so an interceptor that reconfigures the link is seen.
-	l := n.link(linkKey{from, to})
+	// Everything below reads and writes the record through l, so an
+	// interceptor that reconfigures the link is seen.
 	if l.partitioned {
 		n.stats.Dropped++
 		n.stats.PartitionRx++
 		n.drop(m, "partitioned")
-		return m.Seq
+		return m
 	}
 
 	var extra Duration
@@ -449,7 +505,7 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		case Drop:
 			n.stats.Dropped++
 			n.drop(m, "intercepted")
-			return m.Seq
+			return m
 		case Delay:
 			extra += d.Delay
 		}
@@ -465,10 +521,10 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		n.stats.Dropped++
 		n.stats.FlakyDrops++
 		n.drop(m, "link-drop")
-		return m.Seq
+		return m
 	}
 
-	lat := n.baseLatency(from, to) + l.extraDelay + extra
+	lat := n.baseLatency(l) + l.extraDelay + extra
 	if n.jitter > 0 {
 		lat += Duration(n.k.Rand().Int63n(int64(n.jitter)))
 	}
@@ -507,24 +563,26 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 		n.stats.Duplicated++
 		n.k.atDeliver(dupAt, n.deliverFn, m)
 	}
-	return m.Seq
+	return m
 }
 
+// deliver reads everything it checks through the message's link record.
 func (n *Network) deliver(m *Message) {
-	if n.Partitioned(m.From, m.To) {
+	l := m.link
+	if l.partitioned {
 		n.stats.Dropped++
 		n.stats.PartitionRx++
 		n.drop(m, "partitioned-in-flight")
 		return
 	}
-	if n.down[m.To] {
+	if l.to.down {
 		n.stats.Dropped++
 		n.stats.DownRx++
 		n.drop(m, "receiver-down")
 		return
 	}
-	h, ok := n.nodes[m.To]
-	if !ok {
+	h := l.to.h
+	if h == nil {
 		n.stats.Dropped++
 		n.drop(m, "no-such-node")
 		return

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrRPCTimeout is delivered to a call's callback when no response arrives
@@ -15,11 +16,25 @@ type ErrRemote struct{ Msg string }
 
 func (e ErrRemote) Error() string { return e.Msg }
 
+// Method is one RPC method: its name and the kinds of the messages that
+// carry its requests ("rpc-req:"+name) and responses ("rpc-resp:"+name),
+// built once. A method is one value, declared by the package that serves
+// it; servers dispatch on its identity.
+type Method struct {
+	Name      string
+	req, resp string
+}
+
+// NewMethod declares the method called name.
+func NewMethod(name string) *Method {
+	return &Method{Name: name, req: "rpc-req:" + name, resp: "rpc-resp:" + name}
+}
+
 // RPCRequest is the payload of a request message. The message's Seq is the
 // call's identity: unique in the world, so no two boots of a client — and no
 // two clients — ever name a call alike.
 type RPCRequest struct {
-	Method string
+	Method *Method
 	Body   any
 }
 
@@ -38,48 +53,76 @@ type RPCClient struct {
 	net     *Network
 	self    NodeID
 	timeout Duration
-	pending map[uint64]pendingCall // by request message Seq
-	// reqKinds interns "rpc-req:"+method per method: every call sends one.
-	reqKinds map[string]string
+	// pending are the outstanding calls in call order, which is ascending
+	// request Seq.
+	pending []pendingCall
+	// routes are the links the client has called over, one per destination:
+	// a call resolves its link without a lookup in the network's table.
+	routes []route
+	// expireFn is c.expire bound once: a call's timeout is a delivery-form
+	// event on its request message, with no closure to allocate.
+	expireFn func(*Message)
 }
 
 type pendingCall struct {
+	id    uint64 // the request message's Seq
 	cb    func(any, error)
 	timer Timer // zero (inert) when the client has no timeout
+}
+
+type route struct {
+	to NodeID
+	l  *link
 }
 
 // NewRPCClient creates a client for node self with the given call timeout
 // (0 disables timeouts).
 func NewRPCClient(net *Network, self NodeID, timeout Duration) *RPCClient {
-	return &RPCClient{net: net, self: self, timeout: timeout,
-		pending: make(map[uint64]pendingCall), reqKinds: make(map[string]string)}
+	c := &RPCClient{net: net, self: self, timeout: timeout}
+	c.expireFn = c.expire
+	return c
 }
 
-// messageKind returns prefix+method, concatenated once per method and kept
-// in kinds: a message kind is built for every request and every response.
-func messageKind(kinds map[string]string, prefix, method string) string {
-	kind, ok := kinds[method]
-	if !ok {
-		kind = prefix + method
-		kinds[method] = kind
+// link returns the client's link to node to.
+func (c *RPCClient) link(to NodeID) *link {
+	for _, r := range c.routes {
+		if r.to == to {
+			return r.l
+		}
 	}
-	return kind
+	l := c.net.link(linkKey{c.self, to})
+	c.routes = append(c.routes, route{to: to, l: l})
+	return l
 }
 
 // Call sends method(body) to the server node and invokes cb exactly once:
 // with the response body, with a remote error, or with ErrRPCTimeout.
-func (c *RPCClient) Call(to NodeID, method string, body any, cb func(any, error)) {
-	id := c.net.Send(c.self, to, messageKind(c.reqKinds, "rpc-req:", method), &RPCRequest{Method: method, Body: body})
-	pc := pendingCall{cb: cb}
+func (c *RPCClient) Call(to NodeID, method *Method, body any, cb func(any, error)) {
+	m := c.net.send(c.link(to), method.req, &RPCRequest{Method: method, Body: body})
+	pc := pendingCall{id: m.Seq, cb: cb}
 	if c.timeout > 0 {
-		pc.timer = c.net.Kernel().Schedule(c.timeout, func() {
-			if _, ok := c.pending[id]; ok {
-				delete(c.pending, id)
-				cb(nil, ErrRPCTimeout)
-			}
-		})
+		// Untagged like a closure, so a pending call blocks a snapshot.
+		pc.timer = c.net.k.atDeliver(c.net.k.now.Add(c.timeout), c.expireFn, m)
 	}
-	c.pending[id] = pc
+	c.pending = append(c.pending, pc)
+}
+
+// take removes and returns the pending call with the given ID.
+func (c *RPCClient) take(id uint64) (pendingCall, bool) {
+	for i, pc := range c.pending {
+		if pc.id == id {
+			c.pending = slices.Delete(c.pending, i, i+1)
+			return pc, true
+		}
+	}
+	return pendingCall{}, false
+}
+
+// expire is a call's timeout coming due: req is its request message.
+func (c *RPCClient) expire(req *Message) {
+	if pc, ok := c.take(req.Seq); ok {
+		pc.cb(nil, ErrRPCTimeout)
+	}
 }
 
 // HandleResponse consumes a message if it is an RPC response for this
@@ -90,11 +133,10 @@ func (c *RPCClient) HandleResponse(m *Message) bool {
 	if !ok {
 		return false
 	}
-	pc, ok := c.pending[resp.ID]
+	pc, ok := c.take(resp.ID)
 	if !ok {
 		return true // late response after timeout/reset; swallow it
 	}
-	delete(c.pending, resp.ID)
 	pc.timer.Cancel()
 	if resp.Err != "" {
 		pc.cb(nil, ErrRemote{Msg: resp.Err})
@@ -110,43 +152,53 @@ func (c *RPCClient) Reset() {
 	for _, pc := range c.pending {
 		pc.timer.Cancel()
 	}
-	c.pending = make(map[uint64]pendingCall)
+	clear(c.pending)
+	c.pending = c.pending[:0]
 }
 
 // PendingCalls returns the number of outstanding calls.
 func (c *RPCClient) PendingCalls() int { return len(c.pending) }
 
-// Reply sends the result of an asynchronous handler back to the caller.
-// It must be invoked exactly once per request.
-type Reply func(body any, err error)
+// Reply is an asynchronous handler's way back to the caller: a value, so
+// handing one to the handler allocates nothing. Send must be called exactly
+// once per request.
+type Reply struct {
+	s   *RPCServer
+	req *Message
+}
+
+// Send answers the request with body, or with err.
+func (r Reply) Send(body any, err error) { r.s.reply(r.req, body, err) }
+
+// handler is one registered method: sync answers in the call, async may
+// defer its reply.
+type handler struct {
+	sync  func(from NodeID, body any) (any, error)
+	async func(from NodeID, body any, reply Reply)
+}
 
 // RPCServer dispatches request messages to registered method handlers and
-// sends responses back to the caller.
+// sends each response back on the link its request came in on.
 type RPCServer struct {
 	net      *Network
-	self     NodeID
-	handlers map[string]func(from NodeID, body any, reply Reply)
-	// respKinds interns "rpc-resp:"+method per method: every reply sends one.
-	respKinds map[string]string
+	handlers map[*Method]handler
 }
 
-// NewRPCServer creates a dispatcher for node self.
-func NewRPCServer(net *Network, self NodeID) *RPCServer {
-	return &RPCServer{net: net, self: self,
-		handlers: make(map[string]func(NodeID, any, Reply)), respKinds: make(map[string]string)}
+// NewRPCServer creates a dispatcher on the network.
+func NewRPCServer(net *Network) *RPCServer {
+	return &RPCServer{net: net, handlers: make(map[*Method]handler)}
 }
 
-// Handle registers a synchronous method handler.
-func (s *RPCServer) Handle(method string, fn func(from NodeID, body any) (any, error)) {
-	s.HandleAsync(method, func(from NodeID, body any, reply Reply) {
-		reply(fn(from, body))
-	})
+// Handle registers a synchronous method handler: its answer goes out with
+// no reply closure.
+func (s *RPCServer) Handle(method *Method, fn func(from NodeID, body any) (any, error)) {
+	s.handlers[method] = handler{sync: fn}
 }
 
 // HandleAsync registers a handler that may defer its reply — e.g. an
 // apiserver write that must first round-trip to the store.
-func (s *RPCServer) HandleAsync(method string, fn func(from NodeID, body any, reply Reply)) {
-	s.handlers[method] = fn
+func (s *RPCServer) HandleAsync(method *Method, fn func(from NodeID, body any, reply Reply)) {
+	s.handlers[method] = handler{async: fn}
 }
 
 // HandleRequest consumes a message if it is an RPC request, dispatching it
@@ -156,19 +208,25 @@ func (s *RPCServer) HandleRequest(m *Message) bool {
 	if !ok {
 		return false
 	}
-	reply := func(body any, err error) {
-		resp := &RPCResponse{ID: m.Seq, Body: body}
-		if err != nil {
-			resp.Err = err.Error()
-			resp.Body = nil
-		}
-		s.net.Send(s.self, m.From, messageKind(s.respKinds, "rpc-resp:", req.Method), resp)
-	}
 	h, ok := s.handlers[req.Method]
-	if !ok {
-		reply(nil, fmt.Errorf("unknown method %q", req.Method))
-		return true
+	switch {
+	case !ok:
+		s.reply(m, nil, fmt.Errorf("unknown method %q", req.Method.Name))
+	case h.sync != nil:
+		body, err := h.sync(m.From, req.Body)
+		s.reply(m, body, err)
+	default:
+		h.async(m.From, req.Body, Reply{s: s, req: m})
 	}
-	h(m.From, req.Body, reply)
 	return true
+}
+
+// reply answers request message m on the reverse of its link.
+func (s *RPCServer) reply(m *Message, body any, err error) {
+	resp := &RPCResponse{ID: m.Seq, Body: body}
+	if err != nil {
+		resp.Err = err.Error()
+		resp.Body = nil
+	}
+	s.net.send(s.net.back(m.link), m.Payload.(*RPCRequest).Method.resp, resp)
 }

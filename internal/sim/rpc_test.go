@@ -4,6 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"unsafe"
+)
+
+var (
+	echoMethod   = NewMethod("echo")
+	failMethod   = NewMethod("fail")
+	nopeMethod   = NewMethod("nope")
+	slowMethod   = NewMethod("slow")
+	deferMethod  = NewMethod("defer")
+	getMethod    = NewMethod("get")
+	putMethod    = NewMethod("put")
+	doubleMethod = NewMethod("double")
 )
 
 type rpcFixture struct {
@@ -18,7 +30,7 @@ func newRPCFixture(timeout Duration) *rpcFixture {
 	n := NewNetwork(k, Millisecond, 0)
 	f := &rpcFixture{k: k, n: n}
 	f.client = NewRPCClient(n, "client", timeout)
-	f.server = NewRPCServer(n, "server")
+	f.server = NewRPCServer(n)
 	n.Register("client", HandlerFunc(func(m *Message) { f.client.HandleResponse(m) }))
 	n.Register("server", HandlerFunc(func(m *Message) { f.server.HandleRequest(m) }))
 	return f
@@ -26,11 +38,11 @@ func newRPCFixture(timeout Duration) *rpcFixture {
 
 func TestRPCCallRoundTrip(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("echo", func(from NodeID, body any) (any, error) {
+	f.server.Handle(echoMethod, func(from NodeID, body any) (any, error) {
 		return fmt.Sprintf("%s:%v", from, body), nil
 	})
 	var got any
-	f.client.Call("server", "echo", 42, func(body any, err error) {
+	f.client.Call("server", echoMethod, 42, func(body any, err error) {
 		if err != nil {
 			t.Errorf("err = %v", err)
 		}
@@ -44,11 +56,11 @@ func TestRPCCallRoundTrip(t *testing.T) {
 
 func TestRPCRemoteError(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("fail", func(NodeID, any) (any, error) {
+	f.server.Handle(failMethod, func(NodeID, any) (any, error) {
 		return nil, errors.New("application exploded")
 	})
 	var gotErr error
-	f.client.Call("server", "fail", nil, func(_ any, err error) { gotErr = err })
+	f.client.Call("server", failMethod, nil, func(_ any, err error) { gotErr = err })
 	f.k.Drain()
 	var remote ErrRemote
 	if !errors.As(gotErr, &remote) || remote.Msg != "application exploded" {
@@ -59,7 +71,7 @@ func TestRPCRemoteError(t *testing.T) {
 func TestRPCUnknownMethod(t *testing.T) {
 	f := newRPCFixture(0)
 	var gotErr error
-	f.client.Call("server", "nope", nil, func(_ any, err error) { gotErr = err })
+	f.client.Call("server", nopeMethod, nil, func(_ any, err error) { gotErr = err })
 	f.k.Drain()
 	if gotErr == nil {
 		t.Fatal("unknown method succeeded")
@@ -68,11 +80,11 @@ func TestRPCUnknownMethod(t *testing.T) {
 
 func TestRPCTimeoutOnPartition(t *testing.T) {
 	f := newRPCFixture(100 * Millisecond)
-	f.server.Handle("echo", func(NodeID, any) (any, error) { return "ok", nil })
+	f.server.Handle(echoMethod, func(NodeID, any) (any, error) { return "ok", nil })
 	f.n.Partition("client", "server")
 	var gotErr error
 	calls := 0
-	f.client.Call("server", "echo", nil, func(_ any, err error) { gotErr = err; calls++ })
+	f.client.Call("server", echoMethod, nil, func(_ any, err error) { gotErr = err; calls++ })
 	f.k.Drain()
 	if !errors.Is(gotErr, ErrRPCTimeout) {
 		t.Fatalf("err = %v", gotErr)
@@ -88,12 +100,12 @@ func TestRPCTimeoutOnPartition(t *testing.T) {
 func TestRPCLateResponseAfterTimeoutSwallowed(t *testing.T) {
 	f := newRPCFixture(50 * Millisecond)
 	// Handler that replies late via an async path.
-	f.server.HandleAsync("slow", func(from NodeID, body any, reply Reply) {
-		f.k.Schedule(200*Millisecond, func() { reply("late", nil) })
+	f.server.HandleAsync(slowMethod, func(from NodeID, body any, reply Reply) {
+		f.k.Schedule(200*Millisecond, func() { reply.Send("late", nil) })
 	})
 	calls := 0
 	var firstErr error
-	f.client.Call("server", "slow", nil, func(_ any, err error) {
+	f.client.Call("server", slowMethod, nil, func(_ any, err error) {
 		calls++
 		if calls == 1 {
 			firstErr = err
@@ -110,11 +122,11 @@ func TestRPCLateResponseAfterTimeoutSwallowed(t *testing.T) {
 
 func TestRPCAsyncHandler(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.HandleAsync("defer", func(from NodeID, body any, reply Reply) {
-		f.k.Schedule(30*Millisecond, func() { reply(body, nil) })
+	f.server.HandleAsync(deferMethod, func(from NodeID, body any, reply Reply) {
+		f.k.Schedule(30*Millisecond, func() { reply.Send(body, nil) })
 	})
 	var got any
-	f.client.Call("server", "defer", "deferred", func(body any, err error) { got = body })
+	f.client.Call("server", deferMethod, "deferred", func(body any, err error) { got = body })
 	f.k.Drain()
 	if got != "deferred" {
 		t.Fatalf("got %v", got)
@@ -126,9 +138,9 @@ func TestRPCAsyncHandler(t *testing.T) {
 
 func TestRPCResetDropsPending(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("echo", func(NodeID, any) (any, error) { return "ok", nil })
+	f.server.Handle(echoMethod, func(NodeID, any) (any, error) { return "ok", nil })
 	called := false
-	f.client.Call("server", "echo", nil, func(any, error) { called = true })
+	f.client.Call("server", echoMethod, nil, func(any, error) { called = true })
 	f.client.Reset() // crash semantics before the response arrives
 	f.k.Drain()
 	if called {
@@ -142,15 +154,15 @@ func TestRPCResetDropsPending(t *testing.T) {
 // to the new boot's first call.
 func TestLateResponseDoesNotCrossBoots(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("get", func(NodeID, any) (any, error) { return "get-body", nil })
-	f.server.Handle("put", func(NodeID, any) (any, error) { return "put-body", nil })
+	f.server.Handle(getMethod, func(NodeID, any) (any, error) { return "get-body", nil })
+	f.server.Handle(putMethod, func(NodeID, any) (any, error) { return "put-body", nil })
 	f.n.SetLinkDelay("server", "client", 50*Millisecond)
-	f.client.Call("server", "get", nil, func(any, error) { t.Error("the dead boot's callback ran") })
+	f.client.Call("server", getMethod, nil, func(any, error) { t.Error("the dead boot's callback ran") })
 	var got []any
 	f.k.Schedule(5*Millisecond, func() {
 		f.client.Reset() // crash ...
 		f.client = NewRPCClient(f.n, "client", 0)
-		f.client.Call("server", "put", nil, func(body any, _ error) { got = append(got, body) }) // ... and reboot
+		f.client.Call("server", putMethod, nil, func(body any, _ error) { got = append(got, body) }) // ... and reboot
 	})
 	f.k.Drain()
 	if len(got) != 1 || got[0] != "put-body" {
@@ -160,13 +172,13 @@ func TestLateResponseDoesNotCrossBoots(t *testing.T) {
 
 func TestRPCConcurrentCallsCorrelate(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("double", func(_ NodeID, body any) (any, error) {
+	f.server.Handle(doubleMethod, func(_ NodeID, body any) (any, error) {
 		return body.(int) * 2, nil
 	})
 	results := map[int]int{}
 	for i := 1; i <= 10; i++ {
 		i := i
-		f.client.Call("server", "double", i, func(body any, err error) {
+		f.client.Call("server", doubleMethod, i, func(body any, err error) {
 			results[i] = body.(int)
 		})
 	}
@@ -179,21 +191,23 @@ func TestRPCConcurrentCallsCorrelate(t *testing.T) {
 }
 
 // TestRPCMessageKindsAreInterned: the kind on the wire is "rpc-req:"+method
-// and "rpc-resp:"+method, for a known and an unknown method alike, and the
-// second message of a method reuses the first one's string — the
-// concatenation runs once per method, not once per message.
+// and "rpc-resp:"+method, for a known and an unknown method alike, and every
+// message of a method carries the one string its Method was declared with —
+// the concatenation runs once per method, not once per message, and no call
+// looks it up.
 func TestRPCMessageKindsAreInterned(t *testing.T) {
 	f := newRPCFixture(0)
-	f.server.Handle("echo", func(_ NodeID, body any) (any, error) { return body, nil })
+	f.server.Handle(echoMethod, func(_ NodeID, body any) (any, error) { return body, nil })
 	var kinds []string
 	f.n.Register("client", HandlerFunc(func(m *Message) { kinds = append(kinds, m.Kind); f.client.HandleResponse(m) }))
 	f.n.Register("server", HandlerFunc(func(m *Message) { kinds = append(kinds, m.Kind); f.server.HandleRequest(m) }))
 	for i := 0; i < 2; i++ {
-		f.client.Call("server", "echo", i, func(any, error) {})
-		f.client.Call("server", "nope", i, func(any, error) {})
+		f.client.Call("server", echoMethod, i, func(any, error) {})
+		f.client.Call("server", nopeMethod, i, func(any, error) {})
 		f.k.Drain()
 	}
 	want := []string{"rpc-req:echo", "rpc-req:nope", "rpc-resp:echo", "rpc-resp:nope"}
+	interned := []string{echoMethod.req, nopeMethod.req, echoMethod.resp, nopeMethod.resp}
 	if len(kinds) != 8 {
 		t.Fatalf("observed %d messages, want 8: %v", len(kinds), kinds)
 	}
@@ -201,37 +215,40 @@ func TestRPCMessageKindsAreInterned(t *testing.T) {
 		if k != want[i%4] {
 			t.Fatalf("message %d kind = %q, want %q", i, k, want[i%4])
 		}
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		messageKind(f.client.reqKinds, "rpc-req:", "echo")
-		messageKind(f.server.respKinds, "rpc-resp:", "echo")
-	}); n != 0 {
-		t.Fatalf("message kind of a method already seen allocates %v times", n)
+		if unsafe.StringData(k) != unsafe.StringData(interned[i%4]) {
+			t.Fatalf("message %d kind %q is not its method's string", i, k)
+		}
 	}
 }
 
 // One round trip allocates what it hands to other code and no more: the
-// timeout closure, the request, the reply closure and the response. The
-// pending-call record lives in the map by value, both deliveries are
-// closure-free events, and the timeout timer is a value.
+// request and the response. The pending call is a slice element, both
+// deliveries and the timeout are closure-free events on the messages, a
+// synchronous handler is answered without a reply closure and an
+// asynchronous one is handed its Reply by value, and the link and the
+// message kinds are resolved before the call.
 func TestRPCRoundTripAllocations(t *testing.T) {
 	f := newRPCFixture(100 * Millisecond)
-	f.server.Handle("echo", func(_ NodeID, body any) (any, error) { return body, nil })
+	f.server.Handle(echoMethod, func(_ NodeID, body any) (any, error) { return body, nil })
+	f.server.HandleAsync(deferMethod, func(_ NodeID, body any, reply Reply) { reply.Send(body, nil) })
 	body := &struct{}{}
 	done := 0
 	cb := func(any, error) { done++ }
-	for i := 0; i < 64; i++ { // warm: slot table, link records, kind strings, the pending map
-		f.client.Call("server", "echo", body, cb)
-	}
-	f.k.Drain()
-	allocs := testing.AllocsPerRun(1000, func() {
-		f.client.Call("server", "echo", body, cb)
+	for _, method := range []*Method{echoMethod, deferMethod} {
+		done = 0
+		for i := 0; i < 64; i++ { // warm: slot table, link records, routes, the pending slice
+			f.client.Call("server", method, body, cb)
+		}
 		f.k.Drain()
-	})
-	if allocs > 4 {
-		t.Fatalf("an RPC round trip allocates %v, want <= 4", allocs)
-	}
-	if done != 64+1001 || f.client.PendingCalls() != 0 {
-		t.Fatalf("done = %d, pending = %d", done, f.client.PendingCalls())
+		allocs := testing.AllocsPerRun(1000, func() {
+			f.client.Call("server", method, body, cb)
+			f.k.Drain()
+		})
+		if allocs > 2 {
+			t.Fatalf("an RPC round trip of %s allocates %v, want <= 2", method.Name, allocs)
+		}
+		if done != 64+1001 || f.client.PendingCalls() != 0 {
+			t.Fatalf("%s: done = %d, pending = %d", method.Name, done, f.client.PendingCalls())
+		}
 	}
 }

@@ -70,16 +70,21 @@ type KernelSnapshot struct {
 // pending — the caller should advance virtual time slightly and retry, or
 // abandon this checkpoint.
 func (k *Kernel) CaptureSnapshot() (KernelSnapshot, bool) {
-	pending := make([]PendingEvent, 0, len(k.heap))
-	for _, e := range k.heap {
+	pending := make([]PendingEvent, 0, len(k.heap)+1)
+	queued := k.heap
+	if k.ticking {
+		queued = append(queued[:len(queued):len(queued)], k.tick) // the tick is listed like any owner's event
+	}
+	for _, e := range queued {
 		ev := &k.slots[e.slot]
 		if ev.canceled {
 			continue
 		}
-		if ev.tag == (EventTag{}) {
+		tag := ev.tagOf()
+		if *tag == (EventTag{}) {
 			return KernelSnapshot{}, false
 		}
-		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: ev.tag,
+		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: *tag,
 			Retired: ev.owner != nil && ev.owner.retired})
 	}
 	sort.Slice(pending, func(i, j int) bool {
@@ -163,9 +168,9 @@ func (k *Kernel) SetSeq(n uint64) { k.seq = n }
 // RestorePending re-inserts a captured owner-dispatched event under the
 // given sequence number, without touching the sequence counter, for the
 // live owner registered under the tag's name (none, if the event was
-// captured retired). It fails, inserting nothing, when no such owner is
-// registered or the event precedes the restored clock. Restore
-// orchestration only.
+// captured retired) — the observer's into the tick entry. It fails,
+// inserting nothing, when no such owner is registered or the event precedes
+// the restored clock. Restore orchestration only.
 func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
 	o := retiredOwner
 	if !pe.Retired {
@@ -177,7 +182,7 @@ func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
 	case pe.At < k.now:
 		return fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", pe.Tag, pe.At, k.now)
 	}
-	k.insert(pe.At, seq, &pe.Tag, o, nil, nil, nil)
+	k.place(pe.At, seq, &pe.Tag, o)
 	return nil
 }
 
@@ -197,47 +202,49 @@ type NetworkSnapshot struct {
 func (n *Network) Snapshot() NetworkSnapshot {
 	s := NetworkSnapshot{
 		Seq:       n.seq,
-		Down:      make(map[NodeID]bool, len(n.down)),
+		Down:      make(map[NodeID]bool),
 		Links:     make(map[linkKey]linkState, len(n.links)),
-		Locations: make(map[NodeID]Location, len(n.locs)),
+		Locations: make(map[NodeID]Location),
 		Topo:      n.topo,
 		Stats:     n.stats,
 	}
-	for k, v := range n.down {
-		s.Down[k] = v
+	for id, ep := range n.nodes {
+		if ep.down {
+			s.Down[id] = true
+		}
+		if !ep.loc.IsZero() {
+			s.Locations[id] = ep.loc
+		}
 	}
 	for k, l := range n.links {
-		s.Links[k] = *l
-	}
-	for k, v := range n.locs {
-		s.Locations[k] = v
+		s.Links[k] = l.linkState
 	}
 	return s
 }
 
-// RestoreRouting re-applies captured link, stream and down state. A restore
-// may ask which processes are down (World.Crashed) from here on: no later
-// registration changes it.
+// RestoreRouting re-applies captured link, stream and down state to a
+// network nothing has sent on or configured yet. A restore may ask which
+// processes are down (World.Crashed) from here on: no later registration
+// changes it.
 func (n *Network) RestoreRouting(s NetworkSnapshot) {
 	n.seq = s.Seq
 	n.stats = s.Stats
-	n.down = make(map[NodeID]bool, len(s.Down))
+	n.topo = s.Topo
 	for id, v := range s.Down {
 		if v {
-			n.down[id] = true
+			n.endpoint(id).down = true
 		}
 	}
-	n.links = make(map[linkKey]*linkState, len(s.Links))
-	recs := make([]linkState, 0, len(s.Links)) // one allocation for every restored record
+	for id, loc := range s.Locations {
+		n.endpoint(id).loc = loc
+	}
+	recs := make([]link, len(s.Links)) // one allocation for every restored record
+	i := 0
 	for k, v := range s.Links {
-		recs = append(recs, v)
-		n.links[k] = &recs[len(recs)-1]
+		recs[i].linkState = v
+		n.wire(k, &recs[i])
+		i++
 	}
-	n.locs = make(map[NodeID]Location, len(s.Locations))
-	for k, v := range s.Locations {
-		n.locs[k] = v
-	}
-	n.topo = s.Topo
 }
 
 // Timeout returns the client's configured call timeout.

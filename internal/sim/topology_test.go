@@ -112,7 +112,47 @@ func TestTopologySnapshotRoundTrip(t *testing.T) {
 	if loc := n2.LocationOf("b"); loc != (Location{Rack: "r1", Zone: "z1", DC: "dc1"}) {
 		t.Fatalf("restored location of b = %+v", loc)
 	}
-	if got := n2.baseLatency("a", "b"); got != topo.CrossDC {
-		t.Fatalf("restored baseLatency(a,b) = %v, want %v", got, topo.CrossDC)
+	if got := n2.baseLatency(n2.link(linkKey{"a", "b"})); got != topo.CrossDC {
+		t.Fatalf("restored base latency of a->b = %v, want %v", got, topo.CrossDC)
+	}
+}
+
+// TestPlacementReResolvesLinks: a link's base latency follows its endpoints'
+// placements and the ladder as they change after its first message — a
+// record kept by a sender never serves a stale class.
+func TestPlacementReResolvesLinks(t *testing.T) {
+	k := NewKernel(1)
+	n := NewNetwork(k, Millisecond, 0)
+	var at []Time
+	n.Register("b", HandlerFunc(func(*Message) { at = append(at, k.Now()) }))
+	topo := TopologyLatency{IntraRack: 250 * Microsecond, IntraDC: 2 * Millisecond, CrossDC: 5 * Millisecond}
+	send := func() Duration {
+		start := k.Now()
+		n.Send("a", "b", "x", nil)
+		k.Drain()
+		return at[len(at)-1].Sub(start)
+	}
+	steps := []struct {
+		name string
+		set  func()
+		want Duration
+	}{
+		{"unplaced", func() {}, Millisecond},
+		{"ladder without placements", func() { n.SetTopologyLatency(topo) }, Millisecond},
+		{"a placed", func() { n.SetLocation("a", Location{Rack: "r0", DC: "dc0"}) }, Millisecond},
+		{"b in a's rack", func() { n.SetLocation("b", Location{Rack: "r0", DC: "dc0"}) }, topo.IntraRack},
+		{"b moved to another DC", func() { n.SetLocation("b", Location{Rack: "r0", DC: "dc1"}) }, topo.CrossDC},
+		{"a unplaced", func() { n.SetLocation("a", Location{}) }, Millisecond},
+		{"a back, ladder off", func() {
+			n.SetLocation("a", Location{Rack: "r0", DC: "dc0"})
+			n.SetTopologyLatency(TopologyLatency{})
+		}, Millisecond},
+		{"ladder on again", func() { n.SetTopologyLatency(topo) }, topo.CrossDC},
+	}
+	for _, s := range steps {
+		s.set()
+		if got := send(); got != s.want {
+			t.Errorf("%s: a->b took %v, want %v", s.name, got, s.want)
+		}
 	}
 }

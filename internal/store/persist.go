@@ -16,9 +16,7 @@ type walRecord struct {
 }
 
 // PersistTo hooks every subsequent commit into the given WAL, so the
-// store's full history of mutations is durable. Lease metadata is not
-// persisted (lease-attached keys reappear unleased after recovery, which
-// conservatively models lost lease sessions after a full store restart).
+// store's full history of mutations is durable.
 func (s *Store) PersistTo(l *wal.Log) {
 	s.AddNotifyHook(func(events []history.Event) {
 		for _, e := range events {

@@ -58,7 +58,7 @@ type ReplicaServer struct {
 	st    *Store
 	rpc   *sim.RPCServer
 
-	pending map[uint64]sim.Reply // raft index -> reply to the proposer's client
+	pending map[uint64]func(any, error) // raft index -> reply to the proposer's client
 	subs    map[string]*subscription
 }
 
@@ -81,11 +81,11 @@ func newReplica(w *sim.World, id sim.NodeID, peers []sim.NodeID, cfg raftlite.Co
 		id:      id,
 		world:   w,
 		st:      New(),
-		pending: make(map[uint64]sim.Reply),
+		pending: make(map[uint64]func(any, error)),
 		subs:    make(map[string]*subscription),
 	}
 	r.raft = raftlite.NewNode(w, id, peers, cfg, log, r.applyEntry)
-	r.rpc = sim.NewRPCServer(w.Network(), id)
+	r.rpc = sim.NewRPCServer(w.Network())
 	r.register()
 	// The raft node registered itself as the network handler and process
 	// for id; take over both so client RPCs are demultiplexed and crash
@@ -107,7 +107,7 @@ func (r *ReplicaServer) Raft() *raftlite.Node { return r.raft }
 // the applied store is rebuilt on restart by replaying the WAL).
 func (r *ReplicaServer) Crash() {
 	r.raft.Crash()
-	r.pending = make(map[uint64]sim.Reply)
+	r.pending = make(map[uint64]func(any, error))
 	for _, sub := range r.subs {
 		sub.handle.Cancel()
 	}
@@ -171,13 +171,13 @@ func (r *ReplicaServer) register() {
 		req := body.(*PutRequest)
 		r.proposeWithReply(replCommand{
 			OnSuccess: []Op{{Type: OpPut, Key: req.Key, Value: req.Value}},
-		}, func(_ any, err error) { reply(nil, err) })
+		}, func(_ any, err error) { reply.Send(nil, err) })
 	})
 	r.rpc.HandleAsync(MethodTxn, func(_ sim.NodeID, body any, reply sim.Reply) {
 		req := body.(*TxnRequest)
 		r.proposeWithReply(replCommand{
 			Guards: req.Guards, OnSuccess: req.OnSuccess,
-		}, reply)
+		}, reply.Send)
 	})
 	r.rpc.Handle(MethodWatch, func(from sim.NodeID, body any) (any, error) {
 		req := body.(*WatchRequest)
@@ -207,7 +207,7 @@ func (r *ReplicaServer) register() {
 
 // proposeWithReply registers the reply before proposing so a synchronous
 // apply (single-node or fast path) still finds it.
-func (r *ReplicaServer) proposeWithReply(cmd replCommand, reply sim.Reply) {
+func (r *ReplicaServer) proposeWithReply(cmd replCommand, reply func(any, error)) {
 	cmd.Time = int64(r.world.Now())
 	data, err := json.Marshal(cmd)
 	if err != nil {

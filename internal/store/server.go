@@ -7,17 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// RPC method names served by Server.
-const (
-	MethodRange          = "store.Range"
-	MethodGet            = "store.Get"
-	MethodPut            = "store.Put"
-	MethodTxn            = "store.Txn"
-	MethodWatch          = "store.Watch"
-	MethodEventsSince    = "store.EventsSince"
-	MethodLeaseGrant     = "store.LeaseGrant"
-	MethodLeaseKeepAlive = "store.LeaseKeepAlive"
-	MethodLeaseRevoke    = "store.LeaseRevoke"
+// RPC methods served by Server.
+var (
+	MethodRange       = sim.NewMethod("store.Range")
+	MethodGet         = sim.NewMethod("store.Get")
+	MethodPut         = sim.NewMethod("store.Put")
+	MethodTxn         = sim.NewMethod("store.Txn")
+	MethodWatch       = sim.NewMethod("store.Watch")
+	MethodEventsSince = sim.NewMethod("store.EventsSince")
 )
 
 // KindWatchPush is the message kind of server->subscriber event pushes;
@@ -42,12 +39,10 @@ type (
 		KV    KV
 		Found bool
 	}
-	// PutRequest writes Key=Value (optionally bound to a lease). Its
-	// reply carries no body.
+	// PutRequest writes Key=Value. Its reply carries no body.
 	PutRequest struct {
 		Key   string
 		Value []byte
-		Lease LeaseID
 	}
 	// TxnRequest is a guarded atomic batch.
 	TxnRequest struct {
@@ -74,18 +69,6 @@ type (
 	}
 	// EventsSinceResponse carries the pulled events.
 	EventsSinceResponse struct{ Events []history.Event }
-	// LeaseGrantRequest creates a lease with the given TTL.
-	LeaseGrantRequest struct{ TTL int64 }
-	// LeaseGrantResponse returns the new lease.
-	LeaseGrantResponse struct{ Lease Lease }
-	// LeaseKeepAliveRequest renews a lease.
-	LeaseKeepAliveRequest struct{ ID LeaseID }
-	// LeaseKeepAliveResponse returns the renewed lease.
-	LeaseKeepAliveResponse struct{ Lease Lease }
-	// LeaseRevokeRequest revokes a lease.
-	LeaseRevokeRequest struct{ ID LeaseID }
-	// LeaseRevokeResponse lists keys deleted by the revocation.
-	LeaseRevokeResponse struct{ DeletedKeys []string }
 	// WatchPush is the payload of KindWatchPush messages.
 	WatchPush struct {
 		SubID  uint64
@@ -112,32 +95,20 @@ type Server struct {
 	st    *Store
 	rpc   *sim.RPCServer
 	subs  map[string]*subscription // key: client/subID
-
-	leaseTick sim.Duration
-	timers    *sim.Timers // the world's: a boot is its owner
 }
 
-// wireServer registers a store actor over st in the world under the given
-// node ID: what NewServer starts ticking and RestoreServer assigns captured
-// subscriptions to.
-func wireServer(w *sim.World, id sim.NodeID, st *Store) *Server {
-	s := &Server{
-		id:        id,
-		world:     w,
-		st:        st,
-		subs:      make(map[string]*subscription),
-		leaseTick: 50 * sim.Millisecond,
-	}
-	s.rpc = sim.NewRPCServer(w.Network(), id)
-	s.register()
-	s.timers = w.Join(s, s.leaseTickFire)
-	return s
-}
-
-// NewServer wires a store actor into the world under the given node ID.
+// NewServer wires a store actor into the world under the given node ID. It
+// arms no timer: the store only answers.
 func NewServer(w *sim.World, id sim.NodeID, st *Store) *Server {
-	s := wireServer(w, id, st)
-	s.scheduleLeaseTick()
+	s := &Server{
+		id:    id,
+		world: w,
+		st:    st,
+		subs:  make(map[string]*subscription),
+	}
+	s.rpc = sim.NewRPCServer(w.Network())
+	s.register()
+	w.Join(s, nil)
 	return s
 }
 
@@ -157,26 +128,12 @@ func (s *Server) Crash() {
 }
 
 // Restart resumes serving. Durable store state is retained.
-func (s *Server) Restart() {
-	s.scheduleLeaseTick()
-}
+func (s *Server) Restart() {}
 
 // HandleMessage implements sim.Handler.
 func (s *Server) HandleMessage(m *sim.Message) {
 	s.st.SetNow(int64(s.world.Now()))
 	s.rpc.HandleRequest(m)
-}
-
-func (s *Server) scheduleLeaseTick() {
-	s.timers.After(s.leaseTick, sim.EventTag{Kind: "leasetick"})
-}
-
-// leaseTickFire is the lease-expiry timer body, the one timer the server
-// owns.
-func (s *Server) leaseTickFire(sim.EventTag) {
-	s.st.SetNow(int64(s.world.Now()))
-	s.st.ExpireDue()
-	s.scheduleLeaseTick()
 }
 
 // pushTo returns the notify of client's subscription subID: each batch goes
@@ -206,10 +163,6 @@ func (s *Server) register() {
 	})
 	s.rpc.Handle(MethodPut, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*PutRequest)
-		if req.Lease != 0 {
-			_, err := s.st.PutWithLease(req.Key, req.Value, req.Lease)
-			return nil, err
-		}
 		s.st.Put(req.Key, req.Value)
 		return nil, nil
 	})
@@ -241,25 +194,5 @@ func (s *Server) register() {
 			return nil, err
 		}
 		return &EventsSinceResponse{Events: events}, nil
-	})
-	s.rpc.Handle(MethodLeaseGrant, func(_ sim.NodeID, body any) (any, error) {
-		req := body.(*LeaseGrantRequest)
-		return &LeaseGrantResponse{Lease: s.st.GrantLease(req.TTL)}, nil
-	})
-	s.rpc.Handle(MethodLeaseKeepAlive, func(_ sim.NodeID, body any) (any, error) {
-		req := body.(*LeaseKeepAliveRequest)
-		l, err := s.st.KeepAlive(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &LeaseKeepAliveResponse{Lease: l}, nil
-	})
-	s.rpc.Handle(MethodLeaseRevoke, func(_ sim.NodeID, body any) (any, error) {
-		req := body.(*LeaseRevokeRequest)
-		keys, err := s.st.RevokeLease(req.ID)
-		if err != nil {
-			return nil, err
-		}
-		return &LeaseRevokeResponse{DeletedKeys: keys}, nil
 	})
 }

@@ -59,11 +59,10 @@ func (s *Server) Snapshot() (*Snapshot, bool) {
 }
 
 // RestoreServer reconstructs a store server (and its store) from a
-// snapshot inside world w. No timer is armed: the kernel re-inserts a
-// pending lease tick from its snapshot.
+// snapshot inside world w.
 func RestoreServer(w *sim.World, snap *Snapshot) *Server {
 	st := &Store{watchers: make(map[int64]*watcher), storeState: snap.Store.clone()}
-	s := wireServer(w, snap.ID, st)
+	s := NewServer(w, snap.ID, st)
 	for _, sub := range snap.Subs {
 		st.watchers[sub.WatcherID] = &watcher{prefix: sub.Prefix, notify: s.pushTo(sub.Client, sub.SubID)}
 		s.subs[subKey(sub.Client, sub.SubID)] = &subscription{

@@ -1,6 +1,6 @@
 // Package store implements an etcd-like, logically centralized,
 // strongly-consistent data store: an MVCC keyspace with global revisions,
-// compare-and-swap transactions, leases, watch streams with start
+// compare-and-swap transactions, watch streams with start
 // revisions, and compaction of the retained event window.
 //
 // The store is the system's ground truth (H, S) in the paper's model: every
@@ -37,8 +37,6 @@ var (
 	ErrFutureRevision = errors.New("store: required revision is in the future")
 	// ErrTxnFailed is returned by Txn when a guard fails.
 	ErrTxnFailed = errors.New("store: transaction guards failed")
-	// ErrLeaseNotFound is returned for operations on unknown leases.
-	ErrLeaseNotFound = errors.New("store: lease not found")
 	// ErrKeyNotFound is returned by deletes of absent keys.
 	ErrKeyNotFound = errors.New("store: key not found")
 )
@@ -50,7 +48,6 @@ type KV struct {
 	CreateRevision int64
 	ModRevision    int64
 	Version        int64
-	Lease          LeaseID // 0 if not attached to a lease
 }
 
 func (kv KV) clone() KV {
@@ -104,9 +101,6 @@ type storeState struct {
 	kvs       map[string]KV   `snap:"shared-elems"`
 	hist      history.History `snap:"shared"`
 	nextWatch int64
-	leases    map[LeaseID]Lease
-	nextLease LeaseID
-	leaseKeys map[LeaseID]map[string]bool
 	retainMax int   // max retained history events; 0 = unlimited
 	now       int64 // virtual time stamped on committed events
 }
@@ -114,12 +108,6 @@ type storeState struct {
 func (s storeState) clone() storeState {
 	s.kvs = sim.CloneMap(s.kvs)
 	s.hist = s.hist.Fork()
-	s.leases = sim.CloneMap(s.leases)
-	keys := make(map[LeaseID]map[string]bool, len(s.leaseKeys))
-	for id, set := range s.leaseKeys {
-		keys[id] = sim.CloneMap(set)
-	}
-	s.leaseKeys = keys
 	return s
 }
 
@@ -160,12 +148,8 @@ func (p *Prefix) Generation() *sim.Generation { return &p.gen }
 // New returns an empty store at revision 0.
 func New() *Store {
 	return &Store{
-		watchers: make(map[int64]*watcher),
-		storeState: storeState{
-			kvs:       make(map[string]KV),
-			leases:    make(map[LeaseID]Lease),
-			leaseKeys: make(map[LeaseID]map[string]bool),
-		},
+		watchers:   make(map[int64]*watcher),
+		storeState: storeState{kvs: make(map[string]KV)},
 	}
 }
 
@@ -261,20 +245,6 @@ func (s *Store) decodeMemo(key string, kv KV, decode func(value []byte, rev int6
 
 // Put writes key=value and returns the new revision.
 func (s *Store) Put(key string, value []byte) int64 {
-	return s.putWithLease(key, value, 0)
-}
-
-// PutWithLease writes key=value attached to a lease. A zero lease detaches.
-func (s *Store) PutWithLease(key string, value []byte, id LeaseID) (int64, error) {
-	if id != 0 {
-		if _, ok := s.leases[id]; !ok {
-			return 0, ErrLeaseNotFound
-		}
-	}
-	return s.putWithLease(key, value, id), nil
-}
-
-func (s *Store) putWithLease(key string, value []byte, id LeaseID) int64 {
 	prev, existed := s.kvs[key]
 	s.rev++
 	// One copy of the caller's bytes, shared by the KV and the history
@@ -286,19 +256,12 @@ func (s *Store) putWithLease(key string, value []byte, id LeaseID) int64 {
 		ModRevision:    s.rev,
 		CreateRevision: s.rev,
 		Version:        1,
-		Lease:          id,
 	}
 	var prevRev int64
 	if existed {
 		kv.CreateRevision = prev.CreateRevision
 		kv.Version = prev.Version + 1
 		prevRev = prev.ModRevision
-		if prev.Lease != 0 && prev.Lease != id {
-			s.detachLease(prev.Lease, key)
-		}
-	}
-	if id != 0 {
-		s.attachLease(id, key)
 	}
 	s.kvs[key] = kv
 	s.commit(history.Event{
@@ -313,9 +276,6 @@ func (s *Store) Delete(key string) (int64, error) {
 	prev, ok := s.kvs[key]
 	if !ok {
 		return s.rev, ErrKeyNotFound
-	}
-	if prev.Lease != 0 {
-		s.detachLease(prev.Lease, key)
 	}
 	delete(s.kvs, key)
 	delete(s.decoded, key)

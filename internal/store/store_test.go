@@ -233,7 +233,7 @@ func TestTxnBranches(t *testing.T) {
 	s.Put("/a", []byte("1"))
 	s.Put("/fallback", []byte("ran"))
 	// Failing guard → ErrTxnFailed, and no op runs.
-	if res, err := s.Txn([]Cmp{{Key: "/a", Target: CmpVersion, IntVal: 99}},
+	if res, err := s.Txn([]Cmp{{Key: "/a", Target: CmpModRevision, IntVal: 99}},
 		[]Op{{Type: OpPut, Key: "/won", Value: nil}}); !errors.Is(err, ErrTxnFailed) || res.Succeeded {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
@@ -266,8 +266,7 @@ func TestTxnGuardTargets(t *testing.T) {
 	}{
 		{Cmp{Key: "/a", Target: CmpModRevision, IntVal: 2}, true},
 		{Cmp{Key: "/a", Target: CmpModRevision, IntVal: 1}, false},
-		{Cmp{Key: "/a", Target: CmpCreateRevision, IntVal: 1}, true},
-		{Cmp{Key: "/a", Target: CmpVersion, IntVal: 2}, true},
+		{Cmp{Key: "/a", Target: CmpModRevision, IntVal: 0}, false},
 		{Cmp{Key: "/a", Target: CmpExists, IntVal: 1}, true},
 		{Cmp{Key: "/zz", Target: CmpExists, IntVal: 0}, true},
 		{Cmp{Key: "/zz", Target: CmpExists, IntVal: 1}, false},
@@ -280,86 +279,6 @@ func TestTxnGuardTargets(t *testing.T) {
 	}
 }
 
-func TestLeaseLifecycle(t *testing.T) {
-	s := New()
-	s.SetNow(1000)
-	l := s.GrantLease(500)
-	if l.ExpiresAt != 1500 {
-		t.Fatalf("expiry = %d", l.ExpiresAt)
-	}
-	if _, err := s.PutWithLease("/member/a", []byte("alive"), l.ID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PutWithLease("/x", nil, LeaseID(999)); !errors.Is(err, ErrLeaseNotFound) {
-		t.Fatalf("unknown lease: %v", err)
-	}
-
-	// KeepAlive extends expiry.
-	s.SetNow(1400)
-	if _, err := s.KeepAlive(l.ID); err != nil {
-		t.Fatal(err)
-	}
-	s.SetNow(1600)
-	if deleted := s.ExpireDue(); len(deleted) != 0 {
-		t.Fatalf("lease expired despite keepalive: %v", deleted)
-	}
-
-	// Expiry deletes attached keys and commits Delete events.
-	s.SetNow(2000)
-	deleted := s.ExpireDue()
-	if len(deleted) != 1 || deleted[0] != "/member/a" {
-		t.Fatalf("deleted = %v", deleted)
-	}
-	if _, _, ok := s.Get("/member/a"); ok {
-		t.Fatal("lease key survived expiry")
-	}
-	h := s.History()
-	last := h.At(h.Len() - 1)
-	if last.Type != history.Delete || last.Key != "/member/a" {
-		t.Fatalf("expiry event = %+v", last)
-	}
-	if _, ok := s.LeaseInfo(l.ID); ok {
-		t.Fatal("expired lease still present")
-	}
-}
-
-func TestLeaseDetachOnOverwriteAndDelete(t *testing.T) {
-	s := New()
-	l := s.GrantLease(1000)
-	if _, err := s.PutWithLease("/k", []byte("1"), l.ID); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite without lease detaches.
-	s.Put("/k", []byte("2"))
-	s.SetNow(2000)
-	if deleted := s.ExpireDue(); len(deleted) != 0 {
-		t.Fatalf("detached key deleted by expiry: %v", deleted)
-	}
-	kv, _, ok := s.Get("/k")
-	if !ok || kv.Lease != 0 {
-		t.Fatalf("kv = %+v", kv)
-	}
-}
-
-func TestRevokeLease(t *testing.T) {
-	s := New()
-	l := s.GrantLease(1000)
-	_, _ = s.PutWithLease("/a", nil, l.ID)
-	_, _ = s.PutWithLease("/b", nil, l.ID)
-	keys, err := s.RevokeLease(l.ID)
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("keys=%v err=%v", keys, err)
-	}
-	if _, err := s.RevokeLease(l.ID); !errors.Is(err, ErrLeaseNotFound) {
-		t.Fatalf("double revoke: %v", err)
-	}
-	if s.Len() != 0 {
-		t.Fatal("lease keys survived revoke")
-	}
-}
-
-// Property: the store's history, materialized, always equals the store's
-// live state — H determines S (paper §3).
 func TestPropertyHistoryMaterializesToState(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

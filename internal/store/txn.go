@@ -13,10 +13,6 @@ type CmpTarget int
 const (
 	// CmpModRevision compares the key's ModRevision.
 	CmpModRevision CmpTarget = iota
-	// CmpCreateRevision compares the key's CreateRevision.
-	CmpCreateRevision
-	// CmpVersion compares the key's Version.
-	CmpVersion
 	// CmpExists asserts the key exists (IntVal != 0) or not (IntVal == 0).
 	CmpExists
 )
@@ -43,7 +39,6 @@ type Op struct {
 	Type  OpType
 	Key   string
 	Value []byte
-	Lease LeaseID
 }
 
 // TxnResult reports the outcome of a transaction.
@@ -63,16 +58,6 @@ func (s *Store) Check(c Cmp) bool {
 			return c.IntVal == 0
 		}
 		return kv.ModRevision == c.IntVal
-	case CmpCreateRevision:
-		if !ok {
-			return c.IntVal == 0
-		}
-		return kv.CreateRevision == c.IntVal
-	case CmpVersion:
-		if !ok {
-			return c.IntVal == 0
-		}
-		return kv.Version == c.IntVal
 	default:
 		return false
 	}
@@ -89,13 +74,7 @@ func (s *Store) Txn(guards []Cmp, ops []Op) (TxnResult, error) {
 	for _, op := range ops {
 		switch op.Type {
 		case OpPut:
-			if op.Lease != 0 {
-				if _, err := s.PutWithLease(op.Key, op.Value, op.Lease); err != nil {
-					return TxnResult{Succeeded: true, Revision: s.rev}, err
-				}
-			} else {
-				s.Put(op.Key, op.Value)
-			}
+			s.Put(op.Key, op.Value)
 		case OpDelete:
 			// Deleting an absent key inside a txn is a no-op, matching
 			// etcd's DeleteRange semantics.

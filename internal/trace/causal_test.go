@@ -22,10 +22,10 @@ func buildTrace() *Trace {
 	r.T.Deliveries[len(r.T.Deliveries)-1].Time = 100
 	push(r, "api-1", "scheduler", 2, apiserver.Added, cluster.KindPod, "p1", 6, false)
 	r.T.Deliveries[len(r.T.Deliveries)-1].Time = 110
-	r.T.Writes = append(r.T.Writes, Write{From: "scheduler", Time: 130, Method: apiserver.MethodUpdate, Kind: cluster.KindPod, Name: "p1"})
+	r.T.Writes = append(r.T.Writes, Write{From: "scheduler", Time: 130, Method: apiserver.MethodUpdate.Name, Kind: cluster.KindPod, Name: "p1"})
 	push(r, "api-1", "kubelet-k1", 3, apiserver.Modified, cluster.KindPod, "p1", 7, false)
 	r.T.Deliveries[len(r.T.Deliveries)-1].Time = 150
-	r.T.Writes = append(r.T.Writes, Write{From: "kubelet-k1", Time: 160, Method: apiserver.MethodUpdate, Kind: cluster.KindPod, Name: "p1"})
+	r.T.Writes = append(r.T.Writes, Write{From: "kubelet-k1", Time: 160, Method: apiserver.MethodUpdate.Name, Kind: cluster.KindPod, Name: "p1"})
 	push(r, "api-1", "scheduler", 4, apiserver.Deleted, cluster.KindNode, "n1", 8, false)
 	r.T.Deliveries[len(r.T.Deliveries)-1].Time = 900
 	return r.T

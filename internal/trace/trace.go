@@ -173,17 +173,17 @@ func (r *Recorder) OnSend(m *sim.Message) {
 		subs[body.Kind] = true
 	case *apiserver.CreateRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method,
+			From: m.From, Time: m.SentAt, Method: req.Method.Name,
 			Kind: body.Object.Meta.Kind, Name: body.Object.Meta.Name,
 		})
 	case *apiserver.UpdateRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method,
+			From: m.From, Time: m.SentAt, Method: req.Method.Name,
 			Kind: body.Object.Meta.Kind, Name: body.Object.Meta.Name,
 		})
 	case *apiserver.DeleteRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method,
+			From: m.From, Time: m.SentAt, Method: req.Method.Name,
 			Kind: body.Kind, Name: body.Name,
 		})
 	case *apiserver.ListRequest, *store.RangeRequest:

@@ -115,7 +115,7 @@ func (w *writes) OnSend(m *sim.Message) {
 			w.bySeq = make(map[uint64]int)
 		}
 		w.bySeq[m.Seq] = len(w.requests)
-		w.requests = append(w.requests, writeRequest{from: m.From, to: m.To, method: p.Method, obj: obj})
+		w.requests = append(w.requests, writeRequest{from: m.From, to: m.To, method: p.Method.Name, obj: obj})
 	case *sim.RPCResponse:
 		wr, ok := p.Body.(*apiserver.WriteResponse)
 		if !ok || wr.Object == nil {
@@ -232,7 +232,7 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	report := strings.Join(mutatedSharedObjects(c, &writes), "\n")
 	for _, holder := range []string{
 		fmt.Sprintf("%s write reply to %s holds", conn.APIServer(), conn.Self()),
-		fmt.Sprintf("%s %s request to %s holds", conn.Self(), apiserver.MethodUpdate, conn.APIServer()),
+		fmt.Sprintf("%s %s request to %s holds", conn.Self(), apiserver.MethodUpdate.Name, conn.APIServer()),
 		fmt.Sprintf("%s informer %d holds", conn.Self(), inf.SubID()),
 		fmt.Sprintf("%s informer %d order is not its cache", conn.Self(), sorter.SubID()),
 		fmt.Sprintf("%s memo holds", conn.APIServer()),

@@ -25,7 +25,10 @@ import (
 // experiments. It fails on
 //
 //   - (a) a non-test package-level func, method, type, var or const that no
-//     root reaches;
+//     root reaches; a const is reached only by a use other than a case
+//     expression or an operand of == or !=, since no test matches a value
+//     nothing produces (one matched against input the program reads, such
+//     as a flag's words, is allowlisted);
 //   - (b) a field of a reached struct that no reached code writes: by
 //     assignment (also as part of a selector path, x.f.g = …), by
 //     composite-literal key, by taking its address or calling a
@@ -70,6 +73,7 @@ func TestReachFixture(t *testing.T) {
 		"lib.Counter.Hits is a field no reached code reads",
 		"lib.Counter.Zero is a field no reached code writes",
 		"lib.Dead.Gone is gone, reached, read and written; delete the line",
+		"lib.modeB is reached from no root",
 		"lib.unused is reached from no root",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -477,11 +481,27 @@ func (r *reach) reach(o types.Object) {
 // the fields it reads and writes.
 func (r *reach) visit(d *decl) {
 	info := d.pkg.info
-	targets := map[ast.Expr]bool{} // selectors an assignment stores to
+	targets := map[ast.Expr]bool{}    // selectors an assignment stores to
+	compared := map[*ast.Ident]bool{} // names a case or ==, != only tests against
+	compare := func(e ast.Expr) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			compared[x] = true
+		case *ast.SelectorExpr:
+			compared[x.Sel] = true
+		}
+	}
 	ast.Inspect(d.node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
+			if _, isConst := info.Uses[n].(*types.Const); isConst && compared[n] {
+				break
+			}
 			r.use(info.Uses[n])
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				compare(e)
+			}
 		case *ast.SelectorExpr:
 			r.selector(info, n, targets[n])
 		case *ast.CompositeLit:
@@ -509,6 +529,8 @@ func (r *reach) visit(d *decl) {
 			if n.Op == token.EQL || n.Op == token.NEQ {
 				r.readAll(info.Types[n.X].Type, false)
 				r.readAll(info.Types[n.Y].Type, false)
+				compare(n.X)
+				compare(n.Y)
 			}
 		case *ast.CallExpr:
 			if sig, ok := info.Types[n.Fun].Type.(*types.Signature); ok {

@@ -55,8 +55,23 @@ type outer struct {
 	base
 }
 
-// Run reaches everything above but unused.
+// mode's constants: modeA is assigned, so it is reached; modeB is only
+// tested against, by a case and by == (finding: a constant reached from no
+// root, since nothing produces its value).
+type mode int
+
+const (
+	modeA mode = iota
+	modeB
+)
+
+// Run reaches everything above but unused and modeB.
 func Run(cfg Config) {
+	m := modeA
+	switch m {
+	case modeB:
+		m = modeA
+	}
 	var c Counter
 	c.Hits++
 	seen := map[key]bool{{a: "x", b: "y"}: true}
@@ -64,7 +79,7 @@ func Run(cfg Config) {
 	b, _ := json.Marshal(wire{})
 	var o outer
 	o.bump()
-	fmt.Println(cfg.Set, cfg.Unset, c.Zero, len(seen), p == q, shown{msg: "hi"}, len(b), o.n)
+	fmt.Println(cfg.Set, cfg.Unset, c.Zero, len(seen), p == q, shown{msg: "hi"}, len(b), o.n, m == modeB)
 }
 
 // unused is reached from no root (finding).
