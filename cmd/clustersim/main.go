@@ -86,6 +86,13 @@ func main() {
 	fmt.Printf("\nnetwork: sent=%d delivered=%d dropped=%d\n",
 		st.Sent, st.Delivered, st.Dropped)
 	fmt.Printf("store: revision=%d keys=%d\n", c.Store.Store().Revision(), c.Store.Store().Len())
+	// decoded counts the committed revisions an apiserver had to decode:
+	// one written through an apiserver of the cluster is its writer's
+	// object, so a healthy run decodes none.
+	for _, api := range c.APIs {
+		s := api.Stats()
+		fmt.Printf("%s: revision=%d pushed=%d decoded=%d\n", api.ID(), api.CachedRevision(), s.RelaySends, s.ApplyDecodes)
+	}
 }
 
 func configure(scenario, perturb string, fixed bool, seed int64) (core.Target, core.Plan, error) {

@@ -1,6 +1,7 @@
 package apiserver
 
 import (
+	"bytes"
 	"errors"
 	"sort"
 	"strconv"
@@ -72,41 +73,114 @@ type decodedObj struct {
 	obj *cluster.Object
 }
 
-// Decodes is one cluster's memo of committed revisions decoded by its
-// apiservers: the newest decode of each key. Every apiserver of the
-// cluster asks it before decoding a pushed revision, so a revision is
-// decoded once per cluster, not once per apiserver. It is a pure function
-// of committed bytes: it is never captured (a restored cluster starts with
-// an empty one and refills it on miss), and an apiserver looks up only a
-// (key, revision) whose bytes it has itself received. One cluster's
-// apiservers share one; two clusters never do.
+// Decodes is one cluster's memo of the objects its committed revisions
+// stand for: the two newest of each key, and the newest object an apiserver
+// of the cluster wrote to the key with the bytes it encoded. Every
+// apiserver of the cluster asks it for a pushed revision, so a revision is
+// turned into an object once per cluster, not once per apiserver, and a
+// revision written through one of them is not decoded at all: its object is
+// the writer's, stamped with the commit's revision on a shallow copy (the
+// writer's object is shared as it stands, and never restamped). The
+// revision before the newest is kept for the apiserver that lags its peers
+// by one write of the key, as a far one does when the writer's own stream
+// is fast (a pod's creation, read back by its kubelet through the near
+// apiserver and updated). It is a pure function of committed bytes and of
+// the objects written: it is never captured (a restored cluster starts with
+// an empty one and refills it on miss), a write is matched to a commit only
+// on the key and the whole value, and an apiserver looks up only a (key,
+// revision) whose bytes it has itself received. One cluster's apiservers
+// share one; two clusters never do.
 type Decodes struct {
-	m map[string]decodedObj
+	m map[string]*memoEntry
+}
+
+// memoEntry is one key's line in a Decodes: the objects of its newest
+// revision and of the one before, and wrote, the newest exact object an
+// apiserver wrote to the key, with data its encoding (cluster.EncodeExact).
+// A key's line is made once and changed in place.
+type memoEntry struct {
+	cur, prev decodedObj
+	data      []byte
+	wrote     *cluster.Object
 }
 
 // NewDecodes returns an empty memo.
-func NewDecodes() *Decodes { return &Decodes{m: make(map[string]decodedObj)} }
+func NewDecodes() *Decodes { return &Decodes{m: make(map[string]*memoEntry)} }
 
-// lookup returns the memoized decode of key at rev. A nil memo holds
+// line returns key's line, making it if there is none.
+func (d *Decodes) line(key string) *memoEntry {
+	e := d.m[key]
+	if e == nil {
+		e = new(memoEntry)
+		d.m[key] = e
+	}
+	return e
+}
+
+// lookup returns the memoized object of key at rev. A nil memo holds
 // nothing.
 func (d *Decodes) lookup(key string, rev int64) (*cluster.Object, bool) {
 	if d == nil {
 		return nil, false
 	}
-	e, ok := d.m[key]
-	return e.obj, ok && e.rev == rev
+	if e := d.m[key]; e != nil {
+		return e.at(rev)
+	}
+	return nil, false
 }
 
-// offer memoizes obj as key's decode at rev unless a newer revision of key
-// is already there: a lagging apiserver decodes an older revision for
-// itself and leaves the newer entry alone.
-func (d *Decodes) offer(key string, rev int64, obj *cluster.Object) {
+// at returns the line's object of revision rev, if it holds one.
+func (e *memoEntry) at(rev int64) (*cluster.Object, bool) {
+	switch rev {
+	case e.cur.rev:
+		return e.cur.obj, e.cur.obj != nil
+	case e.prev.rev:
+		return e.prev.obj, e.prev.obj != nil
+	}
+	return nil, false
+}
+
+// wrote records that obj, which Decode gives back from data, is what an
+// apiserver of the cluster is writing to key. The caller has handed obj
+// over, as Conn.Update does: nobody writes to it again.
+func (d *Decodes) wrote(key string, data []byte, obj *cluster.Object) {
 	if d == nil {
 		return
 	}
-	if e, ok := d.m[key]; !ok || e.rev < rev {
-		d.m[key] = decodedObj{rev: rev, obj: obj}
+	e := d.line(key)
+	e.data, e.wrote = data, obj
+}
+
+// object returns the object of key's committed value at rev: the memo's;
+// else, if the value is the bytes an apiserver of the cluster wrote to the
+// key, a copy of the writer's object stamped with rev; else the value's
+// decode, which decoded reports. What it made becomes the key's newest
+// revision if it is newer than the memo's; an apiserver lagging by more
+// than one revision makes an older one for itself and leaves the line
+// alone. A nil memo decodes every value.
+func (d *Decodes) object(key string, rev int64, value []byte) (obj *cluster.Object, decoded bool, err error) {
+	if d == nil {
+		obj, err = cluster.Decode(value, rev)
+		return obj, true, err
 	}
+	e := d.line(key)
+	if obj, ok := e.at(rev); ok {
+		return obj, false, nil
+	}
+	if e.wrote != nil && bytes.Equal(e.data, value) {
+		c := *e.wrote
+		c.Meta.ResourceVersion = rev
+		obj = &c
+	} else {
+		if obj, err = cluster.Decode(value, rev); err != nil {
+			return nil, true, err
+		}
+		decoded = true
+	}
+	if e.cur.rev < rev {
+		e.prev, e.cur = e.cur, decodedObj{rev: rev, obj: obj}
+	}
+	return obj, decoded, nil
 }
 
 // ServeStats counts serving-path work. Pure observability — never part
@@ -121,6 +195,7 @@ type ServeStats struct {
 	ListKeysScanned uint64 // cache keys visited answering cached lists
 	DecodeHits      uint64 // cached-read decodes answered from the memo
 	DecodeMisses    uint64 // cached-read decodes that ran cluster.Decode
+	ApplyDecodes    uint64 // committed revisions applyOne decoded: neither the memo nor a writer had their object
 	WindowTrims     uint64 // head advances of the retained event window
 	WindowCompacts  uint64 // WindowSize-event spans of dead prefix the window has released
 }
@@ -137,12 +212,12 @@ type Server struct {
 	rpcSrv *sim.RPCServer
 	rpcCl  *sim.RPCClient
 
-	subsOrder  []string                  // cached sorted sub keys; nil means stale
-	subsByKind map[cluster.Kind][]string // per-kind relay index over subsOrder; nil means stale
-	kindKeys   map[cluster.Kind][]string // per-kind sorted cache keys, maintained incrementally
-	kindBroken bool                      // true disables kindKeys (unparseable key seen); lists fall back to full scans
-	decoded    map[string]decodedObj     // ModRevision-keyed decode memo; pure cache, excluded from snapshots
-	shared     *Decodes                  // the cluster's decode memo (ShareDecodes); nil decodes alone
+	subsOrder  []string                       // cached sorted sub keys; nil means stale
+	subsByKind map[cluster.Kind][]relayTarget // per-kind relay index over subsOrder; nil means stale
+	kindKeys   map[cluster.Kind][]string      // per-kind sorted cache keys, maintained incrementally
+	kindBroken bool                           // true disables kindKeys (unparseable key seen); lists fall back to full scans
+	decoded    map[string]decodedObj          // ModRevision-keyed decode memo; pure cache, excluded from snapshots
+	shared     *Decodes                       // the cluster's decode memo (ShareDecodes); nil decodes alone
 	stats      ServeStats
 
 	// windowRev holds, per kind, a revision no older than the newest event
@@ -151,10 +226,11 @@ type Server struct {
 	// it has no backlog.
 	windowRev map[cluster.Kind]int64
 
-	// pushSlab arena-allocates the per-subscriber single-event push
-	// slices (relay sends one per subscriber per event — the hottest
-	// allocation on the watch path).
+	// pushSlab and msgSlab arena-allocate the per-subscriber single-event
+	// push slices and the push payloads that carry them (relay sends one
+	// per subscriber per event — the hottest allocations on the watch path).
 	pushSlab sim.Slab[WatchEvent]
+	msgSlab  sim.Slab[WatchPushMsg]
 	state
 }
 
@@ -368,21 +444,20 @@ func (s *Server) applyOne(e history.Event) {
 		if !existed {
 			s.kindIndexInsert(e.Key)
 		}
-		// The one decode of this revision in this cluster: cached reads,
+		// The one object of this revision in this cluster: cached reads,
 		// every subscriber and the other apiservers share it.
-		obj, ok := s.shared.lookup(e.Key, e.Revision)
-		if !ok {
-			var err error
-			if obj, err = cluster.Decode(e.Value, e.Revision); err != nil {
-				return
-			}
-			s.shared.offer(e.Key, e.Revision, obj)
+		obj, decoded, err := s.shared.object(e.Key, e.Revision, e.Value)
+		if decoded {
+			s.stats.ApplyDecodes++
+		}
+		if err != nil {
+			return
 		}
 		s.memoize(e.Key, e.Revision, obj)
 		if kv.Version == 1 {
-			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision}
+			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision, Key: e.Key}
 		} else {
-			relay = WatchEvent{Type: Modified, Object: obj, Revision: e.Revision}
+			relay = WatchEvent{Type: Modified, Object: obj, Revision: e.Revision, Key: e.Key}
 		}
 	case history.Delete:
 		prev, existed := s.cache[e.Key]
@@ -413,7 +488,7 @@ func (s *Server) applyOne(e history.Event) {
 			}
 			obj = &cluster.Object{Meta: cluster.Meta{Kind: kind, Name: name, ResourceVersion: e.Revision}}
 		}
-		relay = WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision}
+		relay = WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision, Key: e.Key}
 	}
 	s.cachedRev = e.Revision
 	s.window.Append(e)
@@ -450,40 +525,51 @@ func (s *Server) relay(ev WatchEvent, key string) {
 			if !ok || sub.kind != kind || ev.Revision <= sub.lastSent {
 				continue
 			}
-			s.relayTo(sk, sub, ev)
+			s.relayTo(sk, sub, s.world.Network().Route(s.id, sub.client), ev)
 		}
 		return
 	}
-	for _, sk := range s.subsOfKind(kind) {
-		sub, ok := s.subs[sk]
+	for _, rt := range s.subsOfKind(kind) {
+		sub, ok := s.subs[rt.key]
 		s.stats.RelaySubVisits++
 		if !ok || ev.Revision <= sub.lastSent {
 			continue
 		}
-		s.relayTo(sk, sub, ev)
+		s.relayTo(rt.key, sub, rt.route, ev)
 	}
 }
 
-// relayTo delivers one event to one subscriber and advances its
-// high-water mark.
-func (s *Server) relayTo(key string, sub clientSub, ev WatchEvent) {
+// relayTo delivers one event to one subscriber on its route and advances
+// its high-water mark.
+func (s *Server) relayTo(key string, sub clientSub, route sim.Route, ev WatchEvent) {
 	sub.lastSent = ev.Revision
 	s.subs[key] = sub
 	s.stats.RelaySends++
-	s.world.Network().Send(s.id, sub.client, KindWatchPush,
-		&WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})
+	msg := &s.msgSlab.One(WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})[0]
+	s.world.Network().SendOn(route, KindWatchPush, msg)
 }
 
-// subsOfKind returns the sorted subscription keys watching kind. The
-// index is derived from sortedSubs — per-kind relative order matches the
-// full scan exactly, so send order is unchanged — and is invalidated
-// wherever subsOrder is (subscribe, cancel, crash).
-func (s *Server) subsOfKind(kind cluster.Kind) []string {
+// relayTarget is one entry of the relay index: a subscription's key in
+// subs and the route to its client, resolved when the index is built.
+type relayTarget struct {
+	key   string
+	route sim.Route
+}
+
+// subsOfKind returns the sorted subscriptions watching kind, each with its
+// route. The index is derived from sortedSubs — per-kind relative order
+// matches the full scan exactly, so send order is unchanged — and is
+// invalidated wherever subsOrder is (subscribe, cancel, crash); a restored
+// server starts without one, so it resolves its routes in the restored
+// world. A watch registers after its client's request has come in, and the
+// reply to it has made the link's record, so resolving one finds it.
+func (s *Server) subsOfKind(kind cluster.Kind) []relayTarget {
 	if s.subsByKind == nil {
-		s.subsByKind = make(map[cluster.Kind][]string, 4)
+		s.subsByKind = make(map[cluster.Kind][]relayTarget, 4)
+		net := s.world.Network()
 		for _, sk := range s.sortedSubs() {
 			if sub, ok := s.subs[sk]; ok {
-				s.subsByKind[sub.kind] = append(s.subsByKind[sub.kind], sk)
+				s.subsByKind[sub.kind] = append(s.subsByKind[sub.kind], relayTarget{key: sk, route: net.Route(s.id, sub.client)})
 			}
 		}
 	}
@@ -694,67 +780,22 @@ func (s *Server) register() {
 			reply.Send(nil, ErrNotReady)
 			return
 		}
-		req := body.(*CreateRequest)
-		// A shallow copy to stamp ResourceVersion on for the reply: the
-		// request object is immutable (DESIGN.md §12), and a duplicating
-		// link can deliver one request message twice.
-		o := *req.Object
-		obj := &o
-		data, err := cluster.Encode(obj)
-		if err != nil {
-			reply.Send(nil, err)
-			return
-		}
-		key := cluster.Key(obj.Meta.Kind, obj.Meta.Name)
-		s.storeTxn(&store.TxnRequest{
-			Guards:    []store.Cmp{{Key: key, Target: store.CmpExists, IntVal: 0}},
-			OnSuccess: []store.Op{{Type: store.OpPut, Key: key, Value: data}},
-		}, func(resp *store.TxnResponse, err error) {
-			switch {
-			case err != nil:
-				reply.Send(nil, err)
-			case !resp.Succeeded:
-				reply.Send(nil, ErrAlreadyExists)
-			default:
-				obj.Meta.ResourceVersion = resp.Revision
-				reply.Send(&WriteResponse{Object: obj}, nil)
-			}
-		})
+		obj := body.(*CreateRequest).Object
+		key := s.key(obj.Meta.Kind, obj.Meta.Name)
+		s.write(obj, key, store.Cmp{Key: key, Target: store.CmpExists, IntVal: 0}, ErrAlreadyExists, reply)
 	})
 	s.rpcSrv.HandleAsync(MethodUpdate, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
 			reply.Send(nil, ErrNotReady)
 			return
 		}
-		req := body.(*UpdateRequest)
-		o := *req.Object // shallow, as in Create
-		obj := &o
-		data, err := cluster.Encode(obj)
-		if err != nil {
-			reply.Send(nil, err)
-			return
-		}
-		key := cluster.Key(obj.Meta.Kind, obj.Meta.Name)
-		var guards []store.Cmp
+		obj := body.(*UpdateRequest).Object
+		key := s.key(obj.Meta.Kind, obj.Meta.Name)
+		guard := store.Cmp{Key: key, Target: store.CmpExists, IntVal: 1}
 		if rv := obj.Meta.ResourceVersion; rv != 0 {
-			guards = []store.Cmp{{Key: key, Target: store.CmpModRevision, IntVal: rv}}
-		} else {
-			guards = []store.Cmp{{Key: key, Target: store.CmpExists, IntVal: 1}}
+			guard = store.Cmp{Key: key, Target: store.CmpModRevision, IntVal: rv}
 		}
-		s.storeTxn(&store.TxnRequest{
-			Guards:    guards,
-			OnSuccess: []store.Op{{Type: store.OpPut, Key: key, Value: data}},
-		}, func(resp *store.TxnResponse, err error) {
-			switch {
-			case err != nil:
-				reply.Send(nil, err)
-			case !resp.Succeeded:
-				reply.Send(nil, ErrConflict)
-			default:
-				obj.Meta.ResourceVersion = resp.Revision
-				reply.Send(&WriteResponse{Object: obj}, nil)
-			}
-		})
+		s.write(obj, key, guard, ErrConflict, reply)
 	})
 	s.rpcSrv.HandleAsync(MethodDelete, func(_ sim.NodeID, body any, reply sim.Reply) {
 		if !s.ready {
@@ -762,26 +803,24 @@ func (s *Server) register() {
 			return
 		}
 		req := body.(*DeleteRequest)
-		key := cluster.Key(req.Kind, req.Name)
-		guards := []store.Cmp{{Key: key, Target: store.CmpExists, IntVal: 1}}
+		key := s.key(req.Kind, req.Name)
+		guard := store.Cmp{Key: key, Target: store.CmpExists, IntVal: 1}
 		conflictErr := error(ErrNotFound)
 		if req.ExpectRV != 0 {
-			guards = []store.Cmp{{Key: key, Target: store.CmpModRevision, IntVal: req.ExpectRV}}
+			guard = store.Cmp{Key: key, Target: store.CmpModRevision, IntVal: req.ExpectRV}
 			conflictErr = ErrConflict
 		}
-		s.storeTxn(&store.TxnRequest{
-			Guards:    guards,
-			OnSuccess: []store.Op{{Type: store.OpDelete, Key: key}},
-		}, func(resp *store.TxnResponse, err error) {
-			switch {
-			case err != nil:
-				reply.Send(nil, err)
-			case !resp.Succeeded:
-				reply.Send(nil, conflictErr)
-			default:
-				reply.Send(nil, nil)
-			}
-		})
+		s.rpcCl.Call(s.cfg.StoreNode, store.MethodTxn, newTxn(guard, store.Op{Type: store.OpDelete, Key: key}),
+			func(b any, err error) {
+				switch {
+				case err != nil:
+					reply.Send(nil, err)
+				case !b.(*store.TxnResponse).Succeeded:
+					reply.Send(nil, conflictErr)
+				default:
+					reply.Send(nil, nil)
+				}
+			})
 	})
 	s.rpcSrv.Handle(MethodWatch, func(from sim.NodeID, body any) (any, error) {
 		if !s.ready {
@@ -882,26 +921,99 @@ func (s *Server) eventFromWindow(e history.Event) (WatchEvent, bool) {
 		if e.PrevRev == 0 {
 			t = Added
 		}
-		return WatchEvent{Type: t, Object: obj, Revision: e.Revision}, true
+		return WatchEvent{Type: t, Object: obj, Revision: e.Revision, Key: e.Key}, true
 	case history.Delete:
 		kind, name, err := cluster.ParseKey(e.Key)
 		if err != nil {
 			return WatchEvent{}, false
 		}
 		obj := &cluster.Object{Meta: cluster.Meta{Kind: kind, Name: name, ResourceVersion: e.Revision}}
-		return WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision}, true
+		return WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision, Key: e.Key}, true
 	}
 	return WatchEvent{}, false
 }
 
-func (s *Server) storeTxn(req *store.TxnRequest, cb func(*store.TxnResponse, error)) {
-	s.rpcCl.Call(s.cfg.StoreNode, store.MethodTxn, req, func(b any, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
+// write commits obj, which the request handed over, to key under guard,
+// and replies with the committed object, or with failed if the guard does
+// not hold. Its bytes go to the store as they come out of the encoder:
+// the transaction takes the buffer over (store.Txn). An exact object
+// (cluster.EncodeExact) is offered to the cluster's memo, so the revision
+// it commits is served as it, undecoded. The reply is the committed
+// revision's object (committed), never the request's object itself: a
+// duplicating link can deliver one request twice.
+func (s *Server) write(obj *cluster.Object, key string, guard store.Cmp, failed error, reply sim.Reply) {
+	data, exact, err := cluster.EncodeExact(obj)
+	if err != nil {
+		reply.Send(nil, err)
+		return
+	}
+	if exact {
+		s.shared.wrote(key, data, obj)
+	}
+	s.rpcCl.Call(s.cfg.StoreNode, store.MethodTxn, newTxn(guard, store.Op{Type: store.OpPut, Key: key, Value: data}),
+		func(b any, err error) {
+			if err != nil {
+				reply.Send(nil, err)
+				return
+			}
+			resp := b.(*store.TxnResponse)
+			if !resp.Succeeded {
+				reply.Send(nil, failed)
+				return
+			}
+			reply.Send(&WriteResponse{Object: s.committed(key, resp.Revision, obj, data, exact)}, nil)
+		})
+}
+
+// committed returns the object of the revision rev that a write of obj,
+// encoded to data, committed to key: the memo's, if an apiserver of the
+// cluster has applied it; else obj on a shallow copy stamped with rev (its
+// labels and payload are immutable, DESIGN.md §12) if obj is exact, and
+// data's decode if it is not.
+func (s *Server) committed(key string, rev int64, obj *cluster.Object, data []byte, exact bool) *cluster.Object {
+	if o, ok := s.shared.lookup(key, rev); ok {
+		return o
+	}
+	if !exact {
+		if o, err := cluster.Decode(data, rev); err == nil {
+			return o
 		}
-		cb(b.(*store.TxnResponse), nil)
-	})
+	}
+	c := *obj
+	c.Meta.ResourceVersion = rev
+	return &c
+}
+
+// txn is a handler's store transaction in one allocation: the request and
+// the one guard and one op its slices hold.
+type txn struct {
+	req   store.TxnRequest
+	guard [1]store.Cmp
+	op    [1]store.Op
+}
+
+func newTxn(guard store.Cmp, op store.Op) *store.TxnRequest {
+	t := &txn{guard: [1]store.Cmp{guard}, op: [1]store.Op{op}}
+	t.req.Guards, t.req.OnSuccess = t.guard[:], t.op[:]
+	return &t.req
+}
+
+// key returns the store key of (kind, name): the cache's own string when
+// the key is cached, so a Get or a write of a cached object builds none.
+func (s *Server) key(kind cluster.Kind, name string) string {
+	if kv, ok := s.cached(kind, name); ok {
+		return kv.Key
+	}
+	return cluster.Key(kind, name)
+}
+
+// cached returns the cache entry of (kind, name), looked up by a key built
+// on the stack.
+func (s *Server) cached(kind cluster.Kind, name string) (store.KV, bool) {
+	var buf [96]byte
+	k := append(append(buf[:0], cluster.KindPrefix(kind)...), name...)
+	kv, ok := s.cache[string(k)]
+	return kv, ok
 }
 
 func (s *Server) listCached(kind cluster.Kind) (*ListResponse, error) {
@@ -950,8 +1062,7 @@ func sortedCacheKeys(m map[string]store.KV) []string {
 }
 
 func (s *Server) getCached(kind cluster.Kind, name string) (*GetResponse, error) {
-	key := cluster.Key(kind, name)
-	kv, ok := s.cache[key]
+	kv, ok := s.cached(kind, name)
 	if !ok {
 		return &GetResponse{Found: false}, nil
 	}
@@ -962,7 +1073,7 @@ func (s *Server) getCached(kind cluster.Kind, name string) (*GetResponse, error)
 	if s.cfg.UnindexedServing {
 		obj, err = cluster.Decode(kv.Value, kv.ModRevision)
 	} else {
-		obj, err = s.decodeCached(key, kv)
+		obj, err = s.decodeCached(kv.Key, kv)
 	}
 	if err != nil {
 		return nil, err

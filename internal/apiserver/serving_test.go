@@ -3,6 +3,7 @@ package apiserver
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/cluster"
@@ -191,10 +192,12 @@ func TestDecodeMemoHitsOnRepeatedLists(t *testing.T) {
 }
 
 // TestCommittedRevisionDecodedOncePerWorld: the apiservers of one world
-// share one decode of a committed revision — both memos and both watch
+// share one object of a committed revision — both memos and both watch
 // pushes carry the same pointer, and the read-path counters do not see it.
-// A world restored from a capture starts with an empty memo: its apiserver
-// decodes on first use, to an equal object.
+// A revision written through one of them is not decoded at all: the object
+// is the writer's, on a copy stamped with the revision, and the write reply
+// carries it too. A world restored from a capture starts with an empty
+// memo: its apiserver decodes on first use, to an equal object.
 func TestCommittedRevisionDecodedOncePerWorld(t *testing.T) {
 	h := newHarness(t, 2)
 	decodes := NewDecodes()
@@ -205,7 +208,9 @@ func TestCommittedRevisionDecodedOncePerWorld(t *testing.T) {
 		}
 	}
 	before := [2]ServeStats{h.apis[0].Stats(), h.apis[1].Stats()}
-	if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod("p1", "k1")}); err != nil {
+	written := mkPod("p1", "k1")
+	resp, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: written})
+	if err != nil {
 		t.Fatal(err)
 	}
 	h.w.Kernel().RunFor(50 * sim.Millisecond)
@@ -218,27 +223,164 @@ func TestCommittedRevisionDecodedOncePerWorld(t *testing.T) {
 	if obj == nil || pushed[1] != obj {
 		t.Fatalf("watch pushes carry %p and %p, want one object", pushed[0], pushed[1])
 	}
+	if reply := resp.(*WriteResponse).Object; reply != obj {
+		t.Fatalf("the write reply carries %p, want the pushed %p", reply, obj)
+	}
+	stamped := *written
+	stamped.Meta.ResourceVersion = obj.Meta.ResourceVersion
+	if obj == written || obj.Pod != written.Pod || !reflect.DeepEqual(*obj, stamped) {
+		t.Fatalf("the revision's object is %p %+v, want a copy of the written %p stamped with its revision", obj, *obj, written)
+	}
 	for i, api := range h.apis {
 		if m := api.Memoized(); len(m) != 1 || m[0] != obj {
 			t.Fatalf("%s memoizes %v, want the pushed %p", api.ID(), m, obj)
 		}
-		if st := api.Stats(); st.DecodeHits != before[i].DecodeHits || st.DecodeMisses != before[i].DecodeMisses {
-			t.Fatalf("%s counted the watch path as reads: %+v -> %+v", api.ID(), before[i], st)
+		if st := api.Stats(); st.DecodeHits != before[i].DecodeHits || st.DecodeMisses != before[i].DecodeMisses || st.ApplyDecodes != before[i].ApplyDecodes {
+			t.Fatalf("%s decoded the written revision, or counted the watch path as reads: %+v -> %+v", api.ID(), before[i], st)
 		}
 	}
 
 	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
 	restored := Restore(w, h.apis[1].Snapshot())
 	restored.ShareDecodes(NewDecodes())
-	resp, err := restored.getCached(cluster.KindPod, "p1")
-	if err != nil || !resp.Found {
-		t.Fatalf("restored get: %+v, %v", resp, err)
+	got, err := restored.getCached(cluster.KindPod, "p1")
+	if err != nil || !got.Found {
+		t.Fatalf("restored get: %+v, %v", got, err)
 	}
-	if resp.Object == obj || !reflect.DeepEqual(resp.Object, obj) {
-		t.Fatalf("restored apiserver served %p %+v, want a fresh decode equal to %+v", resp.Object, resp.Object, obj)
+	if got.Object == obj || !reflect.DeepEqual(got.Object, obj) {
+		t.Fatalf("restored apiserver served %p %+v, want a fresh decode equal to %+v", got.Object, got.Object, obj)
 	}
 	if st := restored.Stats(); st.DecodeMisses != 1 || st.DecodeHits != 0 {
 		t.Fatalf("restored first read: %+v, want one decode", st)
+	}
+}
+
+// TestInexactWritesAreDecoded: an object that encodes to its committed
+// bytes but would not come back from them — an empty label map, an empty
+// ReadyMembers that is not nil, a string the codec has to escape — is not
+// the revision's object. The revision is decoded, once for two apiservers
+// sharing a memo, and the memos and the write reply carry the decode, which
+// is not the object that was written. An apiserver with no memo to find
+// the revision in when the reply goes out decodes the reply itself.
+func TestInexactWritesAreDecoded(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shared=%v", shared), func(t *testing.T) { inexactWritesAreDecoded(t, shared) })
+	}
+}
+
+func inexactWritesAreDecoded(t *testing.T, shared bool) {
+	h := newHarness(t, 2)
+	if shared {
+		decodes := NewDecodes()
+		for _, api := range h.apis {
+			api.ShareDecodes(decodes)
+		}
+	}
+	perRevision := 2 // each apiserver decodes for itself
+	if shared {
+		perRevision = 1
+	}
+	labelled := cluster.NewNode("n1", "uid-n1", cluster.NodeSpec{Ready: true, Capacity: 4})
+	labelled.Meta.Labels = map[string]string{}
+	for _, written := range []*cluster.Object{
+		labelled,
+		cluster.NewCassandra("c1", "uid-c1", cluster.CassandraSpec{Replicas: 3, ReadyMembers: []string{}}),
+		cluster.NewPod("p1", "uid-p1", cluster.PodSpec{Image: "v1\xff"}), // json.Marshal writes U+FFFD
+	} {
+		decodesBefore := h.apis[0].Stats().ApplyDecodes + h.apis[1].Stats().ApplyDecodes
+		resp, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: written})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.w.Kernel().RunFor(50 * sim.Millisecond)
+		kv, _, ok := h.st.Store().Get(cluster.Key(written.Meta.Kind, written.Meta.Name))
+		if !ok {
+			t.Fatalf("%s was not committed", written)
+		}
+		want, err := cluster.Decode(kv.Value, kv.ModRevision)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stamped := *written
+		stamped.Meta.ResourceVersion = kv.ModRevision
+		if reflect.DeepEqual(*want, stamped) {
+			t.Fatalf("%s comes back from %s unchanged; the case proves nothing", written, kv.Value)
+		}
+		if reply := resp.(*WriteResponse).Object; !reflect.DeepEqual(reply, want) {
+			t.Errorf("write reply for %s is %+v, want the decode %+v", written, *reply, *want)
+		}
+		for _, api := range h.apis {
+			got, err := api.getCached(written.Meta.Kind, written.Meta.Name)
+			if err != nil || !got.Found || !reflect.DeepEqual(got.Object, want) {
+				t.Errorf("%s serves %s as %+v, want the decode %+v", api.ID(), written, got.Object, *want)
+			}
+		}
+		if n := h.apis[0].Stats().ApplyDecodes + h.apis[1].Stats().ApplyDecodes - decodesBefore; n != uint64(perRevision) {
+			t.Errorf("%s was decoded %d times by the apiservers, want %d", written, n, perRevision)
+		}
+	}
+}
+
+// TestRelayReResolvesLinks: a subscriber is pushed to on the route the
+// relay index resolved, and what is configured on the link later still
+// applies; an apiserver restored into another world relays on that world's
+// link, not on the record it was captured with.
+func TestRelayReResolvesLinks(t *testing.T) {
+	h := newHarness(t, 1)
+	if _, err := h.cl.call("api-1", MethodWatch, &WatchRequest{Kind: cluster.KindPod, SubID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	h.w.Kernel().RunFor(sim.Second) // past the call's timeout: the world can be captured
+	n := 0
+	// push commits one pod to st's store and returns how long its relay
+	// took to reach client c in world w: one hop to the apiserver, one on.
+	push := func(w *sim.World, st *store.Server, c *testClient) sim.Duration {
+		n++
+		pod := mkPod(fmt.Sprintf("p%d", n), "k1")
+		start, seen := w.Kernel().Now(), len(c.pushes)
+		st.Store().Put(cluster.Key(cluster.KindPod, pod.Meta.Name), cluster.MustEncode(pod))
+		for len(c.pushes) == seen {
+			if !w.Kernel().Step() {
+				t.Fatal("the relay never arrived")
+			}
+		}
+		return w.Kernel().Now().Sub(start)
+	}
+	steps := []struct {
+		name string
+		run  func() sim.Duration
+		want sim.Duration
+	}{
+		{"registered", func() sim.Duration { return push(h.w, h.st, h.cl) }, 2 * sim.Millisecond},
+		{"link delayed after the watch", func() sim.Duration {
+			h.w.Network().SetLinkDelay("api-1", "client", 4*sim.Millisecond)
+			return push(h.w, h.st, h.cl)
+		}, 6 * sim.Millisecond},
+		{"restored into another world", func() sim.Duration {
+			h.w.Kernel().RunFor(100 * sim.Millisecond)
+			ks, ok := h.w.Kernel().CaptureSnapshot()
+			stSnap, ok2 := h.st.Snapshot()
+			if !ok || !ok2 {
+				t.Fatal("the world could not be captured")
+			}
+			w2 := sim.NewRestoredWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond}, ks, h.w.Network().Snapshot())
+			cl2 := &testClient{id: "client", w: w2, rpc: sim.NewRPCClient(w2.Network(), "client", 300*sim.Millisecond)}
+			w2.Network().Register("client", cl2)
+			st2 := store.RestoreServer(w2, stSnap)
+			Restore(w2, h.apis[0].Snapshot())
+			w2.Network().SetLinkDelay("api-1", "client", 2*sim.Millisecond)
+			before := len(h.cl.pushes)
+			d := push(w2, st2, cl2)
+			if h.w.Kernel().Run(h.w.Kernel().Now().Add(sim.Second)); len(h.cl.pushes) != before {
+				t.Error("the restored apiserver relayed on the captured world's link")
+			}
+			return d
+		}, 4 * sim.Millisecond},
+	}
+	for _, s := range steps {
+		if got := s.run(); got != s.want {
+			t.Errorf("%s: the relay took %v, want %v", s.name, got, s.want)
+		}
 	}
 }
 
@@ -494,5 +636,72 @@ func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
 	}
 	if api.subsByKind != nil {
 		t.Fatal("re-registering a key under another kind kept the stale per-kind index")
+	}
+}
+
+// TestAPIWriteAllocations pins what one heartbeat-shaped write costs the
+// API path: a cached Get of a node, then an Update of it with a fresh label
+// map and the spec shared, through an apiserver and the store, until the
+// reply is back — the store's commit and watch push, the apiserver's apply
+// and relay-free cache update included. The client's own share (the
+// requests, the lean copy, its label, the callbacks) is in the count too.
+func TestAPIWriteAllocations(t *testing.T) {
+	const hour = 3600 * sim.Second
+	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
+	store.NewServer(w, "etcd", store.New())
+	cfg := DefaultConfig("etcd")
+	cfg.ResyncInterval = hour
+	api := New(w, "api-1", cfg)
+	api.ShareDecodes(NewDecodes())
+	cl := &testClient{id: "client", w: w, rpc: sim.NewRPCClient(w.Network(), "client", 300*sim.Millisecond)}
+	w.Network().Register("client", cl)
+	w.Kernel().RunFor(100 * sim.Millisecond)
+	node := cluster.NewNode("n1", "uid-n1", cluster.NodeSpec{Ready: true, Capacity: 16})
+	node.Meta.Labels = map[string]string{"heartbeat": "0"}
+	if _, err := cl.call("api-1", MethodCreate, &CreateRequest{Object: node}); err != nil {
+		t.Fatal(err)
+	}
+	w.Kernel().RunFor(sim.Second) // past the create's timeout
+	get := &GetRequest{Kind: cluster.KindNode, Name: "n1"}
+	var failed error
+	done := false
+	written := func(_ any, err error) { failed, done = err, true }
+	got := func(body any, err error) {
+		if err != nil {
+			failed, done = err, true
+			return
+		}
+		cur := body.(*GetResponse).Object
+		beat := *cur
+		beat.Meta.Labels = map[string]string{"heartbeat": strconv.FormatInt(int64(w.Now()), 10)}
+		cl.rpc.Call("api-1", MethodUpdate, &UpdateRequest{Object: &beat}, written)
+	}
+	roundTrip := func() {
+		done = false
+		cl.rpc.Call("api-1", MethodGet, get, got)
+		for !done && w.Kernel().Step() {
+		}
+		if failed != nil || !done {
+			t.Fatalf("heartbeat: done = %v, err = %v", done, failed)
+		}
+	}
+	for i := 0; i < 64; i++ { // warm: maps, slabs, link records, routes
+		roundTrip()
+	}
+	allocs := testing.AllocsPerRun(500, roundTrip)
+	t.Logf("a heartbeat-shaped Get + Update allocates %v", allocs)
+	// 31 when the apiserver decoded its own write, copied the request
+	// object, built the key and the three-part transaction, and the store
+	// copied the value and allocated its batch and push one by one. Now:
+	// the client's copy, label map (two), label and request (5); three RPC
+	// requests and three responses; the Get reply; the encoded bytes, the
+	// transaction, its callback and the write reply; the store's Txn reply;
+	// the revision's object, the writer's on a stamped copy.
+	const want = 18
+	if allocs > want {
+		t.Fatalf("a heartbeat-shaped Get + Update allocates %v, want <= %d", allocs, want)
+	}
+	if st := api.Stats(); st.ApplyDecodes != 0 {
+		t.Fatalf("the apiserver decoded %d of its own writes", st.ApplyDecodes)
 	}
 }

@@ -403,7 +403,7 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 		}
 		i.Obs.Record(history.Observation{
 			Revision: ev.Revision,
-			Key:      cluster.Key(i.kind, ev.Object.Meta.Name),
+			Key:      ev.Key,
 			Time:     int64(i.conn.world.Now()),
 		})
 		if ev.Revision <= i.lastRev && ev.Revision != 0 {

@@ -9,9 +9,13 @@ import (
 	"strings"
 )
 
-// The codec (DESIGN.md §12). Every committed revision is encoded once by
-// the writing apiserver and decoded by each apiserver's applyOne and by the
-// oracles, so Object has a hand-written codec for the one shape the
+// The codec (DESIGN.md §12). Every committed revision is encoded once, by
+// the writing apiserver. Decoding is what is left over: a revision written
+// through an apiserver is served as the object its writer encoded
+// (EncodeExact says when that is safe), so applyOne decodes only a value no
+// apiserver of the cluster wrote, or one whose writer's object Decode would
+// not give back; cached reads of relisted or restored keys and the oracles
+// decode too. Object has a hand-written codec for the one shape the
 // simulator itself produces, and encoding/json for everything else:
 //
 //   - appendObject emits exactly json.Marshal's bytes (field order,
@@ -29,17 +33,35 @@ import (
 // Encode serializes an object for storage. ResourceVersion is not encoded:
 // it is derived from the store revision on read, never trusted from bytes.
 func Encode(o *Object) ([]byte, error) {
+	b, _, err := EncodeExact(o)
+	return b, err
+}
+
+// EncodeExact is Encode that also reports whether o is the object Decode
+// makes of the bytes, ResourceVersion aside. It is unless some string is
+// off the canonical shape (the bytes then come from json.Marshal, and
+// Decode may not give the text back), or a label map or a string slice is
+// empty but not nil (Encode omits it, and Decode leaves the field nil).
+func EncodeExact(o *Object) (data []byte, exact bool, err error) {
 	var scratch [256]byte
 	if b, ok := appendObject(scratch[:0], o); ok {
-		return slices.Clone(b), nil
+		return slices.Clone(b), !emptyNotNil(o), nil
 	}
 	c := *o // shallow: only the ResourceVersion field differs from o
 	c.Meta.ResourceVersion = 0
 	b, err := json.Marshal(&c)
 	if err != nil {
-		return nil, fmt.Errorf("cluster: encode %s: %w", o, err)
+		return nil, false, fmt.Errorf("cluster: encode %s: %w", o, err)
 	}
-	return b, nil
+	return b, false, nil
+}
+
+// emptyNotNil reports whether o has a label map or a string slice that is
+// empty but not nil.
+func emptyNotNil(o *Object) bool {
+	empty := func(ss []string) bool { return ss != nil && len(ss) == 0 }
+	return o.Meta.Labels != nil && len(o.Meta.Labels) == 0 ||
+		o.Cassandra != nil && (empty(o.Cassandra.ReadyMembers) || empty(o.Cassandra.Racks))
 }
 
 // Decode deserializes an object and stamps the given resource version.

@@ -212,6 +212,38 @@ func TestCodecEncodeFallsBack(t *testing.T) {
 			if got, want := cluster.MustEncode(o), refEncode(o); !bytes.Equal(got, want) {
 				t.Errorf("Encode with %q\n got %s\nwant %s", s, got, want)
 			}
+			if _, exact, _ := cluster.EncodeExact(o); exact {
+				t.Errorf("EncodeExact calls %+v, holding %q, exact", o, s)
+			}
+		}
+	}
+}
+
+// TestEncodeExactEmptyNotNil: an empty label map or string slice that is
+// not nil encodes like a nil one, and decodes to nil, so EncodeExact does
+// not call its object exact; the same object with the field nil is.
+func TestEncodeExactEmptyNotNil(t *testing.T) {
+	labelled := cluster.NewNode("n", "u", cluster.NodeSpec{Ready: true})
+	labelled.Meta.Labels = map[string]string{}
+	for _, o := range []*cluster.Object{
+		labelled,
+		cluster.NewCassandra("c", "u", cluster.CassandraSpec{Replicas: 3, ReadyMembers: []string{}}),
+		cluster.NewCassandra("c", "u", cluster.CassandraSpec{Replicas: 3, Racks: []string{}}),
+	} {
+		data, exact, err := cluster.EncodeExact(o)
+		if err != nil || exact {
+			t.Errorf("EncodeExact(%+v): exact = %v, err = %v; want inexact", o, exact, err)
+		}
+		got, _ := cluster.Decode(data, 0)
+		if reflect.DeepEqual(got, o) {
+			t.Errorf("%+v survives its round trip; the case proves nothing", o)
+		}
+		c := o.Clone() // Clone turns an empty slice nil; the map is cleared by hand
+		if len(c.Meta.Labels) == 0 {
+			c.Meta.Labels = nil
+		}
+		if _, exact, _ := cluster.EncodeExact(c); !exact {
+			t.Errorf("EncodeExact(%+v) is inexact with the empty field nil", c)
 		}
 	}
 }
@@ -287,9 +319,10 @@ func splitNonEmpty(s string) []string {
 }
 
 // FuzzEncodeMatchesJSON: for an object assembled from fuzzed fields — any
-// subset of the five payloads — Encode's bytes are json.Marshal's, and
-// decoding them gives what json.Unmarshal gives, which is the object itself
-// whenever its strings are valid UTF-8.
+// subset of the five payloads, absent lists and labels nil or empty — Encode's
+// bytes are json.Marshal's, and decoding them gives what json.Unmarshal
+// gives, which is the object itself whenever its strings are valid UTF-8 and
+// nothing is empty but not nil, and always when EncodeExact calls it exact.
 func FuzzEncodeMatchesJSON(f *testing.F) {
 	for _, v := range fuzzSeeds() {
 		o, err := refDecode(v, 0)
@@ -348,6 +381,17 @@ func FuzzEncodeMatchesJSON(f *testing.F) {
 		if payloads&16 != 0 {
 			o.Region = &cluster.RegionSpec{Owner: a, State: cluster.RegionState(b)}
 		}
+		if payloads&32 != 0 { // absent lists and labels empty, not nil
+			if o.Meta.Labels == nil {
+				o.Meta.Labels = map[string]string{}
+			}
+			if c := o.Cassandra; c != nil && c.ReadyMembers == nil {
+				c.ReadyMembers = []string{}
+			}
+			if c := o.Cassandra; c != nil && c.Racks == nil {
+				c.Racks = []string{}
+			}
+		}
 
 		enc, err := cluster.Encode(o)
 		if err != nil {
@@ -370,7 +414,10 @@ func FuzzEncodeMatchesJSON(f *testing.F) {
 		for _, s := range []string{kind, name, uid, owner, labels, a, b, c, list} {
 			valid = valid && utf8.ValidString(s)
 		}
-		if valid && !reflect.DeepEqual(got, o) {
+		if _, exact, _ := cluster.EncodeExact(o); exact && !reflect.DeepEqual(got, o) {
+			t.Fatalf("EncodeExact calls %+v exact, but %s decodes to %+v", o, enc, got)
+		}
+		if payloads&32 == 0 && valid && !reflect.DeepEqual(got, o) {
 			t.Fatalf("round trip of %+v through %s gave %+v", o, enc, got)
 		}
 	})

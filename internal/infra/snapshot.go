@@ -107,7 +107,7 @@ func (c *Cluster) Capture() (*Snapshot, bool) {
 // kernel events via InstallPending after applying the forked plan and
 // rehydrating the workload.
 func (s *Snapshot) NewCluster() (*Cluster, error) {
-	w := sim.NewRestoredWorld(worldConfig(s.Opts.Seed), s.Kernel.Now, s.Kernel.Steps, s.Kernel.RNGDraws, s.Net)
+	w := sim.NewRestoredWorld(worldConfig(s.Opts.Seed), s.Kernel, s.Net)
 	c := newCluster(s.Opts, w)
 	c.Store = store.RestoreServer(w, s.Store)
 	// The decode memo is not captured: the restored apiservers share an

@@ -66,21 +66,21 @@ var roles = map[reflect.Type]role{
 		wiring:   map[string]string{"c": fixed}},
 	reflect.TypeFor[store.Server](): {
 		children: map[string]string{"st": ".", "subs": "Subs"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher"}},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "pushes": "allocator"}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
-			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache"}},
+			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache", "batches": "allocator"}},
 	reflect.TypeFor[apiserver.Server](): {state: "state", carried: "State",
 		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "timers": joined, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
-			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator",
+			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator", "msgSlab": "allocator",
 			"shared": "the cluster's decode memo: a restored cluster wires an empty one"}},
 	reflect.TypeFor[controller.Shell](): {
 		children: map[string]string{"conn": "Conn", "queue": "Queue"},
 		wiring:   map[string]string{"world": fixed, "spec": "the declaration, written in the component's source", "timers": joined}},
 	reflect.TypeFor[kubelet.Kubelet](): {state: "state", carried: "State",
 		children: map[string]string{"Shell": "Shell", "host": "Host"},
-		wiring:   map[string]string{"cfg": config, "informer": found}},
+		wiring:   map[string]string{"cfg": config, "informer": found, "beat": "a method bound once by New and Restore"}},
 	reflect.TypeFor[kubelet.Host](): {state: "hostState",
 		wiring: map[string]string{"Name": fixed, "names": "cache", "gen": "means nothing across owners"}},
 	reflect.TypeFor[scheduler.Scheduler](): {state: "state", carried: "State",

@@ -147,6 +147,8 @@ type Kubelet struct {
 	host *Host
 
 	informer *client.Informer
+	// beat is beatOn bound once: the heartbeat's Get callback.
+	beat func(*cluster.Object, bool, error)
 	state
 }
 
@@ -192,6 +194,7 @@ func (k *Kubelet) spec() controller.Spec {
 // apiserver.
 func New(w *sim.World, host *Host, cfg Config) *Kubelet {
 	k := &Kubelet{cfg: cfg, host: host, state: state{uids: cluster.NewUIDGen("kubelet-" + cfg.NodeName)}}
+	k.beat = k.beatOn
 	k.Start(w, k, k.spec())
 	return k
 }
@@ -259,24 +262,37 @@ func (k *Kubelet) scheduleHeartbeat() {
 	k.After(k.cfg.HeartbeatInterval, sim.EventTag{Kind: "heartbeat"})
 }
 
-// heartbeat refreshes the node object's liveness label.
+// heartbeat refreshes the node object's liveness label: it asks for the
+// node, and beatOn writes it back.
 func (k *Kubelet) heartbeat() {
-	k.Conn().Get(cluster.KindNode, k.cfg.NodeName, false, func(node *cluster.Object, found bool, err error) {
-		if err != nil {
-			return
-		}
-		if !found {
-			k.registerNode()
-			return
-		}
-		node = node.Clone()
-		if node.Meta.Labels == nil {
-			node.Meta.Labels = map[string]string{}
-		}
-		node.Meta.Labels["heartbeat"] = strconv.FormatInt(int64(k.World().Now()), 10)
-		node.Node.Ready = true
-		k.Conn().Update(node, func(*cluster.Object, error) {})
-	})
+	k.Conn().Get(cluster.KindNode, k.cfg.NodeName, false, k.beat)
+}
+
+// beatOn writes back the node the heartbeat read. The node it is handed
+// is the API's and immutable; the update copies only what it changes
+// (DESIGN.md §12): a fresh header and label map, and the NodeSpec only if
+// the node is not Ready yet. Everything else — the spec of a Ready node,
+// any other payload — is shared with the node it came from.
+func (k *Kubelet) beatOn(node *cluster.Object, found bool, err error) {
+	if err != nil {
+		return
+	}
+	if !found {
+		k.registerNode()
+		return
+	}
+	beat := *node
+	beat.Meta.Labels = make(map[string]string, len(node.Meta.Labels)+1)
+	for name, v := range node.Meta.Labels {
+		beat.Meta.Labels[name] = v
+	}
+	beat.Meta.Labels["heartbeat"] = strconv.FormatInt(int64(k.World().Now()), 10)
+	if !node.Node.Ready {
+		spec := *node.Node
+		spec.Ready = true
+		beat.Node = &spec
+	}
+	k.Conn().Update(&beat, func(*cluster.Object, error) {})
 }
 
 func (k *Kubelet) schedulePeriodicSync() {

@@ -28,6 +28,7 @@ func Restore(w *sim.World, snap *Snapshot) *Kubelet {
 	host := &Host{Name: snap.Cfg.NodeName, hostState: snap.Host.clone()}
 	host.changed()
 	k := &Kubelet{cfg: snap.Cfg, host: host, state: snap.State}
+	k.beat = k.beatOn
 	k.Shell.Restore(w, k, k.spec(), snap.Shell)
 	return k
 }

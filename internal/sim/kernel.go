@@ -325,32 +325,76 @@ func (h *eventHeap) pop() heapEntry {
 	return top
 }
 
-// countingSource wraps the kernel's deterministic random source and counts
-// how many raw 64-bit draws have been consumed. A snapshot records the
-// count; a restored kernel replays (discards) exactly that many draws from
-// a fresh source seeded identically, leaving the stream in the same
-// position. Counting at the Source64 level (rather than per rand.Rand
-// method) makes the count exact even for rejection-sampled helpers like
-// Int63n.
-//
-// Int63 mirrors math/rand's rngSource.Int63 (mask, not shift) so wrapping
-// the source does not change any value the simulation observes.
-type countingSource struct {
-	src   rand.Source64
+// lfg is math/rand's additive lagged Fibonacci generator — the Source
+// rand.NewSource returns, draw for draw — kept as a plain value, so that a
+// snapshot holds a copy of it and a fork starts from that copy instead of
+// seeding a fresh source and discarding every draw its prefix made.
+type lfg struct {
+	tap, feed int
+	vec       [rngLen]int64
+}
+
+// The generator's register length and tap, math/rand's.
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// seeded returns the generator rand.NewSource(seed) is, at its first draw.
+// math/rand keeps its register to itself, so it is read off the stream:
+// draw i (from 1) adds register tap_i to register feed_i and returns the
+// sum, and the first rngLen draws write every register once, so after
+// them the register is the draws themselves. Undoing the additions, newest
+// first, gives the register math/rand seeded.
+func seeded(seed int64) lfg {
+	std := rand.NewSource(seed).(rand.Source64)
+	feed := func(i int) int { return (rngLen - rngTap - i + rngLen) % rngLen }
+	tap := func(i int) int { return (rngLen - i) % rngLen }
+	g := lfg{feed: rngLen - rngTap}
+	for i := 1; i <= rngLen; i++ {
+		g.vec[feed(i)] = int64(std.Uint64())
+	}
+	for i := rngLen; i >= 1; i-- {
+		g.vec[feed(i)] -= g.vec[tap(i)]
+	}
+	return g
+}
+
+// next is math/rand's rngSource.Uint64.
+func (g *lfg) next() uint64 {
+	g.tap--
+	if g.tap < 0 {
+		g.tap += rngLen
+	}
+	g.feed--
+	if g.feed < 0 {
+		g.feed += rngLen
+	}
+	x := g.vec[g.feed] + g.vec[g.tap]
+	g.vec[g.feed] = x
+	return uint64(x)
+}
+
+// source is the kernel's random stream: the generator and how many raw
+// 64-bit draws have been taken from it, the position a snapshot records.
+// Counting at the Source64 level (rather than per rand.Rand method) makes
+// the count exact even for rejection-sampled helpers like Int63n. Int63
+// masks, as math/rand's source does, so no value the simulation observes
+// differs from math/rand's.
+type source struct {
+	gen   lfg
 	draws uint64
 }
 
-func (c *countingSource) Int63() int64 { return int64(c.Uint64() & (1<<63 - 1)) }
+func (s *source) Int63() int64 { return int64(s.Uint64() & (1<<63 - 1)) }
 
-func (c *countingSource) Uint64() uint64 {
-	c.draws++
-	return c.src.Uint64()
+func (s *source) Uint64() uint64 {
+	s.draws++
+	return s.gen.next()
 }
 
-func (c *countingSource) Seed(s int64) {
-	c.src.Seed(s)
-	c.draws = 0
-}
+// Seed restarts the stream at seed's first draw.
+func (s *source) Seed(seed int64) { *s = source{gen: seeded(seed)} }
 
 // Kernel is the discrete-event scheduler. It is not safe for concurrent use;
 // the simulated world is single-threaded by design.
@@ -359,7 +403,7 @@ type Kernel struct {
 	heap    eventHeap
 	seq     uint64
 	rng     *rand.Rand
-	src     *countingSource
+	src     *source
 	steps   uint64
 	maxStep uint64 // safety valve; 0 = unlimited
 	stopped bool
@@ -417,8 +461,9 @@ func (k *Kernel) vacate(slot uint32, ev *event) {
 
 // NewKernel returns a kernel whose random source is seeded with seed.
 // Identical seeds yield identical simulations for identical inputs.
-func NewKernel(seed int64) *Kernel {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+func NewKernel(seed int64) *Kernel { return newKernel(&source{gen: seeded(seed)}) }
+
+func newKernel(src *source) *Kernel {
 	return &Kernel{rng: rand.New(src), src: src, owners: make(map[string]*Owner)}
 }
 

@@ -92,6 +92,9 @@ type modelKernel struct {
 	// ones: a name between Retire and the next Own has its current one gone.
 	inc  [3]int
 	gone map[incarnation]bool
+	// rng is math/rand's own source under the kernel's seed: the stream the
+	// kernel's must be, across forks too.
+	rng rand.Source64
 }
 
 // observing reports whether the observer has an event pending: it arms no
@@ -268,7 +271,7 @@ func (ks *kernelSide) fireTag(tag EventTag) { ks.fire(ks.specs[int(tag.N)]) }
 // incarnation is), every captured event re-inserted under its sequence
 // number, the counter set. A restored event has no handle.
 func (ks *kernelSide) fork(snap KernelSnapshot, retired [2]bool, defaultTag *EventTag) error {
-	k := NewRestoredKernel(1, snap.Now, snap.Steps, snap.RNGDraws)
+	k := NewRestoredKernel(snap)
 	ks.k, ks.timers = k, map[int]Timer{}
 	for i, gone := range retired {
 		if gone {
@@ -378,7 +381,7 @@ func runProgram(t *testing.T, data []byte) {
 	}
 	p := &program{data: data}
 	ks := newKernelSide()
-	m := &modelKernel{live: map[int]bool{}, gone: map[incarnation]bool{}}
+	m := &modelKernel{live: map[int]bool{}, gone: map[incarnation]bool{}, rng: rand.NewSource(1).(rand.Source64)}
 	k := ks.k
 	defTag := EventTag{Owner: "model", Kind: "default"}
 	compared := 0 // log entries already found equal
@@ -509,7 +512,15 @@ func runProgram(t *testing.T, data []byte) {
 				ks.own(i)
 				m.inc[i]++
 			}
-		case 11: // fork: capture, restore onto a fresh kernel, go on there
+		case 11: // fork: draw, capture, restore onto a fresh kernel, go on there
+			// The draws take the stream past the register length (607)
+			// within a few forks; the next op's draws come from the
+			// restored kernel's copy of it.
+			for i := 0; i < 1+int(m.steps%4)*200; i++ {
+				if got, want := k.Rand().Uint64(), m.rng.Uint64(); got != want {
+					t.Fatalf("op %d: draw %d is %#x, math/rand's %#x", op, k.RNGDraws(), got, want)
+				}
+			}
 			snap, ok := k.CaptureSnapshot()
 			if !ok {
 				break
@@ -537,6 +548,9 @@ func runProgram(t *testing.T, data []byte) {
 		if k.Now() != m.now || k.Steps() != m.steps || k.Seq() != m.seq || k.Pending() != len(m.pending) {
 			t.Fatalf("op %d (code %d): kernel now=%d steps=%d seq=%d pending=%d, model now=%d steps=%d seq=%d pending=%d",
 				op, code, k.Now(), k.Steps(), k.Seq(), k.Pending(), m.now, m.steps, m.seq, len(m.pending))
+		}
+		if got, want := k.Rand().Int63(), m.rng.Int63(); got != want {
+			t.Fatalf("op %d (code %d): draw %d is %d, math/rand's %d", op, code, k.RNGDraws(), got, want)
 		}
 		if got := k.StrictViolation() != ""; got != m.violated {
 			t.Fatalf("op %d (code %d): strict violation %q, model %v", op, code, k.StrictViolation(), m.violated)

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -209,5 +211,46 @@ func TestTimeString(t *testing.T) {
 	d := Duration(250 * Microsecond)
 	if d.String() != "0.000250s" {
 		t.Fatalf("Duration.String() = %q", d.String())
+	}
+}
+
+// TestSourceIsMathRand: the kernel's stream is math/rand's, draw for draw,
+// for any seed (math/rand folds seeds modulo 2^31-1 and maps 0 elsewhere),
+// through every Rand method the simulation uses; and a kernel restored from
+// a snapshot goes on with the stream where the capture left it, without
+// replaying it.
+func TestSourceIsMathRand(t *testing.T) {
+	for _, seed := range []int64{1, 0, -1, 1021, 4060, 1<<31 - 1, 1 << 40, math.MinInt64, math.MaxInt64} {
+		k := NewKernel(seed)
+		want := rand.New(rand.NewSource(seed))
+		draw := func(n int) {
+			for i := 0; i < n; i++ {
+				var got, exp int64
+				switch i % 4 {
+				case 0:
+					got, exp = int64(k.Rand().Uint64()), int64(want.Uint64())
+				case 1:
+					got, exp = k.Rand().Int63(), want.Int63()
+				case 2:
+					got, exp = k.Rand().Int63n(1000), want.Int63n(1000)
+				default:
+					got, exp = int64(k.Rand().Intn(7)), int64(want.Intn(7))
+				}
+				if got != exp {
+					t.Fatalf("seed %d: draw %d is %d, math/rand's %d", seed, k.RNGDraws(), got, exp)
+				}
+			}
+		}
+		draw(1000)
+		snap, ok := k.CaptureSnapshot()
+		if !ok {
+			t.Fatal("an idle kernel refused a snapshot")
+		}
+		draws := k.RNGDraws()
+		k = NewRestoredKernel(snap)
+		if k.RNGDraws() != draws {
+			t.Fatalf("seed %d: restored at draw %d, captured at %d", seed, k.RNGDraws(), draws)
+		}
+		draw(1000)
 	}
 }

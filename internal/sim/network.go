@@ -473,6 +473,22 @@ func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
 	return n.send(n.link(linkKey{from, to}), kind, payload).Seq
 }
 
+// Route is a sender's hold on one directed link, resolved once: a
+// component that sends to one peer over and over — a watch stream's pushes
+// — keeps it, as an RPC client keeps its links, and SendOn finds the link
+// with no lookup. A route belongs to the network that resolved it; a
+// component restored into another world resolves its routes there anew.
+type Route struct{ l *link }
+
+// Route returns the route of the directed link from->to, creating the
+// link's record if it has none yet, as a Send would.
+func (n *Network) Route(from, to NodeID) Route { return Route{n.link(linkKey{from, to})} }
+
+// SendOn is Send on a route this network resolved.
+func (n *Network) SendOn(r Route, kind string, payload any) uint64 {
+	return n.send(r.l, kind, payload).Seq
+}
+
 // send is Send on a resolved link. It returns the message, which rides the
 // delivery event and whatever the caller keeps of it.
 func (n *Network) send(l *link, kind string, payload any) *Message {

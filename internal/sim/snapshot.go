@@ -63,6 +63,10 @@ type KernelSnapshot struct {
 	Steps    uint64 // events executed so far
 	RNGDraws uint64 // raw 64-bit draws consumed from the seeded source
 	Pending  []PendingEvent
+	// rng is the random generator at capture, RNGDraws draws into its
+	// stream: a restored kernel copies it. It is never written after the
+	// capture.
+	rng *lfg
 }
 
 // CaptureSnapshot captures the kernel's state if every pending event is
@@ -93,12 +97,14 @@ func (k *Kernel) CaptureSnapshot() (KernelSnapshot, bool) {
 		}
 		return pending[i].Seq < pending[j].Seq
 	})
+	rng := k.src.gen
 	return KernelSnapshot{
 		Now:      k.now,
 		Seq:      k.seq,
 		Steps:    k.steps,
 		RNGDraws: k.src.draws,
 		Pending:  pending,
+		rng:      &rng,
 	}, true
 }
 
@@ -148,17 +154,15 @@ func (k *Kernel) SetStrictPast(on bool) {
 // observed under strict mode, or "" if none.
 func (k *Kernel) StrictViolation() string { return k.strictErr }
 
-// NewRestoredKernel creates a kernel positioned mid-run: same seed, clock
-// at now, steps executed, and exactly rngDraws values consumed from the
-// random stream. The sequence counter starts at 0; the restore
-// orchestration sets it explicitly (SetSeq) around plan re-application.
-func NewRestoredKernel(seed int64, now Time, steps, rngDraws uint64) *Kernel {
-	k := NewKernel(seed)
-	for i := uint64(0); i < rngDraws; i++ {
-		k.src.Uint64() // discard; leaves the counting source at rngDraws
-	}
-	k.now = now
-	k.steps = steps
+// NewRestoredKernel creates a kernel positioned where snap was captured:
+// clock, steps executed, and the random stream, copied from the generator
+// snap holds — no draw is replayed and no source is seeded. The sequence
+// counter starts at 0; the restore orchestration sets it explicitly
+// (SetSeq) around plan re-application.
+func NewRestoredKernel(snap KernelSnapshot) *Kernel {
+	k := newKernel(&source{gen: *snap.rng, draws: snap.RNGDraws})
+	k.now = snap.Now
+	k.steps = snap.Steps
 	return k
 }
 
@@ -254,8 +258,8 @@ func (c *RPCClient) Timeout() Duration { return c.timeout }
 // positioned by NewRestoredKernel, the network's routing state — down flags
 // included — is re-applied, and the process registry starts empty
 // (components re-join, and a down one joins with its timer owner retired).
-func NewRestoredWorld(cfg WorldConfig, now Time, steps, rngDraws uint64, net NetworkSnapshot) *World {
-	k := NewRestoredKernel(cfg.Seed, now, steps, rngDraws)
+func NewRestoredWorld(cfg WorldConfig, ks KernelSnapshot, net NetworkSnapshot) *World {
+	k := NewRestoredKernel(ks)
 	w := &World{
 		kernel: k,
 		net:    NewNetwork(k, cfg.Latency, cfg.Jitter),

@@ -35,7 +35,8 @@ func TestRegisterKeepsDownFlag(t *testing.T) {
 // Restart registers exactly one live owner, which is the one its timers
 // handle arms under.
 func TestJoinDownProcessLeavesNoLiveOwner(t *testing.T) {
-	w := NewRestoredWorld(WorldConfig{Seed: 1, Latency: Millisecond}, 0, 0, 0, NetworkSnapshot{Down: map[NodeID]bool{"p": true}})
+	ks, _ := NewKernel(1).CaptureSnapshot()
+	w := NewRestoredWorld(WorldConfig{Seed: 1, Latency: Millisecond}, ks, NetworkSnapshot{Down: map[NodeID]bool{"p": true}})
 	p := &node{crashableProc: crashableProc{id: "p"}}
 	tm := w.Join(p, p.fire)
 	if !w.Crashed("p") {

@@ -95,6 +95,9 @@ type Server struct {
 	st    *Store
 	rpc   *sim.RPCServer
 	subs  map[string]*subscription // key: client/subID
+	// pushes arena-allocates the watch-push payloads: one per subscriber
+	// per commit.
+	pushes sim.Slab[WatchPush]
 }
 
 // NewServer wires a store actor into the world under the given node ID. It
@@ -137,11 +140,14 @@ func (s *Server) HandleMessage(m *sim.Message) {
 }
 
 // pushTo returns the notify of client's subscription subID: each batch goes
-// out as one watch-push message. Committed events are immutable, so every
-// subscriber's push carries the commit's one batch.
+// out as one watch-push message, on the link to client resolved here, when
+// the watch is registered or restored. Committed events are immutable, so
+// every subscriber's push carries the commit's one batch.
 func (s *Server) pushTo(client sim.NodeID, subID uint64) WatchNotify {
+	net := s.world.Network()
+	route := net.Route(s.id, client)
 	return func(events []history.Event) {
-		s.world.Network().Send(s.id, client, KindWatchPush, &WatchPush{SubID: subID, Events: events})
+		net.SendOn(route, KindWatchPush, &s.pushes.One(WatchPush{SubID: subID, Events: events})[0])
 	}
 }
 

@@ -194,3 +194,61 @@ func TestServerTxnOverNetwork(t *testing.T) {
 		t.Fatal("stale txn should fail")
 	}
 }
+
+// TestWatchPushesReResolveLinks: a subscription pushes on the link resolved
+// when its watch registered, and what is configured on that link later
+// still applies; a server restored into another world pushes on that
+// world's link, not on the record it was captured with.
+func TestWatchPushesReResolveLinks(t *testing.T) {
+	w, srv, cl := newServerWorld(t)
+	if _, err := cl.call("etcd", MethodWatch, &WatchRequest{Prefix: "/k", SubID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	w.Kernel().RunFor(sim.Second) // past the call's timeout: the world can be captured
+	// push commits one key on srv and returns how long its push took to
+	// reach client c in world pw.
+	push := func(pw *sim.World, srv *Server, c *testClient) sim.Duration {
+		start, n := pw.Kernel().Now(), len(c.pushes)
+		srv.Store().Put("/k", []byte("v"))
+		for len(c.pushes) == n {
+			if !pw.Kernel().Step() {
+				t.Fatal("the push never arrived")
+			}
+		}
+		return pw.Kernel().Now().Sub(start)
+	}
+	steps := []struct {
+		name string
+		run  func() sim.Duration
+		want sim.Duration
+	}{
+		{"registered", func() sim.Duration { return push(w, srv, cl) }, sim.Millisecond},
+		{"link delayed after the watch", func() sim.Duration {
+			w.Network().SetLinkDelay("etcd", "client", 4*sim.Millisecond)
+			return push(w, srv, cl)
+		}, 5 * sim.Millisecond},
+		{"restored into another world", func() sim.Duration {
+			w.Kernel().RunFor(sim.Second)
+			ks, ok := w.Kernel().CaptureSnapshot()
+			snap, ok2 := srv.Snapshot()
+			if !ok || !ok2 {
+				t.Fatal("the world could not be captured")
+			}
+			w2 := sim.NewRestoredWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond}, ks, w.Network().Snapshot())
+			cl2 := newTestClient(w2, "client")
+			srv2 := RestoreServer(w2, snap)
+			w2.Network().SetLinkDelay("etcd", "client", 2*sim.Millisecond)
+			before := len(cl.pushes)
+			d := push(w2, srv2, cl2)
+			if w.Kernel().Step() || len(cl.pushes) != before {
+				t.Error("the restored server pushed on the captured world's link")
+			}
+			return d
+		}, 3 * sim.Millisecond},
+	}
+	for _, s := range steps {
+		if got := s.run(); got != s.want {
+			t.Errorf("%s: the push took %v, want %v", s.name, got, s.want)
+		}
+	}
+}

@@ -87,6 +87,8 @@ type Store struct {
 	// watcherOrder caches the sorted watcher IDs used on every commit;
 	// rebuilt only when the watcher set changes.
 	watcherOrder []int64
+	// batches arena-allocates the one-event batch of every commit.
+	batches sim.Slab[history.Event]
 	storeState
 }
 
@@ -243,13 +245,18 @@ func (s *Store) decodeMemo(key string, kv KV, decode func(value []byte, rev int6
 	return v, true
 }
 
-// Put writes key=value and returns the new revision.
+// Put writes key=value and returns the new revision. The store commits a
+// copy of value: the caller keeps its bytes.
 func (s *Store) Put(key string, value []byte) int64 {
+	return s.put(key, append([]byte(nil), value...))
+}
+
+// put commits value as it is, shared by the KV, the history event and
+// every watcher's batch: the caller has handed it over, and nobody writes
+// to it again.
+func (s *Store) put(key string, value []byte) int64 {
 	prev, existed := s.kvs[key]
 	s.rev++
-	// One copy of the caller's bytes, shared by the KV and the history
-	// event: neither is ever written in place.
-	value = append([]byte(nil), value...)
 	kv := KV{
 		Key:            key,
 		Value:          value,
@@ -303,7 +310,7 @@ func (s *Store) commit(e history.Event) {
 		s.CompactTo(first)
 	}
 	// One batch per commit, shared by every watcher and hook.
-	batch := []history.Event{e}
+	batch := s.batches.One(e)
 	for _, id := range s.watcherIDs() {
 		w, ok := s.watchers[id]
 		if !ok {

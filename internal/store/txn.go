@@ -64,7 +64,10 @@ func (s *Store) Check(c Cmp) bool {
 }
 
 // Txn atomically evaluates guards and, if all hold, applies ops. A failing
-// guard returns ErrTxnFailed.
+// guard returns ErrTxnFailed. The caller hands the ops' values over, as
+// Conn.Update hands its object over: a committed put keeps its Value as the
+// committed bytes, uncopied, so nobody writes to a value once it is in a
+// Txn. The apiserver's write is the one buffer Encode made.
 func (s *Store) Txn(guards []Cmp, ops []Op) (TxnResult, error) {
 	for _, c := range guards {
 		if !s.Check(c) {
@@ -74,7 +77,7 @@ func (s *Store) Txn(guards []Cmp, ops []Op) (TxnResult, error) {
 	for _, op := range ops {
 		switch op.Type {
 		case OpPut:
-			s.Put(op.Key, op.Value)
+			s.put(op.Key, op.Value)
 		case OpDelete:
 			// Deleting an absent key inside a txn is a no-op, matching
 			// etcd's DeleteRange semantics.
@@ -86,7 +89,7 @@ func (s *Store) Txn(guards []Cmp, ops []Op) (TxnResult, error) {
 
 // CompareAndSwap is the common special case: write key=value only if the
 // key's ModRevision equals expectRev (0 = must not exist). It reports
-// whether the swap happened.
+// whether the swap happened. Like Txn, it takes value over.
 func (s *Store) CompareAndSwap(key string, expectRev int64, value []byte) (bool, int64) {
 	res, err := s.Txn(
 		[]Cmp{{Key: key, Target: CmpModRevision, IntVal: expectRev}},

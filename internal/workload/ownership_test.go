@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -23,9 +24,12 @@ import (
 // by someone who should have cloned it first. The same holds for writes: a
 // Create or Update request's object was handed over by its caller, and the
 // reply's object shares its labels and payload with the request it
-// answered. The slice ListCached hands out is the informer's own: it must
-// still be its cache in name order, or a caller sorted it or wrote into
-// it. It returns one line per offending holder.
+// answered. Every object an apiserver memoizes and every reply's object
+// must besides be the decode of those bytes, field for field: a shared
+// revision is its writer's object only where the two cannot differ. The
+// slice ListCached hands out is the informer's own: it must still be its
+// cache in name order, or a caller sorted it or wrote into it. It returns
+// one line per offending holder.
 func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	hist := c.Store.Store().History()
 	var bad []string
@@ -41,9 +45,24 @@ func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 				holder, obj, cluster.MustEncode(obj), ev.Value))
 		}
 	}
+	// decodes checks what a revision's object must be besides its bytes:
+	// the committed value's decode, field for field. A writer's object that
+	// encodes right and decodes differently (an empty label map, a string
+	// the codec escapes) fails here and nowhere else.
+	decodes := func(holder string, obj *cluster.Object) {
+		ev, ok := hist.Find(obj.Meta.ResourceVersion)
+		if !ok || ev.Type != history.Put {
+			return // check reports it
+		}
+		if want, err := cluster.Decode(ev.Value, ev.Revision); err != nil || !reflect.DeepEqual(obj, want) {
+			bad = append(bad, fmt.Sprintf("%s holds %s, not the decode of its committed bytes:\n  holds   %+v\n  decoded %+v (%v)",
+				holder, obj, *obj, want, err))
+		}
+	}
 	for _, api := range c.APIs {
 		for _, obj := range api.Memoized() {
 			check(string(api.ID())+" memo", obj)
+			decodes(string(api.ID())+" memo", obj)
 		}
 	}
 	for _, conn := range c.Conns() {
@@ -74,6 +93,7 @@ func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	}
 	for _, r := range writes.replies {
 		check(fmt.Sprintf("%s write reply to %s", r.from, r.to), r.obj)
+		decodes(fmt.Sprintf("%s write reply to %s", r.from, r.to), r.obj)
 	}
 	return bad
 }
@@ -244,5 +264,32 @@ func TestMutatingHandlerTripsOwnershipCheck(t *testing.T) {
 	}
 	if !strings.Contains(report, "edited-in-place") {
 		t.Errorf("report does not show the edit:\n%s", report)
+	}
+}
+
+// TestCanonicalWritesAreNeverDecoded runs every target's reference
+// execution — the five committed ones and both scale targets on the
+// benchmark's 50-node worlds — and requires that no apiserver's applyOne
+// decoded a committed revision: every write goes through an apiserver, its
+// objects are exact (cluster.EncodeExact), so each revision is served as
+// the object its writer encoded. A write whose object stopped being exact,
+// or a memo that stopped matching writes to commits, shows here as a
+// count, by target and apiserver.
+func TestCanonicalWritesAreNeverDecoded(t *testing.T) {
+	scale := ScaleProfile{Racks: 10, NodesPerRack: 5}
+	for _, target := range append(AllTargets(), ScaleRackDrainTarget(scale), ScaleReplaceTarget(scale)) {
+		c := target.Build(1)
+		target.Workload(c)
+		c.RunFor(target.Horizon)
+		commits := c.Store.Store().Revision()
+		for _, api := range c.APIs {
+			if n := api.Stats().ApplyDecodes; n != 0 {
+				t.Errorf("%s: %s decoded %d of %d committed revisions", target.Name, api.ID(), n, commits)
+			}
+		}
+		t.Logf("%s: %d committed revisions", target.Name, commits)
+		if commits == 0 {
+			t.Errorf("%s committed nothing; the check is vacuous", target.Name)
+		}
 	}
 }
