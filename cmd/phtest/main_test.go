@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -21,8 +22,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return runCtx(context.Background(), args, stdout, stderr)
 }
 
-// The table-driven validator test lives with the shared rules in
-// internal/farm (TestValidateFlags); here we verify the full CLI path.
+// The table-driven test of the cell rules lives with TaskSpec.Validate in
+// internal/farm (TestValidateFlags); here are -explore's own exclusions,
+// and the full CLI path for both.
+
+// TestExploreConflict: exhaustive mode rejects the campaign switches it
+// has no use for, and accepts -fixed (certifying a fixed variant is the
+// healthy baseline).
+func TestExploreConflict(t *testing.T) {
+	cases := []struct {
+		name    string
+		spec    farm.TaskSpec
+		wantErr string // substring; "" means the combination is valid
+	}{
+		{"explore-alone", farm.TaskSpec{}, ""},
+		{"explore-with-fixed", farm.TaskSpec{Fixed: true}, ""},
+		{"explore-with-guided", farm.TaskSpec{Guided: true}, "-explore is incompatible with -guided"},
+		{"explore-with-prune", farm.TaskSpec{Prune: true}, "-explore is incompatible with -prune"},
+		{"explore-with-snapshot", farm.TaskSpec{Snapshot: true}, "-explore is incompatible with -snapshot"},
+		{"explore-with-explain", farm.TaskSpec{Explain: true}, "-explore is incompatible with -explain"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := exploreConflict(tc.spec)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("valid combination rejected: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}
 
 // TestRejectedFlagsExitTwo verifies the full path: run() with a rejected
 // flag combination returns exit code 2 and prints the reason to stderr

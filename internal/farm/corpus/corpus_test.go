@@ -7,24 +7,24 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/farm"
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 const strat = "partial-history"
 
+// runCell runs target's partial-history campaign on seed 1 the way a farm
+// task runs it: outcomes collected, seeded from cov.
 func runCell(t *testing.T, target string, cov *campaign.CoverageSeed) campaign.Result {
 	t.Helper()
-	res, err := farm.RunTask(farm.TaskSpec{
-		Target:   target,
-		Strategy: strat,
-		Seeds:    []int64{1},
-		Parallel: 2,
-		Coverage: cov,
-	}, nil)
-	if err != nil {
-		t.Fatalf("run %s: %v", target, err)
+	for _, tg := range workload.AllTargets() {
+		if tg.Name == target {
+			cfg := campaign.Config{Workers: 2, Seeds: []int64{1}, Collect: true, Coverage: cov}
+			return campaign.New(cfg).Run(tg, core.NewPlanner())
+		}
 	}
-	return res
+	t.Fatalf("unknown target %s", target)
+	return campaign.Result{}
 }
 
 func totalExecs(res campaign.Result) int {

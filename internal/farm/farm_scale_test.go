@@ -22,7 +22,7 @@ func TestFarmByteIdentityScale(t *testing.T) {
 		Parallel:      2,
 	}
 	direct := directRun(t, spec)
-	cfg := spec.engineConfig(nil)
+	cfg := spec.Config()
 	wantArt := artifactBytes(t, direct, cfg)
 	wantND := ndjsonBytes(t, direct, cfg)
 	merged := farmRun(t, []string{spec.Target}, []string{spec.Strategy}, spec, 2)

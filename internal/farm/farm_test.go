@@ -76,7 +76,7 @@ func TestFarmByteIdentity(t *testing.T) {
 			spec := base
 			spec.Target = target
 			direct := directRun(t, spec)
-			cfg := spec.engineConfig(nil)
+			cfg := spec.Config()
 			wantArt := artifactBytes(t, direct, cfg)
 			wantND := ndjsonBytes(t, direct, cfg)
 			for _, workers := range []int{1, 2, 3} {
@@ -109,7 +109,7 @@ func TestFarmByteIdentityGuidedExplain(t *testing.T) {
 		Explain:       true,
 	}
 	direct := directRun(t, spec)
-	cfg := spec.engineConfig(nil)
+	cfg := spec.Config()
 	wantArt := artifactBytes(t, direct, cfg)
 	wantND := ndjsonBytes(t, direct, cfg)
 	for _, workers := range []int{2, 3} {
@@ -144,7 +144,7 @@ func TestFarmLearningStaysWhole(t *testing.T) {
 		t.Fatalf("learning task seeds = %v, want full sweep %v", tasks[0].Seeds, spec.Seeds)
 	}
 	direct := directRun(t, spec)
-	cfg := spec.engineConfig(nil)
+	cfg := spec.Config()
 	merged := farmRun(t, []string{spec.Target}, []string{spec.Strategy}, spec, 2)
 	if !bytes.Equal(artifactBytes(t, merged[0], cfg), artifactBytes(t, direct, cfg)) {
 		t.Error("learning cell artifact differs from single-process run")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 )
 
 // Toggle is one plan-family / engine-mode configuration of a grid — a
@@ -18,13 +19,6 @@ type Toggle struct {
 	Ranked   bool   `json:"ranked,omitempty"`
 	Snapshot bool   `json:"snapshot,omitempty"`
 	Explain  bool   `json:"explain,omitempty"`
-	// TaskDeadlineSec overrides the supervisor's per-task completion
-	// deadline for every task of this toggle, in seconds (0 = inherit
-	// the farm-wide -task-deadline, or the scaled default). A grid axis
-	// for deadline experiments: slow toggles (full replay, big event
-	// budgets) can buy wall clock without loosening the watchdog on the
-	// fast ones.
-	TaskDeadlineSec int `json:"task_deadline_sec,omitempty"`
 }
 
 // Grid is a declarative experiment specification: the full cross
@@ -105,36 +99,35 @@ func (g *Grid) validate() error {
 			return fmt.Errorf("duplicate toggle %q", t.Name)
 		}
 		names[t.Name] = true
-		if err := ValidateFlags(FlagRules{
-			Prune: t.Prune, Ranked: t.Ranked,
-			Explain: t.Explain, Snapshot: t.Snapshot,
-		}); err != nil {
+		if err := g.spec(t).Validate(); err != nil {
 			return fmt.Errorf("toggle %q: %w", t.Name, err)
-		}
-		if t.TaskDeadlineSec < 0 {
-			return fmt.Errorf("toggle %q: task_deadline_sec must be >= 0", t.Name)
 		}
 	}
 	if g.Repeats < 0 {
 		return fmt.Errorf("repeats must be >= 0")
 	}
-	return nil
+	// Resolve every name once, so a bad one fails before anything runs.
+	if _, err := ResolveTargets(strings.Join(g.Targets, ","), false); err != nil {
+		return err
+	}
+	_, err := ResolveStrategies(strings.Join(g.Strategies, ","), g.RandomSeed, g.RandomN)
+	return err
 }
 
-// targetNames resolves the grid's target list, expanding "all".
-func (g Grid) targetNames() []string {
-	if len(g.Targets) == 1 && g.Targets[0] == "all" {
-		return AllTargetNames()
+// spec is the cell spec a toggle's tasks share, before the seed sweep
+// and the pool width are filled in.
+func (g Grid) spec(tog Toggle) TaskSpec {
+	return TaskSpec{
+		MaxExecutions: g.MaxExecutions,
+		Guided:        tog.Guided,
+		Prune:         tog.Prune,
+		Ranked:        tog.Ranked,
+		Snapshot:      tog.Snapshot,
+		Explain:       tog.Explain,
+		KeepGoing:     g.KeepGoing,
+		RandomSeed:    g.RandomSeed,
+		RandomN:       g.RandomN,
 	}
-	return g.Targets
-}
-
-// strategyNames resolves the grid's strategy list, expanding "all".
-func (g Grid) strategyNames() []string {
-	if len(g.Strategies) == 1 && g.Strategies[0] == "all" {
-		return AllStrategyNames
-	}
-	return g.Strategies
 }
 
 // Expand turns the grid into its experiments, in deterministic order:
@@ -149,7 +142,8 @@ func (g Grid) Expand(parallel int) []Experiment {
 	if stride == 0 {
 		stride = 1000
 	}
-	targets, strategies := g.targetNames(), g.strategyNames()
+	targets := targetNames(strings.Join(g.Targets, ","))
+	strategies := strategyNames(strings.Join(g.Strategies, ","))
 	var out []Experiment
 	for _, tog := range g.Toggles {
 		for r := 0; r < repeats; r++ {
@@ -157,20 +151,8 @@ func (g Grid) Expand(parallel int) []Experiment {
 			for i, s := range g.Seeds {
 				seeds[i] = s + int64(r)*stride
 			}
-			base := TaskSpec{
-				Seeds:           seeds,
-				MaxExecutions:   g.MaxExecutions,
-				Parallel:        parallel,
-				TaskDeadlineSec: tog.TaskDeadlineSec,
-				Guided:          tog.Guided,
-				Prune:           tog.Prune,
-				Ranked:          tog.Ranked,
-				Snapshot:        tog.Snapshot,
-				Explain:         tog.Explain,
-				KeepGoing:       g.KeepGoing,
-				RandomSeed:      g.RandomSeed,
-				RandomN:         g.RandomN,
-			}
+			base := g.spec(tog)
+			base.Seeds, base.Parallel = seeds, parallel
 			out = append(out, Experiment{
 				Toggle: tog,
 				Repeat: r,

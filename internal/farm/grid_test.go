@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func writeGrid(t *testing.T, body string) string {
@@ -48,10 +47,10 @@ func TestLoadGridValidation(t *testing.T) {
 		"no toggles":      `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[]}`,
 		"unnamed toggle":  `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"guided":true}]}`,
 		"dup toggle":      `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"name":"t"},{"name":"t"}]}`,
-		"ranked no prune": `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],"toggles":[{"name":"t","ranked":true}]}`,
-		"negative deadline": `{"name":"g","targets":["a"],"strategies":["s"],"seeds":[1],` +
-			`"toggles":[{"name":"t","task_deadline_sec":-5}]}`,
-		"bad json": `{`,
+		"ranked no prune": `{"name":"g","targets":["k8s-59848"],"strategies":["cofi"],"seeds":[1],"toggles":[{"name":"t","ranked":true}]}`,
+		"unknown target":  `{"name":"g","targets":["no-such-bug"],"strategies":["cofi"],"seeds":[1],"toggles":[{"name":"t"}]}`,
+		"unknown strat":   `{"name":"g","targets":["k8s-59848"],"strategies":["quantum"],"seeds":[1],"toggles":[{"name":"t"}]}`,
+		"bad json":        `{`,
 	}
 	for label, body := range cases {
 		if _, err := LoadGrid(writeGrid(t, body)); err == nil {
@@ -106,50 +105,6 @@ func TestExpandSeedShiftAndOrder(t *testing.T) {
 	}
 }
 
-// TestToggleTaskDeadlineAxis: a per-toggle deadline override propagates
-// to every expanded task of that toggle and outranks both the
-// coordinator's global Deadline hook and the scaled default.
-func TestToggleTaskDeadlineAxis(t *testing.T) {
-	g := Grid{
-		Name:       "g",
-		Targets:    []string{"k8s-59848"},
-		Strategies: []string{"partial-history"},
-		Seeds:      []int64{1},
-		Toggles: []Toggle{
-			{Name: "fast"},
-			{Name: "slow", TaskDeadlineSec: 900},
-		},
-	}
-	exps := g.Expand(1)
-	if len(exps) != 2 {
-		t.Fatalf("got %d experiments, want 2", len(exps))
-	}
-	for _, task := range exps[0].Tasks {
-		if task.TaskDeadlineSec != 0 {
-			t.Errorf("fast toggle task carries deadline %d, want 0", task.TaskDeadlineSec)
-		}
-	}
-	for _, task := range exps[1].Tasks {
-		if task.TaskDeadlineSec != 900 {
-			t.Errorf("slow toggle task carries deadline %d, want 900", task.TaskDeadlineSec)
-		}
-	}
-
-	// Precedence at the supervisor: spec override > global hook > default.
-	sup := &Supervisor{Deadline: func(TaskSpec) time.Duration { return 5 * time.Minute }}
-	withOverride := exps[1].Tasks[0]
-	if got := sup.deadline(withOverride); got != 900*time.Second {
-		t.Errorf("spec override: deadline %s, want 900s", got)
-	}
-	noOverride := exps[0].Tasks[0]
-	if got := sup.deadline(noOverride); got != 5*time.Minute {
-		t.Errorf("global hook: deadline %s, want 5m", got)
-	}
-	if got := (&Supervisor{}).deadline(noOverride); got != DefaultTaskDeadline(noOverride) {
-		t.Errorf("default: deadline %s, want %s", got, DefaultTaskDeadline(noOverride))
-	}
-}
-
 func TestExpandDefaults(t *testing.T) {
 	g := Grid{
 		Name:       "g",
@@ -172,5 +127,35 @@ func TestExpandDefaults(t *testing.T) {
 	exps = g.Expand(1)
 	if got := exps[1].Seeds[0]; got != 1007 {
 		t.Errorf("default stride: repeat-1 seed = %d, want 1007", got)
+	}
+}
+
+// TestExpandTargetNames: a grid's target list expands through the same
+// resolver as -targets, so "all" and "scale" become the names every
+// worker resolves, and a plain list stays as written.
+func TestExpandTargetNames(t *testing.T) {
+	cases := []struct {
+		targets []string
+		want    []string
+	}{
+		{[]string{"all"}, AllTargetNames()},
+		{[]string{"scale"}, ScaleTargetNames()},
+		{[]string{"cass-op-400", "k8s-56261"}, []string{"cass-op-400", "k8s-56261"}},
+	}
+	for _, tc := range cases {
+		g := Grid{
+			Name: "g", Targets: tc.targets, Strategies: []string{"partial-history"},
+			Seeds: []int64{1}, Toggles: []Toggle{{Name: "base"}},
+		}
+		var got []string
+		for _, task := range g.Expand(1)[0].Tasks {
+			if _, err := ResolveTarget(task.Target, false); err != nil {
+				t.Errorf("%v: task target does not resolve: %v", tc.targets, err)
+			}
+			got = append(got, task.Target)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v: task targets %v, want %v", tc.targets, got, tc.want)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestJournalResumeByteIdentity(t *testing.T) {
 		t.Fatalf("got %d tasks, want 2", len(tasks))
 	}
 	fp := TasksFingerprint(tasks)
-	cfg := spec.engineConfig(nil)
+	cfg := spec.Config()
 
 	// The uninterrupted reference.
 	sup := inProcSupervisor(2)

@@ -13,7 +13,8 @@
 //   - worker.go    the worker side: run one task through the unchanged
 //     campaign.Engine, streaming per-execution records
 //   - shard.go     how a campaign matrix becomes tasks (seed-sharded,
-//     except when cross-seed learning forbids it)
+//     except when cross-seed learning forbids it), and how task results
+//     fold back into cells through campaign.Merge
 //   - supervise.go the coordinator: pull-based task dispatch,
 //     cancellation with partial results, and worker supervision — death
 //     detection (EOF, deadline, protocol), capped-backoff respawn,
@@ -22,10 +23,10 @@
 //     NDJSON line per completed task, torn-tail-tolerant resume
 //   - faulttransport.go deterministic fault injection for testing: kill,
 //     stall, or tear a worker stream at scripted frames
-//   - merge.go     deterministic shard merging — the proof obligation
-//     that farmed == single-process, field by field
 //   - resolve.go   target/strategy/seed name resolution shared with the
 //     single-process CLI
+//   - cli.go       the flags, outputs and matrix printer phtest and
+//     phfarm share
 //   - grid.go      declarative experiment grids (targets × seeds ×
 //     plan-family toggles × repeats)
 //   - analyze.go   grid summary tables and CSV
@@ -86,21 +87,19 @@ type TaskSpec struct {
 	Ranked        bool    `json:"ranked,omitempty"`
 	Snapshot      bool    `json:"snapshot,omitempty"`
 	EventBudget   uint64  `json:"event_budget,omitempty"`
-	// TaskDeadlineSec is a per-task supervisor deadline override in
-	// seconds (0 = none). It outranks both the coordinator's global
-	// Deadline hook and the scaled default — the task is the unit the
-	// watchdog kills, so the most specific deadline wins.
-	TaskDeadlineSec int `json:"task_deadline_sec,omitempty"`
 
 	// Coverage carries the cell's slice of the persistent corpus, when
 	// the coordinator runs with one.
 	Coverage *campaign.CoverageSeed `json:"coverage,omitempty"`
 }
 
-// engineConfig reconstitutes the campaign.Config a worker runs the task
-// under. Collect is always on: the coordinator needs per-plan outcomes
-// to merge artifacts and regenerate telemetry streams.
-func (s TaskSpec) engineConfig(onOutcome func(campaign.PlanOutcome)) campaign.Config {
+// Config is the one mapping from a cell to the campaign.Config it runs
+// under: the worker runs a task with it, and phtest runs each cell with it,
+// so a farmed cell and a single-process one cannot configure the engine
+// differently. Collect is on because the coordinator needs per-plan
+// outcomes to merge artifacts and regenerate telemetry streams; phtest
+// turns it off when no output asks for them, since instrumentation costs.
+func (s TaskSpec) Config() campaign.Config {
 	return campaign.Config{
 		Workers:       s.Parallel,
 		Seeds:         s.Seeds,
@@ -114,8 +113,23 @@ func (s TaskSpec) engineConfig(onOutcome func(campaign.PlanOutcome)) campaign.Co
 		Ranked:        s.Ranked,
 		Snapshot:      s.Snapshot,
 		Coverage:      s.Coverage,
-		OnOutcome:     onOutcome,
 	}
+}
+
+// Validate rejects a cell whose switches parse fine but make no sense
+// together: -ranked without -prune would run the learning phase in a mode
+// no report distinguishes from plain ordering, and -snapshot with -fixed
+// would fork the fixed-variant baselines whose entire point is exercising
+// the unmodified full-replay path. phtest, phfarm and every grid toggle
+// validate through it, so a cell is rejected identically everywhere.
+func (s TaskSpec) Validate() error {
+	if s.Ranked && !s.Prune {
+		return fmt.Errorf("-ranked requires -prune: impact ranking orders the learning phase's kept set, which only exists when pruning runs")
+	}
+	if s.Snapshot && s.Fixed {
+		return fmt.Errorf("-snapshot is incompatible with -fixed: fixed-variant runs are correctness baselines and must execute full replays")
+	}
+	return nil
 }
 
 // Wire message types, coordinator → worker and back. The protocol is

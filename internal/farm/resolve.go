@@ -22,23 +22,18 @@ var AllStrategyNames = []string{"partial-history", "crashtuner", "cofi", "random
 
 // AllTargetNames returns the target names in canonical (matrix row)
 // order.
-func AllTargetNames() []string {
-	all := workload.AllTargets()
-	out := make([]string, len(all))
-	for i, t := range all {
-		out[i] = t.Name
-	}
-	return out
-}
+func AllTargetNames() []string { return nameList(workload.AllTargets()) }
 
 // ScaleTargetNames returns the names of the canonical scale targets.
 // They are not part of AllTargetNames (and so not of "all"): the
 // committed evaluation artifacts pin the five-target matrix. They
 // resolve by name, or all at once via the "scale" spec.
-func ScaleTargetNames() []string {
-	all := workload.ScaleTargets()
-	out := make([]string, len(all))
-	for i, t := range all {
+func ScaleTargetNames() []string { return nameList(workload.ScaleTargets()) }
+
+// nameList lists the targets' names, in order.
+func nameList(targets []core.Target) []string {
+	out := make([]string, len(targets))
+	for i, t := range targets {
 		out[i] = t.Name
 	}
 	return out
@@ -48,16 +43,7 @@ func ScaleTargetNames() []string {
 // matrix target, "scale" for the cluster-scale targets); fixed swaps in
 // the fixed component variants (the no-detection correctness baseline).
 func ResolveTargets(spec string, fixed bool) ([]core.Target, error) {
-	var names []string
-	if spec == "all" {
-		names = AllTargetNames()
-	} else if spec == "scale" {
-		names = ScaleTargetNames()
-	} else {
-		for _, name := range strings.Split(spec, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-	}
+	names := targetNames(spec)
 	out := make([]core.Target, 0, len(names))
 	for _, name := range names {
 		t, err := ResolveTarget(name, fixed)
@@ -69,19 +55,26 @@ func ResolveTargets(spec string, fixed bool) ([]core.Target, error) {
 	return out, nil
 }
 
+// targetNames expands a target list into names, unresolved: what
+// ResolveTargets resolves and what a grid's tasks carry.
+func targetNames(spec string) []string {
+	switch spec {
+	case "all":
+		return AllTargetNames()
+	case "scale":
+		return ScaleTargetNames()
+	}
+	return splitNames(spec)
+}
+
 // ResolveTarget resolves one target by name, searching the matrix
 // targets and then the scale targets.
 func ResolveTarget(name string, fixed bool) (core.Target, error) {
-	for _, t := range workload.AllTargets() {
-		if t.Name == name {
-			if fixed {
-				return workload.Fixed(t), nil
+	for _, targets := range []func() []core.Target{workload.AllTargets, workload.ScaleTargets} {
+		for _, t := range targets() {
+			if t.Name != name {
+				continue
 			}
-			return t, nil
-		}
-	}
-	for _, t := range workload.ScaleTargets() {
-		if t.Name == name {
 			if fixed {
 				return workload.Fixed(t), nil
 			}
@@ -96,13 +89,7 @@ func ResolveTarget(name string, fixed bool) (core.Target, error) {
 // the canonical four). randomSeed/randomN parameterize the random
 // baseline's plan generator.
 func ResolveStrategies(spec string, randomSeed int64, randomN int) ([]core.Strategy, error) {
-	names := AllStrategyNames
-	if spec != "all" {
-		names = nil
-		for _, name := range strings.Split(spec, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-	}
+	names := strategyNames(spec)
 	out := make([]core.Strategy, 0, len(names))
 	for _, name := range names {
 		s, err := ResolveStrategy(name, randomSeed, randomN)
@@ -112,6 +99,23 @@ func ResolveStrategies(spec string, randomSeed int64, randomN int) ([]core.Strat
 		out = append(out, s)
 	}
 	return out, nil
+}
+
+// strategyNames expands a strategy list into names, unresolved.
+func strategyNames(spec string) []string {
+	if spec == "all" {
+		return AllStrategyNames
+	}
+	return splitNames(spec)
+}
+
+// splitNames splits a comma-separated name list.
+func splitNames(spec string) []string {
+	names := strings.Split(spec, ",")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+	}
+	return names
 }
 
 // ResolveStrategy resolves one strategy by name.
@@ -130,55 +134,6 @@ func ResolveStrategy(name string, randomSeed int64, randomN int) (core.Strategy,
 		return nil, fmt.Errorf("unknown strategy %q (have: %s)", name, strings.Join(AllStrategyNames, ", "))
 	}
 	return s, nil
-}
-
-// FlagRules carries the engine-mode switches whose combinations the CLIs
-// must agree on rejecting. Both phtest and phfarm (and the grid loader,
-// for its per-toggle switches) route through ValidateFlags, so an inert
-// or contradictory combination is rejected identically everywhere —
-// a flag set that validated for a single-process run cannot behave
-// differently when handed to the farm.
-type FlagRules struct {
-	Prune    bool
-	Ranked   bool
-	Explain  bool
-	Snapshot bool
-	Fixed    bool
-	Guided   bool
-	Explore  bool // phtest's exhaustive mode; always false in the farm
-}
-
-// ValidateFlags fails fast on flag combinations that parse fine but make
-// no sense together. Each rejected combination used to be accepted and
-// silently misbehave: -ranked without -prune ran the learning phase in a
-// mode no report distinguishes from plain ordering, and -snapshot with
-// -fixed would fork the fixed-variant baselines whose entire point is
-// exercising the unmodified full-replay path.
-func ValidateFlags(r FlagRules) error {
-	if r.Ranked && !r.Prune {
-		return fmt.Errorf("-ranked requires -prune: impact ranking orders the learning phase's kept set, which only exists when pruning runs")
-	}
-	if r.Snapshot && r.Fixed {
-		return fmt.Errorf("-snapshot is incompatible with -fixed: fixed-variant runs are correctness baselines and must execute full replays")
-	}
-	if r.Explore {
-		// Exhaustive mode is its own engine: the campaign scheduling and
-		// reporting switches have no effect there, and accepting them
-		// would silently run something other than what was asked for.
-		// (-fixed IS allowed: certifying a fixed variant is the healthy
-		// baseline the certificate exists for.)
-		switch {
-		case r.Guided:
-			return fmt.Errorf("-explore is incompatible with -guided: exhaustive mode enumerates the schedule space, there is nothing for coverage guidance to schedule")
-		case r.Prune:
-			return fmt.Errorf("-explore is incompatible with -prune: exhaustive mode applies the learned model as partial-order reduction internally (-explore-por)")
-		case r.Snapshot:
-			return fmt.Errorf("-explore is incompatible with -snapshot: exhaustive mode manages its own checkpoint-tree forking")
-		case r.Explain:
-			return fmt.Errorf("-explore is incompatible with -explain: witnesses are always minimized and explained")
-		}
-	}
-	return nil
 }
 
 // ParseSeeds parses a comma-separated list of distinct world seeds: a

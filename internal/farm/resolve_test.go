@@ -5,36 +5,34 @@ import (
 	"testing"
 )
 
-// TestValidateFlags is the table-driven regression test for the flag
-// combinations both CLIs reject after flag.Parse(): combinations that
-// would silently do nothing (-ranked without -prune) or fork the
-// full-replay correctness baselines (-snapshot with -fixed).
+// TestValidateFlags is the table-driven regression test for the cell
+// flag combinations TaskSpec.Validate rejects — in phtest and phfarm
+// after flag.Parse(), and in every grid toggle: combinations that would
+// silently do nothing (-ranked without -prune) or fork the full-replay
+// correctness baselines (-snapshot with -fixed).
 func TestValidateFlags(t *testing.T) {
+	var g Grid
 	cases := []struct {
 		name    string
-		rules   FlagRules
+		spec    TaskSpec
 		wantErr string // substring; "" means the combination is valid
 	}{
-		{"defaults", FlagRules{}, ""},
-		{"prune-alone", FlagRules{Prune: true}, ""},
-		{"prune-ranked", FlagRules{Prune: true, Ranked: true}, ""},
-		{"ranked-without-prune", FlagRules{Ranked: true}, "-ranked requires -prune"},
-		{"explain-alone", FlagRules{Explain: true}, ""},
-		{"snapshot-alone", FlagRules{Snapshot: true}, ""},
-		{"fixed-alone", FlagRules{Fixed: true}, ""},
-		{"snapshot-with-fixed", FlagRules{Snapshot: true, Fixed: true}, "-snapshot is incompatible with -fixed"},
-		{"everything-valid", FlagRules{Prune: true, Ranked: true, Explain: true, Snapshot: true}, ""},
-		{"explore-alone", FlagRules{Explore: true}, ""},
-		{"explore-with-fixed", FlagRules{Explore: true, Fixed: true}, ""},
-		{"explore-with-guided", FlagRules{Explore: true, Guided: true}, "-explore is incompatible with -guided"},
-		{"explore-with-prune", FlagRules{Explore: true, Prune: true}, "-explore is incompatible with -prune"},
-		{"explore-with-snapshot", FlagRules{Explore: true, Snapshot: true}, "-explore is incompatible with -snapshot"},
-		{"explore-with-explain", FlagRules{Explore: true, Explain: true}, "-explore is incompatible with -explain"},
+		{"defaults", TaskSpec{}, ""},
+		{"prune-alone", TaskSpec{Prune: true}, ""},
+		{"prune-ranked", TaskSpec{Prune: true, Ranked: true}, ""},
+		{"ranked-without-prune", TaskSpec{Ranked: true}, "-ranked requires -prune"},
+		{"explain-alone", TaskSpec{Explain: true}, ""},
+		{"snapshot-alone", TaskSpec{Snapshot: true}, ""},
+		{"fixed-alone", TaskSpec{Fixed: true}, ""},
+		{"snapshot-with-fixed", TaskSpec{Snapshot: true, Fixed: true}, "-snapshot is incompatible with -fixed"},
+		{"everything-valid", TaskSpec{Prune: true, Ranked: true, Explain: true, Snapshot: true}, ""},
+		{"toggle-guided", g.spec(Toggle{Name: "t", Guided: true}), ""},
+		{"toggle-learned", g.spec(Toggle{Name: "t", Prune: true, Ranked: true, Snapshot: true, Explain: true}), ""},
+		{"toggle-ranked-without-prune", g.spec(Toggle{Name: "t", Ranked: true}), "-ranked requires -prune"},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			err := ValidateFlags(tc.rules)
+			err := tc.spec.Validate()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("valid combination rejected: %v", err)
@@ -42,7 +40,7 @@ func TestValidateFlags(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("inert/contradictory combination accepted: %+v", tc.rules)
+				t.Fatalf("inert/contradictory combination accepted: %+v", tc.spec)
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not describe the problem (want substring %q)", err, tc.wantErr)

@@ -9,10 +9,28 @@ type Cell struct {
 	Strategy string
 }
 
-// Plan expands a campaign matrix into farm tasks. base carries every
-// engine knob plus the full seed sweep; Plan fills in ID, Target,
-// Strategy, and the per-task seed slice. Tasks come out cell-major
-// (target-major, then strategy, then seed) with dense IDs, so grouping
+// Cells expands a campaign matrix into one spec per (target, strategy)
+// cell, target-major: base with its coordinates filled in.
+func Cells(targets, strategies []string, base TaskSpec) []TaskSpec {
+	out := make([]TaskSpec, 0, len(targets)*len(strategies))
+	for _, t := range targets {
+		for _, s := range strategies {
+			cell := base
+			cell.Target, cell.Strategy = t, s
+			out = append(out, cell)
+		}
+	}
+	return out
+}
+
+// Plan expands a campaign matrix into farm tasks: Shard of its Cells.
+func Plan(targets, strategies []string, base TaskSpec) []TaskSpec {
+	return Shard(Cells(targets, strategies, base))
+}
+
+// Shard cuts cells into farm tasks. Each cell carries the full seed
+// sweep; Shard fills in ID and the per-task seed slice. Tasks come out
+// cell-major (cells in order, then seed) with dense IDs, so grouping
 // completed tasks by first appearance reproduces the matrix order.
 //
 // The shard boundary follows the engine's independence structure:
@@ -25,29 +43,22 @@ type Cell struct {
 //     bucket-class affinity of seeds < N (Merge's fold law excludes
 //     exactly this case), so seed sharding would change the schedules.
 //     Those cells stay whole: one task carrying the full sweep.
-func Plan(targets, strategies []string, base TaskSpec) []TaskSpec {
-	seeds := base.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1} // the engine's historical default sweep
-	}
+func Shard(cells []TaskSpec) []TaskSpec {
 	var out []TaskSpec
-	for _, t := range targets {
-		for _, s := range strategies {
-			if base.Prune || base.Ranked {
-				spec := base
-				spec.ID = len(out)
-				spec.Target, spec.Strategy = t, s
-				spec.Seeds = seeds
-				out = append(out, spec)
-				continue
-			}
-			for _, seed := range seeds {
-				spec := base
-				spec.ID = len(out)
-				spec.Target, spec.Strategy = t, s
-				spec.Seeds = []int64{seed}
-				out = append(out, spec)
-			}
+	for _, cell := range cells {
+		seeds := cell.Seeds
+		if len(seeds) == 0 {
+			seeds = []int64{1} // the engine's historical default sweep
+		}
+		if cell.Prune || cell.Ranked {
+			cell.ID, cell.Seeds = len(out), seeds
+			out = append(out, cell)
+			continue
+		}
+		for _, seed := range seeds {
+			task := cell
+			task.ID, task.Seeds = len(out), []int64{seed}
+			out = append(out, task)
 		}
 	}
 	return out

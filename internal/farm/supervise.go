@@ -169,12 +169,6 @@ func backoff(fails int) time.Duration {
 }
 
 func (s *Supervisor) deadline(spec TaskSpec) time.Duration {
-	// Most specific wins: a task-level override (grid toggle axis) beats
-	// the coordinator's global hook (-task-deadline), which beats the
-	// scaled default.
-	if spec.TaskDeadlineSec > 0 {
-		return time.Duration(spec.TaskDeadlineSec) * time.Second
-	}
 	if s.Deadline != nil {
 		return s.Deadline(spec)
 	}

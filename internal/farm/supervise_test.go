@@ -93,7 +93,7 @@ func TestSupervisedByteIdentityUnderFaults(t *testing.T) {
 		Parallel:      2,
 	}
 	direct := directRun(t, spec)
-	cfg := spec.engineConfig(nil)
+	cfg := spec.Config()
 	wantArt := artifactBytes(t, direct, cfg)
 	wantND := ndjsonBytes(t, direct, cfg)
 
@@ -214,7 +214,7 @@ func TestPoisonTaskQuarantine(t *testing.T) {
 		if len(m.Seeds) != 2 {
 			t.Fatalf("workers=%d: merged %d seed results, want 2", workers, len(m.Seeds))
 		}
-		artifacts = append(artifacts, artifactBytes(t, m, spec.engineConfig(nil)))
+		artifacts = append(artifacts, artifactBytes(t, m, spec.Config()))
 	}
 	for i := 1; i < len(artifacts); i++ {
 		if !bytes.Equal(artifacts[0], artifacts[i]) {

@@ -82,6 +82,7 @@ func RunTask(spec TaskSpec, onOutcome func(campaign.PlanOutcome)) (campaign.Resu
 	if err != nil {
 		return campaign.Result{}, err
 	}
-	eng := campaign.New(spec.engineConfig(onOutcome))
-	return eng.Run(t, s), nil
+	cfg := spec.Config()
+	cfg.OnOutcome = onOutcome
+	return campaign.New(cfg).Run(t, s), nil
 }

@@ -343,26 +343,21 @@ func (k *Kubelet) syncPods() {
 
 // reconcile brings the host in line with the pods among pods that are bound
 // to this node: pods is the informer's list of this node's pods, or a
-// quorum list of every pod.
+// quorum list of every pod. Both lists are in name order, as is
+// RunningNames, so one merge walk pairs each container with its pod and
+// the starts go in name order — no map, no sort, nothing allocated when
+// nothing changes.
 func (k *Kubelet) reconcile(pods []*cluster.Object) {
-	desired := make(map[string]*cluster.Object)
-	for _, p := range pods {
-		if p.Pod == nil || p.Pod.NodeName != k.cfg.NodeName {
-			continue
-		}
-		if p.Terminating() {
-			continue
-		}
-		desired[p.Meta.Name] = p
-	}
-
 	// Stop containers that should no longer run here. Collect first: the
 	// cached RunningNames slice must not be iterated across removals.
 	var stops []string
+	i := 0
 	for _, name := range k.host.RunningNames() {
-		c := k.host.running[name]
-		want, ok := desired[name]
-		if ok && want.Meta.UID == c.PodUID {
+		for i < len(pods) && pods[i].Meta.Name < name {
+			i++
+		}
+		if i < len(pods) && pods[i].Meta.Name == name && k.wants(pods[i]) &&
+			pods[i].Meta.UID == k.host.running[name].PodUID {
 			continue
 		}
 		stops = append(stops, name)
@@ -372,17 +367,14 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 	}
 
 	// Start missing containers and report status.
-	names := make([]string, 0, len(desired))
-	for n := range desired {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		p := desired[name]
-		if c, ok := k.host.running[name]; ok && c.PodUID == p.Meta.UID {
+	for _, p := range pods {
+		if !k.wants(p) {
 			continue
 		}
-		k.host.setContainer(name, Container{PodUID: p.Meta.UID})
+		if c, ok := k.host.running[p.Meta.Name]; ok && c.PodUID == p.Meta.UID {
+			continue
+		}
+		k.host.setContainer(p.Meta.Name, Container{PodUID: p.Meta.UID})
 		k.reportRunning(p)
 	}
 
@@ -398,6 +390,12 @@ func (k *Kubelet) reconcile(pods []*cluster.Object) {
 		}
 		k.Conn().Delete(cluster.KindPod, name, p.Meta.ResourceVersion, func(error) {})
 	}
+}
+
+// wants reports whether p should run here: bound to this node and not
+// terminating.
+func (k *Kubelet) wants(p *cluster.Object) bool {
+	return p.Pod != nil && p.Pod.NodeName == k.cfg.NodeName && !p.Terminating()
 }
 
 // reportRunning writes pod phase Running back through the apiserver.

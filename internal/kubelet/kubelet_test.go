@@ -2,6 +2,7 @@ package kubelet_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -184,19 +185,29 @@ func TestHostReset(t *testing.T) {
 	}
 }
 
-// TestIdleSyncAllocatesNothing pins the cost of the sync an idle node runs
-// ten times a second: with every pod of the world bound elsewhere, a sync
-// reads the kubelet's own (empty) list and allocates nothing. Before the
+// TestIdleSyncAllocatesNothing pins the cost of the sync every node runs
+// ten times a second. With every pod of the world bound elsewhere, a sync
+// reads the kubelet's own (empty) list and allocates nothing; before the
 // pod-by-node index it copied every pod of the world into a fresh slice
-// and filtered it: 1 allocation, and a walk of the whole cache.
+// and filtered it: 1 allocation, and a walk of the whole cache. On the node
+// running all twenty, a sync with nothing to change walks its pod list
+// against the running containers and allocates nothing either; before the
+// merge walk it built a desired map and a sorted name slice every time.
 func TestIdleSyncAllocatesNothing(t *testing.T) {
 	c := newCluster(t, false)
 	for i := 0; i < 20; i++ {
-		c.Admin.CreatePod(fmt.Sprintf("p%02d", i), "k2", "v1", nil)
+		c.Admin.CreatePod(fmt.Sprintf("p%02d", 19-i), "k2", "v1", nil)
 	}
 	c.RunFor(sim.Second)
-	if n := len(c.Hosts["k2"].Running()); n != 20 {
-		t.Fatalf("k2 runs %d containers, want 20", n)
+	busy := c.Hosts["k2"].Running()
+	if len(busy) != 20 {
+		t.Fatalf("k2 runs %d containers, want 20", len(busy))
+	}
+	if n := testing.AllocsPerRun(50, c.Kubelet["k2"].SyncPods); n != 0 {
+		t.Fatalf("steady sync: %.0f allocs, want 0", n)
+	}
+	if !reflect.DeepEqual(c.Hosts["k2"].Running(), busy) {
+		t.Fatal("a sync with nothing to change changed the containers")
 	}
 	kl := c.Kubelet["k1"]
 	if n := testing.AllocsPerRun(50, kl.SyncPods); n != 0 {
