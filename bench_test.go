@@ -298,9 +298,8 @@ func BenchmarkE4_Fig3c_ObservabilityGaps(b *testing.B) {
 		rows = rows[:0]
 
 		// (a) volume controller misses mark->delete between sparse reads.
-		volTarget := volumeGapTarget()
-		stock := core.RunPlanSeed(volTarget, core.NopPlan{}, 1)
-		fixed := core.RunPlanSeed(fixedVolumeGapTarget(), core.NopPlan{}, 1)
+		stock := core.RunPlanSeed(workload.TargetVolumeGap(), core.NopPlan{}, 1)
+		fixed := core.RunPlanSeed(workload.Fixed(workload.TargetVolumeGap()), core.NopPlan{}, 1)
 		rows = append(rows, row{
 			name:         "volume release ([17])",
 			stockOutcome: outcome(stock.Detected, "PVC orphaned"),
@@ -340,40 +339,6 @@ func outcome(detected bool, what string) string {
 		return "BUG: " + what
 	}
 	return "correct"
-}
-
-func volumeGapTarget() core.Target {
-	build := func(seed int64) *infra.Cluster {
-		opts := infra.DefaultOptions()
-		opts.Seed = seed
-		opts.Nodes = []string{"k1"}
-		opts.EnableScheduler = false
-		return infra.New(opts)
-	}
-	return core.Target{
-		Name:  "volume-gap",
-		Bug:   oracle.NameNoOrphanPVC,
-		Build: build,
-		Workload: func(c *infra.Cluster) {
-			c.World.Kernel().At(sim.Time(500*sim.Millisecond), func() {
-				c.Admin.CreatePod("db-0", "k1", "v1", nil)
-				c.Admin.CreatePVC("db-0-data", "db-0", nil)
-			})
-			c.World.Kernel().At(sim.Time(2*sim.Second), func() { c.Admin.MarkPodDeleted("db-0", nil) })
-		},
-		Horizon: 8 * sim.Second,
-	}
-}
-
-func fixedVolumeGapTarget() core.Target {
-	t := volumeGapTarget()
-	orig := t.Build
-	t.Build = func(seed int64) *infra.Cluster {
-		opts := orig(seed).Opts
-		opts.VolumeControllerFix = true
-		return infra.New(opts)
-	}
-	return t
 }
 
 // runE4WatchWindow counts relists forced by a bounded apiserver watch

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/apiserver"
@@ -26,16 +27,24 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "rolling", "workload: rolling|scheduler|volume|cassandra")
-	perturb := flag.String("perturb", "none", "perturbation: none|stale-api|gap|timetravel")
-	fixed := flag.Bool("fixed", false, "run the fixed component variants")
-	seed := flag.Int64("seed", 1, "simulation seed")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	target, plan, err := configure(*scenario, *perturb, *fixed, *seed)
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("clustersim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scenario := fs.String("scenario", "rolling", "workload: rolling|scheduler|volume|cassandra")
+	perturb := fs.String("perturb", "none", "perturbation: none|stale-api|gap|timetravel")
+	fixed := fs.Bool("fixed", false, "run the fixed component variants")
+	seed := fs.Int64("seed", 1, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	target, plan, err := configure(*scenario, *perturb, *fixed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	c := target.Build(*seed)
@@ -43,16 +52,12 @@ func main() {
 	target.Workload(c)
 	c.RunFor(target.Horizon)
 
-	fmt.Printf("scenario=%s perturb=%s fixed=%v seed=%d horizon=%s\n\n",
+	fmt.Fprintf(stdout, "scenario=%s perturb=%s fixed=%v seed=%d horizon=%s\n\n",
 		*scenario, *perturb, *fixed, *seed, target.Horizon)
 
-	fmt.Println("ground truth:")
+	fmt.Fprintln(stdout, "ground truth:")
 	for _, kind := range cluster.Kinds() {
-		objs := c.GroundTruth(kind)
-		if len(objs) == 0 {
-			continue
-		}
-		for _, o := range objs {
+		for _, o := range c.GroundTruth(kind) {
 			extra := ""
 			switch {
 			case o.Pod != nil:
@@ -64,38 +69,39 @@ func main() {
 			case o.Cassandra != nil:
 				extra = fmt.Sprintf("replicas=%d decommissioning=%q", o.Cassandra.Replicas, o.Cassandra.Decommissioning)
 			}
-			fmt.Printf("  %-40s rv=%-5d %s\n", fmt.Sprintf("%s/%s", o.Meta.Kind, o.Meta.Name), o.Meta.ResourceVersion, extra)
+			fmt.Fprintf(stdout, "  %-40s rv=%-5d %s\n", fmt.Sprintf("%s/%s", o.Meta.Kind, o.Meta.Name), o.Meta.ResourceVersion, extra)
 		}
 	}
 
-	fmt.Println("\nhosts:")
+	fmt.Fprintln(stdout, "\nhosts:")
 	for _, node := range c.Opts.Nodes {
-		fmt.Printf("  %-4s running=%v\n", node, c.Hosts[node].RunningNames())
+		fmt.Fprintf(stdout, "  %-4s running=%v\n", node, c.Hosts[node].RunningNames())
 	}
 
-	fmt.Println("\noracles:")
+	fmt.Fprintln(stdout, "\noracles:")
 	violations := c.Violations()
 	if len(violations) == 0 {
-		fmt.Println("  all invariants held")
+		fmt.Fprintln(stdout, "  all invariants held")
 	}
 	for _, v := range violations {
-		fmt.Printf("  VIOLATION %s\n", v)
+		fmt.Fprintf(stdout, "  VIOLATION %s\n", v)
 	}
 
 	st := c.World.Network().Stats()
-	fmt.Printf("\nnetwork: sent=%d delivered=%d dropped=%d\n",
+	fmt.Fprintf(stdout, "\nnetwork: sent=%d delivered=%d dropped=%d\n",
 		st.Sent, st.Delivered, st.Dropped)
-	fmt.Printf("store: revision=%d keys=%d\n", c.Store.Store().Revision(), c.Store.Store().Len())
+	fmt.Fprintf(stdout, "store: revision=%d keys=%d\n", c.Store.Store().Revision(), c.Store.Store().Len())
 	// decoded counts the committed revisions an apiserver had to decode:
 	// one written through an apiserver of the cluster is its writer's
 	// object, so a healthy run decodes none.
 	for _, api := range c.APIs {
 		s := api.Stats()
-		fmt.Printf("%s: revision=%d pushed=%d decoded=%d\n", api.ID(), api.CachedRevision(), s.RelaySends, s.ApplyDecodes)
+		fmt.Fprintf(stdout, "%s: revision=%d pushed=%d decoded=%d\n", api.ID(), api.CachedRevision(), s.RelaySends, s.ApplyDecodes)
 	}
+	return 0
 }
 
-func configure(scenario, perturb string, fixed bool, seed int64) (core.Target, core.Plan, error) {
+func configure(scenario, perturb string, fixed bool) (core.Target, core.Plan, error) {
 	var target core.Target
 	switch scenario {
 	case "rolling":
@@ -105,12 +111,12 @@ func configure(scenario, perturb string, fixed bool, seed int64) (core.Target, c
 	case "cassandra":
 		target = workload.TargetCass398()
 	case "volume":
-		target = volumeTarget()
+		target = workload.TargetVolumeGap()
 	default:
 		return core.Target{}, nil, fmt.Errorf("unknown scenario %q", scenario)
 	}
 	if fixed {
-		target = withFixes(target, scenario)
+		target = workload.Fixed(target)
 	}
 
 	var plan core.Plan = core.NopPlan{}
@@ -144,53 +150,4 @@ func configure(scenario, perturb string, fixed bool, seed int64) (core.Target, c
 		return core.Target{}, nil, fmt.Errorf("unknown perturbation %q", perturb)
 	}
 	return target, plan, nil
-}
-
-// volumeTarget is the §4.2.3 volume-release scenario as a Target.
-func volumeTarget() core.Target {
-	build := func(seed int64) *infra.Cluster {
-		opts := infra.DefaultOptions()
-		opts.Seed = seed
-		opts.Nodes = []string{"k1"}
-		opts.EnableScheduler = false
-		return infra.New(opts)
-	}
-	return core.Target{
-		Name:  "volume-gap",
-		Bug:   "NoOrphanPVC",
-		Build: build,
-		Workload: func(c *infra.Cluster) {
-			k := c.World.Kernel()
-			k.At(sim.Time(500*sim.Millisecond), func() {
-				c.Admin.CreatePod("db-0", "k1", "v1", nil)
-				c.Admin.CreatePVC("db-0-data", "db-0", nil)
-			})
-			k.At(sim.Time(2*sim.Second), func() { c.Admin.MarkPodDeleted("db-0", nil) })
-		},
-		Horizon: 8 * sim.Second,
-		Topology: core.Topology{
-			APIServers:  []sim.NodeID{infra.APIServerID(0), infra.APIServerID(1)},
-			Restartable: []sim.NodeID{"volume-controller", kubelet.NodeID("k1")},
-		},
-	}
-}
-
-// withFixes rebuilds the target with the fixed component variants.
-func withFixes(t core.Target, scenario string) core.Target {
-	orig := t.Build
-	t.Build = func(seed int64) *infra.Cluster {
-		c := orig(seed)
-		_ = c
-		// Rebuild with fixes: the options live inside each target's build,
-		// so patch via a fresh options struct.
-		opts := c.Opts
-		opts.KubeletSafeRestart = true
-		opts.SchedulerEvictFix = true
-		opts.VolumeControllerFix = true
-		if opts.Cassandra != nil {
-			opts.Cassandra.Fixes = cassandra.AllFixed()
-		}
-		return infra.New(opts)
-	}
-	return t
 }

@@ -70,6 +70,8 @@ func TestRejectedFlagsExitTwo(t *testing.T) {
 		{"-explore", "-snapshot"},
 		{"-explore", "-explain"},
 		{"-targets", "no-such-bug"},
+		{"-targets", "k8s-56261,k8s-56261"},
+		{"-strategies", "cofi,cofi"},
 		{"-seeds", "1,x"},
 		{"-not-a-flag"},
 	}

@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -38,20 +39,28 @@ import (
 )
 
 func main() {
-	targetName := flag.String("target", "k8s-59848", "target workload to trace")
-	showEvents := flag.Bool("events", false, "dump every delivery")
-	showDeps := flag.Bool("deps", false, "print learned read-dependency profiles (observation→action tables)")
-	planN := flag.Int("plans", 20, "how many generated plans to list")
-	artifactPath := flag.String("artifact", "", "render explanations from a phtest campaign.json artifact")
-	timeline := flag.Bool("timeline", true, "with -artifact: also render ASCII divergence timelines")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceview", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	targetName := fs.String("target", "k8s-59848", "target workload to trace")
+	showEvents := fs.Bool("events", false, "dump every delivery")
+	showDeps := fs.Bool("deps", false, "print learned read-dependency profiles (observation→action tables)")
+	planN := fs.Int("plans", 20, "how many generated plans to list")
+	artifactPath := fs.String("artifact", "", "render explanations from a phtest campaign.json artifact")
+	timeline := fs.Bool("timeline", true, "with -artifact: also render ASCII divergence timelines")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *artifactPath != "" {
-		if err := renderArtifact(os.Stdout, *artifactPath, *timeline); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := renderArtifact(stdout, *artifactPath, *timeline); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	var target core.Target
@@ -63,25 +72,25 @@ func main() {
 		}
 	}
 	if !found {
-		fmt.Fprintf(os.Stderr, "unknown target %q\n", *targetName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown target %q\n", *targetName)
+		return 2
 	}
 
 	ref, violations := core.ReferenceSeed(target, 1)
 
-	fmt.Printf("reference execution of %s (horizon %s)\n", target.Name, target.Horizon)
-	fmt.Printf("committed events (|H|): %d\n", len(ref.Commits))
-	fmt.Printf("watch deliveries:       %d\n", len(ref.Deliveries))
-	fmt.Printf("component writes:       %d\n", len(ref.Writes))
+	fmt.Fprintf(stdout, "reference execution of %s (horizon %s)\n", target.Name, target.Horizon)
+	fmt.Fprintf(stdout, "committed events (|H|): %d\n", len(ref.Commits))
+	fmt.Fprintf(stdout, "watch deliveries:       %d\n", len(ref.Deliveries))
+	fmt.Fprintf(stdout, "component writes:       %d\n", len(ref.Writes))
 	if len(violations) > 0 {
-		fmt.Println("UNEXPECTED reference violations:")
+		fmt.Fprintln(stdout, "UNEXPECTED reference violations:")
 		for _, v := range violations {
-			fmt.Printf("  %s\n", v)
+			fmt.Fprintf(stdout, "  %s\n", v)
 		}
 	}
 
-	fmt.Println("\nper-component view (H' consumers):")
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(stdout, "\nper-component view (H' consumers):")
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "component\tsubscribes\tdeliveries\tdeletions-seen\twrites")
 	for _, comp := range ref.Components() {
 		var kinds []string
@@ -107,52 +116,53 @@ func main() {
 	tw.Flush()
 
 	if *showEvents {
-		fmt.Println("\ndeliveries:")
+		fmt.Fprintln(stdout, "\ndeliveries:")
 		for _, d := range ref.Deliveries {
 			mark := ""
 			if d.Terminating {
 				mark = " [terminating]"
 			}
-			fmt.Printf("  %-10s rev=%-5d %-8s %s/%s -> %s (#%d)%s\n",
+			fmt.Fprintf(stdout, "  %-10s rev=%-5d %-8s %s/%s -> %s (#%d)%s\n",
 				d.Time, d.Revision, d.EventType, d.Kind, d.Name, d.To, d.Occurrence, mark)
 		}
 	}
 
 	if *showDeps {
-		printDeps(os.Stdout, ref)
+		printDeps(stdout, ref)
 	}
 
 	graph := trace.NewCausalGraph(ref, 0)
-	fmt.Println("\nhottest deliveries (most component actions within the reaction window):")
+	fmt.Fprintln(stdout, "\nhottest deliveries (most component actions within the reaction window):")
 	for i, d := range graph.HotDeliveries(8) {
 		effects := graph.EffectsOf(d.Revision)
 		mark := ""
 		if d.Terminating || d.EventType == "DELETED" {
 			mark = " [deletion-adjacent]"
 		}
-		fmt.Printf("  %d. rev=%-5d %-8s %s/%s -> %s (%d downstream writes)%s\n",
+		fmt.Fprintf(stdout, "  %d. rev=%-5d %-8s %s/%s -> %s (%d downstream writes)%s\n",
 			i+1, d.Revision, d.EventType, d.Kind, d.Name, d.To, len(effects), mark)
 	}
 
 	planner := core.NewPlanner()
 	plans := planner.Plans(target, ref)
 	fam := core.PlanFamilies(plans)
-	fmt.Printf("\ngenerated plans: %d total (gap=%d timetravel=%d staleness=%d)\n",
+	fmt.Fprintf(stdout, "\ngenerated plans: %d total (gap=%d timetravel=%d staleness=%d)\n",
 		len(plans), fam["gap"], fam["timetravel"], fam["staleness"])
 	for i, p := range plans {
 		if i >= *planN {
-			fmt.Printf("  ... %d more\n", len(plans)-*planN)
+			fmt.Fprintf(stdout, "  ... %d more\n", len(plans)-*planN)
 			break
 		}
-		fmt.Printf("  %3d. %s\n", i+1, p.Describe())
+		fmt.Fprintf(stdout, "  %3d. %s\n", i+1, p.Describe())
 	}
+	return 0
 }
 
 // printDeps renders the learned read-dependency profiles: per component,
 // the consumed deliveries with the evidence the learning phase attributes
 // to each (writes in the reaction window, CAS-adjacency, cross-kind
 // reactions, deletion-adjacency).
-func printDeps(w *os.File, ref *trace.Trace) {
+func printDeps(w io.Writer, ref *trace.Trace) {
 	model := learn.Mine(ref, 0)
 	fmt.Fprintf(w, "\nlearned read-dependency profiles (reaction window %s, %d consumed deliveries):\n",
 		model.ReactionWindow, model.ConsumedCount())
@@ -185,7 +195,7 @@ func printDeps(w *os.File, ref *trace.Trace) {
 // renderArtifact loads a phtest campaign artifact and renders every
 // detected, explained failure bucket: the minimized plan, the causal
 // chain, the divergence metrics, and (optionally) the ASCII timeline.
-func renderArtifact(w *os.File, path string, withTimeline bool) error {
+func renderArtifact(w io.Writer, path string, withTimeline bool) error {
 	arts, err := campaign.ReadArtifacts(path)
 	if err != nil {
 		return err
@@ -225,7 +235,7 @@ func renderArtifact(w *os.File, path string, withTimeline bool) error {
 }
 
 // indent writes s to w with every line prefixed.
-func indent(w *os.File, s string, prefix string) {
+func indent(w io.Writer, s string, prefix string) {
 	for _, line := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
 		fmt.Fprintf(w, "%s%s\n", prefix, line)
 	}

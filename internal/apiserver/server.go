@@ -296,9 +296,6 @@ func (s *Server) Ready() bool { return s.ready }
 // CachedRevision returns the cache frontier (the apiserver's H' position).
 func (s *Server) CachedRevision() int64 { return s.cachedRev }
 
-// CacheLen returns the number of cached objects.
-func (s *Server) CacheLen() int { return len(s.cache) }
-
 // Crash implements sim.Process: the watch cache is volatile.
 func (s *Server) Crash() {
 	s.ready = false

@@ -67,7 +67,10 @@ func (f *Flags) Resolve() ([]TaskSpec, []core.Target, []core.Strategy, error) {
 	if f.Spec.Seeds, err = ParseSeeds(f.Seeds); err != nil {
 		return nil, nil, nil, err
 	}
-	return Cells(targetNames(f.Targets), strategyNames(f.Strategies), f.Spec), targets, strategies, nil
+	// Both lists resolved above, so neither has a repeated name.
+	tnames, _ := targetNames(f.Targets)
+	snames, _ := strategyNames(f.Strategies)
+	return Cells(tnames, snames, f.Spec), targets, strategies, nil
 }
 
 // Outputs is where a matrix run's results go. phtest and phfarm share

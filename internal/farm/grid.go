@@ -142,8 +142,9 @@ func (g Grid) Expand(parallel int) []Experiment {
 	if stride == 0 {
 		stride = 1000
 	}
-	targets := targetNames(strings.Join(g.Targets, ","))
-	strategies := strategyNames(strings.Join(g.Strategies, ","))
+	// validate resolved both lists, so neither has a repeated name.
+	targets, _ := targetNames(strings.Join(g.Targets, ","))
+	strategies, _ := strategyNames(strings.Join(g.Strategies, ","))
 	var out []Experiment
 	for _, tog := range g.Toggles {
 		for r := 0; r < repeats; r++ {

@@ -50,6 +50,8 @@ func TestLoadGridValidation(t *testing.T) {
 		"ranked no prune": `{"name":"g","targets":["k8s-59848"],"strategies":["cofi"],"seeds":[1],"toggles":[{"name":"t","ranked":true}]}`,
 		"unknown target":  `{"name":"g","targets":["no-such-bug"],"strategies":["cofi"],"seeds":[1],"toggles":[{"name":"t"}]}`,
 		"unknown strat":   `{"name":"g","targets":["k8s-59848"],"strategies":["quantum"],"seeds":[1],"toggles":[{"name":"t"}]}`,
+		"repeated target": `{"name":"g","targets":["k8s-59848","k8s-59848"],"strategies":["cofi"],"seeds":[1],"toggles":[{"name":"t"}]}`,
+		"repeated strat":  `{"name":"g","targets":["k8s-59848"],"strategies":["cofi","cofi"],"seeds":[1],"toggles":[{"name":"t"}]}`,
 		"bad json":        `{`,
 	}
 	for label, body := range cases {

@@ -43,7 +43,10 @@ func nameList(targets []core.Target) []string {
 // matrix target, "scale" for the cluster-scale targets); fixed swaps in
 // the fixed component variants (the no-detection correctness baseline).
 func ResolveTargets(spec string, fixed bool) ([]core.Target, error) {
-	names := targetNames(spec)
+	names, err := targetNames(spec)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]core.Target, 0, len(names))
 	for _, name := range names {
 		t, err := ResolveTarget(name, fixed)
@@ -57,14 +60,14 @@ func ResolveTargets(spec string, fixed bool) ([]core.Target, error) {
 
 // targetNames expands a target list into names, unresolved: what
 // ResolveTargets resolves and what a grid's tasks carry.
-func targetNames(spec string) []string {
+func targetNames(spec string) ([]string, error) {
 	switch spec {
 	case "all":
-		return AllTargetNames()
+		return AllTargetNames(), nil
 	case "scale":
-		return ScaleTargetNames()
+		return ScaleTargetNames(), nil
 	}
-	return splitNames(spec)
+	return splitNames(spec, "target")
 }
 
 // ResolveTarget resolves one target by name, searching the matrix
@@ -89,7 +92,10 @@ func ResolveTarget(name string, fixed bool) (core.Target, error) {
 // the canonical four). randomSeed/randomN parameterize the random
 // baseline's plan generator.
 func ResolveStrategies(spec string, randomSeed int64, randomN int) ([]core.Strategy, error) {
-	names := strategyNames(spec)
+	names, err := strategyNames(spec)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]core.Strategy, 0, len(names))
 	for _, name := range names {
 		s, err := ResolveStrategy(name, randomSeed, randomN)
@@ -102,20 +108,25 @@ func ResolveStrategies(spec string, randomSeed int64, randomN int) ([]core.Strat
 }
 
 // strategyNames expands a strategy list into names, unresolved.
-func strategyNames(spec string) []string {
+func strategyNames(spec string) ([]string, error) {
 	if spec == "all" {
-		return AllStrategyNames
+		return AllStrategyNames, nil
 	}
-	return splitNames(spec)
+	return splitNames(spec, "strategy")
 }
 
-// splitNames splits a comma-separated name list.
-func splitNames(spec string) []string {
+// splitNames splits a comma-separated list of distinct names: like a
+// repeated seed, a repeated name would run one cell twice and report it
+// as two.
+func splitNames(spec, kind string) ([]string, error) {
 	names := strings.Split(spec, ",")
 	for i := range names {
 		names[i] = strings.TrimSpace(names[i])
+		if slices.Contains(names[:i], names[i]) {
+			return nil, fmt.Errorf("%s %q repeated in %q", kind, names[i], spec)
+		}
 	}
-	return names
+	return names, nil
 }
 
 // ResolveStrategy resolves one strategy by name.

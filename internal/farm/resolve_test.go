@@ -48,3 +48,17 @@ func TestValidateFlags(t *testing.T) {
 		})
 	}
 }
+
+// TestRepeatedNamesRejected: a repeated target or strategy is a usage
+// error, as a repeated seed is, and distinct names still resolve.
+func TestRepeatedNamesRejected(t *testing.T) {
+	if _, err := ResolveTargets("k8s-56261,k8s-56261", false); err == nil || !strings.Contains(err.Error(), `target "k8s-56261" repeated`) {
+		t.Errorf("repeated target: %v", err)
+	}
+	if _, err := ResolveStrategies("cofi, random,cofi", 1, 10); err == nil || !strings.Contains(err.Error(), `strategy "cofi" repeated`) {
+		t.Errorf("repeated strategy: %v", err)
+	}
+	if ts, err := ResolveTargets("k8s-56261, cass-op-400", false); err != nil || len(ts) != 2 {
+		t.Errorf("distinct targets: %d, %v", len(ts), err)
+	}
+}

@@ -7,68 +7,44 @@ package history
 // size trades divergence bound against coordination cost (benchmarked in
 // E7 / internal/epochs).
 
-// Epoch is a contiguous, all-or-nothing-visible slice of a history.
-type Epoch struct {
-	Index    int   // 0-based epoch number
-	FirstRev int64 // first revision in the epoch
-	LastRev  int64 // last revision in the epoch
-	Events   []Event
-}
-
 // Epochs splits h into epochs of size events each (the final epoch may be
-// short). size must be >= 1.
-func Epochs(h *History, size int) []Epoch {
+// short): contiguous slices of the history, each visible all or nothing.
+// size must be >= 1.
+func Epochs(h *History, size int) [][]Event {
 	if size < 1 {
 		size = 1
 	}
 	events := h.Events()
-	var out []Epoch
+	var out [][]Event
 	for i := 0; i < len(events); i += size {
-		j := i + size
-		if j > len(events) {
-			j = len(events)
-		}
-		chunk := events[i:j]
-		out = append(out, Epoch{
-			Index:    len(out),
-			FirstRev: chunk[0].Revision,
-			LastRev:  chunk[len(chunk)-1].Revision,
-			Events:   chunk,
-		})
+		out = append(out, events[i:min(i+size, len(events))])
 	}
 	return out
 }
 
-// EpochViolation reports an epoch whose visibility guarantee is broken in a
-// partial history: the view contains some but not all of its events.
-type EpochViolation struct {
-	Epoch    Epoch
-	Seen     int // events of the epoch present in the view
-	Expected int // events in the epoch
-}
-
 // CheckEpochVisibility verifies the §6.2 guarantee: for every epoch of full
 // (of the given size), the view either contains the whole epoch or none of
-// it. Trailing epochs wholly beyond the view's frontier count as unseen,
-// which is permitted (lag is allowed; tearing is not).
-func CheckEpochVisibility(view, full *History, size int) []EpochViolation {
+// it. It returns the torn epochs, those the view holds some but not all of.
+// Trailing epochs wholly beyond the view's frontier count as unseen, which
+// is permitted (lag is allowed; tearing is not).
+func CheckEpochVisibility(view, full *History, size int) [][]Event {
 	seen := make(map[int64]bool, view.Len())
 	for _, e := range view.Events() {
 		seen[e.Revision] = true
 	}
-	var violations []EpochViolation
+	var torn [][]Event
 	for _, ep := range Epochs(full, size) {
 		n := 0
-		for _, e := range ep.Events {
+		for _, e := range ep {
 			if seen[e.Revision] {
 				n++
 			}
 		}
-		if n != 0 && n != len(ep.Events) {
-			violations = append(violations, EpochViolation{Epoch: ep, Seen: n, Expected: len(ep.Events)})
+		if n != 0 && n != len(ep) {
+			torn = append(torn, ep)
 		}
 	}
-	return violations
+	return torn
 }
 
 // TruncateToEpochBoundary returns the longest prefix of view that ends on
@@ -77,7 +53,7 @@ func CheckEpochVisibility(view, full *History, size int) []EpochViolation {
 func TruncateToEpochBoundary(view, full *History, size int) *History {
 	boundaries := make(map[int64]bool)
 	for _, ep := range Epochs(full, size) {
-		boundaries[ep.LastRev] = true
+		boundaries[ep[len(ep)-1].Revision] = true
 	}
 	out := New()
 	pending := make([]Event, 0, size)

@@ -341,11 +341,11 @@ func TestEpochsSplit(t *testing.T) {
 	if len(eps) != 3 {
 		t.Fatalf("epochs = %d, want 3", len(eps))
 	}
-	if len(eps[0].Events) != 4 || len(eps[2].Events) != 2 {
-		t.Fatalf("epoch sizes: %d %d %d", len(eps[0].Events), len(eps[1].Events), len(eps[2].Events))
+	if len(eps[0]) != 4 || len(eps[2]) != 2 {
+		t.Fatalf("epoch sizes: %d %d %d", len(eps[0]), len(eps[1]), len(eps[2]))
 	}
-	if eps[1].Index != 1 {
-		t.Fatalf("epoch index = %d", eps[1].Index)
+	if eps[1][0].Revision != full.Events()[4].Revision {
+		t.Fatalf("epoch 1 starts at revision %d", eps[1][0].Revision)
 	}
 }
 
@@ -361,8 +361,8 @@ func TestEpochVisibility(t *testing.T) {
 		_ = view.Append(e)
 	}
 	viol := CheckEpochVisibility(view, full, 4)
-	if len(viol) != 1 || viol[0].Seen != 1 || viol[0].Expected != 4 {
-		t.Fatalf("violations = %+v", viol)
+	if len(viol) != 1 || len(viol[0]) != 4 || viol[0][0].Revision != 5 {
+		t.Fatalf("torn epochs = %+v", viol)
 	}
 
 	fixed := TruncateToEpochBoundary(view, full, 4)

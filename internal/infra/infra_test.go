@@ -61,77 +61,6 @@ func TestPodLifecycleEndToEnd(t *testing.T) {
 	}
 }
 
-// scenario59848 drives the Figure 2 sequence; returns the cluster after the
-// kubelet restart against the stale apiserver.
-func scenario59848(t *testing.T, safeRestart bool) *Cluster {
-	t.Helper()
-	opts := DefaultOptions()
-	opts.EnableScheduler = false // direct binding, as in the issue
-	opts.EnableVolumeController = false
-	opts.KubeletSafeRestart = safeRestart
-	c := New(opts)
-	c.RunFor(500 * sim.Millisecond)
-
-	// Step 1: p1 runs on k1; both apiservers know.
-	var createErr error
-	c.Admin.CreatePod("p1", "k1", "v1", func(err error) { createErr = err })
-	c.RunFor(sim.Second)
-	if createErr != nil {
-		t.Fatalf("create: %v", createErr)
-	}
-	if _, ok := c.Hosts["k1"].Running()["p1"]; !ok {
-		t.Fatal("p1 not running on k1")
-	}
-
-	// api-2 loses connectivity to the store (Figure 2's stale apiserver).
-	c.World.Network().Partition(sim.NodeID("api-2"), StoreID)
-
-	// Step 2: rolling upgrade migrates p1 to k2 (via the healthy api-1).
-	var migErr error
-	c.Admin.MigratePod("p1", "k2", "v2", func(err error) { migErr = err })
-	c.RunFor(3 * sim.Second)
-	if migErr != nil {
-		t.Fatalf("migrate: %v", migErr)
-	}
-	if _, ok := c.Hosts["k2"].Running()["p1"]; !ok {
-		t.Fatal("p1 not running on k2 after migration")
-	}
-	if _, ok := c.Hosts["k1"].Running()["p1"]; ok {
-		t.Fatal("k1 did not stop p1 during migration")
-	}
-
-	// Step 3: k1's kubelet restarts and synchronizes with stale api-2.
-	kl := c.Kubelet["k1"]
-	if err := c.World.Crash(kl.ID()); err != nil {
-		t.Fatal(err)
-	}
-	kl.SetRestartUpstream(APIServerID(1))
-	c.RunFor(100 * sim.Millisecond)
-	if err := c.World.Restart(kl.ID()); err != nil {
-		t.Fatal(err)
-	}
-	c.RunFor(3 * sim.Second)
-	return c
-}
-
-func TestK8s59848TimeTravelViolation(t *testing.T) {
-	c := scenario59848(t, false)
-	if !c.Oracles.Violated(oracle.NameUniquePod) {
-		t.Fatalf("expected UniquePod violation; k1=%v k2=%v",
-			c.Hosts["k1"].RunningNames(), c.Hosts["k2"].RunningNames())
-	}
-}
-
-func TestK8s59848FixedKubeletSafe(t *testing.T) {
-	c := scenario59848(t, true)
-	if c.Oracles.Violated(oracle.NameUniquePod) {
-		t.Fatalf("safe-restart kubelet still violated UniquePod: %v", c.Violations())
-	}
-	if _, ok := c.Hosts["k1"].Running()["p1"]; ok {
-		t.Fatal("fixed kubelet still resurrected p1")
-	}
-}
-
 // scenario56261 drives the scheduler observability-gap sequence.
 func scenario56261(t *testing.T, evictFix bool) *Cluster {
 	t.Helper()

@@ -179,9 +179,6 @@ func (n *Node) ID() sim.NodeID { return n.id }
 // Role returns the node's current role.
 func (n *Node) Role() Role { return n.role }
 
-// Term returns the node's current term.
-func (n *Node) Term() uint64 { return n.term }
-
 // Leader returns the node's current belief about the leader ("" unknown).
 func (n *Node) Leader() sim.NodeID { return n.leader }
 

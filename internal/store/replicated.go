@@ -97,9 +97,6 @@ func newReplica(w *sim.World, id sim.NodeID, peers []sim.NodeID, cfg raftlite.Co
 // ID returns the replica's node ID.
 func (r *ReplicaServer) ID() sim.NodeID { return r.id }
 
-// Store returns the replica's local applied store (test/oracle access).
-func (r *ReplicaServer) Store() *Store { return r.st }
-
 // Raft returns the underlying consensus node.
 func (r *ReplicaServer) Raft() *raftlite.Node { return r.raft }
 
@@ -166,12 +163,6 @@ func (r *ReplicaServer) register() {
 		req := body.(*GetRequest)
 		kv, _, found := r.st.Get(req.Key)
 		return &GetResponse{KV: kv, Found: found}, nil
-	})
-	r.rpc.HandleAsync(MethodPut, func(_ sim.NodeID, body any, reply sim.Reply) {
-		req := body.(*PutRequest)
-		r.proposeWithReply(replCommand{
-			OnSuccess: []Op{{Type: OpPut, Key: req.Key, Value: req.Value}},
-		}, func(_ any, err error) { reply.Send(nil, err) })
 	})
 	r.rpc.HandleAsync(MethodTxn, func(_ sim.NodeID, body any, reply sim.Reply) {
 		req := body.(*TxnRequest)

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/raftlite"
@@ -14,13 +15,19 @@ type replFixture struct {
 	cl       *testClient
 }
 
-func newReplFixture(t *testing.T, n int) *replFixture {
-	t.Helper()
+// newReplicas builds an n-replica group and a client, and lets the group
+// elect a leader.
+func newReplicas(n int) *replFixture {
 	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond, Jitter: sim.Millisecond / 2})
 	f := &replFixture{w: w, replicas: NewReplicaGroup(w, n, raftlite.DefaultConfig())}
 	f.cl = newTestClient(w, "client")
-	// Let the group elect a leader.
 	w.Kernel().RunFor(2 * sim.Second)
+	return f
+}
+
+func newReplFixture(t *testing.T, n int) *replFixture {
+	t.Helper()
+	f := newReplicas(n)
 	if f.leader() == nil {
 		t.Fatal("no leader after 2s")
 	}
@@ -36,26 +43,32 @@ func (f *replFixture) leader() *ReplicaServer {
 	return nil
 }
 
-// write issues a Put at the current leader, following redirects.
-func (f *replFixture) write(t *testing.T, key, value string) {
-	t.Helper()
+// put writes key=value at the current leader, waiting out elections and
+// following leader changes.
+func (f *replFixture) put(key, value string) error {
 	for attempt := 0; attempt < 10; attempt++ {
 		l := f.leader()
 		if l == nil {
 			f.w.Kernel().RunFor(500 * sim.Millisecond)
 			continue
 		}
-		_, err := f.cl.call(l.ID(), MethodPut, &PutRequest{Key: key, Value: []byte(value)})
+		_, err := f.cl.call(l.ID(), MethodTxn, putTxn(key, []byte(value)))
 		if err == nil {
-			return
+			return nil
 		}
-		if _, notLeader := IsNotLeader(err); notLeader || errors.Is(err, sim.ErrRPCTimeout) {
-			f.w.Kernel().RunFor(500 * sim.Millisecond)
-			continue
+		if _, notLeader := IsNotLeader(err); !notLeader && !errors.Is(err, sim.ErrRPCTimeout) {
+			return fmt.Errorf("write %s: %w", key, err)
 		}
-		t.Fatalf("write %s: %v", key, err)
+		f.w.Kernel().RunFor(500 * sim.Millisecond)
 	}
-	t.Fatalf("write %s: no leader found", key)
+	return fmt.Errorf("write %s: no leader found", key)
+}
+
+func (f *replFixture) write(t *testing.T, key, value string) {
+	t.Helper()
+	if err := f.put(key, value); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestReplicatedWriteVisibleEverywhere(t *testing.T) {
@@ -80,7 +93,7 @@ func TestFollowerWriteRedirects(t *testing.T) {
 			break
 		}
 	}
-	_, err := f.cl.call(follower.ID(), MethodPut, &PutRequest{Key: "/x", Value: []byte("1")})
+	_, err := f.cl.call(follower.ID(), MethodTxn, putTxn("/x", []byte("1")))
 	hint, notLeader := IsNotLeader(err)
 	if !notLeader {
 		t.Fatalf("follower accepted write: %v", err)

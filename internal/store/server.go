@@ -11,7 +11,6 @@ import (
 var (
 	MethodRange       = sim.NewMethod("store.Range")
 	MethodGet         = sim.NewMethod("store.Get")
-	MethodPut         = sim.NewMethod("store.Put")
 	MethodTxn         = sim.NewMethod("store.Txn")
 	MethodWatch       = sim.NewMethod("store.Watch")
 	MethodEventsSince = sim.NewMethod("store.EventsSince")
@@ -38,11 +37,6 @@ type (
 	GetResponse struct {
 		KV    KV
 		Found bool
-	}
-	// PutRequest writes Key=Value. Its reply carries no body.
-	PutRequest struct {
-		Key   string
-		Value []byte
 	}
 	// TxnRequest is a guarded atomic batch.
 	TxnRequest struct {
@@ -166,11 +160,6 @@ func (s *Server) register() {
 		req := body.(*GetRequest)
 		kv, _, found := s.st.Get(req.Key)
 		return &GetResponse{KV: kv, Found: found}, nil
-	})
-	s.rpc.Handle(MethodPut, func(_ sim.NodeID, body any) (any, error) {
-		req := body.(*PutRequest)
-		s.st.Put(req.Key, req.Value)
-		return nil, nil
 	})
 	s.rpc.Handle(MethodTxn, func(_ sim.NodeID, body any) (any, error) {
 		req := body.(*TxnRequest)

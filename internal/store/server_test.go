@@ -49,6 +49,12 @@ func (c *testClient) call(to sim.NodeID, method *sim.Method, body any) (any, err
 	return out, outErr
 }
 
+// putTxn is an unguarded transaction that writes key=value: the one write
+// request the store serves.
+func putTxn(key string, value []byte) *TxnRequest {
+	return &TxnRequest{OnSuccess: []Op{{Type: OpPut, Key: key, Value: value}}}
+}
+
 func newServerWorld(t *testing.T) (*sim.World, *Server, *testClient) {
 	t.Helper()
 	w := sim.NewWorld(sim.WorldConfig{Seed: 1, Latency: sim.Millisecond})
@@ -59,7 +65,7 @@ func newServerWorld(t *testing.T) (*sim.World, *Server, *testClient) {
 
 func TestServerPutGetRange(t *testing.T) {
 	_, srv, cl := newServerWorld(t)
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/pods/a", Value: []byte("1")}); err != nil {
+	if _, err := cl.call("etcd", MethodTxn, putTxn("/pods/a", []byte("1"))); err != nil {
 		t.Fatal(err)
 	}
 	if rev := srv.Store().Revision(); rev != 1 {
@@ -69,7 +75,7 @@ func TestServerPutGetRange(t *testing.T) {
 	if err != nil || !g.(*GetResponse).Found {
 		t.Fatalf("get: %v %+v", err, g)
 	}
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/pods/b", Value: []byte("2")}); err != nil {
+	if _, err := cl.call("etcd", MethodTxn, putTxn("/pods/b", []byte("2"))); err != nil {
 		t.Fatal(err)
 	}
 	r, err := cl.call("etcd", MethodRange, &RangeRequest{Prefix: "/pods/"})
@@ -87,10 +93,10 @@ func TestServerWatchPush(t *testing.T) {
 	if _, err := cl.call("etcd", MethodWatch, &WatchRequest{Prefix: "/pods/", StartRev: 0, SubID: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/pods/a", Value: []byte("1")}); err != nil {
+	if _, err := cl.call("etcd", MethodTxn, putTxn("/pods/a", []byte("1"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/other", Value: []byte("x")}); err != nil {
+	if _, err := cl.call("etcd", MethodTxn, putTxn("/other", []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	if len(cl.pushes) != 1 {
@@ -170,7 +176,7 @@ func TestOneLiveChainAcrossAShortCrash(t *testing.T) {
 
 func TestServerTxnOverNetwork(t *testing.T) {
 	_, _, cl := newServerWorld(t)
-	if _, err := cl.call("etcd", MethodPut, &PutRequest{Key: "/r", Value: []byte("v1")}); err != nil {
+	if _, err := cl.call("etcd", MethodTxn, putTxn("/r", []byte("v1"))); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := cl.call("etcd", MethodTxn, &TxnRequest{

@@ -164,3 +164,29 @@ func AllTargets() []core.Target {
 		TargetCass402(),
 	}
 }
+
+// TargetVolumeGap is the §4.2.3 volume-release gap: a volume controller
+// that misses its pod's mark→delete between sparse reads never releases
+// the PVC. Workload: create a pod with a claim, then delete the pod. It is
+// not part of AllTargets, so no matrix or committed artifact runs it.
+func TargetVolumeGap() core.Target {
+	return core.Target{
+		Name: "volume-gap",
+		Bug:  oracle.NameNoOrphanPVC,
+		Build: func(seed int64) *infra.Cluster {
+			opts := infra.DefaultOptions()
+			opts.Seed = seed
+			opts.Nodes = []string{"k1"}
+			opts.EnableScheduler = false
+			return infra.New(opts)
+		},
+		Workload: func(c *infra.Cluster) {
+			at(c, 500*sim.Millisecond, func() {
+				c.Admin.CreatePod("db-0", "k1", "v1", nil)
+				c.Admin.CreatePVC("db-0-data", "db-0", nil)
+			})
+			at(c, 2*sim.Second, func() { c.Admin.MarkPodDeleted("db-0", nil) })
+		},
+		Horizon: 8 * sim.Second,
+	}
+}

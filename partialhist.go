@@ -52,5 +52,7 @@
 //	go run ./cmd/clustersim  # drive one scenario, watch the oracles
 //	go run ./cmd/traceview   # inspect a reference trace and its plans
 //
-// and the runnable walkthroughs under examples/.
+// and the walkthroughs, Example tests whose output go test checks:
+//
+//	go test -v -run '^Example' ./internal/...
 package partialhist

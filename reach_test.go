@@ -20,10 +20,11 @@ import (
 )
 
 // TestEveryDeclarationIsReached holds the module to code that runs and
-// state that is read. Its roots are the main packages (cmd/, examples/,
+// state that is read. Its roots are the main packages (cmd/ and
 // benchmark/) and this package's Benchmark* functions, the paper's
-// experiments. It fails on
+// experiments; a walkthrough is an Example test, not a root. It fails on
 //
+//   - a main package with no _test.go file: a program no test runs;
 //   - (a) a non-test package-level func, method, type, var or const that no
 //     root reaches; a const is reached only by a use other than a case
 //     expression or an operand of == or !=, since no test matches a value
@@ -69,6 +70,7 @@ func TestReachFixture(t *testing.T) {
 	}
 	sort.Strings(got)
 	want := []string{
+		"cmd/untested.main is a program no test runs",
 		"lib.Config.Unset is a field no reached code writes",
 		"lib.Counter.Hits is a field no reached code reads",
 		"lib.Counter.Zero is a field no reached code writes",
@@ -195,6 +197,9 @@ type modPkg struct {
 	files []*ast.File
 	test  map[*ast.File]bool // this package's _test.go files
 	main  bool
+	// tested reports whether the package has an in-package _test.go
+	// file, the only kind that can run a main package's code.
+	tested bool
 }
 
 // decl is one package-level declaration: the node whose references it
@@ -277,7 +282,7 @@ func newReach(t *testing.T, goTool, dir string) *reach {
 		if p.Standard {
 			continue
 		}
-		mp := &modPkg{path: p.ImportPath, test: map[*ast.File]bool{}, main: p.Name == "main"}
+		mp := &modPkg{path: p.ImportPath, test: map[*ast.File]bool{}, main: p.Name == "main", tested: len(p.TestGoFiles) > 0}
 		files := p.GoFiles
 		if p.ImportPath == r.module {
 			files = append(append([]string{}, files...), p.TestGoFiles...)
@@ -351,6 +356,9 @@ func (r *reach) run() (unreached, fields []finding) {
 				name := fd.Name.Name
 				if (p.main && name == "main") || (p.path == r.module && p.test[f] && strings.HasPrefix(name, "Benchmark")) {
 					roots = append(roots, p.info.Defs[fd.Name])
+				}
+				if p.main && name == "main" && !p.tested {
+					unreached = append(unreached, r.finding(p.info.Defs[fd.Name], fd, "is a program no test runs"))
 				}
 			}
 		}
