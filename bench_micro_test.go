@@ -397,7 +397,7 @@ func BenchmarkMicro_ObjectCodec(b *testing.B) {
 	pod := cluster.NewPod("web-7", "uid-0042", cluster.PodSpec{NodeName: "node-r03-2", Phase: cluster.PodRunning, Image: "v2", App: "web"})
 	pod.Meta.OwnerUID = "uid-0007"
 	node := cluster.NewNode("node-r03-2", "uid-0013", cluster.NodeSpec{Ready: true, Capacity: 8, Rack: "rack-03", Zone: "zone-1", DC: "dc-1"})
-	node.Meta.Labels = map[string]string{"heartbeat": "1234000000"}
+	node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: "1234000000"}}
 	cass := cluster.NewCassandra("cass", "uid-0001", cluster.CassandraSpec{
 		Replicas: 3, ReadyMembers: []string{"cass-0", "cass-1", "cass-2", "cass-3"}, Decommissioning: "cass-3"})
 	for _, tc := range []struct {
@@ -441,7 +441,7 @@ func BenchmarkMicro_OracleTick(b *testing.B) {
 	var node, pod *cluster.Object
 	for i := 0; i < 3; i++ {
 		node = cluster.NewNode(fmt.Sprintf("k%d", i+1), fmt.Sprintf("uid-n%d", i), cluster.NodeSpec{Ready: true, Capacity: 16})
-		node.Meta.Labels = map[string]string{"heartbeat": "1234000000"}
+		node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: "1234000000"}}
 		put(node)
 		member := fmt.Sprintf("cass-%d", i)
 		pod = cluster.NewPod(member, "uid-p"+member, cluster.PodSpec{NodeName: node.Meta.Name, Phase: cluster.PodRunning, App: "cass"})

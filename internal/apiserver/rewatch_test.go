@@ -98,7 +98,7 @@ func TestQuietRewatchMatchesScan(t *testing.T) {
 			}
 		default:
 			upd := cur.Clone()
-			upd.Meta.Labels = map[string]string{"n": fmt.Sprint(rng.Intn(1000))}
+			upd.Meta.Labels = upd.Meta.Labels.With("n", fmt.Sprint(rng.Intn(1000)))
 			var body any
 			if body, err = h.cl.call("api-1", MethodUpdate, &UpdateRequest{Object: upd}); err == nil {
 				live[key] = body.(*WriteResponse).Object

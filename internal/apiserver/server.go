@@ -947,19 +947,36 @@ func (s *Server) write(obj *cluster.Object, key string, guard store.Cmp, failed 
 	if exact {
 		s.shared.wrote(key, data, obj)
 	}
-	s.rpcCl.Call(s.cfg.StoreNode, store.MethodTxn, newTxn(guard, store.Op{Type: store.OpPut, Key: key, Value: data}),
-		func(b any, err error) {
-			if err != nil {
-				reply.Send(nil, err)
-				return
-			}
-			resp := b.(*store.TxnResponse)
-			if !resp.Succeeded {
-				reply.Send(nil, failed)
-				return
-			}
-			reply.Send(&WriteResponse{Object: s.committed(key, resp.Revision, obj, data, exact)}, nil)
-		})
+	w := &pendingWrite{s: s, obj: obj, failed: failed, exact: exact, reply: reply}
+	s.rpcCl.CallWith(s.cfg.StoreNode, store.MethodTxn, w.set(guard, store.Op{Type: store.OpPut, Key: key, Value: data}), written, w)
+}
+
+// pendingWrite is a write's transaction and what its reply needs, in one
+// allocation: the continuation is written, with no closure.
+type pendingWrite struct {
+	txn
+	s      *Server
+	obj    *cluster.Object
+	failed error
+	exact  bool
+	reply  sim.Reply
+}
+
+// written completes a write when the store answers: arg is its
+// pendingWrite, whose one op holds the key and the bytes it put.
+func written(arg, b any, err error) {
+	w := arg.(*pendingWrite)
+	if err != nil {
+		w.reply.Send(nil, err)
+		return
+	}
+	resp := b.(*store.TxnResponse)
+	if !resp.Succeeded {
+		w.reply.Send(nil, w.failed)
+		return
+	}
+	op := &w.op[0]
+	w.reply.Send(&WriteResponse{Object: w.s.committed(op.Key, resp.Revision, w.obj, op.Value, w.exact)}, nil)
 }
 
 // committed returns the object of the revision rev that a write of obj,
@@ -989,8 +1006,11 @@ type txn struct {
 	op    [1]store.Op
 }
 
-func newTxn(guard store.Cmp, op store.Op) *store.TxnRequest {
-	t := &txn{guard: [1]store.Cmp{guard}, op: [1]store.Op{op}}
+func newTxn(guard store.Cmp, op store.Op) *store.TxnRequest { return new(txn).set(guard, op) }
+
+// set fills t with its guard and op and returns its request.
+func (t *txn) set(guard store.Cmp, op store.Op) *store.TxnRequest {
+	t.guard[0], t.op[0] = guard, op
 	t.req.Guards, t.req.OnSuccess = t.guard[:], t.op[:]
 	return &t.req
 }

@@ -256,7 +256,7 @@ func TestCommittedRevisionDecodedOncePerWorld(t *testing.T) {
 }
 
 // TestInexactWritesAreDecoded: an object that encodes to its committed
-// bytes but would not come back from them — an empty label map, an empty
+// bytes but would not come back from them — an empty label set, an empty
 // ReadyMembers that is not nil, a string the codec has to escape — is not
 // the revision's object. The revision is decoded, once for two apiservers
 // sharing a memo, and the memos and the write reply carry the decode, which
@@ -281,7 +281,7 @@ func inexactWritesAreDecoded(t *testing.T, shared bool) {
 		perRevision = 1
 	}
 	labelled := cluster.NewNode("n1", "uid-n1", cluster.NodeSpec{Ready: true, Capacity: 4})
-	labelled.Meta.Labels = map[string]string{}
+	labelled.Meta.Labels = cluster.Labels{}
 	for _, written := range []*cluster.Object{
 		labelled,
 		cluster.NewCassandra("c1", "uid-c1", cluster.CassandraSpec{Replicas: 3, ReadyMembers: []string{}}),
@@ -641,7 +641,7 @@ func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
 
 // TestAPIWriteAllocations pins what one heartbeat-shaped write costs the
 // API path: a cached Get of a node, then an Update of it with a fresh label
-// map and the spec shared, through an apiserver and the store, until the
+// set and the spec shared, through an apiserver and the store, until the
 // reply is back — the store's commit and watch push, the apiserver's apply
 // and relay-free cache update included. The client's own share (the
 // requests, the lean copy, its label, the callbacks) is in the count too.
@@ -657,7 +657,7 @@ func TestAPIWriteAllocations(t *testing.T) {
 	w.Network().Register("client", cl)
 	w.Kernel().RunFor(100 * sim.Millisecond)
 	node := cluster.NewNode("n1", "uid-n1", cluster.NodeSpec{Ready: true, Capacity: 16})
-	node.Meta.Labels = map[string]string{"heartbeat": "0"}
+	node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: "0"}}
 	if _, err := cl.call("api-1", MethodCreate, &CreateRequest{Object: node}); err != nil {
 		t.Fatal(err)
 	}
@@ -673,7 +673,7 @@ func TestAPIWriteAllocations(t *testing.T) {
 		}
 		cur := body.(*GetResponse).Object
 		beat := *cur
-		beat.Meta.Labels = map[string]string{"heartbeat": strconv.FormatInt(int64(w.Now()), 10)}
+		beat.Meta.Labels = cur.Meta.Labels.With("heartbeat", strconv.FormatInt(int64(w.Now()), 10))
 		cl.rpc.Call("api-1", MethodUpdate, &UpdateRequest{Object: &beat}, written)
 	}
 	roundTrip := func() {
@@ -692,12 +692,14 @@ func TestAPIWriteAllocations(t *testing.T) {
 	t.Logf("a heartbeat-shaped Get + Update allocates %v", allocs)
 	// 31 when the apiserver decoded its own write, copied the request
 	// object, built the key and the three-part transaction, and the store
-	// copied the value and allocated its batch and push one by one. Now:
-	// the client's copy, label map (two), label and request (5); three RPC
-	// requests and three responses; the Get reply; the encoded bytes, the
-	// transaction, its callback and the write reply; the store's Txn reply;
-	// the revision's object, the writer's on a stamped copy.
-	const want = 18
+	// copied the value and allocated its batch and push one by one; 18
+	// with a label map (two allocations) and a closure for the write's
+	// continuation. Now: the client's copy, label set, label and request
+	// (4); three RPC requests and three responses; the Get reply; the
+	// encoded bytes, the transaction with its continuation's state, and the
+	// write reply; the store's Txn reply; the revision's object, the
+	// writer's on a stamped copy.
+	const want = 16
 	if allocs > want {
 		t.Fatalf("a heartbeat-shaped Get + Update allocates %v, want <= %d", allocs, want)
 	}

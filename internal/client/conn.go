@@ -134,31 +134,34 @@ func (c *Conn) List(kind cluster.Kind, quorum bool, cb func([]*cluster.Object, i
 
 // Get fetches one object.
 func (c *Conn) Get(kind cluster.Kind, name string, quorum bool, cb func(*cluster.Object, bool, error)) {
-	c.rpc.Call(c.api, apiserver.MethodGet, &apiserver.GetRequest{Kind: kind, Name: name, Quorum: quorum},
-		func(body any, err error) {
-			if cb == nil {
-				return
-			}
-			if err != nil {
-				cb(nil, false, err)
-				return
-			}
-			resp := body.(*apiserver.GetResponse)
-			cb(resp.Object, resp.Found, nil)
-		})
+	c.rpc.CallWith(c.api, apiserver.MethodGet, &apiserver.GetRequest{Kind: kind, Name: name, Quorum: quorum}, got, cb)
+}
+
+// got completes a Get: arg is its callback.
+func got(arg, body any, err error) {
+	cb := arg.(func(*cluster.Object, bool, error))
+	if cb == nil {
+		return
+	}
+	if err != nil {
+		cb(nil, false, err)
+		return
+	}
+	resp := body.(*apiserver.GetResponse)
+	cb(resp.Object, resp.Found, nil)
 }
 
 // Create stores a new object. The caller hands obj over: it becomes the
 // request, and nobody writes to it again (DESIGN.md, "Object ownership").
 func (c *Conn) Create(obj *cluster.Object, cb func(*cluster.Object, error)) {
-	c.rpc.Call(c.api, apiserver.MethodCreate, &apiserver.CreateRequest{Object: obj}, writeCB(cb))
+	c.rpc.CallWith(c.api, apiserver.MethodCreate, &apiserver.CreateRequest{Object: obj}, wrote, cb)
 }
 
 // Update overwrites an object guarded by its ResourceVersion (0 = blind).
 // The caller hands obj — a fresh Clone or a new object — over, as for
 // Create.
 func (c *Conn) Update(obj *cluster.Object, cb func(*cluster.Object, error)) {
-	c.rpc.Call(c.api, apiserver.MethodUpdate, &apiserver.UpdateRequest{Object: obj}, writeCB(cb))
+	c.rpc.CallWith(c.api, apiserver.MethodUpdate, &apiserver.UpdateRequest{Object: obj}, wrote, cb)
 }
 
 // Delete removes an object; expectRV of 0 deletes unconditionally.
@@ -171,17 +174,17 @@ func (c *Conn) Delete(kind cluster.Kind, name string, expectRV int64, cb func(er
 		})
 }
 
-func writeCB(cb func(*cluster.Object, error)) func(any, error) {
-	return func(body any, err error) {
-		if cb == nil {
-			return
-		}
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(body.(*apiserver.WriteResponse).Object, nil)
+// wrote completes a Create or an Update: arg is its callback.
+func wrote(arg, body any, err error) {
+	cb := arg.(func(*cluster.Object, error))
+	if cb == nil {
+		return
 	}
+	if err != nil {
+		cb(nil, err)
+		return
+	}
+	cb(body.(*apiserver.WriteResponse).Object, nil)
 }
 
 // sortedSubIDs returns the live informers' subscription IDs in order.

@@ -20,10 +20,11 @@ import (
 //
 //   - appendObject emits exactly json.Marshal's bytes (field order,
 //     omitempty, sorted label keys) for objects whose strings json.Marshal
-//     would copy verbatim, and reports false for any other object;
+//     would copy verbatim and whose label set is canonical, and reports
+//     false for any other object;
 //   - parseObject accepts exactly those bytes — fields in declaration order,
 //     no whitespace, unescaped printable-ASCII strings, plain integers,
-//     non-empty label maps with ascending keys, non-empty string arrays —
+//     non-empty label objects with ascending keys, non-empty string arrays —
 //     and reports false at the first byte outside that shape.
 //
 // On false the caller hands the whole input to encoding/json, so off-shape
@@ -39,9 +40,10 @@ func Encode(o *Object) ([]byte, error) {
 
 // EncodeExact is Encode that also reports whether o is the object Decode
 // makes of the bytes, ResourceVersion aside. It is unless some string is
-// off the canonical shape (the bytes then come from json.Marshal, and
-// Decode may not give the text back), or a label map or a string slice is
-// empty but not nil (Encode omits it, and Decode leaves the field nil).
+// off the canonical shape or the label set is not canonical (the bytes then
+// come from json.Marshal, and Decode may not give the text or the literal
+// back), or a label set or a string slice is empty but not nil (Encode
+// omits it, and Decode leaves the field nil).
 func EncodeExact(o *Object) (data []byte, exact bool, err error) {
 	var scratch [256]byte
 	if b, ok := appendObject(scratch[:0], o); ok {
@@ -56,7 +58,7 @@ func EncodeExact(o *Object) (data []byte, exact bool, err error) {
 	return b, false, nil
 }
 
-// emptyNotNil reports whether o has a label map or a string slice that is
+// emptyNotNil reports whether o has a label set or a string slice that is
 // empty but not nil.
 func emptyNotNil(o *Object) bool {
 	empty := func(ss []string) bool { return ss != nil && len(ss) == 0 }
@@ -95,13 +97,13 @@ func plainByte(c byte) bool {
 }
 
 // encoder appends canonical JSON to b. It is passed and returned by value,
-// append-style, so that a caller's stack buffer stays on the stack. escaped
-// turns true at the first string that is not plain, after which the output
-// is abandoned.
+// append-style, so that a caller's stack buffer stays on the stack. off
+// turns true at the first string that is not plain or label set that is not
+// canonical, after which the output is abandoned.
 type encoder struct {
-	b       []byte
-	first   bool // no key written yet in the innermost open object
-	escaped bool
+	b     []byte
+	first bool // no key written yet in the innermost open object
+	off   bool
 }
 
 func (e encoder) open() encoder {
@@ -130,7 +132,7 @@ func (e encoder) key(k string) encoder {
 func (e encoder) str(s string) encoder {
 	for i := 0; i < len(s); i++ {
 		if !plainByte(s[i]) {
-			e.escaped = true
+			e.off = true
 			return e
 		}
 	}
@@ -177,28 +179,27 @@ func (e encoder) optStrs(k string, ss []string) encoder {
 	return e
 }
 
-// optLabels writes a label map the way json.Marshal does: keys sorted, and
-// escaped by the same rule as values.
-func (e encoder) optLabels(k string, labels map[string]string) encoder {
+// optLabels writes a label set the way json.Marshal writes its map: in
+// order, names escaped by the same rule as values. A set that is not
+// canonical — out of order, or a name twice — is off the shape: its map is
+// encoding/json's to write.
+func (e encoder) optLabels(k string, labels Labels) encoder {
 	if len(labels) == 0 {
 		return e
 	}
-	var scratch [8]string
-	keys := scratch[:0]
-	for name := range labels {
-		keys = append(keys, name)
-	}
-	slices.Sort(keys)
 	e = e.key(k)
-	for i, name := range keys {
+	for i, l := range labels {
 		if i == 0 {
 			e.b = append(e.b, '{')
+		} else if labels[i-1].Name >= l.Name {
+			e.off = true
+			return e
 		} else {
 			e.b = append(e.b, ',')
 		}
-		e = e.str(name)
+		e = e.str(l.Name)
 		e.b = append(e.b, ':')
-		e = e.str(labels[name])
+		e = e.str(l.Value)
 	}
 	return e.close()
 }
@@ -257,7 +258,7 @@ func appendObject(b []byte, o *Object) ([]byte, bool) {
 		e = e.close()
 	}
 	e = e.close()
-	return e.b, !e.escaped
+	return e.b, !e.off
 }
 
 // parser is a cursor over one canonical encoding. The input is converted to
@@ -407,28 +408,26 @@ func (p *parser) strs() []string {
 }
 
 // labels consumes a non-empty object of string values whose keys strictly
-// ascend, which is how Encode writes a label map and rules out duplicates.
-func (p *parser) labels() map[string]string {
+// ascend, which is how Encode writes a label set and rules out duplicates.
+func (p *parser) labels() Labels {
 	p.lit('{')
 	end := strings.IndexByte(p.s[p.i:], '}')
 	if end < 0 {
 		p.fail()
 		return nil
 	}
-	out := make(map[string]string, strings.Count(p.s[p.i:p.i+end], `"`)/4)
-	prev := ""
+	out := make(Labels, 0, strings.Count(p.s[p.i:p.i+end], `"`)/4)
 	for {
 		k := p.str()
 		p.lit(':')
 		v := p.str()
-		if len(out) > 0 && k <= prev {
+		if len(out) > 0 && k <= out[len(out)-1].Name {
 			p.fail()
 		}
 		if p.bad {
 			return nil
 		}
-		out[k] = v
-		prev = k
+		out = append(out, Label{Name: k, Value: v})
 		if p.i < len(p.s) && p.s[p.i] == ',' {
 			p.i++
 			continue

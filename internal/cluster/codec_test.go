@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,19 +18,59 @@ import (
 // encoding/json is the codec's reference: what Decode and Encode did before
 // the hand-written paths existed, and what they must still do.
 
+// refObject is Object with its labels held as a map, the way encoding/json
+// writes and reads them unaided, so the reference shares no code with
+// Labels' own JSON methods.
+type refObject struct {
+	Meta struct {
+		Kind              cluster.Kind      `json:"kind"`
+		Name              string            `json:"name"`
+		UID               string            `json:"uid"`
+		ResourceVersion   int64             `json:"resourceVersion,omitempty"`
+		DeletionTimestamp int64             `json:"deletionTimestamp,omitempty"`
+		OwnerUID          string            `json:"ownerUID,omitempty"`
+		Labels            map[string]string `json:"labels,omitempty"`
+	} `json:"meta"`
+	Pod       *cluster.PodSpec       `json:"pod,omitempty"`
+	Node      *cluster.NodeSpec      `json:"node,omitempty"`
+	PVC       *cluster.PVCSpec       `json:"pvc,omitempty"`
+	Cassandra *cluster.CassandraSpec `json:"cassandra,omitempty"`
+	Region    *cluster.RegionSpec    `json:"region,omitempty"`
+}
+
 func refDecode(data []byte, rv int64) (*cluster.Object, error) {
-	var o cluster.Object
-	if err := json.Unmarshal(data, &o); err != nil {
+	var r refObject
+	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, err
 	}
-	o.Meta.ResourceVersion = rv
-	return &o, nil
+	m := r.Meta
+	o := &cluster.Object{
+		Meta: cluster.Meta{Kind: m.Kind, Name: m.Name, UID: m.UID, ResourceVersion: rv,
+			DeletionTimestamp: m.DeletionTimestamp, OwnerUID: m.OwnerUID},
+		Pod: r.Pod, Node: r.Node, PVC: r.PVC, Cassandra: r.Cassandra, Region: r.Region,
+	}
+	if m.Labels != nil {
+		o.Meta.Labels = cluster.Labels{}
+		for name, v := range m.Labels {
+			o.Meta.Labels = append(o.Meta.Labels, cluster.Label{Name: name, Value: v})
+		}
+		slices.SortFunc(o.Meta.Labels, func(a, b cluster.Label) int { return strings.Compare(a.Name, b.Name) })
+	}
+	return o, nil
 }
 
 func refEncode(o *cluster.Object) []byte {
-	c := *o
-	c.Meta.ResourceVersion = 0
-	b, err := json.Marshal(&c)
+	var r refObject
+	r.Meta.Kind, r.Meta.Name, r.Meta.UID = o.Meta.Kind, o.Meta.Name, o.Meta.UID
+	r.Meta.DeletionTimestamp, r.Meta.OwnerUID = o.Meta.DeletionTimestamp, o.Meta.OwnerUID
+	if o.Meta.Labels != nil {
+		r.Meta.Labels = map[string]string{}
+		for _, l := range o.Meta.Labels {
+			r.Meta.Labels[l.Name] = l.Value
+		}
+	}
+	r.Pod, r.Node, r.PVC, r.Cassandra, r.Region = o.Pod, o.Node, o.PVC, o.Cassandra, o.Region
+	b, err := json.Marshal(&r)
 	if err != nil {
 		panic(err)
 	}
@@ -152,6 +193,10 @@ func TestCodecOffShapeFallsBack(t *testing.T) {
 		{"empty labels", mut(`"uid":"u"`, `"uid":"u","labels":{}`), false},
 		{"unsorted labels", mut(`"uid":"u"`, `"uid":"u","labels":{"b":"1","a":"2"}`), false},
 		{"duplicate label", mut(`"uid":"u"`, `"uid":"u","labels":{"a":"1","a":"2"}`), false},
+		{"labels twice", mut(`"uid":"u"`, `"uid":"u","labels":{"b":"1"},"labels":{"a":"2"}`), false},
+		{"null labels", mut(`"uid":"u"`, `"uid":"u","labels":null`), false},
+		{"number for labels", mut(`"uid":"u"`, `"uid":"u","labels":5`), true},
+		{"number for label value", mut(`"uid":"u"`, `"uid":"u","labels":{"a":"1","b":2}`), true},
 		{"empty array", `{"meta":{"kind":"cassandraclusters"},"cassandra":{"replicas":1,"racks":[]}}`, false},
 		{"float", `{"meta":{"kind":"nodes"},"node":{"ready":true,"capacity":1.0}}`, true},
 		{"exponent", `{"meta":{"kind":"nodes"},"node":{"ready":true,"capacity":1e2}}`, true},
@@ -202,9 +247,9 @@ func TestCodecEncodeFallsBack(t *testing.T) {
 			{Meta: cluster.Meta{Kind: cluster.Kind(s)}},
 		}
 		labelled := cluster.NewNode("n", "u", cluster.NodeSpec{})
-		labelled.Meta.Labels = map[string]string{s: "v"}
+		labelled.Meta.Labels = cluster.Labels{{Name: s, Value: "v"}}
 		valued := cluster.NewNode("n", "u", cluster.NodeSpec{})
-		valued.Meta.Labels = map[string]string{"k": s}
+		valued.Meta.Labels = cluster.Labels{{Name: "k", Value: s}}
 		for _, o := range append(objs, labelled, valued) {
 			if _, ok := cluster.AppendObject(nil, o); ok {
 				t.Errorf("fast encoder accepted %q in %+v", s, o)
@@ -219,12 +264,12 @@ func TestCodecEncodeFallsBack(t *testing.T) {
 	}
 }
 
-// TestEncodeExactEmptyNotNil: an empty label map or string slice that is
+// TestEncodeExactEmptyNotNil: an empty label set or string slice that is
 // not nil encodes like a nil one, and decodes to nil, so EncodeExact does
 // not call its object exact; the same object with the field nil is.
 func TestEncodeExactEmptyNotNil(t *testing.T) {
 	labelled := cluster.NewNode("n", "u", cluster.NodeSpec{Ready: true})
-	labelled.Meta.Labels = map[string]string{}
+	labelled.Meta.Labels = cluster.Labels{}
 	for _, o := range []*cluster.Object{
 		labelled,
 		cluster.NewCassandra("c", "u", cluster.CassandraSpec{Replicas: 3, ReadyMembers: []string{}}),
@@ -238,7 +283,7 @@ func TestEncodeExactEmptyNotNil(t *testing.T) {
 		if reflect.DeepEqual(got, o) {
 			t.Errorf("%+v survives its round trip; the case proves nothing", o)
 		}
-		c := o.Clone() // Clone turns an empty slice nil; the map is cleared by hand
+		c := o.Clone() // Clone turns an empty string slice nil; the label set is cleared by hand
 		if len(c.Meta.Labels) == 0 {
 			c.Meta.Labels = nil
 		}
@@ -256,7 +301,7 @@ func benchPod() *cluster.Object {
 
 func benchNode() *cluster.Object {
 	node := cluster.NewNode("node-r03-2", "uid-0013", cluster.NodeSpec{Ready: true, Capacity: 8, Rack: "rack-03", Zone: "zone-1", DC: "dc-1"})
-	node.Meta.Labels = map[string]string{"heartbeat": "1234000000"}
+	node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: "1234000000"}}
 	return node
 }
 
@@ -269,7 +314,7 @@ func TestCodecAllocCeilings(t *testing.T) {
 		decode, encode float64
 	}{
 		{"pod", benchPod(), 3, 1},   // the text, the Object, the PodSpec
-		{"node", benchNode(), 5, 1}, // + the label map and its bucket
+		{"node", benchNode(), 4, 1}, // + the label set
 	} {
 		data := cluster.MustEncode(tc.obj)
 		if n := testing.AllocsPerRun(100, func() {
@@ -297,6 +342,12 @@ func FuzzDecodeMatchesJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"meta":{"kind":"pods","name":"p\n","uid":"u","resourceVersion":3,"labels":{}},"pod":null}`))
 	f.Add([]byte(`{"meta":{"kind":"nodes","name":"n","uid":"u","deletionTimestamp":-5},"node":{"ready":false,"capacity":1e2}}`))
+	// label sets of three: in order, out of order, naming one label twice,
+	// and split over a key given twice
+	f.Add([]byte(`{"meta":{"kind":"nodes","name":"n","uid":"u","labels":{"a":"1","b":"2","c":"3"}},"node":{"ready":true,"capacity":4}}`))
+	f.Add([]byte(`{"meta":{"kind":"nodes","name":"n","uid":"u","labels":{"c":"3","a":"1","b":"2"}},"node":{"ready":true,"capacity":4}}`))
+	f.Add([]byte(`{"meta":{"kind":"nodes","name":"n","uid":"u","labels":{"a":"1","b":"2","a":"3"}},"node":{"ready":true,"capacity":4}}`))
+	f.Add([]byte(`{"meta":{"kind":"nodes","name":"n","uid":"u","labels":{"b":"2"},"labels":{"a":"1"}},"node":{"ready":true,"capacity":4}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := refDecode(data, 7)
 		got, err := cluster.Decode(data, 7)
@@ -348,22 +399,33 @@ func FuzzEncodeMatchesJSON(f *testing.F) {
 			payloads, a, b = 16, o.Region.Owner, string(o.Region.State)
 		}
 		var labels []string
-		for k, v := range o.Meta.Labels {
-			labels = append(labels, k, v)
+		for _, l := range o.Meta.Labels {
+			labels = append(labels, l.Name, l.Value)
 		}
 		f.Add(string(o.Meta.Kind), o.Meta.Name, o.Meta.UID, o.Meta.OwnerUID, o.Meta.DeletionTimestamp,
 			strings.Join(labels, ","), payloads, a, b, c, list, n, flag)
 	}
 	f.Add("pods", "a<b", "u\"", "o\\", int64(-1), "k,v,k2,\xff", uint8(31), "é", "\n", "&", "x,,y", int64(-7), true)
+	// label sets of three: in order, out of order, and naming one label twice
+	f.Add("nodes", "n", "u", "", int64(0), "a,1,b,2,c,3", uint8(2), "", "", "", "", int64(4), true)
+	f.Add("nodes", "n", "u", "", int64(0), "c,3,a,1,b,2", uint8(2), "", "", "", "", int64(4), true)
+	f.Add("nodes", "n", "u", "", int64(0), "a,1,b,2,a,3", uint8(2), "", "", "", "", int64(4), true)
 	f.Fuzz(func(t *testing.T, kind, name, uid, owner string, deleted int64, labels string,
 		payloads uint8, a, b, c, list string, n int64, flag bool) {
 		o := &cluster.Object{Meta: cluster.Meta{
 			Kind: cluster.Kind(kind), Name: name, UID: uid, OwnerUID: owner, DeletionTimestamp: deleted,
 		}}
+		// The labels as the literal lists them: maybe out of order, maybe
+		// naming one twice.
+		canonical := true
 		if kv := splitNonEmpty(labels); kv != nil {
-			o.Meta.Labels = map[string]string{}
+			o.Meta.Labels = cluster.Labels{}
 			for i := 0; i < len(kv); i += 2 {
-				o.Meta.Labels[kv[i]] = kv[(i+1)%len(kv)]
+				l := cluster.Label{Name: kv[i], Value: kv[(i+1)%len(kv)]}
+				if n := len(o.Meta.Labels); n > 0 && o.Meta.Labels[n-1].Name >= l.Name {
+					canonical = false
+				}
+				o.Meta.Labels = append(o.Meta.Labels, l)
 			}
 		}
 		if payloads&1 != 0 {
@@ -383,7 +445,7 @@ func FuzzEncodeMatchesJSON(f *testing.F) {
 		}
 		if payloads&32 != 0 { // absent lists and labels empty, not nil
 			if o.Meta.Labels == nil {
-				o.Meta.Labels = map[string]string{}
+				o.Meta.Labels = cluster.Labels{}
 			}
 			if c := o.Cassandra; c != nil && c.ReadyMembers == nil {
 				c.ReadyMembers = []string{}
@@ -414,8 +476,16 @@ func FuzzEncodeMatchesJSON(f *testing.F) {
 		for _, s := range []string{kind, name, uid, owner, labels, a, b, c, list} {
 			valid = valid && utf8.ValidString(s)
 		}
-		if _, exact, _ := cluster.EncodeExact(o); exact && !reflect.DeepEqual(got, o) {
+		_, exact, _ := cluster.EncodeExact(o)
+		if exact && !reflect.DeepEqual(got, o) {
 			t.Fatalf("EncodeExact calls %+v exact, but %s decodes to %+v", o, enc, got)
+		}
+		if !canonical {
+			if _, ok := cluster.AppendObject(nil, o); ok || exact {
+				t.Fatalf("labels %v are not canonical, but the fast encoder took them (%v) or EncodeExact calls them exact (%v)",
+					o.Meta.Labels, ok, exact)
+			}
+			return // they decode as the map they stand for: the reference above
 		}
 		if payloads&32 == 0 && valid && !reflect.DeepEqual(got, o) {
 			t.Fatalf("round trip of %+v through %s gave %+v", o, enc, got)

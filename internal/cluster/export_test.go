@@ -7,3 +7,13 @@ var (
 	ParseObject  = parseObject
 	AppendObject = appendObject
 )
+
+// Get returns the value l has for name, and whether it has one. Nothing in
+// the program reads a label; the tests do.
+func (l Labels) Get(name string) (string, bool) {
+	i, found := l.search(name)
+	if !found {
+		return "", false
+	}
+	return l[i].Value, true
+}

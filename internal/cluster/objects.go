@@ -11,7 +11,9 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -126,9 +128,87 @@ type Meta struct {
 	// DeletionTimestamp, when nonzero, marks the object as being deleted
 	// (virtual time of the mark). Two-phase deletion: mark, finalize,
 	// remove.
-	DeletionTimestamp int64             `json:"deletionTimestamp,omitempty"`
-	OwnerUID          string            `json:"ownerUID,omitempty"`
-	Labels            map[string]string `json:"labels,omitempty"`
+	DeletionTimestamp int64  `json:"deletionTimestamp,omitempty"`
+	OwnerUID          string `json:"ownerUID,omitempty"`
+	// Labels is the object's label set, sorted by name. Like the rest of a
+	// shared object it is never written in place: With returns a new set.
+	Labels Labels `json:"labels,omitempty"`
+}
+
+// Label is one name=value pair of a label set.
+type Label struct {
+	Name, Value string
+}
+
+// Labels is a label set: a slice sorted by name, no name twice, which
+// encodes as the JSON object a map[string]string would — keys in order. A
+// set is immutable once built (DESIGN.md §12): With copies it, so an object,
+// its copies and the objects made from them share one set freely. A literal
+// out of order or naming a label twice is not canonical: it encodes through
+// encoding/json as the map it stands for (the last value of a name wins),
+// decodes to that map's sorted set, and is never exact (EncodeExact).
+type Labels []Label
+
+// With returns a copy of the canonical set l with name set to value: added
+// in its place, or replacing the value l has for it.
+func (l Labels) With(name, value string) Labels {
+	i, found := l.search(name)
+	if found {
+		out := slices.Clone(l)
+		out[i].Value = value
+		return out
+	}
+	out := make(Labels, len(l)+1)
+	copy(out, l[:i])
+	out[i] = Label{Name: name, Value: value}
+	copy(out[i+1:], l[i:])
+	return out
+}
+
+// search returns where name is, or would be, in the canonical set l.
+func (l Labels) search(name string) (int, bool) {
+	return slices.BinarySearchFunc(l, name, func(x Label, name string) int { return strings.Compare(x.Name, name) })
+}
+
+// MarshalJSON writes l as the JSON object of its map: names sorted, the
+// last value of a repeated name, null for a nil set.
+func (l Labels) MarshalJSON() ([]byte, error) {
+	if l == nil {
+		return []byte("null"), nil
+	}
+	m := make(map[string]string, len(l))
+	for _, x := range l {
+		m[x.Name] = x.Value
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads a JSON object of strings into l as encoding/json
+// reads one into a map: merged into what l holds (a key repeated in the
+// input is decoded twice), a repeated name keeping its last value; null
+// makes a nil set, {} an empty one.
+func (l *Labels) UnmarshalJSON(data []byte) error {
+	var m map[string]string
+	if *l != nil {
+		m = make(map[string]string, len(*l))
+		for _, x := range *l {
+			m[x.Name] = x.Value
+		}
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	if m == nil {
+		*l = nil
+		return nil
+	}
+	out := make(Labels, 0, len(m))
+	for name, v := range m {
+		out = append(out, Label{Name: name, Value: v})
+	}
+	slices.SortFunc(out, func(a, b Label) int { return strings.Compare(a.Name, b.Name) })
+	*l = out
+	return nil
 }
 
 // Object is a typed cluster resource. Exactly one payload pointer matching
@@ -176,12 +256,7 @@ func (o *Object) Clone() *Object {
 		return nil
 	}
 	c := *o
-	if o.Meta.Labels != nil {
-		c.Meta.Labels = make(map[string]string, len(o.Meta.Labels))
-		for k, v := range o.Meta.Labels {
-			c.Meta.Labels[k] = v
-		}
-	}
+	c.Meta.Labels = slices.Clone(o.Meta.Labels)
 	if o.Pod != nil {
 		p := *o.Pod
 		c.Pod = &p

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,7 @@ func TestParseKeyRejectsGarbage(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	pod := NewPod("web-0", "uid-1", PodSpec{NodeName: "k1", Phase: PodRunning, Image: "v2", App: "web"})
-	pod.Meta.Labels = map[string]string{"tier": "frontend"}
+	pod.Meta.Labels = Labels{{Name: "tier", Value: "frontend"}}
 	pod.Meta.DeletionTimestamp = 42
 	pod.Meta.OwnerUID = "owner-1"
 
@@ -50,7 +51,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if got.Pod == nil || got.Pod.NodeName != "k1" || got.Pod.Phase != PodRunning {
 		t.Fatalf("pod = %+v", got.Pod)
 	}
-	if got.Meta.Labels["tier"] != "frontend" {
+	if v, ok := got.Meta.Labels.Get("tier"); !ok || v != "frontend" {
 		t.Fatalf("labels = %v", got.Meta.Labels)
 	}
 }
@@ -77,12 +78,12 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestCloneDeep(t *testing.T) {
 	cass := NewCassandra("c", "u", CassandraSpec{Replicas: 3, ReadyMembers: []string{"c-0", "c-1"}})
-	cass.Meta.Labels = map[string]string{"a": "1"}
+	cass.Meta.Labels = Labels{{Name: "a", Value: "1"}}
 	cp := cass.Clone()
 	cp.Cassandra.ReadyMembers[0] = "mutated"
 	cp.Cassandra.Replicas = 9
-	cp.Meta.Labels["a"] = "2"
-	if cass.Cassandra.ReadyMembers[0] != "c-0" || cass.Cassandra.Replicas != 3 || cass.Meta.Labels["a"] != "1" {
+	cp.Meta.Labels[0].Value = "2"
+	if v, _ := cass.Meta.Labels.Get("a"); cass.Cassandra.ReadyMembers[0] != "c-0" || cass.Cassandra.Replicas != 3 || v != "1" {
 		t.Fatalf("clone not deep: %+v", cass)
 	}
 
@@ -155,5 +156,39 @@ func TestPropertyEncodeDecodeAllKinds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLabelsWith: With puts a new label in its sorted place — first,
+// between two, last, into an empty set — or replaces the value of one the
+// set has, and leaves the set it was called on as it was.
+func TestLabelsWith(t *testing.T) {
+	base := Labels{{Name: "b", Value: "1"}, {Name: "d", Value: "2"}}
+	for _, tc := range []struct {
+		on          Labels
+		name, value string
+		want        Labels
+	}{
+		{base, "a", "0", Labels{{"a", "0"}, {"b", "1"}, {"d", "2"}}},
+		{base, "c", "0", Labels{{"b", "1"}, {"c", "0"}, {"d", "2"}}},
+		{base, "e", "0", Labels{{"b", "1"}, {"d", "2"}, {"e", "0"}}},
+		{base, "b", "9", Labels{{"b", "9"}, {"d", "2"}}},
+		{base, "d", "9", Labels{{"b", "1"}, {"d", "9"}}},
+		{nil, "a", "0", Labels{{"a", "0"}}},
+	} {
+		before := slices.Clone(tc.on)
+		got := tc.on.With(tc.name, tc.value)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v.With(%q, %q) = %v, want %v", tc.on, tc.name, tc.value, got, tc.want)
+		}
+		if !slices.Equal(tc.on, before) {
+			t.Errorf("With(%q, %q) changed the set it was called on: %v, was %v", tc.name, tc.value, tc.on, before)
+		}
+		if v, ok := got.Get(tc.name); !ok || v != tc.value {
+			t.Errorf("%v.Get(%q) = %q, %v", got, tc.name, v, ok)
+		}
+	}
+	if _, ok := base.Get("c"); ok {
+		t.Error("Get found a label the set does not have")
 	}
 }

@@ -249,7 +249,7 @@ func (k *Kubelet) registerNode() {
 		Zone:     k.cfg.Zone,
 		DC:       k.cfg.DC,
 	})
-	node.Meta.Labels = map[string]string{"heartbeat": strconv.FormatInt(int64(k.World().Now()), 10)}
+	node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: strconv.FormatInt(int64(k.World().Now()), 10)}}
 	k.Conn().Create(node, func(_ *cluster.Object, err error) {
 		if err != nil {
 			// Already registered: refresh via heartbeat path instead.
@@ -270,7 +270,7 @@ func (k *Kubelet) heartbeat() {
 
 // beatOn writes back the node the heartbeat read. The node it is handed
 // is the API's and immutable; the update copies only what it changes
-// (DESIGN.md §12): a fresh header and label map, and the NodeSpec only if
+// (DESIGN.md §12): a fresh header and label set, and the NodeSpec only if
 // the node is not Ready yet. Everything else — the spec of a Ready node,
 // any other payload — is shared with the node it came from.
 func (k *Kubelet) beatOn(node *cluster.Object, found bool, err error) {
@@ -282,11 +282,7 @@ func (k *Kubelet) beatOn(node *cluster.Object, found bool, err error) {
 		return
 	}
 	beat := *node
-	beat.Meta.Labels = make(map[string]string, len(node.Meta.Labels)+1)
-	for name, v := range node.Meta.Labels {
-		beat.Meta.Labels[name] = v
-	}
-	beat.Meta.Labels["heartbeat"] = strconv.FormatInt(int64(k.World().Now()), 10)
+	beat.Meta.Labels = node.Meta.Labels.With("heartbeat", strconv.FormatInt(int64(k.World().Now()), 10))
 	if !node.Node.Ready {
 		spec := *node.Node
 		spec.Ready = true

@@ -28,11 +28,14 @@ func TestRegistersNodeWithHeartbeat(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("nodes = %d", len(nodes))
 	}
-	hb1 := nodes[0].Meta.Labels["heartbeat"]
+	hb1 := nodes[0].Meta.Labels
+	if len(hb1) != 1 || hb1[0].Name != "heartbeat" {
+		t.Fatalf("labels = %v, want the heartbeat alone", hb1)
+	}
 	c.RunFor(sim.Second)
 	nodes = c.GroundTruth(cluster.KindNode)
-	if nodes[0].Meta.Labels["heartbeat"] == hb1 {
-		t.Fatal("heartbeat not refreshed")
+	if hb2 := nodes[0].Meta.Labels; len(hb2) != 1 || hb2[0] == hb1[0] {
+		t.Fatalf("heartbeat not refreshed: %v, then %v", hb1, hb2)
 	}
 	if !nodes[0].Node.Ready {
 		t.Fatal("node not ready")

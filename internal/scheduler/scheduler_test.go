@@ -88,7 +88,7 @@ func TestNoNodesRequeuesUntilNodeArrives(t *testing.T) {
 	}
 	// A node appears (registered directly through the admin).
 	node := cluster.NewNode("late-node", "uid-late", cluster.NodeSpec{Ready: true, Capacity: 4})
-	node.Meta.Labels = map[string]string{"heartbeat": "1"}
+	node.Meta.Labels = cluster.Labels{{Name: "heartbeat", Value: "1"}}
 	c.Admin.Conn().Create(node, nil)
 	c.RunFor(2 * sim.Second)
 	pods = c.GroundTruth(cluster.KindPod)

@@ -6,14 +6,11 @@ func (k *Kernel) Stop() { k.stopped = true }
 // Pending returns the number of scheduled, non-canceled events.
 func (k *Kernel) Pending() int {
 	n := 0
-	if k.ticking && !k.slots[k.tick.slot].canceled {
-		n++
-	}
-	for _, e := range k.heap {
+	k.each(func(e heapEntry) {
 		if !k.slots[e.slot].canceled {
 			n++
 		}
-	}
+	})
 	return n
 }
 

@@ -46,7 +46,7 @@ func (d Duration) String() string {
 // Timer is a handle to a scheduled callback: a claim on one generation of
 // one kernel event slot. Slots are recycled, so the handle carries the
 // generation it was issued for and answers false once the slot has moved on
-// (fired, or popped after a cancel), whoever occupies it now. The zero value
+// (fired, or released after a cancel), whoever occupies it now. The zero value
 // is inert: Cancel and Pending report false. The generation is 64 bits wide
 // and grows by one per release, so it cannot wrap within a run.
 type Timer struct {
@@ -78,7 +78,7 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	ev.canceled = true
-	ev.fn = nil // the entry may sit in the heap until its deadline; the closure need not
+	ev.fn = nil // the entry may stay queued until its deadline; the closure need not
 	return true
 }
 
@@ -177,12 +177,15 @@ func (o *Owner) After(d Duration, tag EventTag) Timer {
 	if !ok {
 		return Timer{}
 	}
-	return o.k.place(at, o.k.seq, &tag, o)
+	if o.observer {
+		return o.k.placeTick(at, o.k.seq, &tag)
+	}
+	return o.k.place(at, o.k.seq, &tag, o, o.k.delayLane(d))
 }
 
-// place occupies a slot with o's event and queues it at (at, seq): in the
-// tick entry for the observer, in the heap for every other owner.
-func (k *Kernel) place(at Time, seq uint64, tag *EventTag, o *Owner) Timer {
+// place occupies a slot with o's event and queues it at (at, seq) in lane
+// ln (0: the heap). The observer's event goes to the tick entry instead.
+func (k *Kernel) place(at Time, seq uint64, tag *EventTag, o *Owner, ln uint32) Timer {
 	if o.observer {
 		return k.placeTick(at, seq, tag)
 	}
@@ -191,7 +194,7 @@ func (k *Kernel) place(at Time, seq uint64, tag *EventTag, o *Owner) Timer {
 	// barrier whenever the collector is marking.
 	ev.owner = o
 	ev.tag.Owner, ev.tag.Kind, ev.tag.Key, ev.tag.N, ev.tag.Epoch = tag.Owner, tag.Kind, tag.Key, tag.N, tag.Epoch
-	return k.push(at, seq, slot)
+	return k.push(at, seq, slot, ln)
 }
 
 // placeTick queues the observer's event in the tick entry and its slot. A
@@ -233,8 +236,8 @@ func (o *Owner) Retire() {
 func (o *Owner) Retired() bool { return o.retired }
 
 // event is one slot of the kernel's event table. A slot is free, or the
-// observer's (Observe keeps one), or the occupant of exactly one heap
-// entry, which holds its (at, seq). An event takes one of three
+// observer's (Observe keeps one), or the occupant of exactly one queue
+// entry — in the heap or in a lane — which holds its (at, seq). An event takes one of three
 // forms: a closure (fn); a message delivery (deliver, msg) — the network's
 // per-message form; or an owner-dispatched timer (owner, with tag as its
 // argument) — the only form a snapshot can re-create. The last two need no
@@ -262,13 +265,14 @@ func (ev *event) tagOf() *EventTag {
 	return ev.shared
 }
 
-// heapEntry is one pending event in the queue: its firing order and the
-// slot that holds the rest. It contains no pointers, so sifting it neither
-// chases one nor pays a write barrier.
+// heapEntry is one pending event in the queue: its firing order, the slot
+// that holds the rest, and, for the head of a lane, that lane. It contains
+// no pointers, so sifting it neither chases one nor pays a write barrier.
 type heapEntry struct {
 	at   Time
 	seq  uint64
 	slot uint32
+	lane uint32 // the lane this entry heads; 0 for an event in no lane
 }
 
 func (a heapEntry) before(b heapEntry) bool {
@@ -278,9 +282,10 @@ func (a heapEntry) before(b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is a hand-rolled binary min-heap ordered by (at, seq). The
-// scheduler is the hottest loop in the simulator; avoiding container/heap's
-// interface dispatch and index bookkeeping is worth the ~30 lines.
+// eventHeap is a hand-rolled binary min-heap ordered by (at, seq). It holds
+// the head of every non-empty lane and every event that is in no lane.
+// Avoiding container/heap's interface dispatch and index bookkeeping is
+// worth the ~30 lines.
 type eventHeap []heapEntry
 
 func (h *eventHeap) push(e heapEntry) {
@@ -298,12 +303,21 @@ func (h *eventHeap) push(e heapEntry) {
 	s[i] = e
 }
 
-func (h *eventHeap) pop() heapEntry {
+func (h *eventHeap) pop() {
 	s := *h
 	n := len(s) - 1
-	top, e := s[0], s[n]
-	s = s[:n]
-	*h = s
+	e := s[n]
+	*h = s[:n]
+	if n > 0 {
+		h.replaceTop(e)
+	}
+}
+
+// replaceTop puts e where the top was and sifts it down: a pop and a push
+// for the price of one sift.
+func (h *eventHeap) replaceTop(e heapEntry) {
+	s := *h
+	n := len(s)
 	i := 0
 	for {
 		child := 2*i + 1
@@ -319,10 +333,53 @@ func (h *eventHeap) pop() heapEntry {
 		s[i] = s[child]
 		i = child
 	}
-	if n > 0 {
-		s[i] = e
+	s[i] = e
+}
+
+// lane is a stream of events that come due in the order they were queued:
+// the deliveries on one FIFO link, or the timers armed at one fixed delay
+// (now only moves forward, so now+d does too). Its head waits in the heap;
+// the rest wait here, in a ring, behind it, and cost no sift until they
+// reach the front. An event joins the lane only if it orders after the
+// lane's tail; one that would not goes to the heap, so no lane is ever out
+// of order, whatever the caller's delays or a restore's sequence numbers.
+type lane struct {
+	ring   []heapEntry // a power-of-two ring; n entries from head
+	head   uint32
+	n      uint32
+	tail   heapEntry // the last entry queued, while active
+	active bool      // the lane's head is in the heap
+}
+
+func (l *lane) put(e heapEntry) {
+	if int(l.n) == len(l.ring) {
+		ring := make([]heapEntry, max(4, 2*len(l.ring)))
+		for i := uint32(0); i < l.n; i++ {
+			ring[i] = l.ring[(l.head+i)&uint32(len(l.ring)-1)]
+		}
+		l.ring, l.head = ring, 0
 	}
-	return top
+	l.ring[(l.head+l.n)&uint32(len(l.ring)-1)] = e
+	l.n++
+}
+
+func (l *lane) take() heapEntry {
+	e := l.ring[l.head]
+	l.head = (l.head + 1) & uint32(len(l.ring)-1)
+	l.n--
+	return e
+}
+
+// delayLanes bounds how many distinct delays hold a lane at once. The
+// components arm about a dozen fixed periods and timeouts; a delay beyond
+// the bound, or a jittered one that finds every lane busy, is queued in the
+// heap.
+const delayLanes = 16
+
+// delayLane is one entry of the kernel's delay table.
+type delayLane struct {
+	d    Duration
+	lane uint32
 }
 
 // lfg is math/rand's additive lagged Fibonacci generator — the Source
@@ -432,9 +489,16 @@ type Kernel struct {
 	tick     heapEntry
 	ticking  bool
 
+	// lanes are the FIFO streams (lanes[0] is never used: lane 0 is none),
+	// and delays the fixed delays that hold one, ndelays of them: a link
+	// names its lane itself (link.lane).
+	lanes   []lane
+	delays  [delayLanes]delayLane
+	ndelays int
+
 	// slots is the event table and free the indices of its unoccupied
 	// slots (see DESIGN.md, "Event ownership rule"). A slot is released the
-	// moment its heap entry is popped — before the callback runs, so a
+	// moment its entry leaves the queue — before the callback runs, so a
 	// periodic timer's re-arm takes the slot it just vacated — and never
 	// leaves the kernel: a fork's kernel grows its own table within its
 	// first few hundred events and then schedules without allocating.
@@ -442,7 +506,7 @@ type Kernel struct {
 	free  []uint32
 }
 
-// release frees a popped entry's slot: the callback and message are dropped
+// release frees a dequeued entry's slot: the callback and message are dropped
 // so a parked slot retains nothing, and the generation moves on so every
 // Timer issued for the old occupant goes inert. fire clears a fired event's
 // form itself and calls vacate.
@@ -467,6 +531,40 @@ func newKernel(src *source) *Kernel {
 	return &Kernel{rng: rand.New(src), src: src, owners: make(map[string]*Owner)}
 }
 
+// newLane opens a lane and returns its number. A kernel opens its lanes as
+// its links and delays are first used, so a restored one sets up none
+// before it runs: what a capture held goes back in the heap.
+func (k *Kernel) newLane() uint32 {
+	if len(k.lanes) == 0 {
+		k.lanes = make([]lane, 1, 32) // lane 0 is none
+	}
+	k.lanes = append(k.lanes, lane{})
+	return uint32(len(k.lanes) - 1)
+}
+
+// delayLane returns the lane of the timers armed at delay d, taking an idle
+// lane for it if it has none, or 0 when every lane of the table is busy.
+func (k *Kernel) delayLane(d Duration) uint32 {
+	for _, dl := range k.delays[:k.ndelays] {
+		if dl.d == d {
+			return dl.lane
+		}
+	}
+	if k.ndelays < delayLanes {
+		ln := k.newLane()
+		k.delays[k.ndelays] = delayLane{d: d, lane: ln}
+		k.ndelays++
+		return ln
+	}
+	for i := range k.delays {
+		if dl := &k.delays[i]; !k.lanes[dl.lane].active {
+			dl.d = d
+			return dl.lane
+		}
+	}
+	return 0
+}
+
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
@@ -488,34 +586,37 @@ func (k *Kernel) Schedule(d Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
-	return k.At(k.now.Add(d), fn)
+	return k.at(k.now.Add(d), fn, k.delayLane(d))
 }
 
 // At runs fn at absolute virtual time t (clamped to now) and returns a
 // cancelable timer. When a default tag is installed (SetDefaultTag) the
 // event carries it; otherwise the event is anonymous and blocks snapshots
 // while pending.
-func (k *Kernel) At(t Time, fn func()) Timer {
+func (k *Kernel) At(t Time, fn func()) Timer { return k.at(t, fn, 0) }
+
+// at is At queued in lane ln (0: the heap).
+func (k *Kernel) at(t Time, fn func(), ln uint32) Timer {
 	at, ok := k.stamp(t)
 	if !ok {
 		return Timer{}
 	}
 	slot, ev := k.take()
 	ev.fn, ev.shared = fn, k.untagged()
-	return k.push(at, k.seq, slot)
+	return k.push(at, k.seq, slot, ln)
 }
 
 // atDeliver is At for the network and the RPC client: the event is
-// deliver(m), with no closure to allocate. It is scheduled exactly as At
-// would schedule it.
-func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message) Timer {
+// deliver(m), with no closure to allocate, queued in lane ln (0: the heap).
+// It is numbered and ordered exactly as At would schedule it.
+func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message, ln uint32) Timer {
 	at, ok := k.stamp(t)
 	if !ok {
 		return Timer{}
 	}
 	slot, ev := k.take()
 	ev.deliver, ev.msg, ev.shared = deliver, m, k.untagged()
-	return k.push(at, k.seq, slot)
+	return k.push(at, k.seq, slot, ln)
 }
 
 // anonymous is the zero tag, shared read-only by every untagged event.
@@ -571,10 +672,61 @@ func (k *Kernel) take() (uint32, *event) {
 	return slot, &k.slots[slot]
 }
 
-// push queues a filled slot in the heap at (at, seq).
-func (k *Kernel) push(at Time, seq uint64, slot uint32) Timer {
-	k.heap.push(heapEntry{at: at, seq: seq, slot: slot})
+// push queues a filled slot at (at, seq): at the tail of lane ln if it
+// orders after that tail, else in the heap — as the head of ln if ln is
+// empty.
+func (k *Kernel) push(at Time, seq uint64, slot uint32, ln uint32) Timer {
+	e := heapEntry{at: at, seq: seq, slot: slot}
+	if ln != 0 {
+		l := &k.lanes[ln]
+		switch {
+		case !l.active:
+			l.active, l.tail = true, e
+			e.lane = ln
+		case l.tail.before(e):
+			l.tail = e
+			l.put(e)
+			return Timer{k: k, slot: slot, gen: k.slots[slot].gen}
+		}
+	}
+	k.heap.push(e)
 	return Timer{k: k, slot: slot, gen: k.slots[slot].gen}
+}
+
+// advance takes the heap's top, the head of lane ln, off the queue: the
+// lane's next live entry replaces it, canceled ones are released on the way,
+// and a lane run dry leaves the heap.
+func (k *Kernel) advance(ln uint32) {
+	l := &k.lanes[ln]
+	for l.n > 0 {
+		e := l.take()
+		if k.slots[e.slot].canceled {
+			k.release(e.slot)
+			continue
+		}
+		e.lane = ln
+		k.heap.replaceTop(e)
+		return
+	}
+	l.active = false
+	k.heap.pop()
+}
+
+// each calls f on every queued entry: the heap's, those waiting in a lane
+// behind its head, and the tick's.
+func (k *Kernel) each(f func(heapEntry)) {
+	for _, e := range k.heap {
+		f(e)
+	}
+	for i := range k.lanes {
+		l := &k.lanes[i]
+		for j := uint32(0); j < l.n; j++ {
+			f(l.ring[(l.head+j)&uint32(len(l.ring)-1)])
+		}
+	}
+	if k.ticking {
+		f(k.tick)
+	}
 }
 
 // peek returns the next entry in firing order and whether it is the tick:
@@ -600,11 +752,14 @@ func (k *Kernel) dequeue(e heapEntry, tick bool) (canceled bool) {
 		} else {
 			k.ticking = false
 		}
+		return canceled
+	case e.lane != 0:
+		k.advance(e.lane)
 	default:
 		k.heap.pop()
-		if canceled {
-			k.release(e.slot)
-		}
+	}
+	if canceled {
+		k.release(e.slot)
 	}
 	return canceled
 }

@@ -10,12 +10,14 @@ import (
 // The kernel's queue against a model. A byte string is a program over the
 // kernel's scheduling surface; the same program drives a real Kernel and
 // modelKernel — a flat slice scanned for the minimum (at, seq), sharing no
-// code with the heap, the tick entry, the slot table or Timer — and after
-// every operation the two must agree on everything observable: what fired
-// and in which order, every Cancel result, Now, Steps, Seq, Pending, the
-// strict-past verdict, and the (at, seq, tag, retired) set a snapshot
-// captures. The kernel's observer is one more owner to the model: its
-// events sit in the same slice as every other.
+// code with the heap, the lanes, the tick entry, the slot table or Timer —
+// and after every operation the two must agree on everything observable:
+// what fired and in which order, every Cancel result, Now, Steps, Seq,
+// Pending, the strict-past verdict, and the (at, seq, tag, retired) set a
+// snapshot captures. The kernel's observer is one more owner to the model:
+// its events sit in the same slice as every other. So do the events the
+// kernel keeps in lanes: the model has none, and after every operation each
+// lane must be in order with its head, and only its head, in the heap.
 
 // evSpec is one event of a program: what it logs when it fires and what it
 // does from inside its callback. Specs (and their ids and handle numbers)
@@ -24,6 +26,7 @@ type evSpec struct {
 	id         int     // logged on fire
 	handle     int     // index of the Timer this event's scheduling returns
 	delivery   bool    // scheduled through atDeliver, not At (no Timer)
+	link       int     // > 0: delivered on test link link-1, in its lane (with a Timer)
 	owned      bool    // armed through an Owner: the event is its tag
 	owner      int     // which owner: 0 and 1, or observer
 	cancelSelf bool    // the callback cancels its own handle (always false)
@@ -153,10 +156,14 @@ func (m *modelKernel) schedule(at Time, s *evSpec) {
 	m.seq++
 	m.pending = append(m.pending, modelEvent{at: at, seq: m.seq, tag: tag, spec: s,
 		inc: incarnation{s.owner, m.inc[s.owner]}})
-	if !s.delivery {
+	if s.handled() {
 		m.live[s.handle] = true
 	}
 }
+
+// handled reports whether scheduling the spec returns a Timer the program
+// keeps: every form but a plain delivery.
+func (s *evSpec) handled() bool { return !s.delivery || s.link > 0 }
 
 func (m *modelKernel) cancel(handle int) bool {
 	if !m.live[handle] {
@@ -164,7 +171,7 @@ func (m *modelKernel) cancel(handle int) bool {
 	}
 	delete(m.live, handle)
 	for i, e := range m.pending {
-		if !e.spec.delivery && e.spec.handle == handle {
+		if e.spec.handled() && e.spec.handle == handle {
 			m.pending = append(m.pending[:i], m.pending[i+1:]...)
 			break
 		}
@@ -179,7 +186,7 @@ func (m *modelKernel) step() bool {
 	}
 	e := m.pending[i]
 	m.pending = append(m.pending[:i], m.pending[i+1:]...)
-	if !e.spec.delivery {
+	if e.spec.handled() {
 		delete(m.live, e.spec.handle)
 	}
 	m.now = e.at
@@ -251,6 +258,17 @@ type kernelSide struct {
 	// onDeliver is bound once, as Network binds its deliver method; the
 	// delivery form's spec rides in the message payload.
 	onDeliver func(*Message)
+	// links are two test links: each its lane, FIFO frontier and the
+	// handles of what was sent on it, in sending order.
+	links [2]testLink
+}
+
+// testLink is what a Network keeps of a link for its lane: the lane and the
+// frontier its in-order deliveries are clamped to.
+type testLink struct {
+	lane    uint32
+	lastAt  Time
+	handles []int
 }
 
 func newKernelSide() *kernelSide {
@@ -259,7 +277,16 @@ func newKernelSide() *kernelSide {
 	ks.own(0)
 	ks.own(1)
 	ks.owners[observer] = ks.k.Observe(ownerNames[observer], ks.fireTag)
+	ks.openLinks()
 	return ks
+}
+
+// openLinks gives each test link a lane on the current kernel, as a
+// restored network's links take theirs anew.
+func (ks *kernelSide) openLinks() {
+	for i := range ks.links {
+		ks.links[i] = testLink{lane: ks.k.newLane(), lastAt: ks.links[i].lastAt}
+	}
 }
 
 func (ks *kernelSide) own(i int) { ks.owners[i] = ks.k.Own(ownerNames[i], ks.fireTag) }
@@ -281,6 +308,7 @@ func (ks *kernelSide) fork(snap KernelSnapshot, retired [2]bool, defaultTag *Eve
 		}
 	}
 	ks.owners[observer] = k.Observe(ownerNames[observer], ks.fireTag)
+	ks.openLinks()
 	for _, pe := range snap.Pending {
 		if err := k.RestorePending(pe, pe.Seq); err != nil {
 			return err
@@ -311,8 +339,12 @@ func (ks *kernelSide) fire(s *evSpec) {
 
 func (ks *kernelSide) schedule(at Time, s *evSpec) {
 	switch {
+	case s.link > 0:
+		l := &ks.links[s.link-1]
+		ks.timers[s.handle] = ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s}, l.lane)
+		l.handles = append(l.handles, s.handle)
 	case s.delivery:
-		ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s})
+		ks.k.atDeliver(at, ks.onDeliver, &Message{Payload: s}, 0)
 	case s.owned:
 		if s.owner == observer && ks.observing() {
 			return
@@ -322,6 +354,60 @@ func (ks *kernelSide) schedule(at Time, s *evSpec) {
 	default:
 		ks.timers[s.handle] = ks.k.At(at, func() { ks.fire(s) })
 	}
+}
+
+// after arms s at the fixed delay d: through its owner's After, or as a
+// closure through Schedule — both queue in the delay's lane.
+func (ks *kernelSide) after(d Duration, s *evSpec) {
+	switch {
+	case s.owned:
+		ks.schedule(ks.k.Now().Add(d), s)
+	case s.delivery:
+		ks.k.atDeliver(ks.k.Now().Add(d), ks.onDeliver, &Message{Payload: s}, ks.k.delayLane(d))
+	default:
+		ks.timers[s.handle] = ks.k.Schedule(d, func() { ks.fire(s) })
+	}
+}
+
+// checkLanes holds the kernel to the lane invariant: every active lane has
+// its head, and only its head, in the heap, and the entries behind it
+// follow it and each other in (at, seq) order, ending at the tail; an idle
+// lane holds nothing.
+func checkLanes(k *Kernel) error {
+	heads := map[uint32]heapEntry{}
+	for _, e := range k.heap {
+		if e.lane == 0 {
+			continue
+		}
+		if _, dup := heads[e.lane]; dup {
+			return fmt.Errorf("lane %d has two heads in the heap", e.lane)
+		}
+		heads[e.lane] = e
+	}
+	for ln := range k.lanes {
+		l := &k.lanes[ln]
+		head, ok := heads[uint32(ln)]
+		switch {
+		case ok != l.active:
+			return fmt.Errorf("lane %d: active=%v, head in heap=%v", ln, l.active, ok)
+		case !l.active && l.n > 0:
+			return fmt.Errorf("lane %d: idle with %d entries", ln, l.n)
+		case !l.active:
+			continue
+		}
+		prev := head
+		for j := uint32(0); j < l.n; j++ {
+			e := l.ring[(l.head+j)&uint32(len(l.ring)-1)]
+			if !prev.before(e) {
+				return fmt.Errorf("lane %d: entry %d (%d, %d) does not follow (%d, %d)", ln, j, e.at, e.seq, prev.at, prev.seq)
+			}
+			prev = e
+		}
+		if prev.at != l.tail.at || prev.seq != l.tail.seq {
+			return fmt.Errorf("lane %d ends at (%d, %d), tail says (%d, %d)", ln, prev.at, prev.seq, l.tail.at, l.tail.seq)
+		}
+	}
+	return nil
 }
 
 // program decodes operations from a byte string; reads past the end are 0.
@@ -369,6 +455,10 @@ func (p *program) spec(depth int, mask byte) *evSpec {
 	return s
 }
 
+// fixedDelays are the delays the fixed-delay op arms at: few enough that
+// their lanes fill, one of them zero.
+var fixedDelays = [4]Duration{0, 3, 5, 9}
+
 // maxProgram bounds a program's length: the model is quadratic by design,
 // and a fuzzer left alone grows inputs until one execution takes seconds.
 const maxProgram = 2048
@@ -387,7 +477,7 @@ func runProgram(t *testing.T, data []byte) {
 	compared := 0 // log entries already found equal
 
 	for op := 0; !p.done(); op++ {
-		code := p.byte() % 12
+		code := p.byte() % 16
 		switch code {
 		case 0, 1: // schedule at now+dt; dt < 0 exercises the clamp
 			dt := Duration(p.byte()%24) - 2
@@ -459,17 +549,7 @@ func runProgram(t *testing.T, data []byte) {
 				k.SetSeq(seq)
 			}
 		case 6: // CaptureSnapshot
-			snap, ok := k.CaptureSnapshot()
-			want, wantOK := m.capture()
-			if ok != wantOK {
-				t.Fatalf("op %d: CaptureSnapshot ok = %v, model %v", op, ok, wantOK)
-			}
-			if ok && !reflect.DeepEqual(snap.Pending, want) {
-				t.Fatalf("op %d: captured\n %v\nmodel\n %v", op, snap.Pending, want)
-			}
-			if ok && (snap.Now != m.now || snap.Seq != m.seq || snap.Steps != m.steps) {
-				t.Fatalf("op %d: snapshot header %+v, model now=%d seq=%d steps=%d", op, snap, m.now, m.seq, m.steps)
-			}
+			capture(t, op, k, m)
 		case 7: // the burn path: schedule under rehydration around a cutoff
 			cutoff := m.now.Add(Duration(p.byte() % 8))
 			at := m.now.Add(Duration(p.byte() % 8))
@@ -539,6 +619,55 @@ func runProgram(t *testing.T, data []byte) {
 			k = ks.k
 			m.live = map[int]bool{}
 			m.strict, m.violated = false, false
+		case 12: // a fixed-delay timer: Schedule, After or a delivery at one of few delays,
+			// or at one of more delays than the kernel's table has lanes for
+			b := p.byte()
+			d := fixedDelays[b%4]
+			if b&4 != 0 {
+				d = Duration(b >> 3)
+			}
+			s := p.spec(2, 0)
+			ks.after(d, s)
+			m.schedule(m.now.Add(d), s)
+		case 13: // a delivery on a link, in order; or one that would break its lane's order
+			b := p.byte()
+			l := &ks.links[b&1]
+			at := m.now.Add(Duration(p.byte() % 12))
+			if b&2 == 0 { // in order: clamped to the link's frontier, as Network.send does
+				at = max(at, l.lastAt)
+				l.lastAt = at
+			}
+			s := p.spec(2, 1|2|64) // a plain delivery's form, with a handle
+			s.link = int(b&1) + 1
+			ks.schedule(at, s)
+			m.schedule(at, s)
+		case 14: // cancel the head of a link's lane, or an entry in its middle
+			b := p.byte()
+			var live []int
+			for _, h := range ks.links[b&1].handles {
+				if m.live[h] {
+					live = append(live, h)
+				}
+			}
+			if len(live) == 0 {
+				break
+			}
+			h := live[0]
+			if b&2 != 0 {
+				h = live[len(live)/2]
+			}
+			if got, want := ks.timers[h].Cancel(), m.cancel(h); got != want {
+				t.Fatalf("op %d: lane handle %d Cancel() = %v, model %v", op, h, got, want)
+			}
+		case 15: // capture with a lane's ring non-empty: two owned events at one delay
+			d := fixedDelays[1+p.byte()%3]
+			for range 2 {
+				s := p.spec(0, 1|64) // owned by owner 0 or 1, never the observer
+				s.owned = true
+				ks.after(d, s)
+				m.schedule(m.now.Add(d), s)
+			}
+			capture(t, op, k, m)
 		}
 
 		if !reflect.DeepEqual(ks.log[compared:], m.log[min(compared, len(m.log)):]) {
@@ -560,6 +689,9 @@ func runProgram(t *testing.T, data []byte) {
 				t.Fatalf("op %d (code %d): the observer's event is in the heap", op, code)
 			}
 		}
+		if err := checkLanes(k); err != nil {
+			t.Fatalf("op %d (code %d): %v", op, code, err)
+		}
 	}
 
 	// Whatever is left fires in the model's order too.
@@ -574,6 +706,22 @@ func runProgram(t *testing.T, data []byte) {
 	// the observer keeps.
 	if len(k.free)+1 != len(k.slots) {
 		t.Fatalf("after drain %d of %d slots are free, want all but the observer's", len(k.free), len(k.slots))
+	}
+}
+
+// capture compares the kernel's CaptureSnapshot with the model's.
+func capture(t *testing.T, op int, k *Kernel, m *modelKernel) {
+	t.Helper()
+	snap, ok := k.CaptureSnapshot()
+	want, wantOK := m.capture()
+	if ok != wantOK {
+		t.Fatalf("op %d: CaptureSnapshot ok = %v, model %v", op, ok, wantOK)
+	}
+	if ok && !reflect.DeepEqual(snap.Pending, want) {
+		t.Fatalf("op %d: captured\n %v\nmodel\n %v", op, snap.Pending, want)
+	}
+	if ok && (snap.Now != m.now || snap.Seq != m.seq || snap.Steps != m.steps) {
+		t.Fatalf("op %d: snapshot header %+v, model now=%d seq=%d steps=%d", op, snap, m.now, m.seq, m.steps)
 	}
 }
 
@@ -622,10 +770,40 @@ var modelSeeds = [][]byte{
 	// fork mid-run with the observer, an owner and a retired owner's event
 	// pending, and go on in the restored kernel
 	{0, 5, 64 | 16, 3, 64, 0, 5, 2, 0, 5, 2 | 32, 10, 1, 3, 11, 6, 4, 31},
+	// three deliveries on one link: the second is clamped behind the first
+	// and joins the lane; the third escapes the frontier, would break the
+	// lane's order, and waits in the heap — and fires first
+	{13, 0, 5, 0, 13, 0, 2, 0, 13, 2, 1, 0, 4, 31},
+	// two links whose lane heads tie at one instant fire in sequence order
+	{13, 0, 4, 0, 13, 1, 4, 0, 13, 0, 4, 0, 13, 1, 4, 0, 4, 31},
+	// cancel a lane's head, then an entry in its middle: both are released
+	// as the lane reaches them and neither fires
+	{13, 0, 3, 0, 13, 0, 4, 0, 13, 0, 5, 0, 13, 0, 6, 0, 14, 0, 14, 2, 4, 31},
+	// two closures, an owned timer and a delivery at one fixed delay share
+	// its lane; the last closure arms a child from its callback
+	{12, 1, 0, 12, 1, 2, 12, 1, 1, 12, 1, 16, 3, 0, 4, 31},
+	// capture while a delay lane holds two owned events, and fork onto a
+	// restored kernel with them pending
+	{15, 0, 0, 32, 3, 15, 1, 0, 0, 11, 4, 31},
 }
 
+// overflowSeed arms closures at 20 distinct delays at once — four more than
+// the delay table has lanes, so those four wait in the heap — runs them,
+// and arms four new delays, which take lanes the first ones left idle.
+var overflowSeed = func() []byte {
+	var p []byte
+	for d := range 20 {
+		p = append(p, 12, byte(d<<3|4), 0)
+	}
+	p = append(p, 4, 31)
+	for d := 20; d < 24; d++ {
+		p = append(p, 12, byte(d<<3|4), 0)
+	}
+	return append(p, 4, 31)
+}()
+
 func TestKernelMatchesModel(t *testing.T) {
-	for i, seed := range modelSeeds {
+	for i, seed := range append(modelSeeds, overflowSeed) {
 		t.Run(fmt.Sprintf("seed%d", i), func(t *testing.T) { runProgram(t, seed) })
 	}
 	// Random programs: long enough for slots to be recycled many times over.
@@ -638,7 +816,7 @@ func TestKernelMatchesModel(t *testing.T) {
 }
 
 func FuzzKernelMatchesModel(f *testing.F) {
-	for _, seed := range modelSeeds {
+	for _, seed := range append(modelSeeds, overflowSeed) {
 		f.Add(seed)
 	}
 	f.Fuzz(runProgram)
@@ -798,7 +976,7 @@ func TestBurnedScheduleReturnsInertTimer(t *testing.T) {
 	k := NewKernel(1)
 	k.BeginRehydrate(10)
 	tm := k.At(5, func() { t.Error("a burned event fired") })
-	k.atDeliver(5, func(*Message) { t.Error("a burned delivery fired") }, &Message{})
+	k.atDeliver(5, func(*Message) { t.Error("a burned delivery fired") }, &Message{}, k.newLane())
 	k.EndRehydrate()
 	if tm != (Timer{}) || tm.Pending() || tm.Cancel() {
 		t.Fatalf("burned schedule returned %+v, want the inert zero Timer", tm)
@@ -819,6 +997,7 @@ func TestScheduleAndFireAllocateNothing(t *testing.T) {
 	fired := 0
 	o := k.Own("o", func(EventTag) { fired++ })
 	tag := EventTag{Kind: "k", Key: "key", N: 7, Epoch: 3}
+	ln := k.newLane()
 	for i := 0; i < 64; i++ { // warm: grow the slot table, free list and heap
 		k.Schedule(Duration(i), fn)
 	}
@@ -827,7 +1006,7 @@ func TestScheduleAndFireAllocateNothing(t *testing.T) {
 		k.Schedule(3, fn)
 		o.After(2, tag).Cancel()
 		o.After(2, tag)
-		k.atDeliver(k.Now().Add(1), deliver, m)
+		k.atDeliver(k.Now().Add(1), deliver, m, ln)
 		k.Drain()
 	})
 	if allocs != 0 {

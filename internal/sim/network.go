@@ -188,7 +188,8 @@ type link struct {
 	linkState
 	key      linkKey
 	from, to *endpoint
-	reverse  *link // the to->from record, once something has gone back
+	reverse  *link  // the to->from record, once something has gone back
+	lane     uint32 // the kernel lane of its in-order deliveries, once one is sent
 }
 
 // endpoint is one node ID as the network knows it: its handler (nil until
@@ -560,16 +561,21 @@ func (n *Network) send(l *link, kind string, payload any) *Message {
 		// Bounded reorder: this message escapes the FIFO frontier. It
 		// neither respects nor advances lastAt, so it can overtake earlier
 		// in-flight messages or lag later ones, displaced by at most
-		// reorderBound extra time.
+		// reorderBound extra time. It waits in the kernel's heap, in no lane.
 		deliverAt = deliverAt.Add(Duration(n.k.Rand().Int63n(int64(q.reorderBound())) + 1))
 		n.stats.Reordered++
+		n.k.atDeliver(deliverAt, n.deliverFn, m, 0)
 	} else {
 		if deliverAt < l.lastAt {
 			deliverAt = l.lastAt
 		}
 		l.lastAt = deliverAt
+		// In order on its link: the delivery joins the link's lane.
+		if l.lane == 0 {
+			l.lane = n.k.newLane()
+		}
+		n.k.atDeliver(deliverAt, n.deliverFn, m, l.lane)
 	}
-	n.k.atDeliver(deliverAt, n.deliverFn, m)
 
 	if degraded && q.DupPercent > 0 && n.k.Rand().Intn(100) < q.DupPercent {
 		// Duplicate delivery: the same message arrives a second time a
@@ -577,7 +583,7 @@ func (n *Network) send(l *link, kind string, payload any) *Message {
 		// e.g. a retried watch notification).
 		dupAt := deliverAt.Add(Duration(n.k.Rand().Int63n(int64(q.reorderBound())) + 1))
 		n.stats.Duplicated++
-		n.k.atDeliver(dupAt, n.deliverFn, m)
+		n.k.atDeliver(dupAt, n.deliverFn, m, 0)
 	}
 	return m
 }
@@ -622,7 +628,7 @@ func (n *Network) deliver(m *Message) {
 			if delay <= 0 {
 				delay = Millisecond
 			}
-			n.k.atDeliver(n.k.Now().Add(delay), n.deliverFn, m)
+			n.k.atDeliver(n.k.Now().Add(delay), n.deliverFn, m, 0)
 			return
 		}
 	}

@@ -64,9 +64,11 @@ type RPCClient struct {
 	expireFn func(*Message)
 }
 
+// pendingCall is an outstanding call: it completes as done(arg, body, err).
 type pendingCall struct {
 	id    uint64 // the request message's Seq
-	cb    func(any, error)
+	done  func(arg, body any, err error)
+	arg   any
 	timer Timer // zero (inert) when the client has no timeout
 }
 
@@ -98,11 +100,23 @@ func (c *RPCClient) link(to NodeID) *link {
 // Call sends method(body) to the server node and invokes cb exactly once:
 // with the response body, with a remote error, or with ErrRPCTimeout.
 func (c *RPCClient) Call(to NodeID, method *Method, body any, cb func(any, error)) {
+	c.CallWith(to, method, body, callback, cb)
+}
+
+// callback completes a Call: arg is its callback.
+func callback(arg, body any, err error) { arg.(func(any, error))(body, err) }
+
+// CallWith is Call with a continuation that needs no closure: done is a
+// function that captures nothing and arg what it works on — a callback of
+// the caller's own type, or a record the request already allocated — and
+// the call completes, exactly once, as done(arg, body, err).
+func (c *RPCClient) CallWith(to NodeID, method *Method, body any, done func(arg, body any, err error), arg any) {
 	m := c.net.send(c.link(to), method.req, &RPCRequest{Method: method, Body: body})
-	pc := pendingCall{id: m.Seq, cb: cb}
+	pc := pendingCall{id: m.Seq, done: done, arg: arg}
 	if c.timeout > 0 {
 		// Untagged like a closure, so a pending call blocks a snapshot.
-		pc.timer = c.net.k.atDeliver(c.net.k.now.Add(c.timeout), c.expireFn, m)
+		k := c.net.k
+		pc.timer = k.atDeliver(k.now.Add(c.timeout), c.expireFn, m, k.delayLane(c.timeout))
 	}
 	c.pending = append(c.pending, pc)
 }
@@ -121,7 +135,7 @@ func (c *RPCClient) take(id uint64) (pendingCall, bool) {
 // expire is a call's timeout coming due: req is its request message.
 func (c *RPCClient) expire(req *Message) {
 	if pc, ok := c.take(req.Seq); ok {
-		pc.cb(nil, ErrRPCTimeout)
+		pc.done(pc.arg, nil, ErrRPCTimeout)
 	}
 }
 
@@ -139,10 +153,10 @@ func (c *RPCClient) HandleResponse(m *Message) bool {
 	}
 	pc.timer.Cancel()
 	if resp.Err != "" {
-		pc.cb(nil, ErrRemote{Msg: resp.Err})
+		pc.done(pc.arg, nil, ErrRemote{Msg: resp.Err})
 		return true
 	}
-	pc.cb(resp.Body, nil)
+	pc.done(pc.arg, resp.Body, nil)
 	return true
 }
 

@@ -75,21 +75,22 @@ type KernelSnapshot struct {
 // abandon this checkpoint.
 func (k *Kernel) CaptureSnapshot() (KernelSnapshot, bool) {
 	pending := make([]PendingEvent, 0, len(k.heap)+1)
-	queued := k.heap
-	if k.ticking {
-		queued = append(queued[:len(queued):len(queued)], k.tick) // the tick is listed like any owner's event
-	}
-	for _, e := range queued {
+	anonymous := false
+	k.each(func(e heapEntry) { // the tick is listed like any owner's event
 		ev := &k.slots[e.slot]
-		if ev.canceled {
-			continue
+		if ev.canceled || anonymous {
+			return
 		}
 		tag := ev.tagOf()
 		if *tag == (EventTag{}) {
-			return KernelSnapshot{}, false
+			anonymous = true
+			return
 		}
 		pending = append(pending, PendingEvent{At: e.at, Seq: e.seq, Tag: *tag,
 			Retired: ev.owner != nil && ev.owner.retired})
+	})
+	if anonymous {
+		return KernelSnapshot{}, false
 	}
 	sort.Slice(pending, func(i, j int) bool {
 		if pending[i].At != pending[j].At {
@@ -172,7 +173,8 @@ func (k *Kernel) SetSeq(n uint64) { k.seq = n }
 // RestorePending re-inserts a captured owner-dispatched event under the
 // given sequence number, without touching the sequence counter, for the
 // live owner registered under the tag's name (none, if the event was
-// captured retired) — the observer's into the tick entry. It fails,
+// captured retired) — the observer's into the tick entry, every other one
+// into the heap, in no lane. It fails,
 // inserting nothing, when no such owner is registered or the event precedes
 // the restored clock. Restore orchestration only.
 func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
@@ -186,7 +188,7 @@ func (k *Kernel) RestorePending(pe PendingEvent, seq uint64) error {
 	case pe.At < k.now:
 		return fmt.Errorf("sim: restore pending event %v into the past: at=%s now=%s", pe.Tag, pe.At, k.now)
 	}
-	k.place(pe.At, seq, &pe.Tag, o)
+	k.place(pe.At, seq, &pe.Tag, o, 0)
 	return nil
 }
 

@@ -47,7 +47,7 @@ func mutatedSharedObjects(c *infra.Cluster, writes *writes) []string {
 	}
 	// decodes checks what a revision's object must be besides its bytes:
 	// the committed value's decode, field for field. A writer's object that
-	// encodes right and decodes differently (an empty label map, a string
+	// encodes right and decodes differently (an empty label set, a string
 	// the codec escapes) fails here and nowhere else.
 	decodes := func(holder string, obj *cluster.Object) {
 		ev, ok := hist.Find(obj.Meta.ResourceVersion)
