@@ -102,7 +102,7 @@ func runA2(fixes cassandra.Fixes) a2Row {
 	opts := infra.DefaultOptions()
 	opts.Nodes = []string{"k1", "k2", "k3"}
 	opts.EnableVolumeController = false
-	opts.Cassandra = &infra.CassandraOptions{Name: "cass", Fixes: fixes}
+	opts.Cassandra = &infra.CassandraOptions{Fixes: fixes}
 	c := infra.New(opts)
 	c.RunFor(sim.Second)
 	c.Admin.CreateCassandra("cass", 3, nil)

@@ -1,5 +1,5 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E8), one
-// per figure/table/claim of the paper. Each benchmark runs the experiment
+// Benchmarks regenerating every experiment of EXPERIMENTS.md (E1–E12), one
+// per figure/table/claim of the paper or of the tool. Each benchmark runs the experiment
 // per iteration and prints its result table once; absolute wall-clock
 // numbers are incidental (the interesting measurements are in *virtual*
 // time and in counts), so read the printed tables rather than ns/op.
@@ -393,7 +393,7 @@ func BenchmarkE5_Sec7_BugMatrix(b *testing.B) {
 	// every run so a behaviour change shows up as a file diff.
 	var art bench.E5
 	for i := 0; i < b.N; i++ {
-		art = bench.ComputeE5(benchE5MaxExec, 4)
+		art = bench.ComputeE5(bench.MaxExecE5, 4)
 	}
 
 	detectedByTool, detectedLearned := 0, 0
@@ -452,16 +452,6 @@ func BenchmarkE5_Sec7_BugMatrix(b *testing.B) {
 	})
 }
 
-// benchE5MaxExec through benchE12MaxExec pin the artifact parameters;
-// they are recorded in the emitted JSON and re-used by cmd/benchcheck.
-const (
-	benchE5MaxExec  = 400
-	benchE6MaxExec  = 800
-	benchE10MaxExec = 200
-	benchE11MaxExec = 200
-	benchE12MaxExec = 6
-)
-
 func minPruned(ls []bench.LearnedCell) int {
 	m := int(^uint(0) >> 1)
 	for _, l := range ls {
@@ -495,7 +485,7 @@ func BenchmarkE6_Sec6_PlannerEfficiency(b *testing.B) {
 	// cmd/benchcheck guards against drift.
 	var art bench.E6
 	for i := 0; i < b.N; i++ {
-		art = bench.ComputeE6(benchE6MaxExec, 4)
+		art = bench.ComputeE6(bench.MaxExecE6, 4)
 	}
 	var sumG, sumU, sumL int
 	for _, r := range art.Rows {
@@ -637,7 +627,7 @@ func BenchmarkE10_SnapshotSubstrate(b *testing.B) {
 	// falling back.
 	var art bench.E10
 	for i := 0; i < b.N; i++ {
-		art = bench.ComputeE10(benchE10MaxExec, 4)
+		art = bench.ComputeE10(bench.MaxExecE10, 4)
 	}
 	for _, r := range art.Rows {
 		if !r.Snapshotable {
@@ -664,7 +654,7 @@ func BenchmarkE10_SnapshotSubstrate(b *testing.B) {
 	}
 	var rows []row
 	for _, t := range workload.AllTargets() {
-		cfg := campaign.Config{Workers: 1, MaxExecutions: benchE10MaxExec, KeepGoing: true, Snapshot: true}
+		cfg := campaign.Config{Workers: 1, MaxExecutions: bench.MaxExecE10, KeepGoing: true, Snapshot: true}
 		var res campaign.Result
 		best := int64(0)
 		for rep := 0; rep < 3; rep++ {
@@ -710,7 +700,7 @@ func BenchmarkE11_ExhaustiveVsSampled(b *testing.B) {
 	// cmd/benchcheck -e11 recomputes it and fails on drift.
 	var art bench.E11
 	for i := 0; i < b.N; i++ {
-		art = bench.ComputeE11(benchE11MaxExec, 4)
+		art = bench.ComputeE11(bench.MaxExecE11, 4)
 	}
 	violations := 0
 	var reduction float64
@@ -765,7 +755,7 @@ func BenchmarkE12_ServingScale(b *testing.B) {
 	// single relayed event or list reply is drift, not speedup.
 	var art bench.E12
 	for i := 0; i < b.N; i++ {
-		art = bench.ComputeE12(benchE12MaxExec, 4)
+		art = bench.ComputeE12(bench.MaxExecE12, 4)
 	}
 	for _, r := range art.Rows {
 		if !r.BehaviourIdentical {
@@ -798,7 +788,7 @@ func BenchmarkE12_ServingScale(b *testing.B) {
 	var rows []row
 	for _, p := range []workload.ScaleProfile{workload.Scale10, workload.Scale100, workload.Scale500} {
 		t := workload.ScaleRackDrainTarget(p)
-		cfg := campaign.Config{Workers: 1, MaxExecutions: benchE12MaxExec, KeepGoing: true}
+		cfg := campaign.Config{Workers: 1, MaxExecutions: bench.MaxExecE12, KeepGoing: true}
 		perSec := func(t core.Target) (int, float64) {
 			res := campaign.New(cfg).Run(t, core.NewPlanner())
 			return res.Campaign.Executions, float64(res.Campaign.Executions) / (float64(res.Stats.WallNanos) / 1e9)
@@ -811,7 +801,7 @@ func BenchmarkE12_ServingScale(b *testing.B) {
 	b.ReportMetric(rows[1].unindexedPS, "exec/s-100-unindexed")
 
 	printOnce("E12", func() {
-		fmt.Printf("\nE12 — serving-path scaling on scale-rackdrain (healthy run + %d-exec campaigns)\n", benchE12MaxExec)
+		fmt.Printf("\nE12 — serving-path scaling on scale-rackdrain (healthy run + %d-exec campaigns)\n", bench.MaxExecE12)
 		fmt.Printf("  %-7s %-13s %-23s %-23s %-12s %s\n",
 			"nodes", "relay-events", "sub-visits idx/unidx", "list-keys idx/unidx", "exec/s idx", "exec/s unidx")
 		for i, r := range art.Rows {

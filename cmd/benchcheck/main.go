@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *write {
-		// Default parameters match bench_test.go (recorded in the files).
 		if err := regenerate(status, *e5Path, *e6Path, *e10Path, *e11Path, *e12Path, *parallel); err != nil {
 			fmt.Fprintln(stderr, "benchcheck:", err)
 			return 1
@@ -117,24 +116,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func regenerate(status io.Writer, e5Path, e6Path, e10Path, e11Path, e12Path string, workers int) error {
-	fmt.Fprintf(status, "benchcheck: computing E5 (max %d executions)...\n", 400)
-	if err := bench.WriteFile(e5Path, bench.ComputeE5(400, workers)); err != nil {
+	fmt.Fprintf(status, "benchcheck: computing E5 (max %d executions)...\n", bench.MaxExecE5)
+	if err := bench.WriteFile(e5Path, bench.ComputeE5(bench.MaxExecE5, workers)); err != nil {
 		return err
 	}
-	fmt.Fprintf(status, "benchcheck: computing E6 (max %d executions)...\n", 800)
-	if err := bench.WriteFile(e6Path, bench.ComputeE6(800, workers)); err != nil {
+	fmt.Fprintf(status, "benchcheck: computing E6 (max %d executions)...\n", bench.MaxExecE6)
+	if err := bench.WriteFile(e6Path, bench.ComputeE6(bench.MaxExecE6, workers)); err != nil {
 		return err
 	}
-	fmt.Fprintf(status, "benchcheck: computing E10 (max %d executions)...\n", 200)
-	if err := bench.WriteFile(e10Path, bench.ComputeE10(200, workers)); err != nil {
+	fmt.Fprintf(status, "benchcheck: computing E10 (max %d executions)...\n", bench.MaxExecE10)
+	if err := bench.WriteFile(e10Path, bench.ComputeE10(bench.MaxExecE10, workers)); err != nil {
 		return err
 	}
-	fmt.Fprintf(status, "benchcheck: computing E11 (max %d executions)...\n", 200)
-	if err := bench.WriteFile(e11Path, bench.ComputeE11(200, workers)); err != nil {
+	fmt.Fprintf(status, "benchcheck: computing E11 (max %d executions)...\n", bench.MaxExecE11)
+	if err := bench.WriteFile(e11Path, bench.ComputeE11(bench.MaxExecE11, workers)); err != nil {
 		return err
 	}
-	fmt.Fprintf(status, "benchcheck: computing E12 (max %d executions)...\n", 6)
-	if err := bench.WriteFile(e12Path, bench.ComputeE12(6, workers)); err != nil {
+	fmt.Fprintf(status, "benchcheck: computing E12 (max %d executions)...\n", bench.MaxExecE12)
+	if err := bench.WriteFile(e12Path, bench.ComputeE12(bench.MaxExecE12, workers)); err != nil {
 		return err
 	}
 	fmt.Fprintf(status, "benchcheck: wrote %s, %s, %s, %s and %s\n", e5Path, e6Path, e10Path, e11Path, e12Path)

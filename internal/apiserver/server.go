@@ -28,12 +28,6 @@ type Config struct {
 	// events when the watch stream is silent. Larger values widen the
 	// staleness windows failures can create.
 	ResyncInterval sim.Duration
-	// RecoverGaps controls whether a detected revision gap in the incoming
-	// stream triggers an immediate catch-up pull. Disabling it models an
-	// apiserver that trusts its (lossy) stream.
-	RecoverGaps bool
-	// RPCTimeout bounds calls to the store.
-	RPCTimeout sim.Duration
 	// UnindexedServing routes relay, cached lists, and cached gets
 	// through the legacy paths (scan all subs per event, re-sort and
 	// re-decode the whole cache per list). Kept for byte-identity pinning
@@ -48,10 +42,11 @@ func DefaultConfig(storeNode sim.NodeID) Config {
 		StoreNode:      storeNode,
 		WindowSize:     1024,
 		ResyncInterval: 500 * sim.Millisecond,
-		RecoverGaps:    true,
-		RPCTimeout:     200 * sim.Millisecond,
 	}
 }
+
+// storeTimeout bounds calls to the store.
+const storeTimeout = 200 * sim.Millisecond
 
 type clientSub struct {
 	subID    uint64
@@ -264,7 +259,7 @@ func (s state) clone() state {
 func wire(w *sim.World, id sim.NodeID, cfg Config) *Server {
 	s := &Server{id: id, world: w, cfg: cfg}
 	s.rpcSrv = sim.NewRPCServer(w.Network())
-	s.rpcCl = sim.NewRPCClient(w.Network(), id, cfg.RPCTimeout)
+	s.rpcCl = sim.NewRPCClient(w.Network(), id, storeTimeout)
 	s.register()
 	s.timers = w.Join(s, s.resyncFire)
 	return s
@@ -360,7 +355,7 @@ func (s *Server) bootstrap() {
 // guarded by the kernel fact itself: the owner of the boot that armed it.
 func (s *Server) retryBootstrap() {
 	boot := s.timers.Owner()
-	s.world.Kernel().Schedule(s.cfg.RPCTimeout, func() {
+	s.world.Kernel().Schedule(storeTimeout, func() {
 		if !boot.Retired() {
 			s.bootstrap()
 		}
@@ -396,7 +391,7 @@ func (s *Server) applyEvents(events []history.Event, allowRecover bool) {
 		if e.Revision <= s.cachedRev {
 			continue // duplicate
 		}
-		if e.Revision > s.cachedRev+1 && allowRecover && s.cfg.RecoverGaps {
+		if e.Revision > s.cachedRev+1 && allowRecover {
 			// Gap detected: pull the missing span, then the rest.
 			s.recoverGap()
 			return

@@ -286,7 +286,7 @@ func Pass() sim.Verdict { return sim.Pass }
 // list and watch a second time beside that boot's own bootstrap.
 func TestBootstrapRetryDiesWithItsBoot(t *testing.T) {
 	h := newHarness(t, 1)
-	api, k, timeout := h.apis[0], h.w.Kernel(), h.apis[0].cfg.RPCTimeout
+	api, k, timeout := h.apis[0], h.w.Kernel(), storeTimeout
 	reboot := func() {
 		t.Helper()
 		if err := h.w.Crash("api-1"); err != nil {

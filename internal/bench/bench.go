@@ -40,6 +40,18 @@ const (
 	SchemaE12 = "bench-e12/v1"
 )
 
+// MaxExecE5 through MaxExecE12 are the committed artifacts' execution
+// budgets: the root package's benchmarks compute each artifact at its
+// budget and benchcheck -write regenerates it there. Each file records its
+// budget, and a check recomputes at the recorded one.
+const (
+	MaxExecE5  = 400
+	MaxExecE6  = 800
+	MaxExecE10 = 200
+	MaxExecE11 = 200
+	MaxExecE12 = 6
+)
+
 // Cell is one (target, strategy) campaign's deterministic outcome.
 type Cell struct {
 	Target     string `json:"target"`

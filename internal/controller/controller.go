@@ -32,11 +32,12 @@ type ReconcilerFunc func(key string) (Result, error)
 // Reconcile calls f(key).
 func (f ReconcilerFunc) Reconcile(key string) (Result, error) { return f(key) }
 
+// dequeueDelay is the pause between dequeues (models work latency and rate
+// limiting).
+const dequeueDelay = sim.Millisecond
+
 // QueueConfig tunes a work queue.
 type QueueConfig struct {
-	// BaseDelay is the pause between dequeues (models work latency and
-	// rate limiting).
-	BaseDelay sim.Duration
 	// BaseBackoff is the initial retry backoff after a failed reconcile;
 	// it doubles per consecutive failure up to MaxBackoff.
 	BaseBackoff sim.Duration
@@ -46,7 +47,6 @@ type QueueConfig struct {
 // DefaultQueueConfig returns production-like settings.
 func DefaultQueueConfig() QueueConfig {
 	return QueueConfig{
-		BaseDelay:   sim.Millisecond,
 		BaseBackoff: 5 * sim.Millisecond,
 		MaxBackoff:  500 * sim.Millisecond,
 	}
@@ -123,7 +123,7 @@ func (q *Queue) kick() {
 		return
 	}
 	q.running = true
-	q.timers.After(q.cfg.BaseDelay, sim.EventTag{Kind: "process"})
+	q.timers.After(dequeueDelay, sim.EventTag{Kind: "process"})
 }
 
 func (q *Queue) processNext() {

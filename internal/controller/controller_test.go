@@ -64,7 +64,7 @@ func TestQueueErrorBackoff(t *testing.T) {
 }
 
 func TestQueueBackoffCapped(t *testing.T) {
-	cfg := QueueConfig{BaseDelay: sim.Millisecond, BaseBackoff: 100 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond}
+	cfg := QueueConfig{BaseBackoff: 100 * sim.Millisecond, MaxBackoff: 200 * sim.Millisecond}
 	k := sim.NewKernel(1)
 	attempts := 0
 	q := NewQueue(k, "q", cfg, ReconcilerFunc(func(key string) (Result, error) {

@@ -38,6 +38,10 @@ type Spec struct {
 	Crashed func()
 }
 
+// CallTimeout is the RPC timeout every component that bounds its calls
+// gives Upstream.
+const CallTimeout = 200 * sim.Millisecond
+
 // InformerSpec declares one informer cache.
 type InformerSpec struct {
 	// Into is the component's field for this informer. The shell stores the

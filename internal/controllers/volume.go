@@ -14,29 +14,24 @@ import (
 type VolumeConfig struct {
 	// APIServer is the controller's upstream.
 	APIServer sim.NodeID
-	// PollInterval is the period between sparse reads of the controller's
-	// local view S'. The controller is deliberately level-triggered on a
-	// timer — it inspects state, it does not react to events — which is
-	// what makes the intermediate "terminating" state observable only if
-	// a poll happens to land between e1 (mark) and e2 (delete).
-	PollInterval sim.Duration
 	// ReleaseOnAbsentOwner enables the fix: release a PVC whose owner pod
 	// no longer exists at all. The buggy variant (false) releases only
 	// when it *sees* the owner in Terminating state, so a mark+delete pair
 	// falling between two polls orphans the PVC forever.
 	ReleaseOnAbsentOwner bool
-	// RPCTimeout bounds apiserver calls.
-	RPCTimeout sim.Duration
 }
 
 // DefaultVolumeConfig returns the stock (buggy) configuration.
 func DefaultVolumeConfig(api sim.NodeID) VolumeConfig {
-	return VolumeConfig{
-		APIServer:    api,
-		PollInterval: 100 * sim.Millisecond,
-		RPCTimeout:   200 * sim.Millisecond,
-	}
+	return VolumeConfig{APIServer: api}
 }
+
+// pollInterval is the period between sparse reads of the controller's
+// local view S'. The controller is deliberately level-triggered on a
+// timer — it inspects state, it does not react to events — which is what
+// makes the intermediate "terminating" state observable only if a poll
+// happens to land between e1 (mark) and e2 (delete).
+const pollInterval = 100 * sim.Millisecond
 
 // VolumeController releases PVCs of deleted pods. It mirrors the
 // Kubernetes controller bug [17]: "the controller only learns of the state
@@ -60,7 +55,7 @@ var watch = client.InformerConfig{WatchTimeout: sim.Second}
 func (c *VolumeController) spec() controller.Spec {
 	return controller.Spec{
 		ID:       VolumeControllerID,
-		Upstream: func() (sim.NodeID, sim.Duration) { return c.cfg.APIServer, c.cfg.RPCTimeout },
+		Upstream: func() (sim.NodeID, sim.Duration) { return c.cfg.APIServer, controller.CallTimeout },
 		Informers: []controller.InformerSpec{
 			{Into: &c.podInf, Kind: cluster.KindPod, Cfg: watch},
 			{Into: &c.pvcInf, Kind: cluster.KindPVC, Cfg: watch},
@@ -78,7 +73,7 @@ func NewVolumeController(w *sim.World, cfg VolumeConfig) *VolumeController {
 }
 
 func (c *VolumeController) schedulePoll() {
-	c.After(c.cfg.PollInterval, sim.EventTag{Kind: "poll"})
+	c.After(pollInterval, sim.EventTag{Kind: "poll"})
 }
 
 // pollFire is the poll timer body, the one timer the controller owns.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/infra"
 	"repro/internal/kubelet"
+	"repro/internal/operators/cassandra"
 	"repro/internal/oracle"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -33,13 +34,13 @@ func shadowOracles(c *infra.Cluster) *oracle.Runner {
 		r.Add(oracle.UniquePod(hosts))
 	}
 	if c.Opts.EnableScheduler {
-		r.Add(oracle.SchedulerProgress(r, st, c.Opts.OraclePatience))
+		r.Add(oracle.SchedulerProgress(r, st, infra.OraclePatience))
 	}
 	if c.Opts.EnableVolumeController || c.Opts.Cassandra != nil {
-		r.Add(oracle.NoOrphanPVC(r, st, c.Opts.OraclePatience))
+		r.Add(oracle.NoOrphanPVC(r, st, infra.OraclePatience))
 	}
 	if c.Opts.Cassandra != nil {
-		r.Add(oracle.ScaleDownCompletes(r, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience))
+		r.Add(oracle.ScaleDownCompletes(r, st, cassandra.ClusterName, infra.OraclePatience))
 		oracle.InstallNoLivePVCDeletion(st, r)
 	}
 	c.Oracles.Add(oracle.Func{OracleName: shadowName, CheckFunc: func(now sim.Time) *oracle.Violation {

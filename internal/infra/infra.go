@@ -24,9 +24,9 @@ import (
 	"repro/internal/store"
 )
 
-// CassandraOptions enables the Cassandra operator.
+// CassandraOptions enables the Cassandra operator, which manages the
+// CassandraCluster CR named cassandra.ClusterName.
 type CassandraOptions struct {
-	Name  string
 	Fixes cassandra.Fixes
 }
 
@@ -56,11 +56,14 @@ type Options struct {
 	// APIUnindexedServing pins all apiservers to the legacy
 	// scan-everything serving paths (byte-identity pinning and E12).
 	APIUnindexedServing bool
-	// OraclePeriod is how often invariants are evaluated.
-	OraclePeriod sim.Duration
-	// OraclePatience is the grace period for liveness oracles.
-	OraclePatience sim.Duration
 }
+
+const (
+	// oraclePeriod is how often invariants are evaluated.
+	oraclePeriod = 10 * sim.Millisecond
+	// OraclePatience is the grace period for liveness oracles.
+	OraclePatience = 2 * sim.Second
+)
 
 // DefaultOptions returns a two-apiserver, two-node cluster with scheduler
 // and volume controller, all stock (buggy) variants.
@@ -71,8 +74,6 @@ func DefaultOptions() Options {
 		Nodes:                  []string{"k1", "k2"},
 		EnableScheduler:        true,
 		EnableVolumeController: true,
-		OraclePeriod:           10 * sim.Millisecond,
-		OraclePatience:         2 * sim.Second,
 	}
 }
 
@@ -120,24 +121,14 @@ func New(opts Options) *Cluster {
 	if opts.NumAPIServers < 1 {
 		opts.NumAPIServers = 1
 	}
-	if opts.OraclePeriod == 0 {
-		opts.OraclePeriod = 10 * sim.Millisecond
-	}
-	if opts.OraclePatience == 0 {
-		opts.OraclePatience = 2 * sim.Second
-	}
-	var topo *TopologyOptions
-	if opts.Topology != nil {
-		tn := opts.Topology.normalized()
-		topo = &tn
-		opts.Topology = topo
-		if len(opts.Nodes) == 0 {
-			opts.Nodes = topo.NodeNames()
-		}
+	topo := opts.Topology
+	if topo != nil && len(opts.Nodes) == 0 {
+		opts.Nodes = topo.NodeNames()
 	}
 	w := sim.NewWorld(worldConfig(opts.Seed))
 	if topo != nil {
-		w.Network().SetTopologyLatency(topo.ladder())
+		w.Network().SetTopologyLatency(sim.TopologyLatency{
+			IntraRack: intraRackLatency, IntraDC: intraDCLatency, CrossDC: crossDCLatency})
 	}
 	c := newCluster(opts, w)
 
@@ -153,7 +144,7 @@ func New(opts Options) *Cluster {
 		c.APIs = append(c.APIs, api)
 		apiIDs = append(apiIDs, api.ID())
 	}
-	if topo != nil && topo.PerRackAPIAffinity {
+	if topo != nil {
 		for i, api := range c.APIs {
 			w.Network().SetLocation(api.ID(), topo.locationOfRack(i%topo.Racks))
 		}
@@ -167,7 +158,7 @@ func New(opts Options) *Cluster {
 			rack := i / topo.NodesPerRack
 			loc := topo.locationOfRack(rack)
 			cfg.Rack, cfg.Zone, cfg.DC = loc.Rack, loc.Zone, loc.DC
-			if topo.PerRackAPIAffinity && len(apiIDs) > 1 {
+			if len(apiIDs) > 1 {
 				// Prefer the rack's own apiserver; keep the rest in the
 				// usual order as failover.
 				p := rack % len(apiIDs)
@@ -197,16 +188,16 @@ func New(opts Options) *Cluster {
 		c.Volume = controllers.NewVolumeController(w, cfg)
 	}
 	if opts.Cassandra != nil {
-		cfg := cassandra.DefaultConfig(apiIDs[0], opts.Cassandra.Name)
+		cfg := cassandra.DefaultConfig(apiIDs[0])
 		cfg.Fixes = opts.Cassandra.Fixes
 		c.Cassandra = cassandra.New(w, cfg)
 	}
 
 	if topo != nil {
 		// Every process without an explicit placement — the store, the
-		// non-affine apiservers, scheduler, controller, operator — lives
-		// in the control rack of the first DC.
-		ctrl := topo.controlLocation()
+		// scheduler, controller, operator, admin — lives in the control
+		// rack of the first DC.
+		ctrl := controlLocation()
 		for _, id := range w.Network().Nodes() {
 			if w.Network().LocationOf(id).IsZero() {
 				w.Network().SetLocation(id, ctrl)
@@ -224,7 +215,7 @@ func New(opts Options) *Cluster {
 
 func (c *Cluster) installOracles() {
 	c.addOracles()
-	c.Oracles.InstallPeriodic(c.World, c.Opts.OraclePeriod)
+	c.Oracles.InstallPeriodic(c.World, oraclePeriod)
 }
 
 // addOracles registers the oracle set for this cluster's options, each
@@ -249,13 +240,13 @@ func (c *Cluster) addOracles() {
 		c.Oracles.Add(oracle.UniquePod(hosts), containers...)
 	}
 	if c.Opts.EnableScheduler {
-		c.Oracles.Add(oracle.SchedulerProgress(c.Oracles, st, c.Opts.OraclePatience), pods, nodes)
+		c.Oracles.Add(oracle.SchedulerProgress(c.Oracles, st, OraclePatience), pods, nodes)
 	}
 	if c.Opts.EnableVolumeController || c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.NoOrphanPVC(c.Oracles, st, c.Opts.OraclePatience), pods, pvcs)
+		c.Oracles.Add(oracle.NoOrphanPVC(c.Oracles, st, OraclePatience), pods, pvcs)
 	}
 	if c.Opts.Cassandra != nil {
-		c.Oracles.Add(oracle.ScaleDownCompletes(c.Oracles, st, c.Opts.Cassandra.Name, c.Opts.OraclePatience),
+		c.Oracles.Add(oracle.ScaleDownCompletes(c.Oracles, st, cassandra.ClusterName, OraclePatience),
 			kind(cluster.KindCassandra), pods)
 		oracle.InstallNoLivePVCDeletion(st, c.Oracles)
 	}

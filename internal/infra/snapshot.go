@@ -141,7 +141,7 @@ func (s *Snapshot) NewCluster() (*Cluster, error) {
 	// violations and first-seen table — all the state oracles have.
 	c.addOracles()
 	c.Oracles.RestoreFrom(s.Oracles)
-	c.Oracles.BindPeriodic(w, c.Opts.OraclePeriod)
+	c.Oracles.BindPeriodic(w, oraclePeriod)
 	return c, nil
 }
 

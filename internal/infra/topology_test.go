@@ -12,13 +12,7 @@ func topoOptions(seed int64) Options {
 	opts.Seed = seed
 	opts.Nodes = nil
 	opts.EnableVolumeController = false
-	opts.Topology = &TopologyOptions{
-		Racks:              4,
-		NodesPerRack:       3,
-		DCs:                []string{"dc0", "dc1"},
-		ZonesPerDC:         2,
-		PerRackAPIAffinity: true,
-	}
+	opts.Topology = &TopologyOptions{Racks: 4, NodesPerRack: 3}
 	return opts
 }
 

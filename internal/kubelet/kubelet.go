@@ -111,8 +111,6 @@ type Config struct {
 	// HeartbeatInterval is how often the node object's heartbeat is
 	// renewed.
 	HeartbeatInterval sim.Duration
-	// Capacity is the node's pod capacity, advertised on registration.
-	Capacity int
 	// Rack, Zone, and DC are topology labels advertised on the node
 	// object at registration. Empty labels (all existing small-world
 	// targets) keep node encodings byte-identical to the pre-topology
@@ -124,9 +122,10 @@ type Config struct {
 	// use a quorum list instead of the upstream's cache — the mitigation
 	// for the Figure 2 bug. False reproduces stock-Kubernetes behaviour.
 	SafeRestartSync bool
-	// RPCTimeout bounds apiserver calls.
-	RPCTimeout sim.Duration
 }
+
+// capacity is every node's pod capacity, advertised on registration.
+const capacity = 16
 
 // DefaultConfig returns production-like settings for a node.
 func DefaultConfig(node string, apis []sim.NodeID) Config {
@@ -135,8 +134,6 @@ func DefaultConfig(node string, apis []sim.NodeID) Config {
 		APIServers:        apis,
 		SyncInterval:      100 * sim.Millisecond,
 		HeartbeatInterval: 250 * sim.Millisecond,
-		Capacity:          16,
-		RPCTimeout:        200 * sim.Millisecond,
 	}
 }
 
@@ -176,7 +173,7 @@ func NodeID(nodeName string) sim.NodeID { return sim.NodeID("kubelet-" + nodeNam
 func (k *Kubelet) spec() controller.Spec {
 	return controller.Spec{
 		ID:       NodeID(k.cfg.NodeName),
-		Upstream: func() (sim.NodeID, sim.Duration) { return k.Upstream(), k.cfg.RPCTimeout },
+		Upstream: func() (sim.NodeID, sim.Duration) { return k.Upstream(), controller.CallTimeout },
 		Informers: []controller.InformerSpec{{Into: &k.informer, Kind: cluster.KindPod,
 			Cfg: client.InformerConfig{WatchTimeout: 4 * k.cfg.SyncInterval}, Handler: k.podHandler}},
 		Fire: k.fire,
@@ -244,7 +241,7 @@ func (k *Kubelet) podHandler() client.EventHandler {
 func (k *Kubelet) registerNode() {
 	node := cluster.NewNode(k.cfg.NodeName, k.uids.Next(), cluster.NodeSpec{
 		Ready:    true,
-		Capacity: k.cfg.Capacity,
+		Capacity: capacity,
 		Rack:     k.cfg.Rack,
 		Zone:     k.cfg.Zone,
 		DC:       k.cfg.DC,

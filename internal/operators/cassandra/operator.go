@@ -60,28 +60,23 @@ func AllFixed() Fixes {
 type Config struct {
 	// APIServer is the operator's upstream.
 	APIServer sim.NodeID
-	// ClusterName is the CassandraCluster CR the operator manages.
-	ClusterName string
 	// Fixes toggles the per-bug fixes.
 	Fixes Fixes
-	// DrainTime is how long a decommission drain takes.
-	DrainTime sim.Duration
-	// ResyncInterval re-enqueues the CR periodically (level triggering).
-	ResyncInterval sim.Duration
-	// RPCTimeout bounds apiserver calls.
-	RPCTimeout sim.Duration
 }
 
 // DefaultConfig returns the stock (buggy) operator configuration.
-func DefaultConfig(api sim.NodeID, name string) Config {
-	return Config{
-		APIServer:      api,
-		ClusterName:    name,
-		DrainTime:      100 * sim.Millisecond,
-		ResyncInterval: 200 * sim.Millisecond,
-		RPCTimeout:     200 * sim.Millisecond,
-	}
+func DefaultConfig(api sim.NodeID) Config {
+	return Config{APIServer: api}
 }
+
+const (
+	// ClusterName is the CassandraCluster CR the operator manages.
+	ClusterName = "cass"
+	// drainTime is how long a decommission drain takes.
+	drainTime = 100 * sim.Millisecond
+	// resyncInterval re-enqueues the CR periodically (level triggering).
+	resyncInterval = 200 * sim.Millisecond
+)
 
 // Operator is the Cassandra operator process.
 type Operator struct {
@@ -124,7 +119,7 @@ func (o *Operator) spec() controller.Spec {
 	}
 	return controller.Spec{
 		ID:       OperatorID,
-		Upstream: func() (sim.NodeID, sim.Duration) { return o.cfg.APIServer, o.cfg.RPCTimeout },
+		Upstream: func() (sim.NodeID, sim.Duration) { return o.cfg.APIServer, controller.CallTimeout },
 		Informers: []controller.InformerSpec{
 			{Into: &o.crInf, Kind: cluster.KindCassandra, Cfg: watch, Handler: o.EnqueueHandler},
 			{Into: &o.podInf, Kind: cluster.KindPod, Cfg: watch, Handler: o.podHandler},
@@ -156,7 +151,7 @@ func New(w *sim.World, cfg Config) *Operator {
 func (o *Operator) fire(tag sim.EventTag) {
 	switch tag.Kind {
 	case "resync":
-		o.Queue().Add(o.cfg.ClusterName)
+		o.Queue().Add(ClusterName)
 		o.scheduleResync()
 	case "drain":
 		o.drainFire(tag.Key)
@@ -181,7 +176,7 @@ func (o *Operator) podHandler() client.EventHandler {
 		UpdateFunc: func(_, p *cluster.Object) { o.observePod(p) },
 		DeleteFunc: func(p *cluster.Object) {
 			if o.isMember(p) {
-				o.Queue().Add(o.cfg.ClusterName)
+				o.Queue().Add(ClusterName)
 			}
 		},
 	}
@@ -194,26 +189,26 @@ func (o *Operator) observePod(p *cluster.Object) {
 	if p.Terminating() {
 		o.sawTerminating[p.Meta.Name] = true
 	}
-	o.Queue().Add(o.cfg.ClusterName)
+	o.Queue().Add(ClusterName)
 }
 
 func (o *Operator) scheduleResync() {
-	o.After(o.cfg.ResyncInterval, sim.EventTag{Kind: "resync"})
+	o.After(resyncInterval, sim.EventTag{Kind: "resync"})
 }
 
 // Naming helpers.
 
-func (o *Operator) memberName(i int) string { return o.cfg.ClusterName + "-" + strconv.Itoa(i) }
+func (o *Operator) memberName(i int) string { return ClusterName + "-" + strconv.Itoa(i) }
 
 func (o *Operator) pvcName(member string) string { return member + "-data" }
 
 func (o *Operator) isMember(p *cluster.Object) bool {
-	return p.Pod != nil && p.Pod.App == o.cfg.ClusterName &&
-		strings.HasPrefix(p.Meta.Name, o.cfg.ClusterName+"-")
+	return p.Pod != nil && p.Pod.App == ClusterName &&
+		strings.HasPrefix(p.Meta.Name, ClusterName+"-")
 }
 
 func (o *Operator) ordinalOf(name string) int {
-	rest := strings.TrimPrefix(name, o.cfg.ClusterName+"-")
+	rest := strings.TrimPrefix(name, ClusterName+"-")
 	n, err := strconv.Atoi(rest)
 	if err != nil {
 		return -1
@@ -238,13 +233,13 @@ func (o *Operator) members() []*cluster.Object {
 
 // reconcile drives the CR toward its desired replica count.
 func (o *Operator) reconcile(key string) (controller.Result, error) {
-	if key != o.cfg.ClusterName {
+	if key != ClusterName {
 		return controller.Result{}, nil
 	}
 	if !o.crInf.Synced() || !o.podInf.Synced() || !o.pvcInf.Synced() {
 		return controller.Result{Requeue: true, RequeueAfter: 50 * sim.Millisecond}, nil
 	}
-	cr, ok := o.crInf.Get(o.cfg.ClusterName)
+	cr, ok := o.crInf.Get(ClusterName)
 	if !ok || cr.Cassandra == nil || cr.Terminating() {
 		return controller.Result{}, nil
 	}
@@ -289,12 +284,12 @@ func (o *Operator) scaleUp(cr *cluster.Object, live []*cluster.Object, desired i
 		}
 		o.ensurePVC(name)
 		pod := cluster.NewPod(name, o.uids.Next(), cluster.PodSpec{
-			App:   o.cfg.ClusterName,
+			App:   ClusterName,
 			Phase: cluster.PodPending,
 		})
 		pod.Meta.OwnerUID = cr.Meta.UID
 		o.Conn().Create(pod, func(*cluster.Object, error) {
-			o.Queue().AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
+			o.Queue().AddAfter(ClusterName, 20*sim.Millisecond)
 		})
 	}
 }
@@ -395,7 +390,7 @@ func (o *Operator) startDecommission(cr *cluster.Object, live []*cluster.Object)
 	upd.Cassandra.Decommissioning = target
 	o.Conn().Update(upd, func(_ *cluster.Object, err error) {
 		if err != nil {
-			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(ClusterName, 50*sim.Millisecond)
 			return
 		}
 		o.drain(target)
@@ -412,7 +407,7 @@ func (o *Operator) drain(member string) {
 	// "resumes" an operation this process is still executing. Only a crash
 	// (which wipes the map) leaves a resumable CR marker behind.
 	o.draining[member] = true
-	o.After(o.cfg.DrainTime, sim.EventTag{Kind: "drain", Key: member})
+	o.After(drainTime, sim.EventTag{Kind: "drain", Key: member})
 }
 
 // drainFire completes a drain once the drain time elapses.
@@ -431,7 +426,7 @@ func (o *Operator) drainFire(member string) {
 	o.Conn().Update(marked, func(_ *cluster.Object, err error) {
 		if err != nil {
 			delete(o.draining, member)
-			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(ClusterName, 50*sim.Millisecond)
 			return
 		}
 		// Unscheduled members have no kubelet to finalize them; the
@@ -501,7 +496,7 @@ func (o *Operator) continueDecommission(cr *cluster.Object) {
 		o.resumeDecommission(member)
 		return
 	}
-	o.Conn().Get(cluster.KindCassandra, o.cfg.ClusterName, true, func(truth *cluster.Object, found bool, err error) {
+	o.Conn().Get(cluster.KindCassandra, ClusterName, true, func(truth *cluster.Object, found bool, err error) {
 		if err != nil || !found || truth.Cassandra == nil {
 			return
 		}
@@ -538,7 +533,7 @@ func (o *Operator) resumeDecommission(member string) {
 	o.Conn().Update(marked, func(_ *cluster.Object, err error) {
 		if err != nil {
 			delete(o.draining, member)
-			o.Queue().AddAfter(o.cfg.ClusterName, 50*sim.Millisecond)
+			o.Queue().AddAfter(ClusterName, 50*sim.Millisecond)
 			return
 		}
 		if pod.Pod.NodeName == "" {
@@ -549,14 +544,14 @@ func (o *Operator) resumeDecommission(member string) {
 }
 
 func (o *Operator) clearDecommission() {
-	cr, ok := o.crInf.Get(o.cfg.ClusterName)
+	cr, ok := o.crInf.Get(ClusterName)
 	if !ok {
 		return
 	}
 	upd := cr.Clone()
 	upd.Cassandra.Decommissioning = ""
 	o.Conn().Update(upd, func(_ *cluster.Object, err error) {
-		o.Queue().AddAfter(o.cfg.ClusterName, 20*sim.Millisecond)
+		o.Queue().AddAfter(ClusterName, 20*sim.Millisecond)
 	})
 }
 

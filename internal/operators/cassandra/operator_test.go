@@ -18,7 +18,7 @@ func newCassCluster(t *testing.T, fixes cassandra.Fixes) *infra.Cluster {
 	opts := infra.DefaultOptions()
 	opts.Nodes = []string{"k1", "k2", "k3"}
 	opts.EnableVolumeController = false
-	opts.Cassandra = &infra.CassandraOptions{Name: "cass", Fixes: fixes}
+	opts.Cassandra = &infra.CassandraOptions{Fixes: fixes}
 	c := infra.New(opts)
 	c.RunFor(sim.Second)
 	return c

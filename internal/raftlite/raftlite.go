@@ -185,9 +185,6 @@ func (n *Node) Leader() sim.NodeID { return n.leader }
 // CommitIndex returns the highest committed index this node knows of.
 func (n *Node) CommitIndex() uint64 { return n.commitIndex }
 
-// LastApplied returns the highest applied index.
-func (n *Node) LastApplied() uint64 { return n.lastApplied }
-
 // LastIndex returns the last log index.
 func (n *Node) LastIndex() uint64 {
 	if len(n.entries) == 0 {

@@ -112,9 +112,10 @@ type ManagerConfig struct {
 	APIServer sim.NodeID
 	// Mode selects the transition protocol.
 	Mode Mode
-	// MaxRetries bounds optimistic-CAS retries per transition.
-	MaxRetries int
 }
+
+// maxRetries bounds optimistic-CAS retries per transition.
+const maxRetries = 5
 
 // Manager is the assignment manager performing region transitions.
 type Manager struct {
@@ -146,9 +147,6 @@ func (m *Manager) spec() controller.Spec {
 
 // NewManager wires the assignment manager into the world.
 func NewManager(w *sim.World, cfg ManagerConfig) *Manager {
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 5
-	}
 	m := &Manager{cfg: cfg}
 	m.Start(w, m, m.spec())
 	return m
@@ -194,7 +192,7 @@ func (m *Manager) moveAttempt(region, newOwner string, attempt int, done func(er
 		m.Conn().Update(upd, func(_ *cluster.Object, uerr error) {
 			if uerr != nil {
 				m.CASFailures++
-				if m.cfg.Mode == ModeOptimisticCAS && attempt+1 < m.cfg.MaxRetries {
+				if m.cfg.Mode == ModeOptimisticCAS && attempt+1 < maxRetries {
 					m.Retries++
 					// Refresh (the failed CAS proves our view was stale;
 					// sync once) and retry.

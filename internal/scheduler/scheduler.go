@@ -23,13 +23,11 @@ type Config struct {
 	// node-not-found bind failure, drop the node from the scheduler's
 	// view. With false, the stock buggy behaviour is reproduced.
 	EvictUnknownNodes bool
-	// RPCTimeout bounds apiserver calls.
-	RPCTimeout sim.Duration
 }
 
 // DefaultConfig returns settings matching the buggy upstream scheduler.
 func DefaultConfig(api sim.NodeID) Config {
-	return Config{APIServer: api, RPCTimeout: 200 * sim.Millisecond}
+	return Config{APIServer: api}
 }
 
 // Scheduler is the control-plane scheduler process.
@@ -63,7 +61,7 @@ func (s *Scheduler) spec() controller.Spec {
 	watch := client.InformerConfig{WatchTimeout: sim.Second}
 	return controller.Spec{
 		ID:       ID,
-		Upstream: func() (sim.NodeID, sim.Duration) { return s.cfg.APIServer, s.cfg.RPCTimeout },
+		Upstream: func() (sim.NodeID, sim.Duration) { return s.cfg.APIServer, controller.CallTimeout },
 		Informers: []controller.InformerSpec{
 			{Into: &s.nodeInf, Kind: cluster.KindNode, Cfg: watch, Handler: s.nodeHandler},
 			{Into: &s.podInf, Kind: cluster.KindPod, Cfg: watch, Handler: s.EnqueueHandler},

@@ -78,7 +78,9 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	ev.canceled = true
-	ev.fn = nil // the entry may stay queued until its deadline; the closure need not
+	// The entry may stay queued until its deadline; its closure and the
+	// message it would deliver need not.
+	ev.fn, ev.deliver, ev.msg = nil, nil, nil
 	return true
 }
 

@@ -97,6 +97,28 @@ func TestRPCTimeoutOnPartition(t *testing.T) {
 	}
 }
 
+// An answered call's timeout stays queued until its deadline, canceled; it
+// must not keep the request message (and the chunk it was cut from) alive
+// until then.
+func TestAnsweredCallTimeoutHoldsNoMessage(t *testing.T) {
+	f := newRPCFixture(100 * Millisecond)
+	f.server.Handle(echoMethod, func(NodeID, any) (any, error) { return "ok", nil })
+	var got any
+	f.client.Call("server", echoMethod, nil, func(body any, err error) { got = body })
+	timeout := f.client.pending[0].timer
+	f.k.RunFor(10 * Millisecond)
+	if got != "ok" || f.client.PendingCalls() != 0 {
+		t.Fatalf("call not answered: got %v, %d pending", got, f.client.PendingCalls())
+	}
+	ev := &f.k.slots[timeout.slot]
+	if ev.gen != timeout.gen || !ev.canceled {
+		t.Fatal("the answered call's timeout is no longer queued; the test checks nothing")
+	}
+	if ev.msg != nil || ev.deliver != nil || ev.fn != nil {
+		t.Fatalf("canceled timeout slot holds msg=%v deliver=%t fn=%t", ev.msg, ev.deliver != nil, ev.fn != nil)
+	}
+}
+
 func TestRPCLateResponseAfterTimeoutSwallowed(t *testing.T) {
 	f := newRPCFixture(50 * Millisecond)
 	// Handler that replies late via an async path.

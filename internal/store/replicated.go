@@ -16,22 +16,6 @@ import (
 // message carries a leader hint when known.
 var ErrNotLeader = errors.New("store: not leader")
 
-// IsNotLeader reports whether err (possibly remote) is a not-leader
-// rejection, and extracts the leader hint if present.
-func IsNotLeader(err error) (sim.NodeID, bool) {
-	if err == nil {
-		return "", false
-	}
-	msg := err.Error()
-	if !strings.HasPrefix(msg, ErrNotLeader.Error()) {
-		return "", false
-	}
-	if i := strings.LastIndex(msg, "leader="); i >= 0 {
-		return sim.NodeID(msg[i+len("leader="):]), true
-	}
-	return "", true
-}
-
 // replCommand is the replicated form of a write: everything is expressed
 // as a transaction so apply is a single deterministic step.
 type replCommand struct {

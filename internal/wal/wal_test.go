@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -18,8 +17,8 @@ func TestAppendRead(t *testing.T) {
 		t.Fatalf("append: %d %v", idx, err)
 	}
 	idx, _ = l.Append(rec{N: 2, S: "b"})
-	if idx != 2 || l.LastIndex() != 2 || l.FirstIndex() != 1 || l.Len() != 2 {
-		t.Fatalf("log shape: last=%d first=%d len=%d", l.LastIndex(), l.FirstIndex(), l.Len())
+	if idx != 2 || l.LastIndex() != 2 {
+		t.Fatalf("log shape: idx=%d last=%d", idx, l.LastIndex())
 	}
 	var r rec
 	if err := l.Read(2, &r); err != nil || r.S != "b" {
@@ -27,6 +26,9 @@ func TestAppendRead(t *testing.T) {
 	}
 	if err := l.Read(3, &r); err == nil {
 		t.Fatal("read beyond end succeeded")
+	}
+	if err := l.Read(0, &r); err == nil {
+		t.Fatal("read of index 0 succeeded")
 	}
 }
 
@@ -55,36 +57,22 @@ func TestReplayOrder(t *testing.T) {
 func TestTruncateTail(t *testing.T) {
 	l := New()
 	for i := 0; i < 5; i++ {
-		l.AppendRaw([]byte{byte(i)})
+		if _, err := l.Append(rec{N: i}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l.TruncateTail(3)
-	if l.LastIndex() != 3 || l.Len() != 3 {
-		t.Fatalf("after truncate: last=%d len=%d", l.LastIndex(), l.Len())
+	if l.LastIndex() != 3 {
+		t.Fatalf("after truncate: last=%d", l.LastIndex())
 	}
 	// Appending after truncation continues from the cut.
-	idx := l.AppendRaw([]byte{9})
+	idx, _ := l.Append(rec{N: 9})
 	if idx != 4 {
 		t.Fatalf("post-truncate append index = %d", idx)
 	}
-}
-
-func TestCompact(t *testing.T) {
-	l := New()
-	for i := 0; i < 10; i++ {
-		l.AppendRaw([]byte{byte(i)})
-	}
-	l.Compact(6)
-	if l.FirstIndex() != 7 || l.LastIndex() != 10 {
-		t.Fatalf("after compact: first=%d last=%d", l.FirstIndex(), l.LastIndex())
-	}
 	var r rec
-	if err := l.Read(3, &r); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("read compacted index: %v", err)
-	}
-	// Compacting backwards is a no-op.
-	l.Compact(2)
-	if l.FirstIndex() != 7 {
-		t.Fatalf("backward compact moved the first index to %d", l.FirstIndex())
+	if err := l.Read(4, &r); err != nil || r.N != 9 {
+		t.Fatalf("read after truncate: %+v %v", r, err)
 	}
 }
 
@@ -111,7 +99,7 @@ func TestPropertyIndexesDense(t *testing.T) {
 		for _, op := range ops {
 			switch {
 			case op%4 != 0 || l.LastIndex() == 0:
-				idx := l.AppendRaw([]byte{op})
+				idx, _ := l.Append(op)
 				expected++
 				if idx != expected {
 					return false

@@ -40,13 +40,7 @@ var (
 // topology returns the profile's world layout: racks striped across two
 // DCs with two zones each, and each rack preferring its own apiserver.
 func (p ScaleProfile) topology() *infra.TopologyOptions {
-	return &infra.TopologyOptions{
-		Racks:              p.Racks,
-		NodesPerRack:       p.NodesPerRack,
-		DCs:                []string{"dc0", "dc1"},
-		ZonesPerDC:         2,
-		PerRackAPIAffinity: true,
-	}
+	return &infra.TopologyOptions{Racks: p.Racks, NodesPerRack: p.NodesPerRack}
 }
 
 // scaleOptions builds the cluster options shared by both scale targets.

@@ -85,7 +85,7 @@ func cassOptions(seed int64) infra.Options {
 	opts.Seed = seed
 	opts.Nodes = []string{"k1", "k2", "k3"}
 	opts.EnableVolumeController = false
-	opts.Cassandra = &infra.CassandraOptions{Name: "cass", Fixes: cassandra.Fixes{}}
+	opts.Cassandra = &infra.CassandraOptions{}
 	return opts
 }
 
@@ -109,8 +109,8 @@ func TargetCass398() core.Target {
 		Bug:   oracle.NameNoOrphanPVC,
 		Build: func(seed int64) *infra.Cluster { return infra.New(cassOptions(seed)) },
 		Workload: func(c *infra.Cluster) {
-			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra("cass", 2, nil) })
-			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra("cass", 1, nil) })
+			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra(cassandra.ClusterName, 2, nil) })
+			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra(cassandra.ClusterName, 1, nil) })
 		},
 		Horizon:  12 * sim.Second,
 		Topology: cassTopology(),
@@ -126,9 +126,9 @@ func TargetCass400() core.Target {
 		Bug:   oracle.NameScaleDownCompletes,
 		Build: func(seed int64) *infra.Cluster { return infra.New(cassOptions(seed)) },
 		Workload: func(c *infra.Cluster) {
-			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra("cass", 2, nil) })
-			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra("cass", 3, nil) })
-			at(c, 8*sim.Second, func() { c.Admin.ScaleCassandra("cass", 2, nil) })
+			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra(cassandra.ClusterName, 2, nil) })
+			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra(cassandra.ClusterName, 3, nil) })
+			at(c, 8*sim.Second, func() { c.Admin.ScaleCassandra(cassandra.ClusterName, 2, nil) })
 		},
 		Horizon:  15 * sim.Second,
 		Topology: cassTopology(),
@@ -145,9 +145,9 @@ func TargetCass402() core.Target {
 		Bug:   oracle.NameNoLivePVCDeletion,
 		Build: func(seed int64) *infra.Cluster { return infra.New(cassOptions(seed)) },
 		Workload: func(c *infra.Cluster) {
-			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra("cass", 2, nil) })
-			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra("cass", 1, nil) })
-			at(c, 7*sim.Second, func() { c.Admin.ScaleCassandra("cass", 2, nil) })
+			at(c, 500*sim.Millisecond, func() { c.Admin.CreateCassandra(cassandra.ClusterName, 2, nil) })
+			at(c, 4*sim.Second, func() { c.Admin.ScaleCassandra(cassandra.ClusterName, 1, nil) })
+			at(c, 7*sim.Second, func() { c.Admin.ScaleCassandra(cassandra.ClusterName, 2, nil) })
 		},
 		Horizon:  15 * sim.Second,
 		Topology: cassTopology(),

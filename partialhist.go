@@ -22,8 +22,8 @@
 //   - internal/sim — deterministic discrete-event kernel, network with
 //     interceptors (delay/drop), crash/restart process model.
 //   - internal/store — etcd-like MVCC store: revisions, transactions,
-//     watches, leases, compaction; WAL persistence (internal/wal) and a
-//     raft-replicated variant (internal/raftlite).
+//     watches, compaction; and a raft-replicated variant (internal/raftlite)
+//     over a write-ahead log (internal/wal).
 //   - internal/apiserver, internal/client — the two cache layers of the
 //     paper's Figure 1: apiserver watch caches and client-go-style
 //     informers.
@@ -46,7 +46,7 @@
 // # Entry points
 //
 // Run `go test -bench=. -benchmem` at the module root to regenerate every
-// experiment (E1–E8 in EXPERIMENTS.md), or use the commands:
+// experiment (E1–E12 in EXPERIMENTS.md), or use the commands:
 //
 //	go run ./cmd/phtest      # the Section 7 bug-finding matrix
 //	go run ./cmd/clustersim  # drive one scenario, watch the oracles

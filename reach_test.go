@@ -39,12 +39,21 @@ import (
 //     == and != on a struct or array value, a struct used as a map key,
 //     and a value handed to a standard-library interface parameter (fmt,
 //     encoding/json, reflect) read every field; an embedded field is read
-//     when a promoted field or method is selected through it.
+//     when a promoted field or method is selected through it;
+//   - (d) a field of a reached settings struct, one whose name ends in
+//     Config or Options, that every reached write sets to one and the same
+//     constant. A write is a composite-literal key or positional element or
+//     an = assignment; one that is not a constant (a variable, a call, op=,
+//     ++, &x.f as a flag takes it, a range target, a pointer-method call)
+//     is a second value. A literal that omits the field writes its zero,
+//     unless the field is defaulted (assigned a constant inside
+//     if x.f == 0 or if x.f < 1), when it writes the default.
 //
-// Checks (b) and (c) skip structs declared in tests and structs with a json
-// tag, whose fields a decoder writes and an encoder reads. A finding fails
-// unless testdata/reach_allowlist.txt names it with a reason, and an
-// allowlist line whose symbol is gone, reached, read and written fails too.
+// Checks (b), (c) and (d) skip structs declared in tests and structs with a
+// json tag, whose fields a decoder writes and an encoder reads. A finding
+// fails unless testdata/reach_allowlist.txt names it with a reason, and an
+// allowlist line whose symbol is gone, reached, read and written (or set to
+// a second value) fails too.
 // A method is reached when its type is and it is either selected in
 // reached code or named by an interface reached code mentions (or one the
 // standard library looks for by itself: fmt, errors, encoding/json). A
@@ -75,6 +84,8 @@ func TestReachFixture(t *testing.T) {
 		"lib.Counter.Hits is a field no reached code reads",
 		"lib.Counter.Zero is a field no reached code writes",
 		"lib.Dead.Gone is gone, reached, read and written; delete the line",
+		"lib.Options.Defaulted is a setting every reached write sets to 5; make it a constant",
+		"lib.Options.Fixed is a setting every reached write sets to 3; make it a constant",
 		"lib.modeB is reached from no root",
 		"lib.unused is reached from no root",
 	}
@@ -83,7 +94,7 @@ func TestReachFixture(t *testing.T) {
 	}
 }
 
-// reachCheck runs the three checks on the module in dir against its
+// reachCheck runs the four checks on the module in dir against its
 // testdata/reach_allowlist.txt and returns the failures, sorted.
 func reachCheck(t *testing.T, dir string) []string {
 	goTool, err := exec.LookPath("go")
@@ -115,7 +126,7 @@ func reachCheck(t *testing.T, dir string) []string {
 		}
 	}
 	sort.Strings(bad)
-	t.Logf("%s: %d declarations unreached, %d fields unread or unwritten; %d allowlisted (%d declaration lines)",
+	t.Logf("%s: %d declarations unreached, %d fields unread, unwritten or set to one value; %d allowlisted (%d declaration lines)",
 		dir, len(unreached), len(fields), len(allow), allowedLines)
 	return bad
 }
@@ -184,6 +195,12 @@ type reach struct {
 	written    map[*types.Var]bool
 	read       map[*types.Var]bool
 	readTypes  map[readKey]bool // types whose every field is read
+
+	// Check (d): the values reached code writes into each field.
+	values   map[*types.Var]map[string]bool // constant writes, by constKey
+	varied   map[*types.Var]bool            // a write that is not a constant
+	omitted  map[*types.Var]bool            // a literal that leaves it zero
+	defaults map[*types.Var]string          // the constant a zero field is given
 }
 
 type readKey struct {
@@ -229,6 +246,10 @@ func newReach(t *testing.T, goTool, dir string) *reach {
 		written:    map[*types.Var]bool{},
 		read:       map[*types.Var]bool{},
 		readTypes:  map[readKey]bool{},
+		values:     map[*types.Var]map[string]bool{},
+		varied:     map[*types.Var]bool{},
+		omitted:    map[*types.Var]bool{},
+		defaults:   map[*types.Var]string{},
 	}
 	// Methods the standard library looks for on a value passed as any.
 	for _, m := range []string{"String", "GoString", "Format", "Error", "Unwrap", "Is", "As",
@@ -394,6 +415,9 @@ func (r *reach) run() (unreached, fields []finding) {
 		}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
+			if f.Name() == "_" {
+				continue
+			}
 			var what []string
 			if !r.read[f] {
 				what = append(what, "reads")
@@ -401,18 +425,30 @@ func (r *reach) run() (unreached, fields []finding) {
 			if !r.written[f] {
 				what = append(what, "writes")
 			}
-			if f.Name() == "_" || len(what) == 0 {
+			var msg string
+			switch v, one := r.oneValue(f); {
+			case len(what) > 0:
+				msg = "is a field no reached code " + strings.Join(what, " or ")
+			case one && settings(tn.Name()):
+				msg = "is a setting every reached write sets to " + v + "; make it a constant"
+			default:
 				continue
 			}
 			fields = append(fields, finding{
 				symbol: r.symbol(tn) + "." + f.Name(),
-				what:   "is a field no reached code " + strings.Join(what, " or "),
+				what:   msg,
 				pos:    r.relPos(f.Pos()),
 				lines:  1,
 			})
 		}
 	}
 	return unreached, fields
+}
+
+// settings reports whether a struct's name marks it a component's settings,
+// the structs check (d) holds to a second value.
+func settings(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
 }
 
 // jsonTagged reports whether a struct is shaped for encoding/json, which
@@ -491,6 +527,7 @@ func (r *reach) visit(d *decl) {
 	info := d.pkg.info
 	targets := map[ast.Expr]bool{}    // selectors an assignment stores to
 	compared := map[*ast.Ident]bool{} // names a case or ==, != only tests against
+	defaulting := map[*ast.AssignStmt]bool{}
 	compare := func(e ast.Expr) {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.Ident:
@@ -515,23 +552,32 @@ func (r *reach) visit(d *decl) {
 		case *ast.CompositeLit:
 			r.literal(info, n)
 		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
+			for i, lhs := range n.Lhs {
 				targets[ast.Unparen(lhs)] = true
-				r.write(info, lhs)
+				switch {
+				case defaulting[n]:
+					r.written[fieldOf(info, lhs)] = true // its value is the zero's
+				case n.Tok == token.ASSIGN && len(n.Lhs) == len(n.Rhs):
+					r.write(info, lhs, constKey(info, n.Rhs[i]))
+				default:
+					r.write(info, lhs, "")
+				}
 			}
+		case *ast.IfStmt:
+			r.defaulted(info, n, defaulting)
 		case *ast.IncDecStmt:
 			targets[ast.Unparen(n.X)] = true
-			r.write(info, n.X)
+			r.write(info, n.X, "")
 		case *ast.RangeStmt:
 			for _, e := range []ast.Expr{n.Key, n.Value} {
 				if e != nil && n.Tok == token.ASSIGN {
 					targets[ast.Unparen(e)] = true
-					r.write(info, e)
+					r.write(info, e, "")
 				}
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				r.write(info, n.X)
+				r.write(info, n.X, "")
 			}
 		case *ast.BinaryExpr:
 			if n.Op == token.EQL || n.Op == token.NEQ {
@@ -593,18 +639,20 @@ func (r *reach) selector(info *types.Info, sel *ast.SelectorExpr, target bool) {
 			if isPointer(path[i].Type()) {
 				return
 			}
-			r.written[path[i]] = true
+			r.set(path[i], "")
 		}
 		if !isPointer(s.Recv()) {
-			r.write(info, sel.X)
+			r.write(info, sel.X, "")
 		}
 	}
 }
 
 // write marks the fields an assignment target or an address-of stores to:
 // the selected field and each field of the selector path that holds it by
-// value, x.f.g = … writing g and f.
-func (r *reach) write(info *types.Info, e ast.Expr) {
+// value, x.f.g = … writing g and f. key is the constant stored in the
+// selected field ("" for any other value); an enclosing field changes only
+// in part, which is not a constant.
+func (r *reach) write(info *types.Info, e ast.Expr, key string) {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
@@ -614,7 +662,8 @@ func (r *reach) write(info *types.Info, e ast.Expr) {
 			}
 			path := selPath(s)
 			for i := len(path) - 1; i >= 0; i-- {
-				r.written[path[i]] = true
+				r.set(path[i], key)
+				key = ""
 				if i > 0 && isPointer(path[i-1].Type()) {
 					return
 				}
@@ -803,17 +852,134 @@ func (r *reach) literal(info *types.Info, lit *ast.CompositeLit) {
 	if !ok {
 		return
 	}
+	named := map[*types.Var]bool{}
 	for i, e := range lit.Elts {
 		if kv, ok := e.(*ast.KeyValueExpr); ok {
 			if id, ok := kv.Key.(*ast.Ident); ok {
 				if v, ok := info.Uses[id].(*types.Var); ok {
-					r.written[v.Origin()] = true
+					named[v.Origin()] = true
+					r.set(v.Origin(), constKey(info, kv.Value))
 				}
 			}
 		} else if i < st.NumFields() {
-			r.written[st.Field(i).Origin()] = true
+			named[st.Field(i).Origin()] = true
+			r.set(st.Field(i).Origin(), constKey(info, e))
 		}
 	}
+	for i := 0; i < st.NumFields(); i++ {
+		if f := st.Field(i).Origin(); !named[f] {
+			r.omitted[f] = true
+		}
+	}
+}
+
+// set records a write of field f: key is the constant written, "" a value
+// that is not one.
+func (r *reach) set(f *types.Var, key string) {
+	r.written[f] = true
+	if key == "" {
+		r.varied[f] = true
+		return
+	}
+	if r.values[f] == nil {
+		r.values[f] = map[string]bool{}
+	}
+	r.values[f][key] = true
+}
+
+// defaulted records a field's default: the constant C of
+// `if x.f == 0 { x.f = C }` or `if x.f < 1 { x.f = C }`, the value a
+// write of zero stands for. The assignment goes in defaulting: it is not a
+// value of its own.
+func (r *reach) defaulted(info *types.Info, n *ast.IfStmt, defaulting map[*ast.AssignStmt]bool) {
+	cond, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr)
+	if !ok || !(cond.Op == token.EQL && constKey(info, cond.Y) == "0" || cond.Op == token.LSS && constKey(info, cond.Y) == "1") {
+		return
+	}
+	f := fieldOf(info, cond.X)
+	if f == nil {
+		return
+	}
+	for _, st := range n.Body.List {
+		as, ok := st.(*ast.AssignStmt)
+		if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 || fieldOf(info, as.Lhs[0]) != f {
+			continue
+		}
+		if key := constKey(info, as.Rhs[0]); key != "" {
+			r.defaults[f] = key
+			defaulting[as] = true
+		}
+	}
+}
+
+// fieldOf is the field a selector expression selects, or nil.
+func fieldOf(info *types.Info, e ast.Expr) *types.Var {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+		return s.Obj().(*types.Var).Origin()
+	}
+	return nil
+}
+
+// constKey is the value of a constant expression as check (d) compares
+// it: its exact string, "nil" for nil, and "" for an expression that is
+// not a constant.
+func constKey(info *types.Info, e ast.Expr) string {
+	tv := info.Types[e]
+	switch {
+	case tv.Value != nil:
+		return tv.Value.ExactString()
+	case tv.IsNil():
+		return "nil"
+	}
+	return ""
+}
+
+// zeroKey is the constKey of a type's zero value; "nil" stands for the
+// zero of every type that is not a basic one.
+func zeroKey(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsBoolean != 0:
+			return "false"
+		case b.Info()&types.IsString != 0:
+			return `""`
+		case b.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+	}
+	return "nil"
+}
+
+// oneValue is the one value every reached write gives field f, if there is
+// one: constant writes, zero for a literal that omits it, and a written
+// zero replaced by the field's default.
+func (r *reach) oneValue(f *types.Var) (string, bool) {
+	if !r.written[f] || r.varied[f] {
+		return "", false
+	}
+	vals := map[string]bool{}
+	for k := range r.values[f] {
+		vals[k] = true
+	}
+	zero := zeroKey(f.Type())
+	if r.omitted[f] {
+		vals[zero] = true
+	}
+	if d, ok := r.defaults[f]; ok && vals[zero] {
+		delete(vals, zero)
+		vals[d] = true
+	}
+	if len(vals) != 1 {
+		return "", false
+	}
+	for k := range vals {
+		return k, true
+	}
+	return "", false
 }
 
 // recvTypeName is the named type a method is declared on.

@@ -1,5 +1,9 @@
 package main
 
-import "fixture/lib"
+import (
+	"os"
 
-func main() { lib.Run(lib.Config{Set: 1}) }
+	"fixture/lib"
+)
+
+func main() { lib.Run(lib.Config{Set: len(os.Args)}) }

@@ -4,6 +4,7 @@ package lib
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 )
 
@@ -12,6 +13,28 @@ import (
 type Config struct {
 	Set   int
 	Unset int
+}
+
+// Options plants the one-value settings. Fixed is set to 3 by every write
+// (finding) and Defaulted is omitted by every literal and defaulted to 5
+// (finding: a defaulted field nothing sets). Two is set to two constants,
+// FromVar from a variable, Omitted to 7 by an assignment and to zero by a
+// literal that omits it with no default, and Flagged by a flag that takes
+// its address: none is a finding.
+type Options struct {
+	Fixed     int
+	Defaulted int
+	Two       int
+	FromVar   int
+	Omitted   int
+	Flagged   int
+}
+
+// withDefaults fills in Defaulted's default.
+func (o *Options) withDefaults() {
+	if o.Defaulted == 0 {
+		o.Defaulted = 5
+	}
 }
 
 // Counter plants a write-only field, Hits (finding: a field no reached
@@ -27,7 +50,9 @@ type key struct {
 	a, b string
 }
 
-// pair is only compared with ==: the comparison reads every field.
+// pair is only compared with ==: the comparison reads every field. Its
+// fields are each set to one constant, which is no finding: pair is not a
+// settings struct.
 type pair struct {
 	x, y int
 }
@@ -80,6 +105,13 @@ func Run(cfg Config) {
 	var o outer
 	o.bump()
 	fmt.Println(cfg.Set, cfg.Unset, c.Zero, len(seen), p == q, shown{msg: "hi"}, len(b), o.n, m == modeB)
+
+	opts := Options{Fixed: 3, Two: 1, FromVar: cfg.Set, Flagged: 4}
+	opts.Two = 2
+	opts.Omitted = 7
+	flag.NewFlagSet("fixture", flag.ContinueOnError).IntVar(&opts.Flagged, "flagged", 4, "")
+	opts.withDefaults()
+	fmt.Println(opts.Fixed, opts.Defaulted, opts.Two, opts.FromVar, opts.Omitted, opts.Flagged)
 }
 
 // unused is reached from no root (finding).
