@@ -75,9 +75,6 @@ type WatchEvent struct {
 	// with the deletion revision as its ResourceVersion).
 	Object   *cluster.Object
 	Revision int64 // store revision of the change
-	// Key is Object's store key: the apiserver's own string, so a watcher
-	// that records the change builds none.
-	Key string
 }
 
 // Request/response bodies.

@@ -447,9 +447,9 @@ func (s *Server) applyOne(e history.Event) {
 		}
 		s.memoize(e.Key, e.Revision, obj)
 		if kv.Version == 1 {
-			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision, Key: e.Key}
+			relay = WatchEvent{Type: Added, Object: obj, Revision: e.Revision}
 		} else {
-			relay = WatchEvent{Type: Modified, Object: obj, Revision: e.Revision, Key: e.Key}
+			relay = WatchEvent{Type: Modified, Object: obj, Revision: e.Revision}
 		}
 	case history.Delete:
 		prev, existed := s.cache[e.Key]
@@ -480,7 +480,7 @@ func (s *Server) applyOne(e history.Event) {
 			}
 			obj = &cluster.Object{Meta: cluster.Meta{Kind: kind, Name: name, ResourceVersion: e.Revision}}
 		}
-		relay = WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision, Key: e.Key}
+		relay = WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision}
 	}
 	s.cachedRev = e.Revision
 	s.window.Append(e)
@@ -913,14 +913,14 @@ func (s *Server) eventFromWindow(e history.Event) (WatchEvent, bool) {
 		if e.PrevRev == 0 {
 			t = Added
 		}
-		return WatchEvent{Type: t, Object: obj, Revision: e.Revision, Key: e.Key}, true
+		return WatchEvent{Type: t, Object: obj, Revision: e.Revision}, true
 	case history.Delete:
 		kind, name, err := cluster.ParseKey(e.Key)
 		if err != nil {
 			return WatchEvent{}, false
 		}
 		obj := &cluster.Object{Meta: cluster.Meta{Kind: kind, Name: name, ResourceVersion: e.Revision}}
-		return WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision, Key: e.Key}, true
+		return WatchEvent{Type: Deleted, Object: obj, Revision: e.Revision}, true
 	}
 	return WatchEvent{}, false
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/apiserver"
 	"repro/internal/cluster"
-	"repro/internal/history"
 	"repro/internal/sim"
 )
 
@@ -99,19 +98,14 @@ type Informer struct {
 }
 
 // informerState is everything an informer carries from one event to the
-// next. The cached objects and the observation log are shared with every
-// snapshot and fork: API objects are immutable once received (DESIGN.md,
-// "Object ownership") and the log is copy-on-write.
+// next. The cached objects are shared with every snapshot and fork: API
+// objects are immutable once received (DESIGN.md, "Object ownership").
 type informerState struct {
 	subID   uint64
 	epoch   uint64 // guards async callbacks across relists
 	synced  bool
 	store   map[string]*cluster.Object `snap:"shared-elems"` // S'
 	lastRev int64                      // frontier of H'
-
-	// Obs records the order in which revisions were observed — raw
-	// material for time-travel detection by oracles.
-	Obs history.ObservationLog `snap:"shared"`
 
 	lastEventAt sim.Time
 	relists     int
@@ -120,7 +114,6 @@ type informerState struct {
 
 func (s informerState) clone() informerState {
 	s.store = sim.CloneMap(s.store)
-	s.Obs = s.Obs.Fork()
 	return s
 }
 
@@ -366,7 +359,6 @@ func (i *Informer) replace(objs []*cluster.Object, rev int64) {
 		}
 	}
 	i.lastRev = rev
-	i.Obs.Record(history.Observation{Revision: rev, Key: "(relist)", Time: int64(i.conn.world.Now())})
 	i.synced = true
 	i.backoff = 0 // a successful replace resets the retry backoff
 	i.lastEventAt = i.conn.world.Now()
@@ -401,11 +393,6 @@ func (i *Informer) onPush(events []apiserver.WatchEvent) {
 		if ev.Object == nil || ev.Object.Meta.Kind != i.kind {
 			continue
 		}
-		i.Obs.Record(history.Observation{
-			Revision: ev.Revision,
-			Key:      ev.Key,
-			Time:     int64(i.conn.world.Now()),
-		})
 		if ev.Revision <= i.lastRev && ev.Revision != 0 {
 			// Duplicate or replayed event; client-go dedups by RV.
 			continue

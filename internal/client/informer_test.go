@@ -186,9 +186,6 @@ func TestInformerSwitchToStaleUpstreamTimeTravels(t *testing.T) {
 	if inf.LastRevision() >= frontier {
 		t.Fatalf("frontier did not regress: %d -> %d", frontier, inf.LastRevision())
 	}
-	if len(inf.Obs.TimeTravels()) == 0 {
-		t.Fatal("observation log did not record time travel")
-	}
 }
 
 func TestInformerRelistOnWindowExpiry(t *testing.T) {
@@ -421,7 +418,6 @@ func TestInformerDuplicatePushDeduped(t *testing.T) {
 	f.create(t, "p1", "k1")
 	f.w.Kernel().RunFor(100 * sim.Millisecond)
 	cached := mustGet(t, inf, "p1")
-	observed := len(inf.Obs.Observations())
 
 	dup := cached.Clone()
 	inf.onPush([]apiserver.WatchEvent{{Type: apiserver.Added, Object: dup, Revision: dup.Meta.ResourceVersion}})
@@ -430,9 +426,6 @@ func TestInformerDuplicatePushDeduped(t *testing.T) {
 	}
 	if mustGet(t, inf, "p1") != cached {
 		t.Fatal("duplicate push replaced the cached object")
-	}
-	if got := len(inf.Obs.Observations()); got != observed+1 {
-		t.Fatalf("duplicate delivery must still be observed: %d -> %d observations", observed, got)
 	}
 }
 

@@ -524,18 +524,12 @@ func measure(comp sim.NodeID, ref, pert *trace.Trace) Metrics {
 	var m Metrics
 	pd := pert.DeliveriesTo(comp)
 
-	// Time travel: revision regressions in observation order, via the
-	// history package's detector.
-	var log history.ObservationLog
-	for _, d := range pd {
-		log.Record(history.Observation{
-			Revision: d.Revision,
-			Key:      fmt.Sprintf("%s/%s", d.Kind, d.Name),
-			Time:     int64(d.Time),
-		})
+	// Time travel: revision regressions in delivery order.
+	revs := make([]int64, len(pd))
+	for i, d := range pd {
+		revs[i] = d.Revision
 	}
-	m.TimeTravelEpisodes = len(log.TimeTravels())
-	m.TimeTravelDepth = log.MaxRegression()
+	m.TimeTravelEpisodes, m.TimeTravelDepth = history.TimeTravel(revs)
 
 	// Gap width: reference deliveries (by view-relevant identity) that the
 	// perturbed execution never delivered to the component.

@@ -47,76 +47,20 @@ func Measure(partial, full *History) Divergence {
 	return d
 }
 
-// Observation is one event delivery as seen by a component, in arrival
-// order. Components append to an ObservationLog as notifications arrive;
-// the log is the raw material for time-travel detection.
-type Observation struct {
-	Revision int64
-	Key      string
-	Time     int64 // virtual arrival time
-}
-
-// ObservationLog records the order in which a component observed events.
-// Unlike History it permits out-of-order and duplicate entries — that is
-// exactly what it exists to detect.
-type ObservationLog struct {
-	obs Log[Observation]
-}
-
-// Record appends an observation.
-func (l *ObservationLog) Record(o Observation) { l.obs.Append(o) }
-
-// Fork returns a copy-on-write fork of the log: it shares the recorded
-// prefix (Log.Fork) — the prefix-checkpoint layer's snapshot primitive.
-func (l *ObservationLog) Fork() ObservationLog { return ObservationLog{obs: l.obs.Fork()} }
-
-// Len returns the number of recorded observations.
-func (l *ObservationLog) Len() int { return l.obs.Len() }
-
-// Observations returns a copy of the log.
-func (l *ObservationLog) Observations() []Observation {
-	return l.obs.AppendTo(make([]Observation, 0, l.obs.Len()), 0)
-}
-
-// TimeTravelEpisode marks a regression in a component's observations: at
-// index Index the component observed revision Revision after having already
-// observed MaxSeen (> Revision). This is the pattern of Figure 3b — after a
-// restart or an upstream source switch, the component re-observes its own
-// past.
-type TimeTravelEpisode struct {
-	Index    int
-	Revision int64
-	MaxSeen  int64
-}
-
-// TimeTravels scans the log and returns every regression episode.
-func (l *ObservationLog) TimeTravels() []TimeTravelEpisode {
-	var eps []TimeTravelEpisode
+// TimeTravel folds the revisions a component observed, in arrival order,
+// into its time-travel episodes and their depth. An episode is an
+// observation below the highest revision observed before it: the pattern of
+// Figure 3b, where after a restart or an upstream source switch the
+// component re-observes its own past. depth is the largest distance
+// travelled backwards (0 when revs is monotone).
+func TimeTravel(revs []int64) (episodes int, depth int64) {
 	var maxSeen int64
-	for i := 0; i < l.obs.Len(); i++ {
-		o := l.obs.At(i)
-		if o.Revision < maxSeen {
-			eps = append(eps, TimeTravelEpisode{Index: i, Revision: o.Revision, MaxSeen: maxSeen})
+	for _, r := range revs {
+		if r < maxSeen {
+			episodes++
+			depth = max(depth, maxSeen-r)
 		}
-		if o.Revision > maxSeen {
-			maxSeen = o.Revision
-		}
+		maxSeen = max(maxSeen, r)
 	}
-	return eps
-}
-
-// MaxRegression returns the largest revision distance travelled backwards
-// in the log (0 when the log is monotone).
-func (l *ObservationLog) MaxRegression() int64 {
-	var maxSeen, worst int64
-	for i := 0; i < l.obs.Len(); i++ {
-		o := l.obs.At(i)
-		if d := maxSeen - o.Revision; d > worst {
-			worst = d
-		}
-		if o.Revision > maxSeen {
-			maxSeen = o.Revision
-		}
-	}
-	return worst
+	return episodes, depth
 }

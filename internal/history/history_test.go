@@ -304,33 +304,41 @@ func TestMeasureDivergence(t *testing.T) {
 }
 
 func TestObservationLogTimeTravel(t *testing.T) {
-	var l ObservationLog
-	for _, rev := range []int64{1, 2, 5, 3, 4, 6, 2} {
-		l.Record(Observation{Revision: rev})
-	}
-	eps := l.TimeTravels()
-	if len(eps) != 3 {
-		t.Fatalf("episodes = %+v", eps)
-	}
 	// rev 3 after max 5, rev 4 after max 5, rev 2 after max 6.
-	if eps[0].Revision != 3 || eps[0].MaxSeen != 5 {
-		t.Fatalf("ep0 = %+v", eps[0])
+	episodes, depth := TimeTravel([]int64{1, 2, 5, 3, 4, 6, 2})
+	if episodes != 3 {
+		t.Fatalf("episodes = %d, want 3", episodes)
 	}
-	if eps[2].Revision != 2 || eps[2].MaxSeen != 6 {
-		t.Fatalf("ep2 = %+v", eps[2])
-	}
-	if l.MaxRegression() != 4 { // 6 - 2
-		t.Fatalf("maxRegression = %d", l.MaxRegression())
+	if depth != 4 { // 6 - 2
+		t.Fatalf("depth = %d, want 4", depth)
 	}
 }
 
 func TestObservationLogMonotone(t *testing.T) {
-	var l ObservationLog
-	for rev := int64(1); rev <= 5; rev++ {
-		l.Record(Observation{Revision: rev})
+	if episodes, depth := TimeTravel([]int64{1, 2, 3, 4, 5}); episodes != 0 || depth != 0 {
+		t.Fatalf("monotone revisions reported time travel: (%d, %d)", episodes, depth)
 	}
-	if len(l.TimeTravels()) != 0 || l.MaxRegression() != 0 {
-		t.Fatal("monotone log reported time travel")
+}
+
+func TestTimeTravel(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		revs     []int64
+		episodes int
+		depth    int64
+	}{
+		{"empty", nil, 0, 0},
+		{"monotone", []int64{1, 2, 3, 4, 5}, 0, 0},
+		{"one regression", []int64{1, 2, 5, 3}, 1, 2},
+		{"two episodes", []int64{1, 5, 3, 7, 6}, 2, 2},
+		{"running maximum again", []int64{1, 5, 5, 6}, 0, 0},
+		{"largest, not last", []int64{1, 9, 2, 10, 8}, 2, 7},
+	} {
+		episodes, depth := TimeTravel(tc.revs)
+		if episodes != tc.episodes || depth != tc.depth {
+			t.Errorf("%s: TimeTravel(%v) = (%d, %d), want (%d, %d)",
+				tc.name, tc.revs, episodes, depth, tc.episodes, tc.depth)
+		}
 	}
 }
 

@@ -16,9 +16,9 @@ const logChunk = 32
 // advances a head and releases whole chunks. Appended elements are
 // immutable. The zero value is an empty log.
 //
-// This is the snapshot primitive of the store's history, the apiservers'
-// watch windows and the informers' observation logs: a restored fork pays
-// for the chunk it extends, not for everything committed before it.
+// This is the snapshot primitive of the store's history and the apiservers'
+// watch windows: a restored fork pays for the chunk it extends, not for
+// everything committed before it.
 type Log[T any] struct {
 	chunks [][]T // every chunk but the last holds logChunk elements
 	head   int   // the first live element is chunks[0][head]

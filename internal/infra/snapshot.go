@@ -9,9 +9,8 @@
 // Sharing rules (see DESIGN.md §7, "Component snapshot contracts"): a
 // component's snapshot is its configuration, a clone() of its state struct
 // and its children's snapshots; clone() re-makes every map and slice not
-// tagged snap:"shared" (committed history events, apiserver watch windows,
-// informer observation logs) or snap:"shared-elems" (cached object
-// pointers, KV value bytes). Oracles themselves are not captured: they
+// tagged snap:"shared" (committed history events, apiserver watch windows)
+// or snap:"shared-elems" (cached object pointers, KV value bytes). Oracles themselves are not captured: they
 // keep no state of their own between ticks (DESIGN.md §5).
 package infra
 
