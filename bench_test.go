@@ -228,9 +228,9 @@ func (o *e3Observer) OnDeliver(m *sim.Message) {
 				o.revs = append(o.revs, ev.Revision)
 			}
 		}
-	case *sim.RPCResponse:
-		if list, ok := p.Body.(*apiserver.ListResponse); ok && p.Err == "" {
-			o.revs = append(o.revs, list.Revision)
+	case *apiserver.ListResponse:
+		if m.Call != 0 && m.Err == "" {
+			o.revs = append(o.revs, p.Revision)
 		}
 	}
 }

@@ -223,9 +223,11 @@ type Server struct {
 
 	// pushSlab and msgSlab arena-allocate the per-subscriber single-event
 	// push slices and the push payloads that carry them (relay sends one
-	// per subscriber per event — the hottest allocations on the watch path).
+	// per subscriber per event — the hottest allocations on the watch path);
+	// getSlab the cached reads' replies.
 	pushSlab sim.Slab[WatchEvent]
 	msgSlab  sim.Slab[WatchPushMsg]
+	getSlab  sim.Slab[GetResponse]
 	state
 }
 
@@ -521,31 +523,57 @@ func (s *Server) relay(ev WatchEvent, key string) {
 		}
 		return
 	}
-	for _, rt := range s.subsOfKind(kind) {
-		sub, ok := s.subs[rt.key]
+	targets := s.subsOfKind(kind)
+	for i := range targets {
+		rt := &targets[i]
 		s.stats.RelaySubVisits++
-		if !ok || ev.Revision <= sub.lastSent {
+		if ev.Revision <= rt.lastSent {
 			continue
 		}
-		s.relayTo(rt.key, sub, rt.route, ev)
+		rt.lastSent = ev.Revision
+		s.push(rt.subID, rt.route, ev)
 	}
 }
 
 // relayTo delivers one event to one subscriber on its route and advances
-// its high-water mark.
+// its high-water mark in subs: the unindexed path's.
 func (s *Server) relayTo(key string, sub clientSub, route sim.Route, ev WatchEvent) {
 	sub.lastSent = ev.Revision
 	s.subs[key] = sub
+	s.push(sub.subID, route, ev)
+}
+
+// push sends one event to subscription subID on its route.
+func (s *Server) push(subID uint64, route sim.Route, ev WatchEvent) {
 	s.stats.RelaySends++
-	msg := &s.msgSlab.One(WatchPushMsg{SubID: sub.subID, Events: s.pushSlab.One(ev)})[0]
+	msg := &s.msgSlab.One(WatchPushMsg{SubID: subID, Events: s.pushSlab.One(ev)})[0]
 	s.world.Network().SendOn(route, KindWatchPush, msg)
 }
 
 // relayTarget is one entry of the relay index: a subscription's key in
-// subs and the route to its client, resolved when the index is built.
+// subs, its ID, the route to its client, resolved when the index is built,
+// and its high-water mark. While the index stands the mark is kept here,
+// where relay reaches it with no map operation, and subs' copy of it lags;
+// settle writes the marks back before anything reads subs for them.
 type relayTarget struct {
-	key   string
-	route sim.Route
+	key      string
+	subID    uint64
+	route    sim.Route
+	lastSent int64
+}
+
+// settle writes the relay index's high-water marks back into subs, which
+// is what a snapshot captures and a rebuilt index starts from.
+func (s *Server) settle() {
+	for _, targets := range s.subsByKind {
+		for _, rt := range targets {
+			sub := s.subs[rt.key]
+			if sub.lastSent != rt.lastSent {
+				sub.lastSent = rt.lastSent
+				s.subs[rt.key] = sub
+			}
+		}
+	}
 }
 
 // subsOfKind returns the sorted subscriptions watching kind, each with its
@@ -561,7 +589,7 @@ func (s *Server) subsOfKind(kind cluster.Kind) []relayTarget {
 		net := s.world.Network()
 		for _, sk := range s.sortedSubs() {
 			if sub, ok := s.subs[sk]; ok {
-				s.subsByKind[sub.kind] = append(s.subsByKind[sub.kind], relayTarget{key: sk, route: net.Route(s.id, sub.client)})
+				s.subsByKind[sub.kind] = append(s.subsByKind[sub.kind], relayTarget{key: sk, subID: sub.subID, route: net.Route(s.id, sub.client), lastSent: sub.lastSent})
 			}
 		}
 	}
@@ -827,12 +855,20 @@ func (s *Server) register() {
 		// An informer on a quiet stream re-issues its watch every
 		// WatchTimeout. The order caches hold keys, not subs: a live key
 		// re-registered with the same kind leaves both of them valid.
-		if old, live := s.subs[key]; !live || old.kind != req.Kind {
+		old, live := s.subs[key]
+		if !live || old.kind != req.Kind {
+			s.settle()
 			s.subsOrder = nil
 			s.subsByKind = nil
 		}
 		backlog := s.backlog(req.Kind, req.StartRev, &sub)
 		s.subs[key] = sub
+		for i, rt := range s.subsByKind[req.Kind] {
+			if rt.key == key {
+				s.subsByKind[req.Kind][i].lastSent = sub.lastSent
+				break
+			}
+		}
 		if len(backlog) > 0 {
 			s.world.Network().Send(s.id, from, KindWatchPush, &WatchPushMsg{SubID: req.SubID, Events: backlog})
 		}
@@ -946,8 +982,9 @@ func (s *Server) write(obj *cluster.Object, key string, guard store.Cmp, failed 
 	s.rpcCl.CallWith(s.cfg.StoreNode, store.MethodTxn, w.set(guard, store.Op{Type: store.OpPut, Key: key, Value: data}), written, w)
 }
 
-// pendingWrite is a write's transaction and what its reply needs, in one
-// allocation: the continuation is written, with no closure.
+// pendingWrite is a write's transaction, what its reply needs and the
+// reply itself, in one allocation: the continuation is written, with no
+// closure.
 type pendingWrite struct {
 	txn
 	s      *Server
@@ -955,6 +992,7 @@ type pendingWrite struct {
 	failed error
 	exact  bool
 	reply  sim.Reply
+	resp   WriteResponse
 }
 
 // written completes a write when the store answers: arg is its
@@ -971,7 +1009,8 @@ func written(arg, b any, err error) {
 		return
 	}
 	op := &w.op[0]
-	w.reply.Send(&WriteResponse{Object: w.s.committed(op.Key, resp.Revision, w.obj, op.Value, w.exact)}, nil)
+	w.resp.Object = w.s.committed(op.Key, resp.Revision, w.obj, op.Value, w.exact)
+	w.reply.Send(&w.resp, nil)
 }
 
 // committed returns the object of the revision rev that a write of obj,
@@ -1090,5 +1129,5 @@ func (s *Server) getCached(kind cluster.Kind, name string) (*GetResponse, error)
 	if err != nil {
 		return nil, err
 	}
-	return &GetResponse{Object: obj, Found: true}, nil
+	return &s.getSlab.One(GetResponse{Object: obj, Found: true})[0], nil
 }

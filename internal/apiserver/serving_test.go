@@ -574,7 +574,8 @@ func TestRelaySharesOneObjectAndTombstonesLastState(t *testing.T) {
 // WatchTimeout. That must not throw away the sorted-subscription caches
 // (the next relay would re-sort every key), must still reset the
 // subscription's high-water mark, and must replay exactly the window
-// events after StartRev of the requested kind.
+// events after StartRev of the requested kind. A snapshot taken while the
+// relay index holds the marks carries them.
 func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
 	h := servingHarness(t, nil)
 	api := h.apis[0]
@@ -585,21 +586,28 @@ func TestRewatchKeepsOrderCachesAndReplaysBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	var revs []int64
+	var nodeRev int64
 	for i := 0; i < 4; i++ {
 		body, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkPod(fmt.Sprintf("p%d", i), "k1")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		revs = append(revs, body.(*WriteResponse).Object.Meta.ResourceVersion)
-		if _, err := h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkNode(fmt.Sprintf("n%d", i))}); err != nil {
+		body, err = h.cl.call("api-1", MethodCreate, &CreateRequest{Object: mkNode(fmt.Sprintf("n%d", i))})
+		if err != nil {
 			t.Fatal(err)
 		}
+		nodeRev = body.(*WriteResponse).Object.Meta.ResourceVersion
 	}
 	h.w.Kernel().RunFor(50 * sim.Millisecond)
 	if api.subsOrder == nil || api.subsByKind == nil {
 		t.Fatal("relay did not build the order caches; the assertion below is vacuous")
 	}
 	order := &api.subsOrder[0]
+	// The relay keeps the marks in its index; a snapshot carries them.
+	if sent := api.Snapshot().State.subs["client/2"].lastSent; sent != nodeRev {
+		t.Fatalf("a snapshot captured the node subscription's lastSent at %d, want %d", sent, nodeRev)
+	}
 
 	h.cl.pushes = nil
 	before := api.Stats()
@@ -694,12 +702,13 @@ func TestAPIWriteAllocations(t *testing.T) {
 	// object, built the key and the three-part transaction, and the store
 	// copied the value and allocated its batch and push one by one; 18
 	// with a label map (two allocations) and a closure for the write's
-	// continuation. Now: the client's copy, label set, label and request
-	// (4); three RPC requests and three responses; the Get reply; the
-	// encoded bytes, the transaction with its continuation's state, and the
-	// write reply; the store's Txn reply; the revision's object, the
-	// writer's on a stamped copy.
-	const want = 16
+	// continuation; 16 with an envelope for each of three RPC requests and
+	// three responses, and with the Get, the write and the store's Txn
+	// replies allocated one by one. Now: the client's copy, label set,
+	// label and request (4); the encoded bytes and the write's record —
+	// its transaction, its continuation's state and its reply; the
+	// revision's object, the writer's on a stamped copy.
+	const want = 7
 	if allocs > want {
 		t.Fatalf("a heartbeat-shaped Get + Update allocates %v, want <= %d", allocs, want)
 	}

@@ -11,6 +11,7 @@ type Snapshot struct {
 
 // Snapshot captures the server's state.
 func (s *Server) Snapshot() *Snapshot {
+	s.settle()
 	return &Snapshot{ID: s.id, Cfg: s.cfg, State: s.state.clone()}
 }
 

@@ -58,8 +58,10 @@ type Metrics struct {
 	// perturbed execution never delivered (§4.2.3).
 	GapWidth int `json:"gap_width"`
 	// TimeTravelEpisodes / TimeTravelDepth summarize revision regressions
-	// in the component's observation order: how many times it re-observed
-	// its own past, and the deepest regression in revisions (§4.2.2).
+	// in the component's observation order: how many of its deliveries
+	// carried a revision below the highest it had observed before them — a
+	// run of such deliveries after one travel back counts each of them, not
+	// once — and the deepest regression in revisions (§4.2.2).
 	TimeTravelEpisodes int   `json:"time_travel_episodes"`
 	TimeTravelDepth    int64 `json:"time_travel_depth"`
 	// ForcedRelists counts bursts of re-observed ADDED events — the

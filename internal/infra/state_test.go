@@ -66,14 +66,14 @@ var roles = map[reflect.Type]role{
 		wiring:   map[string]string{"c": fixed}},
 	reflect.TypeFor[store.Server](): {
 		children: map[string]string{"st": ".", "subs": "Subs"},
-		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "pushes": "allocator"}},
+		wiring:   map[string]string{"id": fixed, "world": fixed, "rpc": "stateless dispatcher", "pushes": "allocator", "txns": "allocator"}},
 	reflect.TypeFor[store.Store](): {state: "storeState", carried: "Store",
 		wiring: map[string]string{"watchers": "rebuilt from the server's Subs", "notifyHooks": "re-installed by addOracles and recorders",
 			"decoded": "memo", "prefixes": "re-Tracked by addOracles", "watcherOrder": "cache", "batches": "allocator"}},
 	reflect.TypeFor[apiserver.Server](): {state: "state", carried: "State",
 		wiring: map[string]string{"id": fixed, "world": fixed, "cfg": config, "timers": joined, "rpcCl": inFlight,
 			"rpcSrv": "stateless dispatcher", "subsOrder": "cache", "subsByKind": "cache", "kindKeys": "index",
-			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator", "msgSlab": "allocator",
+			"kindBroken": "index", "windowRev": "index", "decoded": "memo", "stats": "observability", "pushSlab": "allocator", "msgSlab": "allocator", "getSlab": "allocator",
 			"shared": "the cluster's decode memo: a restored cluster wires an empty one"}},
 	reflect.TypeFor[controller.Shell](): {
 		children: map[string]string{"conn": "Conn", "queue": "Queue"},

@@ -147,11 +147,7 @@ func scenario400(t *testing.T, fixes cassandra.Fixes) *infra.Cluster {
 		if m.From != cassandra.OperatorID || m.Kind != "rpc-req:"+apiserver.MethodUpdate.Name {
 			return sim.Decision{Verdict: sim.Pass}
 		}
-		req, ok := m.Payload.(*sim.RPCRequest)
-		if !ok {
-			return sim.Decision{Verdict: sim.Pass}
-		}
-		upd, ok := req.Body.(*apiserver.UpdateRequest)
+		upd, ok := m.Payload.(*apiserver.UpdateRequest)
 		if !ok || upd.Object.Cassandra == nil {
 			return sim.Decision{Verdict: sim.Pass}
 		}

@@ -66,42 +66,57 @@ func sortPick(nodes, pods []*cluster.Object, dead map[string]bool) (string, bool
 // ready, some dead, some full or over capacity, with pods bound to them,
 // to nodes the scheduler never saw, terminating or unbound. Ties on free
 // capacity and rack load are common, so the name tie-break is exercised.
+// The last worlds are larger than pick counts on the stack.
 func TestPickMatchesSortedPick(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for world := 0; world < 2000; world++ {
-		var nodes, pods []*cluster.Object
-		dead := map[string]bool{}
-		nNodes := rng.Intn(12)
-		for i := 0; i < nNodes; i++ {
-			spec := cluster.NodeSpec{Ready: rng.Intn(6) != 0, Capacity: rng.Intn(4)}
-			if rng.Intn(3) != 0 {
-				spec.Rack = fmt.Sprintf("r%d", rng.Intn(3))
-			}
-			name := fmt.Sprintf("n%02d", i)
-			nodes = append(nodes, cluster.NewNode(name, "uid-"+name, spec))
-			if rng.Intn(8) == 0 {
-				dead[name] = true
-			}
+		checkPick(t, rng, world, rng.Intn(12), 30, 3)
+	}
+	for world := 2000; world < 2020; world++ {
+		checkPick(t, rng, world, pickStack+1+rng.Intn(40), 400, 20)
+	}
+}
+
+// checkPick builds one world of nNodes nodes (an unready, specless one
+// after them one time in ten), fewer than maxPods pods and up to racks
+// racks, and compares pick with the sort.
+func checkPick(t *testing.T, rng *rand.Rand, world, nNodes, maxPods, racks int) {
+	t.Helper()
+	format, specless := "n%02d", "n99" // a specless node sorts last
+	if nNodes > 100 {
+		format, specless = "n%03d", "n999"
+	}
+	var nodes, pods []*cluster.Object
+	dead := map[string]bool{}
+	for i := 0; i < nNodes; i++ {
+		spec := cluster.NodeSpec{Ready: rng.Intn(6) != 0, Capacity: rng.Intn(4)}
+		if rng.Intn(3) != 0 {
+			spec.Rack = fmt.Sprintf("r%d", rng.Intn(racks))
 		}
-		if rng.Intn(10) == 0 {
-			nodes = append(nodes, &cluster.Object{Meta: cluster.Meta{Kind: cluster.KindNode, Name: "n99"}})
+		name := fmt.Sprintf(format, i)
+		nodes = append(nodes, cluster.NewNode(name, "uid-"+name, spec))
+		if rng.Intn(8) == 0 {
+			dead[name] = true
 		}
-		for i := rng.Intn(30); i > 0; i-- {
-			node := ""
-			if r := rng.Intn(10); r < 8 {
-				node = fmt.Sprintf("n%02d", rng.Intn(nNodes+2))
-			}
-			name := fmt.Sprintf("p%02d", i)
-			p := cluster.NewPod(name, "uid-"+name, cluster.PodSpec{NodeName: node})
-			if rng.Intn(6) == 0 {
-				p.Meta.DeletionTimestamp = 1
-			}
-			pods = append(pods, p)
+	}
+	if rng.Intn(10) == 0 {
+		nodes = append(nodes, &cluster.Object{Meta: cluster.Meta{Kind: cluster.KindNode, Name: specless}})
+	}
+	for i := rng.Intn(maxPods); i > 0; i-- {
+		node := ""
+		if r := rng.Intn(10); r < 8 {
+			node = fmt.Sprintf(format, rng.Intn(nNodes+2))
 		}
-		got, gotOK := pick(nodes, pods, dead)
-		want, wantOK := sortPick(nodes, pods, dead)
-		if got != want || gotOK != wantOK {
-			t.Fatalf("world %d: pick = %q, %v; the sort picks %q, %v", world, got, gotOK, want, wantOK)
+		name := fmt.Sprintf("p%02d", i)
+		p := cluster.NewPod(name, "uid-"+name, cluster.PodSpec{NodeName: node})
+		if rng.Intn(6) == 0 {
+			p.Meta.DeletionTimestamp = 1
 		}
+		pods = append(pods, p)
+	}
+	got, gotOK := pick(nodes, pods, dead)
+	want, wantOK := sortPick(nodes, pods, dead)
+	if got != want || gotOK != wantOK {
+		t.Fatalf("world %d: pick = %q, %v; the sort picks %q, %v", world, got, gotOK, want, wantOK)
 	}
 }

@@ -9,6 +9,9 @@
 package scheduler
 
 import (
+	"slices"
+	"strings"
+
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/controller"
@@ -106,42 +109,70 @@ func (s *Scheduler) reconcile(podName string) (controller.Result, error) {
 // name. Nodes without a rack label all share one neutral rack, so
 // unlabeled worlds order exactly as before the spread rule existed. The
 // scheduler passes its caches, so the choice uses only S' — it cannot know
-// about nodes or deletions it never observed. nodes is in name order: the
-// pass over it keeps the first node no later node beats, which is the name
-// tie-break.
+// about nodes or deletions it never observed. nodes is in name order: a
+// pod's node is found by binary search, and the pass over the nodes keeps
+// the first node no later node beats, which is the name tie-break. The
+// counts live in slices, on the stack for a world of up to pickStack nodes.
 func pick(nodes, pods []*cluster.Object, dead map[string]bool) (string, bool) {
-	used := make(map[string]int)
+	var usedBuf, rackBuf [pickStack]int
+	used, rackOf := usedBuf[:], rackBuf[:] // per node: its pods, its rack's index (-1: none)
+	if len(nodes) > pickStack {
+		used, rackOf = make([]int, len(nodes)), make([]int, len(nodes))
+	}
 	for _, p := range pods {
 		if p.Pod != nil && p.Pod.NodeName != "" && !p.Terminating() {
-			used[p.Pod.NodeName]++
+			if i, ok := slices.BinarySearchFunc(nodes, p.Pod.NodeName, byName); ok {
+				used[i]++
+			}
 		}
 	}
-	rackLoad := make(map[string]int)
-	for _, n := range nodes {
-		if n.Node != nil && n.Node.Rack != "" {
-			rackLoad[n.Node.Rack] += used[n.Meta.Name]
+	type rack struct {
+		name string
+		load int
+	}
+	var racksBuf [16]rack
+	racks := racksBuf[:0]
+	for i, n := range nodes {
+		rackOf[i] = -1
+		if n.Node == nil || n.Node.Rack == "" {
+			continue
 		}
+		r := slices.IndexFunc(racks, func(x rack) bool { return x.name == n.Node.Rack })
+		if r < 0 {
+			r = len(racks)
+			racks = append(racks, rack{name: n.Node.Rack})
+		}
+		racks[r].load += used[i]
+		rackOf[i] = r
 	}
 	var (
 		best           string
 		bestFree, load int
 		found          bool
 	)
-	for _, n := range nodes {
+	for i, n := range nodes {
 		if n.Node == nil || !n.Node.Ready || dead[n.Meta.Name] {
 			continue
 		}
-		free := n.Node.Capacity - used[n.Meta.Name]
+		free := n.Node.Capacity - used[i]
 		if free <= 0 {
 			continue
 		}
-		l := rackLoad[n.Node.Rack]
+		l := 0
+		if r := rackOf[i]; r >= 0 {
+			l = racks[r].load
+		}
 		if !found || free > bestFree || free == bestFree && l < load {
 			best, bestFree, load, found = n.Meta.Name, free, l, true
 		}
 	}
 	return best, found
 }
+
+// pickStack is the largest world pick counts in stack arrays.
+const pickStack = 128
+
+func byName(o *cluster.Object, name string) int { return strings.Compare(o.Meta.Name, name) }
 
 // bind validates the node's existence (the binding subresource check) and
 // writes the assignment.

@@ -38,7 +38,7 @@ func TestBindsPendingPod(t *testing.T) {
 func schedulerCalls(c *infra.Cluster, method *sim.Method) *int {
 	n := new(int)
 	c.World.Network().AddInterceptor(sim.InterceptorFunc(func(m *sim.Message) sim.Decision {
-		if req, ok := m.Payload.(*sim.RPCRequest); ok && m.From == scheduler.ID && req.Method == method {
+		if m.From == scheduler.ID && m.Method == method && m.Call == 0 {
 			*n++
 		}
 		return sim.Decision{Verdict: sim.Pass}

@@ -48,3 +48,25 @@ func (s *Slab[T]) Clone(src []T) []T {
 func DefaultWorldConfig() WorldConfig {
 	return WorldConfig{Seed: 1, Latency: Millisecond, Jitter: Millisecond / 2}
 }
+
+// KeepReleased hands every message released from now on to keep instead
+// of the spare list, so that none is reused, until the returned function
+// restores recycling.
+func KeepReleased(keep func(*Message)) (restore func()) {
+	keepReleased = keep
+	return func() { keepReleased = nil }
+}
+
+// Scribble overwrites every field of m a holder reads with nonsense: a
+// sequence number no call has, a payload no handler knows, a response to
+// no request.
+func Scribble(m *Message) {
+	m.Seq, m.From, m.To, m.Kind, m.SentAt = ^uint64(0), "poisoned", "poisoned", "poisoned", -1
+	m.Payload, m.Method, m.Call, m.Err = poisoned{}, poisonedMethod, ^uint64(0), "poisoned"
+}
+
+// poisoned is the payload of a scribbled-over message: no handler knows
+// its type.
+type poisoned struct{}
+
+var poisonedMethod = NewMethod("poisoned")

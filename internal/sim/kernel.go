@@ -79,8 +79,13 @@ func (t Timer) Cancel() bool {
 	}
 	ev.canceled = true
 	// The entry may stay queued until its deadline; its closure and the
-	// message it would deliver need not.
+	// message it would deliver need not, and the message goes back to its
+	// network once nothing else holds it.
+	m := ev.msg
 	ev.fn, ev.deliver, ev.msg = nil, nil, nil
+	if m != nil {
+		m.release()
+	}
 	return true
 }
 
@@ -610,12 +615,14 @@ func (k *Kernel) at(t Time, fn func(), ln uint32) Timer {
 
 // atDeliver is At for the network and the RPC client: the event is
 // deliver(m), with no closure to allocate, queued in lane ln (0: the heap).
-// It is numbered and ordered exactly as At would schedule it.
+// It is numbered and ordered exactly as At would schedule it. The event
+// holds m until it has fired or is canceled.
 func (k *Kernel) atDeliver(t Time, deliver func(*Message), m *Message, ln uint32) Timer {
 	at, ok := k.stamp(t)
 	if !ok {
 		return Timer{}
 	}
+	m.holds++
 	slot, ev := k.take()
 	ev.deliver, ev.msg, ev.shared = deliver, m, k.untagged()
 	return k.push(at, k.seq, slot, ln)
@@ -799,6 +806,7 @@ func (k *Kernel) fire(e heapEntry, tick bool) {
 		ev.deliver, ev.msg = nil, nil
 		k.vacate(e.slot, ev)
 		deliver(m)
+		m.release()
 	case ev.owner == nil:
 		fn := ev.fn
 		ev.fn = nil

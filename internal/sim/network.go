@@ -15,18 +15,37 @@ type NodeID string
 // receivers treat it as immutable — it may be shared with other receivers
 // (one commit's watch batch, one decoded object per revision) and with
 // checkpoint forks on other goroutines (DESIGN.md §12, "Object ownership").
+//
+// The message itself is the network's, not the receiver's: a handler,
+// observer, interceptor or gate may read it only until the call it was
+// handed in returns, and keeps a copy of whatever it needs beyond that. Once
+// nothing queued holds it, the network reuses it for a later send (DESIGN.md
+// §13, "Message ownership").
 type Message struct {
 	Seq     uint64 // unique, monotonically increasing per network
 	From    NodeID
 	To      NodeID
 	Kind    string // coarse classification used by interceptors ("watch", "rpc", ...)
-	Payload any
+	Payload any    // the body; on an RPC request or response, the call's body
 	SentAt  Time
+
+	// The RPC envelope: Method is the method an RPC request calls or an
+	// RPC response answers (nil on any other message), Call is, on a
+	// response, the Seq of the request it answers (0 on anything else), and
+	// Err is a response's remote error (empty on success).
+	Method *Method
+	Call   uint64
+	Err    string
 
 	// link is the record of the From->To link, resolved once at Send: the
 	// delivery reads the partition, the receiver and its down flag through
 	// it, and an RPC reply goes out on its reverse.
 	link *link
+	// holds counts who keeps the message past the call that handed it out:
+	// its sender until send returns, each queued delivery of it and a
+	// pending call's timeout. The last to let go (release) returns it to
+	// its network.
+	holds int32
 }
 
 func (m *Message) String() string {
@@ -187,9 +206,14 @@ type linkState struct {
 type link struct {
 	linkState
 	key      linkKey
+	net      *Network // whose spare list a message sent on it returns to
 	from, to *endpoint
 	reverse  *link  // the to->from record, once something has gone back
 	lane     uint32 // the kernel lane of its in-order deliveries, once one is sent
+	// base is the link's base latency as of the network's placement
+	// generation placedAt (baseLatency).
+	base     Duration
+	placedAt uint64
 }
 
 // endpoint is one node ID as the network knows it: its handler (nil until
@@ -247,6 +271,7 @@ type Network struct {
 	jitter  Duration
 	seq     uint64
 	topo    TopologyLatency
+	placed  uint64 // the placement generation: moves with every location and ladder change
 	icpts   []Interceptor
 	gates   []DeliveryGate
 	obs     []Observer
@@ -256,20 +281,27 @@ type Network struct {
 	// no method value and no closure (Kernel.atDeliver).
 	deliverFn func(*Message)
 
-	// msgChunk is the arena messages are allocated from (one make per
-	// msgChunkSize sends), msgNext its first unused message: an index, so
-	// handing one out stores no pointer. Unlike event slots, messages are
-	// never reused: handlers, observers and RPC replies keep the pointer,
-	// so handing out chunk pointers is safe only because none comes back.
+	// msgChunk is the arena new messages are cut from (one make per
+	// msgChunkSize), msgNext its first unused message: an index, so handing
+	// one out stores no pointer. spare are the messages nothing holds any
+	// more (Message.release), handed out again before the chunk is cut.
 	msgChunk []Message
 	msgNext  int
+	spare    []*Message
 }
 
-// msgChunkSize is how many messages one chunk holds: 116 of 88 bytes fill
+// msgChunkSize is how many messages one chunk holds: 80 of 128 bytes fill
 // the runtime's 10 KiB size class.
-const msgChunkSize = 116
+const msgChunkSize = 80
 
+// newMessage hands out a message the caller overwrites field by field: a
+// spare one if there is any, else the chunk's next.
 func (n *Network) newMessage() *Message {
+	if k := len(n.spare); k > 0 {
+		m := n.spare[k-1]
+		n.spare = n.spare[:k-1]
+		return m
+	}
 	if n.msgNext == len(n.msgChunk) {
 		n.msgChunk, n.msgNext = make([]Message, msgChunkSize), 0
 	}
@@ -277,6 +309,32 @@ func (n *Network) newMessage() *Message {
 	n.msgNext++
 	return m
 }
+
+// release lets go of one hold on m. The last hold returns it to the spare
+// list of the network that sent it. A message no network sent (a kernel
+// test's) has no link and is nobody's to reuse.
+func (m *Message) release() {
+	m.holds--
+	if m.holds != 0 || m.link == nil {
+		return
+	}
+	if keepReleased != nil {
+		keepReleased(m)
+		return
+	}
+	// Only the payload is cleared, so a spare message keeps no body alive:
+	// the next send writes every field, and a whole-struct clear would pay
+	// a bulk write barrier.
+	m.Payload = nil
+	n := m.link.net
+	n.spare = append(n.spare, m)
+}
+
+// keepReleased, when set, takes every released message instead of the
+// spare list: a test keeps released messages from being reused, and may
+// scribble over them, so a holder that reads a message after letting go
+// reads nonsense.
+var keepReleased func(*Message)
 
 // NewNetwork creates a network on kernel k with the given base one-way
 // latency and uniform jitter in [0, jitter).
@@ -287,6 +345,7 @@ func NewNetwork(k *Kernel, latency, jitter Duration) *Network {
 		links:   make(map[linkKey]*link),
 		latency: latency,
 		jitter:  jitter,
+		placed:  1,
 	}
 	n.deliverFn = n.deliver
 	return n
@@ -318,7 +377,7 @@ func (n *Network) link(key linkKey) *link {
 // wire enters l in the table as the record of key, joined to its
 // endpoints.
 func (n *Network) wire(key linkKey, l *link) {
-	l.key = key
+	l.key, l.net = key, n
 	l.from, l.to = n.endpoint(key.from), n.endpoint(key.to)
 	n.links[key] = l
 }
@@ -429,6 +488,7 @@ func (n *Network) ClearLinkQuality(a, b NodeID) {
 // placement (the node reverts to base latency on all links).
 func (n *Network) SetLocation(id NodeID, loc Location) {
 	n.endpoint(id).loc = loc
+	n.placed++
 }
 
 // LocationOf returns a node's placement (the zero value if unplaced).
@@ -441,7 +501,10 @@ func (n *Network) LocationOf(id NodeID) Location {
 
 // SetTopologyLatency installs the topology latency ladder. A zero value
 // disables topology-derived latencies.
-func (n *Network) SetTopologyLatency(t TopologyLatency) { n.topo = t }
+func (n *Network) SetTopologyLatency(t TopologyLatency) {
+	n.topo = t
+	n.placed++
+}
 
 // Topology returns the configured latency ladder.
 func (n *Network) Topology() TopologyLatency { return n.topo }
@@ -449,14 +512,18 @@ func (n *Network) Topology() TopologyLatency { return n.topo }
 // baseLatency returns the one-way base latency of link l: the topology
 // class latency when a ladder is configured and both endpoints are placed,
 // the network-wide base otherwise. It reads the endpoints' records, so a
-// placement made after the link's first message counts from the next. No
-// RNG is consumed, so topology-free worlds keep the exact draw sequence
-// they always had.
+// placement made after the link's first message counts from the next; the
+// link keeps the answer until a placement or the ladder changes. No RNG is
+// consumed, so topology-free worlds keep the exact draw sequence they
+// always had.
 func (n *Network) baseLatency(l *link) Duration {
-	if n.topo.active() && !l.from.loc.IsZero() && !l.to.loc.IsZero() {
-		return n.topo.classFor(l.from.loc, l.to.loc)
+	if l.placedAt != n.placed {
+		l.base, l.placedAt = n.latency, n.placed
+		if n.topo.active() && !l.from.loc.IsZero() && !l.to.loc.IsZero() {
+			l.base = n.topo.classFor(l.from.loc, l.to.loc)
+		}
 	}
-	return n.latency
+	return l.base
 }
 
 // reorderBound returns the displacement bound for reorder/duplicate
@@ -471,7 +538,7 @@ func (q LinkQuality) reorderBound() Duration {
 // Send enqueues a message for delivery. It returns the message's unique
 // sequence number.
 func (n *Network) Send(from, to NodeID, kind string, payload any) uint64 {
-	return n.send(n.link(linkKey{from, to}), kind, payload).Seq
+	return n.post(n.link(linkKey{from, to}), kind, payload)
 }
 
 // Route is a sender's hold on one directed link, resolved once: a
@@ -487,18 +554,28 @@ func (n *Network) Route(from, to NodeID) Route { return Route{n.link(linkKey{fro
 
 // SendOn is Send on a route this network resolved.
 func (n *Network) SendOn(r Route, kind string, payload any) uint64 {
-	return n.send(r.l, kind, payload).Seq
+	return n.post(r.l, kind, payload)
 }
 
-// send is Send on a resolved link. It returns the message, which rides the
-// delivery event and whatever the caller keeps of it.
-func (n *Network) send(l *link, kind string, payload any) *Message {
+// post sends a message no one answers and returns its Seq.
+func (n *Network) post(l *link, kind string, payload any) uint64 {
+	m := n.send(l, kind, payload, nil, 0, "")
+	seq := m.Seq
+	m.release()
+	return seq
+}
+
+// send is Send on a resolved link, with the RPC envelope. It returns the
+// message with the sender's hold on it, which the caller releases once it
+// has armed whatever else keeps it.
+func (n *Network) send(l *link, kind string, payload any, method *Method, call uint64, err string) *Message {
 	n.seq++
-	// Field by field into the zeroed chunk: a composite literal assigned
-	// through m is a typed copy, which pays a bulk write barrier whenever
-	// the collector is marking.
+	// Field by field: a composite literal assigned through m is a typed
+	// copy, which pays a bulk write barrier whenever the collector is
+	// marking.
 	m := n.newMessage()
 	m.Seq, m.From, m.To, m.Kind, m.Payload, m.SentAt, m.link = n.seq, l.key.from, l.key.to, kind, payload, n.k.now, l
+	m.Method, m.Call, m.Err, m.holds = method, call, err, 1
 	n.stats.Sent++
 	for _, o := range n.obs {
 		o.OnSend(m)

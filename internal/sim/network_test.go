@@ -4,12 +4,14 @@ import (
 	"testing"
 )
 
+// sink keeps a copy of every message it is handed: the message itself is
+// the network's again once HandleMessage returns.
 type sink struct {
 	id  NodeID
-	got []*Message
+	got []Message
 }
 
-func (s *sink) HandleMessage(m *Message) { s.got = append(s.got, m) }
+func (s *sink) HandleMessage(m *Message) { s.got = append(s.got, *m) }
 
 func newTestNet(t *testing.T) (*Kernel, *Network, *sink, *sink) {
 	t.Helper()

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // ErrRPCTimeout is delivered to a call's callback when no response arrives
@@ -30,32 +29,21 @@ func NewMethod(name string) *Method {
 	return &Method{Name: name, req: "rpc-req:" + name, resp: "rpc-resp:" + name}
 }
 
-// RPCRequest is the payload of a request message. The message's Seq is the
-// call's identity: unique in the world, so no two boots of a client — and no
-// two clients — ever name a call alike.
-type RPCRequest struct {
-	Method *Method
-	Body   any
-}
-
-// RPCResponse is the payload of a response message. ID is the Seq of the
-// request message it answers.
-type RPCResponse struct {
-	ID   uint64
-	Body any
-	Err  string // empty on success
-}
-
 // RPCClient issues asynchronous calls over the simulated network and
 // correlates responses. A component embeds one client and forwards response
-// messages to HandleResponse from its message handler.
+// messages to HandleResponse from its message handler. A call is its request
+// message's Seq: unique in the world, so no two boots of a client — and no
+// two clients — ever name a call alike.
 type RPCClient struct {
 	net     *Network
 	self    NodeID
 	timeout Duration
 	// pending are the outstanding calls in call order, which is ascending
-	// request Seq.
+	// request Seq, from head on: an answered call before head is gone, one
+	// answered out of order after it is a hole (id 0) until head passes it.
 	pending []pendingCall
+	head    int
+	live    int // the calls pending holds
 	// routes are the links the client has called over, one per destination:
 	// a call resolves its link without a lookup in the network's table.
 	routes []route
@@ -66,7 +54,7 @@ type RPCClient struct {
 
 // pendingCall is an outstanding call: it completes as done(arg, body, err).
 type pendingCall struct {
-	id    uint64 // the request message's Seq
+	id    uint64 // the request message's Seq; 0 once answered
 	done  func(arg, body any, err error)
 	arg   any
 	timer Timer // zero (inert) when the client has no timeout
@@ -111,23 +99,54 @@ func callback(arg, body any, err error) { arg.(func(any, error))(body, err) }
 // the caller's own type, or a record the request already allocated — and
 // the call completes, exactly once, as done(arg, body, err).
 func (c *RPCClient) CallWith(to NodeID, method *Method, body any, done func(arg, body any, err error), arg any) {
-	m := c.net.send(c.link(to), method.req, &RPCRequest{Method: method, Body: body})
-	pc := pendingCall{id: m.Seq, done: done, arg: arg}
+	m := c.net.send(c.link(to), method.req, body, method, 0, "")
+	c.add(pendingCall{id: m.Seq, done: done, arg: arg})
 	if c.timeout > 0 {
-		// Untagged like a closure, so a pending call blocks a snapshot.
+		// Untagged like a closure, so a pending call blocks a snapshot. The
+		// timeout holds the request message until it fires or is canceled.
 		k := c.net.k
-		pc.timer = k.atDeliver(k.now.Add(c.timeout), c.expireFn, m, k.delayLane(c.timeout))
+		c.pending[len(c.pending)-1].timer = k.atDeliver(k.now.Add(c.timeout), c.expireFn, m, k.delayLane(c.timeout))
 	}
-	c.pending = append(c.pending, pc)
+	m.release()
 }
 
-// take removes and returns the pending call with the given ID.
-func (c *RPCClient) take(id uint64) (pendingCall, bool) {
-	for i, pc := range c.pending {
-		if pc.id == id {
-			c.pending = slices.Delete(c.pending, i, i+1)
-			return pc, true
+// add appends a call, first closing up the answered ones when the slice is
+// full: its order is kept, and nothing is shifted while there is room.
+func (c *RPCClient) add(pc pendingCall) {
+	if len(c.pending) == cap(c.pending) && c.live < len(c.pending) {
+		kept := c.pending[:0]
+		for _, p := range c.pending[c.head:] {
+			if p.id != 0 {
+				kept = append(kept, p)
+			}
 		}
+		clear(c.pending[len(kept):])
+		c.pending, c.head = kept, 0
+	}
+	c.pending = append(c.pending, pc)
+	c.live++
+}
+
+// take removes and returns the pending call with the given ID. Calls are
+// answered in call order almost always, so the one sought is nearly always
+// at head, which then moves past it and any holes behind it.
+func (c *RPCClient) take(id uint64) (pendingCall, bool) {
+	for i := c.head; i < len(c.pending); i++ {
+		if c.pending[i].id != id {
+			continue
+		}
+		pc := c.pending[i]
+		c.pending[i] = pendingCall{}
+		c.live--
+		if i == c.head {
+			for c.head < len(c.pending) && c.pending[c.head].id == 0 {
+				c.head++
+			}
+			if c.head == len(c.pending) {
+				c.pending, c.head = c.pending[:0], 0
+			}
+		}
+		return pc, true
 	}
 	return pendingCall{}, false
 }
@@ -143,46 +162,48 @@ func (c *RPCClient) expire(req *Message) {
 // client, invoking the matching callback. It reports whether the message
 // was consumed.
 func (c *RPCClient) HandleResponse(m *Message) bool {
-	resp, ok := m.Payload.(*RPCResponse)
-	if !ok {
+	if m.Call == 0 {
 		return false
 	}
-	pc, ok := c.take(resp.ID)
+	pc, ok := c.take(m.Call)
 	if !ok {
 		return true // late response after timeout/reset; swallow it
 	}
 	pc.timer.Cancel()
-	if resp.Err != "" {
-		pc.done(pc.arg, nil, ErrRemote{Msg: resp.Err})
+	if m.Err != "" {
+		pc.done(pc.arg, nil, ErrRemote{Msg: m.Err})
 		return true
 	}
-	pc.done(pc.arg, resp.Body, nil)
+	pc.done(pc.arg, m.Payload, nil)
 	return true
 }
 
 // Reset drops every pending call without invoking callbacks. Components
 // call it from their Crash hook: a crashed process forgets in-flight work.
 func (c *RPCClient) Reset() {
-	for _, pc := range c.pending {
+	for _, pc := range c.pending[c.head:] {
 		pc.timer.Cancel()
 	}
 	clear(c.pending)
-	c.pending = c.pending[:0]
+	c.pending, c.head, c.live = c.pending[:0], 0, 0
 }
 
 // PendingCalls returns the number of outstanding calls.
-func (c *RPCClient) PendingCalls() int { return len(c.pending) }
+func (c *RPCClient) PendingCalls() int { return c.live }
 
 // Reply is an asynchronous handler's way back to the caller: a value, so
-// handing one to the handler allocates nothing. Send must be called exactly
-// once per request.
+// handing one to the handler allocates nothing. It carries what the answer
+// needs, not the request message, which the network reuses once the
+// handler returns. Send must be called exactly once per request.
 type Reply struct {
-	s   *RPCServer
-	req *Message
+	s      *RPCServer
+	l      *link // the link the request came in on
+	call   uint64
+	method *Method
 }
 
 // Send answers the request with body, or with err.
-func (r Reply) Send(body any, err error) { r.s.reply(r.req, body, err) }
+func (r Reply) Send(body any, err error) { r.s.reply(r.l, r.call, r.method, body, err) }
 
 // handler is one registered method: sync answers in the call, async may
 // defer its reply.
@@ -218,29 +239,28 @@ func (s *RPCServer) HandleAsync(method *Method, fn func(from NodeID, body any, r
 // HandleRequest consumes a message if it is an RPC request, dispatching it
 // and (eventually) replying. It reports whether the message was consumed.
 func (s *RPCServer) HandleRequest(m *Message) bool {
-	req, ok := m.Payload.(*RPCRequest)
-	if !ok {
+	if m.Method == nil || m.Call != 0 {
 		return false
 	}
-	h, ok := s.handlers[req.Method]
+	h, ok := s.handlers[m.Method]
 	switch {
 	case !ok:
-		s.reply(m, nil, fmt.Errorf("unknown method %q", req.Method.Name))
+		s.reply(m.link, m.Seq, m.Method, nil, fmt.Errorf("unknown method %q", m.Method.Name))
 	case h.sync != nil:
-		body, err := h.sync(m.From, req.Body)
-		s.reply(m, body, err)
+		body, err := h.sync(m.From, m.Payload)
+		s.reply(m.link, m.Seq, m.Method, body, err)
 	default:
-		h.async(m.From, req.Body, Reply{s: s, req: m})
+		h.async(m.From, m.Payload, Reply{s: s, l: m.link, call: m.Seq, method: m.Method})
 	}
 	return true
 }
 
-// reply answers request message m on the reverse of its link.
-func (s *RPCServer) reply(m *Message, body any, err error) {
-	resp := &RPCResponse{ID: m.Seq, Body: body}
+// reply answers call, a request of method that came in on link l, on l's
+// reverse.
+func (s *RPCServer) reply(l *link, call uint64, method *Method, body any, err error) {
+	var text string
 	if err != nil {
-		resp.Err = err.Error()
-		resp.Body = nil
+		body, text = nil, err.Error()
 	}
-	s.net.send(s.net.back(m.link), m.Payload.(*RPCRequest).Method.resp, resp)
+	s.net.send(s.net.back(l), method.resp, body, method, call, text).release()
 }

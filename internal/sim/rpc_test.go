@@ -243,8 +243,9 @@ func TestRPCMessageKindsAreInterned(t *testing.T) {
 	}
 }
 
-// One round trip allocates what it hands to other code and no more: the
-// request and the response. The pending call is a slice element, both
+// One round trip allocates nothing: the envelope rides in the two
+// messages, which the network reuses once they are delivered and the
+// timeout is canceled; the pending call is a slice element, both
 // deliveries and the timeout are closure-free events on the messages, a
 // synchronous handler is answered without a reply closure and an
 // asynchronous one is handed its Reply by value, and the link and the
@@ -266,8 +267,8 @@ func TestRPCRoundTripAllocations(t *testing.T) {
 			f.client.Call("server", method, body, cb)
 			f.k.Drain()
 		})
-		if allocs > 2 {
-			t.Fatalf("an RPC round trip of %s allocates %v, want <= 2", method.Name, allocs)
+		if allocs != 0 {
+			t.Fatalf("an RPC round trip of %s allocates %v, want 0", method.Name, allocs)
 		}
 		if done != 64+1001 || f.client.PendingCalls() != 0 {
 			t.Fatalf("%s: done = %d, pending = %d", method.Name, done, f.client.PendingCalls())

@@ -236,6 +236,7 @@ func (n *Network) RestoreRouting(s NetworkSnapshot) {
 	n.seq = s.Seq
 	n.stats = s.Stats
 	n.topo = s.Topo
+	n.placed++
 	for id, v := range s.Down {
 		if v {
 			n.endpoint(id).down = true

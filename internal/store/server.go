@@ -90,8 +90,9 @@ type Server struct {
 	rpc   *sim.RPCServer
 	subs  map[string]*subscription // key: client/subID
 	// pushes arena-allocates the watch-push payloads: one per subscriber
-	// per commit.
+	// per commit; txns the transactions' replies.
 	pushes sim.Slab[WatchPush]
+	txns   sim.Slab[TxnResponse]
 }
 
 // NewServer wires a store actor into the world under the given node ID. It
@@ -167,7 +168,7 @@ func (s *Server) register() {
 		if err != nil && err != ErrTxnFailed {
 			return nil, err
 		}
-		return &TxnResponse{Succeeded: res.Succeeded, Revision: res.Revision}, nil
+		return &s.txns.One(TxnResponse{Succeeded: res.Succeeded, Revision: res.Revision})[0], nil
 	})
 	s.rpc.Handle(MethodWatch, func(from sim.NodeID, body any) (any, error) {
 		req := body.(*WatchRequest)

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"hash/fnv"
 	"sort"
 
 	"repro/internal/cluster"
@@ -48,14 +47,14 @@ func (g *CausalGraph) ChainsThrough(kind cluster.Kind, name string) []Delivery {
 // revisions and timestamps so that two runs differing only in incidental
 // timing (but observing the same decision-relevant sequence) coincide.
 func (t *Trace) ComponentHash(id sim.NodeID) uint64 {
-	h := fnv.New64a()
-	for _, d := range t.Deliveries {
-		if d.To != id {
+	h := newFNV()
+	for i := range t.Deliveries {
+		if t.Deliveries[i].To != id {
 			continue
 		}
-		writeDelivery(h, d)
+		writeDelivery(&h, &t.Deliveries[i])
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // StateHashUpTo is StateHash restricted to the execution prefix at or
@@ -68,27 +67,26 @@ func (t *Trace) ComponentHash(id sim.NodeID) uint64 {
 // StateHash, not a prefix: a delay can push behaviour past any clipping
 // point, so prefix equality alone does not imply suffix equality.
 func (t *Trace) StateHashUpTo(upto sim.Time) uint64 {
-	h := fnv.New64a()
+	h := newFNV()
 	for _, id := range t.Components() {
-		h.Write([]byte("@"))
-		h.Write([]byte(id))
-		for _, d := range t.Deliveries {
-			if d.To != id || d.Time > upto {
-				continue
+		h.str("@")
+		h.str(string(id))
+		for i := range t.Deliveries {
+			if d := &t.Deliveries[i]; d.To == id && d.Time <= upto {
+				writeDelivery(&h, d)
 			}
-			writeDelivery(h, d)
 		}
 	}
-	h.Write([]byte("#commits"))
+	h.str("#commits")
 	for _, e := range t.Commits {
 		if sim.Time(e.Time) > upto {
 			continue
 		}
-		h.Write([]byte{byte(e.Type)})
-		h.Write([]byte(e.Key))
-		h.Write([]byte{0})
+		h.byte(byte(e.Type))
+		h.str(e.Key)
+		h.byte(0)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // ComponentHashes returns the per-component delivery hashes, keyed by

@@ -1,7 +1,9 @@
 package trace
 
 import (
-	"hash/fnv"
+	"slices"
+
+	"repro/internal/sim"
 )
 
 // This file derives compact behavioural fingerprints from a recorded
@@ -14,36 +16,66 @@ import (
 // StateHash folds every component's delivery sequence plus the committed
 // ground-truth event sequence into one 64-bit fingerprint. Components are
 // visited in sorted order so the hash is independent of map iteration and
-// of the interleaving between components.
+// of the interleaving between components. The deliveries are grouped by
+// receiver in one pass, each group in trace order.
 func (t *Trace) StateHash() uint64 {
-	h := fnv.New64a()
-	for _, id := range t.Components() {
-		h.Write([]byte("@"))
-		h.Write([]byte(id))
-		for _, d := range t.Deliveries {
-			if d.To != id {
-				continue
-			}
-			writeDelivery(h, d)
+	byTo := make(map[sim.NodeID][]int32)
+	for i := range t.Deliveries {
+		to := t.Deliveries[i].To
+		byTo[to] = append(byTo[to], int32(i))
+	}
+	ids := make([]sim.NodeID, 0, len(byTo))
+	for id := range byTo {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	h := newFNV()
+	for _, id := range ids {
+		h.str("@")
+		h.str(string(id))
+		for _, i := range byTo[id] {
+			writeDelivery(&h, &t.Deliveries[i])
 		}
 	}
-	h.Write([]byte("#commits"))
+	h.str("#commits")
 	for _, e := range t.Commits {
-		h.Write([]byte{byte(e.Type)})
-		h.Write([]byte(e.Key))
-		h.Write([]byte{0})
+		h.byte(byte(e.Type))
+		h.str(e.Key)
+		h.byte(0)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-func writeDelivery(h interface{ Write([]byte) (int, error) }, d Delivery) {
-	h.Write([]byte(d.Kind))
-	h.Write([]byte{'/'})
-	h.Write([]byte(d.Name))
-	h.Write([]byte{'/'})
-	h.Write([]byte(d.EventType))
+func writeDelivery(h *fnv64a, d *Delivery) {
+	h.str(string(d.Kind))
+	h.byte('/')
+	h.str(d.Name)
+	h.byte('/')
+	h.str(string(d.EventType))
 	if d.Terminating {
-		h.Write([]byte{'!'})
+		h.byte('!')
 	}
-	h.Write([]byte{0})
+	h.byte(0)
+}
+
+// fnv64a is the 64-bit FNV-1a hash, as hash/fnv's New64a computes it, fed
+// strings without converting them to byte slices.
+type fnv64a uint64
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func newFNV() fnv64a { return fnvOffset64 }
+
+func (h *fnv64a) str(s string) {
+	for i := 0; i < len(s); i++ {
+		h.byte(s[i])
+	}
+}
+
+func (h *fnv64a) byte(b byte) {
+	*h ^= fnv64a(b)
+	*h *= fnvPrime64
 }

@@ -28,11 +28,16 @@ var stateHashGoldens = []struct {
 	{"cass-op-400", 2, 0xcd655fcf05bfba1d},
 	{"cass-op-402", 1, 0x1ebd94b510c512f9},
 	{"cass-op-402", 2, 0x473c848939081019},
+	// 50-node racked worlds: thousands of deliveries to some sixty
+	// receivers.
+	{"scale-rackdrain-50", 1, 0x71882738ff327b16},
+	{"scale-replace-50", 1, 0x53e7bbfc540ebb40},
 }
 
 func targetByName(t *testing.T, name string) core.Target {
 	t.Helper()
-	for _, tgt := range workload.AllTargets() {
+	p := workload.ScaleProfile{Racks: 10, NodesPerRack: 5}
+	for _, tgt := range append(workload.AllTargets(), workload.ScaleRackDrainTarget(p), workload.ScaleReplaceTarget(p)) {
 		if tgt.Name == name {
 			return tgt
 		}

@@ -159,11 +159,10 @@ func (r *Recorder) Attach(net *sim.Network, st *store.Store) {
 
 // OnSend implements sim.Observer: it records subscriptions and writes.
 func (r *Recorder) OnSend(m *sim.Message) {
-	req, ok := m.Payload.(*sim.RPCRequest)
-	if !ok {
-		return
+	if m.Method == nil || m.Call != 0 {
+		return // not an RPC request
 	}
-	switch body := req.Body.(type) {
+	switch body := m.Payload.(type) {
 	case *apiserver.WatchRequest:
 		subs := r.T.Subscriptions[m.From]
 		if subs == nil {
@@ -173,17 +172,17 @@ func (r *Recorder) OnSend(m *sim.Message) {
 		subs[body.Kind] = true
 	case *apiserver.CreateRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method.Name,
+			From: m.From, Time: m.SentAt, Method: m.Method.Name,
 			Kind: body.Object.Meta.Kind, Name: body.Object.Meta.Name,
 		})
 	case *apiserver.UpdateRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method.Name,
+			From: m.From, Time: m.SentAt, Method: m.Method.Name,
 			Kind: body.Object.Meta.Kind, Name: body.Object.Meta.Name,
 		})
 	case *apiserver.DeleteRequest:
 		r.T.Writes = append(r.T.Writes, Write{
-			From: m.From, Time: m.SentAt, Method: req.Method.Name,
+			From: m.From, Time: m.SentAt, Method: m.Method.Name,
 			Kind: body.Kind, Name: body.Name,
 		})
 	case *apiserver.ListRequest, *store.RangeRequest:

@@ -61,21 +61,24 @@ func TestRecorderWritesAndActedOn(t *testing.T) {
 	r := NewRecorder()
 	r.OnSend(&sim.Message{
 		From: "operator", To: "api-1", SentAt: 10,
-		Payload: &sim.RPCRequest{Method: apiserver.MethodUpdate, Body: &apiserver.UpdateRequest{
+		Method: apiserver.MethodUpdate,
+		Payload: &apiserver.UpdateRequest{
 			Object: cluster.NewPod("cass-1", "u", cluster.PodSpec{}),
-		}},
+		},
 	})
 	r.OnSend(&sim.Message{
 		From: "operator", To: "api-1", SentAt: 11,
-		Payload: &sim.RPCRequest{Method: apiserver.MethodDelete, Body: &apiserver.DeleteRequest{
+		Method: apiserver.MethodDelete,
+		Payload: &apiserver.DeleteRequest{
 			Kind: cluster.KindPVC, Name: "cass-1-data",
-		}},
+		},
 	})
 	r.OnSend(&sim.Message{
 		From: "admin", To: "api-1", SentAt: 12,
-		Payload: &sim.RPCRequest{Method: apiserver.MethodCreate, Body: &apiserver.CreateRequest{
+		Method: apiserver.MethodCreate,
+		Payload: &apiserver.CreateRequest{
 			Object: cluster.NewCassandra("cass", "u", cluster.CassandraSpec{Replicas: 2}),
-		}},
+		},
 	})
 	if len(r.T.Writes) != 3 {
 		t.Fatalf("writes = %d", len(r.T.Writes))
@@ -95,9 +98,10 @@ func TestRecorderSubscriptionsFromWatchRequests(t *testing.T) {
 	r := NewRecorder()
 	r.OnSend(&sim.Message{
 		From: "scheduler", To: "api-1",
-		Payload: &sim.RPCRequest{Method: apiserver.MethodWatch, Body: &apiserver.WatchRequest{
+		Method: apiserver.MethodWatch,
+		Payload: &apiserver.WatchRequest{
 			Kind: cluster.KindNode, SubID: 1,
-		}},
+		},
 	})
 	if !r.T.Subscriptions["scheduler"][cluster.KindNode] {
 		t.Fatal("watch request not recorded as subscription")

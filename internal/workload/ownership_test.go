@@ -120,10 +120,12 @@ type writeReply struct {
 }
 
 func (w *writes) OnSend(m *sim.Message) {
-	switch p := m.Payload.(type) {
-	case *sim.RPCRequest:
+	if m.Method == nil {
+		return // not an RPC
+	}
+	if m.Call == 0 {
 		var obj *cluster.Object
-		switch body := p.Body.(type) {
+		switch body := m.Payload.(type) {
 		case *apiserver.CreateRequest:
 			obj = body.Object
 		case *apiserver.UpdateRequest:
@@ -135,16 +137,16 @@ func (w *writes) OnSend(m *sim.Message) {
 			w.bySeq = make(map[uint64]int)
 		}
 		w.bySeq[m.Seq] = len(w.requests)
-		w.requests = append(w.requests, writeRequest{from: m.From, to: m.To, method: p.Method.Name, obj: obj})
-	case *sim.RPCResponse:
-		wr, ok := p.Body.(*apiserver.WriteResponse)
-		if !ok || wr.Object == nil {
-			return
-		}
-		w.replies = append(w.replies, writeReply{from: m.From, to: m.To, obj: wr.Object})
-		if i, ok := w.bySeq[p.ID]; ok {
-			w.requests[i].rev = wr.Object.Meta.ResourceVersion
-		}
+		w.requests = append(w.requests, writeRequest{from: m.From, to: m.To, method: m.Method.Name, obj: obj})
+		return
+	}
+	wr, ok := m.Payload.(*apiserver.WriteResponse)
+	if !ok || wr.Object == nil {
+		return
+	}
+	w.replies = append(w.replies, writeReply{from: m.From, to: m.To, obj: wr.Object})
+	if i, ok := w.bySeq[m.Call]; ok {
+		w.requests[i].rev = wr.Object.Meta.ResourceVersion
 	}
 }
 func (w *writes) OnDeliver(*sim.Message)      {}
